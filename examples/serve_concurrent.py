@@ -16,6 +16,7 @@ import threading
 from repro import ChatGraph, ChatGraphServer, ServeConfig, ServeRequest
 from repro.errors import BackpressureError
 from repro.graphs import knowledge_graph, social_network
+from repro.testing import slow_chatgraph
 
 
 def main() -> None:
@@ -52,10 +53,12 @@ def main() -> None:
             thread.join()
 
         # -- backpressure under deliberate overload --------------------
+        # slow_chatgraph holds the one worker busy long enough for the
+        # two-slot queue to fill (the offline backbone answers in ms)
         tiny = ChatGraphServer(chatgraph, ServeConfig(
-            workers=1, queue_depth=2, backend_latency_seconds=0.2))
+            workers=1, queue_depth=2))
         rejected = 0
-        with tiny:
+        with slow_chatgraph(chatgraph, 0.2), tiny:
             for __ in range(10):
                 try:
                     tiny.submit(ServeRequest(op="propose",

@@ -107,8 +107,19 @@ def export_graph(context: ChainContext) -> dict[str, Any]:
 
     The cleaning scenario ends with "G is cleaned and outputted to
     file"; the session writes this document wherever the user asked.
+    Attributes are listed in sorted key order, so the rendered answer
+    does not depend on the order they were inserted in (a graph that
+    crossed the shard pipe arrives with its attributes key-sorted).
     """
-    return to_dict(_graph(context))
+    document = to_dict(_graph(context))
+    document["nodes"] = [
+        {"id": entry.pop("id"), **dict(sorted(entry.items()))}
+        for entry in document["nodes"]]
+    document["edges"] = [
+        {"source": entry.pop("source"), "target": entry.pop("target"),
+         **dict(sorted(entry.items()))}
+        for entry in document["edges"]]
+    return document
 
 
 def register(registry: APIRegistry) -> None:

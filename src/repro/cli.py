@@ -24,12 +24,20 @@ Commands (everything else is a question for ChatGraph):
 ``/config``                    show the active configuration
 ``/quit``                      exit
 =============================  =========================================
+
+Four subcommands share the entry point: ``chaos`` (seeded fault
+injection), ``bench-slo`` (soak scenarios gated on SLOs, single-process
+and sharded), ``trace`` (record or replay span logs) and ``store``
+(manage a durable graph catalog).  Speed is measured elsewhere, by
+``benchmarks/ledger/run.py``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
 import sys
 from pathlib import Path
 from typing import IO
@@ -218,159 +226,6 @@ def _positive_int(value: str) -> int:
     return parsed
 
 
-def _worker_counts(value: str) -> tuple[int, ...]:
-    counts = tuple(_positive_int(part)
-                   for part in value.split(",") if part.strip())
-    if not counts:
-        raise argparse.ArgumentTypeError(
-            f"{value!r} has no worker counts")
-    return counts
-
-
-def serve_bench_main(argv: list[str]) -> int:
-    """``python -m repro.cli serve-bench``: the serving benchmark."""
-    parser = argparse.ArgumentParser(
-        prog="repro.cli serve-bench",
-        description="Throughput/latency benchmark of the repro.serve "
-                    "runtime (worker scaling + cache ablation)")
-    parser.add_argument("--requests", type=_positive_int, default=48,
-                        help="workload size per configuration")
-    parser.add_argument("--workers", type=_worker_counts,
-                        default=(1, 4, 8),
-                        help="comma-separated worker counts (default "
-                             "1,4,8)")
-    parser.add_argument("--corpus", type=int, default=300,
-                        help="finetuning corpus size (default 300)")
-    parser.add_argument("--backend-latency-ms", type=float, default=10.0,
-                        help="emulated LLM-backend round trip per "
-                             "request (default 10ms)")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--quick", action="store_true",
-                        help="small workload for CI smoke runs")
-    parser.add_argument("--stats", action="store_true",
-                        help="also dump the final server.stats() "
-                             "snapshot as JSON")
-    args = parser.parse_args(argv)
-
-    from .serve.bench import run_serve_benchmark
-    worker_counts = args.workers
-    n_requests = 12 if args.quick else args.requests
-    print("loading ChatGraph (finetuning the simulated backbone)...",
-          file=sys.stderr)
-    chatgraph = ChatGraph.pretrained(corpus_size=args.corpus,
-                                     seed=args.seed)
-    report = run_serve_benchmark(
-        chatgraph, n_requests=n_requests, worker_counts=worker_counts,
-        backend_latency_seconds=args.backend_latency_ms / 1000.0)
-    for line in report["lines"]:
-        print(line)
-    if args.stats:
-        print(json.dumps(report["snapshot"], indent=1, default=str))
-    return 0
-
-
-def bench_perf_main(argv: list[str]) -> int:
-    """``python -m repro.cli bench-perf``: the scalar-vs-batched gate.
-
-    Measures the batched decode kernels, the vectorized ANN search,
-    the fully batched pipeline and the micro-batched server against
-    their scalar references on the seeded E13-style workload, verifies
-    the batched paths produce identical chains, writes the report JSON
-    (``BENCH_PR7.json`` by default), and exits non-zero when any
-    speedup gate (composite kernels, end-to-end pipeline, served-path
-    floor) or the chain-equality check fails.
-    """
-    parser = argparse.ArgumentParser(
-        prog="repro.cli bench-perf",
-        description="Perf gate: scalar vs batched inference hot path")
-    parser.add_argument("--requests", type=_positive_int, default=64,
-                        help="workload size (default 64)")
-    parser.add_argument("--batch-size", type=_positive_int, default=16,
-                        help="micro-batch size (default 16)")
-    parser.add_argument("--repeats", type=_positive_int, default=5,
-                        help="timing passes per path; the fastest "
-                             "pass is reported (default 5)")
-    parser.add_argument("--corpus", type=int, default=300,
-                        help="finetuning corpus size (default 300)")
-    parser.add_argument("--min-speedup", type=float, default=3.0,
-                        help="required decode+retrieval composite "
-                             "speedup (default 3.0)")
-    parser.add_argument("--pipeline-min-speedup", type=float,
-                        default=2.0,
-                        help="required end-to-end pipeline speedup at "
-                             "the batch size (default 2.0)")
-    parser.add_argument("--serve-min-speedup", type=float, default=1.0,
-                        help="required served-path speedup with micro-"
-                             "batching on (default 1.0: must not "
-                             "regress; ignored with --no-serve)")
-    parser.add_argument("--out", default="BENCH_PR7.json",
-                        help="report path (default BENCH_PR7.json)")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--quick", action="store_true",
-                        help="small workload + relaxed runtime for CI "
-                             "smoke runs (gate still applies)")
-    parser.add_argument("--no-serve", action="store_true",
-                        help="skip the end-to-end server comparison")
-    args = parser.parse_args(argv)
-
-    from .serve.perf import run_perf_benchmark
-
-    n_requests = 24 if args.quick else args.requests
-    repeats = 2 if args.quick else args.repeats
-    print("loading ChatGraph (finetuning the simulated backbone)...",
-          file=sys.stderr)
-    chatgraph = ChatGraph.pretrained(corpus_size=args.corpus,
-                                     seed=args.seed)
-    report = run_perf_benchmark(
-        chatgraph, n_requests=n_requests, batch_size=args.batch_size,
-        repeats=repeats, min_speedup=args.min_speedup,
-        pipeline_min_speedup=args.pipeline_min_speedup,
-        serve_min_speedup=args.serve_min_speedup,
-        include_serve=not args.no_serve)
-
-    from .benchlib import write_report
-    write_report(args.out, report)
-    print(f"report -> {args.out}", file=sys.stderr)
-
-    decode, ann = report["decode"], report["ann"]
-    comp, pipe = report["composite"], report["pipeline"]
-    print(f"decode   : {decode['speedup']:5.2f}x  "
-          f"({decode['scalar_chains_per_s']:8.1f} -> "
-          f"{decode['batched_chains_per_s']:8.1f} chains/s)")
-    print(f"ann      : {ann['speedup']:5.2f}x  "
-          f"({ann['scalar_qps']:8.1f} -> {ann['batched_qps']:8.1f} qps)")
-    print(f"composite: {comp['speedup']:5.2f}x  "
-          f"({comp['scalar']['throughput_rps']:7.1f} -> "
-          f"{comp['batched']['throughput_rps']:7.1f} req/s, "
-          f"p50 {comp['scalar']['p50_ms']:.2f} -> "
-          f"{comp['batched']['p50_ms']:.2f} ms)  [gated]")
-    print(f"pipeline : {pipe['speedup']:5.2f}x  "
-          f"({pipe['scalar']['throughput_rps']:7.1f} -> "
-          f"{pipe['batched']['throughput_rps']:7.1f} req/s, "
-          f"p50 {pipe['scalar']['p50_ms']:.1f} -> "
-          f"{pipe['batched']['p50_ms']:.1f} ms)  [gated]")
-    if "serve" in report:
-        serve = report["serve"]
-        print(f"serve    : {serve['speedup']:5.2f}x  "
-              f"({serve['scalar']['throughput_rps']:7.1f} -> "
-              f"{serve['microbatched']['throughput_rps']:7.1f} req/s)"
-              f"  [gated]")
-    print("stage costs (scalar-cost ranked, wall ms over the "
-          "workload):")
-    for row in report["stage_costs"]["stages"]:
-        print(f"  {row['stage']:<13} "
-              f"{row['scalar_wall_seconds'] * 1000:8.2f} -> "
-              f"{row['batched_wall_seconds'] * 1000:8.2f} ms "
-              f"({row['speedup']:5.2f}x)")
-    gate = report["gate"]
-    print(f"chains identical: {gate['chains_equal']}")
-    print(f"gate (composite >= {gate['min_speedup']}x, pipeline >= "
-          f"{gate['pipeline_min_speedup']}x, serve >= "
-          f"{gate['serve_min_speedup']}x): "
-          + ("PASSED" if gate["passed"] else "FAILED"))
-    return 0 if gate["passed"] else 1
-
-
 def chaos_main(argv: list[str]) -> int:
     """``python -m repro.cli chaos``: seeded chaos run of the serve
     engine.
@@ -468,20 +323,22 @@ def bench_slo_main(argv: list[str]) -> int:
     """``python -m repro.cli bench-slo``: soak scenarios gated on SLOs.
 
     Runs the named :mod:`repro.loadgen` scenarios (default: all of
-    steady / diurnal / spike) under the fake-clock discipline, writes
-    the combined report to ``--out`` (JSON, one block per scenario with
-    its SLO verdict and schedule fingerprint), and exits non-zero when
-    any gate fails.  Under a fixed ``--seed`` the generated request
+    steady / diurnal / spike / shard-kill / shard-reshape) under the
+    fake-clock discipline, writes the combined report to ``--out``
+    (JSON, one block per scenario with its SLO verdict and schedule
+    fingerprint, stamped with the host it ran on), and exits non-zero
+    when any gate fails, naming the scenario, the gate and the seed
+    that replays it.  Under a fixed ``--seed`` the generated request
     schedule is byte-identical across runs (``--dump-schedule DIR``
     writes the canonical JSONL to prove it).
     """
     parser = argparse.ArgumentParser(
         prog="repro.cli bench-slo",
         description="Production traffic simulation with SLO gates "
-                    "over the repro.serve runtime")
+                    "over the repro.serve runtime and the shard fleet")
     parser.add_argument("--scenario", default="all",
-                        help="steady | diurnal | spike | smoke | all "
-                             "(default all)")
+                        help="steady | diurnal | spike | shard-kill | "
+                             "shard-reshape | smoke | all (default all)")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--quick", action="store_true",
                         help="CI-sized runs (shorter durations)")
@@ -491,17 +348,20 @@ def bench_slo_main(argv: list[str]) -> int:
                         help="replay against the real clock instead of "
                              "the virtual one (slow: sleeps think "
                              "times)")
-    parser.add_argument("--out", default="BENCH_PR8.json",
+    parser.add_argument("--out", default="bench-slo.json",
                         help="combined report path "
-                             "(default BENCH_PR8.json)")
+                             "(default bench-slo.json)")
     parser.add_argument("--dump-schedule", metavar="DIR",
                         help="also write each scenario's canonical "
                              "schedule JSONL into DIR")
     args = parser.parse_args(argv)
 
-    from .loadgen import SCENARIOS, get_scenario, run_scenario
-    from .loadgen.personas import default_pool
-    from .loadgen.schedule import build_schedule
+    from .loadgen import (
+        SCENARIOS,
+        get_scenario,
+        run_scenario,
+        scenario_schedule,
+    )
 
     names = (list(SCENARIOS) if args.scenario == "all"
              else [args.scenario])
@@ -510,17 +370,14 @@ def bench_slo_main(argv: list[str]) -> int:
     report: dict = {"bench": "bench-slo", "seed": args.seed,
                     "quick": args.quick,
                     "fake_clock": not args.real_clock,
+                    "host": {"cpu_count": os.cpu_count() or 1,
+                             "platform": platform.platform(),
+                             "python": platform.python_version()},
                     "scenarios": {}}
-    passed = True
+    failures: list[str] = []
     for scenario in scenarios:
         if args.dump_schedule:
-            pool = default_pool()
-            catalog_names = tuple(f"demo-{key}"
-                                  for key in scenario.catalog_graphs)
-            schedule = build_schedule(
-                scenario.arrival, scenario.duration,
-                personas=scenario.personas, seed=args.seed, pool=pool,
-                catalog_names=catalog_names)
+            schedule = scenario_schedule(scenario, args.seed)
             out_dir = Path(args.dump_schedule)
             out_dir.mkdir(parents=True, exist_ok=True)
             path = out_dir / f"schedule-{scenario.name}.jsonl"
@@ -536,67 +393,31 @@ def bench_slo_main(argv: list[str]) -> int:
                               fake_clock=not args.real_clock,
                               corpus_size=args.corpus)
         report["scenarios"][scenario.name] = result
-        verdict = result["slo"]
-        passed = passed and verdict["passed"]
         overall = result["overall"]
         print(f"{scenario.name}: {overall['submitted']} submitted, "
               f"{overall['ok']} ok, {overall['rejected']} rejected, "
               f"{overall['errors']} errors, "
               f"p95 {overall['latency']['p95'] * 1000:.1f}ms  "
               f"[schedule {result['schedule_sha256'][:16]}...]")
-        for gate in verdict["gates"]:
+        for gate in result["slo"]["gates"]:
             status = "PASS" if gate["passed"] else "FAIL"
             print(f"  {status}  {gate['gate']}")
+            if not gate["passed"]:
+                failures.append(f"{scenario.name}: {gate['gate']}")
         if not result["reconciliation"]["exact"]:
-            passed = False
             print(f"  FAIL  counter reconciliation: "
                   f"{result['reconciliation']}")
-    report["passed"] = passed
-    from .benchlib import write_report
-    write_report(args.out, report, sort_keys=True)
+            failures.append(f"{scenario.name}: counter reconciliation")
+    report["passed"] = not failures
+    Path(args.out).write_text(
+        json.dumps(report, indent=1, sort_keys=True) + "\n",
+        encoding="utf-8")
     print(f"report -> {args.out}", file=sys.stderr)
-    print("bench-slo: " + ("OK" if passed else "FAILED"))
-    return 0 if passed else 1
-
-
-def bench_shard_main(argv: list[str]) -> int:
-    """``python -m repro.cli bench-shard``: sharded serving gates.
-
-    Runs the four gate families of :mod:`repro.shard.bench` — the
-    scaling curve (throughput vs shard count, with the 8-shard gate
-    armed automatically on a >= 8-core host), the parity gate
-    (byte-identical responses between the sharded and single-process
-    servers), the kill-a-shard spike soak, and the live add/remove
-    shard migration soak — writes the combined report to ``--out``
-    (default ``BENCH_PR9.json``), and exits non-zero when any gate
-    fails.
-    """
-    parser = argparse.ArgumentParser(
-        prog="repro.cli bench-shard",
-        description="Sharded multi-process serving benchmark: scaling "
-                    "curve, byte-parity gate, kill-a-shard spike soak")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--quick", action="store_true",
-                        help="CI-sized run (2-shard curve, shorter "
-                             "soak)")
-    parser.add_argument("--corpus", type=int, default=200,
-                        help="finetuning corpus size (default 200)")
-    parser.add_argument("--skip-soak", action="store_true",
-                        help="skip the kill-a-shard spike soak")
-    parser.add_argument("--out", default="BENCH_PR9.json",
-                        help="report path (default BENCH_PR9.json)")
-    args = parser.parse_args(argv)
-
-    from .shard.bench import run_shard_benchmark
-
-    report = run_shard_benchmark(seed=args.seed, quick=args.quick,
-                                 corpus_size=args.corpus,
-                                 skip_soak=args.skip_soak)
-    from .benchlib import write_report
-    write_report(args.out, report, sort_keys=True)
-    print(f"report -> {args.out}", file=sys.stderr)
-    print("bench-shard: " + ("OK" if report["passed"] else "FAILED"))
-    return 0 if report["passed"] else 1
+    for failure in failures:
+        print(f"FAILED gate (seed {args.seed}"
+              f"{', quick' if args.quick else ''}) {failure}")
+    print("bench-slo: " + ("OK" if not failures else "FAILED"))
+    return 0 if not failures else 1
 
 
 def trace_main(argv: list[str]) -> int:
@@ -726,32 +547,20 @@ def main(argv: list[str] | None = None) -> int:
     """Entry point of ``python -m repro.cli``.
 
     ``python -m repro.cli`` starts the chat REPL;
-    ``python -m repro.cli serve-bench [...]`` runs the serving
-    benchmark (see :mod:`repro.serve.bench`);
-    ``python -m repro.cli bench-perf [...]`` runs the scalar-vs-batched
-    perf gate (see :mod:`repro.serve.perf`);
     ``python -m repro.cli chaos [...]`` runs the seeded
     fault-injection check of the serve engine;
     ``python -m repro.cli bench-slo [...]`` runs soak scenarios with
-    SLO gates (see :mod:`repro.loadgen`);
-    ``python -m repro.cli bench-shard [...]`` runs the sharded-serving
-    scaling/parity/chaos gates (see :mod:`repro.shard.bench`);
+    SLO gates, single-process and sharded (see :mod:`repro.loadgen`);
     ``python -m repro.cli trace [...]`` records a seeded traced run or
     replays a span log (see :mod:`repro.obs`);
     ``python -m repro.cli store [...]`` manages a durable graph
     catalog (see :mod:`repro.store`).
     """
     argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] == "serve-bench":
-        return serve_bench_main(argv[1:])
-    if argv and argv[0] == "bench-perf":
-        return bench_perf_main(argv[1:])
     if argv and argv[0] == "chaos":
         return chaos_main(argv[1:])
     if argv and argv[0] == "bench-slo":
         return bench_slo_main(argv[1:])
-    if argv and argv[0] == "bench-shard":
-        return bench_shard_main(argv[1:])
     if argv and argv[0] == "trace":
         return trace_main(argv[1:])
     if argv and argv[0] == "store":

@@ -197,11 +197,6 @@ class ServeConfig:
     breaker_window: int = 20
     #: Seconds an open breaker waits before a half-open probe.
     breaker_cooldown_seconds: float = 30.0
-    #: Emulated LLM-backend round-trip added to each generate call.  The
-    #: offline backbone is CPU-only; real deployments call a remote LLM,
-    #: so benchmarks use this knob to model the I/O-bound regime where
-    #: worker concurrency pays off.
-    backend_latency_seconds: float = 0.0
     #: Maximum requests coalesced into one micro-batch; ``0`` disables
     #: micro-batching (every request is served individually).  Only
     #: stateless ``propose``/``ask`` requests batch; session-bound and
@@ -212,13 +207,6 @@ class ServeConfig:
     #: (first request waits up to this long) against batching
     #: efficiency; ``0`` flushes immediately with whatever is queued.
     microbatch_deadline_seconds: float = 0.005
-    #: Overlap the per-request tail of a micro-batch (chain execution
-    #: for ``ask``, stats, resolution) with decode for the *next*
-    #: micro-batch: the worker hands finished pipeline results to a
-    #: dedicated finisher thread and immediately returns to collecting.
-    #: Off by default — it adds a thread and reorders nothing but is
-    #: only worth it for execution-heavy batched workloads.
-    microbatch_overlap_execute: bool = False
     #: Root directory of a durable :class:`repro.store.GraphCatalog`;
     #: empty disables the store (requests then must carry inline
     #: graphs).  When set, requests may name catalog graphs via
@@ -305,8 +293,6 @@ class ServeConfig:
                  "breaker_window must be >= breaker_failure_threshold")
         _require(self.breaker_cooldown_seconds > 0.0,
                  "breaker_cooldown_seconds must be > 0")
-        _require(self.backend_latency_seconds >= 0.0,
-                 "backend_latency_seconds must be >= 0")
         _require(self.microbatch_size >= 0,
                  "microbatch_size must be >= 0")
         _require(self.microbatch_deadline_seconds >= 0.0,

@@ -4,10 +4,8 @@ When generation produces an invalid or empty chain, the pipeline's
 ``repair`` stage replaces it with a (graph type, intent) keyed default
 so every prompt still yields something executable (paper Fig. 1's
 "always propose" guarantee).  Exactly one :class:`FallbackRegistry`
-instance — :data:`FALLBACKS` — backs every layer: the pipeline's repair
-stage consults it, and the legacy ``FALLBACK_CHAINS`` /
-``DEFAULT_FALLBACK`` names in :mod:`repro.core.pipeline` are aliases of
-its tables, so the serve layer and the pipeline can never drift apart.
+instance — :data:`FALLBACKS` — backs every layer, so the serve layer
+and the pipeline can never drift apart.
 """
 
 from __future__ import annotations
@@ -18,8 +16,6 @@ class FallbackRegistry:
 
     def __init__(self, chains: dict[tuple[str, str], tuple[str, ...]],
                  default: tuple[str, ...]) -> None:
-        #: Exposed mutably on purpose: :data:`pipeline.FALLBACK_CHAINS`
-        #: aliases this very dict, keeping the two views one object.
         self.chains = dict(chains)
         self.default = tuple(default)
 

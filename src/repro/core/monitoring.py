@@ -37,16 +37,7 @@ class ChainMonitor:
     def __call__(self, event: ExecutionEvent) -> None:
         self.events.append(event)
         if event.kind == "chain_started":
-            if event.n_steps is not None:
-                self.n_steps = event.n_steps
-            else:
-                # legacy events (pre-``n_steps``) only carry the count
-                # inside the rendered detail string
-                prefix = event.detail.split(" steps:", 1)[0]
-                try:
-                    self.n_steps = int(prefix)
-                except ValueError:
-                    self.n_steps = 0
+            self.n_steps = event.n_steps or 0
             self.current_step = -1
             self.finished = self.failed = False
             self.steps_done = 0

@@ -38,12 +38,6 @@ from .stages import (
     build_chat_graph,
 )
 
-#: Legacy aliases of the one fallback registry (see
-#: :mod:`repro.core.fallbacks`).  These are the *same objects* the
-#: repair stage consults, so the tables can never drift.
-FALLBACK_CHAINS: dict[tuple[str, str], tuple[str, ...]] = FALLBACKS.chains
-DEFAULT_FALLBACK: tuple[str, ...] = FALLBACKS.default
-
 
 @dataclass
 class PipelineResult:

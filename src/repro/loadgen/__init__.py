@@ -6,8 +6,9 @@ emit seeded request streams, open-loop arrival processes
 (:mod:`~repro.loadgen.arrivals`) place them on a timeline,
 :func:`build_schedule` freezes the combination into a byte-identical
 :class:`Schedule`, and a :class:`SoakRunner` replays it against a
-:class:`~repro.serve.engine.ChatGraphServer` under either the real
-clock or a :class:`VirtualClock`.  The resulting soak report —
+:class:`~repro.serve.engine.ChatGraphServer` — or a sharded fleet,
+with timed :class:`FleetEvent` kills and reshapes — under either the
+real clock or a :class:`VirtualClock`.  The resulting soak report —
 latency trajectories per persona, error/rejection rates, cache-hit and
 breaker timelines — is gated by declarative :class:`SLOSpec`
 contracts (:func:`evaluate_slo`), and :func:`run_scenario` packages
@@ -29,7 +30,7 @@ from .personas import (
     default_pool,
     user_requests,
 )
-from .runner import SoakRunner, VirtualClock
+from .runner import FleetEvent, SoakRunner, VirtualClock
 from .schedule import Schedule, ScheduledRequest, build_schedule
 from .scenarios import (
     SCENARIOS,
@@ -37,6 +38,7 @@ from .scenarios import (
     build_soak_chatgraph,
     get_scenario,
     run_scenario,
+    scenario_schedule,
 )
 from .slo import METRICS, SLOGate, SLOSpec, evaluate_slo
 
@@ -52,6 +54,7 @@ __all__ = [
     "bench_workload",
     "default_pool",
     "user_requests",
+    "FleetEvent",
     "SoakRunner",
     "VirtualClock",
     "Schedule",
@@ -62,6 +65,7 @@ __all__ = [
     "build_soak_chatgraph",
     "get_scenario",
     "run_scenario",
+    "scenario_schedule",
     "METRICS",
     "SLOGate",
     "SLOSpec",

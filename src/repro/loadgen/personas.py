@@ -193,14 +193,11 @@ def user_requests(spec: PersonaSpec, user_id: str, start: float,
 
 def bench_workload(n_requests: int,
                    n_graphs: int = 4) -> list[ServeRequest]:
-    """The serving benchmark's fixed request stream.
+    """A fixed request stream for serving tests.
 
     The degenerate persona: zero think time, one ``propose`` per user,
     prompts and graphs cycled round-robin from the shared pools in
-    :mod:`repro.testing.workloads`.  Byte-for-byte the stream
-    ``repro.serve.bench.build_workload`` has produced since PR 1, so
-    bench and soak traffic now share one seeded source without moving
-    any benchmark baseline.
+    :mod:`repro.testing.workloads`.
     """
     graphs = bench_graphs(n_graphs)
     return [

@@ -18,6 +18,10 @@ Two clock disciplines share one loop:
   service time in this mode (real queued time under compression is an
   artifact); real-clock runs gate on queued + service.
 
+Timed :class:`FleetEvent` rows (kill / add / remove a shard) fire from
+the same loop under either discipline: each runs exactly once, in time
+order, just before the first request scheduled at or after its instant.
+
 The report sources every quantile from the
 :class:`repro.obs.metrics.Histogram` primitive and reconciles the
 runner's own event counts exactly against ``server.stats()`` — a soak
@@ -29,13 +33,42 @@ from __future__ import annotations
 import math
 import threading
 import time
+from dataclasses import dataclass
 from typing import Any
 
-from ..errors import BackpressureError, RateLimitError
+from ..errors import (
+    BackpressureError,
+    ChatGraphError,
+    ConfigError,
+    RateLimitError,
+)
 from ..obs.metrics import Histogram
 from .schedule import Schedule, ScheduledRequest
 
-__all__ = ["SoakRunner", "VirtualClock"]
+__all__ = ["FleetEvent", "SoakRunner", "VirtualClock"]
+
+_FLEET_ACTIONS = ("kill", "add", "remove")
+
+
+@dataclass(frozen=True)
+class FleetEvent:
+    """One scripted change to a sharded fleet at soak time ``at``.
+
+    ``kill`` SIGKILLs shard ``shard`` (the fleet must detect, fail over
+    and restart it), ``add`` grows the fleet by one shard and ``remove``
+    migrates shard ``shard`` away, both live.
+    """
+
+    at: float
+    action: str
+    shard: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.action not in _FLEET_ACTIONS:
+            raise ConfigError(f"unknown fleet action {self.action!r}; "
+                              f"expected one of {_FLEET_ACTIONS}")
+        if (self.shard is None) != (self.action == "add"):
+            raise ConfigError("kill/remove name a shard; add does not")
 
 
 class VirtualClock:
@@ -112,6 +145,7 @@ class SoakRunner:
                  clock: VirtualClock | None = None,
                  pace_gap_seconds: float = 0.5,
                  barriers: tuple[float, ...] = (),
+                 events: tuple[FleetEvent, ...] = (),
                  result_timeout: float = 120.0,
                  sleep: Any = time.sleep) -> None:
         if window_seconds <= 0.0:
@@ -128,6 +162,10 @@ class SoakRunner:
         #: clock past the fault window before any backlog runs).  Real
         #: time crosses no barriers; the flag is ignored there.
         self.barriers = tuple(sorted(barriers))
+        self._events = sorted(events, key=lambda event: event.at)
+        #: One row per fired event: what ran, when, and what the fleet
+        #: answered (a migration report, or the error that refused it).
+        self._fired: list[dict[str, Any]] = []
         self.result_timeout = result_timeout
         self._sleep = sleep
         #: Windows span the whole schedule, including session turns
@@ -185,6 +223,28 @@ class SoakRunner:
         while (self._sampled_boundaries + 1) * self.window_seconds <= at:
             self._sampled_boundaries += 1
             self._sample_boundary(self._sampled_boundaries)
+
+    # ------------------------------------------------------------------
+    # fleet events
+    # ------------------------------------------------------------------
+    def _fire_events_up_to(self, at: float) -> None:
+        while (len(self._fired) < len(self._events)
+               and self._events[len(self._fired)].at <= at):
+            event = self._events[len(self._fired)]
+            row: dict[str, Any] = {"at": event.at, "action": event.action,
+                                   "shard": event.shard, "fired_at": at}
+            self._fired.append(row)
+            try:
+                if event.action == "kill":
+                    self.server.kill_shard(event.shard)
+                elif event.action == "add":
+                    row["result"] = self.server.add_shard()
+                else:
+                    row["result"] = self.server.remove_shard(event.shard)
+            except ChatGraphError as exc:
+                # a refused reshape leaves the old ring serving: record
+                # it for the gates and keep replaying the schedule
+                row["error"] = f"{type(exc).__name__}: {exc}"
 
     # ------------------------------------------------------------------
     # submission / resolution
@@ -247,6 +307,7 @@ class SoakRunner:
                 last_at = item.at
                 self._sample_up_to(item.at)
                 self.clock.advance_to(item.at)
+                self._fire_events_up_to(item.at)
                 self._submit(item)
             self.clock.advance_to(self.span)
         else:
@@ -256,7 +317,9 @@ class SoakRunner:
                 if remaining > 0.0:
                     self._sleep(remaining)
                 self._sample_up_to(item.at)
+                self._fire_events_up_to(item.at)
                 self._submit(item)
+        self._fire_events_up_to(self.span)
         self._drain()
         self._sample_up_to(self.span)
         # close the timeline with the post-drain end state
@@ -306,6 +369,7 @@ class SoakRunner:
             "windows": windows,
             "cache_hit_trajectory": self._cache_trajectory,
             "breaker_timeline": self._breaker_timeline,
+            "fleet_events": self._fired,
             "counters": counters,
             "sessions": stats.get("sessions", {}),
             "rate_limiter": stats.get("rate_limiter", {}),

@@ -27,13 +27,26 @@ from typing import Any
 
 from ..errors import ConfigError
 
+#: Report counters a gate may reference by name.  Server counters exist
+#: only once incremented, so a listed counter missing from the report
+#: reads zero; a name outside this list is rejected when the gate is
+#: built, so a typo cannot pass a ``max_value`` gate by never existing.
+#: The ``fleet_*`` / ``sessions_stranded`` rows are the end-of-soak
+#: fleet state :func:`~repro.loadgen.scenarios.run_scenario` adds.
+COUNTERS = (
+    "breaker_opened",
+    "shard_deaths", "shard_failovers", "shard_restarts",
+    "shard_migrations", "sessions_migrated", "sessions_stranded",
+    "fleet_shards_down", "fleet_breakers_open",
+)
+
 #: Metric names a gate may reference.  Latency quantiles are seconds;
 #: rates are fractions in [0, 1]; counts are plain numbers.
 METRICS = (
     "p50_latency", "p95_latency", "p99_latency",
     "error_rate", "degraded_rate", "rejection_rate",
-    "cache_hit_rate", "breaker_opened", "breakers_recovered",
-)
+    "cache_hit_rate", "breakers_recovered",
+) + COUNTERS
 
 #: Metrics that exist per window (eligible for window budgets).
 _WINDOWED = ("p50_latency", "p95_latency", "p99_latency",
@@ -123,8 +136,8 @@ def _metric_value(scoped: dict[str, Any], report: dict[str, Any],
     if metric == "cache_hit_rate":
         return report["cache_hit_trajectory"][-1] \
             if report["cache_hit_trajectory"] else 0.0
-    if metric == "breaker_opened":
-        return float(report["counters"].get("breaker_opened", 0))
+    if metric in COUNTERS:
+        return float(report["counters"].get(metric, 0))
     if metric == "breakers_recovered":
         timeline = report["breaker_timeline"]
         open_at_end = timeline[-1]["open"] if timeline else []
@@ -161,7 +174,7 @@ def evaluate_slo(report: dict[str, Any],
     Returns ``{"name", "passed", "gates": [...]}`` where each gate row
     carries the observed value (or window violation fraction), the
     bounds, and its verdict — the block ``bench-slo`` serializes into
-    ``BENCH_PR8.json``.
+    its report.
     """
     rows: list[dict[str, Any]] = []
     for gate in spec.gates:

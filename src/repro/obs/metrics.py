@@ -1,8 +1,7 @@
 """Counters, gauges, and fixed-bucket histograms for the pipeline.
 
 :class:`Histogram` is the latency histogram the serve runtime has used
-since PR 1 (moved here so observability owns the primitive;
-``repro.serve.stats.LatencyHistogram`` is now an alias).  On top of it
+since PR 1 (observability owns the primitive).  On top of it
 :class:`MetricsRegistry` holds named counters/gauges/histograms behind
 one lock-per-metric facade, and speaks the executor's listener protocol
 — attach :meth:`MetricsRegistry.on_execution_event` to a

@@ -16,7 +16,6 @@ which session — and hands every outcome to ``lifecycle.reply``.
 
 from __future__ import annotations
 
-import queue as stdlib_queue
 import threading
 import time
 from typing import Any
@@ -49,11 +48,6 @@ class LocalBackend(ExecutionBackend):
         self.chatgraph = chatgraph
         self.catalog = catalog
         self._workers: list[threading.Thread] = []
-        # optional micro-batch finisher lane: workers hand the per-item
-        # tail of a served batch here and return to collecting/decoding
-        # the next one (ServeConfig.microbatch_overlap_execute)
-        self._finish_queue: Any = None
-        self._finish_thread: threading.Thread | None = None
         self._saved_tracer: Any = None
         self._saved_robustness: tuple[Any, Any] | None = None
 
@@ -104,9 +98,6 @@ class LocalBackend(ExecutionBackend):
                 backoff_base_seconds=config.retry_backoff_seconds,
                 critical=False),
             seed=config.seed)
-        if (self.batcher is not None
-                and config.microbatch_overlap_execute):
-            self._finish_queue = stdlib_queue.SimpleQueue()
 
     # ------------------------------------------------------------------
     # lifecycle hooks
@@ -151,23 +142,11 @@ class LocalBackend(ExecutionBackend):
                 name=f"chatgraph-serve-{index}", daemon=True)
             thread.start()
             self._workers.append(thread)
-        if self._finish_queue is not None:
-            self._finish_thread = threading.Thread(
-                target=self._finish_lane_loop,
-                name="chatgraph-serve-finish", daemon=True)
-            self._finish_thread.start()
 
     def shutdown(self, drain: bool, deadline: float) -> None:
         for thread in self._workers:
             thread.join(max(0.0, deadline - time.monotonic()))
         self._workers = []
-        if self._finish_thread is not None:
-            # workers are gone, so no new jobs can arrive: the sentinel
-            # lands behind every queued tail and the lane drains fully
-            self._finish_queue.put(None)
-            self._finish_thread.join(
-                max(0.0, deadline - time.monotonic()))
-            self._finish_thread = None
 
     def finalize(self, deadline: float) -> None:
         lifecycle = self.lifecycle
@@ -316,16 +295,8 @@ class LocalBackend(ExecutionBackend):
             seeds = [item.request.content_seed(self.lifecycle.config.seed)
                      for item in batch]
             outcomes = [exc] * len(batch)
-        if self._finish_queue is not None:
-            # overlap: hand the per-item tail (chain execution for ask,
-            # stats, resolution) to the finisher lane so this worker
-            # immediately returns to collecting and decoding the next
-            # micro-batch
-            self._finish_queue.put(
-                (batch, worker, seeds, outcomes, queued_per, start))
-        else:
-            self._finish_batch(batch, worker, seeds, outcomes,
-                               queued_per, start)
+        self._finish_batch(batch, worker, seeds, outcomes, queued_per,
+                           start)
 
     def _handle(self, item: PendingRequest, worker: str) -> ServeResponse:
         request = item.request
@@ -358,11 +329,6 @@ class LocalBackend(ExecutionBackend):
         else:
             response.value = self._serve_ask(request, seed)
 
-    def _backend_pause(self) -> None:
-        """Emulate the remote-LLM round trip (see ServeConfig)."""
-        if self.lifecycle.config.backend_latency_seconds > 0:
-            time.sleep(self.lifecycle.config.backend_latency_seconds)
-
     def _record_pipeline(self, result: PipelineResult) -> None:
         # per-stage latency histogram names come from the stage graph
         # (via the result's timings) — never from a hand-written list
@@ -389,7 +355,6 @@ class LocalBackend(ExecutionBackend):
 
     def _serve_propose(self, request: ServeRequest,
                        seed: int) -> PipelineResult:
-        self._backend_pause()
         attachments = dict(request.attachments)
         attachments.setdefault("request_seed", seed)
         result = self.chatgraph.propose(request.text,
@@ -418,7 +383,6 @@ class LocalBackend(ExecutionBackend):
         )
 
     def _serve_ask(self, request: ServeRequest, seed: int) -> ChatResponse:
-        self._backend_pause()
         stats = self.lifecycle.stats
         if request.session_id is not None:
             view = self._resolve_view(request)
@@ -452,13 +416,11 @@ class LocalBackend(ExecutionBackend):
                        ) -> tuple[list[int], list[Any]]:
         """Phase 1 of a micro-batch: one shared batched pipeline pass.
 
-        The emulated backend round trip is paid once for the whole
-        batch — that amortization is the point of micro-batching a
-        remote-LLM-shaped workload.  Returns ``(seeds, outcomes)``
-        where each outcome is the item's :class:`PipelineResult` or the
-        exception that failed it: a bad graph name or a mid-batch stage
-        failure degrades that one response, never its batchmates
-        (matching what the scalar path would do to each request alone).
+        Returns ``(seeds, outcomes)`` where each outcome is the item's
+        :class:`PipelineResult` or the exception that failed it: a bad
+        graph name or a mid-batch stage failure degrades that one
+        response, never its batchmates (matching what the scalar path
+        would do to each request alone).
         """
         tracer = self.lifecycle.tracer
         seeds = [item.request.content_seed(self.lifecycle.config.seed)
@@ -477,7 +439,6 @@ class LocalBackend(ExecutionBackend):
             prompts.append(Prompt(text=item.request.text, graph=graph,
                                   attachments=attachments))
             live.append(index)
-        self._backend_pause()
         if prompts:
             if tracer is None:
                 results = self.chatgraph.propose_batch(
@@ -500,8 +461,6 @@ class LocalBackend(ExecutionBackend):
         ``ask`` requests execute their chains one by one here
         (execution carries per-request state and does not batch);
         failed outcomes from phase 1 become per-item error responses.
-        Runs on the worker, or on the finisher lane when execution
-        overlap is enabled.
         """
         lifecycle = self.lifecycle
         tracer = lifecycle.tracer
@@ -534,31 +493,6 @@ class LocalBackend(ExecutionBackend):
             lifecycle.reply(item, response,
                             ReplyTiming(queued=queued, service=service,
                                         batched=True))
-
-    def _finish_lane_loop(self) -> None:
-        """Drain queued batch tails; ``None`` is the shutdown sentinel.
-
-        Whatever happens, every item of a popped job resolves — a
-        caller blocked in ``PendingRequest.result`` must never be
-        stranded by a finisher bug.
-        """
-        while True:
-            job = self._finish_queue.get()
-            if job is None:
-                return
-            batch = job[0]
-            try:
-                self._finish_batch(*job)
-            except Exception as exc:  # noqa: BLE001 - resolve anyway
-                for item in batch:
-                    if not item.done():
-                        self.lifecycle.reply(item, ServeResponse(
-                            request_id=item.request_id,
-                            op=item.request.op, ok=False,
-                            error=str(exc),
-                            error_type=type(exc).__name__),
-                            ReplyTiming())
-            del batch, job
 
     def _finish_batch_item(self, item: PendingRequest,
                            result: PipelineResult,

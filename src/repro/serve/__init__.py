@@ -12,9 +12,10 @@ single-caller facade; this subsystem makes it a *server*:
 * :mod:`sessions` — concurrent TTL/LRU session store;
 * :mod:`cache` — thread-safe content-addressed LRU caches wired into
   the pipeline's embedding, retrieval and sequentialize stages;
-* :mod:`stats` — per-stage counters and latency histograms;
-* :mod:`bench` — the throughput/latency harness behind
-  ``python -m repro.cli serve-bench`` and ``benchmarks/bench_serve.py``.
+* :mod:`stats` — per-stage counters and latency histograms.
+
+Speed is measured from outside by ``benchmarks/ledger/run.py``;
+invariants under load by ``python -m repro.cli bench-slo``.
 """
 
 from ..config import ObsConfig, ServeConfig
@@ -35,7 +36,7 @@ from .engine import (
 )
 from .microbatch import MicroBatcher
 from .sessions import SessionEntry, SessionStore
-from .stats import LatencyHistogram, ServerStats
+from .stats import ServerStats
 
 __all__ = [
     "AdmissionQueue",
@@ -47,7 +48,6 @@ __all__ = [
     "CircuitBreaker",
     "CircuitOpenError",
     "LRUCache",
-    "LatencyHistogram",
     "MicroBatcher",
     "ObsConfig",
     "PendingRequest",

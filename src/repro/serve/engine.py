@@ -239,14 +239,6 @@ class ChatGraphServer:
     def policy(self) -> Any:
         return self.backend.policy
 
-    @property
-    def _finish_queue(self) -> Any:
-        return self.backend._finish_queue
-
-    @property
-    def _finish_thread(self) -> Any:
-        return self.backend._finish_thread
-
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------

@@ -9,11 +9,9 @@ keyed by the graph's observed stage names; the server also snapshots
 ``pipeline.graph.observed_stage_names``), so adding a stage to the
 graph grows the histograms without touching this module.  Everything is
 cheap enough to stay on by default; ``ServerStats.snapshot()`` renders
-a plain-dict view for logging, tests and the ``serve-bench`` CLI.
+a plain-dict view for logging and tests.
 
-The histogram primitive now lives in :mod:`repro.obs.metrics` (the
-observability layer owns it); ``LatencyHistogram`` stays as an alias
-so existing imports keep working.
+The histogram primitive is :class:`repro.obs.metrics.Histogram`.
 """
 
 from __future__ import annotations
@@ -22,7 +20,7 @@ import threading
 from collections import Counter
 from typing import Any
 
-from ..obs.metrics import Histogram as LatencyHistogram
+from ..obs.metrics import Histogram
 
 
 #: Executor event kinds mirrored 1:1 into server counters (the
@@ -41,7 +39,7 @@ class ServerStats:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._counters: Counter = Counter()
-        self._histograms: dict[str, LatencyHistogram] = {}
+        self._histograms: dict[str, Histogram] = {}
 
     def on_execution_event(self, event: Any) -> None:
         """Executor listener: count retry/timeout/breaker events.
@@ -73,10 +71,10 @@ class ServerStats:
                 histogram = self._histograms.get(stage)
                 if histogram is None:
                     histogram = self._histograms[stage] = \
-                        LatencyHistogram()
+                        Histogram()
         histogram.observe(seconds)
 
-    def histogram(self, stage: str) -> LatencyHistogram | None:
+    def histogram(self, stage: str) -> Histogram | None:
         return self._histograms.get(stage)
 
     def snapshot(self) -> dict[str, Any]:

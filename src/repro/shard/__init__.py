@@ -16,9 +16,12 @@ the in-process server:
   deterministically from a :class:`ShardModelSpec`;
 * :mod:`coordinator` — :class:`ShardedChatGraphServer`: admission,
   scatter/gather, hot-graph replicas, heartbeat-driven failure
-  detection, breaker-guarded failover, and background restart;
-* :mod:`bench` — the ``bench-shard`` CLI body: scaling curve, parity
-  gate, and the kill-a-shard spike soak behind BENCH_PR9.json.
+  detection, breaker-guarded failover, and background restart.
+
+The fleet's cost is the ledger's ``shard_fleet`` workload
+(``benchmarks/ledger/run.py``); its kill and live-reshape soaks are the
+``shard-kill`` / ``shard-reshape`` scenarios of ``python -m repro.cli
+bench-slo``.
 
 Example::
 

@@ -3,12 +3,17 @@
 * :mod:`faults` — deterministic fault injection: wrap registry API
   specs so they raise seeded exceptions or sleep injected delays,
   making timeouts, retries, breakers and degradation testable without
-  a flaky backend.
+  a flaky backend; :func:`slow_chatgraph` holds a serve worker busy.
 * :mod:`workloads` — the canonical seeded prompts/graphs shared by the
   golden-trace regression tests and the ``trace --demo`` CLI.
 """
 
-from .faults import FaultInjector, FaultSpec, chaos_registry
+from .faults import (
+    FaultInjector,
+    FaultSpec,
+    chaos_registry,
+    slow_chatgraph,
+)
 from .workloads import CANONICAL_PROMPTS, canonical_graph, canonical_workload
 
 __all__ = [
@@ -18,4 +23,5 @@ __all__ = [
     "canonical_graph",
     "canonical_workload",
     "chaos_registry",
+    "slow_chatgraph",
 ]

@@ -28,13 +28,14 @@ Example::
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import random
 import threading
 import time
 from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 from ..apis.registry import APIRegistry, APISpec
 from ..errors import ChatGraphError, FaultInjectionError
@@ -184,3 +185,32 @@ def chaos_registry(registry: APIRegistry, seed: int = 0,
                               message="chaos fault")
               for name in sorted(sample)}
     return injector.wrap_registry(registry, faults), injector, faults
+
+
+@contextlib.contextmanager
+def slow_chatgraph(chatgraph: Any, seconds: float) -> Iterator[None]:
+    """Delay every pipeline pass of ``chatgraph`` by ``seconds`` while
+    the block runs.
+
+    How a test holds a serve worker busy (full queues, cancelled
+    shutdowns, responsive stats) without a production config knob.
+    ``propose`` and ``propose_batch`` are the two ways into the
+    pipeline (``ask`` and sessions go through ``propose``), so every
+    request pays the delay once and a micro-batch pays it once for all
+    its members.
+    """
+    names = ("propose", "propose_batch")
+
+    def delayed(inner: Callable[..., Any]) -> Callable[..., Any]:
+        def call(*args: Any, **kwargs: Any) -> Any:
+            time.sleep(seconds)
+            return inner(*args, **kwargs)
+        return call
+
+    for name in names:
+        setattr(chatgraph, name, delayed(getattr(chatgraph, name)))
+    try:
+        yield
+    finally:
+        for name in names:
+            delattr(chatgraph, name)

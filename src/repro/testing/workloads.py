@@ -7,11 +7,10 @@ replay, so they cannot drift apart:
   the ``python -m repro.cli trace --demo`` smoke run, and the CI
   ``trace-smoke`` job replay :data:`CANONICAL_PROMPTS` over
   :func:`canonical_graph`;
-* the serving benchmark (:mod:`repro.serve.bench`) and the traffic
-  simulator (:mod:`repro.loadgen`) draw their request text from
-  :data:`PROMPTS` and their graphs from :func:`bench_graphs` /
-  :func:`demo_graph_pool` — one seeded source for bench and soak
-  traffic.
+* the traffic simulator (:mod:`repro.loadgen`) and the ledger
+  benchmark (``benchmarks/ledger``) draw their request text from
+  :data:`PROMPTS`, and the simulator its graphs from
+  :func:`bench_graphs` / :func:`demo_graph_pool`.
 """
 
 from __future__ import annotations
@@ -56,12 +55,8 @@ def canonical_workload() -> list[tuple[str, str, Any]]:
 
 
 def bench_graphs(n_graphs: int = 4) -> list[Graph]:
-    """The serving benchmark's fixed demo graphs (half social, half KG).
-
-    Byte-for-byte the graphs ``repro.serve.bench.build_workload`` has
-    cycled since PR 1, so benchmark numbers stay comparable across the
-    move onto :mod:`repro.loadgen`.
-    """
+    """Fixed demo graphs (half social, half KG) cycled by
+    :func:`repro.loadgen.bench_workload` and the shard parity tests."""
     graphs: list[Graph] = []
     for index in range(max(1, n_graphs // 2)):
         graphs.append(social_network(30 + 4 * index, 3, seed=index))

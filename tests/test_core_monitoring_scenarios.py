@@ -25,7 +25,8 @@ def event(kind, step=None, api=None, detail="", n_steps=None):
 class TestChainMonitor:
     def test_progress_tracking(self):
         monitor = ChainMonitor()
-        monitor(event("chain_started", detail="2 steps: a -> b"))
+        monitor(event("chain_started", n_steps=2,
+                      detail="2 steps: a -> b"))
         assert monitor.n_steps == 2
         assert monitor.progress == 0.0
         monitor(event("step_started", 0, "a"))
@@ -39,7 +40,7 @@ class TestChainMonitor:
 
     def test_failure_tracking(self):
         monitor = ChainMonitor()
-        monitor(event("chain_started", detail="1 steps: a"))
+        monitor(event("chain_started", n_steps=1, detail="1 steps: a"))
         monitor(event("step_started", 0, "a"))
         monitor(event("step_failed", 0, "a", "boom"))
         monitor(event("chain_failed", 0, "a"))
@@ -47,24 +48,21 @@ class TestChainMonitor:
 
     def test_render_progress_bar(self):
         monitor = ChainMonitor()
-        monitor(event("chain_started", detail="4 steps: ..."))
+        monitor(event("chain_started", n_steps=4, detail="4 steps: ..."))
         monitor(event("step_finished", 0, "a"))
         bar = monitor.render_progress(width=8)
         assert bar.startswith("[##......]")
         assert "1/4" in bar
 
     def test_structured_step_count_preferred(self):
-        """chain_started carries n_steps; detail parsing is a fallback."""
+        """chain_started carries n_steps; the detail string is never
+        parsed."""
         monitor = ChainMonitor()
-        # structured field wins even when detail disagrees
         monitor(event("chain_started", detail="99 steps: junk",
                       n_steps=3))
         assert monitor.n_steps == 3
-        # legacy event without n_steps: parse the detail string
+        # an event without the structured count reads as zero steps
         monitor(event("chain_started", detail="2 steps: a -> b"))
-        assert monitor.n_steps == 2
-        # legacy event with an unparseable detail degrades to zero
-        monitor(event("chain_started", detail="no count here"))
         assert monitor.n_steps == 0
 
     def test_executor_emits_structured_step_count(self, chatgraph,

@@ -92,11 +92,11 @@ class TestFallbackChainValidity:
 
     def test_every_fallback_chain_resolves_and_validates(self, registry):
         from repro.apis.chain import APIChain
-        from repro.core.pipeline import DEFAULT_FALLBACK, FALLBACK_CHAINS
+        from repro.core.fallbacks import FALLBACKS
 
         known = set(registry.names())
-        chains = dict(FALLBACK_CHAINS)
-        chains[("generic", "default")] = DEFAULT_FALLBACK
+        chains = dict(FALLBACKS.chains)
+        chains[("generic", "default")] = FALLBACKS.default
         for key, names in chains.items():
             missing = [name for name in names if name not in known]
             assert not missing, (f"fallback {key} references unknown "
@@ -105,11 +105,11 @@ class TestFallbackChainValidity:
             APIChain.from_names(list(names)).validate(registry)
 
     def test_pipeline_fallback_lookup_covers_every_key(self, registry):
-        from repro.core.pipeline import FALLBACK_CHAINS, ChatPipeline
+        from repro.core.fallbacks import FALLBACKS
+        from repro.core.pipeline import ChatPipeline
 
-        for (graph_type, intent), names in FALLBACK_CHAINS.items():
+        for (graph_type, intent), names in FALLBACKS.chains.items():
             assert ChatPipeline._fallback(graph_type, intent) == names
-        from repro.core.pipeline import DEFAULT_FALLBACK
         assert ChatPipeline._fallback(None, "understand") in (
-            FALLBACK_CHAINS.get(("generic", "understand")),
-            DEFAULT_FALLBACK)
+            FALLBACKS.chains.get(("generic", "understand")),
+            FALLBACKS.default)

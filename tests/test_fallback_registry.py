@@ -2,24 +2,13 @@
 
 from repro.config import ObsConfig, ServeConfig
 from repro.core.fallbacks import FALLBACKS, FallbackRegistry
-from repro.core.pipeline import (
-    DEFAULT_FALLBACK,
-    FALLBACK_CHAINS,
-    ChatPipeline,
-)
+from repro.core.pipeline import ChatPipeline
 from repro.core.stages import GenerateStage, RepairStage
 from repro.llm.prompts import Prompt
 from repro.serve import ChatGraphServer
 
 
 class TestSingleSourceOfTruth:
-    def test_pipeline_aliases_are_the_registry_objects(self):
-        """The legacy names alias the registry's own tables (identity,
-        not copies) — mutating one mutates the other, so the two views
-        cannot drift apart."""
-        assert FALLBACK_CHAINS is FALLBACKS.chains
-        assert DEFAULT_FALLBACK == FALLBACKS.default
-
     def test_repair_stage_consults_the_one_registry(self, chatgraph):
         repair = next(stage for stage in chatgraph.pipeline.graph
                       if isinstance(stage, RepairStage))

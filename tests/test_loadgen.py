@@ -14,29 +14,42 @@ import json
 import math
 import random
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.apis.registry import default_registry
-from repro.errors import ChatGraphError, ConfigError, FaultInjectionError
+from repro.errors import (
+    ChatGraphError,
+    ConfigError,
+    FaultInjectionError,
+    ServeError,
+)
 from repro.loadgen import (
     DEFAULT_PERSONAS,
+    SCENARIOS,
     ConstantRate,
     DiurnalSinusoid,
+    FleetEvent,
     PersonaSpec,
     PoissonBursts,
     SLOGate,
     SLOSpec,
+    SoakRunner,
     StepSpike,
     VirtualClock,
     WindowedChaos,
     bench_workload,
     build_schedule,
     evaluate_slo,
+    get_scenario,
+    scenario_schedule,
 )
 from repro.loadgen.personas import pick_persona, user_requests
+from repro.loadgen.schedule import Schedule, ScheduledRequest
+from repro.serve import ServeRequest
 from repro.testing.workloads import PROMPTS, bench_graphs, demo_graph_pool
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
@@ -274,7 +287,7 @@ class TestPersonas:
 
 
 # ---------------------------------------------------------------------------
-# bench dedupe: the serving benchmark rides the same generator
+# the fixed propose stream the serving tests replay
 # ---------------------------------------------------------------------------
 class TestBenchWorkload:
     def test_matches_historic_builder_shape(self):
@@ -290,13 +303,6 @@ class TestBenchWorkload:
                     == expected.number_of_nodes())
             assert (request.graph.number_of_edges()
                     == expected.number_of_edges())
-
-    def test_serve_bench_delegates_here(self):
-        from repro.serve.bench import build_workload
-        ours = bench_workload(8)
-        theirs = build_workload(8)
-        assert [(r.op, r.text, r.client_id) for r in ours] \
-            == [(r.op, r.text, r.client_id) for r in theirs]
 
 
 # ---------------------------------------------------------------------------
@@ -409,6 +415,129 @@ class TestSLO:
         cold = _report(windows=[], cache=(0.9, 0.4, 0.1))
         assert evaluate_slo(warm, spec)["passed"]
         assert not evaluate_slo(cold, spec)["passed"]
+
+    def test_counter_gates_bound_report_counters(self):
+        report = _report(windows=[])
+        report["counters"].update(shard_deaths=1, sessions_migrated=3)
+        verdict = evaluate_slo(report, SLOSpec(name="t", gates=(
+            SLOGate(metric="shard_deaths", min_value=1.0, max_value=1.0),
+            SLOGate(metric="sessions_migrated", max_value=2.0),
+            # listed counters the run never incremented read zero: a
+            # floor fails, a ceiling holds
+            SLOGate(metric="shard_restarts", min_value=1.0),
+            SLOGate(metric="sessions_stranded", max_value=0.0),
+        )))
+        assert [(row["metric"], row["value"], row["passed"])
+                for row in verdict["gates"]] == [
+            ("shard_deaths", 1.0, True),
+            ("sessions_migrated", 3.0, False),
+            ("shard_restarts", 0.0, False),
+            ("sessions_stranded", 0.0, True),
+        ]
+        assert not verdict["passed"]
+
+    def test_unknown_counter_rejected(self):
+        # a typo must not pass a ceiling gate by never appearing in any
+        # report
+        with pytest.raises(ConfigError):
+            SLOGate(metric="shard_deths", max_value=0.0)
+        with pytest.raises(ConfigError):
+            SLOGate(metric="shard_deaths", max_value=0.0,
+                    window_budget=0.5)  # counters have no trajectory
+
+
+# ---------------------------------------------------------------------------
+# fleet events and the sharded presets (no processes spawned)
+# ---------------------------------------------------------------------------
+class _StubFleet:
+    """Records submissions and fleet calls in arrival order."""
+
+    def __init__(self):
+        self.log = []
+
+    def submit(self, request):
+        self.log.append("submit")
+        return self
+
+    def result(self, timeout=None):
+        return SimpleNamespace(ok=True, value=None, service_seconds=0.0,
+                               queued_seconds=0.0)
+
+    def stats(self):
+        return {"counters": {}, "queue": {"size": 0}}
+
+    def kill_shard(self, index):
+        self.log.append(("kill", index))
+
+    def add_shard(self):
+        self.log.append(("add", None))
+        return {"stranded": 0}
+
+    def remove_shard(self, index):
+        self.log.append(("remove", index))
+        raise ServeError("shard 7 is not in the fleet")
+
+
+class TestFleetEvents:
+    def test_event_validation(self):
+        with pytest.raises(ConfigError):
+            FleetEvent(at=1.0, action="reboot", shard=0)
+        with pytest.raises(ConfigError):
+            FleetEvent(at=1.0, action="kill")
+        with pytest.raises(ConfigError):
+            FleetEvent(at=1.0, action="add", shard=1)
+
+    @pytest.mark.parametrize("fake_clock", [True, False])
+    def test_fire_once_in_time_order(self, fake_clock):
+        # one request per second at t = 1..6 of a 7 s soak; events given
+        # out of order, one landing between arrivals, one on an arrival
+        # and one past the last arrival
+        schedule = Schedule(
+            [ScheduledRequest(at=float(t), persona="one_shot",
+                              user=f"u{t}", arrival=t, seq=0,
+                              graph_key="social-s",
+                              request=ServeRequest(op="ask", text="q"))
+             for t in range(1, 7)],
+            duration=7.0, seed=0, arrival_name="grid")
+        events = (FleetEvent(at=6.5, action="remove", shard=7),
+                  FleetEvent(at=3.0, action="add"),
+                  FleetEvent(at=1.5, action="kill", shard=0))
+        server = _StubFleet()
+        runner = SoakRunner(
+            server, schedule,
+            clock=VirtualClock() if fake_clock else None,
+            events=events, sleep=lambda seconds: None)
+        report = runner.run()
+        assert server.log == [
+            "submit", ("kill", 0), "submit", ("add", None), "submit",
+            "submit", "submit", "submit", ("remove", 7)]
+        fired = report["fleet_events"]
+        assert [(row["action"], row["at"], row["fired_at"])
+                for row in fired] == [
+            ("kill", 1.5, 2.0), ("add", 3.0, 3.0), ("remove", 6.5, 7.0)]
+        assert fired[1]["result"] == {"stranded": 0}
+        # a refused reshape is recorded for the gates, not raised
+        assert fired[2]["error"].startswith("ServeError")
+        assert report["overall"]["ok"] == 6
+
+    @pytest.mark.parametrize("name", ["shard-kill", "shard-reshape"])
+    def test_sharded_presets_build_with_stable_schedules(self, name):
+        scenario = get_scenario(name, quick=True)
+        assert name in SCENARIOS
+        assert scenario.serve.shards >= 2
+        assert [event.at for event in scenario.events] == sorted(
+            event.at for event in scenario.events)
+        assert all(0.0 < event.at < scenario.duration
+                   for event in scenario.events)
+        first = scenario_schedule(scenario, seed=3)
+        again = scenario_schedule(get_scenario(name, quick=True), seed=3)
+        assert first.sha256() == again.sha256()
+        assert first.sha256() != scenario_schedule(scenario,
+                                                   seed=4).sha256()
+        # named-graph traffic targets the published catalog graphs,
+        # which the fleet keeps hot
+        assert set(scenario.serve.shard_hot_graphs) == {
+            f"demo-{key}" for key in scenario.catalog_graphs}
 
 
 # ---------------------------------------------------------------------------

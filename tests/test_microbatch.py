@@ -12,9 +12,10 @@ import pytest
 
 from repro import ChatGraph, ChatGraphServer, ServeConfig, ServeRequest
 from repro.graphs import knowledge_graph
+from repro.loadgen import bench_workload
 from repro.serve import AdmissionQueue, MicroBatcher
-from repro.serve.bench import build_workload
 from repro.serve.engine import PendingRequest
+from repro.testing import slow_chatgraph
 
 
 class FakeClock:
@@ -121,7 +122,7 @@ class TestServerMicroBatching:
         return server, responses
 
     def test_batched_responses_identical_to_scalar(self, serve_chatgraph):
-        workload = build_workload(10, n_graphs=3)
+        workload = bench_workload(10, n_graphs=3)
         workload += [ServeRequest(op="ask", text=r.text, graph=r.graph)
                      for r in workload[:4]]
         _, serial = self._run(serve_chatgraph, workload)
@@ -147,7 +148,7 @@ class TestServerMicroBatching:
         assert histogram.max >= 2
 
     def test_microbatching_off_by_default(self, serve_chatgraph):
-        workload = build_workload(4, n_graphs=2)
+        workload = bench_workload(4, n_graphs=2)
         server, responses = self._run(serve_chatgraph, workload)
         assert all(r.ok for r in responses)
         assert server.batcher is None
@@ -155,7 +156,7 @@ class TestServerMicroBatching:
 
     def test_session_requests_bypass_batching(self, serve_chatgraph):
         graph = knowledge_graph(24, 80, seed=3)
-        workload = build_workload(6, n_graphs=2)
+        workload = bench_workload(6, n_graphs=2)
         workload.insert(3, ServeRequest(op="ask",
                                         text="how many nodes are there",
                                         graph=graph, session_id="dlg-1"))
@@ -259,14 +260,13 @@ class TestQueueDelayAccounting:
         batch's members reported the previous batch's ~0.3s service
         time instead of their own coalescing wait (bounded by the
         0.02s flush deadline)."""
-        workload = build_workload(12, n_graphs=2)
+        workload = bench_workload(12, n_graphs=2)
         server = ChatGraphServer(
             serve_chatgraph,
             ServeConfig(workers=1, enable_caches=False, queue_depth=64,
                         microbatch_size=6,
-                        microbatch_deadline_seconds=0.02,
-                        backend_latency_seconds=0.3))
-        with server:
+                        microbatch_deadline_seconds=0.02))
+        with slow_chatgraph(serve_chatgraph, 0.3), server:
             pending = [server.submit(request) for request in workload]
             responses = [item.result(timeout=120.0) for item in pending]
         assert all(r.ok for r in responses)
@@ -274,6 +274,6 @@ class TestQueueDelayAccounting:
         assert counters.get("microbatched", 0) >= len(workload) - 1
         delay = server.metrics.histogram("microbatch_queue_delay")
         assert delay.count >= counters["microbatched"]
-        # every wait is a coalescing wait: well under the 0.3s backend
-        # pause each batch spends in service
+        # every wait is a coalescing wait: well under the 0.3s injected
+        # delay each batch spends in service
         assert delay.max < 0.2

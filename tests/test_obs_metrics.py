@@ -73,10 +73,6 @@ class TestHistogram:
         with pytest.raises(ValueError):
             hist.quantile(1.5)
 
-    def test_serve_alias_is_same_class(self):
-        from repro.serve.stats import LatencyHistogram
-        assert LatencyHistogram is Histogram
-
 
 class TestMetricsRegistry:
     def test_handles_are_stable(self):

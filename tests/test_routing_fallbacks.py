@@ -3,7 +3,7 @@
 import pytest
 
 from repro.apis.registry import Category
-from repro.core.pipeline import DEFAULT_FALLBACK, FALLBACK_CHAINS
+from repro.core.fallbacks import FALLBACKS
 from repro.llm.intent import CATEGORY_ROUTING, GRAPH_TYPES, INTENTS
 
 
@@ -28,19 +28,19 @@ class TestCategoryRouting:
 class TestFallbackChains:
     def test_all_fallbacks_validate(self, registry):
         from repro.apis import APIChain
-        for chain_names in list(FALLBACK_CHAINS.values()) \
-                + [DEFAULT_FALLBACK]:
+        for chain_names in list(FALLBACKS.chains.values()) \
+                + [FALLBACKS.default]:
             APIChain.from_names(list(chain_names)).validate(registry)
 
     def test_fallback_apis_within_routed_categories(self, registry):
-        for (graph_type, __), chain_names in FALLBACK_CHAINS.items():
+        for (graph_type, __), chain_names in FALLBACKS.chains.items():
             allowed = set(CATEGORY_ROUTING[graph_type])
             for name in chain_names:
                 assert registry.get(name).category in allowed, \
                     (graph_type, name)
 
     def test_fallback_keys_are_known(self):
-        for graph_type, intent in FALLBACK_CHAINS:
+        for graph_type, intent in FALLBACKS.chains:
             assert graph_type in GRAPH_TYPES
             assert intent in INTENTS
 
@@ -57,7 +57,7 @@ class TestFallbackChains:
     def test_default_fallback_needs_only_a_graph(self, chatgraph,
                                                  random_graph):
         from repro.apis import APIChain, ChainContext
-        chain = APIChain.from_names(list(DEFAULT_FALLBACK))
+        chain = APIChain.from_names(list(FALLBACKS.default))
         record = chatgraph.executor.execute(
             chain, ChainContext(graph=random_graph))
         assert record.ok

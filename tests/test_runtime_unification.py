@@ -10,10 +10,9 @@ Proves the refactor's contract (see ``repro.runtime``):
   equality on live snapshots from both facades, plus the builder
   refusing a backend that omits a required section;
 * byte-parity regression: the refactored single-process server still
-  produces the exact canonical wire bytes the parity gates
-  (``BENCH_PR7``'s scalar-vs-microbatched and ``BENCH_PR9``'s
-  single-vs-sharded) are built on, and the 1-shard fleet is the
-  degenerate case of the same runtime.
+  produces the exact canonical wire bytes under micro-batching and
+  across the process boundary, and the 1-shard fleet is the degenerate
+  case of the same runtime.
 
 Golden traces are covered by ``test_golden_traces`` (which drives the
 same facade); this module adds the cross-facade and cross-config
@@ -78,7 +77,7 @@ class TestSharedLifecycle:
 
 
 # ----------------------------------------------------------------------
-# parity fixtures (BENCH_PR7): scalar vs microbatched, same runtime
+# parity fixtures: scalar vs microbatched, same runtime
 # ----------------------------------------------------------------------
 class TestMicrobatchParity:
     def test_microbatched_bytes_match_scalar(self, chatgraph):
@@ -105,7 +104,7 @@ class TestMicrobatchParity:
 
 
 # ----------------------------------------------------------------------
-# the 1-shard degenerate case (BENCH_PR9 parity, shapes cannot drift)
+# the 1-shard degenerate case (byte parity, shapes cannot drift)
 # ----------------------------------------------------------------------
 class TestDegenerateShardParity:
     def test_one_shard_fleet_matches_single_process(self):

@@ -22,16 +22,17 @@ from repro.errors import (
     SessionError,
 )
 from repro.graphs import fingerprint, knowledge_graph, social_network
+from repro.loadgen import bench_workload
+from repro.obs.metrics import Histogram
 from repro.serve import (
     AdmissionQueue,
     LRUCache,
-    LatencyHistogram,
     PipelineCaches,
     RateLimiter,
     SessionStore,
     TokenBucket,
 )
-from repro.serve.bench import build_workload
+from repro.testing import slow_chatgraph
 
 
 @pytest.fixture(scope="module")
@@ -132,7 +133,7 @@ class TestTokenBucket:
 
 class TestLatencyHistogram:
     def test_quantiles_and_summary(self):
-        histogram = LatencyHistogram()
+        histogram = Histogram()
         for value in (0.001, 0.002, 0.004, 0.008, 0.1):
             histogram.observe(value)
         summary = histogram.summary()
@@ -144,7 +145,7 @@ class TestLatencyHistogram:
         assert 0.002 <= summary["p50"] <= 0.008
 
     def test_empty(self):
-        histogram = LatencyHistogram()
+        histogram = Histogram()
         assert histogram.quantile(0.5) == 0.0
         assert histogram.summary()["count"] == 0
 
@@ -376,13 +377,13 @@ class TestServerBasics:
             assert len(server.sessions) == 1
 
     def test_stop_without_drain_cancels_queued(self, serve_chatgraph):
-        server = make_server(serve_chatgraph, workers=1, queue_depth=8,
-                             backend_latency_seconds=0.2)
-        server.start()
-        pending = [server.submit(ServeRequest(op="propose",
-                                              text="count the nodes"))
-                   for __ in range(4)]
-        server.stop(drain=False)
+        server = make_server(serve_chatgraph, workers=1, queue_depth=8)
+        with slow_chatgraph(serve_chatgraph, 0.2):
+            server.start()
+            pending = [server.submit(ServeRequest(op="propose",
+                                                  text="count the nodes"))
+                       for __ in range(4)]
+            server.stop(drain=False)
         responses = [item.result(timeout=5.0) for item in pending]
         cancelled = [r for r in responses if not r.ok]
         assert cancelled, "queued requests should be cancelled"
@@ -391,9 +392,8 @@ class TestServerBasics:
 
 class TestBackpressure:
     def test_full_queue_rejects_not_blocks(self, serve_chatgraph):
-        server = make_server(serve_chatgraph, workers=1, queue_depth=1,
-                             backend_latency_seconds=0.3)
-        with server:
+        server = make_server(serve_chatgraph, workers=1, queue_depth=1)
+        with slow_chatgraph(serve_chatgraph, 0.3), server:
             first = server.submit(ServeRequest(op="propose",
                                                text="count the nodes"))
             time.sleep(0.1)   # let the worker pick up the first request
@@ -480,7 +480,7 @@ class TestServeCaches:
 class TestConcurrencyDeterminism:
     def test_concurrent_equals_serial(self, serve_chatgraph):
         """>= 8 threads of propose/ask match serial bit-for-bit."""
-        workload = build_workload(16, n_graphs=4)
+        workload = bench_workload(16, n_graphs=4)
         asks = [ServeRequest(op="ask", text=request.text,
                              graph=request.graph)
                 for request in workload[:6]]
@@ -591,18 +591,17 @@ class TestDeterministicSeeding:
 
 class TestStatsUnderLoad:
     """Snapshots must stay responsive and self-consistent while
-    workers are mid-request (e.g. sleeping in the backend pause)."""
+    workers are mid-request (here: held by slow_chatgraph)."""
 
     def test_stats_responsive_while_backend_sleeps(self,
                                                    serve_chatgraph):
-        workload = build_workload(6, n_graphs=2)
+        workload = bench_workload(6, n_graphs=2)
         server = ChatGraphServer(
             serve_chatgraph,
-            ServeConfig(workers=2, queue_depth=32, enable_caches=False,
-                        backend_latency_seconds=0.4))
-        with server:
+            ServeConfig(workers=2, queue_depth=32, enable_caches=False))
+        with slow_chatgraph(serve_chatgraph, 0.4), server:
             pending = [server.submit(request) for request in workload]
-            time.sleep(0.1)  # workers are now asleep in the backend pause
+            time.sleep(0.1)  # workers are now asleep in the delay
             began = time.perf_counter()
             snapshot = server.stats()
             metrics = server.metrics_snapshot()
@@ -620,7 +619,7 @@ class TestStatsUnderLoad:
         assert isinstance(metrics, dict)
 
     def test_histogram_summary_consistent_under_concurrent_observe(self):
-        histogram = LatencyHistogram()
+        histogram = Histogram()
         stop = threading.Event()
 
         def hammer():
@@ -647,51 +646,3 @@ class TestStatsUnderLoad:
             stop.set()
             for thread in threads:
                 thread.join()
-
-
-class TestOverlapExecuteLane:
-    """``microbatch_overlap_execute``: the worker hands the per-item
-    tail of a served batch to a finisher thread so it can start
-    collecting and decoding the next micro-batch immediately."""
-
-    def _run(self, chatgraph, workload, **config):
-        server = ChatGraphServer(
-            chatgraph, ServeConfig(workers=1, enable_caches=False,
-                                   queue_depth=64, microbatch_size=4,
-                                   microbatch_deadline_seconds=0.02,
-                                   **config))
-        with server:
-            pending = [server.submit(request) for request in workload]
-            responses = [item.result(timeout=120.0) for item in pending]
-        return server, responses
-
-    def test_overlap_responses_identical_and_counters_reconcile(
-            self, serve_chatgraph):
-        workload = build_workload(8, n_graphs=2)
-        workload += [ServeRequest(op="ask", text=r.text, graph=r.graph)
-                     for r in workload[:4]]
-        __, serial = self._run(serve_chatgraph, workload)
-        server, overlapped = self._run(serve_chatgraph, workload,
-                                       microbatch_overlap_execute=True)
-        assert server._finish_queue is not None
-        assert all(r.ok for r in serial)
-        assert all(r.ok for r in overlapped)
-        for left, right in zip(serial, overlapped):
-            assert left.seed == right.seed
-            if left.op == "propose":
-                assert left.value.chain.api_names() == \
-                    right.value.chain.api_names()
-            else:
-                assert left.value.answer == right.value.answer
-        counters = server.stats()["counters"]
-        assert counters["op_propose"] == 8
-        assert counters["op_ask"] == 4
-        assert counters.get("microbatched", 0) >= 2
-        # the finisher thread was joined and cleared on stop
-        assert server._finish_thread is None
-
-    def test_overlap_off_keeps_inline_finish(self, serve_chatgraph):
-        server, responses = self._run(serve_chatgraph,
-                                      build_workload(4, n_graphs=2))
-        assert all(r.ok for r in responses)
-        assert server._finish_queue is None

@@ -13,9 +13,10 @@ import pytest
 
 from repro import ChatGraph, ChatGraphServer, ServeConfig, ServeRequest
 from repro.errors import ServeError
+from repro.graphs.io import from_dict, to_dict
 from repro.shard import ShardModelSpec, ShardedChatGraphServer
 from repro.shard.protocol import dumps_canonical, value_to_wire
-from repro.testing.workloads import PROMPTS, bench_graphs
+from repro.testing.workloads import PROMPTS, bench_graphs, canonical_graph
 
 CORPUS = 150
 
@@ -59,6 +60,27 @@ def test_parity_with_single_process(fleet, single):
                 assert dumps_canonical(
                     value_to_wire(op, local.value)) == dumps_canonical(
                     value_to_wire(op, remote.value)), (op, text)
+
+
+def test_parity_independent_of_attribute_insertion_order(fleet, single):
+    """The pipe's key-sorted JSON hands the shard a graph whose
+    attributes sit in sorted key order; an ``export_graph`` answer must
+    read the same as one rendered from the caller's insertion order."""
+    document = to_dict(canonical_graph("kg"))
+    for rows in (document["nodes"], document["edges"]):
+        rows[:] = [dict(sorted(row.items(), reverse=True))
+                   for row in rows]
+    graph = from_dict(document)
+    node = next(iter(graph.nodes()))
+    assert list(graph.node_attrs(node)) != sorted(graph.node_attrs(node))
+    # run_graph_cleaning's prompt: on this model its chain ends in
+    # export_graph, the one API whose answer prints attributes
+    local = single.ask("Clean G", graph=graph)
+    remote = fleet.ask("Clean G", graph=graph)
+    assert local.ok and remote.ok
+    assert "export_graph: " in local.value.answer
+    assert dumps_canonical(value_to_wire("ask", local.value)) \
+        == dumps_canonical(value_to_wire("ask", remote.value))
 
 
 def test_sessions_stick_to_one_shard(fleet):
