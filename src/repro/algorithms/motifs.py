@@ -7,7 +7,7 @@ The motif census feeds the sequentializer's super-graph construction
 from __future__ import annotations
 
 import itertools
-from typing import Iterator
+from collections.abc import Iterator, Mapping, Set
 
 from ..errors import GraphError
 from ..graphs.graph import DiGraph, Graph, Node
@@ -28,8 +28,13 @@ def find_cliques(graph: Graph, max_cliques: int = 100000) -> Iterator[
     """
     if isinstance(graph, DiGraph):
         raise GraphError("clique enumeration requires an undirected graph")
-    adjacency = {node: set(graph.neighbors(node)) - {node}
-                 for node in graph.nodes()}
+    return maximal_cliques({node: set(graph.neighbors(node)) - {node}
+                            for node in graph.nodes()}, max_cliques)
+
+
+def maximal_cliques(adjacency: Mapping[Node, Set[Node]],
+                    max_cliques: int = 100000) -> Iterator[frozenset[Node]]:
+    """:func:`find_cliques` over a loop-free ``node -> neighbour set`` map."""
     emitted = 0
 
     def expand(r: set[Node], p: set[Node],

@@ -468,12 +468,20 @@ def _group_contexts_by_graph(
     :func:`~repro.graphs.io.fingerprint`, so two equal-but-distinct
     graph objects still land in one group (the fresh-object-per-request
     regime).  Content keying is only worth its hashing cost when the
-    per-group work it saves is *more* expensive than the digest
-    (sequentialize yes, a type prediction no); the digest is stashed on
-    the contexts so later content-keyed stages in the same batch reuse
-    it (graphs are not mutated between pipeline stages, keeping the
-    stash valid for the batch's lifetime).  Group order follows first
-    appearance, keeping batch results deterministic.
+    per-group work it saves is *more* expensive than the digest.  A
+    type prediction never is.  Sequentialize is, but no longer by much:
+    on the ledger (traced, seed 0) ``graphs.fingerprint_ms_p50`` is 0.63
+    ms against 1.24 ms of sequencing on ``chat_direct`` and 2.54 against
+    5.53 ms on ``chat_large`` — about half, where it was a tenth (0.66
+    / 6.5 and 2.26 / 32.8 ms) before the sequencer stopped building
+    paths.  So a batch has to repeat about every second graph to break
+    even, and on all-distinct graphs the digest is the whole gap between
+    ``core.process_batch_ms_per_req`` and ``core.process_ms_p50`` (2.38
+    vs 1.71 ms, 9.96 vs 7.24 ms).  The digest is stashed on the contexts
+    so later content-keyed stages in the same batch reuse it (graphs are
+    not mutated between pipeline stages, keeping the stash valid for the
+    batch's lifetime).  Group order follows first appearance, keeping
+    batch results deterministic.
     """
     no_graph: list[StageContext] = []
     by_object: dict[int, list[StageContext]] = {}

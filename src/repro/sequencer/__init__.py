@@ -10,8 +10,11 @@ package implements the paper's two-level scheme:
   contract to super-nodes, and the coarse graph is sequentialized too,
   exposing multi-level structure (communities, protein-like tertiary
   structure) to the model.
-* :mod:`serializer` — turns paths into token sequences and aggregate
-  features consumable by :mod:`repro.llm`.
+* :mod:`serializer` — the bag of tokens over both covers that
+  :mod:`repro.llm` conditions on, counted off the walk; the token
+  sequences themselves are a lazy explain/trace view.
+* :mod:`view` — the interned snapshot (int ids, int adjacency) all of
+  the above run on.
 """
 
 from .path_cover import CoverStats, length_constrained_path_cover

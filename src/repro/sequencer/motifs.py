@@ -9,9 +9,8 @@ tree; cycles up to ``max_size`` become candidate motifs.
 
 from __future__ import annotations
 
-from collections import deque
-
-from ..graphs.graph import DiGraph, Graph, Node
+from ..graphs.graph import Graph, Node
+from .view import GraphView
 
 
 def find_rings(graph: Graph, max_size: int = 8) -> list[frozenset[Node]]:
@@ -20,54 +19,56 @@ def find_rings(graph: Graph, max_size: int = 8) -> list[frozenset[Node]]:
     Returns node sets of cycles with 3..``max_size`` nodes, largest
     first.  The basis has exactly ``m - n + c`` cycles, so this is
     linear-ish and safe on large graphs (unlike full cycle enumeration).
+    Directed graphs are searched on their undirected skeleton.
     """
-    if isinstance(graph, DiGraph):
-        graph = graph.to_undirected()
-    parent: dict[Node, Node | None] = {}
-    depth: dict[Node, int] = {}
-    rings: set[frozenset[Node]] = set()
+    view = GraphView.of(graph)
+    return [frozenset(view.nodes[i] for i in ring)
+            for ring in ring_ids(view.skeleton(), view.repr_ranks(),
+                                 max_size)]
 
-    for root in graph.nodes():
-        if root in parent:
+
+def ring_ids(rows: tuple[tuple[int, ...], ...], rank: list[int],
+             max_size: int = 8) -> list[frozenset[int]]:
+    """:func:`find_rings` over undirected int adjacency ``rows``.
+
+    ``rank`` orders node ids as their ``repr`` would
+    (:meth:`GraphView.repr_ranks`); equal-size rings come out in that
+    order.
+    """
+    parent = [-1] * len(rows)
+    depth = [-1] * len(rows)
+    for root in range(len(rows)):
+        if depth[root] >= 0:
             continue
-        parent[root] = None
         depth[root] = 0
-        queue = deque([root])
-        while queue:
-            node = queue.popleft()
-            for neighbor in graph.neighbors(node):
-                if neighbor not in parent:
+        queue = [root]
+        for node in queue:
+            for neighbor in rows[node]:
+                if depth[neighbor] < 0:
                     parent[neighbor] = node
                     depth[neighbor] = depth[node] + 1
                     queue.append(neighbor)
 
-    def tree_cycle(u: Node, v: Node) -> frozenset[Node] | None:
-        """Nodes of the cycle closed by non-tree edge (u, v)."""
-        path_u, path_v = [u], [v]
-        a, b = u, v
-        while depth[a] > depth[b]:
-            a = parent[a]  # type: ignore[assignment]
-            path_u.append(a)
-        while depth[b] > depth[a]:
-            b = parent[b]  # type: ignore[assignment]
-            path_v.append(b)
-        while a != b:
-            a = parent[a]  # type: ignore[assignment]
-            b = parent[b]  # type: ignore[assignment]
-            path_u.append(a)
-            path_v.append(b)
-        cycle = set(path_u) | set(path_v)
-        if len(cycle) > max_size:
-            return None
-        return frozenset(cycle)
-
-    tree_edges = {frozenset((child, par))
-                  for child, par in parent.items() if par is not None}
-    for u, v in graph.edges():
-        if u == v or frozenset((u, v)) in tree_edges:
-            continue
-        ring = tree_cycle(u, v)
-        if ring is not None and len(ring) >= 3:
-            rings.add(ring)
-    return sorted(rings, key=lambda ring: (-len(ring), sorted(map(repr,
-                                                                  ring))))
+    rings: set[frozenset[int]] = set()
+    for u, row in enumerate(rows):
+        for v in row:
+            if v <= u or parent[u] == v or parent[v] == u:
+                continue  # seen from v's side, a self-loop, or a tree edge
+            # the cycle this non-tree edge closes with the tree
+            cycle = {u, v}
+            a, b = u, v
+            while depth[a] > depth[b]:
+                a = parent[a]
+                cycle.add(a)
+            while depth[b] > depth[a]:
+                b = parent[b]
+                cycle.add(b)
+            while a != b:
+                a = parent[a]
+                b = parent[b]
+                cycle.add(a)
+                cycle.add(b)
+            if 3 <= len(cycle) <= max_size:
+                rings.add(frozenset(cycle))
+    return sorted(rings, key=lambda ring: (
+        -len(ring), sorted(map(rank.__getitem__, ring))))

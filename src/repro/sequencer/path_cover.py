@@ -13,15 +13,23 @@ Each per-node ball of radius ``l`` holds at most O(2^l) paths for
 bounded-degree graphs, matching the paper's O(|G| * 2^l) total bound.
 The cover is deduplicated globally (a path kept once even if several
 start nodes generate it).
+
+There is one traversal, :func:`cover_view`, over an interned
+:class:`~repro.sequencer.view.GraphView`.  It *counts*: how often each
+node occurs in the cover (which is all the model's token bag needs) and
+the :class:`CoverStats`.  The paths themselves are only built when the
+caller hands it a list to fill — :func:`length_constrained_path_cover`
+and the lazy explain view of :class:`~repro.sequencer.GraphSequences`
+do; ``sequentialize`` does not.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from ..errors import SequencerError
-from ..graphs.graph import DiGraph, Graph, Node
+from ..graphs.graph import Graph, Node
+from .view import GraphView
 
 
 @dataclass(frozen=True)
@@ -48,33 +56,133 @@ class CoverStats:
         return self.covered_edges / self.total_edges
 
 
-def _ball_tree(graph: Graph, source: Node,
-               radius: int) -> tuple[dict[Node, Node], dict[Node, int]]:
-    """Truncated BFS: parent pointers and depths within ``radius`` hops."""
-    step = (graph.successors if isinstance(graph, DiGraph)
-            else graph.neighbors)
-    parents: dict[Node, Node] = {}
-    depth: dict[Node, int] = {source: 0}
-    queue = deque([source])
-    while queue:
-        node = queue.popleft()
-        if depth[node] == radius:
-            continue
-        for neighbor in step(node):
-            if neighbor not in depth:
-                depth[neighbor] = depth[node] + 1
-                parents[neighbor] = node
-                queue.append(neighbor)
-    return parents, depth
+class _Capped(Exception):
+    """Raised inside :func:`cover_view` to leave the walk at the cap."""
 
 
-def _tree_path(parents: dict[Node, Node], source: Node,
-               target: Node) -> tuple[Node, ...]:
-    path = [target]
-    while path[-1] != source:
-        path.append(parents[path[-1]])
+def _tree_path(parent: list[int], node: int) -> list[int]:
+    """Ids from the ball's source down to ``node``."""
+    path = [node]
+    while parent[path[-1]] >= 0:
+        path.append(parent[path[-1]])
     path.reverse()
-    return tuple(path)
+    return path
+
+
+def cover_view(view: GraphView, max_length: int,
+               max_paths: int | None = None,
+               paths: list[tuple[int, ...]] | None = None
+               ) -> tuple[list[int], CoverStats]:
+    """Walk the cover of ``view``; returns ``(hits, stats)``.
+
+    ``hits[i]`` is the number of times node ``i`` occurs over all emitted
+    paths (a path of ``k`` nodes also holds ``k - 1`` hops, so the cover
+    has ``sum(hits) - stats.n_paths`` of them).  When ``paths`` is given
+    every emitted path is appended to it as an id tuple, in emission
+    order.  The walk stops once ``max_paths`` paths are out.
+    """
+    if max_length < 1:
+        raise SequencerError("max_length must be >= 1")
+    adj, directed, n = view.adj, view.directed, len(view.adj)
+    hits = [0] * n
+    n_paths = longest = 0
+    # per-ball BFS state, valid for node v while in_ball[v] == source
+    in_ball = [-1] * n
+    parent = [-1] * n
+    depth = [0] * n
+    #: Edge keys ``a * n + b`` (endpoints ordered unless directed).
+    covered: set[int] = set()
+    #: ``a * n + b`` of every bare edge path out so far.  Those are the
+    #: only paths that can come up twice: ``(a, b)`` again as the
+    #: depth-1 tree path of ``a``'s own, later ball.  Every other path
+    #: starts at its ball's source and is unique within the ball.
+    bare: set[int] = set()
+    #: Per node, the neighbours whose edge may still be uncovered; a
+    #: covered edge never needs a path again, so rows only shrink.
+    open_rows = [list(row) for row in adj]
+
+    try:
+        for source in range(n):
+            in_ball[source] = source
+            parent[source] = -1
+            depth[source] = 0
+            if source in view.isolated:
+                hits[source] += 1
+                n_paths += 1
+                if paths is not None:
+                    paths.append((source,))
+                if n_paths == max_paths:
+                    raise _Capped
+                continue
+            # node coverage: the tree path of every node, in BFS
+            # discovery order (leaves suffice, but emitting all keeps
+            # short contexts for interior nodes too)
+            ball = [source]
+            first = source * n
+            for a in ball:
+                hops = depth[a] + 1
+                if hops > max_length:
+                    break
+                for b in adj[a]:
+                    if in_ball[b] == source:
+                        continue
+                    in_ball[b] = source
+                    parent[b] = a
+                    depth[b] = hops
+                    ball.append(b)
+                    if hops == 1 and first + b in bare:
+                        continue
+                    covered.add(a * n + b if directed or a < b
+                                else b * n + a)
+                    node = b
+                    while node >= 0:
+                        hits[node] += 1
+                        node = parent[node]
+                    n_paths += 1
+                    if hops > longest:
+                        longest = hops
+                    if paths is not None:
+                        paths.append(tuple(_tree_path(parent, b)))
+                    if n_paths == max_paths:
+                        raise _Capped
+            # edge coverage: non-tree edges inside the ball, in ball x
+            # neighbour order
+            for a in ball:
+                row = open_rows[a]
+                if not row:
+                    continue
+                still_open = []
+                for b in row:
+                    key = a * n + b if directed or a < b else b * n + a
+                    if key in covered:
+                        continue
+                    if (in_ball[b] != source or parent[b] == a
+                            or parent[a] == b):
+                        still_open.append(b)
+                        continue
+                    tree = _tree_path(parent, a)
+                    if b not in tree and len(tree) <= max_length:
+                        path = tree + [b]
+                    else:
+                        path = [a, b]
+                        bare.add(a * n + b)
+                    covered.add(key)
+                    for node in path:
+                        hits[node] += 1
+                    n_paths += 1
+                    if len(path) - 1 > longest:
+                        longest = len(path) - 1
+                    if paths is not None:
+                        paths.append(tuple(path))
+                    if n_paths == max_paths:
+                        raise _Capped
+                open_rows[a] = still_open
+    except _Capped:
+        pass
+    return hits, CoverStats(
+        n_paths=n_paths, max_path_length=longest,
+        covered_nodes=n - hits.count(0), covered_edges=len(covered),
+        total_nodes=n, total_edges=view.n_edges)
 
 
 def length_constrained_path_cover(
@@ -87,73 +195,8 @@ def length_constrained_path_cover(
     ``max_length`` edges.  ``max_paths`` truncates the output (stats then
     reflect the truncated cover).
     """
-    if max_length < 1:
-        raise SequencerError("max_length must be >= 1")
-    paths: list[tuple[Node, ...]] = []
-    seen_paths: set[tuple[Node, ...]] = set()
-    covered_nodes: set[Node] = set()
-    covered_edges: set[frozenset[Node] | tuple[Node, Node]] = set()
-    directed = isinstance(graph, DiGraph)
-
-    def edge_key(a: Node, b: Node):
-        return (a, b) if directed else frozenset((a, b))
-
-    def emit(path: tuple[Node, ...]) -> bool:
-        """Record ``path``; returns False when the cap is hit."""
-        if path in seen_paths:
-            return True
-        seen_paths.add(path)
-        paths.append(path)
-        covered_nodes.update(path)
-        for a, b in zip(path, path[1:]):
-            covered_edges.add(edge_key(a, b))
-        return max_paths is None or len(paths) < max_paths
-
-    capped = False
-    for source in graph.nodes():
-        if capped:
-            break
-        parents, depth = _ball_tree(graph, source, max_length)
-        # node coverage: root-to-node tree paths (leaves suffice, but
-        # emitting all keeps short contexts for interior nodes too)
-        for node in depth:
-            if node == source:
-                if graph.degree(source) == 0 and not emit((source,)):
-                    capped = True
-                    break
-                continue
-            if not emit(_tree_path(parents, source, node)):
-                capped = True
-                break
-        if capped:
-            break
-        # edge coverage: non-tree edges inside the ball
-        step = (graph.successors if directed else graph.neighbors)
-        for a in depth:
-            for b in step(a):
-                if b not in depth:
-                    continue
-                if parents.get(b) == a or parents.get(a) == b:
-                    continue  # tree edge, already covered
-                if edge_key(a, b) in covered_edges:
-                    continue
-                tree = _tree_path(parents, source, a)
-                if b not in tree and len(tree) <= max_length:
-                    candidate = tree + (b,)
-                else:
-                    candidate = (a, b)
-                if not emit(candidate):
-                    capped = True
-                    break
-            if capped:
-                break
-
-    stats = CoverStats(
-        n_paths=len(paths),
-        max_path_length=max((len(p) - 1 for p in paths), default=0),
-        covered_nodes=len(covered_nodes),
-        covered_edges=len(covered_edges),
-        total_nodes=graph.number_of_nodes(),
-        total_edges=graph.number_of_edges(),
-    )
-    return paths, stats
+    view = GraphView.of(graph)
+    id_paths: list[tuple[int, ...]] = []
+    __, stats = cover_view(view, max_length, max_paths, paths=id_paths)
+    node_of = view.nodes.__getitem__
+    return [tuple(map(node_of, path)) for path in id_paths], stats

@@ -1,26 +1,32 @@
-"""Serialize a graph into token sequences for the language model.
+"""Serialize a graph into the token bag (and sequences) for the model.
 
 The :class:`GraphSequentializer` wires the path cover and the super-graph
-together (multi-level mode) and renders each path as a token sequence:
+together (multi-level mode).  Each cover path reads as a token sequence
 
     ``["<n:C>", "<e>", "<n:C>", "<e>", "<n:O>"]``
 
 where node tokens carry the node's label (``label``/``element``/
 ``entity_type``/``kind`` attribute, first one present) and ``<e>``
 separates hops.  The aggregate bag-of-tokens (``feature_counts``) is
-what the simulated LLM conditions on.
+what the simulated LLM conditions on, and it is counted straight off the
+cover walk: no path and no sequence is built on the request path.
+``GraphSequences.sequences`` / ``super_sequences`` / ``flat_tokens()``
+are a lazy explain/trace view, re-walked on first access from the
+snapshot the counts were taken from.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any
 
 from ..config import SequencerConfig
 from ..graphs.graph import Graph, Node
-from .path_cover import CoverStats, length_constrained_path_cover
-from .supergraph import SuperGraph, build_supergraph
+from .path_cover import CoverStats, cover_view
+from .supergraph import SuperGraph, coarsen
+from .view import GraphView
 
 #: Node attributes consulted (in order) for a node's token label.
 LABEL_KEYS = ("label", "element", "entity_type", "kind")
@@ -32,31 +38,78 @@ LEVEL_SUPER = "<level:1>"
 
 def node_token(graph: Graph, node: Node) -> str:
     """Token for one node: ``<n:LABEL>`` or ``<n:*>`` when unlabeled."""
+    attrs = graph.node_attrs(node)
     for key in LABEL_KEYS:
-        value = graph.get_node_attr(node, key)
+        value = attrs.get(key)
         if value is not None:
             return f"<n:{value}>"
     return "<n:*>"
 
 
 @dataclass(frozen=True)
-class GraphSequences:
-    """Everything the sequentializer hands to the LLM for one graph."""
+class _Level:
+    """Immutable input of one level's cover: enough to walk it again."""
 
-    #: Base-level token sequences, one per cover path.
-    sequences: tuple[tuple[str, ...], ...]
-    #: Super-graph-level token sequences (empty unless multi-level).
-    super_sequences: tuple[tuple[str, ...], ...]
+    view: GraphView
+    #: Rendered token of each node id.
+    tokens: tuple[str, ...]
+    max_length: int
+    max_paths: int
+
+    def count_into(self, features: Counter) -> CoverStats:
+        """Add this level's token bag to ``features``."""
+        hits, stats = cover_view(self.view, self.max_length,
+                                 self.max_paths)
+        for token, count in zip(self.tokens, hits):
+            if count:
+                features[token] += count
+        hops = sum(hits) - stats.n_paths
+        if hops:
+            features[EDGE_TOKEN] += hops
+        return stats
+
+    def render(self) -> tuple[tuple[str, ...], ...]:
+        """Token sequence of every cover path, in emission order."""
+        paths: list[tuple[int, ...]] = []
+        cover_view(self.view, self.max_length, self.max_paths, paths)
+        sequences = []
+        for path in paths:
+            sequence = [EDGE_TOKEN] * (2 * len(path) - 1)
+            sequence[::2] = [self.tokens[node] for node in path]
+            sequences.append(tuple(sequence))
+        return tuple(sequences)
+
+
+@dataclass(frozen=True)
+class GraphSequences:
+    """Everything the sequentializer hands to the LLM for one graph.
+
+    ``feature_counts`` is what the model reads.  The sequences are kept
+    as a lazy view for explanations and traces; they are computed from a
+    snapshot taken by ``sequentialize``, so editing the graph afterwards
+    does not change them.
+    """
+
     #: Path-cover bookkeeping of the base level.
     cover_stats: CoverStats
     #: The super-graph (None unless multi-level).
     supergraph: SuperGraph | None
     #: Bag of all tokens across both levels.
-    feature_counts: Counter = field(default_factory=Counter)
+    feature_counts: Counter
+    #: Number of paths over both levels.
+    n_sequences: int
+    _base: _Level = field(repr=False)
+    _super: _Level | None = field(repr=False)
 
-    @property
-    def n_sequences(self) -> int:
-        return len(self.sequences) + len(self.super_sequences)
+    @cached_property
+    def sequences(self) -> tuple[tuple[str, ...], ...]:
+        """Base-level token sequences, one per cover path."""
+        return self._base.render()
+
+    @cached_property
+    def super_sequences(self) -> tuple[tuple[str, ...], ...]:
+        """Super-graph-level token sequences (empty unless multi-level)."""
+        return self._super.render() if self._super is not None else ()
 
     def flat_tokens(self) -> list[str]:
         """All tokens in order (level markers included), for the LLM."""
@@ -103,53 +156,32 @@ class GraphSequentializer:
 
     def _sequentialize(self, graph: Graph) -> GraphSequences:
         config = self.config
-        paths, stats = length_constrained_path_cover(
-            graph, config.path_length, max_paths=config.max_paths)
-        sequences = tuple(self._render(graph, path) for path in paths)
-
-        super_sequences: tuple[tuple[str, ...], ...] = ()
-        supergraph: SuperGraph | None = None
-        if config.multi_level and graph.number_of_nodes() > 0:
-            supergraph = build_supergraph(
-                graph, min_motif_size=config.min_motif_size)
-            coarse_budget = max(1, config.max_paths // 4)
-            coarse_paths, __ = length_constrained_path_cover(
-                supergraph.graph, config.path_length,
-                max_paths=coarse_budget)
-            super_sequences = tuple(
-                self._render_super(supergraph.graph, path)
-                for path in coarse_paths)
-
+        view = GraphView.of(graph)
+        base = _Level(view, tuple(node_token(graph, node)
+                                  for node in view.nodes),
+                      config.path_length, config.max_paths)
         features: Counter = Counter()
-        for seq in sequences:
-            features.update(seq)
-        for seq in super_sequences:
-            features.update(seq)
+        stats = base.count_into(features)
+        n_sequences = stats.n_paths
+
+        supergraph: SuperGraph | None = None
+        coarse: _Level | None = None
+        if config.multi_level and view.nodes:
+            supergraph = coarsen(view, config.min_motif_size,
+                                 name=graph.name)
+            coarse = _Level(
+                GraphView.of(supergraph.graph),
+                tuple(_super_token(supergraph.graph, sid)
+                      for sid in supergraph.graph.nodes()),
+                config.path_length, max(1, config.max_paths // 4))
+            n_sequences += coarse.count_into(features).n_paths
         return GraphSequences(
-            sequences=sequences,
-            super_sequences=super_sequences,
-            cover_stats=stats,
-            supergraph=supergraph,
-            feature_counts=features,
-        )
+            cover_stats=stats, supergraph=supergraph,
+            feature_counts=features, n_sequences=n_sequences,
+            _base=base, _super=coarse)
 
-    @staticmethod
-    def _render(graph: Graph, path: tuple[Node, ...]) -> tuple[str, ...]:
-        tokens: list[str] = []
-        for i, node in enumerate(path):
-            if i:
-                tokens.append(EDGE_TOKEN)
-            tokens.append(node_token(graph, node))
-        return tuple(tokens)
 
-    @staticmethod
-    def _render_super(coarse: Graph,
-                      path: tuple[Node, ...]) -> tuple[str, ...]:
-        tokens: list[str] = []
-        for i, node in enumerate(path):
-            if i:
-                tokens.append(EDGE_TOKEN)
-            motif = coarse.get_node_attr(node, "motif", "singleton")
-            size = coarse.get_node_attr(node, "size", 1)
-            tokens.append(f"<m:{motif}:{size}>")
-        return tuple(tokens)
+def _super_token(coarse: Graph, node: Node) -> str:
+    motif = coarse.get_node_attr(node, "motif", "singleton")
+    size = coarse.get_node_attr(node, "size", 1)
+    return f"<m:{motif}:{size}>"

@@ -14,10 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..algorithms.motifs import maximal_cliques
 from ..errors import SequencerError
-from ..graphs.graph import DiGraph, Graph, Node
-from ..algorithms.motifs import find_cliques
-from .motifs import find_rings
+from ..graphs.graph import Graph, Node
+from .motifs import ring_ids
+from .view import GraphView
 
 
 @dataclass
@@ -25,17 +26,21 @@ class SuperGraph:
     """Result of coarsening: the coarse graph plus the member map."""
 
     #: The coarse graph; nodes are integer super-node ids with attributes
-    #: ``motif`` ("clique", "triangle" or "singleton") and ``size``.
+    #: ``motif`` ("clique", "triangle", "ring" or "singleton") and
+    #: ``size``.
     graph: Graph
     #: Map super-node id -> frozenset of original nodes.
     members: dict[int, frozenset[Node]] = field(default_factory=dict)
+    #: Inverse of ``members``: original node -> super-node id.
+    node_to_super: dict[Node, int] = field(default_factory=dict, repr=False)
 
     def supernode_of(self, node: Node) -> int:
         """Super-node id containing the original ``node``."""
-        for sid, member_set in self.members.items():
-            if node in member_set:
-                return sid
-        raise SequencerError(f"node {node!r} not in any super-node")
+        try:
+            return self.node_to_super[node]
+        except KeyError:
+            raise SequencerError(
+                f"node {node!r} not in any super-node") from None
 
     @property
     def compression_ratio(self) -> float:
@@ -53,51 +58,58 @@ def build_supergraph(graph: Graph, min_motif_size: int = 3) -> SuperGraph:
     Directed graphs are coarsened on their undirected skeleton (motifs
     ignore direction) but the super-graph keeps the original arcs.
     """
+    return coarsen(GraphView.of(graph), min_motif_size, name=graph.name)
+
+
+def coarsen(view: GraphView, min_motif_size: int = 3,
+            name: str = "") -> SuperGraph:
+    """:func:`build_supergraph` of the graph ``view`` was taken from."""
     if min_motif_size < 2:
         raise SequencerError("min_motif_size must be >= 2")
-    skeleton = graph.to_undirected() if isinstance(graph, DiGraph) else graph
+    rows = view.skeleton()
+    rank = view.repr_ranks()
 
-    assigned: set[Node] = set()
-    groups: list[tuple[str, frozenset[Node]]] = []
-    # full deterministic order: Bron-Kerbosch enumerates over hash-ordered
-    # sets, so a len-only sort would leave same-size ties in hash order
-    # and the greedy contraction below would differ run to run
-    cliques = sorted(find_cliques(skeleton),
-                     key=lambda c: (-len(c), sorted(map(repr, c))))
-    for clique in cliques:
-        if len(clique) < max(min_motif_size, 3):
-            continue
+    def by_size_then_repr(group: frozenset[int]) -> tuple[int, list[int]]:
+        # full deterministic order: Bron-Kerbosch enumerates over
+        # hash-ordered sets, so a len-only sort would leave same-size
+        # ties in hash order and the greedy contraction below would
+        # differ run to run
+        return -len(group), sorted(map(rank.__getitem__, group))
+
+    assigned: set[int] = set()
+    groups: list[tuple[str, frozenset[int]]] = []
+    smallest = max(min_motif_size, 3)
+    cliques = maximal_cliques(
+        {node: set(row) - {node} for node, row in enumerate(rows)})
+    for clique in sorted((c for c in cliques if len(c) >= smallest),
+                         key=by_size_then_repr):
         free = clique - assigned
-        if len(free) >= max(min_motif_size, 3):
+        if len(free) >= smallest:
             label = "triangle" if len(free) == 3 else "clique"
-            groups.append((label, frozenset(free)))
+            groups.append((label, free))
             assigned |= free
     # rings (molecule-style motifs): contract cycles of 4+ nodes whose
     # members are still free; triangles were handled as cliques above
-    for ring in find_rings(skeleton, max_size=8):
-        if len(ring) < max(min_motif_size, 4):
-            continue
-        if ring & assigned:
-            continue
-        groups.append(("ring", ring))
-        assigned |= ring
-    for node in skeleton.nodes():
+    for ring in ring_ids(rows, rank, max_size=8):
+        if len(ring) >= max(min_motif_size, 4) and not ring & assigned:
+            groups.append(("ring", ring))
+            assigned |= ring
+    for node in range(len(rows)):
         if node not in assigned:
             groups.append(("singleton", frozenset((node,))))
-            assigned.add(node)
 
-    members = {sid: member_set for sid, (__, member_set)
-               in enumerate(groups)}
-    node_to_super: dict[Node, int] = {}
-    for sid, member_set in members.items():
-        for node in member_set:
-            node_to_super[node] = sid
-
-    coarse = Graph(name=f"super({graph.name})")
-    for sid, (motif, member_set) in enumerate(groups):
-        coarse.add_node(sid, motif=motif, size=len(member_set))
-    for u, v in graph.edges():
-        su, sv = node_to_super[u], node_to_super[v]
-        if su != sv:
-            coarse.add_edge(su, sv)
-    return SuperGraph(graph=coarse, members=members)
+    super_of = [0] * len(rows)
+    coarse = Graph(name=f"super({name})")
+    for sid, (motif, group) in enumerate(groups):
+        coarse.add_node(sid, motif=motif, size=len(group))
+        for node in group:
+            super_of[node] = sid
+    for u, v in view.edges():
+        if super_of[u] != super_of[v]:
+            coarse.add_edge(super_of[u], super_of[v])
+    return SuperGraph(
+        graph=coarse,
+        members={sid: frozenset(view.nodes[node] for node in group)
+                 for sid, (__, group) in enumerate(groups)},
+        node_to_super={node: super_of[i]
+                       for i, node in enumerate(view.nodes)})

@@ -131,7 +131,7 @@ class TestTokenBucket:
         assert bucket.retry_after() == float("inf")
 
 
-class TestLatencyHistogram:
+class TestHistogram:
     def test_quantiles_and_summary(self):
         histogram = Histogram()
         for value in (0.001, 0.002, 0.004, 0.008, 0.1):
