@@ -30,7 +30,7 @@ def main() -> None:
 
     config = ServeConfig(
         workers=2, seed=0,
-        obs=ObsConfig(enable_tracing=True, profile_cpu=True))
+        obs=ObsConfig(enable_tracing=True))
     questions = (
         ("write a brief report for G", social_network(30, 3, seed=7)),
         ("clean up the knowledge graph", knowledge_graph(25, 80, seed=7)),

@@ -133,17 +133,6 @@ class ObsConfig:
 
     #: Master switch for hierarchical request tracing.
     enable_tracing: bool = False
-    #: Cap on retained finished spans; further spans are counted as
-    #: dropped instead of growing memory without bound.
-    max_spans: int = 100_000
-    #: Record per-span CPU time (:func:`time.process_time`).
-    profile_cpu: bool = True
-    #: Record per-span allocation deltas via :mod:`tracemalloc`
-    #: (opt-in: tracing allocations slows the interpreter).
-    profile_alloc: bool = False
-
-    def __post_init__(self) -> None:
-        _require(self.max_spans >= 1, "max_spans must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -166,12 +155,6 @@ class ServeConfig:
     max_sessions: int = 256
     #: Master switch for the content-addressed pipeline caches.
     enable_caches: bool = True
-    #: LRU capacity for prompt-embedding vectors.
-    embedding_cache_size: int = 2048
-    #: LRU capacity for retrieval results (text + routing keyed).
-    retrieval_cache_size: int = 1024
-    #: LRU capacity for graph sequentializations (fingerprint keyed).
-    sequence_cache_size: int = 256
     #: Token-bucket burst capacity per client; ``0`` disables limiting.
     rate_limit_capacity: int = 0
     #: Token-bucket refill rate (tokens per second per client).
@@ -187,8 +170,6 @@ class ServeConfig:
     #: Base backoff before the first retry (doubles per retry, with
     #: deterministic seeded jitter).
     retry_backoff_seconds: float = 0.02
-    #: Master switch for the shared per-API circuit breakers.
-    enable_breakers: bool = True
     #: Failures in the sliding window needed to trip a breaker.
     breaker_failure_threshold: int = 5
     #: Windowed failure rate (0..1] needed to trip a breaker.
@@ -212,10 +193,6 @@ class ServeConfig:
     #: graphs).  When set, requests may name catalog graphs via
     #: ``ServeRequest.graph_name``.
     store_root: str = ""
-    #: Auto-snapshot threshold forwarded to the catalog: roll the epoch
-    #: once an edit log holds this many records (``0`` = only explicit
-    #: snapshots/compactions).
-    store_snapshot_every: int = 0
     #: Pre-populate the pipeline caches at :meth:`start` from the
     #: catalog's named graphs (each graph's suggested questions run
     #: through ``propose`` once, off the serving path).  The number of
@@ -228,37 +205,19 @@ class ServeConfig:
     #: ``workers`` is the thread count *per shard*.
     shards: int = 0
     #: Catalog graph names replicated read-only across
-    #: ``shard_replicas`` shards with least-loaded routing (hot-graph
-    #: replicas); other keys route to their single ring owner.
+    #: ``repro.runtime.shard.HOT_GRAPH_REPLICAS`` shards with
+    #: least-loaded routing; other keys route to their single ring owner.
     shard_hot_graphs: tuple[str, ...] = ()
-    #: Number of replica shards serving each hot graph.
-    shard_replicas: int = 2
-    #: Interval between shard-worker heartbeat frames.
-    shard_heartbeat_seconds: float = 0.5
-    #: Silence longer than this marks a shard dead (its breaker trips,
-    #: in-flight work fails over, and the shard is restarted).
-    shard_heartbeat_timeout_seconds: float = 10.0
-    #: Restart dead shard processes in the background (the breaker
-    #: resets once the replacement says hello).
-    shard_restart: bool = True
     #: Scatter batches a coordinator may keep in flight per shard.
     shard_inflight: int = 2
     #: Requests coalesced into one scatter frame (transport batching;
     #: the shard's own ``microbatch_size`` governs *execution*
     #: batching).  ``0`` sends one request per frame.
     shard_scatter_batch: int = 8
-    #: How long a per-shard dispatcher holds a partial scatter batch
-    #: waiting for company before flushing it.
-    shard_scatter_deadline_seconds: float = 0.002
-    #: Ceiling on one live ring change (add/remove shard): the quiesce
-    #: of outstanding work plus the session adopt/evict/warm round
-    #: trips must finish within this budget or the migration aborts
-    #: with the old ring intact.
-    shard_migration_timeout_seconds: float = 30.0
     #: Base seed folded into every request's deterministic per-request
     #: seed (content-keyed, so results are order-independent).
     seed: int = 0
-    #: Observability settings (tracing, span caps, profiling hooks).
+    #: Observability settings (request tracing on or off).
     obs: ObsConfig = field(default_factory=ObsConfig)
 
     def __post_init__(self) -> None:
@@ -267,12 +226,6 @@ class ServeConfig:
         _require(self.session_ttl_seconds > 0.0,
                  "session_ttl_seconds must be > 0")
         _require(self.max_sessions >= 1, "max_sessions must be >= 1")
-        _require(self.embedding_cache_size >= 1,
-                 "embedding_cache_size must be >= 1")
-        _require(self.retrieval_cache_size >= 1,
-                 "retrieval_cache_size must be >= 1")
-        _require(self.sequence_cache_size >= 1,
-                 "sequence_cache_size must be >= 1")
         _require(self.rate_limit_capacity >= 0,
                  "rate_limit_capacity must be >= 0")
         _require(self.rate_limit_refill_per_second >= 0.0,
@@ -297,23 +250,10 @@ class ServeConfig:
                  "microbatch_size must be >= 0")
         _require(self.microbatch_deadline_seconds >= 0.0,
                  "microbatch_deadline_seconds must be >= 0")
-        _require(self.store_snapshot_every >= 0,
-                 "store_snapshot_every must be >= 0")
         _require(self.shards >= 0, "shards must be >= 0")
-        _require(self.shard_replicas >= 1, "shard_replicas must be >= 1")
-        _require(self.shard_heartbeat_seconds > 0.0,
-                 "shard_heartbeat_seconds must be > 0")
-        _require(self.shard_heartbeat_timeout_seconds
-                 > self.shard_heartbeat_seconds,
-                 "shard_heartbeat_timeout_seconds must exceed "
-                 "shard_heartbeat_seconds")
         _require(self.shard_inflight >= 1, "shard_inflight must be >= 1")
         _require(self.shard_scatter_batch >= 0,
                  "shard_scatter_batch must be >= 0")
-        _require(self.shard_scatter_deadline_seconds >= 0.0,
-                 "shard_scatter_deadline_seconds must be >= 0")
-        _require(self.shard_migration_timeout_seconds > 0.0,
-                 "shard_migration_timeout_seconds must be > 0")
 
 
 @dataclass(frozen=True)

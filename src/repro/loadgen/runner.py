@@ -208,13 +208,10 @@ class SoakRunner:
         stats = self.server.stats()
         retrieval = (stats.get("caches") or {}).get("retrieval", {})
         self._cache_trajectory.append(retrieval.get("hit_rate", 0.0))
-        breakers = getattr(self.server, "breakers", None)
-        open_names = (sorted(breakers.open_names())
-                      if breakers is not None else [])
         self._breaker_timeline.append({
             "window": boundary,
             "t": boundary * self.window_seconds,
-            "open": open_names,
+            "open": sorted(self.server.breakers.open_names()),
             "breaker_opened": stats["counters"].get("breaker_opened", 0),
             "queue_size": stats["queue"]["size"],
         })

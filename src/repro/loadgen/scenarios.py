@@ -200,12 +200,18 @@ def _smoke(quick: bool) -> Scenario:
     """Tiny constant-rate run, sized for a real-clock sanity pass."""
     return Scenario(
         name="smoke",
-        description="ten seconds of constant arrivals: the real-clock "
-                    "sanity pass",
+        description="ten seconds of constant arrivals from quick-"
+                    "thinking personas: the real-clock sanity pass",
         duration=10.0,
         window_seconds=5.0,
         arrival=ConstantRate(rate=1.5),
         serve=ServeConfig(workers=2, queue_depth=64),
+        # the default population thinking 40x faster: a real clock
+        # sleeps through every think time, and at the default 20-45 s
+        # means sessions trail two minutes past a ten-second window
+        personas=tuple(dataclasses.replace(
+            spec, think_mean_seconds=spec.think_mean_seconds / 40.0)
+            for spec in DEFAULT_PERSONAS),
         slo=SLOSpec(name="smoke", gates=(
             SLOGate(metric="error_rate", max_value=0.0),
             SLOGate(metric="rejection_rate", max_value=0.0),
@@ -230,8 +236,7 @@ def _fleet_config(shards: int, queue_depth: int) -> ServeConfig:
     return ServeConfig(
         shards=shards, workers=1, queue_depth=queue_depth,
         shard_inflight=1, shard_scatter_batch=4,
-        shard_hot_graphs=_catalog_names(_FLEET_CATALOG),
-        shard_replicas=2)
+        shard_hot_graphs=_catalog_names(_FLEET_CATALOG))
 
 
 #: What every fleet soak must end with: the whole ring alive, no breaker

@@ -149,10 +149,6 @@ class ExecutionBackend:
     hooks they need; the defaults are the no-op degenerate case.
     """
 
-    #: Construct the breaker registry even when ``enable_breakers`` is
-    #: off (the shard tier needs its per-shard circuits regardless).
-    requires_breakers = False
-
     lifecycle: "RequestLifecycle"
 
     def bind(self, lifecycle: "RequestLifecycle") -> None:
@@ -222,19 +218,13 @@ class RequestLifecycle:
         self.metrics = MetricsRegistry()
         self.tracer: Tracer | None = None
         if config.obs.enable_tracing:
-            self.tracer = Tracer(
-                seed=config.seed,
-                max_spans=config.obs.max_spans,
-                profile_cpu=config.obs.profile_cpu,
-                profile_alloc=config.obs.profile_alloc)
-        self.breakers: BreakerRegistry | None = None
-        if config.enable_breakers or backend.requires_breakers:
-            self.breakers = BreakerRegistry(
-                failure_threshold=config.breaker_failure_threshold,
-                failure_rate_threshold=config.breaker_failure_rate,
-                window_size=config.breaker_window,
-                cooldown_seconds=config.breaker_cooldown_seconds,
-                clock=self.clock)
+            self.tracer = Tracer(seed=config.seed)
+        self.breakers = BreakerRegistry(
+            failure_threshold=config.breaker_failure_threshold,
+            failure_rate_threshold=config.breaker_failure_rate,
+            window_size=config.breaker_window,
+            cooldown_seconds=config.breaker_cooldown_seconds,
+            clock=self.clock)
         self.middlewares: list[LifecycleMiddleware] = []
         if self.tracer is not None:
             self.middlewares.append(TracingContextMiddleware(self.tracer))

@@ -56,10 +56,7 @@ class LocalBackend(ExecutionBackend):
         config = lifecycle.config
         self.caches: PipelineCaches | None = None
         if config.enable_caches:
-            self.caches = PipelineCaches.with_sizes(
-                embedding=config.embedding_cache_size,
-                retrieval=config.retrieval_cache_size,
-                sequence=config.sequence_cache_size)
+            self.caches = PipelineCaches.with_sizes()
         self.chatgraph.enable_caches(self.caches)
         #: Per-stage histogram names, derived from the pipeline's stage
         #: graph (the single stage definition) rather than a mirror.
@@ -86,7 +83,6 @@ class LocalBackend(ExecutionBackend):
             from ..store.catalog import GraphCatalog
             self.catalog = GraphCatalog(
                 config.store_root,
-                snapshot_every=config.store_snapshot_every,
                 metrics=lifecycle.metrics, tracer=lifecycle.tracer)
         if self.catalog is not None:
             self.chatgraph.use_catalog(self.catalog)
@@ -166,7 +162,7 @@ class LocalBackend(ExecutionBackend):
             self.catalog.remove_compact_listener(
                 self.sessions.evict_compacted)
 
-    def warm_caches(self) -> int:
+    def warm_caches(self, names: Any = None) -> int:
         """Pre-populate pipeline caches from the catalog's named graphs.
 
         For every graph in the catalog, sequentializes it (sequence
@@ -179,11 +175,8 @@ class LocalBackend(ExecutionBackend):
 
         ``names`` restricts warming to specific graphs — the shard
         tier's migration path warms just the graphs whose ring
-        ownership moved to this process.
+        ownership moved to this process; None warms every catalog graph.
         """
-        return self.warm_named_caches(None)
-
-    def warm_named_caches(self, names: Any = None) -> int:
         if self.caches is None or self.catalog is None:
             return 0
         from ..core.suggestions import suggested_questions
@@ -230,9 +223,8 @@ class LocalBackend(ExecutionBackend):
             for name, stats in base["caches"].items():
                 metrics.set_gauge(f"cache_{name}_hit_rate",
                                   stats.get("hit_rate", 0.0))
-        if lifecycle.breakers is not None:
-            metrics.set_gauge("breakers_open",
-                              len(lifecycle.breakers.open_names()))
+        metrics.set_gauge("breakers_open",
+                          len(lifecycle.breakers.open_names()))
         return metrics.snapshot()
 
     # ------------------------------------------------------------------
@@ -325,7 +317,8 @@ class LocalBackend(ExecutionBackend):
         if request.op == "propose":
             response.value = self._serve_propose(request, seed)
         elif request.op == "execute":
-            response.value = self._serve_execute(request, seed)
+            response.value = self._execute(request.pipeline_result,
+                                           request.chain)
         else:
             response.value = self._serve_ask(request, seed)
 
@@ -363,19 +356,20 @@ class LocalBackend(ExecutionBackend):
         self._record_pipeline(result)
         return result
 
-    def _serve_execute(self, request: ServeRequest,
-                       seed: int) -> ChatResponse:
-        assert request.pipeline_result is not None
+    def _record_execution(self, record: Any) -> None:
         stats = self.lifecycle.stats
-        start = time.perf_counter()
-        record, monitor = self.chatgraph.execute(
-            request.pipeline_result, chain=request.chain)
-        stats.observe("execute", time.perf_counter() - start)
+        stats.observe("execute", record.total_seconds)
         if record.is_degraded:
             stats.incr("degraded_responses")
+
+    def _execute(self, result: PipelineResult,
+                 chain: Any = None) -> ChatResponse:
+        """Run a proposed (or edited) chain and assemble its chat reply."""
+        record, monitor = self.chatgraph.execute(result, chain=chain)
+        self._record_execution(record)
         return ChatResponse(
-            prompt=request.pipeline_result.prompt,
-            pipeline=request.pipeline_result,
+            prompt=result.prompt,
+            pipeline=result,
             record=record,
             answer=render_answer(record),
             monitor=monitor,
@@ -383,7 +377,6 @@ class LocalBackend(ExecutionBackend):
         )
 
     def _serve_ask(self, request: ServeRequest, seed: int) -> ChatResponse:
-        stats = self.lifecycle.stats
         if request.session_id is not None:
             view = self._resolve_view(request)
             entry = self.sessions.get_or_create(request.session_id)
@@ -404,9 +397,7 @@ class LocalBackend(ExecutionBackend):
                                                **attachments)
         self._record_pipeline(chat_response.pipeline)
         if chat_response.record is not None:
-            stats.observe("execute", chat_response.record.total_seconds)
-            if chat_response.record.is_degraded:
-                stats.incr("degraded_responses")
+            self._record_execution(chat_response.record)
         return chat_response
 
     # ------------------------------------------------------------------
@@ -498,25 +489,12 @@ class LocalBackend(ExecutionBackend):
                            result: PipelineResult,
                            response: ServeResponse) -> None:
         """Per-request tail of a batch: record stats, execute for ask."""
-        stats = self.lifecycle.stats
         self._record_pipeline(result)
         if item.request.op == "propose":
             response.value = result
             return
         try:
-            record, monitor = self.chatgraph.execute(result)
+            response.value = self._execute(result)
         except Exception as exc:  # noqa: BLE001 - fail only this item
             response.error = str(exc)
             response.error_type = type(exc).__name__
-            return
-        stats.observe("execute", record.total_seconds)
-        if record.is_degraded:
-            stats.incr("degraded_responses")
-        response.value = ChatResponse(
-            prompt=result.prompt,
-            pipeline=result,
-            record=record,
-            answer=render_answer(record),
-            monitor=monitor,
-            seconds=record.total_seconds,
-        )

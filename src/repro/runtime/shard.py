@@ -10,8 +10,8 @@ backend uses.  The pieces:
   on the session / graph-name / query key keeps each session and each
   graph's cache locality on one shard.  Graphs named in
   ``ServeConfig.shard_hot_graphs`` are *hot*: any of their first
-  ``shard_replicas`` ring shards may serve a stateless read, picked by
-  least outstanding work.
+  :data:`HOT_GRAPH_REPLICAS` ring shards may serve a stateless read,
+  picked by least outstanding work.
 * **scatter/gather** — a per-shard dispatcher coalesces routed
   requests into scatter frames (a lifecycle-built coalescer with an
   accept-all predicate) and pipelines up to ``shard_inflight`` frames
@@ -20,8 +20,8 @@ backend uses.  The pieces:
   through ``lifecycle.reply``.
 * **failure** — missed heartbeats or a dropped pipe mark the shard
   dead: its ``shard:<i>`` circuit trips, every orphaned in-flight and
-  queued request fails over along its ring preference, and (by
-  default) a background restart replaces the process.
+  queued request fails over along its ring preference, and a
+  background restart replaces the process.
 * **migration** — :meth:`add_shard` / :meth:`remove_shard` reshape the
   fleet live: the router pauses, outstanding work quiesces to zero,
   pinned sessions move to their new ring-preferred shards via
@@ -52,16 +52,32 @@ from ..shard.protocol import (
     write_frame,
 )
 from ..shard.ring import HashRing
-from ..shard.worker import serve_config_to_wire
+from ..shard.worker import HEARTBEAT_SECONDS, serve_config_to_wire
 from .lifecycle import ExecutionBackend, ReplyTiming, RequestLifecycle
 
-__all__ = ["SPAWN_TIMEOUT_SECONDS", "STATS_TIMEOUT_SECONDS",
+__all__ = ["HEARTBEAT_TIMEOUT_SECONDS", "HOT_GRAPH_REPLICAS",
+           "MIGRATION_TIMEOUT_SECONDS", "SCATTER_DEADLINE_SECONDS",
+           "SPAWN_TIMEOUT_SECONDS", "STATS_TIMEOUT_SECONDS",
            "ShardBackend", "_ShardHandle"]
 
 #: Ceiling on one worker-process model build + server start.
 SPAWN_TIMEOUT_SECONDS = 180.0
 #: Ceiling on one stats round trip to a live shard.
 STATS_TIMEOUT_SECONDS = 15.0
+#: Silence (any frame counts, heartbeats included) that marks a shard
+#: dead — twenty missed beats, so a busy worker is never taken for a
+#: wedged one.
+HEARTBEAT_TIMEOUT_SECONDS = 10.0
+#: Ring shards serving each hot graph (``ServeConfig.shard_hot_graphs``):
+#: the smallest set that spreads reads and survives one death.
+HOT_GRAPH_REPLICAS = 2
+#: How long a per-shard dispatcher holds a partial scatter frame waiting
+#: for company — well under one request's service time.
+SCATTER_DEADLINE_SECONDS = 0.002
+#: Ceiling on one live ring change: quiesce plus the session
+#: adopt/evict/warm round trips finish within this budget or the
+#: migration aborts with the old ring intact.
+MIGRATION_TIMEOUT_SECONDS = 30.0
 
 
 class _ShardHandle:
@@ -127,10 +143,6 @@ class ShardBackend(ExecutionBackend):
     byte-identical to any other's.
     """
 
-    #: Per-shard circuits must exist even when the config leaves the
-    #: request-level breakers off.
-    requires_breakers = True
-
     def __init__(self, model_wire: dict[str, Any]) -> None:
         self.model_wire = model_wire
 
@@ -139,23 +151,15 @@ class ShardBackend(ExecutionBackend):
         config = lifecycle.config
         self.config = config
         self.ring = HashRing(range(config.shards))
-        scatter = max(1, config.shard_scatter_batch)
+        self._scatter = max(1, config.shard_scatter_batch)
         #: Work admitted past the router but not yet resolved, fleet
-        #: wide.  Capping it at full pipeline occupancy (every shard's
-        #: every inflight slot holding a full scatter frame, plus one
-        #: frame assembling per dispatcher) is what lets the admission
-        #: queue fill and shed during spikes.  Recomputed on every ring
-        #: change.
-        self._outstanding_limit = (config.shards
-                                   * (config.shard_inflight + 1)
-                                   * scatter)
+        #: wide, capped at :meth:`_limit_for` the live ring.  Recomputed
+        #: on every ring change.
+        self._outstanding_limit = self._limit_for(config.shards)
         self._outstanding = 0
         self._outstanding_cond = threading.Condition()
-        dispatch_depth = self._outstanding_limit + scatter
-        self.handles = [
-            _ShardHandle(index, dispatch_depth, config.shard_inflight,
-                         lifecycle)
-            for index in range(config.shards)]
+        self.handles = [self._new_handle(index, config.shards)
+                        for index in range(config.shards)]
         self._hot = set(config.shard_hot_graphs)
         #: Cleared while a migration holds the fleet quiesced; the
         #: router parks (admission keeps queueing, bounded) until the
@@ -172,6 +176,19 @@ class ShardBackend(ExecutionBackend):
 
     def _active_handles(self) -> list[_ShardHandle]:
         return [handle for handle in self.handles if not handle.retired]
+
+    def _limit_for(self, shards: int) -> int:
+        """Full pipeline occupancy of a ``shards``-strong fleet: every
+        inflight slot holding a full scatter frame, plus one frame
+        assembling per dispatcher.  Capping outstanding work there is
+        what lets the admission queue fill and shed during spikes."""
+        return shards * (self.config.shard_inflight + 1) * self._scatter
+
+    def _new_handle(self, index: int, shards: int) -> _ShardHandle:
+        # the staging queue is sized one frame past the limit of the
+        # fleet the handle joins
+        return _ShardHandle(index, self._limit_for(shards) + self._scatter,
+                            self.config.shard_inflight, self.lifecycle)
 
     # ------------------------------------------------------------------
     # lifecycle hooks
@@ -239,25 +256,7 @@ class ShardBackend(ExecutionBackend):
                         break
                 time.sleep(0.01)
         self._stopping = True
-        for handle in self.handles:
-            handle.dispatch.close()
-            with handle.lock:
-                proc = handle.proc if handle.alive else None
-            if proc is not None:
-                try:
-                    with handle.write_lock:
-                        write_frame(proc.stdin, {"type": "shutdown"})
-                except (OSError, ValueError, ChatGraphError):
-                    pass
-        for handle in self.handles:
-            with handle.lock:
-                proc = handle.proc
-            if proc is None:
-                continue
-            try:
-                proc.wait(max(0.1, deadline - time.monotonic()))
-            except subprocess.TimeoutExpired:
-                proc.kill()
+        self._stop_processes(self.handles, deadline)
 
     def finalize(self, deadline: float) -> None:
         with self._outstanding_cond:
@@ -318,8 +317,8 @@ class ShardBackend(ExecutionBackend):
         """Hard-kill one worker (chaos hook; SIGKILL, no goodbye).
 
         Recovery is the normal death path: the reader sees EOF, the
-        breaker trips, orphans fail over, and (unless ``shard_restart``
-        is off) a replacement process comes up in the background.
+        breaker trips, orphans fail over, and a replacement process
+        comes up in the background.
         """
         handle = self.handles[index]
         with handle.lock:
@@ -335,7 +334,6 @@ class ShardBackend(ExecutionBackend):
             return
         handle.restarts += 1
         self.lifecycle.stats.incr("shard_restarts")
-        self.lifecycle.metrics.incr("shard_restarts")
         # the replacement is a fresh process: its circuit starts closed
         self.lifecycle.breakers.reset_one(handle.name)
 
@@ -373,10 +371,10 @@ class ShardBackend(ExecutionBackend):
         if (request.graph_name in self._hot
                 and request.session_id is None):
             # hot named graph: stateless reads spread over the replica
-            # set (the first shard_replicas shards of the preference
-            # walk), least loaded first
+            # set (the first HOT_GRAPH_REPLICAS shards of the
+            # preference walk), least loaded first
             replicas = [i for i in self.ring.preferred(
-                key, self.config.shard_replicas)
+                key, HOT_GRAPH_REPLICAS)
                 if self._live(i, tried)]
             if replicas:
                 return self.handles[min(
@@ -452,8 +450,7 @@ class ShardBackend(ExecutionBackend):
     # ------------------------------------------------------------------
     def _dispatcher_loop(self, handle: _ShardHandle) -> None:
         batcher = self.lifecycle.make_batcher(
-            max(1, self.config.shard_scatter_batch),
-            self.config.shard_scatter_deadline_seconds,
+            self._scatter, SCATTER_DEADLINE_SECONDS,
             batchable_fn=lambda item: True)
         while True:
             item = handle.dispatch.get(timeout=0.05)
@@ -541,12 +538,10 @@ class ShardBackend(ExecutionBackend):
                 if frame is None:
                     return
                 handle.last_beat = time.monotonic()
-                kind = frame.get("type")
+                kind = str(frame.get("type"))
                 if kind == "batch_reply":
                     self._gather(handle, generation, frame)
-                elif kind in ("stats_reply", "sessions_reply",
-                              "adopt_reply", "evict_reply",
-                              "warm_reply"):
+                elif kind.endswith("_reply"):
                     self._accept_rpc(handle, frame)
                 # heartbeats only refresh last_beat
         finally:
@@ -616,7 +611,6 @@ class ShardBackend(ExecutionBackend):
         with self._outstanding_cond:
             self.handles[from_shard].pending_count -= 1
         self.lifecycle.stats.incr("shard_failovers")
-        self.lifecycle.metrics.incr("shard_failovers")
         self._route(item, failover=True)
 
     def _on_shard_down(self, handle: _ShardHandle,
@@ -646,7 +640,6 @@ class ShardBackend(ExecutionBackend):
             # migration retirement) is a clean exit, not a death: no
             # counters, no breaker, no restart
             self.lifecycle.stats.incr("shard_deaths")
-            self.lifecycle.metrics.incr("shard_deaths")
             if self.lifecycle.breakers.trip(handle.name):
                 # surface through the same counter the robustness
                 # layer uses, so existing SLO gates see the trip
@@ -661,18 +654,15 @@ class ShardBackend(ExecutionBackend):
             handle.rpc_waiters.clear()
         for waiter in waiters:
             waiter[0].set()
-        if (self.config.shard_restart and not stopping
-                and not self._stopping):
+        if not stopping and not self._stopping:
             threading.Thread(
                 target=self._restart_shard, args=(handle,),
                 name=f"shard-restart-{handle.index}",
                 daemon=True).start()
 
     def _heartbeat_monitor(self) -> None:
-        interval = self.config.shard_heartbeat_seconds
-        timeout = self.config.shard_heartbeat_timeout_seconds
         while self.lifecycle.running:
-            time.sleep(interval)
+            time.sleep(HEARTBEAT_SECONDS)
             now = time.monotonic()
             for handle in list(self.handles):
                 with handle.lock:
@@ -680,7 +670,7 @@ class ShardBackend(ExecutionBackend):
                     stale = now - handle.last_beat
                     generation = handle.generation
                     proc = handle.proc
-                if alive and stale > timeout:
+                if alive and stale > HEARTBEAT_TIMEOUT_SECONDS:
                     # the process is wedged (a clean exit would have
                     # EOF'd the reader first): kill it so the reader
                     # unblocks and runs the death path
@@ -692,10 +682,10 @@ class ShardBackend(ExecutionBackend):
     # ------------------------------------------------------------------
     # control-channel RPCs
     # ------------------------------------------------------------------
-    def _shard_rpc(self, handle: _ShardHandle, kind: str,
-                   payload: dict[str, Any],
-                   deadline: float) -> dict[str, Any] | None:
-        """One request/reply round trip; None on a dead or late shard."""
+    def _send_rpc(self, handle: _ShardHandle, kind: str,
+                  payload: dict[str, Any]) -> tuple[int, list[Any]] | None:
+        """Register a waiter and write one RPC frame; None on a dead
+        shard.  The only place a control-channel request is written."""
         with self._id_lock:
             self._next_rpc += 1
             rpc_id = self._next_rpc
@@ -705,62 +695,59 @@ class ShardBackend(ExecutionBackend):
                 return None
             proc = handle.proc
             handle.rpc_waiters[rpc_id] = waiter
-        frame = {"type": kind, "rpc_id": rpc_id, **payload}
         try:
             with handle.write_lock:
-                write_frame(proc.stdin, frame)
+                write_frame(proc.stdin,
+                            {"type": kind, "rpc_id": rpc_id, **payload})
         except (OSError, ValueError, ChatGraphError):
             with handle.lock:
                 handle.rpc_waiters.pop(rpc_id, None)
             return None
+        return rpc_id, waiter
+
+    def _wait_rpc(self, handle: _ShardHandle,
+                  sent: tuple[int, list[Any]] | None,
+                  deadline: float) -> dict[str, Any] | None:
+        """The reply to one sent RPC; None on a dead or late shard."""
+        if sent is None:
+            return None
+        rpc_id, waiter = sent
         waiter[0].wait(max(0.0, deadline - time.monotonic()))
         with handle.lock:
             handle.rpc_waiters.pop(rpc_id, None)
         return waiter[1]
 
+    def _shard_rpc(self, handle: _ShardHandle, kind: str,
+                   payload: dict[str, Any],
+                   deadline: float) -> dict[str, Any] | None:
+        """One request/reply round trip; None on a dead or late shard."""
+        return self._wait_rpc(
+            handle, self._send_rpc(handle, kind, payload), deadline)
+
     def _accept_rpc(self, handle: _ShardHandle,
                     frame: dict[str, Any]) -> None:
-        rpc_id = frame.get("rpc_id", frame.get("stats_id"))
         with handle.lock:
-            waiter = handle.rpc_waiters.get(rpc_id)
+            waiter = handle.rpc_waiters.get(frame.get("rpc_id"))
         if waiter is not None:
             waiter[1] = frame
             waiter[0].set()
 
-    def _poll_shards(self, include_spans: bool = False,
-                     timeout: float = STATS_TIMEOUT_SECONDS
+    def _poll_shards(self, include_spans: bool = False
                      ) -> dict[int, dict[str, Any]]:
-        """One stats round trip to every live shard (dead ones skip)."""
-        waiting: list[tuple[_ShardHandle, int, list[Any]]] = []
-        for handle in self.handles:
-            with handle.lock:
-                if not handle.alive:
-                    continue
-                proc = handle.proc
-                with self._id_lock:
-                    self._next_rpc += 1
-                    rpc_id = self._next_rpc
-                waiter = [threading.Event(), None]
-                handle.rpc_waiters[rpc_id] = waiter
-            try:
-                with handle.write_lock:
-                    write_frame(proc.stdin, {
-                        "type": "stats", "stats_id": rpc_id,
-                        "include_spans": bool(include_spans)})
-            except (OSError, ValueError, ChatGraphError):
-                with handle.lock:
-                    handle.rpc_waiters.pop(rpc_id, None)
-                continue
-            waiting.append((handle, rpc_id, waiter))
-        deadline = time.monotonic() + timeout
+        """One stats round trip to every live shard (dead ones skip).
+
+        Every shard is written to before any is waited on, so the poll
+        costs the slowest shard's reply, not the sum.
+        """
+        payload = {"include_spans": bool(include_spans)}
+        sent = [(handle, self._send_rpc(handle, "stats", payload))
+                for handle in self.handles]
+        deadline = time.monotonic() + STATS_TIMEOUT_SECONDS
         replies: dict[int, dict[str, Any]] = {}
-        for handle, rpc_id, waiter in waiting:
-            waiter[0].wait(max(0.0, deadline - time.monotonic()))
-            with handle.lock:
-                handle.rpc_waiters.pop(rpc_id, None)
-            if waiter[1] is not None:
-                replies[handle.index] = waiter[1]
-                handle.last_stats = waiter[1]
+        for handle, rpc in sent:
+            reply = self._wait_rpc(handle, rpc, deadline)
+            if reply is not None:
+                replies[handle.index] = handle.last_stats = reply
         return replies
 
     # ------------------------------------------------------------------
@@ -780,13 +767,8 @@ class ShardBackend(ExecutionBackend):
             raise ServeError(
                 "cannot reshape the fleet while the server is stopped")
         with self._migration_lock:
-            config = self.config
-            scatter = max(1, config.shard_scatter_batch)
-            limit_after = ((len(self._active_handles()) + 1)
-                           * (config.shard_inflight + 1) * scatter)
-            handle = _ShardHandle(len(self.handles),
-                                  limit_after + scatter,
-                                  config.shard_inflight, self.lifecycle)
+            handle = self._new_handle(len(self.handles),
+                                      len(self._active_handles()) + 1)
             self._spawn_shard(handle)
             self.handles.append(handle)
             thread = threading.Thread(
@@ -832,9 +814,7 @@ class ShardBackend(ExecutionBackend):
                  joining: _ShardHandle | None,
                  leaving: _ShardHandle | None) -> dict[str, Any]:
         old_ring = self.ring
-        config = self.config
-        deadline = (time.monotonic()
-                    + config.shard_migration_timeout_seconds)
+        deadline = time.monotonic() + MIGRATION_TIMEOUT_SECONDS
         self._route_gate.clear()
         try:
             self._quiesce(deadline)
@@ -853,10 +833,8 @@ class ShardBackend(ExecutionBackend):
             # flight (quiesced) and nothing routes until the gate lifts
             self.ring = new_ring
             with self._outstanding_cond:
-                self._outstanding_limit = (
-                    len(new_ring.shards)
-                    * (config.shard_inflight + 1)
-                    * max(1, config.shard_scatter_batch))
+                self._outstanding_limit = self._limit_for(
+                    len(new_ring.shards))
                 self._outstanding_cond.notify_all()
             warmed = self._warm_affinity(old_ring, new_ring,
                                          graph_names, deadline)
@@ -864,10 +842,8 @@ class ShardBackend(ExecutionBackend):
                 self._retire(leaving, deadline)
             stats = self.lifecycle.stats
             stats.incr("shard_migrations")
-            self.lifecycle.metrics.incr("shard_migrations")
             if moved:
                 stats.incr("sessions_migrated", moved)
-                self.lifecycle.metrics.incr("sessions_migrated", moved)
             return {
                 "joining": None if joining is None else joining.index,
                 "leaving": None if leaving is None else leaving.index,
@@ -977,16 +953,15 @@ class ShardBackend(ExecutionBackend):
         """Pre-warm caches on each graph's *new* owners.
 
         A graph's owners are its first ring shard (hot graphs: the
-        first ``shard_replicas``); shards that just gained ownership
+        first ``HOT_GRAPH_REPLICAS``); shards that just gained ownership
         warm that graph's sequence/embedding caches from the shared
         store before routing resumes, so moved traffic does not pay a
         cold-cache penalty.
         """
-        replicas = max(1, self.config.shard_replicas)
         by_shard: dict[int, list[str]] = {}
         for name in sorted(graph_names):
             key = f"g:{name}"
-            count = replicas if name in self._hot else 1
+            count = HOT_GRAPH_REPLICAS if name in self._hot else 1
             old_owners = set(old_ring.preferred(key, count))
             for index in new_ring.preferred(key, count):
                 if index not in old_owners:
@@ -1002,15 +977,30 @@ class ShardBackend(ExecutionBackend):
     def _retire(self, handle: _ShardHandle, deadline: float) -> None:
         """Coordinated exit of one shard: like shutdown, scoped to it."""
         handle.retired = True
-        handle.dispatch.close()
-        with handle.lock:
-            proc = handle.proc if handle.alive else None
-        if proc is not None:
+        self._stop_processes([handle], deadline)
+
+    def _stop_processes(self, handles: list[_ShardHandle],
+                        deadline: float) -> None:
+        """Send shutdown to every live process, wait, kill stragglers.
+
+        All are told before any is waited on, so they drain side by
+        side; ``_stopping`` / ``retired`` is already set, so the
+        readers take the EOFs for coordinated exits, not deaths.
+        """
+        procs = []
+        for handle in handles:
+            handle.dispatch.close()
+            with handle.lock:
+                proc = handle.proc
+            if proc is None:
+                continue
             try:
                 with handle.write_lock:
                     write_frame(proc.stdin, {"type": "shutdown"})
             except (OSError, ValueError, ChatGraphError):
                 pass
+            procs.append(proc)
+        for proc in procs:
             try:
                 proc.wait(max(0.1, deadline - time.monotonic()))
             except subprocess.TimeoutExpired:

@@ -32,8 +32,7 @@ def build_stats_snapshot(lifecycle: Any,
     snapshot = lifecycle.stats.snapshot()
     snapshot["queue"] = {"depth": lifecycle.queue.maxsize,
                          "size": len(lifecycle.queue)}
-    snapshot["breakers"] = (lifecycle.breakers.snapshot()
-                            if lifecycle.breakers is not None else {})
+    snapshot["breakers"] = lifecycle.breakers.snapshot()
     snapshot["rate_limiter"] = {
         "clients": len(lifecycle.limiter)
         if lifecycle.limiter is not None else 0}

@@ -20,16 +20,10 @@ every consumer; hit/miss/eviction counters feed
 
 from __future__ import annotations
 
-import hashlib
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable, Hashable
-
-
-def text_key(text: str) -> str:
-    """Stable digest of a prompt text (cache key component)."""
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -147,6 +141,8 @@ class PipelineCaches:
     @classmethod
     def with_sizes(cls, embedding: int = 2048, retrieval: int = 1024,
                    sequence: int = 256) -> "PipelineCaches":
+        """One LRU per cache; the defaults are the sizes every server
+        runs with (fixed here, not ``ServeConfig`` knobs)."""
         return cls(embeddings=LRUCache(embedding),
                    retrieval=LRUCache(retrieval),
                    sequences=LRUCache(sequence))

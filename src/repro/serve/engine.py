@@ -158,50 +158,28 @@ class PendingRequest:
         self._done.set()
 
 
-class ChatGraphServer:
-    """Concurrent front-end over one shared :class:`ChatGraph`.
+class ServerFacade:
+    """The surface both serving facades share, defined once.
 
-    A facade over the unified request-plane runtime: admission, id
-    allocation, stats and the reply edge live in the shared
-    :class:`~repro.runtime.lifecycle.RequestLifecycle`; worker threads,
-    micro-batching, sessions, caches and the catalog binding live in
-    the :class:`~repro.runtime.local.LocalBackend`.  Lifecycle:
-    :meth:`start` -> submit / request -> :meth:`stop` (or use the
-    instance as a context manager).
+    A facade is a backend plugged into one
+    :class:`~repro.runtime.lifecycle.RequestLifecycle`: admission, id
+    allocation, stats and the reply edge are the lifecycle's, everything
+    between the edges is the backend's.  Subclasses choose the backend
+    and add only what it alone offers; callers needing the runtime's
+    internals reach through ``server.lifecycle`` / ``server.backend``.
+    Lifecycle: :meth:`start` -> submit / request -> :meth:`stop` (or
+    use the instance as a context manager).
     """
 
-    def __init__(self, chatgraph: ChatGraph,
-                 config: ServeConfig | None = None,
-                 catalog: Any = None,
-                 clock: Any = None) -> None:
-        self.chatgraph = chatgraph
-        self.config = config or ServeConfig()
+    def __init__(self, config: ServeConfig, backend: Any,
+                 clock: Any) -> None:
         # imported lazily: repro.runtime imports this module for the
         # request types, so it must finish loading first
-        from ..runtime import LocalBackend, RequestLifecycle
+        from ..runtime import RequestLifecycle
 
-        self.backend = LocalBackend(chatgraph, catalog=catalog)
-        self.lifecycle = RequestLifecycle(self.config, self.backend,
-                                          clock=clock)
-
-    # ------------------------------------------------------------------
-    # the runtime's shared surfaces, re-exposed for callers and tests
-    # ------------------------------------------------------------------
-    @property
-    def clock(self) -> Any:
-        return self.lifecycle.clock
-
-    @property
-    def queue(self) -> Any:
-        return self.lifecycle.queue
-
-    @property
-    def limiter(self) -> Any:
-        return self.lifecycle.limiter
-
-    @property
-    def _stats(self) -> Any:
-        return self.lifecycle.stats
+        self.config = config
+        self.backend = backend
+        self.lifecycle = RequestLifecycle(config, backend, clock=clock)
 
     @property
     def metrics(self) -> Any:
@@ -216,33 +194,13 @@ class ChatGraphServer:
         return self.lifecycle.breakers
 
     @property
-    def caches(self) -> Any:
-        return self.backend.caches
-
-    @property
-    def pipeline_stages(self) -> tuple[str, ...]:
-        return self.backend.pipeline_stages
-
-    @property
-    def sessions(self) -> Any:
-        return self.backend.sessions
-
-    @property
-    def batcher(self) -> Any:
-        return self.backend.batcher
-
-    @property
-    def catalog(self) -> Any:
-        return self.backend.catalog
-
-    @property
-    def policy(self) -> Any:
-        return self.backend.policy
+    def running(self) -> bool:
+        return self.lifecycle.running
 
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
-    def start(self) -> "ChatGraphServer":
+    def start(self) -> "ServerFacade":
         self.lifecycle.start()
         return self
 
@@ -254,27 +212,13 @@ class ChatGraphServer:
         """
         self.lifecycle.stop(drain=drain, timeout=timeout)
 
-    def __enter__(self) -> "ChatGraphServer":
+    def __enter__(self) -> "ServerFacade":
         if not self.running:
             self.start()
         return self
 
     def __exit__(self, *exc_info: Any) -> None:
         self.stop()
-
-    @property
-    def running(self) -> bool:
-        return self.lifecycle.running
-
-    def warm_caches(self, names: Any = None) -> int:
-        """Pre-populate pipeline caches from the catalog's named graphs.
-
-        ``names`` restricts warming to specific graphs (the shard
-        tier's migration path warms only the graphs whose ring
-        ownership moved); None warms every catalog graph.  Returns the
-        number of cache entries added.
-        """
-        return self.backend.warm_named_caches(names)
 
     # ------------------------------------------------------------------
     # submission
@@ -310,19 +254,19 @@ class ChatGraphServer:
         return self.request(ServeRequest(op="ask", text=text, graph=graph,
                                          **kwargs))
 
-    def execute(self, pipeline_result: PipelineResult,
-                chain: APIChain | None = None,
-                **kwargs: Any) -> ServeResponse:
-        return self.request(ServeRequest(op="execute",
-                                         pipeline_result=pipeline_result,
-                                         chain=chain, **kwargs))
-
     # ------------------------------------------------------------------
     # introspection (one snapshot builder; see repro.runtime.snapshot)
     # ------------------------------------------------------------------
     def stats(self) -> dict[str, Any]:
         """One merged snapshot: counters, latency, caches, sessions,
-        queue."""
+        queue, shards.
+
+        Top-level ``counters``/``latency`` are the lifecycle's alone —
+        every admitted request resolves exactly once there, so
+        reconciliation against a workload ledger is exact; on a fleet,
+        shard-side detail lives under ``["shards"]["per_shard"]`` and
+        sessions/caches are merged fleet-wide views.
+        """
         return self.lifecycle.stats_snapshot()
 
     def metrics_snapshot(self) -> dict[str, Any]:
@@ -331,7 +275,48 @@ class ChatGraphServer:
         Merges the server's counters and per-stage latency quantiles
         (p50/p95/p99) with the :class:`~repro.obs.MetricsRegistry`'s
         event counters and point-in-time gauges (queue depth, live
-        sessions, cache hit rates, open breakers).  Feed the result to
+        sessions, cache hit rates, open breakers); on a fleet every
+        shard's registry is merged in losslessly (see
+        :func:`repro.obs.merge_metrics_dumps`).  Feed the result to
         :func:`repro.obs.render_metrics_markdown` for a report.
         """
         return self.lifecycle.metrics_snapshot()
+
+
+class ChatGraphServer(ServerFacade):
+    """Concurrent front-end over one shared :class:`ChatGraph`.
+
+    The :class:`ServerFacade` surface over a
+    :class:`~repro.runtime.local.LocalBackend`, which holds the worker
+    threads, micro-batching, sessions, caches and the catalog binding.
+    """
+
+    def __init__(self, chatgraph: ChatGraph,
+                 config: ServeConfig | None = None,
+                 catalog: Any = None,
+                 clock: Any = None) -> None:
+        from ..runtime import LocalBackend
+
+        self.chatgraph = chatgraph
+        super().__init__(config or ServeConfig(),
+                         LocalBackend(chatgraph, catalog=catalog), clock)
+
+    @property
+    def sessions(self) -> Any:
+        return self.backend.sessions
+
+    @property
+    def catalog(self) -> Any:
+        return self.backend.catalog
+
+    def warm_caches(self, names: Any = None) -> int:
+        """Pre-populate pipeline caches from the catalog's named graphs
+        (see :meth:`repro.runtime.local.LocalBackend.warm_caches`)."""
+        return self.backend.warm_caches(names)
+
+    def execute(self, pipeline_result: PipelineResult,
+                chain: APIChain | None = None,
+                **kwargs: Any) -> ServeResponse:
+        return self.request(ServeRequest(op="execute",
+                                         pipeline_result=pipeline_result,
+                                         chain=chain, **kwargs))

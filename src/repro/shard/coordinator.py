@@ -3,8 +3,9 @@
 :class:`ShardedChatGraphServer` fronts N shard worker *processes* (see
 :mod:`repro.shard.worker`) behind the exact submit/stats surface of the
 in-process :class:`~repro.serve.engine.ChatGraphServer`, so the soak
-runner and callers drive either one unchanged.  Both facades run on
-the same :class:`~repro.runtime.lifecycle.RequestLifecycle`; this one
+runner and callers drive either one unchanged.  Both inherit that
+surface from :class:`~repro.serve.engine.ServerFacade` and run on the
+same :class:`~repro.runtime.lifecycle.RequestLifecycle`; this one
 plugs in the :class:`~repro.runtime.shard.ShardBackend`, which owns
 the consistent-hash routing, scatter/gather dispatch, failure handling
 and live fleet reshaping (see that module for the mechanics).
@@ -23,7 +24,7 @@ from typing import Any
 
 from ..config import ServeConfig
 from ..errors import ServeError
-from ..serve.engine import PendingRequest, ServeRequest, ServeResponse
+from ..serve.engine import ServeRequest, ServerFacade
 
 __all__ = ["ShardModelSpec", "ShardedChatGraphServer"]
 
@@ -52,16 +53,17 @@ class ShardModelSpec:
                 "config": self.config}
 
 
-class ShardedChatGraphServer:
+class ShardedChatGraphServer(ServerFacade):
     """Scatter/gather front end over shard worker processes.
 
     Drop-in for :class:`~repro.serve.engine.ChatGraphServer` from the
-    caller's side: same ``submit``/``request``/``ask``/``propose``,
-    same admission errors, same ``stats()`` sections (plus a live
-    ``"shards"`` section).  ``op="execute"`` is the one surface that
-    does not shard — a :class:`~repro.core.pipeline.PipelineResult`
-    holds live pipeline objects that cannot cross a process boundary —
-    and is rejected at submit.
+    caller's side: the inherited ``submit``/``request``/``ask``/
+    ``propose``, the same admission errors, the same ``stats()``
+    sections (with a live ``"shards"`` section).  ``op="execute"`` is
+    the one surface that does not shard — a
+    :class:`~repro.core.pipeline.PipelineResult` holds live pipeline
+    objects that cannot cross a process boundary — and is rejected at
+    submit.
 
     :meth:`add_shard` / :meth:`remove_shard` reshape the fleet live:
     pinned sessions and named-graph affinity migrate to their new
@@ -72,47 +74,14 @@ class ShardedChatGraphServer:
     def __init__(self, model: ShardModelSpec,
                  config: ServeConfig | None = None,
                  clock: Any = None) -> None:
-        self.model = model
-        self.config = config or ServeConfig(shards=2)
-        if self.config.shards < 1:
+        config = config or ServeConfig(shards=2)
+        if config.shards < 1:
             raise ServeError(
                 "ShardedChatGraphServer needs ServeConfig.shards >= 1")
-        from ..runtime import RequestLifecycle, ShardBackend
+        from ..runtime import ShardBackend
 
-        self.backend = ShardBackend(model.to_wire())
-        self.lifecycle = RequestLifecycle(self.config, self.backend,
-                                          clock=clock)
-
-    # ------------------------------------------------------------------
-    # the runtime's shared surfaces, re-exposed for callers and tests
-    # ------------------------------------------------------------------
-    @property
-    def clock(self) -> Any:
-        return self.lifecycle.clock
-
-    @property
-    def queue(self) -> Any:
-        return self.lifecycle.queue
-
-    @property
-    def limiter(self) -> Any:
-        return self.lifecycle.limiter
-
-    @property
-    def _stats(self) -> Any:
-        return self.lifecycle.stats
-
-    @property
-    def metrics(self) -> Any:
-        return self.lifecycle.metrics
-
-    @property
-    def tracer(self) -> Any:
-        return self.lifecycle.tracer
-
-    @property
-    def breakers(self) -> Any:
-        return self.lifecycle.breakers
+        self.model = model
+        super().__init__(config, ShardBackend(model.to_wire()), clock)
 
     @property
     def ring(self) -> Any:
@@ -121,51 +90,6 @@ class ShardedChatGraphServer:
     @property
     def handles(self) -> list[Any]:
         return self.backend.handles
-
-    # ------------------------------------------------------------------
-    # lifecycle
-    # ------------------------------------------------------------------
-    def start(self) -> "ShardedChatGraphServer":
-        self.lifecycle.start()
-        return self
-
-    def stop(self, drain: bool = True, timeout: float = 30.0) -> None:
-        self.lifecycle.stop(drain=drain, timeout=timeout)
-
-    def __enter__(self) -> "ShardedChatGraphServer":
-        if not self.running:
-            self.start()
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.stop()
-
-    @property
-    def running(self) -> bool:
-        return self.lifecycle.running
-
-    # ------------------------------------------------------------------
-    # submission (the ChatGraphServer surface)
-    # ------------------------------------------------------------------
-    def submit(self, request: ServeRequest,
-               parent_span_id: str | None = None) -> PendingRequest:
-        """Admit ``request``; same contract as the in-process server."""
-        return self.lifecycle.submit(request,
-                                     parent_span_id=parent_span_id)
-
-    def request(self, request: ServeRequest,
-                timeout: float | None = None) -> ServeResponse:
-        return self.lifecycle.request(request, timeout)
-
-    def propose(self, text: str, graph: Any = None,
-                **kwargs: Any) -> ServeResponse:
-        return self.request(ServeRequest(op="propose", text=text,
-                                         graph=graph, **kwargs))
-
-    def ask(self, text: str, graph: Any = None,
-            **kwargs: Any) -> ServeResponse:
-        return self.request(ServeRequest(op="ask", text=text,
-                                         graph=graph, **kwargs))
 
     # ------------------------------------------------------------------
     # routing / fleet management
@@ -191,31 +115,6 @@ class ShardedChatGraphServer:
         pinned sessions to the survivors.  Returns the migration
         report."""
         return self.backend.remove_shard(index)
-
-    # ------------------------------------------------------------------
-    # introspection (one snapshot builder; see repro.runtime.snapshot)
-    # ------------------------------------------------------------------
-    def stats(self) -> dict[str, Any]:
-        """Coordinator-authoritative counters + a live shard map.
-
-        Top-level ``counters``/``latency`` come from the coordinator
-        alone — every admitted request resolves exactly once here, so
-        reconciliation against a workload ledger is exact and nothing
-        a shard also counted is double-reported.  Shard-side detail
-        (their own counters, caches, stores) lives under
-        ``["shards"]["per_shard"]``; sessions and caches are merged
-        fleet-wide views.
-        """
-        return self.lifecycle.stats_snapshot()
-
-    def metrics_snapshot(self) -> dict[str, Any]:
-        """Fleet-wide metrics: coordinator + every shard's registry.
-
-        Shard registries are merged losslessly (counters sum,
-        histograms merge at the bucket level — see
-        :func:`repro.obs.merge_metrics_dumps`).
-        """
-        return self.lifecycle.metrics_snapshot()
 
     def collect_spans(self) -> list[dict[str, Any]]:
         """One merged structural trace across the process boundary."""

@@ -10,16 +10,14 @@ frames byte-stable, so tests can diff them.
 Frame types (``"type"`` field):
 
 * coordinator -> worker: ``init`` (model spec + serve config),
-  ``batch`` (scatter: a list of request wires), ``stats`` (snapshot
-  poll, optionally with spans), the migration RPCs ``sessions``
+  ``batch`` (scatter: a list of request wires), the control-channel
+  RPCs — ``stats`` (snapshot poll, optionally with spans), ``sessions``
   (placement inventory), ``adopt`` / ``evict`` (session ownership
   transfer on a ring change), ``warm`` (pre-warm caches for moved
-  graph affinity), and ``shutdown``;
+  graph affinity) — each carrying an ``rpc_id``, and ``shutdown``;
 * worker -> coordinator: ``hello`` (model built, serving),
-  ``batch_reply`` (gather: response wires in item order),
-  ``stats_reply``, ``sessions_reply`` / ``adopt_reply`` /
-  ``evict_reply`` / ``warm_reply`` (each echoing its request's
-  ``rpc_id``), ``heartbeat``.
+  ``batch_reply`` (gather: response wires in item order), one
+  ``<kind>_reply`` per RPC echoing its ``rpc_id``, ``heartbeat``.
 
 Requests and responses cross the boundary as plain dicts built by
 :func:`request_to_wire` / :func:`value_to_wire`; the coordinator

@@ -31,6 +31,7 @@ from typing import Any, BinaryIO
 
 from ..config import ChatGraphConfig, ObsConfig, ServeConfig
 from ..errors import ChatGraphError
+from ..serve.engine import ServeResponse
 from .protocol import (
     ShardProtocolError,
     read_frame,
@@ -46,6 +47,10 @@ __all__ = ["ShardWorker", "main", "serve_config_from_wire",
 #: failing that reply slot (the coordinator's heartbeat timeout governs
 #: hung *processes*; this governs hung *requests*).
 RESULT_TIMEOUT_SECONDS = 120.0
+#: Interval between heartbeat frames, and the coordinator monitor's
+#: polling period (``repro.runtime.shard.HEARTBEAT_TIMEOUT_SECONDS`` is
+#: the silence that counts as death).
+HEARTBEAT_SECONDS = 0.5
 
 
 def serve_config_to_wire(config: ServeConfig) -> dict[str, Any]:
@@ -127,9 +132,23 @@ class ShardWorker:
             # wind down on stdin EOF
             self._stop.set()
 
+    def _reply(self, kind: str, frame: dict[str, Any],
+               **payload: Any) -> None:
+        """Answer one control-channel RPC under the caller's ``rpc_id``."""
+        self._write({"type": f"{kind}_reply", "shard": self.shard,
+                     "rpc_id": frame.get("rpc_id", 0), **payload})
+
+    def _failed_slot(self, wire: dict[str, Any],
+                     exc: Exception) -> dict[str, Any]:
+        """The reply for one batch item that could not be served."""
+        return response_to_wire(ServeResponse(
+            request_id=wire.get("request_id", 0), op=wire.get("op", ""),
+            ok=False, error=str(exc), error_type=type(exc).__name__,
+            worker=self.name))
+
     def _heartbeat_loop(self) -> None:
         seq = 0
-        while not self._stop.wait(self.config.shard_heartbeat_seconds):
+        while not self._stop.wait(HEARTBEAT_SECONDS):
             seq += 1
             self._write({"type": "heartbeat", "shard": self.shard,
                          "seq": seq})
@@ -151,26 +170,13 @@ class ShardWorker:
         replies: list[dict[str, Any]] = []
         for wire, pending, error in submitted:
             if pending is None:
-                replies.append({
-                    "request_id": wire.get("request_id", 0),
-                    "op": wire.get("op", ""), "ok": False,
-                    "error": str(error),
-                    "error_type": type(error).__name__,
-                    "worker": self.name, "seed": 0,
-                    "service_seconds": 0.0, "value": None,
-                })
+                replies.append(self._failed_slot(wire, error))
                 continue
             try:
                 response = pending.result(timeout=RESULT_TIMEOUT_SECONDS)
                 reply = response_to_wire(response)
             except Exception as exc:  # noqa: BLE001 - fail one slot only
-                reply = {
-                    "request_id": 0, "op": wire.get("op", ""),
-                    "ok": False, "error": str(exc),
-                    "error_type": type(exc).__name__,
-                    "worker": self.name, "seed": 0,
-                    "service_seconds": 0.0, "value": None,
-                }
+                reply = self._failed_slot(wire, exc)
             #: The coordinator matches replies to items by position but
             #: reconciles ids; the worker's lane name is prefixed so
             #: merged stats can attribute work to a shard.
@@ -183,8 +189,6 @@ class ShardWorker:
 
     def _handle_stats(self, frame: dict[str, Any]) -> None:
         payload: dict[str, Any] = {
-            "type": "stats_reply", "shard": self.shard,
-            "stats_id": frame.get("stats_id", 0),
             "stats": self.server.stats(),
             "metrics": self.server.metrics.dump(),
         }
@@ -192,20 +196,16 @@ class ShardWorker:
         if frame.get("include_spans") and tracer is not None:
             payload["spans"] = [span.to_dict(canonical=True)
                                 for span in tracer.finished_spans()]
-        self._write(payload)
+        self._reply("stats", frame, **payload)
 
     # ------------------------------------------------------------------
     # migration RPCs (see repro.runtime.shard's ring-change path)
     # ------------------------------------------------------------------
     def _handle_sessions(self, frame: dict[str, Any]) -> None:
         """Inventory of pinned sessions; the planner's placement input."""
-        self._write({
-            "type": "sessions_reply", "shard": self.shard,
-            "rpc_id": frame.get("rpc_id", 0),
-            "sessions": [{"session_id": session_id, "graph_name": name}
-                         for session_id, name
-                         in self.server.sessions.pins()],
-        })
+        self._reply("sessions", frame, sessions=[
+            {"session_id": session_id, "graph_name": name}
+            for session_id, name in self.server.sessions.pins()])
 
     def _handle_adopt(self, frame: dict[str, Any]) -> None:
         """Take ownership of sessions moving here on a ring change.
@@ -230,18 +230,14 @@ class ShardWorker:
                 adopted += 1
             except ChatGraphError:
                 continue
-        self._write({"type": "adopt_reply", "shard": self.shard,
-                     "rpc_id": frame.get("rpc_id", 0),
-                     "adopted": adopted})
+        self._reply("adopt", frame, adopted=adopted)
 
     def _handle_evict(self, frame: dict[str, Any]) -> None:
         """Drop sessions whose ownership moved to another shard."""
         evicted = sum(
             1 for session_id in frame.get("session_ids") or []
             if self.server.sessions.drop(session_id))
-        self._write({"type": "evict_reply", "shard": self.shard,
-                     "rpc_id": frame.get("rpc_id", 0),
-                     "evicted": evicted})
+        self._reply("evict", frame, evicted=evicted)
 
     def _handle_warm(self, frame: dict[str, Any]) -> None:
         """Pre-warm caches for graphs whose ring ownership moved here."""
@@ -250,9 +246,7 @@ class ShardWorker:
                 names=list(frame.get("names") or []))
         except ChatGraphError:
             warmed = 0
-        self._write({"type": "warm_reply", "shard": self.shard,
-                     "rpc_id": frame.get("rpc_id", 0),
-                     "warmed": warmed})
+        self._reply("warm", frame, warmed=warmed)
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -263,12 +257,18 @@ class ShardWorker:
                      "startup_seconds": self.startup_seconds})
         self._heartbeat.start()
         batch_threads: list[threading.Thread] = []
+        rpcs = {"stats": self._handle_stats,
+                "sessions": self._handle_sessions,
+                "adopt": self._handle_adopt,
+                "evict": self._handle_evict,
+                "warm": self._handle_warm}
         try:
             while not self._stop.is_set():
                 frame = read_frame(self._stdin)
                 if frame is None or frame["type"] == "shutdown":
                     break
-                if frame["type"] == "batch":
+                kind = frame["type"]
+                if kind == "batch":
                     # serve off-thread so the loop keeps reading: the
                     # coordinator pipelines shard_inflight batches and
                     # expects them to overlap, and a long batch must
@@ -280,19 +280,11 @@ class ShardWorker:
                     batch_threads.append(thread)
                     batch_threads = [t for t in batch_threads
                                      if t.is_alive()]
-                elif frame["type"] == "stats":
-                    self._handle_stats(frame)
-                elif frame["type"] == "sessions":
-                    self._handle_sessions(frame)
-                elif frame["type"] == "adopt":
-                    self._handle_adopt(frame)
-                elif frame["type"] == "evict":
-                    self._handle_evict(frame)
-                elif frame["type"] == "warm":
-                    self._handle_warm(frame)
-                elif frame["type"] != "heartbeat":
+                elif kind in rpcs:
+                    rpcs[kind](frame)
+                elif kind != "heartbeat":
                     raise ShardProtocolError(
-                        f"unexpected frame type {frame['type']!r}")
+                        f"unexpected frame type {kind!r}")
         except (ShardProtocolError, OSError) as exc:
             print(f"{self.name}: protocol error: {exc}",
                   file=sys.stderr)

@@ -5,7 +5,7 @@ replay, so they cannot drift apart:
 
 * the golden-trace regression tests (``tests/test_golden_traces.py``),
   the ``python -m repro.cli trace --demo`` smoke run, and the CI
-  ``trace-smoke`` job replay :data:`CANONICAL_PROMPTS` over
+  ``smoke`` job replay :data:`CANONICAL_PROMPTS` over
   :func:`canonical_graph`;
 * the traffic simulator (:mod:`repro.loadgen`) and the ledger
   benchmark (``benchmarks/ledger``) draw their request text from

@@ -454,6 +454,7 @@ class _StubFleet:
 
     def __init__(self):
         self.log = []
+        self.breakers = SimpleNamespace(open_names=lambda: [])
 
     def submit(self, request):
         self.log.append("submit")

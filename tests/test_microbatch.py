@@ -151,7 +151,7 @@ class TestServerMicroBatching:
         workload = bench_workload(4, n_graphs=2)
         server, responses = self._run(serve_chatgraph, workload)
         assert all(r.ok for r in responses)
-        assert server.batcher is None
+        assert server.backend.batcher is None
         assert server.stats()["counters"].get("microbatched", 0) == 0
 
     def test_session_requests_bypass_batching(self, serve_chatgraph):

@@ -556,6 +556,6 @@ class TestServeUnderFaults:
         before = (chatgraph.robustness_policy, chatgraph.breakers)
         server = fault_server(chatgraph)
         with server:
-            assert chatgraph.robustness_policy is server.policy
+            assert chatgraph.robustness_policy is server.backend.policy
             assert chatgraph.breakers is server.breakers
         assert (chatgraph.robustness_policy, chatgraph.breakers) == before

@@ -3,8 +3,8 @@
 Proves the refactor's contract (see ``repro.runtime``):
 
 * both servers are thin facades over one :class:`RequestLifecycle` —
-  the admission queue, rate limiter, stats, metrics and breakers a
-  facade exposes *are* the lifecycle's own objects, not copies;
+  the submit/request/stats surface is defined once and inherited, so
+  the two cannot diverge in how they admit, reply or report;
 * ``stats()`` / ``metrics_snapshot()`` come from one snapshot builder,
   so the two servers' report shapes cannot drift — asserted as key-set
   equality on live snapshots from both facades, plus the builder
@@ -54,14 +54,17 @@ def _wire_bytes(server, cases):
 # one lifecycle under the facade
 # ----------------------------------------------------------------------
 class TestSharedLifecycle:
-    def test_local_facade_exposes_the_lifecycle_objects(self, chatgraph):
+    def test_facades_share_one_surface_by_construction(self, chatgraph):
+        from repro.shard import ShardedChatGraphServer
+
         server = ChatGraphServer(chatgraph, ServeConfig(workers=1))
         assert isinstance(server.lifecycle, RequestLifecycle)
-        assert server.queue is server.lifecycle.queue
-        assert server.limiter is server.lifecycle.limiter
-        assert server._stats is server.lifecycle.stats
-        assert server.metrics is server.lifecycle.metrics
-        assert server.clock is server.lifecycle.clock
+        # defined once, inherited by both: the two servers cannot
+        # diverge in how they admit, reply or report
+        for name in ("submit", "request", "propose", "ask", "start",
+                     "stop", "stats", "metrics_snapshot"):
+            assert (getattr(ChatGraphServer, name)
+                    is getattr(ShardedChatGraphServer, name)), name
 
     def test_snapshot_builder_rejects_missing_sections(self, chatgraph):
         server = ChatGraphServer(chatgraph, ServeConfig(workers=1))

@@ -355,13 +355,13 @@ class TestServerBasics:
         server = make_server(serve_chatgraph, step_max_retries=2)
         assert serve_chatgraph.robustness_policy is None
         with server:
-            assert serve_chatgraph.robustness_policy is server.policy
+            assert serve_chatgraph.robustness_policy is server.backend.policy
             assert serve_chatgraph.breakers is server.breakers
             listeners = serve_chatgraph.executor.listeners()
-            assert server._stats.on_execution_event in listeners
+            assert server.lifecycle.stats.on_execution_event in listeners
         assert serve_chatgraph.robustness_policy is None
         assert serve_chatgraph.breakers is None
-        assert server._stats.on_execution_event not in \
+        assert server.lifecycle.stats.on_execution_event not in \
             serve_chatgraph.executor.listeners()
 
     def test_session_dialog_accumulates(self, serve_chatgraph,
@@ -433,7 +433,7 @@ class TestServeCaches:
             for __ in range(3):
                 server.propose("write a brief report for G",
                                graph=social_graph_small)
-            stats = server.caches.stats()
+            stats = server.backend.caches.stats()
         # identical text+routing: 1 miss then 2 retrieval hits
         assert stats["retrieval"]["misses"] == 1
         assert stats["retrieval"]["hits"] == 2
@@ -463,7 +463,7 @@ class TestServeCaches:
             response = server.propose("write a brief report for G",
                                       graph=social_graph_small)
             assert response.ok
-            assert server.caches is None
+            assert server.backend.caches is None
             assert server.stats()["caches"] == {}
 
     def test_graph_fingerprint_is_content_keyed(self):

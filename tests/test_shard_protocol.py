@@ -25,6 +25,7 @@ from repro.shard import (
     write_frame,
 )
 from repro.shard.protocol import MAX_FRAME_BYTES, dumps_canonical
+from repro.shard.worker import serve_config_from_wire, serve_config_to_wire
 
 
 def roundtrip(*frames):
@@ -138,3 +139,16 @@ def test_response_wire_roundtrip_propose_and_failure():
         error_type="ServeError")))
     assert not failed.ok and failed.value is None
     assert failed.error == "boom" and failed.error_type == "ServeError"
+
+
+def test_serve_config_wire_roundtrip():
+    """What the init frame carries rebuilds the coordinator's config."""
+    from repro.config import ObsConfig, ServeConfig
+
+    config = ServeConfig(shards=3, workers=1, queue_depth=8,
+                         shard_hot_graphs=("demo-social-m", "demo-kg-m"),
+                         store_root="/tmp/store", seed=11,
+                         obs=ObsConfig(enable_tracing=True))
+    (init,) = roundtrip({"type": "init",
+                         "serve": serve_config_to_wire(config)})
+    assert serve_config_from_wire(init["serve"]) == config

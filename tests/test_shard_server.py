@@ -126,6 +126,30 @@ def test_stats_shards_section(fleet):
     assert "epochs" in stats["store"]
 
 
+def test_stats_poll_is_one_more_rpc(fleet):
+    """The stats poll rides the same ``rpc_id`` channel as the migration
+    RPCs: one reply per live shard, a dead shard skipped, no waiter
+    left behind."""
+    backend = fleet.backend
+    replies = backend._poll_shards()
+    assert sorted(replies) == [0, 1]
+    for index, reply in replies.items():
+        assert reply["type"] == "stats_reply" and reply["shard"] == index
+        assert reply["rpc_id"] > 0
+        assert "counters" in reply["stats"] and "metrics" in reply
+        assert backend.handles[index].last_stats is reply
+    # a shard the coordinator holds dead is not written to at all
+    victim = backend.handles[0]
+    with victim.lock:
+        victim.alive = False
+    try:
+        assert sorted(backend._poll_shards()) == [1]
+    finally:
+        with victim.lock:
+            victim.alive = True
+    assert all(not handle.rpc_waiters for handle in backend.handles)
+
+
 def test_metrics_merge_across_processes(fleet):
     assert fleet.ask("how many nodes are there",
                      graph=bench_graphs(1)[0]).ok
