@@ -156,13 +156,14 @@ class ChatGraph:
     def propose_batch(self, prompts: list[Prompt],
                       return_exceptions: bool = False
                       ) -> list[PipelineResult | BaseException]:
-        """Batched :meth:`propose`: shared pipeline stages for a fleet.
+        """:meth:`propose` for many prompts in one pipeline pass.
 
-        Every stage runs through its vectorized batch body (one
+        Each stage's one body runs once over all the prompts (one
         embed/search/matmul/scoring call per stage instead of one per
-        prompt); the proposed chains are identical to processing each
-        prompt alone.  This is what the serve layer's micro-batcher
-        calls.  ``return_exceptions`` is the per-prompt failure-
+        prompt) — the body :meth:`propose` runs over a single prompt —
+        so the proposed chains are identical to processing each prompt
+        alone.  This is what the serve layer's micro-batcher calls.
+        ``return_exceptions`` is the per-prompt failure-
         isolation switch of :meth:`~repro.core.pipeline.ChatPipeline.
         process_batch`: failed slots then hold exception instances
         instead of aborting the whole batch.

@@ -3,13 +3,14 @@
 The stages — intent, graph-type routing, ANN retrieval, sequentialize,
 generate, repair — are declared exactly once, as stage objects composed
 into the :class:`~repro.core.stages.StageGraph` built by
-:func:`~repro.core.stages.build_chat_graph`.  :meth:`ChatPipeline.process`
-and :meth:`ChatPipeline.process_batch` are thin entry points driving
-that one graph down its scalar and vectorized paths; cross-cutting
-concerns (timing, tracing, profiling, caching) are middleware wrapping
-each stage invocation, assembled on attach and absent from the hot path
-when detached.  See :mod:`repro.core.stages` for the stage and
-middleware contracts and ``docs/ARCHITECTURE.md`` for the tour.
+:func:`~repro.core.stages.build_chat_graph`.
+:meth:`ChatPipeline.process_batch` drives that graph over a list of
+prompts and :meth:`ChatPipeline.process` is a batch of one through the
+same body; cross-cutting concerns (timing, tracing, profiling, caching)
+are middleware wrapping each stage invocation, assembled on attach and
+absent from the hot path when detached.  See :mod:`repro.core.stages`
+for the stage and middleware contracts and ``docs/ARCHITECTURE.md`` for
+the tour.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from ..config import ChatGraphConfig
 from ..llm.chain_model import ChainLanguageModel
 from ..llm.intent import GraphTypePredictor, IntentClassifier, TypePrediction
 from ..llm.prompts import Prompt
-from ..obs.trace import NULL_SPAN, NullSpan, Span
 from ..retrieval.api_retriever import APIRetriever
 from ..sequencer.serializer import GraphSequences, GraphSequentializer
 from .fallbacks import FALLBACKS
@@ -77,7 +77,7 @@ class ChatPipeline:
         self.type_predictor = GraphTypePredictor()
         self.intent_classifier = IntentClassifier()
         self.fallbacks = FALLBACKS
-        #: The declarative stage graph both entry points drive.
+        #: The declarative stage graph every call drives.
         self.graph = build_chat_graph(
             registry, retriever, model, self.config, self.sequentializer,
             self.type_predictor, self.intent_classifier, self.fallbacks)
@@ -158,69 +158,67 @@ class ChatPipeline:
     # entry points
     # ------------------------------------------------------------------
     @contextmanager
-    def _root(self, prompt: Prompt) -> Iterator[Span | NullSpan]:
+    def _root(self, ctxs: list[StageContext]) -> Iterator[None]:
+        """The root span of one call.  With ``TracingMiddleware``, the
+        only code that looks at how many contexts there are: the golden
+        traces pin the single-request span shape byte for byte."""
         if self._tracer is None:
-            yield NULL_SPAN
-        else:
+            yield
+        elif len(ctxs) == 1:
+            ctx = ctxs[0]
             with self._tracer.span("pipeline", kind="pipeline",
-                                   has_graph=prompt.graph is not None
+                                   has_graph=ctx.prompt.graph is not None
                                    ) as span:
-                yield span
+                yield
+                if ctx.failure is None:
+                    span.set(intent=ctx.intent, graph_type=ctx.graph_type,
+                             used_fallback=ctx.used_fallback,
+                             chain=ctx.chain.render())
+        else:
+            with self._tracer.span("pipeline:batch", kind="pipeline",
+                                   batch_size=len(ctxs)):
+                yield
 
     def process(self, prompt: Prompt) -> PipelineResult:
-        """Run every stage for ``prompt`` and return the proposed chain."""
-        with self._root(prompt) as root:
-            ctx = StageContext({"prompt": prompt})
-            self.graph.run(ctx, self._middlewares)
-            root.set(intent=ctx.intent, graph_type=ctx.graph_type,
-                     used_fallback=ctx.used_fallback,
-                     chain=ctx.chain.render())
-            return self._result(ctx)
+        """Run every stage for ``prompt`` and return the proposed chain
+        (a :meth:`process_batch` of one; a stage failure raises)."""
+        return self.process_batch([prompt])[0]
 
     def process_batch(self, prompts: list[Prompt],
                       return_exceptions: bool = False
                       ) -> list[PipelineResult | BaseException]:
-        """Run the pipeline for many prompts with shared batched stages.
+        """Run the pipeline for many prompts with shared stage work.
 
-        Produces exactly the chains ``[self.process(p) for p in
-        prompts]`` would — the same stage graph runs down its
-        vectorized path: every stage now has a genuinely batched body
-        (retrieval through the batched embed/search kernels, generation
-        through :func:`~repro.llm.decoding.greedy_decode_batch`, intent
-        via one shared scoring pass, graph-type and sequentialize via
-        content-keyed graph grouping, repair via deduplicated registry
-        validation), each result-identical to its scalar counterpart.
-        Per-result ``timings`` report each prompt's amortized share
-        (stage seconds divided by batch size), since the stage work is
-        genuinely shared.
+        Batching never changes a reply: each result is what the prompt
+        would get alone.  What a batch shares is stage work (retrieval
+        through one embed/search call, generation through one
+        :func:`~repro.llm.decoding.greedy_decode_batch` fleet, intent
+        via one scoring pass per distinct text, graph-type and
+        sequentialize once per distinct graph object, repair via
+        deduplicated registry validation), so per-result ``timings``
+        report each prompt's share (stage seconds divided by the number
+        of prompts in the invocation).
 
-        Failure isolation follows the scalar path: a stage exception
-        degrades only the prompt that raised it (see
-        :meth:`~repro.core.stages.StageGraph.run_batch`).  By default
-        the first recorded failure re-raises — the historical contract,
-        where callers treat the batch as all-or-nothing.  With
-        ``return_exceptions=True`` the failed slots hold the exception
-        instances instead and healthy prompts still return results, so
-        servers can fail requests individually.
+        Failure isolation: a stage exception degrades only the prompt
+        that raised it (see :meth:`~repro.core.stages.StageGraph.run`).
+        By default the first recorded failure re-raises, inside the
+        root span so the span closes ``status=error`` — callers treat
+        the batch as all-or-nothing.  With ``return_exceptions=True``
+        the failed slots hold the exception instances instead and
+        healthy prompts still return results, so servers can fail
+        requests individually.
         """
         if not prompts:
             return []
         ctxs = [StageContext({"prompt": prompt}) for prompt in prompts]
-        if self._tracer is None:
-            self.graph.run_batch(ctxs, self._middlewares)
-        else:
-            with self._tracer.span("pipeline:batch", kind="pipeline",
-                                   batch_size=len(prompts)):
-                self.graph.run_batch(ctxs, self._middlewares)
-        results: list[PipelineResult | BaseException] = []
-        for ctx in ctxs:
-            if ctx.failure is not None:
-                if not return_exceptions:
-                    raise ctx.failure
-                results.append(ctx.failure)
-            else:
-                results.append(self._result(ctx))
-        return results
+        with self._root(ctxs):
+            self.graph.run(ctxs, self._middlewares)
+            if not return_exceptions:
+                for ctx in ctxs:
+                    if ctx.failure is not None:
+                        raise ctx.failure
+        return [self._result(ctx) if ctx.failure is None else ctx.failure
+                for ctx in ctxs]
 
     @staticmethod
     def _result(ctx: StageContext) -> PipelineResult:
@@ -235,8 +233,3 @@ class ChatPipeline:
             used_fallback=ctx.used_fallback,
             timings=dict(ctx.timings),
         )
-
-    @staticmethod
-    def _fallback(graph_type: str | None, intent: str) -> tuple[str, ...]:
-        """Legacy lookup, delegating to the one fallback registry."""
-        return FALLBACKS.chain_for(graph_type, intent)

@@ -3,23 +3,23 @@
 The paper's Fig. 1 pipeline (intent -> graph-type routing -> ANN
 retrieval -> sequentialize -> generate -> repair) is declared here
 exactly once.  Each stage is an object with a name, the context keys it
-reads and writes, a scalar :meth:`Stage.run` and an optional vectorized
-:meth:`Stage.run_batch` (defaulting to mapped scalar).  Stages compose
-into a :class:`StageGraph` that validates the dataflow at construction
-time, so a stage reading a key nothing produces fails fast instead of
-at request time.
+reads and writes, and one body, :meth:`Stage.run`, over a sequence of
+contexts — a single request is a batch of one through the same body.
+Stages compose into a :class:`StageGraph` that validates the dataflow
+at construction time, so a stage reading a key nothing produces fails
+fast instead of at request time.
 
 Cross-cutting concerns are middleware wrapping each stage invocation
 rather than branches inside stage bodies:
 
 * :class:`TimingMiddleware` — per-stage wall seconds into the context's
-  ``timings`` (amortized per item on the batch path);
+  ``timings`` (each context's share of the invocation);
 * :class:`ProfilingMiddleware` — adapts :class:`repro.obs.StageProfiler`;
 * :class:`TracingMiddleware` — adapts :class:`repro.obs.Tracer`, one
   ``stage`` span per observed stage;
 * :class:`CacheMiddleware` — content-addressed memoization for stages
-  that declare a cache key; a batched invocation runs the stage only on
-  the cache-missing subset (the :data:`MISS` sentinel keeps a cached
+  that declare a cache key; the stage runs only on the cache-missing
+  subset of its contexts (the :data:`MISS` sentinel keeps a cached
   falsy value, e.g. ``()``, distinct from "absent").
 
 Middleware lists are outermost-first; a detached concern simply is not
@@ -37,15 +37,13 @@ from typing import Any, Callable, Hashable, Iterable, Sequence
 from ..apis.chain import APIChain
 from ..apis.registry import APIRegistry, Category
 from ..config import ChatGraphConfig
-from ..errors import ChainError, ConfigError, EmbeddingError
-from ..graphs.io import fingerprint
+from ..errors import ChainError, ConfigError
 from ..llm.chain_model import ChainLanguageModel, GenerationState
-from ..llm.decoding import beam_decode, greedy_decode, greedy_decode_batch
+from ..llm.decoding import beam_decode, greedy_decode_batch
 from ..llm.intent import (
     CATEGORY_ROUTING,
     GraphTypePredictor,
     IntentClassifier,
-    TypePrediction,
 )
 from ..retrieval.api_retriever import APIRetriever
 from ..sequencer.serializer import GraphSequentializer
@@ -55,11 +53,6 @@ from .fallbacks import FallbackRegistry
 #: value such as ``()`` (an empty retrieval result is a valid entry).
 MISS = object()
 
-#: Private context key memoizing the prompt graph's content digest
-#: across the batch path's grouping stages (not a declared dataflow
-#: output; see :func:`_group_contexts_by_graph`).
-_FINGERPRINT_KEY = "_graph_fingerprint"
-
 
 class StageContext:
     """One prompt's mutable dataflow record through the stage graph.
@@ -68,11 +61,10 @@ class StageContext:
     either way — ``ctx[key]`` or attribute-style ``ctx.key``.  The
     ``timings`` dict is middleware territory, kept apart from the
     dataflow keys.  ``failure`` records the exception that aborted this
-    context's flow on the batch path (``None`` while healthy): a batch
-    member that fails mid-stage is parked instead of poisoning its
-    batchmates, and the pipeline entry point re-raises (or returns) the
-    recorded exception per context — the same outcome the scalar path
-    produces by propagation.
+    context's flow (``None`` while healthy): a context that fails
+    mid-stage is parked instead of poisoning its batchmates, and the
+    pipeline entry point re-raises (or returns) the recorded exception
+    per context.
     """
 
     __slots__ = ("data", "timings", "failure")
@@ -110,15 +102,17 @@ class Stage:
     """One declared pipeline stage.
 
     Subclasses set :attr:`name`, :attr:`inputs` and :attr:`outputs` and
-    implement :meth:`run`; :meth:`run_batch` defaults to mapped scalar
-    and may be overridden with a genuinely vectorized body.  The
-    remaining hooks drive middleware:
+    implement :meth:`run` over a sequence of contexts — a plain loop, or
+    one shared kernel call when the work genuinely batches.  A body
+    that raises is retried one context at a time by
+    :meth:`StageGraph.run`, so it needs no failure handling of its own.
+    The remaining hooks drive middleware:
 
     * :attr:`observed` — ``False`` exempts the stage from timing,
       tracing and profiling (used by ``repair``, which predates the
       observability contract and must keep golden traces stable);
     * :meth:`span_attrs` — deterministic attributes stamped on the
-      stage's trace span after a scalar run;
+      stage's trace span after a single-context run;
     * the cache protocol — :attr:`cache_name` (which cache in the
       bundle), :meth:`cache_key` (``None`` = uncacheable call),
       :attr:`cache_output` (the memoized context key),
@@ -134,18 +128,8 @@ class Stage:
     cache_name: str | None = None
     cache_output: str | None = None
 
-    def run(self, ctx: StageContext) -> None:
+    def run(self, ctxs: Sequence[StageContext]) -> None:
         raise NotImplementedError
-
-    def run_batch(self, ctxs: Sequence[StageContext]) -> None:
-        # mapped scalar, isolating failures: one poisoned context parks
-        # its exception on ``ctx.failure`` (scalar semantics: that one
-        # request fails) instead of aborting the contexts after it
-        for ctx in ctxs:
-            try:
-                self.run(ctx)
-            except Exception as exc:  # noqa: BLE001 - per-ctx isolation
-                ctx.failure = exc
 
     def span_attrs(self, ctx: StageContext) -> dict[str, Any]:
         return {}
@@ -167,44 +151,36 @@ class Stage:
 # ----------------------------------------------------------------------
 # middleware
 # ----------------------------------------------------------------------
-ScalarCall = Callable[[StageContext], None]
-BatchCall = Callable[[Sequence[StageContext]], None]
+StageCall = Callable[[Sequence[StageContext]], None]
 
 
 class StageMiddleware:
-    """Wraps every stage invocation; ``call`` is the next inner layer."""
+    """Wraps every stage invocation; ``call`` is the next inner layer.
 
-    def run(self, stage: Stage, ctx: StageContext,
-            call: ScalarCall) -> None:
-        call(ctx)
+    A layer may pass ``call`` a subset of the contexts it was given
+    (cache hits), so inner layers see whatever the outer layer hands
+    down.
+    """
 
-    def run_batch(self, stage: Stage, ctxs: Sequence[StageContext],
-                  call: BatchCall) -> None:
+    def run(self, stage: Stage, ctxs: Sequence[StageContext],
+            call: StageCall) -> None:
         call(ctxs)
 
 
 class TimingMiddleware(StageMiddleware):
     """Per-stage wall seconds into ``ctx.timings``.
 
-    Batched invocations record each context's amortized share (stage
-    seconds divided by batch size), since the stage work is genuinely
-    shared across the batch.
+    Each context records its share of the invocation (stage seconds
+    divided by the number of contexts), since the stage work is
+    genuinely shared; alone, a context's share is the whole.
     """
 
     def __init__(self, clock: Callable[[], float] = time.perf_counter
                  ) -> None:
         self._clock = clock
 
-    def run(self, stage: Stage, ctx: StageContext,
-            call: ScalarCall) -> None:
-        if not stage.observed:
-            return call(ctx)
-        start = self._clock()
-        call(ctx)
-        ctx.timings[stage.name] = self._clock() - start
-
-    def run_batch(self, stage: Stage, ctxs: Sequence[StageContext],
-                  call: BatchCall) -> None:
+    def run(self, stage: Stage, ctxs: Sequence[StageContext],
+            call: StageCall) -> None:
         if not stage.observed:
             return call(ctxs)
         start = self._clock()
@@ -220,15 +196,8 @@ class ProfilingMiddleware(StageMiddleware):
     def __init__(self, profiler: Any) -> None:
         self.profiler = profiler
 
-    def run(self, stage: Stage, ctx: StageContext,
-            call: ScalarCall) -> None:
-        if not stage.observed:
-            return call(ctx)
-        with self.profiler.profile(stage.name):
-            call(ctx)
-
-    def run_batch(self, stage: Stage, ctxs: Sequence[StageContext],
-                  call: BatchCall) -> None:
+    def run(self, stage: Stage, ctxs: Sequence[StageContext],
+            call: StageCall) -> None:
         if not stage.observed:
             return call(ctxs)
         with self.profiler.profile(stage.name):
@@ -238,30 +207,26 @@ class ProfilingMiddleware(StageMiddleware):
 class TracingMiddleware(StageMiddleware):
     """Adapts a :class:`repro.obs.Tracer`: one ``stage`` span per stage.
 
-    Scalar spans carry the stage's deterministic :meth:`Stage.span_attrs`
-    (``intent``, ``n_retrieved``, ...); batched spans carry the batch
-    size.  Unobserved stages emit nothing, which is what keeps the
-    checked-in golden traces stable across the middleware refactor.
+    A span over one context carries the stage's deterministic
+    :meth:`Stage.span_attrs` (``intent``, ``n_retrieved``, ...); a span
+    over several carries their count.  That is a fork in the span's
+    attributes only, kept because the checked-in golden traces pin the
+    single-request shape byte for byte.  Unobserved stages emit nothing.
     """
 
     def __init__(self, tracer: Any) -> None:
         self.tracer = tracer
 
-    def run(self, stage: Stage, ctx: StageContext,
-            call: ScalarCall) -> None:
-        if not stage.observed:
-            return call(ctx)
-        with self.tracer.span(f"stage:{stage.name}", kind="stage") as span:
-            call(ctx)
-            span.set(**stage.span_attrs(ctx))
-
-    def run_batch(self, stage: Stage, ctxs: Sequence[StageContext],
-                  call: BatchCall) -> None:
+    def run(self, stage: Stage, ctxs: Sequence[StageContext],
+            call: StageCall) -> None:
         if not stage.observed:
             return call(ctxs)
         with self.tracer.span(f"stage:{stage.name}", kind="stage") as span:
             call(ctxs)
-            span.set(batch_size=len(ctxs))
+            if len(ctxs) == 1:
+                span.set(**stage.span_attrs(ctxs[0]))
+            else:
+                span.set(batch_size=len(ctxs))
 
 
 class CacheMiddleware(StageMiddleware):
@@ -270,11 +235,11 @@ class CacheMiddleware(StageMiddleware):
     ``caches`` maps :attr:`Stage.cache_name` to an LRU cache (``get`` /
     ``put`` duck type, e.g. :class:`repro.serve.cache.LRUCache`).  A hit
     skips the stage body but — because this middleware sits innermost —
-    still flows through timing, profiling and tracing.  A batched
-    invocation partitions the batch with the :data:`MISS` sentinel and
-    runs the stage only on the missing subset, then stores each freshly
-    computed value that :meth:`Stage.may_cache` allows (degraded
-    results, e.g. unembeddable texts, are never cached).
+    still flows through timing, profiling and tracing.  The contexts
+    are partitioned with the :data:`MISS` sentinel and the stage runs
+    only on the missing subset; each freshly computed value that
+    :meth:`Stage.may_cache` allows is then stored (degraded results,
+    e.g. unembeddable texts, are never cached).
     """
 
     def __init__(self, caches: dict[str, Any]) -> None:
@@ -285,43 +250,25 @@ class CacheMiddleware(StageMiddleware):
             return None
         return self.caches.get(stage.cache_name)
 
-    def run(self, stage: Stage, ctx: StageContext,
-            call: ScalarCall) -> None:
-        cache = self._cache_for(stage)
-        key = stage.cache_key(ctx) if cache is not None else None
-        if cache is None or key is None:
-            return call(ctx)
-        value = cache.get(key, MISS)
-        if value is not MISS:
-            stage.apply_cached(ctx, value)
-            return
-        call(ctx)
-        if stage.may_cache(ctx):
-            cache.put(key, ctx[stage.cache_output])
-
-    def run_batch(self, stage: Stage, ctxs: Sequence[StageContext],
-                  call: BatchCall) -> None:
+    def run(self, stage: Stage, ctxs: Sequence[StageContext],
+            call: StageCall) -> None:
         cache = self._cache_for(stage)
         if cache is None:
             return call(ctxs)
         misses: list[StageContext] = []
+        keys: list[Hashable | None] = []
         for ctx in ctxs:
             key = stage.cache_key(ctx)
-            if key is None:
+            value = MISS if key is None else cache.get(key, MISS)
+            if value is MISS:
                 misses.append(ctx)
-                continue
-            value = cache.get(key, MISS)
-            if value is not MISS:
-                stage.apply_cached(ctx, value)
+                keys.append(key)
             else:
-                misses.append(ctx)
+                stage.apply_cached(ctx, value)
         if not misses:
             return
         call(misses)
-        for ctx in misses:
-            if ctx.failure is not None:
-                continue  # no output to store for a parked context
-            key = stage.cache_key(ctx)
+        for ctx, key in zip(misses, keys):
             if key is not None and stage.may_cache(ctx):
                 cache.put(key, ctx[stage.cache_output])
 
@@ -384,104 +331,71 @@ class StageGraph:
         return len(self.stages)
 
     # ------------------------------------------------------------------
-    def run(self, ctx: StageContext,
-            middlewares: Sequence[StageMiddleware] = ()) -> StageContext:
-        """Run every stage for one context, through the middleware onion.
+    def run(self, ctxs: Sequence[StageContext],
+            middlewares: Sequence[StageMiddleware] = ()
+            ) -> Sequence[StageContext]:
+        """Run every stage over ``ctxs``, through the middleware onion.
 
         ``middlewares`` is outermost-first; each layer's ``run`` wraps
-        the next, with the stage body innermost.
-        """
-        for stage in self.stages:
-            self._invoke(stage, ctx, middlewares, 0)
-        return ctx
+        the next, with the stage body innermost.  A single request is a
+        sequence of one context.
 
-    def _invoke(self, stage: Stage, ctx: StageContext,
-                middlewares: Sequence[StageMiddleware],
-                depth: int) -> None:
-        if depth == len(middlewares):
-            stage.run(ctx)
-            return
-        middlewares[depth].run(
-            stage, ctx,
-            lambda inner: self._invoke(stage, inner, middlewares,
-                                       depth + 1))
-
-    def run_batch(self, ctxs: Sequence[StageContext],
-                  middlewares: Sequence[StageMiddleware] = ()
-                  ) -> Sequence[StageContext]:
-        """Batched :meth:`run`: shared stage bodies, no per-item barrier.
-
-        Middleware may shrink the batch a stage body sees (cache hits),
-        so inner layers receive whatever subset the outer layer passes
-        down.
-
-        Failure isolation: a stage exception on the batch path must
-        degrade only the context that caused it, matching the scalar
-        path where each request fails alone.  A raising batch invocation
-        (mapped-scalar default or vectorized body alike) is retried
-        per-context down the scalar middleware path; contexts that
-        still raise get the exception parked on ``ctx.failure`` and are
+        Failure isolation: a stage exception must degrade only the
+        context that caused it.  An invocation that raises is retried
+        one context at a time through this same runner; a context that
+        still raises gets the exception parked on ``ctx.failure`` and is
         filtered out of the remaining stages.  Stage bodies are pure
         functions of their declared inputs, so re-running the survivors
-        scalar is result-identical (cache middleware re-serves anything
-        the aborted batch attempt already stored).
+        alone is result-identical.
         """
         for stage in self.stages:
             live = [ctx for ctx in ctxs if ctx.failure is None]
             if not live:
                 break
-            try:
-                self._invoke_batch(stage, live, middlewares, 0)
-            except Exception:  # noqa: BLE001 - isolate the poisoned ctx
-                for ctx in live:
-                    try:
-                        self._invoke(stage, ctx, middlewares, 0)
-                    except Exception as exc:  # noqa: BLE001
-                        ctx.failure = exc
+            self._isolate(stage, live, middlewares)
         return ctxs
 
-    def _invoke_batch(self, stage: Stage, ctxs: Sequence[StageContext],
-                      middlewares: Sequence[StageMiddleware],
-                      depth: int) -> None:
+    def _isolate(self, stage: Stage, ctxs: Sequence[StageContext],
+                 middlewares: Sequence[StageMiddleware]) -> None:
+        try:
+            self._invoke(stage, ctxs, middlewares, 0)
+        except Exception as exc:  # noqa: BLE001 - isolate the poisoned ctx
+            if len(ctxs) == 1:
+                # nothing left to isolate it from: park at once, so a
+                # lone failing request runs its stage exactly once
+                ctxs[0].failure = exc
+            else:
+                for ctx in ctxs:
+                    self._isolate(stage, [ctx], middlewares)
+
+    def _invoke(self, stage: Stage, ctxs: Sequence[StageContext],
+                middlewares: Sequence[StageMiddleware],
+                depth: int) -> None:
         if depth == len(middlewares):
-            stage.run_batch(ctxs)
+            stage.run(ctxs)
             return
-        middlewares[depth].run_batch(
+        middlewares[depth].run(
             stage, ctxs,
-            lambda inner: self._invoke_batch(stage, inner, middlewares,
-                                             depth + 1))
+            lambda inner: self._invoke(stage, inner, middlewares,
+                                       depth + 1))
 
 
 # ----------------------------------------------------------------------
 # the ChatGraph pipeline's concrete stages (paper Fig. 1)
 # ----------------------------------------------------------------------
 def _group_contexts_by_graph(
-        ctxs: Sequence[StageContext], content_keyed: bool = True
+        ctxs: Sequence[StageContext]
 ) -> tuple[list[StageContext], list[list[StageContext]]]:
-    """Partition a batch into graph-less contexts and shared-graph groups.
+    """Partition contexts into graph-less ones and shared-graph groups.
 
     Returns ``(no_graph, groups)`` where each group holds every context
-    whose prompt carries the same graph.  Grouping goes by object
-    identity first (the common served case: one uploaded graph object
-    fanned out across a batch, at zero hashing cost) and — when
-    ``content_keyed`` — merges identity groups by
-    :func:`~repro.graphs.io.fingerprint`, so two equal-but-distinct
-    graph objects still land in one group (the fresh-object-per-request
-    regime).  Content keying is only worth its hashing cost when the
-    per-group work it saves is *more* expensive than the digest.  A
-    type prediction never is.  Sequentialize is, but no longer by much:
-    on the ledger (traced, seed 0) ``graphs.fingerprint_ms_p50`` is 0.63
-    ms against 1.24 ms of sequencing on ``chat_direct`` and 2.54 against
-    5.53 ms on ``chat_large`` — about half, where it was a tenth (0.66
-    / 6.5 and 2.26 / 32.8 ms) before the sequencer stopped building
-    paths.  So a batch has to repeat about every second graph to break
-    even, and on all-distinct graphs the digest is the whole gap between
-    ``core.process_batch_ms_per_req`` and ``core.process_ms_p50`` (2.38
-    vs 1.71 ms, 9.96 vs 7.24 ms).  The digest is stashed on the contexts
-    so later content-keyed stages in the same batch reuse it (graphs are
-    not mutated between pipeline stages, keeping the stash valid for the
-    batch's lifetime).  Group order follows first appearance, keeping
-    batch results deterministic.
+    whose prompt carries the same graph *object* (the common served
+    case: one uploaded graph fanned out across a batch), at zero
+    hashing cost.  Equal-but-distinct graph objects stay apart here;
+    content-level reuse is the fingerprint-keyed sequence cache's job,
+    one layer down in :class:`~repro.sequencer.serializer.
+    GraphSequentializer`.  Group order follows first appearance, keeping
+    results deterministic.
     """
     no_graph: list[StageContext] = []
     by_object: dict[int, list[StageContext]] = {}
@@ -491,17 +405,7 @@ def _group_contexts_by_graph(
             no_graph.append(ctx)
         else:
             by_object.setdefault(id(graph), []).append(ctx)
-    if not content_keyed:
-        return no_graph, list(by_object.values())
-    by_content: dict[str, list[StageContext]] = {}
-    for members in by_object.values():
-        key = members[0].data.get(_FINGERPRINT_KEY)
-        if key is None:
-            key = fingerprint(members[0].prompt.graph)
-            for ctx in members:
-                ctx.data[_FINGERPRINT_KEY] = key
-        by_content.setdefault(key, []).extend(members)
-    return no_graph, list(by_content.values())
+    return no_graph, list(by_object.values())
 
 
 class IntentStage(Stage):
@@ -514,10 +418,7 @@ class IntentStage(Stage):
     def __init__(self, classifier: IntentClassifier) -> None:
         self.classifier = classifier
 
-    def run(self, ctx: StageContext) -> None:
-        ctx["intent"] = self.classifier.predict(ctx.prompt.text)
-
-    def run_batch(self, ctxs: Sequence[StageContext]) -> None:
+    def run(self, ctxs: Sequence[StageContext]) -> None:
         # one shared scoring call: the classifier tokenizes and votes
         # once per *distinct* text, not once per context
         intents = self.classifier.predict_batch(
@@ -544,24 +445,10 @@ class GraphTypeStage(Stage):
     def __init__(self, predictor: GraphTypePredictor) -> None:
         self.predictor = predictor
 
-    def run(self, ctx: StageContext) -> None:
-        prediction: TypePrediction | None = None
-        graph_type: str | None = None
-        if ctx.prompt.graph is not None:
-            prediction = self.predictor.predict(ctx.prompt.graph)
-            graph_type = prediction.graph_type
-        ctx["type_prediction"] = prediction
-        ctx["graph_type"] = graph_type
-        ctx["categories"] = CATEGORY_ROUTING.get(graph_type or "generic",
-                                                 tuple(Category))
-
-    def run_batch(self, ctxs: Sequence[StageContext]) -> None:
-        # identity grouping: predict once per distinct graph object and
-        # share the frozen TypePrediction across the group (prediction
-        # is cheaper than a content digest, so content keying would
-        # cost more than it saves here)
-        no_graph, groups = _group_contexts_by_graph(ctxs,
-                                                    content_keyed=False)
+    def run(self, ctxs: Sequence[StageContext]) -> None:
+        # predict once per distinct graph object and share the frozen
+        # TypePrediction across the group
+        no_graph, groups = _group_contexts_by_graph(ctxs)
         for ctx in no_graph:
             ctx["type_prediction"] = None
             ctx["graph_type"] = None
@@ -603,24 +490,13 @@ class RetrieveStage(Stage):
     def top_k(self) -> int:
         return self.config.retrieval.top_k_apis
 
-    def run(self, ctx: StageContext) -> None:
-        try:
-            names = self.retriever.retrieve_names(
-                ctx.prompt.text, k=self.top_k, categories=ctx.categories)
-        except EmbeddingError:
-            ctx["retrieved"] = ()
-            ctx["retrieval_ok"] = False
-            return
-        ctx["retrieved"] = names
-        ctx["retrieval_ok"] = True
-
-    def run_batch(self, ctxs: Sequence[StageContext]) -> None:
+    def run(self, ctxs: Sequence[StageContext]) -> None:
         hit_lists = self.retriever.retrieve_batch(
             [ctx.prompt.text for ctx in ctxs], k=self.top_k,
             categories_per=[ctx.categories for ctx in ctxs])
         for ctx, hits in zip(ctxs, hit_lists):
-            # None marks an unembeddable text — same degradation as the
-            # scalar path catching EmbeddingError
+            # None marks an unembeddable text (where the per-text
+            # retriever calls raise EmbeddingError)
             ctx["retrieved"] = (() if hits is None
                                 else tuple(hit.name for hit in hits))
             ctx["retrieval_ok"] = hits is not None
@@ -649,20 +525,11 @@ class SequentializeStage(Stage):
     def __init__(self, sequentializer: GraphSequentializer) -> None:
         self.sequentializer = sequentializer
 
-    def run(self, ctx: StageContext) -> None:
-        sequences = None
-        graph_tokens: tuple[tuple[str, int], ...] = ()
-        if ctx.prompt.graph is not None:
-            sequences = self.sequentializer.sequentialize(ctx.prompt.graph)
-            graph_tokens = GenerationState.graph_tokens_from_counter(
-                sequences.feature_counts)
-        ctx["sequences"] = sequences
-        ctx["graph_tokens"] = graph_tokens
-
-    def run_batch(self, ctxs: Sequence[StageContext]) -> None:
+    def run(self, ctxs: Sequence[StageContext]) -> None:
         # the supergraph path cover is a function of graph content
-        # alone, so contexts sharing a graph sequence once and share
-        # the frozen GraphSequences (documented immutable/shareable)
+        # alone, so contexts sharing a graph object sequence once and
+        # share the frozen GraphSequences (documented
+        # immutable/shareable)
         no_graph, groups = _group_contexts_by_graph(ctxs)
         for ctx in no_graph:
             ctx["sequences"] = None
@@ -684,7 +551,7 @@ class SequentializeStage(Stage):
 class GenerateStage(Stage):
     """Decode an API chain (greedy or beam) from the assembled state.
 
-    The batched body decodes every greedy context through one lockstep
+    Every greedy context decodes through one lockstep
     :func:`~repro.llm.decoding.greedy_decode_batch` fleet; beam search
     carries per-candidate state and decodes per item.
     """
@@ -707,19 +574,7 @@ class GenerateStage(Stage):
                                retrieved=ctx.retrieved,
                                allowed=allowed)
 
-    def run(self, ctx: StageContext) -> None:
-        llm = self.config.llm
-        state = self._state(ctx)
-        if llm.beam_width > 1:
-            names = beam_decode(self.model, state,
-                                beam_width=llm.beam_width,
-                                max_length=llm.max_chain_length)
-        else:
-            names = greedy_decode(self.model, state,
-                                  max_length=llm.max_chain_length)
-        ctx["names"] = names
-
-    def run_batch(self, ctxs: Sequence[StageContext]) -> None:
+    def run(self, ctxs: Sequence[StageContext]) -> None:
         llm = self.config.llm
         states = [self._state(ctx) for ctx in ctxs]
         if llm.beam_width > 1:
@@ -757,7 +612,7 @@ class RepairStage(Stage):
         self.registry = registry
         self.fallbacks = fallbacks
 
-    def run(self, ctx: StageContext) -> None:
+    def _resolve(self, ctx: StageContext) -> None:
         chain = APIChain.from_names(list(ctx.names))
         used_fallback = False
         try:
@@ -770,7 +625,7 @@ class RepairStage(Stage):
         ctx["chain"] = chain
         ctx["used_fallback"] = used_fallback
 
-    def run_batch(self, ctxs: Sequence[StageContext]) -> None:
+    def run(self, ctxs: Sequence[StageContext]) -> None:
         # validation and fallback resolution are functions of the
         # routing key alone, so each distinct (names, graph_type,
         # intent) is validated against the registry once; every context
@@ -781,7 +636,7 @@ class RepairStage(Stage):
             key = (tuple(ctx.names), ctx.graph_type, ctx.intent)
             hit = resolved.get(key)
             if hit is None:
-                self.run(ctx)
+                self._resolve(ctx)
                 resolved[key] = (tuple(node.api_name for node in
                                        ctx.chain.nodes),
                                  ctx.used_fallback)

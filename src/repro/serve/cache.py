@@ -10,8 +10,8 @@ Each gets an :class:`LRUCache` keyed on content hashes — the same text
 or the same graph (by :func:`repro.graphs.io.fingerprint`) hits the
 cache regardless of which session or worker asks.  The ``retrieval``
 cache backs the stage graph's
-:class:`~repro.core.stages.CacheMiddleware` (stage-level memoization on
-both the scalar and batched paths); the ``embeddings`` and
+:class:`~repro.core.stages.CacheMiddleware` (stage-level memoization,
+for a request alone or in a batch); the ``embeddings`` and
 ``sequences`` caches hook the retriever's query embedder and the
 sequentializer directly.  Cached values are treated as immutable by
 every consumer; hit/miss/eviction counters feed

@@ -3,11 +3,10 @@
 A worker that pops one request from the admission queue hands it to the
 :class:`MicroBatcher`, which greedily gathers more *batchable* requests
 (stateless ``propose``/``ask``) until either the batch is full or the
-flush deadline expires.  The whole batch then drives the *same*
-declarative stage graph the scalar path uses (see
-:mod:`repro.core.stages`), down its vectorized path — one embedding
-call, one ANN search, one decode matmul per step — instead of N scalar
-passes.
+flush deadline expires.  The whole batch then makes one pass through
+the stage graph a lone request goes through (see
+:mod:`repro.core.stages`) — one embedding call, one ANN search, one
+decode matmul per step — instead of N passes of one.
 
 Session-bound and ``execute`` requests never batch: sessions serialize
 on their own locks and executions carry per-request state, so they pass

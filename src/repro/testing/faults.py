@@ -195,7 +195,8 @@ def slow_chatgraph(chatgraph: Any, seconds: float) -> Iterator[None]:
     How a test holds a serve worker busy (full queues, cancelled
     shutdowns, responsive stats) without a production config knob.
     ``propose`` and ``propose_batch`` are the two ways into the
-    pipeline (``ask`` and sessions go through ``propose``), so every
+    pipeline (``ask`` and sessions go through ``propose``) and neither
+    calls the other — they meet below, in ``ChatPipeline`` — so every
     request pays the delay once and a micro-batch pays it once for all
     its members.
     """

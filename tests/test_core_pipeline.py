@@ -106,10 +106,9 @@ class TestFallbackChainValidity:
 
     def test_pipeline_fallback_lookup_covers_every_key(self, registry):
         from repro.core.fallbacks import FALLBACKS
-        from repro.core.pipeline import ChatPipeline
 
         for (graph_type, intent), names in FALLBACKS.chains.items():
-            assert ChatPipeline._fallback(graph_type, intent) == names
-        assert ChatPipeline._fallback(None, "understand") in (
+            assert FALLBACKS.chain_for(graph_type, intent) == names
+        assert FALLBACKS.chain_for(None, "understand") in (
             FALLBACKS.chains.get(("generic", "understand")),
             FALLBACKS.default)

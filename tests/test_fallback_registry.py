@@ -2,7 +2,6 @@
 
 from repro.config import ObsConfig, ServeConfig
 from repro.core.fallbacks import FALLBACKS, FallbackRegistry
-from repro.core.pipeline import ChatPipeline
 from repro.core.stages import GenerateStage, RepairStage
 from repro.llm.prompts import Prompt
 from repro.serve import ChatGraphServer
@@ -17,8 +16,8 @@ class TestSingleSourceOfTruth:
 
     def test_legacy_lookup_delegates(self):
         for (graph_type, intent), names in FALLBACKS.items():
-            assert ChatPipeline._fallback(graph_type, intent) == names
-        assert ChatPipeline._fallback("unknown-type", "unknown-intent") \
+            assert FALLBACKS.chain_for(graph_type, intent) == names
+        assert FALLBACKS.chain_for("unknown-type", "unknown-intent") \
             == FALLBACKS.default
 
     def test_register_is_visible_through_every_view(self):
@@ -41,12 +40,11 @@ class TestSingleSourceOfTruth:
         generate = next(stage for stage in chatgraph.pipeline.graph
                         if isinstance(stage, GenerateStage))
 
-        def bad_run(ctx):
-            ctx["names"] = ("definitely_not_an_api",)
+        def bad_run(ctxs):
+            for ctx in ctxs:
+                ctx["names"] = ("definitely_not_an_api",)
 
         monkeypatch.setattr(generate, "run", bad_run)
-        monkeypatch.setattr(generate, "run_batch",
-                            lambda ctxs: [bad_run(c) for c in ctxs])
         nonsense = "zzz qqq xxx yyy"
         direct = chatgraph.pipeline.process(Prompt(nonsense, social_graph))
         assert direct.used_fallback

@@ -1,11 +1,14 @@
-"""Scalar/batch parity at the stage-graph level.
+"""Batching never changes a reply.
 
-``process_batch(prompts)`` must equal ``[process(p) for p in prompts]``
-field by field — chains, retrieved names, fallback flags, routing —
-across mixed graph/no-graph prompts, unembeddable texts and
-invalid-chain (nonsense) inputs, for all three model presets.  The
-hypothesis strategy draws arbitrary mixed batches from that input
-space; a warmed-cache case covers the batched MISS-sentinel path.
+``process_batch(prompts)``, ``[process(p) for p in prompts]`` and the
+independent scalar reference in ``tests/pipeline_oracle.py`` must agree
+field by field — chains, retrieved names, fallback flags, routing,
+sequences — across mixed graph/no-graph prompts, unembeddable texts
+and invalid-chain (nonsense) inputs, for all three model presets.
+``process`` is a batch of one through the body ``process_batch`` runs,
+so the oracle is what keeps size 1 from being compared with itself.
+The hypothesis strategy draws arbitrary mixed batches from that input
+space; a warmed-cache case covers the MISS-sentinel path.
 """
 
 import pytest
@@ -17,6 +20,8 @@ from repro.config import MODEL_PRESETS, ChatGraphConfig, LLMConfig
 from repro.graphs import knowledge_graph, molecule_like_graph, social_network
 from repro.llm.prompts import Prompt
 from repro.serve.cache import PipelineCaches
+
+from .pipeline_oracle import assert_result_parity
 
 #: Mixed input space: routable prompts, compute questions, nonsense
 #: that forces the repair fallback, and unembeddable punctuation-only
@@ -54,27 +59,6 @@ def build_prompts(indices):
     return [Prompt(TEXTS[t], GRAPHS[g]) for t, g in indices]
 
 
-def assert_result_parity(scalar, batched):
-    assert len(scalar) == len(batched)
-    for expected, actual in zip(scalar, batched):
-        assert actual.intent == expected.intent
-        assert actual.graph_type == expected.graph_type
-        assert actual.retrieved == expected.retrieved
-        assert actual.used_fallback == expected.used_fallback
-        assert actual.chain.api_names() == expected.chain.api_names()
-        if expected.type_prediction is None:
-            assert actual.type_prediction is None
-        else:
-            assert actual.type_prediction.graph_type == \
-                expected.type_prediction.graph_type
-        if expected.sequences is None:
-            assert actual.sequences is None
-        else:
-            assert actual.sequences.n_sequences == \
-                expected.sequences.n_sequences
-        assert set(actual.timings) == set(expected.timings)
-
-
 class TestScalarBatchParity:
     @settings(max_examples=12, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -84,13 +68,13 @@ class TestScalarBatchParity:
         prompts = build_prompts(indices)
         scalar = [pipeline.process(p) for p in prompts]
         batched = pipeline.process_batch(build_prompts(indices))
-        assert_result_parity(scalar, batched)
+        assert_result_parity(preset_chatgraph, prompts, scalar, batched)
 
     def test_empty_batch(self, preset_chatgraph):
         assert preset_chatgraph.pipeline.process_batch([]) == []
 
     def test_parity_with_warm_and_cold_caches(self, preset_chatgraph):
-        """Batched cache misses (MISS sentinel) match the scalar path."""
+        """Cache hits and misses mixed in one batch change no reply."""
         pipeline = preset_chatgraph.pipeline
         prompts = build_prompts([(0, 1), (6, 1), (1, 0), (0, 1), (5, 2)])
         scalar = [pipeline.process(p) for p in prompts]
@@ -102,7 +86,7 @@ class TestScalarBatchParity:
             batched = pipeline.process_batch(prompts)
         finally:
             preset_chatgraph.enable_caches(None)
-        assert_result_parity(scalar, batched)
+        assert_result_parity(preset_chatgraph, prompts, scalar, batched)
         stats = caches.retrieval.stats()
         assert stats.hits > 0 and stats.misses > 0
         # the unembeddable text's degraded () was never memoized
@@ -117,4 +101,4 @@ class TestBeamParity:
         prompts = build_prompts([(0, 1), (2, 1), (3, 2), (5, 0)])
         scalar = [cg.pipeline.process(p) for p in prompts]
         batched = cg.pipeline.process_batch(prompts)
-        assert_result_parity(scalar, batched)
+        assert_result_parity(cg, prompts, scalar, batched)

@@ -31,8 +31,9 @@ class _Producer(Stage):
     inputs = ("seed",)
     outputs = ("value",)
 
-    def run(self, ctx):
-        ctx["value"] = ctx.seed * 2
+    def run(self, ctxs):
+        for ctx in ctxs:
+            ctx["value"] = ctx.seed * 2
 
 
 class _Consumer(Stage):
@@ -40,14 +41,15 @@ class _Consumer(Stage):
     inputs = ("value",)
     outputs = ("result",)
 
-    def run(self, ctx):
-        ctx["result"] = ctx.value + 1
+    def run(self, ctxs):
+        for ctx in ctxs:
+            ctx["result"] = ctx.value + 1
 
 
 class TestStageGraphValidation:
     def test_valid_graph_runs(self):
         graph = StageGraph([_Producer(), _Consumer()], seeds=("seed",))
-        ctx = graph.run(StageContext({"seed": 3}))
+        [ctx] = graph.run([StageContext({"seed": 3})])
         assert ctx.result == 7
         assert graph.stage_names == ("produce", "consume")
 
@@ -83,10 +85,21 @@ class TestStageGraphValidation:
             == {"repair"}
 
     def test_batch_default_maps_scalar(self):
-        graph = StageGraph([_Producer(), _Consumer()], seeds=("seed",))
+        """A plain loop body needs no failure handling of its own: the
+        graph retries a raising invocation one context at a time."""
+        class Picky(_Consumer):
+            def run(self, ctxs):
+                for ctx in ctxs:
+                    if ctx.value == 4:
+                        raise ValueError(ctx.value)
+                    ctx["result"] = ctx.value + 1
+
+        graph = StageGraph([_Producer(), Picky()], seeds=("seed",))
         ctxs = [StageContext({"seed": i}) for i in range(4)]
-        graph.run_batch(ctxs)
-        assert [ctx.result for ctx in ctxs] == [1, 3, 5, 7]
+        assert graph.run(ctxs) is ctxs
+        assert [ctx.get("result") for ctx in ctxs] == [1, 3, None, 7]
+        assert [type(ctx.failure) for ctx in ctxs] == \
+            [type(None), type(None), ValueError, type(None)]
 
 
 class _Recorder(StageMiddleware):
@@ -96,9 +109,9 @@ class _Recorder(StageMiddleware):
         self.tag = tag
         self.log = log
 
-    def run(self, stage, ctx, call):
+    def run(self, stage, ctxs, call):
         self.log.append(f"{self.tag}>{stage.name}")
-        call(ctx)
+        call(ctxs)
         self.log.append(f"{self.tag}<{stage.name}")
 
 
@@ -106,7 +119,7 @@ class TestMiddlewareComposition:
     def test_onion_ordering_outermost_first(self):
         log = []
         graph = StageGraph([_Producer()], seeds=("seed",))
-        graph.run(StageContext({"seed": 1}),
+        graph.run([StageContext({"seed": 1})],
                   [_Recorder("a", log), _Recorder("b", log)])
         assert log == ["a>produce", "b>produce", "b<produce", "a<produce"]
 
@@ -115,16 +128,22 @@ class TestMiddlewareComposition:
             observed = False
 
         graph = StageGraph([_Producer(), Silent()], seeds=("seed",))
-        ctx = graph.run(StageContext({"seed": 1}), [TimingMiddleware()])
+        [ctx] = graph.run([StageContext({"seed": 1})],
+                          [TimingMiddleware()])
         assert set(ctx.timings) == {"produce"}
         assert ctx.timings["produce"] >= 0.0
 
     def test_batch_timing_is_amortized_share(self):
+        ticks = iter([0.0, 2.0, 10.0, 13.0])
+        timing = TimingMiddleware(clock=lambda: next(ticks))
         graph = StageGraph([_Producer()], seeds=("seed",))
         ctxs = [StageContext({"seed": i}) for i in range(4)]
-        graph.run_batch(ctxs, [TimingMiddleware()])
-        shares = {ctx.timings["produce"] for ctx in ctxs}
-        assert len(shares) == 1  # every item gets the same share
+        graph.run(ctxs, [timing])
+        # every item gets the same share of the invocation ...
+        assert [ctx.timings["produce"] for ctx in ctxs] == [0.5] * 4
+        # ... and alone, a context's share is the whole
+        [ctx] = graph.run([StageContext({"seed": 9})], [timing])
+        assert ctx.timings["produce"] == 3.0
 
     def test_cache_hit_skips_stage_but_not_outer_middleware(self):
         calls = []
@@ -136,9 +155,10 @@ class TestMiddlewareComposition:
             cache_name = "values"
             cache_output = "value"
 
-            def run(self, ctx):
-                calls.append(ctx.seed)
-                ctx["value"] = ctx.seed * 10
+            def run(self, ctxs):
+                for ctx in ctxs:
+                    calls.append(ctx.seed)
+                    ctx["value"] = ctx.seed * 10
 
             def cache_key(self, ctx):
                 return ctx.seed
@@ -148,8 +168,8 @@ class TestMiddlewareComposition:
         graph = StageGraph([Cached()], seeds=("seed",))
         chain = [TimingMiddleware(), _Recorder("t", log),
                  CacheMiddleware({"values": cache})]
-        first = graph.run(StageContext({"seed": 5}), chain)
-        second = graph.run(StageContext({"seed": 5}), chain)
+        [first] = graph.run([StageContext({"seed": 5})], chain)
+        [second] = graph.run([StageContext({"seed": 5})], chain)
         assert calls == [5]  # body ran once
         assert first.value == second.value == 50
         # the hit still flowed through outer middleware and timing
@@ -167,9 +187,10 @@ class TestMiddlewareComposition:
             cache_name = "values"
             cache_output = "value"
 
-            def run(self, ctx):
-                calls.append(ctx.seed)
-                ctx["value"] = ()
+            def run(self, ctxs):
+                for ctx in ctxs:
+                    calls.append(ctx.seed)
+                    ctx["value"] = ()
 
             def cache_key(self, ctx):
                 return ctx.seed
@@ -178,7 +199,7 @@ class TestMiddlewareComposition:
         cache.put(1, ())
         graph = StageGraph([Cached()], seeds=("seed",))
         ctxs = [StageContext({"seed": s}) for s in (1, 1, 2)]
-        graph.run_batch(ctxs, [CacheMiddleware({"values": cache})])
+        graph.run(ctxs, [CacheMiddleware({"values": cache})])
         assert calls == [2]  # only the genuinely absent key ran
         assert all(ctx.value == () for ctx in ctxs)
 
@@ -192,13 +213,10 @@ class TestMiddlewareComposition:
             cache_name = "values"
             cache_output = "value"
 
-            def run_batch(self, ctxs):
+            def run(self, ctxs):
                 batches.append([ctx.seed for ctx in ctxs])
                 for ctx in ctxs:
                     ctx["value"] = ctx.seed * 10
-
-            def run(self, ctx):
-                self.run_batch([ctx])
 
             def cache_key(self, ctx):
                 return ctx.seed
@@ -207,7 +225,7 @@ class TestMiddlewareComposition:
         cache.put(2, 20)
         graph = StageGraph([Cached()], seeds=("seed",))
         ctxs = [StageContext({"seed": s}) for s in (1, 2, 3)]
-        graph.run_batch(ctxs, [CacheMiddleware({"values": cache})])
+        graph.run(ctxs, [CacheMiddleware({"values": cache})])
         assert batches == [[1, 3]]
         assert [ctx.value for ctx in ctxs] == [10, 20, 30]
 
@@ -219,8 +237,9 @@ class TestMiddlewareComposition:
             cache_name = "values"
             cache_output = "value"
 
-            def run(self, ctx):
-                ctx["value"] = ()
+            def run(self, ctxs):
+                for ctx in ctxs:
+                    ctx["value"] = ()
 
             def cache_key(self, ctx):
                 return ctx.seed
@@ -230,7 +249,7 @@ class TestMiddlewareComposition:
 
         cache = LRUCache(8)
         graph = StageGraph([Degraded()], seeds=("seed",))
-        graph.run(StageContext({"seed": 9}),
+        graph.run([StageContext({"seed": 9})],
                   [CacheMiddleware({"values": cache})])
         assert len(cache) == 0
 
