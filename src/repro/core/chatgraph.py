@@ -199,15 +199,6 @@ class ChatGraph:
         self.pipeline.tracer = tracer
         self.executor.tracer = tracer
 
-    def set_profiler(self, profiler: Any) -> None:
-        """Attach a :class:`repro.obs.StageProfiler` to the pipeline.
-
-        The pipeline wraps every observed stage of its stage graph in a
-        :class:`~repro.core.stages.ProfilingMiddleware`; pass ``None``
-        to detach (the middleware then leaves the hot path entirely).
-        """
-        self.pipeline.profiler = profiler
-
     def execute(self, pipeline_result: PipelineResult,
                 chain: APIChain | None = None,
                 confirm: Callable[[str, Any], bool] | None = None,
@@ -272,10 +263,9 @@ class ChatGraph:
         """Attach (or with ``None`` detach) a serve-layer cache bundle.
 
         ``caches`` is a :class:`repro.serve.cache.PipelineCaches`; the
-        stage graph's retrieval stage (via
-        :class:`~repro.core.stages.CacheMiddleware`), the
-        sequentializer and the retriever's query embedder become
-        content-addressed lookups.
+        stage graph's retrieval stage, the sequentializer and the
+        retriever's query embedder each take their member of the bundle
+        and become content-addressed lookups.
         """
         self.pipeline.attach_caches(caches)
 

@@ -6,11 +6,11 @@ into the :class:`~repro.core.stages.StageGraph` built by
 :func:`~repro.core.stages.build_chat_graph`.
 :meth:`ChatPipeline.process_batch` drives that graph over a list of
 prompts and :meth:`ChatPipeline.process` is a batch of one through the
-same body; cross-cutting concerns (timing, tracing, profiling, caching)
-are middleware wrapping each stage invocation, assembled on attach and
-absent from the hot path when detached.  See :mod:`repro.core.stages`
-for the stage and middleware contracts and ``docs/ARCHITECTURE.md`` for
-the tour.
+same body.  The graph's runner times every observed stage and, with a
+tracer attached, spans it; the three caches of an attached bundle are
+attributes on the components that own the work.  See
+:mod:`repro.core.stages` for the stage contract and
+``docs/ARCHITECTURE.md`` for the tour.
 """
 
 from __future__ import annotations
@@ -28,15 +28,7 @@ from ..llm.prompts import Prompt
 from ..retrieval.api_retriever import APIRetriever
 from ..sequencer.serializer import GraphSequences, GraphSequentializer
 from .fallbacks import FALLBACKS
-from .stages import (
-    CacheMiddleware,
-    ProfilingMiddleware,
-    StageContext,
-    StageMiddleware,
-    TimingMiddleware,
-    TracingMiddleware,
-    build_chat_graph,
-)
+from .stages import RetrieveStage, StageContext, build_chat_graph
 
 
 @dataclass
@@ -60,10 +52,8 @@ class PipelineResult:
 class ChatPipeline:
     """Wires intent, routing, retrieval, sequentializer and the model.
 
-    The stage graph is built once in ``__init__``; attaching a tracer,
-    profiler or cache bundle rebuilds the middleware chain (outermost
-    timing, then profiling, tracing, caching innermost — so cache hits
-    still emit timing entries and trace spans).
+    The stage graph is built once in ``__init__``.  :attr:`tracer` and
+    :attr:`caches` are plain attributes, ``None`` while detached.
     """
 
     def __init__(self, registry: APIRegistry, retriever: APIRetriever,
@@ -81,102 +71,56 @@ class ChatPipeline:
         self.graph = build_chat_graph(
             registry, retriever, model, self.config, self.sequentializer,
             self.type_predictor, self.intent_classifier, self.fallbacks)
-        self._caches: Any = None
-        self._tracer: Any = None
-        self._profiler: Any = None
-        self._middlewares: tuple[StageMiddleware, ...] = ()
-        self._rebuild_middlewares()
-
-    # ------------------------------------------------------------------
-    # cross-cutting attachments (each rebuilds the middleware chain)
-    # ------------------------------------------------------------------
-    @property
-    def middlewares(self) -> tuple[StageMiddleware, ...]:
-        """The active middleware chain, outermost first."""
-        return self._middlewares
-
-    def _rebuild_middlewares(self) -> None:
-        chain: list[StageMiddleware] = [TimingMiddleware()]
-        if self._profiler is not None:
-            chain.append(ProfilingMiddleware(self._profiler))
-        if self._tracer is not None:
-            chain.append(TracingMiddleware(self._tracer))
-        if self._caches is not None:
-            chain.append(CacheMiddleware(
-                {stage.cache_name: getattr(self._caches, stage.cache_name)
-                 for stage in self.graph
-                 if stage.cache_name is not None
-                 and hasattr(self._caches, stage.cache_name)}))
-        self._middlewares = tuple(chain)
-
-    @property
-    def tracer(self) -> Any:
-        """Optional :class:`repro.obs.Tracer`; every :meth:`process`
-        call then emits a ``pipeline`` span with one ``stage`` child per
-        observed stage (set via ``ChatGraph.set_tracer``)."""
-        return self._tracer
-
-    @tracer.setter
-    def tracer(self, tracer: Any) -> None:
-        self._tracer = tracer
-        self._rebuild_middlewares()
-
-    @property
-    def profiler(self) -> Any:
-        """Optional :class:`repro.obs.StageProfiler` accumulating
-        per-stage wall/CPU totals across requests."""
-        return self._profiler
-
-    @profiler.setter
-    def profiler(self, profiler: Any) -> None:
-        self._profiler = profiler
-        self._rebuild_middlewares()
-
-    @property
-    def caches(self) -> Any:
-        """The attached :class:`repro.serve.cache.PipelineCaches`."""
-        return self._caches
+        self._retrieve_stage = next(
+            stage for stage in self.graph
+            if isinstance(stage, RetrieveStage))
+        #: Optional :class:`repro.obs.Tracer`; every :meth:`process`
+        #: call then emits a ``pipeline`` span with one ``stage`` child
+        #: per observed stage (set via ``ChatGraph.set_tracer``).
+        self.tracer: Any = None
+        #: The attached :class:`repro.serve.cache.PipelineCaches` (set
+        #: via :meth:`attach_caches`, which also wires its members).
+        self.caches: Any = None
 
     def attach_caches(self, caches: Any) -> None:
-        """Wire a cache bundle into the cache-declaring stages.
+        """Hand each cache of the bundle to the component whose work it
+        saves.  Pass ``None`` to detach.
 
-        Pass ``None`` to detach.  The bundle's ``retrieval`` cache
-        backs the retrieval stage's :class:`~repro.core.stages.
-        CacheMiddleware` memoization; the embedding cache additionally
-        hooks the retriever's query embedder and the sequence cache the
-        sequentializer, so repeated texts and graphs skip component
-        work too.
+        ``retrieval`` memoizes the retrieval stage, ``embeddings`` the
+        retriever's query embedder (consulted for retrieval misses
+        only) and ``sequences`` the sequentializer, so repeated texts
+        and graphs skip the work wherever it would be done.
         """
-        self._caches = caches
-        self.sequentializer.cache = (
-            caches.sequences if caches is not None else None)
-        self.retriever.embed_cache = (
-            caches.embeddings if caches is not None else None)
-        self._rebuild_middlewares()
+        self.caches = caches
+        detach = caches is None
+        self._retrieve_stage.cache = None if detach else caches.retrieval
+        self.sequentializer.cache = None if detach else caches.sequences
+        self.retriever.embed_cache = None if detach else caches.embeddings
 
     # ------------------------------------------------------------------
     # entry points
     # ------------------------------------------------------------------
     @contextmanager
     def _root(self, ctxs: list[StageContext]) -> Iterator[None]:
-        """The root span of one call.  With ``TracingMiddleware``, the
-        only code that looks at how many contexts there are: the golden
-        traces pin the single-request span shape byte for byte."""
-        if self._tracer is None:
+        """The root span of one call.  With the stage spans of
+        :meth:`~repro.core.stages.StageGraph.run`, the only code that
+        looks at how many contexts there are: the golden traces pin the
+        single-request span shape byte for byte."""
+        if self.tracer is None:
             yield
         elif len(ctxs) == 1:
             ctx = ctxs[0]
-            with self._tracer.span("pipeline", kind="pipeline",
-                                   has_graph=ctx.prompt.graph is not None
-                                   ) as span:
+            with self.tracer.span("pipeline", kind="pipeline",
+                                  has_graph=ctx.prompt.graph is not None
+                                  ) as span:
                 yield
                 if ctx.failure is None:
                     span.set(intent=ctx.intent, graph_type=ctx.graph_type,
                              used_fallback=ctx.used_fallback,
                              chain=ctx.chain.render())
         else:
-            with self._tracer.span("pipeline:batch", kind="pipeline",
-                                   batch_size=len(ctxs)):
+            with self.tracer.span("pipeline:batch", kind="pipeline",
+                                  batch_size=len(ctxs)):
                 yield
 
     def process(self, prompt: Prompt) -> PipelineResult:
@@ -212,7 +156,7 @@ class ChatPipeline:
             return []
         ctxs = [StageContext({"prompt": prompt}) for prompt in prompts]
         with self._root(ctxs):
-            self.graph.run(ctxs, self._middlewares)
+            self.graph.run(ctxs, self.tracer)
             if not return_exceptions:
                 for ctx in ctxs:
                     if ctx.failure is not None:

@@ -1,4 +1,4 @@
-"""Stage-graph pipeline runtime: declarative stages plus middleware.
+"""Stage-graph pipeline runtime: declarative stages and one runner.
 
 The paper's Fig. 1 pipeline (intent -> graph-type routing -> ANN
 retrieval -> sequentialize -> generate -> repair) is declared here
@@ -9,21 +9,14 @@ Stages compose into a :class:`StageGraph` that validates the dataflow
 at construction time, so a stage reading a key nothing produces fails
 fast instead of at request time.
 
-Cross-cutting concerns are middleware wrapping each stage invocation
-rather than branches inside stage bodies:
+Observing a stage is the runner's job, not the body's:
+:meth:`StageGraph.run` records per-stage wall seconds into each
+context's ``timings`` (always) and opens one ``stage`` span on a
+:class:`repro.obs.Tracer` (iff one is passed).  Memoization lives with
+the work it saves: :class:`RetrieveStage` consults its own ``cache``
+attribute, exactly as the sequentializer and the retriever's query
+embedder consult theirs.
 
-* :class:`TimingMiddleware` — per-stage wall seconds into the context's
-  ``timings`` (each context's share of the invocation);
-* :class:`ProfilingMiddleware` — adapts :class:`repro.obs.StageProfiler`;
-* :class:`TracingMiddleware` — adapts :class:`repro.obs.Tracer`, one
-  ``stage`` span per observed stage;
-* :class:`CacheMiddleware` — content-addressed memoization for stages
-  that declare a cache key; the stage runs only on the cache-missing
-  subset of its contexts (the :data:`MISS` sentinel keeps a cached
-  falsy value, e.g. ``()``, distinct from "absent").
-
-Middleware lists are outermost-first; a detached concern simply is not
-in the list, so the hot path carries zero overhead objects for it.
 Every stage name in the system lives in this module — other layers
 derive stage lists from the graph (``StageGraph.stage_names``) or from
 result timings, never from hand-written copies.
@@ -32,7 +25,7 @@ result timings, never from hand-written copies.
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, Hashable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from ..apis.chain import APIChain
 from ..apis.registry import APIRegistry, Category
@@ -49,18 +42,14 @@ from ..retrieval.api_retriever import APIRetriever
 from ..sequencer.serializer import GraphSequentializer
 from .fallbacks import FallbackRegistry
 
-#: Cache-miss sentinel distinguishing "absent" from a cached falsy
-#: value such as ``()`` (an empty retrieval result is a valid entry).
-MISS = object()
-
 
 class StageContext:
     """One prompt's mutable dataflow record through the stage graph.
 
     Keys are written with ``ctx[key] = value`` (stage bodies) and read
     either way — ``ctx[key]`` or attribute-style ``ctx.key``.  The
-    ``timings`` dict is middleware territory, kept apart from the
-    dataflow keys.  ``failure`` records the exception that aborted this
+    ``timings`` dict is the runner's, kept apart from the dataflow
+    keys.  ``failure`` records the exception that aborted this
     context's flow (``None`` while healthy): a context that fails
     mid-stage is parked instead of poisoning its batchmates, and the
     pipeline entry point re-raises (or returns) the recorded exception
@@ -106,27 +95,19 @@ class Stage:
     one shared kernel call when the work genuinely batches.  A body
     that raises is retried one context at a time by
     :meth:`StageGraph.run`, so it needs no failure handling of its own.
-    The remaining hooks drive middleware:
+    Two hooks tell the runner how to observe the stage:
 
-    * :attr:`observed` — ``False`` exempts the stage from timing,
-      tracing and profiling (used by ``repair``, which predates the
-      observability contract and must keep golden traces stable);
+    * :attr:`observed` — ``False`` exempts the stage from timing and
+      tracing (used by ``repair``, which predates the observability
+      contract and must keep golden traces stable);
     * :meth:`span_attrs` — deterministic attributes stamped on the
-      stage's trace span after a single-context run;
-    * the cache protocol — :attr:`cache_name` (which cache in the
-      bundle), :meth:`cache_key` (``None`` = uncacheable call),
-      :attr:`cache_output` (the memoized context key),
-      :meth:`may_cache` (whether the just-computed value may be
-      stored) and :meth:`apply_cached` (how a hit re-enters the
-      context).
+      stage's trace span after a single-context run.
     """
 
     name: str = ""
     inputs: tuple[str, ...] = ()
     outputs: tuple[str, ...] = ()
     observed: bool = True
-    cache_name: str | None = None
-    cache_output: str | None = None
 
     def run(self, ctxs: Sequence[StageContext]) -> None:
         raise NotImplementedError
@@ -134,143 +115,8 @@ class Stage:
     def span_attrs(self, ctx: StageContext) -> dict[str, Any]:
         return {}
 
-    def cache_key(self, ctx: StageContext) -> Hashable | None:
-        return None
-
-    def may_cache(self, ctx: StageContext) -> bool:
-        return True
-
-    def apply_cached(self, ctx: StageContext, value: Any) -> None:
-        assert self.cache_output is not None
-        ctx[self.cache_output] = value
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}(name={self.name!r})"
-
-
-# ----------------------------------------------------------------------
-# middleware
-# ----------------------------------------------------------------------
-StageCall = Callable[[Sequence[StageContext]], None]
-
-
-class StageMiddleware:
-    """Wraps every stage invocation; ``call`` is the next inner layer.
-
-    A layer may pass ``call`` a subset of the contexts it was given
-    (cache hits), so inner layers see whatever the outer layer hands
-    down.
-    """
-
-    def run(self, stage: Stage, ctxs: Sequence[StageContext],
-            call: StageCall) -> None:
-        call(ctxs)
-
-
-class TimingMiddleware(StageMiddleware):
-    """Per-stage wall seconds into ``ctx.timings``.
-
-    Each context records its share of the invocation (stage seconds
-    divided by the number of contexts), since the stage work is
-    genuinely shared; alone, a context's share is the whole.
-    """
-
-    def __init__(self, clock: Callable[[], float] = time.perf_counter
-                 ) -> None:
-        self._clock = clock
-
-    def run(self, stage: Stage, ctxs: Sequence[StageContext],
-            call: StageCall) -> None:
-        if not stage.observed:
-            return call(ctxs)
-        start = self._clock()
-        call(ctxs)
-        share = (self._clock() - start) / len(ctxs)
-        for ctx in ctxs:
-            ctx.timings[stage.name] = share
-
-
-class ProfilingMiddleware(StageMiddleware):
-    """Adapts a :class:`repro.obs.StageProfiler` to the stage graph."""
-
-    def __init__(self, profiler: Any) -> None:
-        self.profiler = profiler
-
-    def run(self, stage: Stage, ctxs: Sequence[StageContext],
-            call: StageCall) -> None:
-        if not stage.observed:
-            return call(ctxs)
-        with self.profiler.profile(stage.name):
-            call(ctxs)
-
-
-class TracingMiddleware(StageMiddleware):
-    """Adapts a :class:`repro.obs.Tracer`: one ``stage`` span per stage.
-
-    A span over one context carries the stage's deterministic
-    :meth:`Stage.span_attrs` (``intent``, ``n_retrieved``, ...); a span
-    over several carries their count.  That is a fork in the span's
-    attributes only, kept because the checked-in golden traces pin the
-    single-request shape byte for byte.  Unobserved stages emit nothing.
-    """
-
-    def __init__(self, tracer: Any) -> None:
-        self.tracer = tracer
-
-    def run(self, stage: Stage, ctxs: Sequence[StageContext],
-            call: StageCall) -> None:
-        if not stage.observed:
-            return call(ctxs)
-        with self.tracer.span(f"stage:{stage.name}", kind="stage") as span:
-            call(ctxs)
-            if len(ctxs) == 1:
-                span.set(**stage.span_attrs(ctxs[0]))
-            else:
-                span.set(batch_size=len(ctxs))
-
-
-class CacheMiddleware(StageMiddleware):
-    """Content-addressed memoization for cache-declaring stages.
-
-    ``caches`` maps :attr:`Stage.cache_name` to an LRU cache (``get`` /
-    ``put`` duck type, e.g. :class:`repro.serve.cache.LRUCache`).  A hit
-    skips the stage body but — because this middleware sits innermost —
-    still flows through timing, profiling and tracing.  The contexts
-    are partitioned with the :data:`MISS` sentinel and the stage runs
-    only on the missing subset; each freshly computed value that
-    :meth:`Stage.may_cache` allows is then stored (degraded results,
-    e.g. unembeddable texts, are never cached).
-    """
-
-    def __init__(self, caches: dict[str, Any]) -> None:
-        self.caches = dict(caches)
-
-    def _cache_for(self, stage: Stage) -> Any:
-        if stage.cache_name is None or stage.cache_output is None:
-            return None
-        return self.caches.get(stage.cache_name)
-
-    def run(self, stage: Stage, ctxs: Sequence[StageContext],
-            call: StageCall) -> None:
-        cache = self._cache_for(stage)
-        if cache is None:
-            return call(ctxs)
-        misses: list[StageContext] = []
-        keys: list[Hashable | None] = []
-        for ctx in ctxs:
-            key = stage.cache_key(ctx)
-            value = MISS if key is None else cache.get(key, MISS)
-            if value is MISS:
-                misses.append(ctx)
-                keys.append(key)
-            else:
-                stage.apply_cached(ctx, value)
-        if not misses:
-            return
-        call(misses)
-        for ctx, key in zip(misses, keys):
-            if key is not None and stage.may_cache(ctx):
-                cache.put(key, ctx[stage.cache_output])
 
 
 # ----------------------------------------------------------------------
@@ -283,12 +129,15 @@ class StageGraph:
     that every stage's declared inputs are produced by an earlier
     stage's outputs (or seeded into the initial context), so a
     miswired graph fails at definition time, not per request.
+    ``clock`` is the wall clock behind ``ctx.timings``.
     """
 
     def __init__(self, stages: Iterable[Stage],
-                 seeds: tuple[str, ...] = ("prompt",)) -> None:
+                 seeds: tuple[str, ...] = ("prompt",),
+                 clock: Callable[[], float] = time.perf_counter) -> None:
         self.stages = tuple(stages)
         self.seeds = tuple(seeds)
+        self._clock = clock
         if not self.stages:
             raise ConfigError("a stage graph needs at least one stage")
         available = set(self.seeds)
@@ -307,11 +156,6 @@ class StageGraph:
                     f"stage {stage.name!r} reads {missing} which no "
                     f"earlier stage produces (available: "
                     f"{sorted(available)})")
-            if stage.cache_output is not None and \
-                    stage.cache_output not in stage.outputs:
-                raise ConfigError(
-                    f"stage {stage.name!r} memoizes {stage.cache_output!r}"
-                    f" which is not among its outputs {stage.outputs}")
             available.update(stage.outputs)
 
     @property
@@ -321,7 +165,7 @@ class StageGraph:
 
     @property
     def observed_stage_names(self) -> tuple[str, ...]:
-        """Names of the stages timing/tracing/profiling report on."""
+        """Names of the stages timing and tracing report on."""
         return tuple(stage.name for stage in self.stages if stage.observed)
 
     def __iter__(self):
@@ -332,13 +176,12 @@ class StageGraph:
 
     # ------------------------------------------------------------------
     def run(self, ctxs: Sequence[StageContext],
-            middlewares: Sequence[StageMiddleware] = ()
-            ) -> Sequence[StageContext]:
-        """Run every stage over ``ctxs``, through the middleware onion.
+            tracer: Any = None) -> Sequence[StageContext]:
+        """Run every stage over ``ctxs``, observing each invocation.
 
-        ``middlewares`` is outermost-first; each layer's ``run`` wraps
-        the next, with the stage body innermost.  A single request is a
-        sequence of one context.
+        A single request is a sequence of one context.  ``tracer`` is
+        an optional :class:`repro.obs.Tracer`; see :meth:`_invoke` for
+        what an observed invocation records.
 
         Failure isolation: a stage exception must degrade only the
         context that caused it.  An invocation that raises is retried
@@ -352,13 +195,13 @@ class StageGraph:
             live = [ctx for ctx in ctxs if ctx.failure is None]
             if not live:
                 break
-            self._isolate(stage, live, middlewares)
+            self._isolate(stage, live, tracer)
         return ctxs
 
     def _isolate(self, stage: Stage, ctxs: Sequence[StageContext],
-                 middlewares: Sequence[StageMiddleware]) -> None:
+                 tracer: Any) -> None:
         try:
-            self._invoke(stage, ctxs, middlewares, 0)
+            self._invoke(stage, ctxs, tracer)
         except Exception as exc:  # noqa: BLE001 - isolate the poisoned ctx
             if len(ctxs) == 1:
                 # nothing left to isolate it from: park at once, so a
@@ -366,18 +209,38 @@ class StageGraph:
                 ctxs[0].failure = exc
             else:
                 for ctx in ctxs:
-                    self._isolate(stage, [ctx], middlewares)
+                    self._isolate(stage, [ctx], tracer)
 
     def _invoke(self, stage: Stage, ctxs: Sequence[StageContext],
-                middlewares: Sequence[StageMiddleware],
-                depth: int) -> None:
-        if depth == len(middlewares):
+                tracer: Any) -> None:
+        """One stage invocation, timed and (with a tracer) traced.
+
+        Each context records its share of the invocation's wall seconds
+        (divided by the number of contexts, since the stage work is
+        genuinely shared; alone, a context's share is the whole).  The
+        ``stage`` span sits inside the timing bracket.  Over one context
+        it carries the stage's deterministic :meth:`Stage.span_attrs`
+        (``intent``, ``n_retrieved``, ...); over several, their count —
+        a fork in the span's attributes only, kept because the
+        checked-in golden traces pin the single-request shape byte for
+        byte.  Unobserved stages record nothing.
+        """
+        if not stage.observed:
             stage.run(ctxs)
             return
-        middlewares[depth].run(
-            stage, ctxs,
-            lambda inner: self._invoke(stage, inner, middlewares,
-                                       depth + 1))
+        start = self._clock()
+        if tracer is None:
+            stage.run(ctxs)
+        else:
+            with tracer.span(f"stage:{stage.name}", kind="stage") as span:
+                stage.run(ctxs)
+                if len(ctxs) == 1:
+                    span.set(**stage.span_attrs(ctxs[0]))
+                else:
+                    span.set(batch_size=len(ctxs))
+        share = (self._clock() - start) / len(ctxs)
+        for ctx in ctxs:
+            ctx.timings[stage.name] = share
 
 
 # ----------------------------------------------------------------------
@@ -472,25 +335,53 @@ class RetrieveStage(Stage):
 
     Unembeddable text (e.g. punctuation only) degrades to an empty
     result instead of failing the request — the repair stage's fallback
-    covers generation — and degraded results are never memoized.
+    covers generation.  With :attr:`cache` attached (an LRU with the
+    ``get``/``put`` of :class:`repro.serve.cache.LRUCache`) each
+    context is looked up once and the retriever runs on the miss subset
+    only; degraded results are never stored.
     """
 
     name = "retrieval"
     inputs = ("prompt", "categories")
     outputs = ("retrieved", "retrieval_ok")
-    cache_name = "retrieval"
-    cache_output = "retrieved"
 
     def __init__(self, retriever: APIRetriever,
                  config: ChatGraphConfig) -> None:
         self.retriever = retriever
         self.config = config
+        #: (text, k, categories) -> retrieved names; set by
+        #: :meth:`repro.core.pipeline.ChatPipeline.attach_caches`.
+        self.cache: Any = None
 
     @property
     def top_k(self) -> int:
         return self.config.retrieval.top_k_apis
 
     def run(self, ctxs: Sequence[StageContext]) -> None:
+        cache = self.cache
+        if cache is None:
+            self._retrieve(ctxs)
+            return
+        misses: list[StageContext] = []
+        keys: list[tuple[Any, ...]] = []
+        for ctx in ctxs:
+            key = (ctx.prompt.text, self.top_k, ctx.categories)
+            # a miss is None; an empty () is a stored result like any
+            # other
+            names = cache.get(key)
+            if names is None:
+                misses.append(ctx)
+                keys.append(key)
+            else:
+                ctx["retrieved"] = names
+                ctx["retrieval_ok"] = True
+        if misses:
+            self._retrieve(misses)
+            for ctx, key in zip(misses, keys):
+                if ctx.retrieval_ok:
+                    cache.put(key, ctx.retrieved)
+
+    def _retrieve(self, ctxs: Sequence[StageContext]) -> None:
         hit_lists = self.retriever.retrieve_batch(
             [ctx.prompt.text for ctx in ctxs], k=self.top_k,
             categories_per=[ctx.categories for ctx in ctxs])
@@ -503,16 +394,6 @@ class RetrieveStage(Stage):
 
     def span_attrs(self, ctx: StageContext) -> dict[str, Any]:
         return {"n_retrieved": len(ctx.retrieved)}
-
-    def cache_key(self, ctx: StageContext) -> Hashable:
-        return (ctx.prompt.text, self.top_k, ctx.categories)
-
-    def may_cache(self, ctx: StageContext) -> bool:
-        return bool(ctx.retrieval_ok)
-
-    def apply_cached(self, ctx: StageContext, value: Any) -> None:
-        ctx["retrieved"] = value
-        ctx["retrieval_ok"] = True
 
 
 class SequentializeStage(Stage):
@@ -598,8 +479,8 @@ class RepairStage(Stage):
     Consults the one :class:`~repro.core.fallbacks.FallbackRegistry`,
     so every layer repairs identically.  ``observed=False``: repair is
     sub-microsecond bookkeeping and predates the observability
-    contract, so it stays out of timings, spans and profiles (keeping
-    golden traces and ``PipelineResult.timings`` byte-stable).
+    contract, so it stays out of timings and spans (keeping golden
+    traces and ``PipelineResult.timings`` byte-stable).
     """
 
     name = "repair"

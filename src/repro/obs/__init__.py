@@ -1,4 +1,4 @@
-"""repro.obs — end-to-end tracing, metrics, and profiling.
+"""repro.obs — end-to-end tracing and metrics.
 
 The observability layer of the reproduction:
 
@@ -12,9 +12,7 @@ The observability layer of the reproduction:
   executor's listener events;
 * :mod:`export` — JSON-lines span logs (full and canonical
   byte-stable forms), flame-style trace rendering, markdown metrics
-  snapshots;
-* :mod:`profile` — :class:`StageProfiler`: cumulative per-stage
-  wall/CPU time and opt-in :mod:`tracemalloc` allocation deltas.
+  snapshots.
 
 Wire into a server with ``ServeConfig(obs=ObsConfig(
 enable_tracing=True))``, or directly::
@@ -44,7 +42,6 @@ from .metrics import (
     MetricsRegistry,
     merge_metrics_dumps,
 )
-from .profile import StageProfile, StageProfiler
 from .trace import NULL_SPAN, TIMING_FIELDS, NullSpan, Span, Tracer
 
 __all__ = [
@@ -55,8 +52,6 @@ __all__ = [
     "NULL_SPAN",
     "NullSpan",
     "Span",
-    "StageProfile",
-    "StageProfiler",
     "TIMING_FIELDS",
     "Tracer",
     "check_trace",

@@ -204,9 +204,6 @@ def render_flame(spans: Iterable[Span | dict[str, Any]],
         cpu = d.get("cpu_seconds")
         if cpu is not None:
             suffix += f"  cpu={float(cpu) * 1000:.3f}ms"
-        alloc = d.get("alloc_bytes")
-        if alloc is not None:
-            suffix += f"  alloc={int(alloc):+d}B"
         lines.append(f"[{bar}] {timing}  {indent}{d.get('name')}{suffix}")
     return "\n".join(lines)
 

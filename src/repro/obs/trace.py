@@ -10,15 +10,12 @@ identity, which is what makes golden-trace regression tests possible.
 Propagation is thread-local: ``tracer.span(...)`` nests under the
 innermost span open *on the current thread*.  Crossing a thread
 boundary (the :mod:`repro.serve` worker pool) is explicit — either pass
-``parent=`` (a span or a span ID captured on the submitting thread) or
-adopt a foreign span with :meth:`Tracer.activate`.  Spans from
-different requests therefore can never interleave: each worker thread
-owns its own stack.
+``parent=``, a span or a span ID captured on the submitting thread.
+Spans from different requests therefore can never interleave: each
+worker thread owns its own stack.
 
 Timings use :func:`time.perf_counter` (wall) and
-:func:`time.process_time` (CPU); allocation deltas via
-:mod:`tracemalloc` are opt-in (``profile_alloc=True``) because tracing
-allocations costs real overhead.
+:func:`time.process_time` (CPU).
 """
 
 from __future__ import annotations
@@ -35,7 +32,7 @@ Clock = Callable[[], float]
 
 #: Fields carrying run-dependent timing data; canonical exports drop
 #: them (see :mod:`repro.obs.export`).
-TIMING_FIELDS = ("start", "wall_seconds", "cpu_seconds", "alloc_bytes")
+TIMING_FIELDS = ("start", "wall_seconds", "cpu_seconds")
 
 
 @dataclass
@@ -55,7 +52,6 @@ class Span:
     start: float
     wall_seconds: float = 0.0
     cpu_seconds: float | None = None
-    alloc_bytes: int | None = None
     status: str = "ok"
     error: str = ""
     attrs: dict[str, Any] = field(default_factory=dict)
@@ -87,8 +83,6 @@ class Span:
             data["wall_seconds"] = self.wall_seconds
             if self.cpu_seconds is not None:
                 data["cpu_seconds"] = self.cpu_seconds
-            if self.alloc_bytes is not None:
-                data["alloc_bytes"] = self.alloc_bytes
         return data
 
 
@@ -124,15 +118,12 @@ class Tracer:
     """
 
     def __init__(self, seed: int = 0, max_spans: int = 100_000,
-                 profile_cpu: bool = True, profile_alloc: bool = False,
                  clock: Clock = time.perf_counter,
                  cpu_clock: Clock = time.process_time) -> None:
         if max_spans < 1:
             raise ValueError("max_spans must be >= 1")
         self.seed = seed
         self.max_spans = max_spans
-        self.profile_cpu = profile_cpu
-        self.profile_alloc = profile_alloc
         self._clock = clock
         self._cpu_clock = cpu_clock
         self._lock = threading.Lock()
@@ -140,12 +131,6 @@ class Tracer:
         self._finished: list[Span] = []
         self._dropped = 0
         self._root_occurrences: Counter = Counter()
-        self._started_tracemalloc = False
-        if profile_alloc:
-            import tracemalloc
-            if not tracemalloc.is_tracing():
-                tracemalloc.start()
-                self._started_tracemalloc = True
 
     # ------------------------------------------------------------------
     # thread-local span stack
@@ -211,8 +196,7 @@ class Tracer:
             start=self._clock(),
             attrs=dict(attrs),
         )
-        cpu_start = self._cpu_clock() if self.profile_cpu else 0.0
-        alloc_start = self._traced_bytes() if self.profile_alloc else 0
+        cpu_start = self._cpu_clock()
         stack = self._stack()
         stack.append(span)
         try:
@@ -224,25 +208,8 @@ class Tracer:
         finally:
             stack.pop()
             span.wall_seconds = self._clock() - span.start
-            if self.profile_cpu:
-                span.cpu_seconds = self._cpu_clock() - cpu_start
-            if self.profile_alloc:
-                span.alloc_bytes = self._traced_bytes() - alloc_start
+            span.cpu_seconds = self._cpu_clock() - cpu_start
             self._record(span)
-
-    @contextmanager
-    def activate(self, span: Span) -> Iterator[Span]:
-        """Adopt an open span on this thread without owning its end.
-
-        Lets a worker thread nest new spans under a span started
-        elsewhere; the span is *not* finished when the block exits.
-        """
-        stack = self._stack()
-        stack.append(span)
-        try:
-            yield span
-        finally:
-            stack.pop()
 
     def _record(self, span: Span) -> None:
         with self._lock:
@@ -250,11 +217,6 @@ class Tracer:
                 self._dropped += 1
                 return
             self._finished.append(span)
-
-    @staticmethod
-    def _traced_bytes() -> int:
-        import tracemalloc
-        return tracemalloc.get_traced_memory()[0]
 
     # ------------------------------------------------------------------
     # introspection
@@ -293,10 +255,3 @@ class Tracer:
                 "max_spans": self.max_spans,
                 "by_kind": dict(sorted(kinds.items())),
             }
-
-    def shutdown(self) -> None:
-        """Release opt-in profiling state (stops owned tracemalloc)."""
-        if self._started_tracemalloc:
-            import tracemalloc
-            tracemalloc.stop()
-            self._started_tracemalloc = False

@@ -1,9 +1,9 @@
 """The unified request-plane runtime shared by every serving facade.
 
 One :class:`RequestLifecycle` owns the request plane — admit → route →
-coalesce → dispatch → gather → reply — with stats/tracing hooks as
-middleware (mirroring the StageGraph middleware onion on the execution
-plane), over a pluggable :class:`ExecutionBackend`:
+coalesce → dispatch → gather → reply — and does the counting, timing and
+trace-context stamping on its two edges itself, over a pluggable
+:class:`ExecutionBackend`:
 
 * :class:`~repro.runtime.local.LocalBackend` — a worker-thread pool and
   micro-batcher over one in-process :class:`~repro.core.chatgraph.ChatGraph`;
@@ -21,14 +21,7 @@ Construction of the admission-control primitives (``AdmissionQueue``,
 this package — enforced by ``tests/test_runtime_wiring_lint.py``.
 """
 
-from .lifecycle import (
-    ExecutionBackend,
-    LifecycleMiddleware,
-    ReplyTiming,
-    RequestLifecycle,
-    StatsMiddleware,
-    TracingContextMiddleware,
-)
+from .lifecycle import ExecutionBackend, ReplyTiming, RequestLifecycle
 from .local import LocalBackend
 from .migration import MigrationPlan, SessionMove, plan_migration
 from .shard import ShardBackend
@@ -36,15 +29,12 @@ from .snapshot import build_metrics_snapshot, build_stats_snapshot
 
 __all__ = [
     "ExecutionBackend",
-    "LifecycleMiddleware",
     "LocalBackend",
     "MigrationPlan",
     "ReplyTiming",
     "RequestLifecycle",
     "SessionMove",
     "ShardBackend",
-    "StatsMiddleware",
-    "TracingContextMiddleware",
     "build_metrics_snapshot",
     "build_stats_snapshot",
     "plan_migration",

@@ -4,9 +4,11 @@
 run on.  It owns admission control (the bounded queue, the per-client
 rate limiter), id allocation, the stats/metrics/tracing/breaker
 registries, and the two edges every request crosses — ``submit`` (admit
-or reject) and ``reply`` (resolve the caller's handle, exactly once) —
-with the bookkeeping on those edges expressed as middleware, mirroring
-the StageGraph middleware onion on the execution plane.
+or reject) and ``reply`` (resolve the caller's handle, exactly once).
+Each edge does its own bookkeeping — counters, latency histograms, the
+trace-context stamp — so there is one place per edge where a request is
+observed, as :meth:`repro.core.stages.StageGraph.run` is on the
+execution plane.
 
 Everything between the edges — *how* a request is routed, coalesced,
 dispatched and gathered — belongs to the pluggable
@@ -14,11 +16,10 @@ dispatched and gathered — belongs to the pluggable
 :class:`~repro.runtime.local.LocalBackend`, a scatter/gather process
 fleet in :class:`~repro.runtime.shard.ShardBackend`).
 
-This module is the only place the admission-control primitives are
-constructed (``tests/test_runtime_wiring_lint.py`` enforces it);
-backends obtain extra queues and coalescers through the
-:meth:`RequestLifecycle.make_queue` / :meth:`RequestLifecycle.make_batcher`
-factories.
+The admission-control primitives are constructed only in this package
+(``tests/test_runtime_wiring_lint.py`` enforces it): the admission
+queue, limiter and breakers here, backend-internal staging queues and
+coalescers in the backends.
 """
 
 from __future__ import annotations
@@ -29,23 +30,15 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from ..config import ServeConfig
-from ..errors import ChatGraphError, ServeError
+from ..errors import BackpressureError, RateLimitError, ServeError
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import Tracer
 from ..serve.admission import AdmissionQueue, RateLimiter
 from ..serve.breaker import BreakerRegistry
 from ..serve.engine import PendingRequest, ServeRequest, ServeResponse
-from ..serve.microbatch import MicroBatcher
 from ..serve.stats import ServerStats
 
-__all__ = [
-    "ExecutionBackend",
-    "LifecycleMiddleware",
-    "ReplyTiming",
-    "RequestLifecycle",
-    "StatsMiddleware",
-    "TracingContextMiddleware",
-]
+__all__ = ["ExecutionBackend", "ReplyTiming", "RequestLifecycle"]
 
 
 @dataclass(frozen=True)
@@ -66,78 +59,6 @@ class ReplyTiming:
     service: float | None = None
     #: The request resolved off a coalesced batch (``microbatched``).
     batched: bool = False
-
-
-class LifecycleMiddleware:
-    """Hooks on the lifecycle's admission and reply edges.
-
-    Same shape as the stage-graph middleware: subclasses override only
-    what they observe, and the lifecycle calls every installed
-    middleware in order on each edge.
-    """
-
-    def on_submit(self, pending: PendingRequest) -> None:
-        """Before enqueueing: the request exists but is not admitted."""
-
-    def on_reject(self, request: ServeRequest, reason: str) -> None:
-        """Admission control rejected (``rate_limit`` / ``backpressure``)."""
-
-    def on_admitted(self, pending: PendingRequest) -> None:
-        """After the queue accepted the request."""
-
-    def on_reply(self, pending: PendingRequest, response: ServeResponse,
-                 timing: ReplyTiming | None) -> None:
-        """At resolution, before the caller's handle is released."""
-
-
-class StatsMiddleware(LifecycleMiddleware):
-    """Counters and latency histograms for both lifecycle edges.
-
-    The one place the admitted/rejected/failed/op counters and the
-    queued/service/total histograms are written, so the two serving
-    facades cannot diverge in what they count.
-    """
-
-    def __init__(self, stats: ServerStats) -> None:
-        self.stats = stats
-
-    def on_reject(self, request: ServeRequest, reason: str) -> None:
-        self.stats.incr(f"rejected_{reason}")
-
-    def on_admitted(self, pending: PendingRequest) -> None:
-        self.stats.incr("admitted")
-
-    def on_reply(self, pending: PendingRequest, response: ServeResponse,
-                 timing: ReplyTiming | None) -> None:
-        if timing is None:
-            return
-        if not response.ok:
-            self.stats.incr("failed")
-        if timing.queued is not None:
-            self.stats.observe("queued", timing.queued)
-        if timing.service is not None:
-            self.stats.observe("service", timing.service)
-        if timing.queued is not None and timing.service is not None:
-            self.stats.observe("total", timing.queued + timing.service)
-        self.stats.incr(f"op_{pending.request.op}")
-        if timing.batched:
-            self.stats.incr("microbatched")
-
-
-class TracingContextMiddleware(LifecycleMiddleware):
-    """Trace-context propagation across the submission boundary.
-
-    Stamps the submitting thread's active span as the request's parent
-    (unless the caller provided one explicitly — the cross-process
-    handoff a shard worker performs with the coordinator-side span id).
-    """
-
-    def __init__(self, tracer: Tracer) -> None:
-        self.tracer = tracer
-
-    def on_submit(self, pending: PendingRequest) -> None:
-        if pending.parent_span_id is None:
-            pending.parent_span_id = self.tracer.current_id()
 
 
 class ExecutionBackend:
@@ -225,32 +146,11 @@ class RequestLifecycle:
             window_size=config.breaker_window,
             cooldown_seconds=config.breaker_cooldown_seconds,
             clock=self.clock)
-        self.middlewares: list[LifecycleMiddleware] = []
-        if self.tracer is not None:
-            self.middlewares.append(TracingContextMiddleware(self.tracer))
-        self.middlewares.append(StatsMiddleware(self.stats))
         self._running = False
         self._id_lock = threading.Lock()
         self._next_id = 0
         self.backend = backend
         backend.bind(self)
-
-    # ------------------------------------------------------------------
-    # factories (construction stays confined to repro.runtime)
-    # ------------------------------------------------------------------
-    def make_queue(self, depth: int,
-                   clock: Callable[[], float] = time.monotonic
-                   ) -> AdmissionQueue:
-        """A bounded dispatch queue for backend-internal staging."""
-        return AdmissionQueue(depth, clock=clock)
-
-    def make_batcher(self, max_batch: int, deadline_seconds: float,
-                     clock: Callable[[], float] = time.monotonic,
-                     batchable_fn: Callable[[Any], bool] | None = None
-                     ) -> MicroBatcher:
-        """A request coalescer (micro-batch or scatter framing)."""
-        return MicroBatcher(max_batch, deadline_seconds, clock=clock,
-                            batchable_fn=batchable_fn)
 
     def next_request_id(self) -> int:
         with self._id_lock:
@@ -313,25 +213,28 @@ class RequestLifecycle:
         if self.limiter is not None:
             try:
                 self.limiter.admit(request.client_id)
-            except ChatGraphError:
-                for middleware in self.middlewares:
-                    middleware.on_reject(request, "rate_limit")
+            except RateLimitError:
+                self.stats.incr("rejected_rate_limit")
                 raise
         pending = PendingRequest(request, self.next_request_id(),
                                  time.perf_counter())
+        # trace context crosses the submission boundary: the submitting
+        # thread's active span parents the request, unless the caller
+        # named one (the cross-process handoff a shard worker performs
+        # with the coordinator-side span id)
         if parent_span_id is not None:
             pending.parent_span_id = parent_span_id
-        for middleware in self.middlewares:
-            middleware.on_submit(pending)
+        elif self.tracer is not None:
+            pending.parent_span_id = self.tracer.current_id()
         self.backend.prepare(pending)
         try:
             self.queue.put(pending)
-        except ChatGraphError:
-            for middleware in self.middlewares:
-                middleware.on_reject(request, "backpressure")
+        except BackpressureError:
+            # only shed load is counted: a queue closed by ``stop()``
+            # refuses with a plain ServeError, which is not a rejection
+            self.stats.incr("rejected_backpressure")
             raise
-        for middleware in self.middlewares:
-            middleware.on_admitted(pending)
+        self.stats.incr("admitted")
         return pending
 
     def request(self, request: ServeRequest,
@@ -347,16 +250,25 @@ class RequestLifecycle:
         """Resolve one request, exactly once, with its bookkeeping.
 
         Every backend path — scalar, micro-batched, gathered from a
-        shard, failed over, shed at shutdown — funnels through here, so
-        counter and histogram semantics are identical everywhere.
+        shard, failed over, shed at shutdown — funnels through here: the
+        one place the failed/op counters and the queued/service/total
+        histograms are written, so the two serving facades cannot
+        diverge in what they count.
         """
         if timing is not None:
+            if not response.ok:
+                self.stats.incr("failed")
             if timing.queued is not None:
                 response.queued_seconds = timing.queued
+                self.stats.observe("queued", timing.queued)
             if timing.service is not None:
                 response.service_seconds = timing.service
-        for middleware in self.middlewares:
-            middleware.on_reply(pending, response, timing)
+                self.stats.observe("service", timing.service)
+            if timing.queued is not None and timing.service is not None:
+                self.stats.observe("total", timing.queued + timing.service)
+            self.stats.incr(f"op_{pending.request.op}")
+            if timing.batched:
+                self.stats.incr("microbatched")
         pending._resolve(response)
 
     def record_service_time(self, seconds: float) -> None:

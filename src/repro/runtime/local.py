@@ -29,6 +29,7 @@ from ..graphs.graph import Graph
 from ..llm.prompts import Prompt
 from ..serve.cache import PipelineCaches
 from ..serve.engine import PendingRequest, ServeRequest, ServeResponse
+from ..serve.microbatch import MicroBatcher
 from ..serve.sessions import SessionStore
 from .lifecycle import ExecutionBackend, ReplyTiming, RequestLifecycle
 
@@ -73,7 +74,7 @@ class LocalBackend(ExecutionBackend):
         #: coalescing window could never expire.
         self.batcher = None
         if config.microbatch_size > 0:
-            self.batcher = lifecycle.make_batcher(
+            self.batcher = MicroBatcher(
                 config.microbatch_size,
                 config.microbatch_deadline_seconds)
         # durable graph catalog: passed in, or built from the config's

@@ -13,9 +13,9 @@ backend uses.  The pieces:
   :data:`HOT_GRAPH_REPLICAS` ring shards may serve a stateless read,
   picked by least outstanding work.
 * **scatter/gather** — a per-shard dispatcher coalesces routed
-  requests into scatter frames (a lifecycle-built coalescer with an
-  accept-all predicate) and pipelines up to ``shard_inflight`` frames
-  per shard; a per-shard reader gathers replies and resolves each
+  requests into scatter frames (a ``MicroBatcher`` with an accept-all
+  predicate) and pipelines up to ``shard_inflight`` frames per shard;
+  a per-shard reader gathers replies and resolves each
   caller's :class:`~repro.serve.engine.PendingRequest` individually
   through ``lifecycle.reply``.
 * **failure** — missed heartbeats or a dropped pipe mark the shard
@@ -44,7 +44,9 @@ from typing import Any
 from ..errors import BackpressureError, ChatGraphError, ServeError
 from ..obs.export import merge_traces
 from ..obs.metrics import merge_metrics_dumps
+from ..serve.admission import AdmissionQueue
 from ..serve.engine import PendingRequest, ServeRequest, ServeResponse
+from ..serve.microbatch import MicroBatcher
 from ..shard.protocol import (
     read_frame,
     request_to_wire,
@@ -84,8 +86,7 @@ class _ShardHandle:
     """Coordinator-side state of one shard worker process."""
 
     def __init__(self, index: int, dispatch_depth: int,
-                 inflight_limit: int,
-                 lifecycle: RequestLifecycle) -> None:
+                 inflight_limit: int) -> None:
         self.index = index
         self.name = f"shard:{index}"
         self.lock = threading.Lock()
@@ -107,7 +108,7 @@ class _ShardHandle:
         #: scatter frames straight from it.  A later ``add_shard`` can
         #: grow the outstanding limit past this fixed depth; the router
         #: treats the resulting overflow as a spill and re-routes.
-        self.dispatch = lifecycle.make_queue(dispatch_depth)
+        self.dispatch = AdmissionQueue(dispatch_depth)
         self.inflight_limit = inflight_limit
         #: Pipelining throttle: one permit per un-replied scatter frame.
         self.sem = threading.BoundedSemaphore(inflight_limit)
@@ -188,7 +189,7 @@ class ShardBackend(ExecutionBackend):
         # the staging queue is sized one frame past the limit of the
         # fleet the handle joins
         return _ShardHandle(index, self._limit_for(shards) + self._scatter,
-                            self.config.shard_inflight, self.lifecycle)
+                            self.config.shard_inflight)
 
     # ------------------------------------------------------------------
     # lifecycle hooks
@@ -449,7 +450,10 @@ class ShardBackend(ExecutionBackend):
     # scatter
     # ------------------------------------------------------------------
     def _dispatcher_loop(self, handle: _ShardHandle) -> None:
-        batcher = self.lifecycle.make_batcher(
+        # here a "batch" is a scatter frame, and any routed request
+        # may share one: the receiving shard re-applies the pipeline's
+        # batching rule
+        batcher = MicroBatcher(
             self._scatter, SCATTER_DEADLINE_SECONDS,
             batchable_fn=lambda item: True)
         while True:

@@ -8,14 +8,13 @@ Three hot pipeline stages repeat work across requests:
 
 Each gets an :class:`LRUCache` keyed on content hashes — the same text
 or the same graph (by :func:`repro.graphs.io.fingerprint`) hits the
-cache regardless of which session or worker asks.  The ``retrieval``
-cache backs the stage graph's
-:class:`~repro.core.stages.CacheMiddleware` (stage-level memoization,
-for a request alone or in a batch); the ``embeddings`` and
-``sequences`` caches hook the retriever's query embedder and the
-sequentializer directly.  Cached values are treated as immutable by
-every consumer; hit/miss/eviction counters feed
-``ChatGraphServer.stats()``.
+cache regardless of which session or worker asks.  Each cache is an
+attribute on the component whose work it saves — ``retrieval`` on the
+stage graph's :class:`~repro.core.stages.RetrieveStage`, ``embeddings``
+on the retriever's query embedder, ``sequences`` on the sequentializer
+— set together by :meth:`repro.core.pipeline.ChatPipeline.attach_caches`.
+Cached values are treated as immutable by every consumer;
+hit/miss/eviction counters feed ``ChatGraphServer.stats()``.
 """
 
 from __future__ import annotations

@@ -29,11 +29,15 @@ Clock = Callable[[], float]
 
 
 class MicroBatcher:
-    """Gathers compatible queued requests into bounded batches."""
+    """Gathers compatible queued requests into bounded batches.
+
+    ``batchable_fn`` decides which popped requests may share a batch;
+    the default is :meth:`batchable`, the pipeline's rule.
+    """
 
     def __init__(self, max_batch: int, deadline_seconds: float,
                  clock: Clock = time.monotonic,
-                 batchable_fn: "Callable[[Any], bool] | None" = None
+                 batchable_fn: Callable[[Any], bool] | None = None
                  ) -> None:
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
@@ -42,17 +46,12 @@ class MicroBatcher:
         self.max_batch = max_batch
         self.deadline_seconds = deadline_seconds
         self._clock = clock
-        if batchable_fn is not None:
-            # instance attribute shadows the class-level rule: the
-            # shard coordinator passes ``lambda item: True`` — on its
-            # side a "batch" is a scatter frame, and *any* routed
-            # request may share one because the receiving shard
-            # re-applies the pipeline rule below
-            self.batchable = batchable_fn
+        self._accepts = batchable_fn or self.batchable
 
     @staticmethod
     def batchable(item: Any) -> bool:
-        """True when the pending request may join a shared batch."""
+        """True for a stateless ``propose``/``ask``: the requests one
+        pass through the stage graph can serve together."""
         request = item.request
         return (request.op in ("propose", "ask")
                 and request.session_id is None)
@@ -66,7 +65,7 @@ class MicroBatcher:
         be served individually.  A non-batchable ``first`` short-
         circuits: it is returned alone without waiting.
         """
-        if not self.batchable(first):
+        if not self._accepts(first):
             return [], [first]
         start = self._clock()
         batch = [first]
@@ -93,7 +92,7 @@ class MicroBatcher:
                 if waited <= 0.0 or waited >= remaining:
                     deadline = min(deadline, self._clock())
                 continue
-            if self.batchable(item):
+            if self._accepts(item):
                 batch.append(item)
                 join_times.append(self._clock())
             else:

@@ -1,8 +1,8 @@
 """Lint: the extension example in the docs actually runs.
 
 ``docs/ARCHITECTURE.md`` § *Writing a custom stage* carries one fenced
-``python`` example of a custom stage, a custom middleware and a graph
-run.  It is extracted and executed here against a real
+``python`` example of a custom stage and a traced graph run.  It is
+extracted and executed here against a real
 :class:`~repro.llm.prompts.Prompt` (the one name the example leaves
 free), so a renamed parameter or a changed call form breaks this test
 instead of the reader; the example's own ``assert`` lines are the

@@ -1,4 +1,4 @@
-"""Metrics registry, histogram quantiles, profiler, and renderers."""
+"""Metrics registry, histogram quantiles, and renderers."""
 
 from dataclasses import dataclass
 
@@ -9,7 +9,6 @@ from repro.obs import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    StageProfiler,
     render_metrics_markdown,
 )
 from repro.obs.metrics import OBSERVED_EVENT_KINDS
@@ -116,47 +115,6 @@ class TestMetricsRegistry:
         """The robustness events of PR 2 all land in counters."""
         for kind in ("step_retried", "step_timed_out", "breaker_opened"):
             assert kind in OBSERVED_EVENT_KINDS
-
-
-class TestStageProfiler:
-    def test_accumulates_per_stage(self):
-        profiler = StageProfiler()
-        for __ in range(3):
-            with profiler.profile("retrieval"):
-                sum(range(1000))
-        with profiler.profile("generate"):
-            pass
-        report = profiler.report()
-        assert report["retrieval"]["calls"] == 3
-        assert report["retrieval"]["wall_seconds"] >= 0.0
-        assert report["generate"]["calls"] == 1
-
-    def test_records_despite_exception(self):
-        profiler = StageProfiler()
-        with pytest.raises(RuntimeError):
-            with profiler.profile("doomed"):
-                raise RuntimeError("x")
-        assert profiler.report()["doomed"]["calls"] == 1
-
-    def test_render_and_reset(self):
-        profiler = StageProfiler()
-        assert profiler.render() == "(no stages profiled)"
-        with profiler.profile("stage-a"):
-            pass
-        assert "stage-a" in profiler.render()
-        profiler.reset()
-        assert profiler.report() == {}
-
-    def test_alloc_tracking_opt_in(self):
-        profiler = StageProfiler(track_alloc=True)
-        try:
-            with profiler.profile("alloc"):
-                __ = [0] * 8192
-            assert "alloc" in profiler.render()
-            assert isinstance(profiler.report()["alloc"]["alloc_bytes"],
-                              int)
-        finally:
-            profiler.shutdown()
 
 
 class TestMarkdownRendering:

@@ -8,7 +8,8 @@ and invalid-chain (nonsense) inputs, for all three model presets.
 ``process`` is a batch of one through the body ``process_batch`` runs,
 so the oracle is what keeps size 1 from being compared with itself.
 The hypothesis strategy draws arbitrary mixed batches from that input
-space; a warmed-cache case covers the MISS-sentinel path.
+space; a warmed-cache case mixes hits and misses in one batch and pins
+the exact cache traffic.
 """
 
 import pytest
@@ -87,8 +88,14 @@ class TestScalarBatchParity:
         finally:
             preset_chatgraph.enable_caches(None)
         assert_result_parity(preset_chatgraph, prompts, scalar, batched)
-        stats = caches.retrieval.stats()
-        assert stats.hits > 0 and stats.misses > 0
+        # one get per context, one put per cacheable miss, the embedder
+        # consulted for retrieval misses only: (hits, misses, size)
+        table = {name: (stats.hits, stats.misses, stats.size)
+                 for name in ("embeddings", "retrieval", "sequences")
+                 for stats in [getattr(caches, name).stats()]}
+        assert table == {"embeddings": (0, 4, 3),
+                         "retrieval": (2, 4, 3),
+                         "sequences": (1, 2, 2)}
         # the unembeddable text's degraded () was never memoized
         assert all(key[0] != TEXTS[6]
                    for key in caches.retrieval._data)

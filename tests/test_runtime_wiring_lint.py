@@ -9,8 +9,8 @@ under ``src/repro`` and rejects any *call* to ``AdmissionQueue``,
 ``RateLimiter``, ``BreakerRegistry`` or ``MicroBatcher`` outside:
 
 * ``repro/runtime/`` (the one legitimate wiring site — the lifecycle
-  owns the queue/limiter/breakers, and hands out ``make_queue`` /
-  ``make_batcher`` factories for backend-internal plumbing), and
+  owns the queue/limiter/breakers, the backends their internal staging
+  queues and coalescers), and
 * each primitive's own definition module (constructors may appear in
   their doctests and helpers).
 
@@ -84,8 +84,8 @@ def test_primitives_construct_only_in_the_runtime():
     assert not problems, (
         "request-plane primitives are wired once, in repro.runtime; "
         "route new admission/limiter/breaker/microbatch needs through "
-        "RequestLifecycle (or its make_queue/make_batcher factories) "
-        "instead of constructing them locally:\n" + "\n".join(problems))
+        "RequestLifecycle or a backend instead of constructing them "
+        "locally:\n" + "\n".join(problems))
 
 
 def test_runtime_itself_constructs_the_primitives():

@@ -414,6 +414,23 @@ class TestBackpressure:
             assert first.result(timeout=10.0).ok
         assert server.stats()["counters"]["rejected_backpressure"] == 1
 
+    def test_closed_queue_refusal_is_not_counted_as_shed_load(
+            self, serve_chatgraph):
+        """``stop()`` closes the queue before its drain, so a submit
+        racing a shutdown is refused with a plain ``ServeError`` — that
+        is not backpressure and must not be booked as it."""
+        with make_server(serve_chatgraph, workers=1) as server:
+            server.lifecycle.queue.close()
+            with pytest.raises(ServeError) as info:
+                server.submit(ServeRequest(op="propose",
+                                           text="count the nodes"))
+            assert not isinstance(info.value, BackpressureError)
+            server.lifecycle.queue.reopen()
+            assert server.propose("count the nodes").ok
+        counters = server.stats()["counters"]
+        assert counters.get("rejected_backpressure", 0) == 0
+        assert counters["admitted"] == 1
+
     def test_rate_limited_client(self, serve_chatgraph):
         server = make_server(serve_chatgraph, rate_limit_capacity=2,
                              rate_limit_refill_per_second=0.0)

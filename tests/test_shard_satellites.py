@@ -7,6 +7,7 @@ CLI's multi-input merge).
 from __future__ import annotations
 
 import threading
+from types import SimpleNamespace
 
 import pytest
 
@@ -23,6 +24,7 @@ from repro.obs import (
     read_trace,
 )
 from repro.serve import MicroBatcher
+from repro.serve.admission import AdmissionQueue
 from repro.serve.breaker import BreakerRegistry
 from repro.store import CompactTicket, GraphCatalog
 
@@ -204,8 +206,12 @@ def test_breaker_registry_trip_and_reset_one():
 
 
 def test_microbatcher_predicate_override():
+    """The batching rule is a constructor argument (the shard
+    coordinator's scatter framing accepts anything routed)."""
+    queue = AdmissionQueue(4)
+    execute = SimpleNamespace(
+        request=SimpleNamespace(op="execute", session_id=None))
     accept_all = MicroBatcher(4, 0.0, batchable_fn=lambda item: True)
-    assert accept_all.batchable(object()) is True
-    # the class-level static predicate is untouched by instance overrides
-    default = MicroBatcher(4, 0.0)
-    assert default.batchable is MicroBatcher.batchable
+    assert accept_all.collect(queue, execute) == ([execute], [])
+    # the default is the stateless propose/ask rule
+    assert MicroBatcher(4, 0.0).collect(queue, execute) == ([], [execute])

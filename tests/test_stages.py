@@ -1,28 +1,26 @@
-"""The stage-graph runtime: validation, middleware, type hints."""
+"""The stage-graph runtime: validation, the observing runner, the
+retrieval stage's cache, type hints."""
 
 import inspect
 import typing
+from types import SimpleNamespace
 
 import pytest
 
 from repro.config import ChatGraphConfig
 from repro.errors import ConfigError
 from repro.llm.prompts import Prompt
-from repro.obs import StageProfiler, Tracer
+from repro.obs import Tracer
 from repro.serve.cache import LRUCache, PipelineCaches
 from repro.core import chatgraph as chatgraph_module
 from repro.core import pipeline as pipeline_module
 from repro.core import stages as stages_module
-from repro.core.pipeline import ChatPipeline
 from repro.core.stages import (
-    CacheMiddleware,
     CANONICAL_STAGE_NAMES,
+    RetrieveStage,
     Stage,
     StageContext,
     StageGraph,
-    StageMiddleware,
-    TimingMiddleware,
-    TracingMiddleware,
 )
 
 
@@ -69,14 +67,6 @@ class TestStageGraphValidation:
         with pytest.raises(ConfigError):
             StageGraph([])
 
-    def test_cache_output_must_be_an_output(self):
-        class Bad(_Producer):
-            cache_name = "x"
-            cache_output = "not_an_output"
-
-        with pytest.raises(ConfigError, match="memoizes"):
-            StageGraph([Bad()], seeds=("seed",))
-
     def test_chat_graph_dataflow_is_valid(self, chatgraph):
         graph = chatgraph.pipeline.graph
         assert graph.stage_names == CANONICAL_STAGE_NAMES
@@ -102,200 +92,159 @@ class TestStageGraphValidation:
             [type(None), type(None), ValueError, type(None)]
 
 
-class _Recorder(StageMiddleware):
-    """Logs enter/exit order to verify onion nesting."""
+class _StubRetriever:
+    """Stands in for ``APIRetriever.retrieve_batch``: one hit named
+    after the text, ``None`` (unembeddable) for texts in ``degraded``,
+    no hits for texts in ``empty``; records the texts of each call."""
 
-    def __init__(self, tag, log):
-        self.tag = tag
-        self.log = log
+    def __init__(self, degraded=(), empty=()):
+        self.degraded = degraded
+        self.empty = empty
+        self.calls = []
 
-    def run(self, stage, ctxs, call):
-        self.log.append(f"{self.tag}>{stage.name}")
-        call(ctxs)
-        self.log.append(f"{self.tag}<{stage.name}")
+    def retrieve_batch(self, texts, k, categories_per):
+        self.calls.append(list(texts))
+        return [None if text in self.degraded
+                else [] if text in self.empty
+                else [SimpleNamespace(name=f"api_{text}")]
+                for text in texts]
+
+
+def _retrieve_graph(retriever, cache):
+    stage = RetrieveStage(retriever, ChatGraphConfig())
+    stage.cache = cache
+    graph = StageGraph([stage], seeds=("prompt", "categories"))
+    return stage, graph
+
+
+def _retrieve_ctxs(*texts):
+    return [StageContext({"prompt": Prompt(text), "categories": ("c",)})
+            for text in texts]
+
+
+def _retrieve_key(stage, text):
+    return (text, stage.top_k, ("c",))
 
 
 class TestMiddlewareComposition:
-    def test_onion_ordering_outermost_first(self):
-        log = []
-        graph = StageGraph([_Producer()], seeds=("seed",))
-        graph.run([StageContext({"seed": 1})],
-                  [_Recorder("a", log), _Recorder("b", log)])
-        assert log == ["a>produce", "b>produce", "b<produce", "a<produce"]
+    """What observes a stage invocation: the runner's timing and
+    tracing around the body, ``RetrieveStage``'s own cache inside it."""
 
     def test_timing_records_observed_stages_only(self):
         class Silent(_Consumer):
             observed = False
 
         graph = StageGraph([_Producer(), Silent()], seeds=("seed",))
-        [ctx] = graph.run([StageContext({"seed": 1})],
-                          [TimingMiddleware()])
+        [ctx] = graph.run([StageContext({"seed": 1})])
         assert set(ctx.timings) == {"produce"}
         assert ctx.timings["produce"] >= 0.0
 
     def test_batch_timing_is_amortized_share(self):
         ticks = iter([0.0, 2.0, 10.0, 13.0])
-        timing = TimingMiddleware(clock=lambda: next(ticks))
-        graph = StageGraph([_Producer()], seeds=("seed",))
+        graph = StageGraph([_Producer()], seeds=("seed",),
+                           clock=lambda: next(ticks))
         ctxs = [StageContext({"seed": i}) for i in range(4)]
-        graph.run(ctxs, [timing])
+        graph.run(ctxs)
         # every item gets the same share of the invocation ...
         assert [ctx.timings["produce"] for ctx in ctxs] == [0.5] * 4
         # ... and alone, a context's share is the whole
-        [ctx] = graph.run([StageContext({"seed": 9})], [timing])
+        [ctx] = graph.run([StageContext({"seed": 9})])
         assert ctx.timings["produce"] == 3.0
 
     def test_cache_hit_skips_stage_but_not_outer_middleware(self):
-        calls = []
-
-        class Cached(Stage):
-            name = "cached"
-            inputs = ("seed",)
-            outputs = ("value",)
-            cache_name = "values"
-            cache_output = "value"
-
-            def run(self, ctxs):
-                for ctx in ctxs:
-                    calls.append(ctx.seed)
-                    ctx["value"] = ctx.seed * 10
-
-            def cache_key(self, ctx):
-                return ctx.seed
-
-        log = []
-        cache = LRUCache(8)
-        graph = StageGraph([Cached()], seeds=("seed",))
-        chain = [TimingMiddleware(), _Recorder("t", log),
-                 CacheMiddleware({"values": cache})]
-        [first] = graph.run([StageContext({"seed": 5})], chain)
-        [second] = graph.run([StageContext({"seed": 5})], chain)
-        assert calls == [5]  # body ran once
-        assert first.value == second.value == 50
-        # the hit still flowed through outer middleware and timing
-        assert log == ["t>cached", "t<cached"] * 2
-        assert "cached" in second.timings
+        """A hit skips the retriever but is still timed and traced."""
+        retriever = _StubRetriever()
+        stage, graph = _retrieve_graph(retriever, LRUCache(8))
+        tracer = Tracer(seed=0)
+        [first] = graph.run(_retrieve_ctxs("a"), tracer)
+        [second] = graph.run(_retrieve_ctxs("a"), tracer)
+        assert retriever.calls == [["a"]]  # the retriever ran once
+        assert first.retrieved == second.retrieved == ("api_a",)
+        assert second.retrieval_ok is True
+        assert "retrieval" in second.timings
+        spans = tracer.finished_spans()
+        assert [span.name for span in spans] == ["stage:retrieval"] * 2
+        assert [span.attrs for span in spans] == [{"n_retrieved": 1}] * 2
 
     def test_cached_falsy_value_is_a_hit(self):
-        """The MISS sentinel keeps a cached ``()`` distinct from absent."""
-        calls = []
-
-        class Cached(Stage):
-            name = "cached"
-            inputs = ("seed",)
-            outputs = ("value",)
-            cache_name = "values"
-            cache_output = "value"
-
-            def run(self, ctxs):
-                for ctx in ctxs:
-                    calls.append(ctx.seed)
-                    ctx["value"] = ()
-
-            def cache_key(self, ctx):
-                return ctx.seed
-
-        cache = LRUCache(8)
-        cache.put(1, ())
-        graph = StageGraph([Cached()], seeds=("seed",))
-        ctxs = [StageContext({"seed": s}) for s in (1, 1, 2)]
-        graph.run(ctxs, [CacheMiddleware({"values": cache})])
-        assert calls == [2]  # only the genuinely absent key ran
-        assert all(ctx.value == () for ctx in ctxs)
+        """A cached ``()`` (no API matched) is distinct from absent."""
+        retriever = _StubRetriever(empty=("b",))
+        stage, graph = _retrieve_graph(retriever, LRUCache(8))
+        stage.cache.put(_retrieve_key(stage, "a"), ())
+        ctxs = _retrieve_ctxs("a", "a", "b")
+        graph.run(ctxs)
+        assert retriever.calls == [["b"]]  # only the absent key ran
+        assert all(ctx.retrieved == () and ctx.retrieval_ok
+                   for ctx in ctxs)
+        # the fresh () was stored like any other result
+        assert _retrieve_key(stage, "b") in stage.cache
 
     def test_batch_cache_runs_stage_on_miss_subset_only(self):
-        batches = []
-
-        class Cached(Stage):
-            name = "cached"
-            inputs = ("seed",)
-            outputs = ("value",)
-            cache_name = "values"
-            cache_output = "value"
-
-            def run(self, ctxs):
-                batches.append([ctx.seed for ctx in ctxs])
-                for ctx in ctxs:
-                    ctx["value"] = ctx.seed * 10
-
-            def cache_key(self, ctx):
-                return ctx.seed
-
-        cache = LRUCache(8)
-        cache.put(2, 20)
-        graph = StageGraph([Cached()], seeds=("seed",))
-        ctxs = [StageContext({"seed": s}) for s in (1, 2, 3)]
-        graph.run(ctxs, [CacheMiddleware({"values": cache})])
-        assert batches == [[1, 3]]
-        assert [ctx.value for ctx in ctxs] == [10, 20, 30]
+        retriever = _StubRetriever()
+        stage, graph = _retrieve_graph(retriever, LRUCache(8))
+        stage.cache.put(_retrieve_key(stage, "b"), ("warm",))
+        ctxs = _retrieve_ctxs("a", "b", "c")
+        graph.run(ctxs)
+        assert retriever.calls == [["a", "c"]]
+        assert [ctx.retrieved for ctx in ctxs] == \
+            [("api_a",), ("warm",), ("api_c",)]
+        # one get per context, one put per miss
+        stats = stage.cache.stats()
+        assert (stats.hits, stats.misses, stats.size) == (1, 2, 3)
 
     def test_may_cache_false_is_never_stored(self):
-        class Degraded(Stage):
-            name = "degraded"
-            inputs = ("seed",)
-            outputs = ("value",)
-            cache_name = "values"
-            cache_output = "value"
-
-            def run(self, ctxs):
-                for ctx in ctxs:
-                    ctx["value"] = ()
-
-            def cache_key(self, ctx):
-                return ctx.seed
-
-            def may_cache(self, ctx):
-                return False
-
-        cache = LRUCache(8)
-        graph = StageGraph([Degraded()], seeds=("seed",))
-        graph.run([StageContext({"seed": 9})],
-                  [CacheMiddleware({"values": cache})])
-        assert len(cache) == 0
+        """A degraded result (``retrieval_ok=False``) is never stored."""
+        retriever = _StubRetriever(degraded=("?!",))
+        stage, graph = _retrieve_graph(retriever, LRUCache(8))
+        [ctx] = graph.run(_retrieve_ctxs("?!"))
+        assert ctx.retrieved == () and ctx.retrieval_ok is False
+        assert len(stage.cache) == 0
 
 
 class TestPipelineMiddlewareWiring:
-    """The ChatPipeline assembles its chain from what is attached."""
+    """What is attached to the ChatPipeline is a handful of attributes."""
 
-    def _types(self, pipeline):
-        return [type(mw) for mw in pipeline.middlewares]
+    def _attached(self, pipeline):
+        [retrieve] = [stage for stage in pipeline.graph
+                      if isinstance(stage, RetrieveStage)]
+        return (pipeline.tracer, pipeline.caches, retrieve.cache,
+                pipeline.sequentializer.cache,
+                pipeline.retriever.embed_cache)
 
-    def test_detached_pipeline_has_only_timing(self, chatgraph):
+    def test_detached_pipeline_has_only_timing(self, chatgraph,
+                                               social_graph):
         # The session fixture may arrive with attachments from earlier
-        # test modules; detach, assert the bare chain, then restore.
+        # test modules; detach, assert the bare state, then restore.
         pipeline = chatgraph.pipeline
-        prior = (pipeline.tracer, pipeline.profiler, pipeline.caches)
+        prior = (pipeline.tracer, pipeline.caches)
         try:
             chatgraph.set_tracer(None)
-            chatgraph.set_profiler(None)
             chatgraph.enable_caches(None)
-            assert self._types(pipeline) == [TimingMiddleware]
+            assert self._attached(pipeline) == (None,) * 5
+            result = pipeline.process(
+                Prompt("write a brief report for G", social_graph))
+            assert tuple(result.timings) == \
+                pipeline.graph.observed_stage_names
         finally:
             chatgraph.set_tracer(prior[0])
-            chatgraph.set_profiler(prior[1])
-            chatgraph.enable_caches(prior[2])
+            chatgraph.enable_caches(prior[1])
 
     def test_attachments_rebuild_the_chain(self, chatgraph):
+        """Attach/detach sets and clears ``pipeline.tracer`` and all
+        three cache attributes, each on the owner of the work."""
         pipeline = chatgraph.pipeline
         tracer = Tracer(seed=0)
-        profiler = StageProfiler()
         caches = PipelineCaches.with_sizes()
         try:
             chatgraph.set_tracer(tracer)
-            chatgraph.set_profiler(profiler)
             chatgraph.enable_caches(caches)
-            from repro.core.stages import ProfilingMiddleware
-            assert self._types(pipeline) == [
-                TimingMiddleware, ProfilingMiddleware, TracingMiddleware,
-                CacheMiddleware]
+            assert self._attached(pipeline) == (
+                tracer, caches, caches.retrieval, caches.sequences,
+                caches.embeddings)
         finally:
             chatgraph.set_tracer(None)
-            chatgraph.set_profiler(None)
             chatgraph.enable_caches(None)
-        # detaching leaves zero overhead objects on the hot path
-        assert self._types(pipeline) == [TimingMiddleware]
-        assert pipeline.sequentializer.cache is None
-        assert pipeline.retriever.embed_cache is None
+        assert self._attached(pipeline) == (None,) * 5
 
     def test_cache_hit_request_still_traced_and_timed(self, chatgraph,
                                                       social_graph):
