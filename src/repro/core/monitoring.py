@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any
 
 from ..apis.executor import ExecutionEvent
 
@@ -93,17 +92,6 @@ class ChainMonitor:
     def event_counts(self) -> dict[str, int]:
         """Event kinds seen across the whole transcript."""
         return dict(Counter(event.kind for event in self.events))
-
-    def replay_into(self, metrics: Any) -> None:
-        """Re-feed the transcript into an observability sink.
-
-        ``metrics`` is anything with the executor-listener protocol
-        (``on_execution_event(event)``), typically a
-        :class:`repro.obs.MetricsRegistry` — lets a monitor recorded
-        offline populate the same counters a live listener would.
-        """
-        for event in self.events:
-            metrics.on_execution_event(event)
 
     def reset(self) -> None:
         self.events.clear()

@@ -7,9 +7,9 @@ The observability layer of the reproduction:
   timings and deterministic seed-derived span IDs; thread-local
   propagation plus explicit cross-thread handoff for the
   :mod:`repro.serve` worker pool;
-* :mod:`metrics` — :class:`MetricsRegistry`: counters, gauges, and
+* :mod:`metrics` — :class:`MetricsRegistry`: counters and
   fixed-bucket :class:`Histogram` quantiles (p50/p95/p99), fed by the
-  executor's listener events;
+  request edges and the executor's listener events;
 * :mod:`export` — JSON-lines span logs (full and canonical
   byte-stable forms), flame-style trace rendering, markdown metrics
   snapshots.
@@ -37,7 +37,6 @@ from .export import (
 )
 from .metrics import (
     CounterMetric,
-    Gauge,
     Histogram,
     MetricsRegistry,
     merge_metrics_dumps,
@@ -46,7 +45,6 @@ from .trace import NULL_SPAN, TIMING_FIELDS, NullSpan, Span, Tracer
 
 __all__ = [
     "CounterMetric",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "NULL_SPAN",

@@ -240,7 +240,10 @@ def render_metrics_markdown(snapshot: dict[str, Any],
     for section, heading in (("latency", "Latency (per stage)"),
                              ("histograms", "Histograms")):
         summaries = snapshot.get(section) or {}
-        if not summaries:
+        # a single process has no worker dumps underneath: its
+        # ``histograms`` are its ``latency``, printed once
+        if not summaries or (section == "histograms"
+                             and summaries == snapshot.get("latency")):
             continue
         out += [f"## {heading}", "",
                 "| stage | count | mean | p50 | p95 | p99 | max |",

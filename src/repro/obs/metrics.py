@@ -1,12 +1,15 @@
-"""Counters, gauges, and fixed-bucket histograms for the pipeline.
+"""Counters and fixed-bucket histograms for the pipeline.
 
 :class:`Histogram` is the latency histogram the serve runtime has used
 since PR 1 (observability owns the primitive).  On top of it
-:class:`MetricsRegistry` holds named counters/gauges/histograms behind
-one lock-per-metric facade, and speaks the executor's listener protocol
-— attach :meth:`MetricsRegistry.on_execution_event` to a
+:class:`MetricsRegistry` holds named counters and histograms behind one
+lock-per-metric facade — the only counter/histogram store a serving
+process keeps — and speaks the executor's listener protocol: attach
+:meth:`MetricsRegistry.on_execution_event` to a
 :class:`~repro.apis.executor.ChainExecutor` and every retry, timeout,
-breaker trip, and step outcome lands in a counter.
+breaker trip, and step outcome lands in a counter.  Point-in-time
+values (queue size, hit rates) are not stored here: they are derived
+from the stats snapshot (see :mod:`repro.runtime.snapshot`).
 """
 
 from __future__ import annotations
@@ -78,30 +81,13 @@ class Histogram:
     def summary(self) -> dict[str, float]:
         """One self-consistent snapshot of every statistic.
 
-        All state is copied under a single lock acquisition and the
-        quantiles are computed from the copy, so a summary taken while
-        workers observe concurrently can never mix statistics from two
-        different points in time (the old per-field reads could report
-        e.g. a ``count`` newer than the ``p99`` beside it — and read
-        ``count``/``min``/``max`` with no lock at all).  Quantile math
+        All state is copied under a single lock acquisition (one
+        :meth:`dump`) and the quantiles are computed from the copy, so a
+        summary taken while workers observe concurrently can never mix
+        statistics from two different points in time.  Quantile math
         runs outside the lock: observers are never blocked on it.
         """
-        with self._lock:
-            counts = list(self._counts)
-            count = self.count
-            total = self.total
-            minimum = self.min
-            maximum = self.max
-        return {
-            "count": count,
-            "mean": total / count if count else 0.0,
-            "p50": self._quantile_from(counts, count, maximum, 0.50),
-            "p95": self._quantile_from(counts, count, maximum, 0.95),
-            "p99": self._quantile_from(counts, count, maximum, 0.99),
-            "min": 0.0 if count == 0 else minimum,
-            "max": maximum,
-        }
-
+        return self.merged_summary([self.dump()])
 
     def dump(self) -> dict[str, Any]:
         """Raw, lossless state for cross-process merging.
@@ -158,33 +144,12 @@ class CounterMetric:
 
     def incr(self, amount: int = 1) -> None:
         if amount < 0:
-            raise ValueError("counters only go up; use a Gauge")
+            raise ValueError("counters only go up")
         with self._lock:
             self._value += amount
 
     @property
     def value(self) -> int:
-        with self._lock:
-            return self._value
-
-
-class Gauge:
-    """A point-in-time value that may move in either direction."""
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._value = 0.0
-
-    def set(self, value: float) -> None:
-        with self._lock:
-            self._value = float(value)
-
-    def add(self, delta: float) -> None:
-        with self._lock:
-            self._value += delta
-
-    @property
-    def value(self) -> float:
         with self._lock:
             return self._value
 
@@ -196,120 +161,92 @@ OBSERVED_EVENT_KINDS = (
     "step_retried", "step_timed_out", "breaker_opened",
 )
 
+#: The recovery signals among them, also counted under the bare kind —
+#: the name the SLO gates, the ``chaos`` CLI and ``stats()`` readers use.
+RECOVERY_EVENT_KINDS = ("step_retried", "step_timed_out",
+                        "breaker_opened", "step_failed")
+
 
 class MetricsRegistry:
-    """Named counters/gauges/histograms created lazily on first use."""
+    """Named counters/histograms created lazily on first use."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._counters: dict[str, CounterMetric] = {}
-        self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
 
-    # ------------------------------------------------------------------
-    # handles
-    # ------------------------------------------------------------------
-    def counter(self, name: str) -> CounterMetric:
-        with self._lock:
-            metric = self._counters.get(name)
-            if metric is None:
-                metric = self._counters[name] = CounterMetric()
-            return metric
+    def _series(self, table: dict[str, Any], name: str, kind: type) -> Any:
+        # fast path without the registry lock: dict reads are atomic
+        # under the GIL and a series, once created, is never replaced,
+        # so the common case contends only on that series' own lock —
+        # the registry lock is taken solely to create a missing series
+        metric = table.get(name)
+        if metric is None:
+            with self._lock:
+                metric = table.get(name)
+                if metric is None:
+                    metric = table[name] = kind()
+        return metric
 
-    def gauge(self, name: str) -> Gauge:
-        with self._lock:
-            metric = self._gauges.get(name)
-            if metric is None:
-                metric = self._gauges[name] = Gauge()
-            return metric
+    def counter(self, name: str) -> CounterMetric:
+        return self._series(self._counters, name, CounterMetric)
 
     def histogram(self, name: str) -> Histogram:
-        with self._lock:
-            metric = self._histograms.get(name)
-            if metric is None:
-                metric = self._histograms[name] = Histogram()
-            return metric
+        return self._series(self._histograms, name, Histogram)
 
-    # ------------------------------------------------------------------
-    # shorthands
-    # ------------------------------------------------------------------
     def incr(self, name: str, amount: int = 1) -> None:
         self.counter(name).incr(amount)
-
-    def set_gauge(self, name: str, value: float) -> None:
-        self.gauge(name).set(value)
 
     def observe(self, name: str, seconds: float) -> None:
         self.histogram(name).observe(seconds)
 
-    # ------------------------------------------------------------------
-    # executor listener protocol
-    # ------------------------------------------------------------------
     def on_execution_event(self, event: Any) -> None:
         """Count one executor event (attach as a listener)."""
         kind = getattr(event, "kind", "")
         if kind in OBSERVED_EVENT_KINDS:
             self.incr(f"events_{kind}")
-
-    # ------------------------------------------------------------------
-    def snapshot(self) -> dict[str, Any]:
-        with self._lock:
-            counters = dict(self._counters)
-            gauges = dict(self._gauges)
-            histograms = dict(self._histograms)
-        return {
-            "counters": {name: metric.value
-                         for name, metric in sorted(counters.items())},
-            "gauges": {name: metric.value
-                       for name, metric in sorted(gauges.items())},
-            "histograms": {name: metric.summary()
-                           for name, metric in sorted(histograms.items())},
-        }
+            if kind in RECOVERY_EVENT_KINDS:
+                self.incr(kind)
 
     def dump(self) -> dict[str, Any]:
         """Raw (lossless, JSON-safe) state for cross-process merging.
 
-        Counters and gauges dump their values; histograms dump bucket
-        counts (see :meth:`Histogram.dump`).  Feed a list of dumps —
-        e.g. one per shard worker — to :func:`merge_metrics_dumps` for
-        one fleet-wide snapshot.
+        Counters dump their values; histograms dump bucket counts (see
+        :meth:`Histogram.dump`).  Feed a list of dumps — e.g. one per
+        shard worker — to :func:`merge_metrics_dumps` for one fleet-wide
+        snapshot.
         """
         with self._lock:
             counters = dict(self._counters)
-            gauges = dict(self._gauges)
             histograms = dict(self._histograms)
         return {
             "counters": {name: metric.value
                          for name, metric in sorted(counters.items())},
-            "gauges": {name: metric.value
-                       for name, metric in sorted(gauges.items())},
             "histograms": {name: metric.dump()
                            for name, metric in sorted(histograms.items())},
         }
+
+    def snapshot(self) -> dict[str, Any]:
+        """Counter values and histogram summaries, sorted by name."""
+        return merge_metrics_dumps([self.dump()])
 
 
 def merge_metrics_dumps(dumps: list[dict[str, Any]]) -> dict[str, Any]:
     """Merge :meth:`MetricsRegistry.dump` outputs into one snapshot.
 
-    Counters and gauges sum (every gauge in use — queue sizes, live
-    sessions, open breakers — is a quantity that adds across shards);
-    histograms merge at the bucket level, so the returned quantile
-    estimates match a single registry that observed every event.  The
-    output has :meth:`MetricsRegistry.snapshot` shape.
+    Counters sum; histograms merge at the bucket level, so the returned
+    quantile estimates match a single registry that observed every
+    event.  The output has :meth:`MetricsRegistry.snapshot` shape.
     """
     counters: dict[str, int] = {}
-    gauges: dict[str, float] = {}
     histogram_dumps: dict[str, list[dict[str, Any]]] = {}
     for dump in dumps:
         for name, value in dump.get("counters", {}).items():
             counters[name] = counters.get(name, 0) + value
-        for name, value in dump.get("gauges", {}).items():
-            gauges[name] = gauges.get(name, 0.0) + value
         for name, hist in dump.get("histograms", {}).items():
             histogram_dumps.setdefault(name, []).append(hist)
     return {
         "counters": dict(sorted(counters.items())),
-        "gauges": dict(sorted(gauges.items())),
         "histograms": {name: Histogram.merged_summary(hists)
                        for name, hists in sorted(histogram_dumps.items())},
     }

@@ -2,7 +2,7 @@
 
 ``RequestLifecycle`` is the single request plane both serving facades
 run on.  It owns admission control (the bounded queue, the per-client
-rate limiter), id allocation, the stats/metrics/tracing/breaker
+rate limiter), id allocation, the metrics/tracing/breaker
 registries, and the two edges every request crosses — ``submit`` (admit
 or reject) and ``reply`` (resolve the caller's handle, exactly once).
 Each edge does its own bookkeeping — counters, latency histograms, the
@@ -36,7 +36,6 @@ from ..obs.trace import Tracer
 from ..serve.admission import AdmissionQueue, RateLimiter
 from ..serve.breaker import BreakerRegistry
 from ..serve.engine import PendingRequest, ServeRequest, ServeResponse
-from ..serve.stats import ServerStats
 
 __all__ = ["ExecutionBackend", "ReplyTiming", "RequestLifecycle"]
 
@@ -96,14 +95,16 @@ class ExecutionBackend:
 
     def stats_sections(self) -> dict[str, Any]:
         """The backend-owned sections of the stats snapshot (see
-        :func:`repro.runtime.snapshot.build_stats_snapshot`)."""
+        :func:`repro.runtime.snapshot.build_stats_snapshot`).
+
+        A backend whose work runs in other processes adds
+        ``"worker_dumps"``: each worker's
+        :meth:`~repro.obs.metrics.MetricsRegistry.dump`, from the same
+        poll as the sections — ``metrics_snapshot()`` sums them.
+        """
         return {"sessions": {}, "caches": {}, "pipeline_stages": [],
                 "store": {}, "shards": {"count": 0, "alive": 0,
                                         "per_shard": {}}}
-
-    def merged_metrics(self, base: dict[str, Any]) -> dict[str, Any]:
-        """The merged metrics-registry view feeding ``metrics_snapshot``."""
-        return self.lifecycle.metrics.snapshot()
 
 
 class RequestLifecycle:
@@ -111,9 +112,11 @@ class RequestLifecycle:
 
     The lifecycle is deliberately backend-blind: ``submit`` ends with
     the request parked on the admission queue, and the backend's
-    consumers carry it to exactly one :meth:`reply`.  Stats, tracing
+    consumers carry it to exactly one :meth:`reply`.  Metrics, tracing
     and breaker state live here so every backend shares one set of
-    registries (and one snapshot shape).
+    registries (and one snapshot shape); :attr:`metrics` is the only
+    counter/histogram store — both edges, the backends and the
+    executor's listener all write it.
     """
 
     def __init__(self, config: ServeConfig, backend: ExecutionBackend,
@@ -135,7 +138,6 @@ class RequestLifecycle:
                 config.rate_limit_refill_per_second,
                 clock=self.clock,
                 idle_seconds=config.rate_limit_idle_seconds)
-        self.stats = ServerStats()
         self.metrics = MetricsRegistry()
         self.tracer: Tracer | None = None
         if config.obs.enable_tracing:
@@ -214,7 +216,7 @@ class RequestLifecycle:
             try:
                 self.limiter.admit(request.client_id)
             except RateLimitError:
-                self.stats.incr("rejected_rate_limit")
+                self.metrics.incr("rejected_rate_limit")
                 raise
         pending = PendingRequest(request, self.next_request_id(),
                                  time.perf_counter())
@@ -232,9 +234,9 @@ class RequestLifecycle:
         except BackpressureError:
             # only shed load is counted: a queue closed by ``stop()``
             # refuses with a plain ServeError, which is not a rejection
-            self.stats.incr("rejected_backpressure")
+            self.metrics.incr("rejected_backpressure")
             raise
-        self.stats.incr("admitted")
+        self.metrics.incr("admitted")
         return pending
 
     def request(self, request: ServeRequest,
@@ -257,18 +259,18 @@ class RequestLifecycle:
         """
         if timing is not None:
             if not response.ok:
-                self.stats.incr("failed")
+                self.metrics.incr("failed")
             if timing.queued is not None:
                 response.queued_seconds = timing.queued
-                self.stats.observe("queued", timing.queued)
+                self.metrics.observe("queued", timing.queued)
             if timing.service is not None:
                 response.service_seconds = timing.service
-                self.stats.observe("service", timing.service)
+                self.metrics.observe("service", timing.service)
             if timing.queued is not None and timing.service is not None:
-                self.stats.observe("total", timing.queued + timing.service)
-            self.stats.incr(f"op_{pending.request.op}")
+                self.metrics.observe("total", timing.queued + timing.service)
+            self.metrics.incr(f"op_{pending.request.op}")
             if timing.batched:
-                self.stats.incr("microbatched")
+                self.metrics.incr("microbatched")
         pending._resolve(response)
 
     def record_service_time(self, seconds: float) -> None:
@@ -291,4 +293,4 @@ class RequestLifecycle:
     def metrics_snapshot(self) -> dict[str, Any]:
         from .snapshot import build_metrics_snapshot
 
-        return build_metrics_snapshot(self, self.backend)
+        return build_metrics_snapshot(self)

@@ -101,17 +101,12 @@ class LocalBackend(ExecutionBackend):
     # ------------------------------------------------------------------
     def boot(self) -> None:
         lifecycle = self.lifecycle
-        # recovery events (step_retried / step_timed_out /
-        # breaker_opened) flow through the executor's listener pipeline
-        # into the server counters while this server runs
-        if lifecycle.stats.on_execution_event not in \
-                self.chatgraph.executor.listeners():
-            self.chatgraph.executor.add_listener(
-                lifecycle.stats.on_execution_event)
-        if lifecycle.metrics.on_execution_event not in \
-                self.chatgraph.executor.listeners():
-            self.chatgraph.executor.add_listener(
-                lifecycle.metrics.on_execution_event)
+        # executor events (step outcomes, retries, timeouts, breaker
+        # trips) flow through the executor's listener pipeline into the
+        # server's counters while this server runs
+        listener = lifecycle.metrics.on_execution_event
+        if listener not in self.chatgraph.executor.listeners():
+            self.chatgraph.executor.add_listener(listener)
         # install this server's tracer for the duration of the run
         if lifecycle.tracer is not None:
             self._saved_tracer = self.chatgraph.tracer
@@ -128,8 +123,8 @@ class LocalBackend(ExecutionBackend):
             self.catalog.add_compact_listener(
                 self.sessions.evict_compacted)
         if lifecycle.config.warm_caches:
-            lifecycle.stats.incr("cache_warmed_entries",
-                                 self.warm_caches())
+            lifecycle.metrics.incr("cache_warmed_entries",
+                                   self.warm_caches())
 
     def launch(self) -> None:
         self._workers = []
@@ -147,12 +142,11 @@ class LocalBackend(ExecutionBackend):
 
     def finalize(self, deadline: float) -> None:
         lifecycle = self.lifecycle
-        for listener in (lifecycle.stats.on_execution_event,
-                         lifecycle.metrics.on_execution_event):
-            try:
-                self.chatgraph.executor.remove_listener(listener)
-            except ValueError:
-                pass
+        try:
+            self.chatgraph.executor.remove_listener(
+                lifecycle.metrics.on_execution_event)
+        except ValueError:
+            pass
         if lifecycle.tracer is not None:
             self.chatgraph.set_tracer(self._saved_tracer)
             self._saved_tracer = None
@@ -213,20 +207,6 @@ class LocalBackend(ExecutionBackend):
             # server simply has no shards
             "shards": {"count": 0, "alive": 0, "per_shard": {}},
         }
-
-    def merged_metrics(self, base: dict[str, Any]) -> dict[str, Any]:
-        lifecycle = self.lifecycle
-        metrics = lifecycle.metrics
-        metrics.set_gauge("queue_size", len(lifecycle.queue))
-        metrics.set_gauge("sessions_live", base["sessions"]["active"])
-        metrics.set_gauge("workers", lifecycle.config.workers)
-        if self.caches is not None:
-            for name, stats in base["caches"].items():
-                metrics.set_gauge(f"cache_{name}_hit_rate",
-                                  stats.get("hit_rate", 0.0))
-        metrics.set_gauge("breakers_open",
-                          len(lifecycle.breakers.open_names()))
-        return metrics.snapshot()
 
     # ------------------------------------------------------------------
     # workers
@@ -326,11 +306,11 @@ class LocalBackend(ExecutionBackend):
     def _record_pipeline(self, result: PipelineResult) -> None:
         # per-stage latency histogram names come from the stage graph
         # (via the result's timings) — never from a hand-written list
-        stats = self.lifecycle.stats
+        metrics = self.lifecycle.metrics
         for stage, seconds in result.timings.items():
-            stats.observe(stage, seconds)
+            metrics.observe(stage, seconds)
         if result.used_fallback:
-            stats.incr("fallback_chains")
+            metrics.incr("fallback_chains")
 
     def _resolve_view(self, request: ServeRequest) -> Any:
         """The catalog view for ``request.graph_name`` (or None)."""
@@ -358,10 +338,10 @@ class LocalBackend(ExecutionBackend):
         return result
 
     def _record_execution(self, record: Any) -> None:
-        stats = self.lifecycle.stats
-        stats.observe("execute", record.total_seconds)
+        metrics = self.lifecycle.metrics
+        metrics.observe("execute", record.total_seconds)
         if record.is_degraded:
-            stats.incr("degraded_responses")
+            metrics.incr("degraded_responses")
 
     def _execute(self, result: PipelineResult,
                  chain: Any = None) -> ChatResponse:

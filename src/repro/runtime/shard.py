@@ -43,7 +43,6 @@ from typing import Any
 
 from ..errors import BackpressureError, ChatGraphError, ServeError
 from ..obs.export import merge_traces
-from ..obs.metrics import merge_metrics_dumps
 from ..serve.admission import AdmissionQueue
 from ..serve.engine import PendingRequest, ServeRequest, ServeResponse
 from ..serve.microbatch import MicroBatcher
@@ -334,7 +333,7 @@ class ShardBackend(ExecutionBackend):
             self.lifecycle.metrics.incr("shard_restart_failed")
             return
         handle.restarts += 1
-        self.lifecycle.stats.incr("shard_restarts")
+        self.lifecycle.metrics.incr("shard_restarts")
         # the replacement is a fresh process: its circuit starts closed
         self.lifecycle.breakers.reset_one(handle.name)
 
@@ -614,7 +613,7 @@ class ShardBackend(ExecutionBackend):
         item._tried.add(from_shard)
         with self._outstanding_cond:
             self.handles[from_shard].pending_count -= 1
-        self.lifecycle.stats.incr("shard_failovers")
+        self.lifecycle.metrics.incr("shard_failovers")
         self._route(item, failover=True)
 
     def _on_shard_down(self, handle: _ShardHandle,
@@ -643,11 +642,11 @@ class ShardBackend(ExecutionBackend):
             # a worker EOF-ing during coordinated shutdown (or a
             # migration retirement) is a clean exit, not a death: no
             # counters, no breaker, no restart
-            self.lifecycle.stats.incr("shard_deaths")
+            self.lifecycle.metrics.incr("shard_deaths")
             if self.lifecycle.breakers.trip(handle.name):
                 # surface through the same counter the robustness
                 # layer uses, so existing SLO gates see the trip
-                self.lifecycle.stats.incr("breaker_opened")
+                self.lifecycle.metrics.incr("breaker_opened")
         # queued-but-unsent work follows the inflight orphans
         orphans.extend(handle.dispatch.drain())
         for item in orphans:
@@ -844,10 +843,10 @@ class ShardBackend(ExecutionBackend):
                                          graph_names, deadline)
             if leaving is not None:
                 self._retire(leaving, deadline)
-            stats = self.lifecycle.stats
-            stats.incr("shard_migrations")
+            metrics = self.lifecycle.metrics
+            metrics.incr("shard_migrations")
             if moved:
-                stats.incr("sessions_migrated", moved)
+                metrics.incr("sessions_migrated", moved)
             return {
                 "joining": None if joining is None else joining.index,
                 "leaving": None if leaving is None else leaving.index,
@@ -1078,14 +1077,11 @@ class ShardBackend(ExecutionBackend):
                 "retired": sum(1 for h in self.handles if h.retired),
                 "per_shard": per_shard,
             },
+            #: Not a stats() section: the registry dumps this same poll
+            #: returned, which ``metrics_snapshot()`` sums.
+            "worker_dumps": [reply["metrics"] for reply in replies.values()
+                             if reply.get("metrics")],
         }
-
-    def merged_metrics(self, base: dict[str, Any]) -> dict[str, Any]:
-        replies = self._poll_shards()
-        dumps = [self.lifecycle.metrics.dump()]
-        dumps.extend(reply["metrics"] for reply in replies.values()
-                     if reply.get("metrics"))
-        return merge_metrics_dumps(dumps)
 
     def collect_spans(self) -> list[dict[str, Any]]:
         """One merged structural trace across the process boundary.

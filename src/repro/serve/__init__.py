@@ -11,8 +11,10 @@ single-caller facade; this subsystem makes it a *server*:
   pool (closed/open/half-open with failure-rate windows + cooldown);
 * :mod:`sessions` — concurrent TTL/LRU session store;
 * :mod:`cache` — thread-safe content-addressed LRU caches wired into
-  the pipeline's embedding, retrieval and sequentialize stages;
-* :mod:`stats` — per-stage counters and latency histograms.
+  the pipeline's embedding, retrieval and sequentialize stages.
+
+Counters and per-stage latency histograms live in the lifecycle's
+:class:`repro.obs.MetricsRegistry` (see :mod:`repro.runtime`).
 
 Speed is measured from outside by ``benchmarks/ledger/run.py``;
 invariants under load by ``python -m repro.cli bench-slo``.
@@ -36,7 +38,6 @@ from .engine import (
 )
 from .microbatch import MicroBatcher
 from .sessions import SessionEntry, SessionStore
-from .stats import ServerStats
 
 __all__ = [
     "AdmissionQueue",
@@ -58,7 +59,6 @@ __all__ = [
     "ServeError",
     "ServeRequest",
     "ServeResponse",
-    "ServerStats",
     "SessionEntry",
     "SessionStore",
     "TokenBucket",

@@ -270,14 +270,16 @@ class ServerFacade:
         return self.lifecycle.stats_snapshot()
 
     def metrics_snapshot(self) -> dict[str, Any]:
-        """The observability view: stats + metrics registry + gauges.
+        """The observability view: counters, histograms, derived gauges.
 
-        Merges the server's counters and per-stage latency quantiles
-        (p50/p95/p99) with the :class:`~repro.obs.MetricsRegistry`'s
-        event counters and point-in-time gauges (queue depth, live
-        sessions, cache hit rates, open breakers); on a fleet every
-        shard's registry is merged in losslessly (see
-        :func:`repro.obs.merge_metrics_dumps`).  Feed the result to
+        ``counters``/``histograms`` are this process's
+        :class:`~repro.obs.MetricsRegistry` — request-edge counters,
+        executor event counters, per-stage latency quantiles
+        (p50/p95/p99) — and on a fleet the lossless sum of every
+        shard's registry underneath it (the rule is stated in
+        :mod:`repro.runtime.snapshot`); ``gauges`` (queue size, live
+        sessions, cache hit rates, open breakers) are derived from the
+        same stats snapshot.  Feed the result to
         :func:`repro.obs.render_metrics_markdown` for a report.
         """
         return self.lifecycle.metrics_snapshot()

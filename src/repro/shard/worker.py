@@ -175,13 +175,14 @@ class ShardWorker:
             try:
                 response = pending.result(timeout=RESULT_TIMEOUT_SECONDS)
                 reply = response_to_wire(response)
+                #: The coordinator matches replies to items by position
+                #: but reconciles ids; the worker's lane name is
+                #: prefixed so merged stats can attribute work to a
+                #: shard (a failed slot already names the shard).
+                reply["request_id"] = wire.get("request_id", 0)
+                reply["worker"] = f"{self.name}/{reply.get('worker', '')}"
             except Exception as exc:  # noqa: BLE001 - fail one slot only
                 reply = self._failed_slot(wire, exc)
-            #: The coordinator matches replies to items by position but
-            #: reconciles ids; the worker's lane name is prefixed so
-            #: merged stats can attribute work to a shard.
-            reply["request_id"] = wire.get("request_id", 0)
-            reply["worker"] = f"{self.name}/{reply.get('worker', '')}"
             replies.append(reply)
         self._write({"type": "batch_reply", "shard": self.shard,
                      "batch_id": frame.get("batch_id", 0),

@@ -22,9 +22,8 @@ from repro.config import ObsConfig, ServeConfig
 from repro.finetune.dataset import CorpusSpec
 from repro.graphs import knowledge_graph, social_network
 from repro.obs import check_trace, spans_to_jsonl
-from repro.obs.metrics import OBSERVED_EVENT_KINDS
+from repro.obs.metrics import OBSERVED_EVENT_KINDS, RECOVERY_EVENT_KINDS
 from repro.serve import ChatGraphServer, ServeRequest
-from repro.serve.stats import ROBUSTNESS_EVENT_COUNTERS
 from repro.testing import FaultInjector, FaultSpec, canonical_workload
 
 PIPELINE_STAGES = ("stage:intent", "stage:graph_type", "stage:retrieval",
@@ -203,9 +202,9 @@ class TestStressReconciliation:
         for kind in OBSERVED_EVENT_KINDS:
             assert metrics["counters"].get(f"events_{kind}", 0) == \
                 collected.get(kind, 0), kind
-        # 2. the server's robustness counters agree
-        for kind, name in ROBUSTNESS_EVENT_COUNTERS.items():
-            assert stats["counters"].get(name, 0) == \
+        # 2. the server's robustness counters (the bare kind) agree
+        for kind in RECOVERY_EVENT_KINDS:
+            assert stats["counters"].get(kind, 0) == \
                 collected.get(kind, 0), kind
         # 3. per-request monitors partition the event stream exactly
         monitor_totals = Counter()

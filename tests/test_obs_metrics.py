@@ -1,17 +1,21 @@
 """Metrics registry, histogram quantiles, and renderers."""
 
+import json
+import sys
+import threading
 from dataclasses import dataclass
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from repro.obs import (
     CounterMetric,
-    Gauge,
     Histogram,
     MetricsRegistry,
+    merge_metrics_dumps,
     render_metrics_markdown,
 )
-from repro.obs.metrics import OBSERVED_EVENT_KINDS
+from repro.obs.metrics import OBSERVED_EVENT_KINDS, RECOVERY_EVENT_KINDS
 
 
 @dataclass
@@ -29,12 +33,6 @@ class TestCounterAndGauge:
     def test_counter_rejects_negative(self):
         with pytest.raises(ValueError):
             CounterMetric().incr(-1)
-
-    def test_gauge_set_and_add(self):
-        gauge = Gauge()
-        gauge.set(3.5)
-        gauge.add(-1.0)
-        assert gauge.value == 2.5
 
 
 class TestHistogram:
@@ -77,17 +75,15 @@ class TestMetricsRegistry:
     def test_handles_are_stable(self):
         metrics = MetricsRegistry()
         assert metrics.counter("a") is metrics.counter("a")
-        assert metrics.gauge("g") is metrics.gauge("g")
         assert metrics.histogram("h") is metrics.histogram("h")
 
     def test_shorthands_and_snapshot(self):
         metrics = MetricsRegistry()
         metrics.incr("requests", 2)
-        metrics.set_gauge("depth", 7)
         metrics.observe("latency", 0.01)
         snapshot = metrics.snapshot()
         assert snapshot["counters"] == {"requests": 2}
-        assert snapshot["gauges"] == {"depth": 7.0}
+        assert sorted(snapshot) == ["counters", "histograms"]
         assert snapshot["histograms"]["latency"]["count"] == 1
 
     def test_snapshot_sorted(self):
@@ -97,13 +93,49 @@ class TestMetricsRegistry:
         assert list(metrics.snapshot()["counters"]) == \
             ["alpha", "mid", "zeta"]
 
+    def test_racing_first_writes_land_in_one_series(self):
+        """A series is created on the miss of a lock-free read: threads
+        racing to create the same fresh name must all write the one
+        series that survives, or an update is lost."""
+        metrics = MetricsRegistry()
+        n_threads, rounds = 16, 200
+        barrier = threading.Barrier(n_threads)
+
+        def hammer():
+            barrier.wait(timeout=10.0)
+            for index in range(rounds):
+                metrics.incr(f"c{index}")
+                metrics.observe(f"h{index}", 0.001)
+
+        threads = [threading.Thread(target=hammer)
+                   for __ in range(n_threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        snapshot = metrics.snapshot()
+        assert snapshot["counters"] == {
+            f"c{index}": n_threads for index in range(rounds)}
+        assert {name: summary["count"] for name, summary
+                in snapshot["histograms"].items()} == {
+            f"h{index}": n_threads for index in range(rounds)}
+
     def test_counts_all_observed_event_kinds(self):
         metrics = MetricsRegistry()
         for kind in OBSERVED_EVENT_KINDS:
             metrics.on_execution_event(FakeEvent(kind))
         counters = metrics.snapshot()["counters"]
-        assert counters == {f"events_{kind}": 1
-                            for kind in OBSERVED_EVENT_KINDS}
+        # every kind under events_<kind>; the recovery kinds also under
+        # the bare name the SLO gates and the chaos CLI read
+        assert counters == {
+            **{f"events_{kind}": 1 for kind in OBSERVED_EVENT_KINDS},
+            **{kind: 1 for kind in RECOVERY_EVENT_KINDS}}
 
     def test_ignores_unknown_event_kinds(self):
         metrics = MetricsRegistry()
@@ -115,6 +147,44 @@ class TestMetricsRegistry:
         """The robustness events of PR 2 all land in counters."""
         for kind in ("step_retried", "step_timed_out", "breaker_opened"):
             assert kind in OBSERVED_EVENT_KINDS
+        assert set(RECOVERY_EVENT_KINDS) <= set(OBSERVED_EVENT_KINDS)
+
+
+#: Seconds that are multiples of 2**-20 (0 .. 64 s: every bucket, the
+#: +inf one included), so a histogram's running total is exact in any
+#: summation order and the merged mean can be compared with ``==``.
+_SECONDS = st.integers(0, 2 ** 26).map(lambda n: n / 2 ** 20)
+_NAMES = st.sampled_from(["a", "b", "c"])
+_WRITES = st.one_of(
+    st.tuples(st.just("incr"), _NAMES, st.integers(0, 5)),
+    st.tuples(st.just("observe"), _NAMES, _SECONDS))
+
+
+class TestDumpsMergeLosslessly:
+    @given(k=st.integers(1, 4),
+           stream=st.lists(st.tuples(st.integers(0, 3), _WRITES),
+                           max_size=60))
+    @example(k=2, stream=[(0, ("incr", "requests", 3)),
+                          (1, ("incr", "requests", 4)),
+                          (1, ("incr", "only_b", 1)),
+                          (0, ("observe", "latency", 0.01)),
+                          (1, ("observe", "latency", 0.2))])
+    def test_partitioned_stream_merges_to_the_single_registry(
+            self, k, stream):
+        """A write stream split over k registries, dumped (through JSON,
+        as a shard pipe carries it) and merged, reads exactly like one
+        registry that saw every write."""
+        parts = [MetricsRegistry() for __ in range(k)]
+        whole = MetricsRegistry()
+        for shard, (write, name, value) in stream:
+            for registry in (parts[shard % k], whole):
+                getattr(registry, write)(name, value)
+        merged = merge_metrics_dumps(
+            [json.loads(json.dumps(part.dump())) for part in parts])
+        assert merged == whole.snapshot()
+        for summary in merged["histograms"].values():
+            assert sorted(summary) == ["count", "max", "mean", "min",
+                                       "p50", "p95", "p99"]
 
 
 class TestMarkdownRendering:

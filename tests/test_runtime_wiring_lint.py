@@ -6,11 +6,12 @@ rate limiting, breakers and micro-batching are wired exactly once, in
 ``ShardedChatGraphServer``) must not grow their own copies back, or the
 two control planes drift apart again.  This lint walks every module
 under ``src/repro`` and rejects any *call* to ``AdmissionQueue``,
-``RateLimiter``, ``BreakerRegistry`` or ``MicroBatcher`` outside:
+``RateLimiter``, ``BreakerRegistry``, ``MicroBatcher`` or
+``MetricsRegistry`` outside:
 
 * ``repro/runtime/`` (the one legitimate wiring site — the lifecycle
-  owns the queue/limiter/breakers, the backends their internal staging
-  queues and coalescers), and
+  owns the queue/limiter/breakers and the one counter/histogram store,
+  the backends their internal staging queues and coalescers), and
 * each primitive's own definition module (constructors may appear in
   their doctests and helpers).
 
@@ -31,6 +32,9 @@ PRIMITIVES = {
     "RateLimiter": SRC / "serve" / "admission.py",
     "BreakerRegistry": SRC / "serve" / "breaker.py",
     "MicroBatcher": SRC / "serve" / "microbatch.py",
+    # a second counter/histogram store beside the lifecycle's would
+    # need a rule for which one a report reads; there is one store
+    "MetricsRegistry": SRC / "obs" / "metrics.py",
 }
 
 
@@ -110,7 +114,9 @@ def test_lint_catches_a_planted_violation(tmp_path):
         "import repro.serve.microbatch as mb\n"
         "queue = AdmissionQueue(maxsize=4)\n"
         "limiter = RateLimiter(capacity=1, refill_per_second=1.0)\n"
-        "batcher = mb.MicroBatcher(size=4, deadline_seconds=0.01)\n",
+        "batcher = mb.MicroBatcher(size=4, deadline_seconds=0.01)\n"
+        "from repro.obs import MetricsRegistry\n"
+        "books = MetricsRegistry()\n",
         encoding="utf-8")
     found = violations_in(planted)
-    assert len(found) == 3
+    assert len(found) == 4

@@ -350,6 +350,56 @@ class TestServerBasics:
         assert snapshot["breakers"] == {}  # healthy run: no traffic yet
         assert snapshot["rate_limiter"]["clients"] >= 0
 
+    def test_one_store_keeps_the_books_of_the_two(self, serve_chatgraph,
+                                                  social_graph_small):
+        """Fixed workload: every counter and latency series ``stats()``
+        reported from the separate request-edge store (values measured
+        at the commit before it folded into the registry) is still
+        there with the same value; a superset (``events_*``) is fine."""
+        config = ServeConfig(workers=1, queue_depth=32,
+                             rate_limit_capacity=6,
+                             rate_limit_refill_per_second=1.0)
+        graph = social_graph_small
+        with ChatGraphServer(serve_chatgraph, config,
+                             clock=lambda: 0.0) as server:
+            proposal = server.propose("summarize the graph", graph=graph)
+            assert proposal.ok
+            assert server.ask("how many nodes does G have",
+                              graph=graph).ok
+            assert server.ask("find the communities", graph=graph,
+                              session_id="s").ok
+            assert server.ask("how many nodes does G have",
+                              session_id="s").ok
+            assert server.execute(proposal.value).ok
+            assert not server.ask("count the nodes",
+                                  graph_name="nope").ok
+            with pytest.raises(RateLimitError):  # bucket of 6, no refill
+                server.ask("count the nodes", graph=graph)
+            stats = server.stats()
+            metrics = server.metrics_snapshot()
+        expected_counters = {
+            "admitted": 6, "failed": 1, "op_ask": 4, "op_execute": 1,
+            "op_propose": 1, "rejected_rate_limit": 1}
+        expected_latency = {
+            "execute": 4, "generate": 4, "graph_type": 4, "intent": 4,
+            "queued": 6, "retrieval": 4, "sequentialize": 4,
+            "service": 6, "total": 6}
+        for name, value in expected_counters.items():
+            assert stats["counters"][name] == value, name
+        for name, count in expected_latency.items():
+            assert stats["latency"][name]["count"] == count, name
+        # a single process has no fleet underneath: the metrics view
+        # reads the same books
+        assert metrics["counters"] == stats["counters"]
+        assert metrics["latency"] == stats["latency"]
+        assert metrics["histograms"] == stats["latency"]
+        assert metrics["counters"]["events_chain_finished"] == 4
+        assert metrics["gauges"] == {
+            "breakers_open": 0.0, "cache_embeddings_hit_rate": 0.0,
+            "cache_retrieval_hit_rate": 0.25,
+            "cache_sequences_hit_rate": 0.75, "queue_size": 0.0,
+            "sessions_live": 1.0, "workers": 1.0}
+
     def test_robustness_installed_only_while_running(
             self, serve_chatgraph):
         server = make_server(serve_chatgraph, step_max_retries=2)
@@ -357,12 +407,12 @@ class TestServerBasics:
         with server:
             assert serve_chatgraph.robustness_policy is server.backend.policy
             assert serve_chatgraph.breakers is server.breakers
-            listeners = serve_chatgraph.executor.listeners()
-            assert server.lifecycle.stats.on_execution_event in listeners
+            # one listener: the registry is the only store it feeds
+            assert serve_chatgraph.executor.listeners() == \
+                (server.metrics.on_execution_event,)
         assert serve_chatgraph.robustness_policy is None
         assert serve_chatgraph.breakers is None
-        assert server.lifecycle.stats.on_execution_event not in \
-            serve_chatgraph.executor.listeners()
+        assert serve_chatgraph.executor.listeners() == ()
 
     def test_session_dialog_accumulates(self, serve_chatgraph,
                                         social_graph_small):

@@ -152,3 +152,52 @@ def test_serve_config_wire_roundtrip():
     (init,) = roundtrip({"type": "init",
                          "serve": serve_config_to_wire(config)})
     assert serve_config_from_wire(init["serve"]) == config
+
+
+def test_batch_reply_labels_every_slot_with_the_shard_once():
+    """A batch's three outcomes over a stub server, no process: a slot
+    refused at submit, a slot whose result raises, a served slot.  Both
+    failed slots name the shard alone (``shard-0``, never
+    ``shard-0/shard-0``); the served one is ``shard-0/<lane>``; ids are
+    the coordinator's."""
+    import threading
+    from types import SimpleNamespace
+
+    from repro.errors import ServeError
+    from repro.shard.worker import ShardWorker
+
+    def hung():
+        raise TimeoutError("no result")
+
+    def served():
+        return ServeResponse(request_id=1, op="propose", ok=True,
+                             worker="worker-0")
+
+    results = {"hang": hung, "serve": served}
+
+    def submit(request, parent_span_id=None):
+        if request.text == "refuse":
+            raise ServeError("refused")
+        return SimpleNamespace(
+            result=lambda timeout: results[request.text]())
+
+    worker = ShardWorker.__new__(ShardWorker)
+    worker.shard, worker.name = 0, "shard-0"
+    worker.server = SimpleNamespace(submit=submit)
+    worker._stdout = io.BytesIO()
+    worker._write_lock = threading.Lock()
+    worker._stop = threading.Event()
+    worker._handle_batch({"batch_id": 5, "items": [
+        request_to_wire(ServeRequest(op="propose", text=text), request_id)
+        for request_id, text in ((41, "refuse"), (42, "hang"),
+                                 (43, "serve"))]})
+    worker._stdout.seek(0)
+    frame = read_frame(worker._stdout)
+    assert frame["type"] == "batch_reply" and frame["batch_id"] == 5
+    refused, hung_slot, ok = frame["replies"]
+    assert [r["request_id"] for r in frame["replies"]] == [41, 42, 43]
+    assert (refused["ok"], refused["error_type"], refused["worker"]) \
+        == (False, "ServeError", "shard-0")
+    assert (hung_slot["ok"], hung_slot["error_type"], hung_slot["worker"]) \
+        == (False, "TimeoutError", "shard-0")
+    assert (ok["ok"], ok["worker"]) == (True, "shard-0/worker-0")

@@ -17,9 +17,7 @@ from repro.errors import StoreError
 from repro.graphs import social_network
 from repro.obs import (
     Histogram,
-    MetricsRegistry,
     load_trace,
-    merge_metrics_dumps,
     merge_traces,
     read_trace,
 )
@@ -175,21 +173,6 @@ def test_histogram_dump_merge_is_lossless():
     empty = Histogram().dump()
     assert empty["min"] is None  # JSON-safe empty form
     assert Histogram.merged_summary([empty])["count"] == 0
-
-
-def test_merge_metrics_dumps_sums_counters_and_gauges():
-    a, b = MetricsRegistry(), MetricsRegistry()
-    a.incr("requests", 3)
-    b.incr("requests", 4)
-    b.incr("only_b")
-    a.gauge("queue").set(2.0)
-    b.gauge("queue").set(5.0)
-    a.observe("latency", 0.01)
-    b.observe("latency", 0.2)
-    merged = merge_metrics_dumps([a.dump(), b.dump()])
-    assert merged["counters"] == {"only_b": 1, "requests": 7}
-    assert merged["gauges"] == {"queue": 7.0}
-    assert merged["histograms"]["latency"]["count"] == 2
 
 
 # ----------------------------------------------------------------------

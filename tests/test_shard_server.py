@@ -154,11 +154,62 @@ def test_metrics_merge_across_processes(fleet):
     assert fleet.ask("how many nodes are there",
                      graph=bench_graphs(1)[0]).ok
     snapshot = fleet.metrics_snapshot()
+    stats = fleet.stats()
     # shard-side counters (executor events from requests served inside
     # worker processes) reach the merged fleet view alongside
     # coordinator-side scatter metrics
     assert snapshot["counters"].get("events_chain_finished", 0) > 0
     assert "scatter_batch_size" in snapshot["histograms"]
+    # the fleet rule: worker dumps summed, the coordinator's own series
+    # on top — a request both lifecycles admitted is counted once
+    assert snapshot["counters"]["admitted"] == stats["counters"]["admitted"]
+    assert snapshot["latency"] == stats["latency"]
+    worker_stats = fleet.backend.handles[0].last_stats["stats"]
+    assert worker_stats["counters"]["admitted"] > 0
+    # ...and what only a worker measures is visible fleet-wide
+    assert worker_stats["pipeline_stages"]
+    for stage in (*worker_stats["pipeline_stages"], "execute"):
+        assert snapshot["histograms"][stage]["count"] > 0, stage
+        assert stage not in stats["latency"]
+
+
+def test_metrics_snapshot_is_one_poll(fleet, monkeypatch):
+    """One ``stats`` frame per shard per report: sections, worker
+    dumps and gauges all come from the same instant."""
+    backend = fleet.backend
+    send = backend._send_rpc
+    polled = []
+
+    def counting(handle, kind, payload):
+        if kind == "stats":
+            polled.append(handle.index)
+        return send(handle, kind, payload)
+
+    monkeypatch.setattr(backend, "_send_rpc", counting)
+    fleet.metrics_snapshot()
+    assert sorted(polled) == [0, 1]
+
+
+def test_fleet_gauges_match_the_single_process_names(fleet, single):
+    assert single.ask("how many nodes are there",
+                      graph=bench_graphs(1)[0]).ok
+    snapshot = fleet.metrics_snapshot()
+    assert set(snapshot["gauges"]) == set(
+        single.metrics_snapshot()["gauges"])
+    assert snapshot["gauges"]["workers"] == 1.0
+    stats = fleet.stats()
+    assert stats["caches"]
+    for name, cache in stats["caches"].items():
+        # the ratio of fleet-summed hits and misses, not a sum of the
+        # shards' own ratios
+        per_shard = [entry["caches"][name]
+                     for entry in stats["shards"]["per_shard"].values()]
+        hits = sum(entry["hits"] for entry in per_shard)
+        seen = hits + sum(entry["misses"] for entry in per_shard)
+        assert seen > 0
+        assert cache["hit_rate"] == round(hits / seen, 4)
+        assert snapshot["gauges"][f"cache_{name}_hit_rate"] == \
+            cache["hit_rate"]
 
 
 def test_single_process_stats_has_empty_shards_section(single):
