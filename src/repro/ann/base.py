@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -11,9 +11,8 @@ from ..errors import IndexError_
 from .kernels import gathered_distances, row_sq_norms
 
 
-@dataclass(frozen=True)
-class SearchResult:
-    """One nearest-neighbor hit."""
+class SearchResult(NamedTuple):
+    """One nearest-neighbor hit; unpacks as ``(vector_id, distance)``."""
 
     #: Row index of the vector in the indexed data matrix.
     vector_id: int
@@ -24,10 +23,12 @@ class SearchResult:
 class AnnIndex(ABC):
     """Abstract k-NN index over a fixed matrix of vectors.
 
-    Subclasses implement :meth:`_build` and :meth:`_search`.  The base
-    class owns the data matrix, validates inputs, and counts distance
-    evaluations (``distance_computations``), which the benchmarks use as
-    a hardware-independent work measure.
+    Subclasses implement :meth:`_build` and :meth:`_search_batch`, the
+    one search hook: it answers a whole ``(m, d)`` query matrix, and
+    :meth:`search` is that hook on a one-row matrix.  The base class
+    owns the data matrix, validates inputs, filters tombstones, and
+    counts distance evaluations (``distance_computations``), which the
+    benchmarks use as a hardware-independent work measure.
     """
 
     def __init__(self) -> None:
@@ -39,12 +40,6 @@ class AnnIndex(ABC):
         self._tombstones: set[int] = set()
         #: Number of point-to-query distance evaluations since reset.
         self.distance_computations = 0
-        #: When True (the default), searches route through the
-        #: vectorized frontier kernels; set False to force the scalar
-        #: reference path.  Both produce bit-identical results — the
-        #: toggle exists for the perf-gate benchmark and equivalence
-        #: tests.
-        self.use_batched = True
 
     # ------------------------------------------------------------------
     # public API
@@ -145,72 +140,35 @@ class AnnIndex(ABC):
 
     def search(self, query: np.ndarray, k: int = 1) -> list[SearchResult]:
         """Return (approximately) the ``k`` nearest vectors to ``query``."""
-        if self._data is None:
-            raise IndexError_("index not built")
-        if k < 1:
-            raise IndexError_("k must be >= 1")
         query = np.asarray(query, dtype=np.float64).ravel()
-        if query.shape[0] != self._data.shape[1]:
-            raise IndexError_(
-                f"query dim {query.shape[0]} != data dim {self._data.shape[1]}")
-        k = min(k, self._data.shape[0])
-        if not self._tombstones:
-            return self._search(query, k)
-        # over-fetch so the hit list still holds k live vectors after
-        # the tombstone filter, then trim
-        fetch = min(self._data.shape[0], k + len(self._tombstones))
-        hits = [hit for hit in self._search(query, fetch)
-                if hit.vector_id not in self._tombstones]
-        return hits[:min(k, self.live_size)]
+        return self.search_batch(query[None, :], k)[0]
 
     def search_batch(self, queries: np.ndarray,
                      k: int = 1) -> list[list[SearchResult]]:
         """Answer many queries at once; one result list per query row.
 
-        Equivalent to ``[self.search(q, k) for q in queries]`` —
-        including the exact distances reported — but subclasses may
-        override :meth:`_search_batch` to amortize work across the
-        whole query matrix.
+        Equal to ``[self.search(q, k) for q in queries]`` — including
+        the exact distances reported and the counted work — because a
+        single query *is* a batch of one.
         """
-        queries, k = self._validate_batch(queries, k)
-        if not self._tombstones:
-            return self._search_batch(queries, k)
-        assert self._data is not None
-        fetch = min(self._data.shape[0], k + len(self._tombstones))
-        trim = min(k, self.live_size)
-        return [[hit for hit in row
-                 if hit.vector_id not in self._tombstones][:trim]
-                for row in self._search_batch(queries, fetch)]
-
-    def search_batch_pairs(self, queries: np.ndarray,
-                           k: int = 1) -> list[list[tuple[int, float]]]:
-        """:meth:`search_batch` as raw ``(vector_id, distance)`` pairs.
-
-        Same hits in the same order, without materializing a
-        :class:`SearchResult` per hit — the cheap form for callers that
-        immediately re-rank or filter large candidate pools.
-        """
-        queries, k = self._validate_batch(queries, k)
-        if not self._tombstones:
-            return self._search_batch_pairs(queries, k)
-        assert self._data is not None
-        fetch = min(self._data.shape[0], k + len(self._tombstones))
-        trim = min(k, self.live_size)
-        return [[pair for pair in row
-                 if pair[0] not in self._tombstones][:trim]
-                for row in self._search_batch_pairs(queries, fetch)]
-
-    def _validate_batch(self, queries: np.ndarray,
-                        k: int) -> tuple[np.ndarray, int]:
         if self._data is None:
             raise IndexError_("index not built")
         if k < 1:
             raise IndexError_("k must be >= 1")
         queries = np.asarray(queries, dtype=np.float64)
-        if queries.ndim != 2 or queries.shape[1] != self._data.shape[1]:
-            raise IndexError_(
-                f"queries must be an (m, {self._data.shape[1]}) matrix")
-        return queries, min(k, self._data.shape[0])
+        n, dim = self._data.shape
+        if queries.ndim != 2 or queries.shape[1] != dim:
+            raise IndexError_(f"queries must be an (m, {dim}) matrix")
+        k = min(k, n)
+        if not self._tombstones:
+            return self._search_batch(queries, k)
+        # over-fetch so each hit list still holds k live vectors after
+        # the tombstone filter, then trim
+        fetch = min(n, k + len(self._tombstones))
+        trim = min(k, self.live_size)
+        return [[hit for hit in row
+                 if hit.vector_id not in self._tombstones][:trim]
+                for row in self._search_batch(queries, fetch)]
 
     def reset_counters(self) -> None:
         self.distance_computations = 0
@@ -226,7 +184,7 @@ class AnnIndex(ABC):
         """Instrumented single distance evaluation.
 
         Routes through the same gather kernel as :meth:`_distances_bulk`
-        so scalar and batched searches see bit-identical floats.
+        so a lone evaluation and a bulk one see bit-identical floats.
         """
         assert self._data is not None
         self.distance_computations += 1
@@ -248,16 +206,6 @@ class AnnIndex(ABC):
         """Construct index structures for ``data``."""
 
     @abstractmethod
-    def _search(self, query: np.ndarray, k: int) -> list[SearchResult]:
-        """Return the ``k`` best hits sorted by distance."""
-
     def _search_batch(self, queries: np.ndarray,
                       k: int) -> list[list[SearchResult]]:
-        """Batched search hook; the default answers queries one by one."""
-        return [self._search(query, k) for query in queries]
-
-    def _search_batch_pairs(self, queries: np.ndarray,
-                            k: int) -> list[list[tuple[int, float]]]:
-        """Raw-pairs hook; the default unwraps :meth:`_search_batch`."""
-        return [[(hit.vector_id, hit.distance) for hit in hits]
-                for hits in self._search_batch(queries, k)]
+        """The ``k`` best hits per query row, each sorted by distance."""

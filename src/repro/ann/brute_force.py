@@ -19,13 +19,6 @@ class BruteForceIndex(AnnIndex):
         # the appended row and refreshed norms are the whole structure
         return
 
-    def _search(self, query: np.ndarray, k: int) -> list[SearchResult]:
-        assert self._data is not None
-        ids = np.arange(self._data.shape[0])
-        distances = self._distances_bulk(query, ids)
-        order = stable_topk(distances, k)
-        return [SearchResult(int(i), float(distances[i])) for i in order]
-
     def _search_batch(self, queries: np.ndarray,
                       k: int) -> list[list[SearchResult]]:
         """All queries against all points with one matmul.
@@ -33,14 +26,12 @@ class BruteForceIndex(AnnIndex):
         The matmul form of the squared distance is only used to *select*
         candidates (with a small safety margin past ``k``); the selected
         ids are then re-scored with the exact gather kernel and stably
-        re-ranked, so the returned hits match :meth:`_search` bitwise.
+        re-ranked, so the reported distances are the canonical floats.
         """
         assert self._data is not None and self._sq_norms is not None
-        if not self.use_batched:
-            return super()._search_batch(queries, k)
         n = self._data.shape[0]
         d2 = matmul_sq_distances(self._data, self._sq_norms, queries)
-        # one matmul row == one full scan; count it like the scalar path
+        # one matmul row == one full scan of the data
         self.distance_computations += queries.shape[0] * n
         margin = min(n, k + 8)
         results: list[list[SearchResult]] = []

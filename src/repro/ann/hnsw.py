@@ -34,10 +34,6 @@ class HNSWIndex(AnnIndex):
         self._level_mult = 1.0 / math.log(m + 1)
         # layers[l][u] -> neighbor list of u at layer l
         self.layers: list[dict[int, list[int]]] = []
-        #: Frozen int64 adjacency per layer, built once after the
-        #: insertion loop; None during incremental construction, which
-        #: keeps the build on the mutable-list scalar path.
-        self._layer_arrays: list[dict[int, np.ndarray]] | None = None
         self.entry_point = 0
         self.max_level = -1
 
@@ -47,24 +43,9 @@ class HNSWIndex(AnnIndex):
     def _build(self, data: np.ndarray) -> None:
         rng = random.Random(self.seed)
         self.layers = []
-        self._layer_arrays = None
         self.max_level = -1
         for u in range(data.shape[0]):
             self._insert(data, u, rng)
-        self._freeze_layers()
-
-    def _freeze_layers(self) -> None:
-        """Snapshot per-layer adjacency as int64 arrays.
-
-        Duplicates are dropped keeping first occurrence — the scalar
-        search's visited set makes repeats no-ops, so this preserves
-        its semantics exactly.
-        """
-        self._layer_arrays = [
-            {u: np.fromiter(dict.fromkeys(nbrs), dtype=np.int64, count=-1)
-             for u, nbrs in layer.items()}
-            for layer in self.layers
-        ]
 
     def _insert_one(self, new_id: int) -> None:
         """Incremental insert — HNSW insertion is natively incremental.
@@ -77,10 +58,7 @@ class HNSWIndex(AnnIndex):
         """
         assert self._data is not None
         rng = random.Random(f"{self.seed}:{new_id}")
-        # drop to the mutable-list scalar path while the graph changes
-        self._layer_arrays = None
         self._insert(self._data, new_id, rng)
-        self._freeze_layers()
 
     def _random_level(self, rng: random.Random) -> int:
         return int(-math.log(max(rng.random(), 1e-12)) * self._level_mult)
@@ -156,60 +134,53 @@ class HNSWIndex(AnnIndex):
     # search
     # ------------------------------------------------------------------
     def _greedy_step(self, query: np.ndarray, entry: int, layer: int) -> int:
-        if self.use_batched and self._layer_arrays is not None:
-            return self._greedy_step_batched(query, entry, layer)
-        current = entry
-        d = self._distance(query, current)
-        improved = True
-        while improved:
-            improved = False
-            for neighbor in self.layers[layer].get(current, []):
-                dn = self._distance(query, neighbor)
-                if dn < d:
-                    current, d = neighbor, dn
-                    improved = True
-        return current
-
-    def _greedy_step_batched(self, query: np.ndarray, entry: int,
-                             layer: int) -> int:
         """Greedy descent scoring each node's whole adjacency at once.
 
-        One pass of the scalar loop scans every neighbor of the current
-        node and ends on the first-occurring minimum — which is exactly
-        ``argmin`` over the bulk distances, so the hop sequence and
-        ``distance_computations`` count match the scalar path.
+        Every hop moves to the nearest neighbor of the current node
+        (first-listed on ties) while that is strictly closer than the
+        current node itself.
         """
-        assert self._layer_arrays is not None
-        adjacency = self._layer_arrays[layer]
+        adjacency = self.layers[layer]
         current = entry
         d = self._distance(query, current)
         while True:
             nbrs = adjacency.get(current)
-            if nbrs is None or nbrs.size == 0:
+            if not nbrs:
                 return current
-            dists = self._distances_bulk(query, nbrs)
+            dists = self._distances_bulk(query, np.array(nbrs))
             j = int(np.argmin(dists))
             if not dists[j] < d:
                 return current
-            current, d = int(nbrs[j]), float(dists[j])
+            current, d = nbrs[j], float(dists[j])
 
     def _search_layer(self, query: np.ndarray, entry: int, layer: int,
                       ef: int) -> list[tuple[float, int]]:
-        if self.use_batched and self._layer_arrays is not None:
-            return self._search_layer_batched(query, entry, layer, ef)
+        """Best-first beam search within one layer.
+
+        The same body serves construction and query: it walks the live
+        neighbor lists, filters them against the visited set in Python,
+        and scores each expansion's whole frontier with one vectorized
+        distance call.
+        """
+        adjacency = self.layers[layer]
         d0 = self._distance(query, entry)
         visited = {entry}
         candidates = [(d0, entry)]
+        # best: max-heap (negated) of the ef closest found so far
         best: list[tuple[float, int]] = [(-d0, entry)]
         while candidates:
             dist, node = heapq.heappop(candidates)
             if dist > -best[0][0] and len(best) >= ef:
                 break
-            for neighbor in self.layers[layer].get(node, []):
-                if neighbor in visited:
-                    continue
-                visited.add(neighbor)
-                d = self._distance(query, neighbor)
+            fresh = []
+            for v in adjacency.get(node, ()):
+                if v not in visited:
+                    visited.add(v)
+                    fresh.append(v)
+            if not fresh:
+                continue
+            dists = self._distances_bulk(query, np.array(fresh))
+            for neighbor, d in zip(fresh, dists.tolist()):
                 if len(best) < ef or d < -best[0][0]:
                     heapq.heappush(candidates, (d, neighbor))
                     heapq.heappush(best, (-d, neighbor))
@@ -217,46 +188,14 @@ class HNSWIndex(AnnIndex):
                         heapq.heappop(best)
         return sorted((-negd, node) for negd, node in best)
 
-    def _search_layer_batched(self, query: np.ndarray, entry: int,
-                              layer: int, ef: int) -> list[tuple[float, int]]:
-        """Frontier-batched layer search (see ProximityGraphIndex).
-
-        Unvisited neighbors are gathered and scored with one vectorized
-        distance call per expansion; the heap updates replay the scalar
-        loop over the precomputed distances, preserving bit-identical
-        results and the same ``distance_computations`` count.
-        """
-        assert self._data is not None and self._layer_arrays is not None
-        adjacency = self._layer_arrays[layer]
-        d0 = self._distance(query, entry)
-        visited = np.zeros(self._data.shape[0], dtype=bool)
-        visited[entry] = True
-        candidates = [(d0, entry)]
-        best: list[tuple[float, int]] = [(-d0, entry)]
-        while candidates:
-            dist, node = heapq.heappop(candidates)
-            if dist > -best[0][0] and len(best) >= ef:
-                break
-            nbrs = adjacency.get(node)
-            if nbrs is None or nbrs.size == 0:
-                continue
-            fresh = nbrs[~visited[nbrs]]
-            if fresh.size == 0:
-                continue
-            visited[fresh] = True
-            dists = self._distances_bulk(query, fresh)
-            for neighbor, d in zip(fresh.tolist(), dists.tolist()):
-                if len(best) < ef or d < -best[0][0]:
-                    heapq.heappush(candidates, (d, neighbor))
-                    heapq.heappush(best, (-d, neighbor))
-                    if len(best) > ef:
-                        heapq.heappop(best)
-        return sorted((-negd, node) for negd, node in best)
-
-    def _search(self, query: np.ndarray, k: int) -> list[SearchResult]:
-        entry = self.entry_point
-        for l in range(self.max_level, 0, -1):
-            entry = self._greedy_step(query, entry, l)
+    def _search_batch(self, queries: np.ndarray,
+                      k: int) -> list[list[SearchResult]]:
         ef = max(self.ef_search, k)
-        hits = self._search_layer(query, entry, 0, ef)
-        return [SearchResult(node, d) for d, node in hits[:k]]
+        results: list[list[SearchResult]] = []
+        for query in queries:
+            entry = self.entry_point
+            for l in range(self.max_level, 0, -1):
+                entry = self._greedy_step(query, entry, l)
+            hits = self._search_layer(query, entry, 0, ef)
+            results.append([SearchResult(node, d) for d, node in hits[:k]])
+        return results

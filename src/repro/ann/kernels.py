@@ -1,11 +1,11 @@
 """Vectorized numeric kernels shared by the ANN indexes.
 
-The scalar search paths evaluate one point-to-query distance per Python
-call; the batched paths gather whole frontiers and evaluate them in one
-numpy expression.  Both must agree *bitwise* so that batched search is
-a pure performance change: every kernel here fixes one canonical
-floating-point evaluation order, and the scalar helpers in
-:class:`~repro.ann.base.AnnIndex` route through the same expressions.
+The search bodies gather whole frontiers and evaluate them in one numpy
+expression; the scalar references under ``tests/ann_oracle.py``
+evaluate one point-to-query distance per call.  Both must agree
+*bitwise*, so every kernel here fixes one canonical floating-point
+evaluation order and :class:`~repro.ann.base.AnnIndex`'s distance
+helpers route through the same expressions.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ def gathered_distances(data: np.ndarray, ids: np.ndarray,
 
     This is the canonical distance evaluation order: a single-row call
     (``ids`` of length 1) produces bit-identical values to a bulk call,
-    so scalar and batched searches see the same floats.
+    however a search groups its evaluations.
     """
     diff = data[ids] - query
     return np.sqrt(np.einsum("ij,ij->i", diff, diff))
@@ -44,7 +44,7 @@ def matmul_sq_distances(data: np.ndarray, sq_norms: np.ndarray,
     slightly negative in floating point).  Used for *candidate
     selection* only — callers recompute the exact distances of the
     selected ids with :func:`gathered_distances` so reported values
-    match the scalar path bitwise.
+    are the canonical floats.
     """
     q_norms = np.einsum("ij,ij->i", queries, queries)
     d2 = q_norms[:, None] - 2.0 * (queries @ data.T) + sq_norms[None, :]

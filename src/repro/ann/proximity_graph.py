@@ -42,14 +42,6 @@ class ProximityGraphIndex(AnnIndex):
         self.candidate_pool = candidate_pool
         self.ef_search = ef_search
         self.neighbors: list[list[int]] = []
-        #: Frozen int64 copy of ``neighbors`` built once at the end of
-        #: :meth:`_build`; the batched beam search gathers whole
-        #: adjacency rows from it instead of iterating Python lists.
-        self._neighbor_arrays: list[np.ndarray] | None = None
-        #: Same adjacency as plain Python int lists — the lockstep
-        #: multi-query search filters tiny neighbor lists against a
-        #: visited set faster in Python than via fancy indexing.
-        self._neighbor_lists: list[list[int]] = []
         self.entry_point = 0
 
     # ------------------------------------------------------------------
@@ -59,10 +51,8 @@ class ProximityGraphIndex(AnnIndex):
         n = data.shape[0]
         pool = min(self.candidate_pool, n - 1)
         self.neighbors = [[] for __ in range(n)]
-        self._neighbor_arrays = None
         if n == 1:
             self.entry_point = 0
-            self._freeze_neighbors()
             return
         knn = self._exact_knn(data, pool)
         for u in range(n):
@@ -81,21 +71,6 @@ class ProximityGraphIndex(AnnIndex):
             self.neighbors[u] = selected
         self.entry_point = self._medoid(data)
         self._repair_connectivity(data)
-        self._freeze_neighbors()
-
-    def _freeze_neighbors(self) -> None:
-        """Snapshot adjacency as int64 arrays for the batched kernel.
-
-        Duplicate entries are dropped keeping first occurrence — the
-        scalar search's visited set makes repeats no-ops, so deduping
-        preserves its semantics exactly.
-        """
-        frozen: list[np.ndarray] = []
-        for nbrs in self.neighbors:
-            frozen.append(np.fromiter(
-                dict.fromkeys(nbrs), dtype=np.int64, count=-1))
-        self._neighbor_arrays = frozen
-        self._neighbor_lists = [arr.tolist() for arr in frozen]
 
     def _insert_one(self, new_id: int) -> None:
         """Incremental insert: local occlusion pruning, no rebuild.
@@ -115,7 +90,6 @@ class ProximityGraphIndex(AnnIndex):
             # first vector, or insert into a 1-row index built fresh
             self.neighbors = [[] for __ in range(new_id + 1)]
             self.entry_point = 0
-            self._freeze_neighbors()
             return
         diffs = data[:new_id] - data[new_id]
         dists = np.sqrt(np.einsum("ij,ij->i", diffs, diffs))
@@ -141,7 +115,6 @@ class ProximityGraphIndex(AnnIndex):
             # attach from the nearest node anyway so routing can reach us
             nearest = int(order[0])
             self.neighbors[nearest].append(new_id)
-        self._freeze_neighbors()
 
     @staticmethod
     def _exact_knn(data: np.ndarray, k: int) -> np.ndarray:
@@ -218,120 +191,23 @@ class ProximityGraphIndex(AnnIndex):
     # ------------------------------------------------------------------
     # search: greedy beam routing
     # ------------------------------------------------------------------
-    def _search(self, query: np.ndarray, k: int) -> list[SearchResult]:
-        ef = max(self.ef_search, k)
-        results = self._beam_search(query, ef)
-        return results[:k]
-
-    def _beam_search(self, query: np.ndarray, ef: int,
-                     entry: int | None = None) -> list[SearchResult]:
-        """Best-first beam search; returns up to ``ef`` hits by distance.
-
-        Dispatches to the batched frontier kernel unless
-        ``use_batched`` is off; both paths visit the same nodes in the
-        same order and return bit-identical hits.
-        """
-        if self.use_batched and self._neighbor_arrays is not None:
-            return self._beam_search_batched(query, ef, entry)
-        return self._beam_search_scalar(query, ef, entry)
-
-    def _beam_search_scalar(self, query: np.ndarray, ef: int,
-                            entry: int | None = None) -> list[SearchResult]:
-        """Reference implementation: one distance per Python iteration."""
-        start = self.entry_point if entry is None else entry
-        d0 = self._distance(query, start)
-        visited = {start}
-        # candidates: min-heap by distance; frontier of the search
-        candidates: list[tuple[float, int]] = [(d0, start)]
-        # best: max-heap (negated) of the ef closest found so far
-        best: list[tuple[float, int]] = [(-d0, start)]
-        while candidates:
-            dist, node = heapq.heappop(candidates)
-            if dist > -best[0][0] and len(best) >= ef:
-                break
-            for neighbor in self.neighbors[node]:
-                if neighbor in visited:
-                    continue
-                visited.add(neighbor)
-                d = self._distance(query, neighbor)
-                if len(best) < ef or d < -best[0][0]:
-                    heapq.heappush(candidates, (d, neighbor))
-                    heapq.heappush(best, (-d, neighbor))
-                    if len(best) > ef:
-                        heapq.heappop(best)
-        hits = sorted(((-negd, node) for negd, node in best))
-        return [SearchResult(node, d) for d, node in hits]
-
-    def _beam_search_batched(self, query: np.ndarray, ef: int,
-                             entry: int | None = None) -> list[SearchResult]:
-        """Frontier-batched beam search.
-
-        Per node expansion: gather the unvisited neighbors with one
-        fancy index, mark them in a boolean visited array, and score
-        the whole frontier with a single vectorized distance call.  The
-        heap updates then replay the scalar loop over precomputed
-        distances, so the hit set, its ordering and the
-        ``distance_computations`` count all match the scalar path.
-        """
-        assert self._data is not None and self._neighbor_arrays is not None
-        start = self.entry_point if entry is None else entry
-        d0 = self._distance(query, start)
-        visited = np.zeros(self._data.shape[0], dtype=bool)
-        visited[start] = True
-        candidates: list[tuple[float, int]] = [(d0, start)]
-        best: list[tuple[float, int]] = [(-d0, start)]
-        arrays = self._neighbor_arrays
-        while candidates:
-            dist, node = heapq.heappop(candidates)
-            if dist > -best[0][0] and len(best) >= ef:
-                break
-            nbrs = arrays[node]
-            if nbrs.size == 0:
-                continue
-            fresh = nbrs[~visited[nbrs]]
-            if fresh.size == 0:
-                continue
-            visited[fresh] = True
-            dists = self._distances_bulk(query, fresh)
-            for neighbor, d in zip(fresh.tolist(), dists.tolist()):
-                if len(best) < ef or d < -best[0][0]:
-                    heapq.heappush(candidates, (d, neighbor))
-                    heapq.heappush(best, (-d, neighbor))
-                    if len(best) > ef:
-                        heapq.heappop(best)
-        hits = sorted(((-negd, node) for negd, node in best))
-        return [SearchResult(node, d) for d, node in hits]
-
     def _search_batch(self, queries: np.ndarray,
                       k: int) -> list[list[SearchResult]]:
-        if not self.use_batched or self._neighbor_arrays is None:
-            return super()._search_batch(queries, k)
-        return [[SearchResult(node, d) for node, d in row]
-                for row in self._lockstep_search(queries, k)]
+        """Lockstep best-first beam search from the entry point.
 
-    def _search_batch_pairs(self, queries: np.ndarray,
-                            k: int) -> list[list[tuple[int, float]]]:
-        if not self.use_batched or self._neighbor_arrays is None:
-            return super()._search_batch_pairs(queries, k)
-        return self._lockstep_search(queries, k)
-
-    def _lockstep_search(self, queries: np.ndarray,
-                         k: int) -> list[list[tuple[int, float]]]:
-        """Lockstep beam search for many queries at once.
-
-        Each query runs exactly the scalar beam search — same pops,
-        same visit order, same heap updates — but every round the
-        frontier expansions of *all* still-active queries are scored
-        with one concatenated gather + einsum, amortizing the numpy
-        call overhead across the batch.  The returned ``(node,
-        distance)`` rows are bit-identical to
-        ``[self.search(q, k) for q in queries]``.
+        Each query runs its own beam search — pop the nearest
+        candidate, stop once it is farther than the ``ef``-th best,
+        expand its unvisited neighbors — but every round the frontier
+        expansions of *all* still-active queries are scored with one
+        concatenated gather + einsum, amortizing the numpy call
+        overhead across the batch.  A query's pops, visit order and
+        heap updates do not depend on its batch mates.
         """
         assert self._data is not None
         m = queries.shape[0]
         n = self._data.shape[0]
         ef = max(self.ef_search, k)
-        lists = self._neighbor_lists
+        lists = self.neighbors
         start = self.entry_point
         # entry distances for every query in one shot (rows are x - q,
         # the canonical evaluation order of the gather kernel)
@@ -342,8 +218,8 @@ class ProximityGraphIndex(AnnIndex):
         candidates: list[list[tuple[float, int]]] = []
         # ``best`` as an ascending sorted list keyed ``(d, -node)``:
         # ``insort``/``pop()`` are C calls, and popping the tail drops
-        # (max distance, min node) — the exact element the scalar
-        # max-heap keyed ``(-d, node)`` evicts, ties included.
+        # (max distance, min node) — the element a max-heap keyed
+        # ``(-d, node)`` evicts, ties included.
         best: list[list[tuple[float, int]]] = []
         for qi in range(m):
             d0 = d0s[qi]
@@ -402,10 +278,10 @@ class ProximityGraphIndex(AnnIndex):
                         if len(top) > ef:
                             top.pop()
                 offset += size
-        results: list[list[tuple[int, float]]] = []
-        for qi in range(m):
-            hits = sorted((d, -negnode) for d, negnode in best[qi])
-            results.append([(node, d) for d, node in hits[:k]])
+        results: list[list[SearchResult]] = []
+        for top in best:
+            hits = sorted((d, -negnode) for d, negnode in top)
+            results.append([SearchResult(node, d) for d, node in hits[:k]])
         return results
 
     # ------------------------------------------------------------------

@@ -57,7 +57,11 @@ class VPTreeIndex(AnnIndex):
         node.outside = self._build_node(data, outside, rng)
         return node
 
-    def _search(self, query: np.ndarray, k: int) -> list[SearchResult]:
+    def _search_batch(self, queries: np.ndarray,
+                      k: int) -> list[list[SearchResult]]:
+        return [self._descend(query, k) for query in queries]
+
+    def _descend(self, query: np.ndarray, k: int) -> list[SearchResult]:
         if self._root is None:
             raise IndexError_("index not built")  # pragma: no cover
         # max-heap of the k best (negated distances)

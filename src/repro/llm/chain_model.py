@@ -260,62 +260,6 @@ class ChainLanguageModel:
         probs /= probs.sum()
         return probs
 
-    def next_distribution_batch(self, states: Sequence[GenerationState],
-                                temperature: float = 1.0) -> np.ndarray:
-        """Batched :meth:`next_distribution`: one ``(N, vocab)`` matrix.
-
-        The N sparse ``phi(state)`` vectors are assembled CSR-style into
-        one dense design matrix and scored with a single
-        ``Phi @ W.T`` matmul, so per-call numpy overhead is paid once
-        per *batch* instead of once per state.  Row ``i`` equals
-        ``next_distribution(states[i])`` up to floating-point summation
-        order (BLAS matmul vs. per-state dot), which leaves argmax /
-        top-k decoding decisions identical on non-degenerate inputs.
-        """
-        if temperature <= 0:
-            raise ModelError("temperature must be > 0")
-        states = list(states)
-        if not states:
-            return np.zeros((0, self.vocab_size))
-        indptr, indices, values = self.featurize_csr(states)
-        phi = np.zeros((len(states), self.n_features))
-        for row in range(len(states)):
-            sl = slice(indptr[row], indptr[row + 1])
-            phi[row, indices[sl]] = values[sl]
-        logits = (phi @ self._weights.T) / temperature
-        mask = np.full((len(states), self.vocab_size), -np.inf)
-        for row, state in enumerate(states):
-            mask[row, self.candidate_ids(state)] = 0.0
-        logits += mask
-        logits -= logits.max(axis=1, keepdims=True)
-        probs = np.exp(logits)
-        probs /= probs.sum(axis=1, keepdims=True)
-        return probs
-
-    def featurize_csr(self, states: Sequence[GenerationState]
-                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """CSR-style batch featurization: ``(indptr, indices, values)``.
-
-        ``indices[indptr[i]:indptr[i+1]]`` / ``values[...]`` hold the
-        sparse feature vector of ``states[i]`` (the same entries as
-        :meth:`featurize`, as flat arrays ready for scatter/gather).
-        """
-        indptr = np.zeros(len(states) + 1, dtype=np.int64)
-        all_indices: list[np.ndarray] = []
-        all_values: list[np.ndarray] = []
-        for row, state in enumerate(states):
-            features = self.featurize(state)
-            all_indices.append(np.fromiter(features.keys(), dtype=np.int64,
-                                           count=len(features)))
-            all_values.append(np.fromiter(features.values(),
-                                          dtype=np.float64,
-                                          count=len(features)))
-            indptr[row + 1] = indptr[row] + len(features)
-        if not states:
-            return indptr, np.empty(0, np.int64), np.empty(0, np.float64)
-        return indptr, np.concatenate(all_indices), \
-            np.concatenate(all_values)
-
     def log_prob(self, state: GenerationState, api_name: str) -> float:
         """log P(api_name | state)."""
         probs = self.next_distribution(state)

@@ -9,7 +9,7 @@ Two execution paths share one model:
 
 * the scalar path (:func:`greedy_decode`, :func:`sample_decode`) calls
   :meth:`~repro.llm.chain_model.ChainLanguageModel.next_distribution`
-  once per state per step — simple, and the perf-gate baseline;
+  once per state per step;
 * the batched path (:func:`greedy_decode_batch`, and
   :func:`beam_decode`, which expands all live beams per step through
   one call) scores whole fleets of states with a single matmul via

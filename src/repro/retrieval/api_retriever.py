@@ -78,52 +78,36 @@ class APIRetriever:
         spec = self.registry.get(name)
         return f"{name.replace('_', ' ')}. {spec.description}"
 
-    def _embed_query(self, text: str):
-        """Embed ``text``, consulting the optional query cache."""
-        if self.embed_cache is None:
-            return self.embedder.embed(text)
-        vector = self.embed_cache.get(text)
-        if vector is None:
-            vector = self.embedder.embed(text)
-            self.embed_cache.put(text, vector)
-        return vector
-
     def _embed_queries(self, texts: list[str]
-                       ) -> dict[str, "np.ndarray | None"]:
-        """Embed many query texts, batching cache misses together.
+                       ) -> "dict[str, np.ndarray | EmbeddingError]":
+        """Embed each distinct text, consulting the optional query cache.
 
-        Returns a mapping from each distinct text to its vector, or
-        ``None`` where the text cannot be embedded (the per-text
-        equivalent of :meth:`_embed_query` raising
-        :class:`~repro.errors.EmbeddingError`).  Vectors that came from
-        the cache are shared references and must not be mutated.
+        Maps every text to its vector, or to the embedder's
+        :class:`~repro.errors.EmbeddingError` where the text cannot be
+        embedded.  Vectors that came from the cache are shared
+        references and must not be mutated.
         """
-        vectors: dict[str, np.ndarray | None] = {}
-        misses: list[str] = []
+        vectors: dict[str, np.ndarray | EmbeddingError] = {}
+        cache = self.embed_cache
         for text in dict.fromkeys(texts):
-            cached = (self.embed_cache.get(text)
-                      if self.embed_cache is not None else None)
-            if cached is not None:
-                vectors[text] = cached
-            else:
-                misses.append(text)
-        if not misses:
-            return vectors
-        try:
-            pairs = list(zip(misses, self.embedder.embed_batch(misses)))
-        except EmbeddingError:
-            # rare path: isolate the unembeddable text(s) one by one
-            pairs = []
-            for text in misses:
+            vector = cache.get(text) if cache is not None else None
+            if vector is None:
                 try:
-                    pairs.append((text, self.embedder.embed(text)))
-                except EmbeddingError:
-                    vectors[text] = None
-        for text, vector in pairs:
-            if self.embed_cache is not None:
-                self.embed_cache.put(text, vector)
+                    vector = self.embedder.embed(text)
+                except EmbeddingError as exc:
+                    vectors[text] = exc
+                    continue
+                if cache is not None:
+                    cache.put(text, vector)
             vectors[text] = vector
         return vectors
+
+    def _resolve_k(self, k: int | None) -> int:
+        if k is None:
+            return self.config.top_k_apis
+        if k < 1:
+            raise IndexError_("k must be >= 1")
+        return k
 
     # ------------------------------------------------------------------
     def retrieve(self, text: str, k: int | None = None,
@@ -131,70 +115,47 @@ class APIRetriever:
                  ) -> list[RetrievedAPI]:
         """Top-k APIs for ``text``, optionally filtered by category.
 
-        The category filter is applied *after* ANN search with an
-        enlarged candidate pool, so filtered queries still return k
-        results whenever k are available.
+        A batch of one: ``retrieve_batch([text], k, [categories])[0]``,
+        except that unembeddable text raises the embedder's
+        :class:`~repro.errors.EmbeddingError` instead of yielding
+        ``None``.
         """
-        k = k or self.config.top_k_apis
-        query = self._embed_query(text)
-        pool = self._pool_size(k, categories)
-        hits = self.index.search(query, k=pool)
-        return self._rank(hits, k, categories)
-
-    def _pool_size(self, k: int,
-                   categories: tuple[Category, ...] | None) -> int:
-        return k if categories is None else min(len(self._names), 4 * k)
-
-    def _rank(self, hits, k: int,
-              categories: tuple[Category, ...] | None
-              ) -> list[RetrievedAPI]:
-        """Apply the category filter and re-rank the surviving hits."""
-        results: list[RetrievedAPI] = []
-        names, hit_categories = self._names, self._hit_categories
-        for hit in hits:
-            vector_id = hit.vector_id
-            if (categories is not None
-                    and hit_categories[vector_id] not in categories):
-                continue
-            results.append(RetrievedAPI(name=names[vector_id],
-                                        distance=hit.distance,
-                                        rank=len(results)))
-            if len(results) == k:
-                break
-        return results
+        hits = self.retrieve_batch([text], k, [categories])[0]
+        if hits is None:
+            raise self._embed_queries([text])[text]
+        return hits
 
     def retrieve_batch(self, texts: list[str], k: int | None = None,
                        categories_per: "list[tuple[Category, ...] | None] "
                        "| None" = None
                        ) -> list[list[RetrievedAPI] | None]:
-        """Batched :meth:`retrieve`: one result list per input text.
+        """Top-k APIs per input text; ``None`` where it cannot be embedded.
 
-        Query embeddings are computed through one ``embed_batch`` call
-        (cache misses only) and the ANN index is queried with
-        ``search_batch``, so the per-query Python overhead is amortized
-        across the whole batch.  Results match the scalar path exactly;
-        an entry is ``None`` where :meth:`retrieve` would have raised
-        :class:`~repro.errors.EmbeddingError` for that text.
+        Each distinct text is embedded once (cache misses only) and the
+        ANN index is queried with ``search_batch``, so the per-query
+        Python overhead is amortized across the whole batch.  The
+        category filter is applied *after* ANN search with an enlarged
+        candidate pool, so filtered queries still return k results
+        whenever k are available.
         """
-        k = k or self.config.top_k_apis
+        k = self._resolve_k(k)
         if categories_per is None:
             categories_per = [None] * len(texts)
         if len(categories_per) != len(texts):
             raise IndexError_("categories_per must match texts in length")
-        vectors = self._embed_queries(list(texts))
+        vectors = self._embed_queries(texts)
         results: list[list[RetrievedAPI] | None] = [None] * len(texts)
-        # group by candidate-pool size so each index query uses exactly
-        # the k the scalar path would have used (keeps hit lists, and
-        # thus truncation behavior, identical)
+        # group by candidate-pool size: a query's pool (and thus its
+        # hit list and truncation) must not depend on its batch mates
         by_pool: dict[int, list[int]] = {}
         for i, (text, categories) in enumerate(zip(texts, categories_per)):
-            if vectors[text] is None:
+            if isinstance(vectors[text], EmbeddingError):
                 continue
-            by_pool.setdefault(self._pool_size(k, categories),
-                               []).append(i)
+            pool = k if categories is None else min(len(self._names), 4 * k)
+            by_pool.setdefault(pool, []).append(i)
         for pool, rows in by_pool.items():
             queries = np.stack([vectors[texts[i]] for i in rows])
-            hit_lists = self.index.search_batch_pairs(queries, k=pool)
+            hit_lists = self.index.search_batch(queries, k=pool)
             for i, hits in zip(rows, hit_lists):
                 results[i] = self._rank_pairs(hits, k, categories_per[i])
         return results
@@ -202,7 +163,7 @@ class APIRetriever:
     def _rank_pairs(self, hits: "list[tuple[int, float]]", k: int,
                     categories: tuple[Category, ...] | None
                     ) -> list[RetrievedAPI]:
-        """:meth:`_rank` over raw ``(vector_id, distance)`` pairs."""
+        """Apply the category filter and re-rank the surviving hits."""
         results: list[RetrievedAPI] = []
         names, hit_categories = self._names, self._hit_categories
         for vector_id, distance in hits:
@@ -226,8 +187,8 @@ class APIRetriever:
     def exact_retrieve(self, text: str, k: int | None = None
                        ) -> list[RetrievedAPI]:
         """Brute-force retrieval (ground truth for recall benchmarks)."""
-        k = k or self.config.top_k_apis
-        query = self._embed_query(text)
+        k = self._resolve_k(k)
+        query = self.embedder.embed(text)
         distances = np.linalg.norm(self._vectors - query, axis=1)
         order = np.argsort(distances, kind="stable")[:k]
         return [RetrievedAPI(name=self._names[int(i)],

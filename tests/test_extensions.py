@@ -1,6 +1,5 @@
-"""Tests for the extension modules: assortativity, VP-tree, model
-persistence, GraphML, the new catalog APIs and the random molecule
-generator."""
+"""Tests for the extension modules: assortativity, model persistence,
+GraphML, the new catalog APIs and the random molecule generator."""
 
 import io
 
@@ -11,7 +10,6 @@ from repro.algorithms import (
     attribute_assortativity,
     degree_assortativity,
 )
-from repro.ann import BruteForceIndex, VPTreeIndex
 from repro.apis import APIChain, ChainContext, ChainExecutor, ChainNode
 from repro.chem import parse_smiles, random_molecule, write_smiles
 from repro.errors import ChatGraphError, GraphError, GraphIOError, ModelError
@@ -67,31 +65,6 @@ class TestAssortativity:
         g.add_node(2, team="a")
         g.add_edge(1, 2)
         assert attribute_assortativity(g, "team") == 1.0
-
-
-class TestVPTree:
-    def test_exact_agreement_with_brute_force(self):
-        rng = np.random.default_rng(1)
-        data = rng.normal(size=(300, 8))
-        queries = rng.normal(size=(15, 8))
-        vp = VPTreeIndex().build(data)
-        bf = BruteForceIndex().build(data)
-        for q in queries:
-            assert [h.vector_id for h in vp.search(q, 5)] == \
-                [h.vector_id for h in bf.search(q, 5)]
-
-    def test_prunes_in_low_dimension(self):
-        rng = np.random.default_rng(2)
-        data = rng.normal(size=(2000, 2))
-        vp = VPTreeIndex().build(data)
-        vp.reset_counters()
-        for q in rng.normal(size=(20, 2)):
-            vp.search(q, 1)
-        assert vp.distance_computations / 20 < len(data) / 2
-
-    def test_single_point(self):
-        vp = VPTreeIndex().build(np.array([[1.0, 1.0]]))
-        assert vp.search(np.zeros(2), 1)[0].vector_id == 0
 
 
 class TestModelPersistence:

@@ -1,11 +1,7 @@
 """Behavioral tests for internals that the happy paths exercise only
-indirectly: report rendering, executor summaries, HNSW shrinking, the
-proximity-graph connectivity repair, and TF-IDF weighting details."""
+indirectly: report rendering, executor summaries, and TF-IDF weighting
+details."""
 
-import numpy as np
-import pytest
-
-from repro.ann import HNSWIndex, TauMGIndex
 from repro.apis.executor import _summarize
 from repro.core.reports import _format, render_answer
 from repro.embedding import TfidfModel, Vocabulary
@@ -42,43 +38,6 @@ class TestReportFormatting:
 
     def test_summarize_caps_length(self):
         assert len(_summarize({"k": "v" * 200})) <= 70
-
-
-class TestHnswInternals:
-    def test_degree_caps_respected(self):
-        rng = np.random.default_rng(0)
-        data = rng.normal(size=(400, 8))
-        index = HNSWIndex(m=6).build(data)
-        for layer_no, layer in enumerate(index.layers):
-            cap = index.m0 if layer_no == 0 else index.m
-            for node, neighbors in layer.items():
-                assert len(neighbors) <= cap, (layer_no, node)
-
-    def test_layer_sizes_shrink(self):
-        rng = np.random.default_rng(1)
-        data = rng.normal(size=(600, 8))
-        index = HNSWIndex(seed=2).build(data)
-        sizes = [len(layer) for layer in index.layers]
-        assert sizes[0] == 600
-        assert all(a >= b for a, b in zip(sizes, sizes[1:]))
-
-
-class TestConnectivityRepair:
-    def test_clustered_data_stays_reachable(self):
-        # two far-apart gaussian blobs: naive occlusion graphs can
-        # disconnect them; the repair must reconnect everything
-        rng = np.random.default_rng(3)
-        blob_a = rng.normal(loc=0.0, size=(150, 8))
-        blob_b = rng.normal(loc=60.0, size=(150, 8))
-        data = np.vstack([blob_a, blob_b])
-        index = TauMGIndex(tau=0.05, candidate_pool=16).build(data)
-        reachable = index._reachable_from_entry(len(data))
-        assert len(reachable) == len(data)
-        # queries near either blob find their true neighbors
-        hit_a = index.search(blob_a[0], 1)[0]
-        assert hit_a.distance < 1e-9
-        hit_b = index.search(blob_b[0], 1)[0]
-        assert hit_b.distance < 1e-9
 
 
 class TestTfidfDetails:

@@ -1,11 +1,11 @@
 """Batched decode kernels vs their scalar references.
 
-The batched model surface (``next_distribution_batch``,
-``greedy_decode_batch``, the ``BatchScorer`` behind beam search) must
-make the *same decoding decisions* as the scalar path — these tests pin
-that down with property-based state generation, a 10-step beam
-regression against an independent reference implementation, and the
-masked-token expansion rule.
+The batched model surface (``greedy_decode_batch``, and the
+``BatchScorer`` behind it and beam search) must make the *same decoding
+decisions* as the scalar path — these tests pin that down with
+property-based state generation, a 10-step beam regression against an
+independent reference implementation, and the masked-token expansion
+rule.
 """
 
 import math
@@ -71,10 +71,22 @@ def trained_model():
 
 
 # ---------------------------------------------------------------------------
-# next_distribution_batch == per-state next_distribution
+# BatchScorer.distributions == per-state next_distribution
 # ---------------------------------------------------------------------------
 
 subsets = st.lists(st.sampled_from(APIS), unique=True, max_size=5)
+
+
+def _assert_rows_match_scalar(model, probs, states):
+    assert probs.shape == (len(states), model.vocab_size)
+    for row, state in enumerate(states):
+        scalar = model.next_distribution(state)
+        np.testing.assert_allclose(probs[row], scalar,
+                                   rtol=1e-12, atol=1e-15)
+        # the decisions decoding actually takes must be identical
+        assert int(np.argmax(probs[row])) == int(np.argmax(scalar))
+        # masked (disallowed) candidates are exactly zero in both
+        assert np.array_equal(probs[row] == 0.0, scalar == 0.0)
 
 
 @settings(max_examples=60, deadline=None,
@@ -86,25 +98,21 @@ subsets = st.lists(st.sampled_from(APIS), unique=True, max_size=5)
 def test_batch_distribution_matches_scalar(texts, retrieved, allowed,
                                            prefix, seed):
     model = ChainLanguageModel(api_names=APIS, seed=seed)
-    states = [_state(text, retrieved=retrieved, allowed=allowed,
-                     prefix=tuple(prefix),
-                     graph_tokens=(("nodes", len(text)),))
-              for text in texts]
-    batch = model.next_distribution_batch(states)
-    assert batch.shape == (len(states), model.vocab_size)
-    for row, state in enumerate(states):
-        scalar = model.next_distribution(state)
-        np.testing.assert_allclose(batch[row], scalar,
-                                   rtol=1e-12, atol=1e-15)
-        # the decisions decoding actually takes must be identical
-        assert int(np.argmax(batch[row])) == int(np.argmax(scalar))
-        # masked (disallowed) candidates are exactly zero in both
-        assert np.array_equal(batch[row] == 0.0, scalar == 0.0)
+    lanes = [_state(text, retrieved=retrieved, allowed=allowed,
+                    graph_tokens=(("nodes", len(text)),))
+             for text in texts]
+    scorer = BatchScorer(model, lanes)
+    # every lane advanced by the same prefix, as a decode would
+    states = lanes
+    for name in prefix:
+        states = [state.advance(name) for state in states]
+    probs = scorer.distributions(states, list(range(len(states))))
+    _assert_rows_match_scalar(model, probs, states)
 
 
 def test_batch_distribution_empty_input():
     model = ChainLanguageModel(api_names=APIS, seed=0)
-    out = model.next_distribution_batch([])
+    out = BatchScorer(model, []).distributions([], [])
     assert out.shape == (0, model.vocab_size)
 
 
@@ -113,10 +121,7 @@ def test_batch_scorer_matches_scalar(trained_model):
               for p in PROMPTS]
     scorer = BatchScorer(trained_model, states)
     probs = scorer.distributions(states, list(range(len(states))))
-    for row, state in enumerate(states):
-        np.testing.assert_allclose(
-            probs[row], trained_model.next_distribution(state),
-            rtol=1e-12, atol=1e-15)
+    _assert_rows_match_scalar(trained_model, probs, states)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 
 from repro.apis import APIRegistry, Category
 from repro.config import RetrievalConfig
-from repro.errors import IndexError_
+from repro.errors import EmbeddingError, IndexError_
 from repro.retrieval import APIRetriever
 
 
@@ -43,6 +43,17 @@ class TestRetrieval:
         retriever = APIRetriever(registry,
                                  RetrievalConfig(top_k_apis=3))
         assert len(retriever.retrieve("anything graph related")) == 3
+
+    def test_k_below_one_rejected_not_defaulted(self, registry):
+        """``k=0`` is an error, as in ``AnnIndex.search`` — not the default."""
+        retriever = APIRetriever(registry)
+        for k in (0, -1):
+            with pytest.raises(IndexError_):
+                retriever.retrieve("count nodes", k=k)
+            with pytest.raises(IndexError_):
+                retriever.retrieve_batch(["count nodes"], k=k)
+            with pytest.raises(IndexError_):
+                retriever.exact_retrieve("count nodes", k=k)
 
     def test_empty_registry_rejected(self):
         with pytest.raises(IndexError_):
@@ -89,6 +100,18 @@ class TestRetrieveBatch:
         for i, text in enumerate(texts):
             assert batch[i] == retriever.retrieve(
                 text, k=4, categories=categories_per[i])
+
+    def test_unembeddable_text(self, registry):
+        """``None`` in a batch; the embedder's own error for a lone query."""
+        retriever = APIRetriever(registry)
+        batch = retriever.retrieve_batch(["count the nodes", "", "?!"], k=3)
+        assert batch[0] == retriever.retrieve("count the nodes", k=3)
+        assert batch[1:] == [None, None]
+        with pytest.raises(EmbeddingError) as raised:
+            retriever.retrieve("?!", k=3)
+        with pytest.raises(EmbeddingError) as direct:
+            retriever.embedder.embed("?!")
+        assert str(raised.value) == str(direct.value)
 
     def test_categories_length_mismatch_rejected(self, registry):
         retriever = APIRetriever(registry)
