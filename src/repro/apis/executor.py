@@ -21,7 +21,6 @@ from __future__ import annotations
 import random
 import threading
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
@@ -32,7 +31,7 @@ from ..errors import (
     StepTimeoutError,
 )
 from ..graphs.graph import Graph
-from ..obs.trace import NULL_SPAN
+from ..obs.trace import span
 from .chain import APIChain, ChainNode
 from .registry import APIRegistry, APISpec
 
@@ -327,12 +326,6 @@ class ChainExecutor:
         self.tracer = tracer
         self._listeners: list[Listener] = []
 
-    def _tspan(self, name: str, kind: str, **attrs: Any):
-        """A tracer span, or a no-op context when tracing is unwired."""
-        if self.tracer is None:
-            return nullcontext(NULL_SPAN)
-        return self.tracer.span(name, kind=kind, **attrs)
-
     def add_listener(self, listener: Listener) -> None:
         self._listeners.append(listener)
 
@@ -403,9 +396,9 @@ class ChainExecutor:
         timed_out = False
         while attempts < max_attempts:
             try:
-                with self._tspan("attempt", "attempt",
-                                 api=node.api_name, step_index=index,
-                                 attempt=attempts + 1):
+                with span(self.tracer, "attempt", kind="attempt",
+                          api=node.api_name, step_index=index,
+                          attempt=attempts + 1):
                     result = self._guarded_call(spec, context,
                                                 node.params, step_policy,
                                                 start, index)
@@ -439,9 +432,9 @@ class ChainExecutor:
         if fallback is not None and fallback in self.registry:
             fallback_spec = self.registry.get(fallback)
             try:
-                with self._tspan("attempt", "attempt", api=fallback,
-                                 step_index=index, attempt=attempts + 1,
-                                 fallback=True):
+                with span(self.tracer, "attempt", kind="attempt",
+                          api=fallback, step_index=index,
+                          attempt=attempts + 1, fallback=True):
                     result = self._guarded_call(fallback_spec, context,
                                                 {}, step_policy, start,
                                                 index)
@@ -471,8 +464,8 @@ class ChainExecutor:
         """
         chain.validate(self.registry)
         policy = policy or self.policy or ExecutionPolicy()
-        with self._tspan("chain", "chain",
-                         n_steps=len(chain)) as chain_span:
+        with span(self.tracer, "chain", kind="chain",
+                  n_steps=len(chain)) as chain_span:
             record = self._execute(chain, context, stop_on_error, policy,
                                    chain_span)
             chain_span.set(ok=record.ok, degraded=record.is_degraded,
@@ -491,9 +484,9 @@ class ChainExecutor:
             spec = self.registry.get(node.api_name)
             self._emit("step_started", start, index, node.api_name)
             step_start = time.perf_counter()
-            with self._tspan(f"step:{node.api_name}", "step",
-                             api=node.api_name,
-                             step_index=index) as step_span:
+            with span(self.tracer, f"step:{node.api_name}", kind="step",
+                      api=node.api_name,
+                      step_index=index) as step_span:
                 try:
                     result, attempts, used_fallback = self._run_step(
                         index, node, spec, context, policy, start)

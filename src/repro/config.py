@@ -178,10 +178,10 @@ class ServeConfig:
     breaker_window: int = 20
     #: Seconds an open breaker waits before a half-open probe.
     breaker_cooldown_seconds: float = 30.0
-    #: Maximum requests coalesced into one micro-batch; ``0`` disables
-    #: micro-batching (every request is served individually).  Only
-    #: stateless ``propose``/``ask`` requests batch; session-bound and
-    #: ``execute`` requests always bypass the batcher.
+    #: Maximum requests coalesced into one micro-batch; ``0`` or ``1``
+    #: never coalesces (every flush is a batch of one).  Only stateless
+    #: ``propose``/``ask`` requests batch; session turns and
+    #: ``execute`` requests are always served alone.
     microbatch_size: int = 0
     #: How long a worker holding a partial batch waits for more
     #: requests before flushing it.  The knob trades tail latency

@@ -34,6 +34,7 @@ from ..graphs.graph import Graph
 from ..llm.chain_model import ChainLanguageModel, TrainingExample
 from ..llm.prompts import Prompt
 from ..llm.simulated import build_model
+from ..obs.trace import span
 from ..retrieval.api_retriever import APIRetriever
 from .monitoring import ChainMonitor
 from .pipeline import ChatPipeline, PipelineResult
@@ -239,12 +240,7 @@ class ChatGraph:
             **attachments: Any) -> ChatResponse:
         """Full round trip: propose, execute, render the answer."""
         start = time.perf_counter()
-        if self.tracer is not None:
-            with self.tracer.span("ask", kind="op"):
-                pipeline_result = self.propose(text, graph, **attachments)
-                record, monitor = self.execute(pipeline_result,
-                                               confirm=confirm)
-        else:
+        with span(self.tracer, "ask", kind="op"):
             pipeline_result = self.propose(text, graph, **attachments)
             record, monitor = self.execute(pipeline_result,
                                            confirm=confirm)

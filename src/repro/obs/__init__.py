@@ -41,7 +41,7 @@ from .metrics import (
     MetricsRegistry,
     merge_metrics_dumps,
 )
-from .trace import NULL_SPAN, TIMING_FIELDS, NullSpan, Span, Tracer
+from .trace import NULL_SPAN, TIMING_FIELDS, NullSpan, Span, Tracer, span
 
 __all__ = [
     "CounterMetric",
@@ -59,6 +59,7 @@ __all__ = [
     "read_trace",
     "render_flame",
     "render_metrics_markdown",
+    "span",
     "spans_to_jsonl",
     "structural_order",
     "write_trace",

@@ -87,7 +87,8 @@ class Span:
 
 
 class NullSpan:
-    """No-op stand-in so instrumented code needs no ``if tracer`` forks."""
+    """No-op stand-in so instrumented code needs no ``if tracer`` forks;
+    also its own (stateless) context manager — see :func:`span`."""
 
     __slots__ = ()
 
@@ -97,8 +98,23 @@ class NullSpan:
     def mark_error(self, message: str) -> None:
         pass
 
+    def __enter__(self) -> "NullSpan":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        return None
+
 
 NULL_SPAN = NullSpan()
+
+
+def span(tracer: "Tracer | None", name: str, **kwargs: Any) -> Any:
+    """``tracer.span(name, **kwargs)``, or :data:`NULL_SPAN` untraced:
+    the one way instrumented code opens a span, so its block is written
+    once.  (Code whose traced arm computes attributes the untraced arm
+    must not pay for keeps an explicit ``if tracer`` instead.)"""
+    return NULL_SPAN if tracer is None else tracer.span(name, **kwargs)
+
 
 #: Sentinel distinguishing "no parent given, use the thread-local
 #: current span" from an explicit ``parent=None`` (force a root span).

@@ -251,8 +251,8 @@ class RequestLifecycle:
               timing: ReplyTiming | None) -> None:
         """Resolve one request, exactly once, with its bookkeeping.
 
-        Every backend path — scalar, micro-batched, gathered from a
-        shard, failed over, shed at shutdown — funnels through here: the
+        Every backend path — a worker's flush, a reply gathered from a
+        shard, a failover, a shutdown shed — funnels through here: the
         one place the failed/op counters and the queued/service/total
         histograms are written, so the two serving facades cannot
         diverge in what they count.

@@ -2,16 +2,17 @@
 
 ``LocalBackend`` is the request-plane half of what used to be the
 monolithic serve engine: N worker threads consuming the lifecycle's
-admission queue, an optional micro-batcher coalescing stateless
-requests through the batched pipeline stages, the session store, the
-pipeline caches, the durable-catalog binding, and the robustness
-installation (policy + breakers) on the shared
-:class:`~repro.core.chatgraph.ChatGraph`.
+admission queue, a micro-batcher coalescing stateless requests into
+one pass through the pipeline stages (a lone request is a batch of
+one), the session store, the pipeline caches, the durable-catalog
+binding, and the robustness installation (policy + breakers) on the
+shared :class:`~repro.core.chatgraph.ChatGraph`.
 
 Admission and reply bookkeeping live in the
 :class:`~repro.runtime.lifecycle.RequestLifecycle`; this module only
-decides *how* a request is served — scalar or batched, which worker,
-which session — and hands every outcome to ``lifecycle.reply``.
+decides *how* a request is served — with which batchmates, on which
+worker, in which session — and hands every outcome to
+``lifecycle.reply``.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from ..core.reports import render_answer
 from ..errors import ChatGraphError, ServeError
 from ..graphs.graph import Graph
 from ..llm.prompts import Prompt
+from ..obs.trace import span
 from ..serve.cache import PipelineCaches
 from ..serve.engine import PendingRequest, ServeRequest, ServeResponse
 from ..serve.microbatch import MicroBatcher
@@ -66,17 +68,14 @@ class LocalBackend(ExecutionBackend):
         self.sessions = SessionStore(
             self.chatgraph, ttl_seconds=config.session_ttl_seconds,
             max_sessions=config.max_sessions, clock=lifecycle.clock)
-        #: Optional request coalescer; enabled by
-        #: ``ServeConfig.microbatch_size > 0``.  The batcher stays on
-        #: real time even under an injected clock: its deadline is
-        #: awaited by polling workers, and a virtual clock only
-        #: advances between submissions, so a partial batch's
-        #: coalescing window could never expire.
-        self.batcher = None
-        if config.microbatch_size > 0:
-            self.batcher = MicroBatcher(
-                config.microbatch_size,
-                config.microbatch_deadline_seconds)
+        #: The request coalescer; ``microbatch_size`` 0 and 1 both mean
+        #: a flush of one.  The batcher stays on real time even under
+        #: an injected clock: its deadline is awaited by polling
+        #: workers, and a virtual clock only advances between
+        #: submissions, so a partial batch's coalescing window could
+        #: never expire.
+        self.batcher = MicroBatcher(max(1, config.microbatch_size),
+                                    config.microbatch_deadline_seconds)
         # durable graph catalog: passed in, or built from the config's
         # store_root; sessions pin (name, epoch) refs into it and its
         # compactions evict sessions left on pruned epochs
@@ -219,89 +218,142 @@ class LocalBackend(ExecutionBackend):
                 if queue.closed and len(queue) == 0:
                     return
                 continue
-            if self.batcher is None:
-                self._serve_item(item, worker)
-                continue
             batch, passthrough = self.batcher.collect(queue, item)
-            if len(batch) == 1:
-                self._serve_item(batch[0], worker)
-            elif batch:
-                self._serve_batch(batch, worker)
+            if batch:
+                self._serve(batch, worker)
             for single in passthrough:
-                self._serve_item(single, worker)
+                self._serve([single], worker)
 
-    def _serve_item(self, item: PendingRequest, worker: str) -> None:
-        """Serve one request on the scalar path and resolve its handle."""
+    def _serve(self, batch: list[PendingRequest], worker: str) -> None:
+        """Serve the requests of one flush and resolve their handles.
+
+        The one serve body: a lone (or stateful) request is a batch of
+        one.  The stateless ``propose``/``ask`` members share one
+        pipeline pass; then each member runs its own tail under its own
+        ``request:<op>`` span.  A failure — a bad graph name, a stage
+        or step raising — degrades that one response, never its
+        batchmates, and never the worker.
+        """
         lifecycle = self.lifecycle
-        queued = time.perf_counter() - item.enqueued_at
+        metrics, tracer = lifecycle.metrics, lifecycle.tracer
+        # all a shared pass changes is bookkeeping: the micro-batch
+        # series count coalesced flushes only, and a lone request's
+        # pass sits inside its own request span, not a ``microbatch``
+        shared = len(batch) > 1
+        batch_attrs = {"batch_size": len(batch)} if shared else {}
         start = time.perf_counter()
-        try:
-            response = self._handle(item, worker)
-            response.ok = not response.error
-        except Exception as exc:  # noqa: BLE001 - keep workers alive
-            response = ServeResponse(
-                request_id=item.request_id, op=item.request.op,
-                ok=False, error=str(exc),
-                error_type=type(exc).__name__, worker=worker)
+        seeds = [item.request.content_seed(lifecycle.config.seed)
+                 for item in batch]
+        outcomes: list[Any] | None = None
+        if shared:
+            for item in batch:
+                # the coalescing wait the batcher added on top of
+                # admission queueing (stamped per item at flush time) —
+                # not the full queue delay, which the ``queued``
+                # histogram already holds
+                metrics.observe("microbatch_queue_delay",
+                                item.batch_wait_seconds)
+            metrics.observe("microbatch_size", float(len(batch)))
+            with span(tracer, "microbatch", kind="batch",
+                      key=f"{seeds[0]:016x}", batch_size=len(batch)):
+                outcomes = self._propose(batch, seeds)
+        responses: list[ServeResponse] = []
+        for index, (item, seed) in enumerate(zip(batch, seeds)):
+            request = item.request
+            response = ServeResponse(request_id=item.request_id,
+                                     op=request.op, ok=True,
+                                     worker=worker, seed=seed)
+            responses.append(response)
+            try:
+                # the request's root span is keyed by the content seed
+                # (not the arrival-order request id), so seeded
+                # workloads produce the same span identity no matter
+                # which worker serves them; the submitting thread's
+                # span (if any) becomes the parent
+                with span(tracer, f"request:{request.op}", kind="request",
+                          key=f"{seed:016x}", parent=item.parent_span_id,
+                          op=request.op, client=request.client_id,
+                          **batch_attrs) as request_span:
+                    if outcomes is None:
+                        outcomes = self._propose(batch, seeds)
+                    response.value = self._finish(item, outcomes[index])
+                    request_span.set(ok=True)
+            except Exception as exc:  # noqa: BLE001 - keep workers alive
+                response.ok = False
+                response.error = str(exc)
+                response.error_type = type(exc).__name__
         service = time.perf_counter() - start
-        lifecycle.record_service_time(service)
-        lifecycle.reply(item, response,
-                        ReplyTiming(queued=queued, service=service))
+        # the whole flush shares one service interval; the EMA feeding
+        # backpressure retry hints gets the per-request amortized cost
+        lifecycle.record_service_time(service / len(batch))
+        for item, response in zip(batch, responses):
+            lifecycle.reply(item, response,
+                            ReplyTiming(queued=start - item.enqueued_at,
+                                        service=service, batched=shared))
 
-    def _serve_batch(self, batch: list[PendingRequest],
-                     worker: str) -> None:
-        """Serve a coalesced batch through the shared pipeline stages."""
-        metrics = self.lifecycle.metrics
-        now = time.perf_counter()
-        queued_per = [now - item.enqueued_at for item in batch]
-        for item in batch:
-            # the coalescing wait the batcher added on top of admission
-            # queueing (stamped per item at flush time) — not the full
-            # queue delay, which the ``queued`` histogram already holds
-            metrics.observe("microbatch_queue_delay",
-                            item.batch_wait_seconds)
-        metrics.observe("microbatch_size", float(len(batch)))
-        start = time.perf_counter()
-        try:
-            seeds, outcomes = self._propose_batch(batch)
-        except Exception as exc:  # noqa: BLE001 - keep workers alive
-            seeds = [item.request.content_seed(self.lifecycle.config.seed)
-                     for item in batch]
-            outcomes = [exc] * len(batch)
-        self._finish_batch(batch, worker, seeds, outcomes, queued_per,
-                           start)
+    def _propose(self, batch: list[PendingRequest],
+                 seeds: list[int]) -> list[Any]:
+        """One pipeline pass over the stateless members of ``batch``.
 
-    def _handle(self, item: PendingRequest, worker: str) -> ServeResponse:
+        Returns one outcome per member: its :class:`PipelineResult`,
+        the exception that failed it (raised again inside its request
+        span by :meth:`_finish`), or None for a member that takes no
+        part in the pass (a session turn, an ``execute``).
+        """
+        outcomes: list[Any] = [None] * len(batch)
+        prompts: dict[int, Prompt] = {}
+        for index, (item, seed) in enumerate(zip(batch, seeds)):
+            if not MicroBatcher.batchable(item):
+                continue
+            try:
+                graph = self._resolve_graph(item.request)
+            except Exception as exc:  # noqa: BLE001 - this item only
+                outcomes[index] = exc
+                continue
+            attachments = dict(item.request.attachments)
+            attachments.setdefault("request_seed", seed)
+            prompts[index] = Prompt(text=item.request.text, graph=graph,
+                                    attachments=attachments)
+        if prompts:
+            try:
+                results = self.chatgraph.propose_batch(
+                    list(prompts.values()), return_exceptions=True)
+            except Exception as exc:  # noqa: BLE001 - fail the pass
+                results = [exc] * len(prompts)
+            for index, result in zip(prompts, results):
+                outcomes[index] = result
+        return outcomes
+
+    def _finish(self, item: PendingRequest, outcome: Any) -> Any:
+        """One member's tail: what its response carries as ``value``
+        (execution carries per-request state and does not batch, so
+        ``ask`` chains run one by one here)."""
         request = item.request
-        tracer = self.lifecycle.tracer
-        seed = request.content_seed(self.lifecycle.config.seed)
-        response = ServeResponse(request_id=item.request_id, op=request.op,
-                                 ok=True, worker=worker, seed=seed)
-        if tracer is None:
-            self._dispatch(request, seed, response)
-            return response
-        # the request's root span is keyed by the content seed (not the
-        # arrival-order request id), so seeded workloads produce the
-        # same span identity no matter which worker serves them; the
-        # submitting thread's span (if any) becomes the parent
-        with tracer.span(f"request:{request.op}", kind="request",
-                         key=f"{seed:016x}",
-                         parent=item.parent_span_id,
-                         op=request.op,
-                         client=request.client_id) as span:
-            self._dispatch(request, seed, response)
-            span.set(ok=not response.error)
-        return response
-
-    def _dispatch(self, request: ServeRequest, seed: int,
-                  response: ServeResponse) -> None:
-        if request.op == "propose":
-            response.value = self._serve_propose(request, seed)
-        elif request.op == "execute":
-            response.value = self._execute(request.pipeline_result,
-                                           request.chain)
-        else:
-            response.value = self._serve_ask(request, seed)
+        if request.op == "execute":
+            return self._execute(request.pipeline_result, request.chain)
+        if MicroBatcher.batchable(item):
+            if isinstance(outcome, BaseException):
+                raise outcome
+            self._record_pipeline(outcome)
+            return outcome if request.op == "propose" \
+                else self._execute(outcome)
+        # a session turn: an ``ask`` with a session_id
+        # (``ServeRequest.validate`` refuses one on a ``propose``)
+        view = self._resolve_view(request)
+        entry = self.sessions.get_or_create(request.session_id)
+        with entry.lock:
+            if view is not None:
+                entry.session.upload_graph(view.graph,
+                                           **request.attachments)
+                entry.graph_ref = (view.name, view.epoch)
+            elif request.graph is not None:
+                entry.session.upload_graph(request.graph,
+                                           **request.attachments)
+            chat_response = entry.session.send(request.text)
+        self._record_pipeline(chat_response.pipeline)
+        if chat_response.record is not None:
+            self._record_execution(chat_response.record)
+        return chat_response
 
     def _record_pipeline(self, result: PipelineResult) -> None:
         # per-stage latency histogram names come from the stage graph
@@ -327,16 +379,6 @@ class LocalBackend(ExecutionBackend):
         view = self._resolve_view(request)
         return request.graph if view is None else view.graph
 
-    def _serve_propose(self, request: ServeRequest,
-                       seed: int) -> PipelineResult:
-        attachments = dict(request.attachments)
-        attachments.setdefault("request_seed", seed)
-        result = self.chatgraph.propose(request.text,
-                                        self._resolve_graph(request),
-                                        **attachments)
-        self._record_pipeline(result)
-        return result
-
     def _record_execution(self, record: Any) -> None:
         metrics = self.lifecycle.metrics
         metrics.observe("execute", record.total_seconds)
@@ -356,126 +398,3 @@ class LocalBackend(ExecutionBackend):
             monitor=monitor,
             seconds=record.total_seconds,
         )
-
-    def _serve_ask(self, request: ServeRequest, seed: int) -> ChatResponse:
-        if request.session_id is not None:
-            view = self._resolve_view(request)
-            entry = self.sessions.get_or_create(request.session_id)
-            with entry.lock:
-                if view is not None:
-                    entry.session.upload_graph(view.graph,
-                                               **request.attachments)
-                    entry.graph_ref = (view.name, view.epoch)
-                elif request.graph is not None:
-                    entry.session.upload_graph(request.graph,
-                                               **request.attachments)
-                chat_response = entry.session.send(request.text)
-        else:
-            attachments = dict(request.attachments)
-            attachments.setdefault("request_seed", seed)
-            chat_response = self.chatgraph.ask(request.text,
-                                               self._resolve_graph(request),
-                                               **attachments)
-        self._record_pipeline(chat_response.pipeline)
-        if chat_response.record is not None:
-            self._record_execution(chat_response.record)
-        return chat_response
-
-    # ------------------------------------------------------------------
-    # micro-batched serving
-    # ------------------------------------------------------------------
-    def _propose_batch(self, batch: list[PendingRequest]
-                       ) -> tuple[list[int], list[Any]]:
-        """Phase 1 of a micro-batch: one shared batched pipeline pass.
-
-        Returns ``(seeds, outcomes)`` where each outcome is the item's
-        :class:`PipelineResult` or the exception that failed it: a bad
-        graph name or a mid-batch stage failure degrades that one
-        response, never its batchmates (matching what the scalar path
-        would do to each request alone).
-        """
-        tracer = self.lifecycle.tracer
-        seeds = [item.request.content_seed(self.lifecycle.config.seed)
-                 for item in batch]
-        outcomes: list[Any] = [None] * len(batch)
-        prompts: list[Prompt] = []
-        live: list[int] = []
-        for index, (item, seed) in enumerate(zip(batch, seeds)):
-            try:
-                graph = self._resolve_graph(item.request)
-            except Exception as exc:  # noqa: BLE001 - this item only
-                outcomes[index] = exc
-                continue
-            attachments = dict(item.request.attachments)
-            attachments.setdefault("request_seed", seed)
-            prompts.append(Prompt(text=item.request.text, graph=graph,
-                                  attachments=attachments))
-            live.append(index)
-        if prompts:
-            if tracer is None:
-                results = self.chatgraph.propose_batch(
-                    prompts, return_exceptions=True)
-            else:
-                with tracer.span("microbatch", kind="batch",
-                                 key=f"{seeds[live[0]]:016x}",
-                                 batch_size=len(batch)):
-                    results = self.chatgraph.propose_batch(
-                        prompts, return_exceptions=True)
-            for index, result in zip(live, results):
-                outcomes[index] = result
-        return seeds, outcomes
-
-    def _finish_batch(self, batch: list[PendingRequest], worker: str,
-                      seeds: list[int], outcomes: list[Any],
-                      queued_per: list[float], start: float) -> None:
-        """Phase 2 of a micro-batch: per-item tails and resolution.
-
-        ``ask`` requests execute their chains one by one here
-        (execution carries per-request state and does not batch);
-        failed outcomes from phase 1 become per-item error responses.
-        """
-        lifecycle = self.lifecycle
-        tracer = lifecycle.tracer
-        responses: list[ServeResponse] = []
-        for item, seed, outcome in zip(batch, seeds, outcomes):
-            response = ServeResponse(request_id=item.request_id,
-                                     op=item.request.op, ok=True,
-                                     worker=worker, seed=seed)
-            responses.append(response)
-            if isinstance(outcome, BaseException):
-                response.error = str(outcome)
-                response.error_type = type(outcome).__name__
-            elif tracer is None:
-                self._finish_batch_item(item, outcome, response)
-            else:
-                with tracer.span(f"request:{item.request.op}",
-                                 kind="request", key=f"{seed:016x}",
-                                 parent=item.parent_span_id,
-                                 op=item.request.op,
-                                 client=item.request.client_id,
-                                 batch_size=len(batch)) as span:
-                    self._finish_batch_item(item, outcome, response)
-                    span.set(ok=not response.error)
-        service = time.perf_counter() - start
-        # the whole batch shares one service interval; the EMA feeding
-        # backpressure retry hints gets the per-request amortized cost
-        lifecycle.record_service_time(service / len(batch))
-        for item, queued, response in zip(batch, queued_per, responses):
-            response.ok = not response.error
-            lifecycle.reply(item, response,
-                            ReplyTiming(queued=queued, service=service,
-                                        batched=True))
-
-    def _finish_batch_item(self, item: PendingRequest,
-                           result: PipelineResult,
-                           response: ServeResponse) -> None:
-        """Per-request tail of a batch: record stats, execute for ask."""
-        self._record_pipeline(result)
-        if item.request.op == "propose":
-            response.value = result
-            return
-        try:
-            response.value = self._execute(result)
-        except Exception as exc:  # noqa: BLE001 - fail only this item
-            response.error = str(exc)
-            response.error_type = type(exc).__name__

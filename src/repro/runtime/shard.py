@@ -558,6 +558,9 @@ class ShardBackend(ExecutionBackend):
             return
         __, items, dispatched_at = entry
         service = time.perf_counter() - dispatched_at
+        # the whole frame shares one round trip; the EMA feeding
+        # backpressure retry hints gets the per-request amortized cost
+        self.lifecycle.record_service_time(service / len(items))
         replies = frame.get("replies") or []
         by_id = {wire.get("request_id"): wire for wire in replies}
         try:
@@ -579,11 +582,9 @@ class ShardBackend(ExecutionBackend):
     def _resolve_item(self, item: PendingRequest,
                       response: ServeResponse, service: float) -> None:
         """The gathered-reply resolution path."""
-        lifecycle = self.lifecycle
         queued = item.dispatched_at - item.enqueued_at
-        lifecycle.record_service_time(service)
-        lifecycle.reply(item, response,
-                        ReplyTiming(queued=queued, service=service))
+        self.lifecycle.reply(item, response,
+                             ReplyTiming(queued=queued, service=service))
         self._settle_outstanding()
 
     def _resolve_failure(self, item: PendingRequest,

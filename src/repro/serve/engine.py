@@ -64,7 +64,8 @@ class ServeRequest:
     #: epoch-pinned view at service time.  Mutually exclusive with an
     #: inline ``graph``.
     graph_name: str | None = None
-    #: Binds the request to a stateful dialog; None = stateless.
+    #: Binds an ``ask`` to a stateful dialog (a *session turn*);
+    #: None = stateless.
     session_id: str | None = None
     #: Rate-limiting principal.
     client_id: str = "anonymous"
@@ -83,6 +84,12 @@ class ServeRequest:
             raise ServeError(f"op {self.op!r} requires text")
         if self.op == "execute" and self.pipeline_result is None:
             raise ServeError("op 'execute' requires pipeline_result")
+        if self.op == "propose" and self.session_id is not None:
+            # it would be answered statelessly, never seeing the
+            # session's graph
+            raise ServeError(
+                "op 'propose' cannot carry a session_id: a session turn "
+                "is an 'ask' with a session_id")
         if self.graph is not None and self.graph_name is not None:
             raise ServeError(
                 "pass either an inline graph or a graph_name, not both")
@@ -136,8 +143,9 @@ class PendingRequest:
         #: propagation across the worker-pool boundary).
         self.parent_span_id: str | None = None
         #: Seconds this request waited inside the micro-batcher for
-        #: company (stamped by :meth:`MicroBatcher.collect`; 0 for the
-        #: scalar path).  Distinct from the admission-queue wait.
+        #: company (stamped by :meth:`MicroBatcher.collect`; 0 for a
+        #: request that passed through).  Distinct from the
+        #: admission-queue wait.
         self.batch_wait_seconds: float = 0.0
         self._done = threading.Event()
         self._response: ServeResponse | None = None

@@ -8,9 +8,9 @@ the stage graph a lone request goes through (see
 :mod:`repro.core.stages`) — one embedding call, one ANN search, one
 decode matmul per step — instead of N passes of one.
 
-Session-bound and ``execute`` requests never batch: sessions serialize
+Session turns and ``execute`` requests never batch: sessions serialize
 on their own locks and executions carry per-request state, so they pass
-through untouched (the ``passthrough`` list).
+through (the ``passthrough`` list) and are served as batches of one.
 
 The deadline is the tail-latency knob: the first request of a partial
 batch waits at most ``deadline_seconds`` for company.  With a deadline
@@ -104,8 +104,5 @@ class MicroBatcher:
         # distinct from the admission-queue wait
         flush = self._clock()
         for item, joined in zip(batch, join_times):
-            try:
-                item.batch_wait_seconds = flush - joined
-            except AttributeError:  # slotted test doubles
-                pass
+            item.batch_wait_seconds = flush - joined
         return batch, passthrough

@@ -26,6 +26,7 @@ from typing import Any, Callable, Iterable
 
 from ..errors import StoreError
 from ..graphs.graph import DiGraph, Graph, Node
+from ..obs.trace import span
 from . import layout
 from .index import NodeVectorIndex
 from .log import EditLog
@@ -181,8 +182,8 @@ class GraphHandle:
 
     def _edit(self, record: dict[str, Any]) -> None:
         with self._lock:
-            with self.catalog._span("store:apply", op=record["op"],
-                                    graph=self.name):
+            with span(self.catalog.tracer, "store:apply", kind="store",
+                      op=record["op"], graph=self.name):
                 self._apply_locked(record)
                 self._log.append(record)
             self.version += 1
@@ -233,8 +234,8 @@ class GraphHandle:
     def _snapshot_locked(self) -> int:
         root = self.catalog.root
         new_epoch = self.epoch + 1
-        with self.catalog._span("store:snapshot", graph=self.name,
-                                epoch=new_epoch):
+        with span(self.catalog.tracer, "store:snapshot", kind="store",
+                  graph=self.name, epoch=new_epoch):
             layout.write_bytes_atomic(
                 layout.snapshot_path(root, self.name, new_epoch),
                 graph_bytes(self._graph))
@@ -252,7 +253,8 @@ class GraphHandle:
         the catalog's compact listeners are told which epochs survive.
         """
         with self._lock:
-            with self.catalog._span("store:compact", graph=self.name):
+            with span(self.catalog.tracer, "store:compact", kind="store",
+                      graph=self.name):
                 new_epoch = self._snapshot_locked()
                 root = self.catalog.root
                 for old in layout.list_epochs(root, self.name):
@@ -480,24 +482,8 @@ class GraphCatalog:
         return {name: self.open(name).stats() for name in self.names()}
 
     # ------------------------------------------------------------------
-    # obs plumbing (no-ops unless a registry/tracer was provided)
+    # obs plumbing (a no-op unless a registry was provided)
     # ------------------------------------------------------------------
     def _count(self, name: str, amount: int = 1) -> None:
         if self.metrics is not None:
             self.metrics.incr(name, amount)
-
-    def _span(self, name: str, **attrs: Any):
-        if self.tracer is not None:
-            return self.tracer.span(name, kind="store", **attrs)
-        return _NULL_CONTEXT
-
-
-class _NullContext:
-    def __enter__(self) -> None:
-        return None
-
-    def __exit__(self, *exc_info: Any) -> None:
-        return None
-
-
-_NULL_CONTEXT = _NullContext()

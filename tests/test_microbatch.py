@@ -11,6 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro import ChatGraph, ChatGraphServer, ServeConfig, ServeRequest
+from repro.config import ObsConfig
 from repro.graphs import knowledge_graph
 from repro.loadgen import bench_workload
 from repro.serve import AdmissionQueue, MicroBatcher
@@ -148,11 +149,23 @@ class TestServerMicroBatching:
         assert histogram.max >= 2
 
     def test_microbatching_off_by_default(self, serve_chatgraph):
+        """"Off" is a flush size of one: the batcher is always there,
+        but a pre-filled queue is still served one request per pass —
+        nothing counts as micro-batched and no ``microbatch`` span
+        opens."""
         workload = bench_workload(4, n_graphs=2)
-        server, responses = self._run(serve_chatgraph, workload)
+        server, responses = self._run(
+            serve_chatgraph, workload,
+            obs=ObsConfig(enable_tracing=True))
         assert all(r.ok for r in responses)
-        assert server.backend.batcher is None
+        assert ServeConfig().microbatch_size == 0
+        assert server.backend.batcher.max_batch == 1
         assert server.stats()["counters"].get("microbatched", 0) == 0
+        assert server.metrics.histogram("microbatch_size").count == 0
+        names = [span.name for span in server.tracer.finished_spans()]
+        assert "microbatch" not in names
+        assert sum(n.startswith("request:") for n in names) == \
+            len(workload)
 
     def test_session_requests_bypass_batching(self, serve_chatgraph):
         graph = knowledge_graph(24, 80, seed=3)

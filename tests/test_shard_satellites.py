@@ -7,6 +7,7 @@ CLI's multi-input merge).
 from __future__ import annotations
 
 import threading
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -21,9 +22,11 @@ from repro.obs import (
     merge_traces,
     read_trace,
 )
+from repro.runtime import RequestLifecycle, ShardBackend
 from repro.serve import MicroBatcher
 from repro.serve.admission import AdmissionQueue
 from repro.serve.breaker import BreakerRegistry
+from repro.serve.engine import PendingRequest, ServeRequest
 from repro.store import CompactTicket, GraphCatalog
 
 
@@ -198,3 +201,72 @@ def test_microbatcher_predicate_override():
     assert accept_all.collect(queue, execute) == ([execute], [])
     # the default is the stateless propose/ask rule
     assert MicroBatcher(4, 0.0).collect(queue, execute) == ([], [execute])
+
+
+# ----------------------------------------------------------------------
+# ShardBackend bookkeeping, process-free (bound, never booted)
+# ----------------------------------------------------------------------
+def _bound_fleet(shards: int = 2, **config):
+    """A ``ShardBackend`` bound to a lifecycle but never booted: no
+    worker processes, handles marked alive by hand."""
+    lifecycle = RequestLifecycle(
+        ServeConfig(shards=shards, **config), ShardBackend(model_wire={}))
+    backend = lifecycle.backend
+    for handle in backend.handles:
+        handle.alive = True
+    return lifecycle, backend
+
+
+def _routed(backend, text: str, request_id: int) -> PendingRequest:
+    item = PendingRequest(ServeRequest(op="ask", text=text),
+                          request_id=request_id,
+                          enqueued_at=time.perf_counter())
+    backend.prepare(item)
+    return item
+
+
+def test_gather_feeds_backpressure_ema_the_amortized_cost(monkeypatch):
+    """A scatter frame of four shares one round trip; the EMA behind
+    ``BackpressureError.retry_after`` must see a quarter of it per
+    request (what ``LocalBackend`` feeds for a flush of four), not the
+    whole round trip once per member."""
+    lifecycle, backend = _bound_fleet()
+    fed: list[float] = []
+    monkeypatch.setattr(lifecycle, "record_service_time", fed.append)
+    handle = backend.handles[0]
+    items = [_routed(backend, f"q{i}", i) for i in range(4)]
+    dispatched_at = time.perf_counter() - 0.4
+    for item in items:
+        item.dispatched_at = dispatched_at
+    handle.inflight[7] = (handle.generation, items, dispatched_at)
+    handle.pending_count = backend._outstanding = len(items)
+    backend._gather(handle, handle.generation, {
+        "type": "batch_reply", "batch_id": 7,
+        "replies": [{"request_id": item.request_id, "op": "ask",
+                     "ok": True} for item in items]})
+    assert all(item.result(timeout=1.0).ok for item in items)
+    assert handle.pending_count == 0 and backend._outstanding == 0
+    # every member reports the frame's full round trip as its service
+    service = items[0].result().service_seconds
+    assert service >= 0.4
+    assert fed and max(fed) == pytest.approx(service / 4)
+
+
+def test_route_spills_past_a_full_staging_queue():
+    """A handle's staging queue is sized for the fleet it joined; after
+    ``add_shard`` grows the outstanding limit a hot key can overflow
+    it.  The router then spills along the ring instead of failing the
+    request, and the books still balance."""
+    lifecycle, backend = _bound_fleet()
+    item = _routed(backend, "hot key", 1)
+    first = backend._pick_shard(item)
+    (other,) = [h for h in backend.handles if h is not first]
+    for filler in range(first.dispatch.maxsize):
+        first.dispatch.put(filler)
+    backend._route(item)
+    assert lifecycle.metrics.snapshot()["counters"]["shard_spills"] == 1
+    assert other.dispatch.drain() == [item]
+    assert item._tried == {first.index}
+    assert (first.pending_count, other.pending_count) == (0, 1)
+    assert backend._outstanding == 1
+    assert not item.done()

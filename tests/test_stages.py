@@ -126,7 +126,7 @@ def _retrieve_key(stage, text):
     return (text, stage.top_k, ("c",))
 
 
-class TestMiddlewareComposition:
+class TestStageObservation:
     """What observes a stage invocation: the runner's timing and
     tracing around the body, ``RetrieveStage``'s own cache inside it."""
 
@@ -151,7 +151,7 @@ class TestMiddlewareComposition:
         [ctx] = graph.run([StageContext({"seed": 9})])
         assert ctx.timings["produce"] == 3.0
 
-    def test_cache_hit_skips_stage_but_not_outer_middleware(self):
+    def test_cache_hit_skips_retriever_but_is_timed_and_traced(self):
         """A hit skips the retriever but is still timed and traced."""
         retriever = _StubRetriever()
         stage, graph = _retrieve_graph(retriever, LRUCache(8))
@@ -192,7 +192,7 @@ class TestMiddlewareComposition:
         stats = stage.cache.stats()
         assert (stats.hits, stats.misses, stats.size) == (1, 2, 3)
 
-    def test_may_cache_false_is_never_stored(self):
+    def test_degraded_result_is_never_stored(self):
         """A degraded result (``retrieval_ok=False``) is never stored."""
         retriever = _StubRetriever(degraded=("?!",))
         stage, graph = _retrieve_graph(retriever, LRUCache(8))
@@ -201,7 +201,7 @@ class TestMiddlewareComposition:
         assert len(stage.cache) == 0
 
 
-class TestPipelineMiddlewareWiring:
+class TestPipelineAttachments:
     """What is attached to the ChatPipeline is a handful of attributes."""
 
     def _attached(self, pipeline):
@@ -229,7 +229,7 @@ class TestPipelineMiddlewareWiring:
             chatgraph.set_tracer(prior[0])
             chatgraph.enable_caches(prior[1])
 
-    def test_attachments_rebuild_the_chain(self, chatgraph):
+    def test_attach_and_detach_set_and_clear_the_attributes(self, chatgraph):
         """Attach/detach sets and clears ``pipeline.tracer`` and all
         three cache attributes, each on the owner of the work."""
         pipeline = chatgraph.pipeline
