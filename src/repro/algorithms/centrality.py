@@ -4,8 +4,11 @@ from __future__ import annotations
 
 from collections import deque
 
+import numpy as np
+
 from ..errors import GraphError
 from ..graphs.graph import DiGraph, Graph, Node
+from ..graphs.topology import TopologyView
 from .traversal import bfs_distances
 
 
@@ -77,29 +80,43 @@ def betweenness_centrality(graph: Graph,
 
 def pagerank(graph: Graph, damping: float = 0.85, max_iter: int = 100,
              tol: float = 1e-9) -> dict[Node, float]:
-    """Power-iteration PageRank; dangling mass is spread uniformly."""
+    """Power-iteration PageRank; dangling mass is spread uniformly.
+
+    One ``np.bincount`` per iteration over the graph's arc arrays.  The
+    floats are those of the plain loop ``for u: for v in out(u):
+    nxt[v] += share[u]`` started from the teleport term: ``bincount``
+    adds its weights left to right, the arc list opens with one
+    pseudo-arc per node carrying that term, and the real arcs follow in
+    source order.  The two scalar reductions go through Python ``sum``
+    — numpy's pairwise ``.sum()`` would round differently.
+    """
     if not 0.0 < damping < 1.0:
         raise GraphError("damping must be in (0, 1)")
-    nodes = list(graph.nodes())
-    n = len(nodes)
+    view = TopologyView.of(graph)
+    n = len(view.nodes)
     if n == 0:
         return {}
-    step = (graph.successors if isinstance(graph, DiGraph)
-            else graph.neighbors)
-    out_degree = {node: sum(1 for __ in step(node)) for node in nodes}
-    rank = {node: 1.0 / n for node in nodes}
+    out_degree = np.diff(view.indptr)
+    dangling = np.flatnonzero(out_degree == 0)
+    sources = np.repeat(np.arange(n), out_degree)
+    targets = np.concatenate((np.arange(n), view.indices))
+    weights = np.empty(len(targets))
+    teleport, shares = weights[:n], weights[n:]
+    # a dangling node has no arc to read its share through
+    divisor = np.maximum(out_degree, 1).astype(float)
+    rank = np.full(n, 1.0 / n)
+    scratch = np.empty(n)
     for __ in range(max_iter):
-        dangling = sum(rank[node] for node in nodes if out_degree[node] == 0)
-        nxt = {node: (1.0 - damping) / n + damping * dangling / n
-               for node in nodes}
-        for node in nodes:
-            if out_degree[node] == 0:
-                continue
-            share = damping * rank[node] / out_degree[node]
-            for neighbor in step(node):
-                nxt[neighbor] += share
-        err = sum(abs(nxt[node] - rank[node]) for node in nodes)
+        lost = sum(rank[dangling].tolist())
+        teleport.fill((1.0 - damping) / n + damping * lost / n)
+        np.multiply(rank, damping, out=scratch)
+        np.divide(scratch, divisor, out=scratch)
+        # every source is in range; "clip" only spares the bounds pass
+        scratch.take(sources, out=shares, mode="clip")
+        nxt = np.bincount(targets, weights, minlength=n)
+        np.subtract(nxt, rank, out=scratch)
+        err = sum(np.abs(scratch, out=scratch).tolist())
         rank = nxt
         if err < tol:
             break
-    return rank
+    return dict(zip(view.nodes, rank.tolist()))

@@ -4,35 +4,32 @@ from __future__ import annotations
 
 from ..errors import GraphError
 from ..graphs.graph import DiGraph, Graph, Node
+from ..graphs.topology import TopologyView, neighbor_sets
 
 
-def _require_undirected(graph: Graph) -> None:
+def _triangles_and_degrees(graph: Graph) -> tuple[TopologyView, list[int],
+                                                  list[int]]:
+    """Per node id: triangles through it and its loop-free degree."""
     if isinstance(graph, DiGraph):
         raise GraphError("clustering metrics require an undirected graph")
+    view = TopologyView.of(graph)
+    sets = neighbor_sets(view.adj)
+    counts = [sum(len(nbrs & sets[other]) for other in nbrs) // 2
+              for nbrs in sets]
+    return view, counts, list(map(len, sets))
 
 
 def triangles(graph: Graph) -> dict[Node, int]:
     """Number of triangles through each node."""
-    _require_undirected(graph)
-    neighbor_sets = {node: set(graph.neighbors(node)) - {node}
-                     for node in graph.nodes()}
-    counts: dict[Node, int] = {}
-    for node, nbrs in neighbor_sets.items():
-        t = sum(len(nbrs & neighbor_sets[other]) for other in nbrs)
-        counts[node] = t // 2
-    return counts
+    view, counts, __ = _triangles_and_degrees(graph)
+    return dict(zip(view.nodes, counts))
 
 
 def clustering_coefficient(graph: Graph) -> dict[Node, float]:
     """Local clustering coefficient of each node (0.0 for degree < 2)."""
-    _require_undirected(graph)
-    tri = triangles(graph)
-    coefficients: dict[Node, float] = {}
-    for node in graph.nodes():
-        d = len(set(graph.neighbors(node)) - {node})
-        coefficients[node] = (2.0 * tri[node] / (d * (d - 1))) if d >= 2 \
-            else 0.0
-    return coefficients
+    view, counts, degrees = _triangles_and_degrees(graph)
+    return {node: (2.0 * t / (d * (d - 1))) if d >= 2 else 0.0
+            for node, t, d in zip(view.nodes, counts, degrees)}
 
 
 def average_clustering(graph: Graph) -> float:
@@ -45,12 +42,8 @@ def average_clustering(graph: Graph) -> float:
 
 def transitivity(graph: Graph) -> float:
     """Global transitivity: ``3 * triangles / open-or-closed triads``."""
-    _require_undirected(graph)
-    tri_total = sum(triangles(graph).values())  # each triangle counted 3x
-    triads = 0
-    for node in graph.nodes():
-        d = len(set(graph.neighbors(node)) - {node})
-        triads += d * (d - 1) // 2
+    __, counts, degrees = _triangles_and_degrees(graph)
+    triads = sum(d * (d - 1) // 2 for d in degrees)
     if triads == 0:
         return 0.0
-    return tri_total / triads
+    return sum(counts) / triads  # each triangle counted 3x

@@ -7,6 +7,7 @@ from typing import Iterable, Sequence
 
 from ..errors import GraphError
 from ..graphs.graph import DiGraph, Graph, Node
+from ..graphs.topology import TopologyView
 
 
 def _require_undirected(graph: Graph) -> None:
@@ -59,17 +60,19 @@ def label_propagation(graph: Graph, max_iter: int = 100,
     """
     _require_undirected(graph)
     rng = random.Random(seed)
-    labels = {node: i for i, node in enumerate(graph.nodes())}
-    nodes = list(graph.nodes())
+    view = TopologyView.of(graph)
+    rows = view.adj
+    labels = list(range(len(rows)))
+    order = list(range(len(rows)))
     for __ in range(max_iter):
-        rng.shuffle(nodes)
+        rng.shuffle(order)
         changed = False
-        for node in nodes:
+        for node in order:
             counts: dict[int, int] = {}
-            for neighbor in graph.neighbors(node):
-                if neighbor == node:
-                    continue
-                counts[labels[neighbor]] = counts.get(labels[neighbor], 0) + 1
+            for neighbor in rows[node]:
+                if neighbor != node:
+                    label = labels[neighbor]
+                    counts[label] = counts.get(label, 0) + 1
             if not counts:
                 continue
             best = max(counts.values())
@@ -81,7 +84,7 @@ def label_propagation(graph: Graph, max_iter: int = 100,
         if not changed:
             break
     groups: dict[int, set[Node]] = {}
-    for node, label in labels.items():
+    for node, label in zip(view.nodes, labels):
         groups.setdefault(label, set()).add(node)
     return sorted(groups.values(), key=len, reverse=True)
 

@@ -2,7 +2,9 @@
 
 Edit APIs ask the user for confirmation through ``context.ask`` before
 touching the graph (paper Fig. 6: "asks the user for confirmation"),
-then work on a fresh copy which replaces ``context.graph``.
+then work on a fresh copy which replaces ``context.graph`` — when the
+copy differs: later steps tell "the graph changed" by the object having
+changed, and rebuild what they derived from it only then.
 """
 
 from __future__ import annotations
@@ -45,7 +47,8 @@ def remove_flagged_edges(context: ChainContext,
         if graph.has_edge(u, v):
             graph.remove_edge(u, v)
             removed.append((u, v))
-    context.graph = graph
+    if removed:
+        context.graph = graph
     return {"removed": removed, "skipped": skipped,
             "n_removed": len(removed)}
 
@@ -69,7 +72,8 @@ def add_predicted_edges(context: ChainContext,
         if not graph.has_edge(u, v):
             graph.add_edge(u, v, relation=finding["relation"])
             added.append((u, v))
-    context.graph = graph
+    if added:
+        context.graph = graph
     return {"added": added, "skipped": skipped, "n_added": len(added)}
 
 

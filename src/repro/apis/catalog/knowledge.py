@@ -13,21 +13,28 @@ from ..registry import APIRegistry, APISpec, Category
 
 
 def _store(context: ChainContext) -> TripleStore:
-    extra = context.extras.get("triple_store")
-    if isinstance(extra, TripleStore):
-        return extra
-    if isinstance(context.graph, DiGraph):
-        store = TripleStore.from_graph(context.graph)
-        context.extras["triple_store"] = store
-        return store
-    raise APIError("knowledge APIs need a directed knowledge graph")
+    """The caller's ``triple_store`` attachment, else one derived from
+    ``context.graph`` and kept for as long as that graph object stays
+    (an edit step that changes the graph replaces the object)."""
+    attached = context.extras.get("triple_store")
+    if isinstance(attached, TripleStore):
+        return attached
+    graph = context.graph
+    if not isinstance(graph, DiGraph):
+        raise APIError("knowledge APIs need a directed knowledge graph")
+    derived = context.extras.get("derived_triple_store")
+    if derived is None or derived[0] is not graph:
+        derived = (graph, TripleStore.from_graph(graph))
+        context.extras["derived_triple_store"] = derived
+    return derived[1]
 
 
 def _inferencer(context: ChainContext) -> KnowledgeInferencer:
+    store = _store(context)
     cached = context.extras.get("knowledge_inferencer")
-    if isinstance(cached, KnowledgeInferencer):
+    if isinstance(cached, KnowledgeInferencer) and cached.store is store:
         return cached
-    inferencer = KnowledgeInferencer.fit(_store(context))
+    inferencer = KnowledgeInferencer.fit(store)
     context.extras["knowledge_inferencer"] = inferencer
     return inferencer
 

@@ -2,7 +2,9 @@
 
 A small, self-contained graph library: :class:`Graph` (undirected) and
 :class:`DiGraph` (directed) store node and edge attributes, and the
-sibling modules provide views, I/O, generators and summary statistics.
+sibling modules provide the interned :class:`TopologyView` the
+algorithms and the sequencer run on, views, I/O, generators and summary
+statistics.
 Everything downstream of ChatGraph (algorithms, sequentializer, APIs)
 operates on these types.
 """
@@ -35,11 +37,13 @@ from .io import (
 )
 from .graphml import read_graphml, write_graphml
 from .properties import GraphSummary, degree_histogram, density, summarize
+from .topology import TopologyView
 from .views import ego_graph, induced_subgraph
 
 __all__ = [
     "Graph",
     "DiGraph",
+    "TopologyView",
     "ego_graph",
     "fingerprint",
     "induced_subgraph",

@@ -5,6 +5,13 @@ hashable objects, and both nodes and edges carry attribute dictionaries.
 :class:`DiGraph` is its directed counterpart with separate successor and
 predecessor adjacency.  The representation is a dict-of-dicts adjacency,
 so neighbor iteration and membership tests are O(1) amortized.
+
+Every change of *topology* (a node or an edge appearing or going) bumps
+:attr:`Graph.topology_stamp`; forms derived from the topology alone are
+memoised on the graph under it (see :mod:`repro.graphs.topology`).
+Attribute writes do not bump it: ``node_attrs`` / ``edge_attrs`` hand
+out the live dicts, so nothing that reads attributes may be memoised
+under the stamp.
 """
 
 from __future__ import annotations
@@ -34,6 +41,20 @@ class Graph:
         self.name = name
         self._nodes: dict[Node, dict[str, Any]] = {}
         self._adj: dict[Node, dict[Node, dict[str, Any]]] = {}
+        self._stamp = 0
+        #: ``(stamp, view)`` of the last :class:`TopologyView` taken, or
+        #: None.  One store of an immutable pair, so no lock: two
+        #: threads racing on an unchanged graph build equal views.
+        self._view_memo: tuple[int, Any] | None = None
+
+    @property
+    def topology_stamp(self) -> int:
+        """Counts the topology changes of this object so far.
+
+        Moves when a node or an edge is added or removed — never on an
+        attribute write, nor when an existing node or edge is re-added.
+        """
+        return self._stamp
 
     # ------------------------------------------------------------------
     # construction
@@ -45,6 +66,7 @@ class Graph:
         if node not in self._nodes:
             self._nodes[node] = {}
             self._adj[node] = {}
+            self._stamp += 1
         self._nodes[node].update(attrs)
 
     def add_nodes(self, nodes: Iterable[Node]) -> None:
@@ -65,6 +87,7 @@ class Graph:
             data = {}
             self._adj[u][v] = data
             self._adj[v][u] = data
+            self._stamp += 1
         data.update(attrs)
 
     def add_edges(self, edges: Iterable[tuple[Node, Node]]) -> None:
@@ -81,6 +104,7 @@ class Graph:
                 del self._adj[neighbor][node]
         del self._adj[node]
         del self._nodes[node]
+        self._stamp += 1
 
     def remove_edge(self, u: Node, v: Node) -> None:
         """Remove edge ``(u, v)``; endpoints stay."""
@@ -89,6 +113,7 @@ class Graph:
         del self._adj[u][v]
         if u != v:
             del self._adj[v][u]
+        self._stamp += 1
 
     # ------------------------------------------------------------------
     # queries
@@ -262,6 +287,7 @@ class DiGraph(Graph):
             data = {}
             self._adj[u][v] = data
             self._pred[v][u] = data
+            self._stamp += 1
         data.update(attrs)
 
     def remove_node(self, node: Node) -> None:
@@ -274,12 +300,14 @@ class DiGraph(Graph):
         del self._adj[node]
         del self._pred[node]
         del self._nodes[node]
+        self._stamp += 1
 
     def remove_edge(self, u: Node, v: Node) -> None:
         if u not in self._nodes or v not in self._adj[u]:
             raise EdgeNotFoundError(u, v)
         del self._adj[u][v]
         del self._pred[v][u]
+        self._stamp += 1
 
     def edges(self) -> Iterator[tuple[Node, Node]]:
         """Iterate over arcs ``(u, v)``."""

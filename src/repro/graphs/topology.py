@@ -1,11 +1,24 @@
-"""Interned, immutable view of a graph for the sequencer.
+"""Interned, immutable view of a graph's topology.
 
 The sequencer walks every radius-``l`` ball of a graph and tests edges
-for membership thousands of times per request; doing that over hashable
-node objects and dict-of-dict adjacency dominated request time.  A
-:class:`GraphView` numbers the nodes ``0..n-1`` in insertion order and
-keeps adjacency as int tuples in neighbour order, so the path cover,
-the motif search and the coarsening all run on list indexing.
+for membership thousands of times per request, and the algorithms
+behind the chain steps iterate every arc tens of times; doing that over
+hashable node objects and dict-of-dict adjacency dominated request
+time.  A :class:`TopologyView` numbers the nodes ``0..n-1`` in
+insertion order and keeps adjacency in neighbour order, with two faces
+over the same numbering:
+
+* ``adj`` — int tuples per node, for code that walks in Python (the
+  path cover, the ring search, label propagation);
+* ``indptr`` / ``indices`` — the same rows flattened into numpy arrays
+  on first use, for code that runs whole-array (PageRank).
+
+:meth:`TopologyView.of` is memoised on the graph under
+:attr:`Graph.topology_stamp`: one view is built per topology and shared
+by everything that asks — the sequencer while a chain is proposed, every
+step while it is executed.  The view holds *topology only*.  Attribute
+writes do not move the stamp, so nothing read from ``node_attrs`` /
+``edge_attrs`` belongs here.
 
 A view is a *snapshot*: it holds no reference to the graph it was taken
 from, so it can back a cached (shared) result while the graph is edited.
@@ -14,12 +27,16 @@ from, so it can back a cached (shared) result while the graph is edited.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate, chain
 
-from ..graphs.graph import DiGraph, Graph, Node
+import numpy as np
+
+from .graph import DiGraph, Graph, Node
 
 
 @dataclass(frozen=True)
-class GraphView:
+class TopologyView:
     """Nodes as ``0..n-1`` (insertion order) with int adjacency."""
 
     #: Original node of each id.
@@ -33,7 +50,12 @@ class GraphView:
     n_edges: int
 
     @classmethod
-    def of(cls, graph: Graph) -> "GraphView":
+    def of(cls, graph: Graph) -> "TopologyView":
+        """The view of ``graph`` as it is now, built once per topology."""
+        stamp = graph.topology_stamp
+        memo = graph._view_memo
+        if memo is not None and memo[0] == stamp:
+            return memo[1]
         nodes = tuple(graph.nodes())
         index = {node: i for i, node in enumerate(nodes)}
         directed = isinstance(graph, DiGraph)
@@ -43,8 +65,22 @@ class GraphView:
         isolated = frozenset(
             i for i, row in enumerate(adj)
             if not row and graph.degree(nodes[i]) == 0)
-        return cls(nodes=nodes, adj=adj, directed=directed,
+        view = cls(nodes=nodes, adj=adj, directed=directed,
                    isolated=isolated, n_edges=graph.number_of_edges())
+        graph._view_memo = (stamp, view)
+        return view
+
+    @cached_property
+    def indptr(self) -> np.ndarray:
+        """Row ``i`` of ``adj`` is ``indices[indptr[i]:indptr[i + 1]]``."""
+        return np.fromiter(accumulate(map(len, self.adj), initial=0),
+                           dtype=np.intp, count=len(self.adj) + 1)
+
+    @cached_property
+    def indices(self) -> np.ndarray:
+        """``adj`` flattened row after row (arc targets in source order)."""
+        return np.fromiter(chain.from_iterable(self.adj), dtype=np.intp,
+                           count=int(self.indptr[-1]))
 
     def repr_ranks(self) -> list[int]:
         """Per id, the position of the node's ``repr`` among all nodes'.
@@ -73,3 +109,11 @@ class GraphView:
             rows[u][v] = None
             rows[v][u] = None
         return tuple(tuple(row) for row in rows)
+
+
+def neighbor_sets(rows: tuple[tuple[int, ...], ...]) -> list[set[int]]:
+    """Undirected int adjacency ``rows`` as fresh sets, self-loops dropped."""
+    sets = [set(row) for row in rows]
+    for node, nbrs in enumerate(sets):
+        nbrs.discard(node)
+    return sets

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Iterator
 
 from ..errors import KnowledgeBaseError
@@ -21,6 +22,12 @@ class Triple:
         return f"({self.head}) -[{self.relation}]-> ({self.tail})"
 
 
+#: Sort key giving the dataclass order of :class:`Triple` by comparing
+#: field tuples in C; the generated ``__lt__`` is a Python call per
+#: comparison, which dominated every pass over a store.
+_ORDER = attrgetter("head", "relation", "tail")
+
+
 class TripleStore:
     """A set of triples with entity types and relation indexes.
 
@@ -37,6 +44,8 @@ class TripleStore:
         self._by_head: dict[str, set[Triple]] = {}
         self._by_tail: dict[str, set[Triple]] = {}
         self._entity_types: dict[str, str] = {}
+        #: Every triple in order, kept until the next ``add``/``remove``.
+        self._ordered: tuple[Triple, ...] | None = None
 
     # ------------------------------------------------------------------
     # mutation
@@ -44,6 +53,7 @@ class TripleStore:
     def add(self, triple: Triple) -> None:
         if triple in self._triples:
             return
+        self._ordered = None
         self._triples.add(triple)
         self._by_relation.setdefault(triple.relation, set()).add(triple)
         self._by_head.setdefault(triple.head, set()).add(triple)
@@ -52,6 +62,7 @@ class TripleStore:
     def remove(self, triple: Triple) -> None:
         if triple not in self._triples:
             raise KnowledgeBaseError(f"triple not in store: {triple.render()}")
+        self._ordered = None
         self._triples.discard(triple)
         self._by_relation[triple.relation].discard(triple)
         self._by_head[triple.head].discard(triple)
@@ -70,7 +81,11 @@ class TripleStore:
         return len(self._triples)
 
     def __iter__(self) -> Iterator[Triple]:
-        return iter(sorted(self._triples))
+        ordered = self._ordered
+        if ordered is None:
+            ordered = self._ordered = tuple(sorted(self._triples,
+                                                   key=_ORDER))
+        return iter(ordered)
 
     def relations(self) -> list[str]:
         return sorted(r for r, ts in self._by_relation.items() if ts)
@@ -86,13 +101,13 @@ class TripleStore:
         return self._entity_types.get(entity)
 
     def by_relation(self, relation: str) -> list[Triple]:
-        return sorted(self._by_relation.get(relation, ()))
+        return sorted(self._by_relation.get(relation, ()), key=_ORDER)
 
     def outgoing(self, entity: str) -> list[Triple]:
-        return sorted(self._by_head.get(entity, ()))
+        return sorted(self._by_head.get(entity, ()), key=_ORDER)
 
     def incoming(self, entity: str) -> list[Triple]:
-        return sorted(self._by_tail.get(entity, ()))
+        return sorted(self._by_tail.get(entity, ()), key=_ORDER)
 
     def copy(self) -> "TripleStore":
         clone = TripleStore()

@@ -13,8 +13,9 @@ package implements the paper's two-level scheme:
 * :mod:`serializer` — the bag of tokens over both covers that
   :mod:`repro.llm` conditions on, counted off the walk; the token
   sequences themselves are a lazy explain/trace view.
-* :mod:`view` — the interned snapshot (int ids, int adjacency) all of
-  the above run on.
+
+All of them run on :class:`repro.graphs.TopologyView`, the interned
+snapshot (int ids, int adjacency) a graph memoises per topology.
 """
 
 from .path_cover import CoverStats, length_constrained_path_cover

@@ -10,7 +10,7 @@ tree; cycles up to ``max_size`` become candidate motifs.
 from __future__ import annotations
 
 from ..graphs.graph import Graph, Node
-from .view import GraphView
+from ..graphs.topology import TopologyView
 
 
 def find_rings(graph: Graph, max_size: int = 8) -> list[frozenset[Node]]:
@@ -21,7 +21,7 @@ def find_rings(graph: Graph, max_size: int = 8) -> list[frozenset[Node]]:
     linear-ish and safe on large graphs (unlike full cycle enumeration).
     Directed graphs are searched on their undirected skeleton.
     """
-    view = GraphView.of(graph)
+    view = TopologyView.of(graph)
     return [frozenset(view.nodes[i] for i in ring)
             for ring in ring_ids(view.skeleton(), view.repr_ranks(),
                                  max_size)]
@@ -32,7 +32,7 @@ def ring_ids(rows: tuple[tuple[int, ...], ...], rank: list[int],
     """:func:`find_rings` over undirected int adjacency ``rows``.
 
     ``rank`` orders node ids as their ``repr`` would
-    (:meth:`GraphView.repr_ranks`); equal-size rings come out in that
+    (:meth:`TopologyView.repr_ranks`); equal-size rings come out in that
     order.
     """
     parent = [-1] * len(rows)

@@ -15,7 +15,7 @@ The cover is deduplicated globally (a path kept once even if several
 start nodes generate it).
 
 There is one traversal, :func:`cover_view`, over an interned
-:class:`~repro.sequencer.view.GraphView`.  It *counts*: how often each
+:class:`~repro.graphs.TopologyView`.  It *counts*: how often each
 node occurs in the cover (which is all the model's token bag needs) and
 the :class:`CoverStats`.  The paths themselves are only built when the
 caller hands it a list to fill — :func:`length_constrained_path_cover`
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 from ..errors import SequencerError
 from ..graphs.graph import Graph, Node
-from .view import GraphView
+from ..graphs.topology import TopologyView
 
 
 @dataclass(frozen=True)
@@ -69,7 +69,7 @@ def _tree_path(parent: list[int], node: int) -> list[int]:
     return path
 
 
-def cover_view(view: GraphView, max_length: int,
+def cover_view(view: TopologyView, max_length: int,
                max_paths: int | None = None,
                paths: list[tuple[int, ...]] | None = None
                ) -> tuple[list[int], CoverStats]:
@@ -195,7 +195,7 @@ def length_constrained_path_cover(
     ``max_length`` edges.  ``max_paths`` truncates the output (stats then
     reflect the truncated cover).
     """
-    view = GraphView.of(graph)
+    view = TopologyView.of(graph)
     id_paths: list[tuple[int, ...]] = []
     __, stats = cover_view(view, max_length, max_paths, paths=id_paths)
     node_of = view.nodes.__getitem__

@@ -24,9 +24,9 @@ from typing import Any
 
 from ..config import SequencerConfig
 from ..graphs.graph import Graph, Node
+from ..graphs.topology import TopologyView
 from .path_cover import CoverStats, cover_view
 from .supergraph import SuperGraph, coarsen
-from .view import GraphView
 
 #: Node attributes consulted (in order) for a node's token label.
 LABEL_KEYS = ("label", "element", "entity_type", "kind")
@@ -50,7 +50,7 @@ def node_token(graph: Graph, node: Node) -> str:
 class _Level:
     """Immutable input of one level's cover: enough to walk it again."""
 
-    view: GraphView
+    view: TopologyView
     #: Rendered token of each node id.
     tokens: tuple[str, ...]
     max_length: int
@@ -156,7 +156,7 @@ class GraphSequentializer:
 
     def _sequentialize(self, graph: Graph) -> GraphSequences:
         config = self.config
-        view = GraphView.of(graph)
+        view = TopologyView.of(graph)
         base = _Level(view, tuple(node_token(graph, node)
                                   for node in view.nodes),
                       config.path_length, config.max_paths)
@@ -170,7 +170,7 @@ class GraphSequentializer:
             supergraph = coarsen(view, config.min_motif_size,
                                  name=graph.name)
             coarse = _Level(
-                GraphView.of(supergraph.graph),
+                TopologyView.of(supergraph.graph),
                 tuple(_super_token(supergraph.graph, sid)
                       for sid in supergraph.graph.nodes()),
                 config.path_length, max(1, config.max_paths // 4))

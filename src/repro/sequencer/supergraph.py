@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 from ..algorithms.motifs import maximal_cliques
 from ..errors import SequencerError
 from ..graphs.graph import Graph, Node
+from ..graphs.topology import TopologyView, neighbor_sets
 from .motifs import ring_ids
-from .view import GraphView
 
 
 @dataclass
@@ -58,10 +58,10 @@ def build_supergraph(graph: Graph, min_motif_size: int = 3) -> SuperGraph:
     Directed graphs are coarsened on their undirected skeleton (motifs
     ignore direction) but the super-graph keeps the original arcs.
     """
-    return coarsen(GraphView.of(graph), min_motif_size, name=graph.name)
+    return coarsen(TopologyView.of(graph), min_motif_size, name=graph.name)
 
 
-def coarsen(view: GraphView, min_motif_size: int = 3,
+def coarsen(view: TopologyView, min_motif_size: int = 3,
             name: str = "") -> SuperGraph:
     """:func:`build_supergraph` of the graph ``view`` was taken from."""
     if min_motif_size < 2:
@@ -79,8 +79,17 @@ def coarsen(view: GraphView, min_motif_size: int = 3,
     assigned: set[int] = set()
     groups: list[tuple[str, frozenset[int]]] = []
     smallest = max(min_motif_size, 3)
-    cliques = maximal_cliques(
-        {node: set(row) - {node} for node, row in enumerate(rows)})
+    # a maximal clique of >= 3 nodes only uses edges that close a
+    # triangle, so Bron-Kerbosch is spared every other edge (and every
+    # node left without one); below its clique cap the contractable
+    # cliques are the same set, and the sort below orders them
+    sets = neighbor_sets(rows)
+    supported: dict[int, set[int]] = {}
+    for node, nbrs in enumerate(sets):
+        keep = {other for other in nbrs if not nbrs.isdisjoint(sets[other])}
+        if keep:
+            supported[node] = keep
+    cliques = maximal_cliques(supported)
     for clique in sorted((c for c in cliques if len(c) >= smallest),
                          key=by_size_then_repr):
         free = clique - assigned

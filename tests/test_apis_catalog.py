@@ -5,7 +5,12 @@ import pytest
 from repro.apis import APIChain, ChainContext, ChainExecutor
 from repro.chem import parse_smiles
 from repro.errors import APIError, ChainExecutionError
-from repro.graphs import complete_graph, path_graph, social_network
+from repro.graphs import (
+    complete_graph,
+    knowledge_graph,
+    path_graph,
+    social_network,
+)
 from repro.kb import TripleStore, corrupt_store
 
 
@@ -231,6 +236,63 @@ class TestKnowledgeAndEditApis:
         record = executor.execute(chain, ctx)
         assert record.final_result["n_removed"] == 0
         assert record.final_result["skipped"]
+
+    PLANTED = (("person_0", "works_at", "person_5"),
+               ("city_2", "located_in", "person_10"))
+
+    @pytest.fixture()
+    def planted_graph(self):
+        graph = knowledge_graph(150, 600, seed=3)
+        for head, relation, tail in self.PLANTED:
+            graph.add_edge(head, tail, relation=relation)
+        return graph
+
+    def test_edit_step_drops_derived_store_and_inferencer(
+            self, executor, planted_graph):
+        """What the knowledge steps derive from the graph follows an
+        edit step: the second profile counts the cleaned graph and the
+        second detection does not flag edges that are already gone."""
+        chain = APIChain.from_names([
+            "knowledge_profile", "detect_incorrect_edges",
+            "remove_flagged_edges", "knowledge_profile",
+            "detect_incorrect_edges", "export_graph"])
+        ctx = ChainContext(graph=planted_graph)
+        results = [step.result
+                   for step in executor.execute(chain, ctx).steps]
+        assert results[0]["n_facts"] == 602
+        assert {(f["head"], f["relation"], f["tail"])
+                for f in results[1]} == set(self.PLANTED)
+        assert results[2]["n_removed"] == 2
+        assert len(results[5]["edges"]) == 600
+        assert results[3]["n_facts"] == 600
+        assert results[4] == []
+
+    def test_edit_step_that_edits_nothing_keeps_the_fit(
+            self, executor, planted_graph):
+        ctx = ChainContext(graph=planted_graph,
+                           confirm=lambda question, payload: False)
+        executor.execute(APIChain.from_names(["detect_incorrect_edges"]),
+                         ctx)
+        fitted = ctx.extras["knowledge_inferencer"]
+        from repro.apis import ChainNode
+        record = executor.execute(APIChain([
+            ChainNode("detect_incorrect_edges"),
+            ChainNode("remove_flagged_edges", {"confirm_each": True}),
+            ChainNode("mine_rules")]), ctx)
+        assert record.steps[1].result["n_removed"] == 0
+        assert ctx.graph is planted_graph
+        assert ctx.extras["knowledge_inferencer"] is fitted
+
+    def test_attached_triple_store_wins_over_the_graph(
+            self, executor, planted_graph):
+        store = TripleStore.from_triples([("a", "knows", "b")])
+        ctx = ChainContext(graph=planted_graph,
+                           extras={"triple_store": store})
+        chain = APIChain.from_names([
+            "detect_incorrect_edges", "remove_flagged_edges",
+            "knowledge_profile"])
+        record = executor.execute(chain, ctx)
+        assert record.final_result["n_facts"] == 1
 
     def test_explicit_edge_edits(self, executor):
         from repro.graphs import Graph

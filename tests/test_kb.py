@@ -1,6 +1,8 @@
 """Tests for the knowledge-graph substrate (triples, rules, inference)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import KnowledgeBaseError
 from repro.graphs import knowledge_graph
@@ -82,6 +84,45 @@ class TestTripleStore:
             [("a", "r", "b")], entity_types={"a": "person"})
         assert len(store) == 1
         assert store.entity_type("a") == "person"
+
+
+#: Short strings that collide on purpose, so orders are decided by
+#: later fields and by prefix ("a" < "a " < "ab").
+_NAMES = st.sampled_from(("", "a", "a ", "ab", "b", "B", "é", "10", "9"))
+
+
+class TestTripleOrder:
+    """Every ordered read is the dataclass order of ``Triple``, reached
+    through a tuple key instead of the generated ``__lt__``."""
+
+    @given(facts=st.lists(st.tuples(_NAMES, _NAMES, _NAMES), max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_key_order_is_dataclass_order(self, facts):
+        store = TripleStore.from_triples(facts)
+        triples = {Triple(*fact) for fact in facts}
+        assert list(store) == sorted(triples)
+        assert list(store) == list(store)
+        for name in {part for fact in facts for part in fact}:
+            assert store.by_relation(name) == sorted(
+                t for t in triples if t.relation == name)
+            assert store.outgoing(name) == sorted(
+                t for t in triples if t.head == name)
+            assert store.incoming(name) == sorted(
+                t for t in triples if t.tail == name)
+
+    def test_iteration_sees_edits_made_after_it(self, toy_store):
+        before = list(toy_store)
+        first, extra = before[0], Triple("aaa", "works_at", "acme")
+        walk = iter(toy_store)
+        toy_store.add(extra)
+        assert list(toy_store) == sorted(before + [extra])
+        toy_store.remove(first)
+        assert list(toy_store) == sorted(before[1:] + [extra])
+        toy_store.add(extra)  # already there: nothing to re-sort
+        assert list(toy_store) == sorted(before[1:] + [extra])
+        # a walk started earlier finishes over what it started on
+        assert list(walk) == before
+        assert list(toy_store.copy()) == list(toy_store)
 
 
 class TestRuleMining:

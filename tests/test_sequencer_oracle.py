@@ -1,7 +1,7 @@
 """The counting sequencer against the pre-interning reference oracle.
 
 ``tests/sequencer_oracle.py`` is the tuple-and-set implementation the
-sequencer had before it moved onto :class:`repro.sequencer.view.GraphView`.
+sequencer had before it moved onto :class:`repro.graphs.TopologyView`.
 The cover is order- and cap-sensitive, so "same token bag" is required
 exactly: feature counts, cover stats, the lazy sequences as ordered
 tuples, and the whole super-graph.
