@@ -326,7 +326,7 @@ def bench_slo_main(argv: list[str]) -> int:
     steady / diurnal / spike / shard-kill / shard-reshape) under the
     fake-clock discipline, writes the combined report to ``--out``
     (JSON, one block per scenario with its SLO verdict and schedule
-    fingerprint, stamped with the host it ran on), and exits non-zero
+    sha256, stamped with the host it ran on), and exits non-zero
     when any gate fails, naming the scenario, the gate and the seed
     that replays it.  Under a fixed ``--seed`` the generated request
     schedule is byte-identical across runs (``--dump-schedule DIR``

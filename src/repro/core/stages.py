@@ -255,10 +255,10 @@ def _group_contexts_by_graph(
     whose prompt carries the same graph *object* (the common served
     case: one uploaded graph fanned out across a batch), at zero
     hashing cost.  Equal-but-distinct graph objects stay apart here;
-    content-level reuse is the fingerprint-keyed sequence cache's job,
-    one layer down in :class:`~repro.sequencer.serializer.
-    GraphSequentializer`.  Group order follows first appearance, keeping
-    results deterministic.
+    content-level reuse is the sequence cache's job (keyed on the
+    graph's topology view and label tokens), one layer down in
+    :class:`~repro.sequencer.serializer.GraphSequentializer`.  Group
+    order follows first appearance, keeping results deterministic.
     """
     no_graph: list[StageContext] = []
     by_object: dict[int, list[StageContext]] = {}

@@ -136,19 +136,31 @@ def to_dict(graph: Graph) -> dict[str, Any]:
 def fingerprint(graph: Graph) -> str:
     """Stable content hash of ``graph`` (hex digest).
 
-    Two graphs with the same nodes, edges and attributes — regardless of
-    insertion order — hash identically, which makes the digest usable as
-    a cache key (see :mod:`repro.serve.cache`).
+    Two graphs with the same name, directedness, nodes, edges and
+    attributes hash identically — regardless of insertion order, and of
+    which endpoint ``edges()`` reports an undirected edge from (that
+    follows node insertion order, so each one is oriented by its
+    endpoints' canonical JSON first).
     """
-    document = to_dict(graph)
-    document["nodes"] = sorted(
-        (json.dumps(node, sort_keys=True, default=repr)
-         for node in document["nodes"]))
-    document["edges"] = sorted(
-        (json.dumps(edge, sort_keys=True, default=repr)
-         for edge in document["edges"]))
-    canonical = json.dumps(document, sort_keys=True, default=repr)
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    ids = {node: _canonical(node) for node in graph.nodes()}
+    nodes = sorted(f"[{ids[node]}, {_canonical(graph.node_attrs(node))}]"
+                   for node in ids)
+    edges = []
+    for u, v in graph.edges():
+        first, second = ids[u], ids[v]
+        if not graph.directed and second < first:
+            first, second = second, first
+        edges.append(
+            f"[{first}, {second}, {_canonical(graph.edge_attrs(u, v))}]")
+    edges.sort()
+    document = (f"[{_canonical(graph.directed)}, {_canonical(graph.name)}, "
+                f"[{', '.join(nodes)}], [{', '.join(edges)}]]")
+    return hashlib.sha256(document.encode("utf-8")).hexdigest()
+
+
+def _canonical(value: Any) -> str:
+    """One JSON text per value: keys sorted, non-JSON values by repr."""
+    return json.dumps(value, sort_keys=True, default=repr)
 
 
 def from_dict(data: Mapping[str, Any]) -> Graph:

@@ -24,7 +24,7 @@ from ..errors import ConfigError
 class ArrivalProcess:
     """Base: a deterministic generator of arrival offsets."""
 
-    #: Stable identifier used in schedule fingerprints and reports.
+    #: Stable identifier used in schedule digests and reports.
     name = "arrival"
 
     def times(self, duration: float,

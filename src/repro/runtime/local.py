@@ -160,7 +160,8 @@ class LocalBackend(ExecutionBackend):
         """Pre-populate pipeline caches from the catalog's named graphs.
 
         For every graph in the catalog, sequentializes it (sequence
-        cache, keyed by graph fingerprint) and embeds its suggested
+        cache, keyed by topology view and label tokens — copies of one
+        catalog version key alike) and embeds its suggested
         questions through the retriever's query path (embedding cache),
         so the first real request against a named graph starts warm.
         Returns the number of cache entries added.  Warming only ever

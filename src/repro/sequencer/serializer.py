@@ -136,30 +136,36 @@ class GraphSequentializer:
     def __init__(self, config: SequencerConfig | None = None,
                  cache: "Any | None" = None) -> None:
         self.config = config or SequencerConfig()
-        #: Optional content-addressed cache (``get(key)``/``put(key, v)``
-        #: duck type, e.g. :class:`repro.serve.cache.LRUCache`).  Cached
+        #: Optional cache (``get(key)``/``put(key, v)`` duck type, e.g.
+        #: :class:`repro.serve.cache.LRUCache`).  Cached
         #: :class:`GraphSequences` are shared — treat them as immutable.
         self.cache = cache
 
     def sequentialize(self, graph: Graph) -> GraphSequences:
         """Produce the (possibly multi-level) sequences of ``graph``."""
+        view = TopologyView.of(graph)
+        tokens = tuple(node_token(graph, node) for node in view.nodes)
         if self.cache is None:
-            return self._sequentialize(graph)
-        from ..graphs.io import fingerprint
-        key = (fingerprint(graph), self.config)
+            return self._sequentialize(graph, view, tokens)
+        # The key is everything _sequentialize reads: the topology in
+        # insertion order (the cover walk follows it), each node's repr
+        # (the motif tie-break: 1, 1.0 and True are == but sort apart),
+        # the label tokens, and the name the super-graph carries.  No
+        # other attribute is read, so a write that touches no label
+        # still hits.
+        key = (view, tuple(map(repr, view.nodes)), tokens, graph.name,
+               self.config)
         cached = self.cache.get(key)
         if cached is not None:
             return cached
-        out = self._sequentialize(graph)
+        out = self._sequentialize(graph, view, tokens)
         self.cache.put(key, out)
         return out
 
-    def _sequentialize(self, graph: Graph) -> GraphSequences:
+    def _sequentialize(self, graph: Graph, view: TopologyView,
+                       tokens: tuple[str, ...]) -> GraphSequences:
         config = self.config
-        view = TopologyView.of(graph)
-        base = _Level(view, tuple(node_token(graph, node)
-                                  for node in view.nodes),
-                      config.path_length, config.max_paths)
+        base = _Level(view, tokens, config.path_length, config.max_paths)
         features: Counter = Counter()
         stats = base.count_into(features)
         n_sequences = stats.n_paths

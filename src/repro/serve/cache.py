@@ -6,9 +6,13 @@ Three hot pipeline stages repeat work across requests:
 * API retrieval (text + routing -> ranked names),
 * graph sequentialization (the length-constrained path cover).
 
-Each gets an :class:`LRUCache` keyed on content hashes — the same text
-or the same graph (by :func:`repro.graphs.io.fingerprint`) hits the
-cache regardless of which session or worker asks.  Each cache is an
+Each gets an :class:`LRUCache` keyed on the input of the work it saves,
+so the same text or the same graph hits the cache regardless of which
+session or worker asks.  A graph is keyed on what the sequencer reads
+of it (:meth:`repro.sequencer.GraphSequentializer.sequentialize`): its
+memoised :class:`~repro.graphs.TopologyView`, node reprs, label tokens
+and name — no content digest, and a write to an attribute that is not
+a label still hits.  Each cache is an
 attribute on the component whose work it saves — ``retrieval`` on the
 stage graph's :class:`~repro.core.stages.RetrieveStage`, ``embeddings``
 on the retriever's query embedder, ``sequences`` on the sequentializer

@@ -1,11 +1,17 @@
 """Tests for graph serialization (edge lists, adjacency, JSON dicts)."""
 
+import json
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import GraphIOError
 from repro.graphs import (
     DiGraph,
     Graph,
+    fingerprint,
     from_adjacency,
     from_dict,
     from_edgelist,
@@ -105,3 +111,127 @@ class TestDictFormat:
     def test_edge_without_source_raises(self):
         with pytest.raises(GraphIOError):
             from_dict({"nodes": [{"id": 1}], "edges": [{"target": 1}]})
+
+
+# ----------------------------------------------------------------------
+# fingerprint: a function of the content, and of nothing else
+# ----------------------------------------------------------------------
+#: ints and strings never compare equal, so ids stay distinct nodes
+node_ids = st.integers(-3, 30) | st.text("abxy01", max_size=3)
+attr_values = st.none() | st.integers(0, 3) | st.sampled_from(("C", "N"))
+attr_dicts = st.dictionaries(st.sampled_from(("label", "kind", "w")),
+                             attr_values, max_size=2)
+
+
+def edge_key(directed, u, v):
+    return (u, v) if directed else frozenset((u, v))
+
+
+@st.composite
+def documents(draw):
+    """A :func:`to_dict` document with no duplicate node or edge."""
+    directed = draw(st.booleans())
+    ids = draw(st.lists(node_ids, max_size=8, unique=True))
+    nodes = [{"id": node, **draw(attr_dicts)} for node in ids]
+    edges, seen = [], set()
+    pairs = st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids)),
+                     max_size=12) if ids else st.just([])
+    for u, v in draw(pairs):
+        if edge_key(directed, u, v) not in seen:
+            seen.add(edge_key(directed, u, v))
+            edges.append({"source": u, "target": v, **draw(attr_dicts)})
+    return {"directed": directed, "name": draw(st.sampled_from(("", "g"))),
+            "nodes": nodes, "edges": edges}
+
+
+def content(document):
+    """The document as sets: what the fingerprint must be a function
+    of (undirected endpoints unordered, values compared as JSON)."""
+    def frozen(entry, skip):
+        return frozenset((key, json.dumps(value))
+                         for key, value in entry.items() if key not in skip)
+
+    return (document["directed"], document["name"],
+            frozenset((json.dumps(node["id"]), frozen(node, {"id"}))
+                      for node in document["nodes"]),
+            frozenset((edge_key(document["directed"],
+                                json.dumps(edge["source"]),
+                                json.dumps(edge["target"])),
+                       frozen(edge, {"source", "target"}))
+                      for edge in document["edges"]))
+
+
+def reordered(document, rng):
+    """The same content: node and edge lists shuffled, undirected edges
+    written from either end."""
+    nodes = list(document["nodes"])
+    edges = [dict(edge) for edge in document["edges"]]
+    rng.shuffle(nodes)
+    rng.shuffle(edges)
+    if not document["directed"]:
+        for edge in edges:
+            if rng.random() < 0.5:
+                edge["source"], edge["target"] = (edge["target"],
+                                                  edge["source"])
+    return {**document, "nodes": nodes, "edges": edges}
+
+
+EDITS = ("name", "directed", "add_node", "drop_node", "add_edge",
+         "drop_edge", "reverse_edge", "node_attr", "edge_attr")
+
+
+@st.composite
+def edited(draw, document):
+    """``document`` with one edit from :data:`EDITS` (a no-op when the
+    document has nothing to apply it to, or writes back what was
+    there)."""
+    directed = document["directed"]
+    nodes = [dict(node) for node in document["nodes"]]
+    edges = [dict(edge) for edge in document["edges"]]
+    edit = draw(st.sampled_from(EDITS))
+    out = {**document, "nodes": nodes, "edges": edges}
+    if edit == "name":
+        out["name"] += "'"
+    elif edit == "directed":
+        out["directed"] = not directed
+    elif edit == "add_node":
+        nodes.append({"id": "fresh"})  # not in node_ids' alphabet
+    elif edit == "drop_node" and nodes:
+        gone = nodes.pop(draw(st.integers(0, len(nodes) - 1)))["id"]
+        out["edges"] = [edge for edge in edges
+                        if gone not in (edge["source"], edge["target"])]
+    elif edit == "add_edge" and nodes:
+        u = draw(st.sampled_from(nodes))["id"]
+        v = draw(st.sampled_from(nodes))["id"]
+        if all(edge_key(directed, u, v)
+               != edge_key(directed, edge["source"], edge["target"])
+               for edge in edges):
+            edges.append({"source": u, "target": v})
+    elif edit == "drop_edge" and edges:
+        edges.pop(draw(st.integers(0, len(edges) - 1)))
+    elif edit == "reverse_edge" and edges:
+        edge = draw(st.sampled_from(edges))
+        edge["source"], edge["target"] = edge["target"], edge["source"]
+    elif edit == "node_attr" and nodes:
+        draw(st.sampled_from(nodes))["w"] = draw(attr_values)
+    elif edit == "edge_attr" and edges:
+        draw(st.sampled_from(edges))["w"] = draw(attr_values)
+    return out
+
+
+@given(document=documents(), seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_fingerprint_ignores_order_and_edge_orientation(document, seed):
+    again = reordered(document, random.Random(seed))
+    assert content(again) == content(document)
+    assert (fingerprint(from_dict(again))
+            == fingerprint(from_dict(document)))
+
+
+@given(data=st.data(), document=documents())
+@settings(max_examples=300, deadline=None)
+def test_fingerprint_separates_every_content_change(data, document):
+    other = data.draw(edited(document))
+    same = content(other) == content(document)
+    assert (fingerprint(from_dict(other))
+            == fingerprint(from_dict(document))) == same

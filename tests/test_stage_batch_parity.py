@@ -12,7 +12,8 @@ contract that body must keep:
   same ANN distance-computation count alone as batched;
 * grouping is by graph *object* and hashes nothing; content-equal but
   distinct graph objects still get equal sequences, through the
-  fingerprint-keyed sequence cache one layer down when it is attached;
+  sequence cache one layer down when it is attached, and no content
+  digest is taken on the way;
 * a single-prompt call has one trace shape whichever entry point made
   it, and a stage that fails it runs exactly once;
 * failure isolation — one poisoned context degrades only itself, at
@@ -195,33 +196,40 @@ def fingerprint_calls(monkeypatch):
     return calls
 
 
-class TestHashingCost:
-    """The stage graph groups by identity; only the sequence cache
-    hashes, once per graph object it is asked about."""
+class TestNoContentDigest:
+    """The stage graph groups by identity and the sequence cache keys on
+    the memoised topology view: nothing takes a content digest, with
+    caches on or off, and the cache is asked once per graph object."""
 
-    def test_distinct_graphs_hash_once_and_only_for_the_cache(
+    def test_distinct_graphs_take_no_digest_and_one_lookup_each(
             self, parity_chatgraph, fingerprint_calls):
         pipeline = parity_chatgraph.pipeline
         prompts = build_prompts([(0, 1), (1, 2), (2, 3), (3, 4)])
         pipeline.process_batch(prompts)
-        assert len(fingerprint_calls) == 0
-        with attached(parity_chatgraph, caches=PipelineCaches.with_sizes()):
+        caches = PipelineCaches.with_sizes()
+        with attached(parity_chatgraph, caches=caches):
             pipeline.process_batch(prompts)
-        assert len(fingerprint_calls) == 4
+        assert fingerprint_calls == []
+        # GRAPHS[2] and GRAPHS[4] are equal and built alike: one hit
+        stats = caches.sequences.stats()
+        assert (stats.misses, stats.hits) == (3, 1)
 
-    def test_batch_of_one_hashes_as_often_as_process(
+    def test_batch_of_one_looks_up_as_often_as_process(
             self, parity_chatgraph, fingerprint_calls):
         pipeline = parity_chatgraph.pipeline
         prompt = build_prompts([(0, 1)])[0]
-        counts = []
+        lookups = []
         for call in (pipeline.process,
                      lambda p: pipeline.process_batch([p])):
             for caches in (None, PipelineCaches.with_sizes()):
-                before = len(fingerprint_calls)
                 with attached(parity_chatgraph, caches=caches):
                     call(prompt)
-                counts.append(len(fingerprint_calls) - before)
-        assert counts == [0, 1, 0, 1]
+                    call(prompt)
+                if caches is not None:
+                    stats = caches.sequences.stats()
+                    lookups.append((stats.misses, stats.hits))
+        assert fingerprint_calls == []
+        assert lookups == [(1, 1), (1, 1)]
 
 
 class TestSingleRequestShape:
