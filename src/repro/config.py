@@ -202,18 +202,15 @@ class ServeConfig:
     #: Shard worker *processes* behind a
     #: :class:`repro.shard.ShardedChatGraphServer`; ``0`` means the
     #: config describes a plain in-process server.  In sharded mode
-    #: ``workers`` is the thread count *per shard*.
+    #: ``workers`` and ``microbatch_*`` apply *per shard* (the
+    #: coordinator forwards each request alone; only shards coalesce),
+    #: and work routed but unanswered is capped at
+    #: ``shards × queue_depth`` — each shard's local queue depth.
     shards: int = 0
     #: Catalog graph names replicated read-only across
     #: ``repro.runtime.shard.HOT_GRAPH_REPLICAS`` shards with
     #: least-loaded routing; other keys route to their single ring owner.
     shard_hot_graphs: tuple[str, ...] = ()
-    #: Scatter batches a coordinator may keep in flight per shard.
-    shard_inflight: int = 2
-    #: Requests coalesced into one scatter frame (transport batching;
-    #: the shard's own ``microbatch_size`` governs *execution*
-    #: batching).  ``0`` sends one request per frame.
-    shard_scatter_batch: int = 8
     #: Base seed folded into every request's deterministic per-request
     #: seed (content-keyed, so results are order-independent).
     seed: int = 0
@@ -251,9 +248,6 @@ class ServeConfig:
         _require(self.microbatch_deadline_seconds >= 0.0,
                  "microbatch_deadline_seconds must be >= 0")
         _require(self.shards >= 0, "shards must be >= 0")
-        _require(self.shard_inflight >= 1, "shard_inflight must be >= 1")
-        _require(self.shard_scatter_batch >= 0,
-                 "shard_scatter_batch must be >= 0")
 
 
 @dataclass(frozen=True)

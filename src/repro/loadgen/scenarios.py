@@ -230,12 +230,11 @@ _FLEET_CATALOG = ("social-m", "kg-m")
 
 
 def _fleet_config(shards: int, queue_depth: int) -> ServeConfig:
-    # both fleet soaks: one worker thread per shard, one scatter frame
-    # of up to four requests in flight per shard, and both catalog
-    # graphs hot on two replicas
+    # both fleet soaks: one worker thread per shard, at most
+    # shards x queue_depth requests routed and unanswered, and both
+    # catalog graphs hot on two replicas
     return ServeConfig(
         shards=shards, workers=1, queue_depth=queue_depth,
-        shard_inflight=1, shard_scatter_batch=4,
         shard_hot_graphs=_catalog_names(_FLEET_CATALOG))
 
 
@@ -448,6 +447,10 @@ def run_scenario(scenario: Scenario, seed: int = 0,
             report = runner.run()
             if sharded:
                 fleet = report["fleet"] = _settle_fleet(server)
+                # a restart can land during the settle wait (the soak
+                # drained faster than one worker model build): read the
+                # counters again once the fleet has settled
+                report["counters"].update(server.stats()["counters"])
                 report["counters"].update(
                     fleet_shards_down=len(fleet["ring"]) - fleet["alive"],
                     fleet_breakers_open=len(fleet["open_breakers"]),

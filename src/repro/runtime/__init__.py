@@ -8,7 +8,7 @@ trace-context stamping on its two edges itself, over a pluggable
 * :class:`~repro.runtime.local.LocalBackend` — a worker-thread pool and
   micro-batcher over one in-process :class:`~repro.core.chatgraph.ChatGraph`;
 * :class:`~repro.runtime.shard.ShardBackend` — consistent-hash routing,
-  scatter/gather and failover over shard worker processes.
+  per-request forwarding and failover over shard worker processes.
 
 :class:`~repro.serve.engine.ChatGraphServer` and
 :class:`~repro.shard.coordinator.ShardedChatGraphServer` are thin
@@ -18,7 +18,9 @@ degenerate case, and both report shapes come from one snapshot builder
 
 Construction of the admission-control primitives (``AdmissionQueue``,
 ``RateLimiter``, ``BreakerRegistry``, ``MicroBatcher``) is confined to
-this package — enforced by ``tests/test_runtime_wiring_lint.py``.
+this package — the admission queue in the lifecycle, the micro-batcher
+in the local backend alone (one coalescer per request path) — enforced
+by ``tests/test_runtime_wiring_lint.py``.
 """
 
 from .lifecycle import ExecutionBackend, ReplyTiming, RequestLifecycle

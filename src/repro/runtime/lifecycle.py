@@ -13,13 +13,13 @@ execution plane.
 Everything between the edges — *how* a request is routed, coalesced,
 dispatched and gathered — belongs to the pluggable
 :class:`ExecutionBackend` (a worker-thread pool in
-:class:`~repro.runtime.local.LocalBackend`, a scatter/gather process
-fleet in :class:`~repro.runtime.shard.ShardBackend`).
+:class:`~repro.runtime.local.LocalBackend`, a routed process fleet in
+:class:`~repro.runtime.shard.ShardBackend`).
 
 The admission-control primitives are constructed only in this package
 (``tests/test_runtime_wiring_lint.py`` enforces it): the admission
-queue, limiter and breakers here, backend-internal staging queues and
-coalescers in the backends.
+queue, limiter and breakers here, the one coalescer in the local
+backend.
 """
 
 from __future__ import annotations

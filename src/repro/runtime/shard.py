@@ -1,7 +1,7 @@
-"""The sharded execution backend: routing, scatter/gather, migration.
+"""The sharded execution backend: routing, forwarding, migration.
 
 :class:`ShardBackend` runs the request plane's middle — route →
-coalesce → dispatch → gather — over N shard worker *processes* (see
+forward → gather — over N shard worker *processes* (see
 :mod:`repro.shard.worker`), behind the same
 :class:`~repro.runtime.lifecycle.RequestLifecycle` the in-process
 backend uses.  The pieces:
@@ -12,16 +12,16 @@ backend uses.  The pieces:
   ``ServeConfig.shard_hot_graphs`` are *hot*: any of their first
   :data:`HOT_GRAPH_REPLICAS` ring shards may serve a stateless read,
   picked by least outstanding work.
-* **scatter/gather** — a per-shard dispatcher coalesces routed
-  requests into scatter frames (a ``MicroBatcher`` with an accept-all
-  predicate) and pipelines up to ``shard_inflight`` frames per shard;
-  a per-shard reader gathers replies and resolves each
-  caller's :class:`~repro.serve.engine.PendingRequest` individually
-  through ``lifecycle.reply``.
+* **forwarding** — the router writes each request to its shard as its
+  own ``request`` frame; the shard batches execution itself (its
+  ``microbatch_*``), and a per-shard reader resolves each caller's
+  :class:`~repro.serve.engine.PendingRequest` from its own ``reply``
+  frame through ``lifecycle.reply``.
 * **failure** — missed heartbeats or a dropped pipe mark the shard
-  dead: its ``shard:<i>`` circuit trips, every orphaned in-flight and
-  queued request fails over along its ring preference, and a
-  background restart replaces the process.
+  dead: its ``shard:<i>`` circuit trips, every orphaned in-flight
+  request fails over along its ring preference, and a background
+  restart replaces the process.  A request a live shard leaves
+  unanswered for :data:`RESULT_TIMEOUT_SECONDS` fails alone.
 * **migration** — :meth:`add_shard` / :meth:`remove_shard` reshape the
   fleet live: the router pauses, outstanding work quiesces to zero,
   pinned sessions move to their new ring-preferred shards via
@@ -41,11 +41,9 @@ import threading
 import time
 from typing import Any
 
-from ..errors import BackpressureError, ChatGraphError, ServeError
+from ..errors import ChatGraphError, ServeError
 from ..obs.export import merge_traces
-from ..serve.admission import AdmissionQueue
 from ..serve.engine import PendingRequest, ServeRequest, ServeResponse
-from ..serve.microbatch import MicroBatcher
 from ..shard.protocol import (
     read_frame,
     request_to_wire,
@@ -57,7 +55,7 @@ from ..shard.worker import HEARTBEAT_SECONDS, serve_config_to_wire
 from .lifecycle import ExecutionBackend, ReplyTiming, RequestLifecycle
 
 __all__ = ["HEARTBEAT_TIMEOUT_SECONDS", "HOT_GRAPH_REPLICAS",
-           "MIGRATION_TIMEOUT_SECONDS", "SCATTER_DEADLINE_SECONDS",
+           "MIGRATION_TIMEOUT_SECONDS", "RESULT_TIMEOUT_SECONDS",
            "SPAWN_TIMEOUT_SECONDS", "STATS_TIMEOUT_SECONDS",
            "ShardBackend", "_ShardHandle"]
 
@@ -72,9 +70,9 @@ HEARTBEAT_TIMEOUT_SECONDS = 10.0
 #: Ring shards serving each hot graph (``ServeConfig.shard_hot_graphs``):
 #: the smallest set that spreads reads and survives one death.
 HOT_GRAPH_REPLICAS = 2
-#: How long a per-shard dispatcher holds a partial scatter frame waiting
-#: for company — well under one request's service time.
-SCATTER_DEADLINE_SECONDS = 0.002
+#: Ceiling on one request's wait for its reply (the heartbeat timeout
+#: governs hung *processes*; this governs hung *requests*).
+RESULT_TIMEOUT_SECONDS = 120.0
 #: Ceiling on one live ring change: quiesce plus the session
 #: adopt/evict/warm round trips finish within this budget or the
 #: migration aborts with the old ring intact.
@@ -84,8 +82,7 @@ MIGRATION_TIMEOUT_SECONDS = 30.0
 class _ShardHandle:
     """Coordinator-side state of one shard worker process."""
 
-    def __init__(self, index: int, dispatch_depth: int,
-                 inflight_limit: int) -> None:
+    def __init__(self, index: int) -> None:
         self.index = index
         self.name = f"shard:{index}"
         self.lock = threading.Lock()
@@ -101,27 +98,14 @@ class _ShardHandle:
         #: death path idempotent against racing EOF + heartbeat timeout.
         self.generation = 0
         self.write_lock = threading.Lock()
-        #: Requests routed here, waiting for a scatter slot.  A bounded
-        #: staging queue (sized past the router's outstanding limit at
-        #: build time) so the dispatcher's coalescer can assemble
-        #: scatter frames straight from it.  A later ``add_shard`` can
-        #: grow the outstanding limit past this fixed depth; the router
-        #: treats the resulting overflow as a spill and re-routes.
-        self.dispatch = AdmissionQueue(dispatch_depth)
-        self.inflight_limit = inflight_limit
-        #: Pipelining throttle: one permit per un-replied scatter frame.
-        self.sem = threading.BoundedSemaphore(inflight_limit)
-        #: batch_id -> (generation, items, dispatched_at)
-        self.inflight: dict[int, tuple[int, list[PendingRequest],
-                                       float]] = {}
+        #: request_id -> (generation, item): requests written to this
+        #: shard and not yet answered.
+        self.inflight: dict[int, tuple[int, PendingRequest]] = {}
         #: Real-time stamp of the last frame seen from the process
         #: (heartbeats included).  Liveness is a property of the real
         #: process, so this stays on time.monotonic even when the
         #: serving clock is virtual.
         self.last_beat = 0.0
-        #: Requests routed here and not yet resolved (replica routing
-        #: picks the least-loaded by this number).
-        self.pending_count = 0
         self.routed = 0
         self.deaths = 0
         self.restarts = 0
@@ -133,9 +117,16 @@ class _ShardHandle:
         #: Last stats_reply payload (rendered for dead shards).
         self.last_stats: dict[str, Any] | None = None
 
+    @property
+    def pending_count(self) -> int:
+        """Requests sent here and not yet answered (replica routing
+        picks the least-loaded by this number)."""
+        return len(self.inflight)
+
 
 class ShardBackend(ExecutionBackend):
-    """Scatter/gather over worker processes, plus live fleet reshaping.
+    """Request forwarding over worker processes, plus live fleet
+    reshaping.
 
     ``model_wire`` is the value-only model recipe every worker applies
     (:meth:`repro.shard.coordinator.ShardModelSpec.to_wire`), which is
@@ -151,14 +142,14 @@ class ShardBackend(ExecutionBackend):
         config = lifecycle.config
         self.config = config
         self.ring = HashRing(range(config.shards))
-        self._scatter = max(1, config.shard_scatter_batch)
         #: Work admitted past the router but not yet resolved, fleet
-        #: wide, capped at :meth:`_limit_for` the live ring.  Recomputed
-        #: on every ring change.
-        self._outstanding_limit = self._limit_for(config.shards)
+        #: wide.  The cap is fixed for the server's life and equals each
+        #: worker's local queue depth, so a shard never sheds what was
+        #: admitted; past it, the admission queue fills and sheds.
+        self._outstanding_limit = config.shards * config.queue_depth
         self._outstanding = 0
         self._outstanding_cond = threading.Condition()
-        self.handles = [self._new_handle(index, config.shards)
+        self.handles = [_ShardHandle(index)
                         for index in range(config.shards)]
         self._hot = set(config.shard_hot_graphs)
         #: Cleared while a migration holds the fleet quiesced; the
@@ -171,24 +162,10 @@ class ShardBackend(ExecutionBackend):
         self._threads: list[threading.Thread] = []
         self._stopping = False
         self._id_lock = threading.Lock()
-        self._next_batch = 0
         self._next_rpc = 0
 
     def _active_handles(self) -> list[_ShardHandle]:
         return [handle for handle in self.handles if not handle.retired]
-
-    def _limit_for(self, shards: int) -> int:
-        """Full pipeline occupancy of a ``shards``-strong fleet: every
-        inflight slot holding a full scatter frame, plus one frame
-        assembling per dispatcher.  Capping outstanding work there is
-        what lets the admission queue fill and shed during spikes."""
-        return shards * (self.config.shard_inflight + 1) * self._scatter
-
-    def _new_handle(self, index: int, shards: int) -> _ShardHandle:
-        # the staging queue is sized one frame past the limit of the
-        # fleet the handle joins
-        return _ShardHandle(index, self._limit_for(shards) + self._scatter,
-                            self.config.shard_inflight)
 
     # ------------------------------------------------------------------
     # lifecycle hooks
@@ -231,14 +208,9 @@ class ShardBackend(ExecutionBackend):
     def launch(self) -> None:
         self._router_thread = threading.Thread(
             target=self._router_loop, name="shard-router", daemon=True)
-        self._threads = [self._router_thread]
-        for handle in self.handles:
-            self._threads.append(threading.Thread(
-                target=self._dispatcher_loop, args=(handle,),
-                name=f"shard-dispatch-{handle.index}", daemon=True))
-        self._threads.append(threading.Thread(
+        self._threads = [self._router_thread, threading.Thread(
             target=self._heartbeat_monitor, name="shard-heartbeats",
-            daemon=True))
+            daemon=True)]
         for thread in self._threads:
             thread.start()
 
@@ -297,7 +269,6 @@ class ShardBackend(ExecutionBackend):
                 hello.get("startup_seconds", 0.0))
             handle.alive = True
             handle.generation += 1
-            handle.sem = threading.BoundedSemaphore(handle.inflight_limit)
             handle.last_beat = time.monotonic()
             generation = handle.generation
         reader = threading.Thread(
@@ -394,8 +365,8 @@ class ShardBackend(ExecutionBackend):
     def _route(self, item: PendingRequest, failover: bool = False) -> None:
         if not failover:
             # count the item outstanding *before* picking a shard: every
-            # path below either parks it on a dispatch queue or resolves
-            # it (which decrements), so the counter can never leak
+            # path below either registers it in flight or resolves it
+            # (which decrements), so the counter can never leak
             with self._outstanding_cond:
                 self._outstanding += 1
         handle = self._pick_shard(item)
@@ -404,25 +375,34 @@ class ShardBackend(ExecutionBackend):
                 item, ServeError("no live shard available"))
             return
         handle.routed += 1
-        with self._outstanding_cond:
-            handle.pending_count += 1
+        self._forward(handle, item)
+
+    def _forward(self, handle: _ShardHandle, item: PendingRequest) -> None:
+        """Write one request to its shard as its own ``request`` frame.
+
+        Registered under the handle lock with a liveness re-check, so a
+        concurrent death is guaranteed to see and fail it over.  A
+        wedged worker's full pipe blocks this write (and the router)
+        until the heartbeat monitor kills it.
+        """
+        wire = request_to_wire(item.request, item.request_id,
+                               parent_span=item.parent_span_id)
+        item.dispatched_at = time.perf_counter()
+        with handle.lock:
+            alive = handle.alive
+            if alive:
+                generation, proc = handle.generation, handle.proc
+                handle.inflight[item.request_id] = (generation, item)
+        if not alive:
+            self._failover_item(item, handle.index)
+            return
         try:
-            handle.dispatch.put(item)
-        except BackpressureError:
-            # this handle's dispatch queue was sized under a smaller
-            # fleet and a later add_shard grew the outstanding limit
-            # past it: spill sideways along the ring instead of failing
-            with self._outstanding_cond:
-                handle.pending_count -= 1
-            self.lifecycle.metrics.incr("shard_spills")
-            item._tried.add(handle.index)
-            self._route(item, failover=True)
-        except ChatGraphError as exc:
-            # a closed queue (shutdown, retirement): fail the item
-            # cleanly rather than strand it
-            with self._outstanding_cond:
-                handle.pending_count -= 1
-            self._resolve_failure(item, exc)
+            with handle.write_lock:
+                write_frame(proc.stdin, {"type": "request", "request": wire})
+        except (OSError, ValueError, ChatGraphError):
+            # whichever call runs the death path fails every request
+            # registered under this generation over, this one included
+            self._on_shard_down(handle, generation)
 
     def _router_loop(self) -> None:
         lifecycle = self.lifecycle
@@ -446,85 +426,6 @@ class ShardBackend(ExecutionBackend):
             self._route(item)
 
     # ------------------------------------------------------------------
-    # scatter
-    # ------------------------------------------------------------------
-    def _dispatcher_loop(self, handle: _ShardHandle) -> None:
-        # here a "batch" is a scatter frame, and any routed request
-        # may share one: the receiving shard re-applies the pipeline's
-        # batching rule
-        batcher = MicroBatcher(
-            self._scatter, SCATTER_DEADLINE_SECONDS,
-            batchable_fn=lambda item: True)
-        while True:
-            item = handle.dispatch.get(timeout=0.05)
-            if item is None:
-                if handle.dispatch.closed and len(handle.dispatch) == 0:
-                    return
-                continue
-            batch, passthrough = batcher.collect(handle.dispatch, item)
-            # accept-all predicate -> everything lands in the batch
-            self._send_batch(handle, batch + passthrough)
-
-    def _send_batch(self, handle: _ShardHandle,
-                    items: list[PendingRequest]) -> None:
-        if not items:
-            return
-        # bounded pipelining: block this shard's dispatcher (not the
-        # router, not callers) until a frame slot frees; re-check
-        # liveness each second so a death releases us via failover
-        sem = handle.sem
-        while not sem.acquire(timeout=1.0):
-            if not handle.alive or handle.sem is not sem:
-                # the shard died while we waited (its sem was replaced):
-                # this batch was never inflight, so re-route it whole
-                for item in items:
-                    self._failover_item(item, handle.index)
-                return
-        with self._id_lock:
-            self._next_batch += 1
-            batch_id = self._next_batch
-        wires = []
-        for item in items:
-            wires.append(request_to_wire(item.request, item.request_id,
-                                         parent_span=item.parent_span_id))
-        dispatched_at = time.perf_counter()
-        for item in items:
-            item.dispatched_at = dispatched_at
-        # registration happens under the handle lock with a liveness
-        # re-check: once the entry is in ``inflight``, a concurrent
-        # death is guaranteed to see and fail it over
-        with handle.lock:
-            if not handle.alive or handle.sem is not sem:
-                dead = True
-            else:
-                dead = False
-                generation = handle.generation
-                proc = handle.proc
-                handle.inflight[batch_id] = (generation, items,
-                                             dispatched_at)
-        if dead:
-            for item in items:
-                self._failover_item(item, handle.index)
-            return
-        try:
-            with handle.write_lock:
-                write_frame(proc.stdin, {
-                    "type": "batch", "batch_id": batch_id,
-                    "items": wires})
-        except (OSError, ValueError, ChatGraphError):
-            self._on_shard_down(handle, generation)
-            # the death path usually fails the batch over; if it raced
-            # us and already ran, the entry is ours to clean up
-            with handle.lock:
-                entry = handle.inflight.pop(batch_id, None)
-            if entry is not None:
-                for item in entry[1]:
-                    self._failover_item(item, handle.index)
-            return
-        self.lifecycle.metrics.observe("scatter_batch_size",
-                                       float(len(items)))
-
-    # ------------------------------------------------------------------
     # gather
     # ------------------------------------------------------------------
     def _reader_loop(self, handle: _ShardHandle, generation: int,
@@ -542,7 +443,7 @@ class ShardBackend(ExecutionBackend):
                     return
                 handle.last_beat = time.monotonic()
                 kind = str(frame.get("type"))
-                if kind == "batch_reply":
+                if kind == "reply":
                     self._gather(handle, generation, frame)
                 elif kind.endswith("_reply"):
                     self._accept_rpc(handle, frame)
@@ -552,39 +453,25 @@ class ShardBackend(ExecutionBackend):
 
     def _gather(self, handle: _ShardHandle, generation: int,
                 frame: dict[str, Any]) -> None:
-        with handle.lock:
-            entry = handle.inflight.pop(frame.get("batch_id"), None)
-        if entry is None or entry[0] != generation:
-            return
-        __, items, dispatched_at = entry
-        service = time.perf_counter() - dispatched_at
-        # the whole frame shares one round trip; the EMA feeding
-        # backpressure retry hints gets the per-request amortized cost
-        self.lifecycle.record_service_time(service / len(items))
-        replies = frame.get("replies") or []
-        by_id = {wire.get("request_id"): wire for wire in replies}
-        try:
-            handle.sem.release()
-        except ValueError:
-            pass
-        with self._outstanding_cond:
-            handle.pending_count -= len(items)
-        for item in items:
-            wire = by_id.get(item.request_id)
-            if wire is None:
-                self._resolve_failure(item, ServeError(
-                    f"shard {handle.index} dropped request "
-                    f"{item.request_id} from its reply"))
-                continue
-            response = response_from_wire(wire)
-            self._resolve_item(item, response, service)
+        """Resolve the request one ``reply`` frame answers; a reply
+        whose request already failed over or timed out is dropped.
 
-    def _resolve_item(self, item: PendingRequest,
-                      response: ServeResponse, service: float) -> None:
-        """The gathered-reply resolution path."""
-        queued = item.dispatched_at - item.enqueued_at
-        self.lifecycle.reply(item, response,
-                             ReplyTiming(queued=queued, service=service))
+        The backpressure EMA gets the round trip divided by the shard's
+        in-flight count (this request included): overlapping requests
+        share the shard's time, as the members of one local flush do.
+        """
+        wire = frame.get("response") or {}
+        with handle.lock:
+            entry = handle.inflight.get(wire.get("request_id"))
+            if entry is None or entry[0] != generation:
+                return
+            sharing = len(handle.inflight)
+            del handle.inflight[wire["request_id"]]
+        item = entry[1]
+        service = time.perf_counter() - item.dispatched_at
+        self.lifecycle.record_service_time(service / sharing)
+        self.lifecycle.reply(item, response_from_wire(wire), ReplyTiming(
+            queued=item.dispatched_at - item.enqueued_at, service=service))
         self._settle_outstanding()
 
     def _resolve_failure(self, item: PendingRequest,
@@ -612,8 +499,6 @@ class ShardBackend(ExecutionBackend):
     def _failover_item(self, item: PendingRequest, from_shard: int) -> None:
         """Re-route one orphaned request after its shard died."""
         item._tried.add(from_shard)
-        with self._outstanding_cond:
-            self.handles[from_shard].pending_count -= 1
         self.lifecycle.metrics.incr("shard_failovers")
         self._route(item, failover=True)
 
@@ -625,16 +510,10 @@ class ShardBackend(ExecutionBackend):
                 return
             handle.alive = False
             proc, handle.proc = handle.proc, None
-            # replace the semaphore so blocked dispatchers notice and
-            # new sends against the next generation start with a full
-            # pipeline budget
-            handle.sem = threading.BoundedSemaphore(handle.inflight_limit)
-            orphans: list[PendingRequest] = []
-            for batch_id in [b for b, entry in handle.inflight.items()
-                             if entry[0] == generation]:
-                entry = handle.inflight.pop(batch_id, None)
-                if entry is not None:
-                    orphans.extend(entry[1])
+            # entries register only while alive, so all are this
+            # generation's
+            orphans = [item for __, item in handle.inflight.values()]
+            handle.inflight.clear()
             if not stopping:
                 handle.deaths += 1
         if proc is not None:
@@ -648,8 +527,6 @@ class ShardBackend(ExecutionBackend):
                 # surface through the same counter the robustness
                 # layer uses, so existing SLO gates see the trip
                 self.lifecycle.metrics.incr("breaker_opened")
-        # queued-but-unsent work follows the inflight orphans
-        orphans.extend(handle.dispatch.drain())
         for item in orphans:
             self._failover_item(item, handle.index)
         # fail any control-channel RPC blocked on this shard
@@ -667,21 +544,35 @@ class ShardBackend(ExecutionBackend):
     def _heartbeat_monitor(self) -> None:
         while self.lifecycle.running:
             time.sleep(HEARTBEAT_SECONDS)
-            now = time.monotonic()
-            for handle in list(self.handles):
-                with handle.lock:
-                    alive = handle.alive
-                    stale = now - handle.last_beat
-                    generation = handle.generation
-                    proc = handle.proc
-                if alive and stale > HEARTBEAT_TIMEOUT_SECONDS:
-                    # the process is wedged (a clean exit would have
-                    # EOF'd the reader first): kill it so the reader
-                    # unblocks and runs the death path
-                    self.lifecycle.metrics.incr("shard_heartbeat_timeouts")
-                    if proc is not None:
-                        proc.kill()
-                    self._on_shard_down(handle, generation)
+            self._sweep()
+
+    def _sweep(self) -> None:
+        """One monitor pass: fail every request unanswered past
+        :data:`RESULT_TIMEOUT_SECONDS`, declare silent shards dead."""
+        now = time.monotonic()
+        cutoff = time.perf_counter() - RESULT_TIMEOUT_SECONDS
+        for handle in list(self.handles):
+            with handle.lock:
+                alive = handle.alive
+                stale = now - handle.last_beat
+                generation = handle.generation
+                proc = handle.proc
+                expired = [handle.inflight.pop(request_id)[1]
+                           for request_id, (__, item)
+                           in list(handle.inflight.items())
+                           if item.dispatched_at < cutoff]
+            for item in expired:
+                self._resolve_failure(item, ServeError(
+                    f"shard {handle.index} did not answer request "
+                    f"{item.request_id} within {RESULT_TIMEOUT_SECONDS}s"))
+            if alive and stale > HEARTBEAT_TIMEOUT_SECONDS:
+                # the process is wedged (a clean exit would have
+                # EOF'd the reader first): kill it so the reader
+                # unblocks and runs the death path
+                self.lifecycle.metrics.incr("shard_heartbeat_timeouts")
+                if proc is not None:
+                    proc.kill()
+                self._on_shard_down(handle, generation)
 
     # ------------------------------------------------------------------
     # control-channel RPCs
@@ -763,23 +654,16 @@ class ShardBackend(ExecutionBackend):
         Spawns the worker *before* pausing the router (a model build
         takes seconds; the routing pause lasts only the quiesce), then
         runs the migration: sessions whose new ring preference is the
-        joining shard are adopted by it, named-graph affinity pre-warms
-        its caches, and the outstanding-work limit grows with the
-        fleet.  Returns the migration report.
+        joining shard are adopted by it, and named-graph affinity
+        pre-warms its caches.  Returns the migration report.
         """
         if not self.lifecycle.running:
             raise ServeError(
                 "cannot reshape the fleet while the server is stopped")
         with self._migration_lock:
-            handle = self._new_handle(len(self.handles),
-                                      len(self._active_handles()) + 1)
+            handle = _ShardHandle(len(self.handles))
             self._spawn_shard(handle)
             self.handles.append(handle)
-            thread = threading.Thread(
-                target=self._dispatcher_loop, args=(handle,),
-                name=f"shard-dispatch-{handle.index}", daemon=True)
-            self._threads.append(thread)
-            thread.start()
             new_ring = HashRing(
                 h.index for h in self._active_handles())
             try:
@@ -836,10 +720,6 @@ class ShardBackend(ExecutionBackend):
             # the swap is atomic under the paused router: nothing is in
             # flight (quiesced) and nothing routes until the gate lifts
             self.ring = new_ring
-            with self._outstanding_cond:
-                self._outstanding_limit = self._limit_for(
-                    len(new_ring.shards))
-                self._outstanding_cond.notify_all()
             warmed = self._warm_affinity(old_ring, new_ring,
                                          graph_names, deadline)
             if leaving is not None:
@@ -993,7 +873,6 @@ class ShardBackend(ExecutionBackend):
         """
         procs = []
         for handle in handles:
-            handle.dispatch.close()
             with handle.lock:
                 proc = handle.proc
             if proc is None:
@@ -1029,8 +908,6 @@ class ShardBackend(ExecutionBackend):
                 "generation": handle.generation,
                 "routed": handle.routed,
                 "pending": handle.pending_count,
-                "inflight_batches": len(handle.inflight),
-                "dispatch_queue": len(handle.dispatch),
                 "deaths": handle.deaths,
                 "restarts": handle.restarts,
                 "startup_seconds": round(handle.startup_seconds, 3),

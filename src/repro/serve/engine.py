@@ -33,7 +33,7 @@ from __future__ import annotations
 import hashlib
 import threading
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 from ..apis.chain import APIChain
 from ..config import ServeConfig
@@ -149,9 +149,29 @@ class PendingRequest:
         self.batch_wait_seconds: float = 0.0
         self._done = threading.Event()
         self._response: ServeResponse | None = None
+        #: Completion hooks (see :meth:`add_done_callback`).
+        self._hooks: list[Callable[[PendingRequest], None]] = []
 
     def done(self) -> bool:
         return self._done.is_set()
+
+    def add_done_callback(self, fn: Callable[["PendingRequest"], None]
+                          ) -> None:
+        """Call ``fn(self)`` once this request resolves — at once if it
+        already has; otherwise on the thread that resolves it."""
+        self._hooks.append(fn)
+        if self._done.is_set():
+            self._run_hooks()
+
+    def _run_hooks(self) -> None:
+        # ``list.pop`` is atomic, so a hook attached while the request
+        # resolves runs exactly once, on whichever thread pops it
+        while self._hooks:
+            try:
+                hook = self._hooks.pop()
+            except IndexError:
+                return
+            hook(self)
 
     def result(self, timeout: float | None = None) -> ServeResponse:
         """Block until the worker resolves this request."""
@@ -164,6 +184,7 @@ class PendingRequest:
     def _resolve(self, response: ServeResponse) -> None:
         self._response = response
         self._done.set()
+        self._run_hooks()
 
 
 class ServerFacade:

@@ -29,16 +29,10 @@ Clock = Callable[[], float]
 
 
 class MicroBatcher:
-    """Gathers compatible queued requests into bounded batches.
-
-    ``batchable_fn`` decides which popped requests may share a batch;
-    the default is :meth:`batchable`, the pipeline's rule.
-    """
+    """Gathers compatible queued requests into bounded batches."""
 
     def __init__(self, max_batch: int, deadline_seconds: float,
-                 clock: Clock = time.monotonic,
-                 batchable_fn: Callable[[Any], bool] | None = None
-                 ) -> None:
+                 clock: Clock = time.monotonic) -> None:
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
         if deadline_seconds < 0:
@@ -46,7 +40,6 @@ class MicroBatcher:
         self.max_batch = max_batch
         self.deadline_seconds = deadline_seconds
         self._clock = clock
-        self._accepts = batchable_fn or self.batchable
 
     @staticmethod
     def batchable(item: Any) -> bool:
@@ -65,7 +58,7 @@ class MicroBatcher:
         be served individually.  A non-batchable ``first`` short-
         circuits: it is returned alone without waiting.
         """
-        if not self._accepts(first):
+        if not self.batchable(first):
             return [], [first]
         start = self._clock()
         batch = [first]
@@ -92,7 +85,7 @@ class MicroBatcher:
                 if waited <= 0.0 or waited >= remaining:
                     deadline = min(deadline, self._clock())
                 continue
-            if self._accepts(item):
+            if self.batchable(item):
                 batch.append(item)
                 join_times.append(self._clock())
             else:

@@ -15,7 +15,7 @@ the in-process server:
   :class:`~repro.serve.engine.ChatGraphServer` rebuilt
   deterministically from a :class:`ShardModelSpec`;
 * :mod:`coordinator` — :class:`ShardedChatGraphServer`: admission,
-  scatter/gather, hot-graph replicas, heartbeat-driven failure
+  routing, hot-graph replicas, heartbeat-driven failure
   detection, breaker-guarded failover, and background restart.
 
 The fleet's cost is the ledger's ``shard_fleet`` workload

@@ -7,7 +7,7 @@ runner and callers drive either one unchanged.  Both inherit that
 surface from :class:`~repro.serve.engine.ServerFacade` and run on the
 same :class:`~repro.runtime.lifecycle.RequestLifecycle`; this one
 plugs in the :class:`~repro.runtime.shard.ShardBackend`, which owns
-the consistent-hash routing, scatter/gather dispatch, failure handling
+the consistent-hash routing, per-request forwarding, failure handling
 and live fleet reshaping (see that module for the mechanics).
 
 Admission, rate limiting, stats and the reply edge are the lifecycle's
@@ -54,7 +54,7 @@ class ShardModelSpec:
 
 
 class ShardedChatGraphServer(ServerFacade):
-    """Scatter/gather front end over shard worker processes.
+    """Routing front end over shard worker processes.
 
     Drop-in for :class:`~repro.serve.engine.ChatGraphServer` from the
     caller's side: the inherited ``submit``/``request``/``ask``/

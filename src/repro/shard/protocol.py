@@ -10,13 +10,14 @@ frames byte-stable, so tests can diff them.
 Frame types (``"type"`` field):
 
 * coordinator -> worker: ``init`` (model spec + serve config),
-  ``batch`` (scatter: a list of request wires), the control-channel
+  ``request`` (one request wire), the control-channel
   RPCs — ``stats`` (snapshot poll, optionally with spans), ``sessions``
   (placement inventory), ``adopt`` / ``evict`` (session ownership
   transfer on a ring change), ``warm`` (pre-warm caches for moved
   graph affinity) — each carrying an ``rpc_id``, and ``shutdown``;
 * worker -> coordinator: ``hello`` (model built, serving),
-  ``batch_reply`` (gather: response wires in item order), one
+  ``reply`` (one response wire, under its request's id, written the
+  moment the request resolves — in any order), one
   ``<kind>_reply`` per RPC echoing its ``rpc_id``, ``heartbeat``.
 
 Requests and responses cross the boundary as plain dicts built by
@@ -54,7 +55,7 @@ __all__ = [
     "write_frame",
 ]
 
-#: Hard cap on one frame (a scatter batch of large inline graphs stays
+#: Hard cap on one frame (a request carrying a large inline graph stays
 #: far below this; anything bigger is a protocol bug, not data).
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
@@ -135,7 +136,7 @@ def read_frame(stream: BinaryIO) -> dict[str, Any] | None:
 # ----------------------------------------------------------------------
 def request_to_wire(request: ServeRequest, request_id: int,
                     parent_span: str | None = None) -> dict[str, Any]:
-    """Serialize one request for a scatter frame.
+    """Serialize one request for its ``request`` frame.
 
     ``execute`` never crosses the boundary (a
     :class:`~repro.core.pipeline.PipelineResult` holds live pipeline

@@ -10,14 +10,16 @@ each shard owns a whole CPU core's worth of decode/ANN work instead of
 sharing one GIL.
 
 Protocol (see :mod:`repro.shard.protocol`): stdin carries ``init`` /
-``batch`` / ``stats`` / ``shutdown`` frames plus the migration RPCs
+``request`` / ``stats`` / ``shutdown`` frames plus the migration RPCs
 (``sessions`` / ``adopt`` / ``evict`` / ``warm``); stdout carries
-``hello`` / ``batch_reply`` / ``stats_reply`` / ``heartbeat`` and the
-matching ``*_reply`` frames.  stdout belongs to
-the protocol exclusively — ``main`` repoints ``sys.stdout`` at stderr
-before any library code runs, so a stray ``print`` can never corrupt a
-frame.  A clean EOF on stdin (coordinator gone) is the shutdown
-signal; the worker drains and exits.
+``hello`` / ``reply`` / ``stats_reply`` / ``heartbeat`` and the
+matching ``*_reply`` frames.  The reader submits each ``request``
+inline and hooks its completion, so its ``reply`` leaves the moment it
+resolves; execution batching is the local server's ``microbatch_*``
+alone.  stdout belongs to the protocol exclusively — ``main`` repoints
+``sys.stdout`` at stderr before any library code runs, so a stray
+``print`` can never corrupt a frame.  A clean EOF on stdin
+(coordinator gone) is the shutdown signal; the worker drains and exits.
 """
 
 from __future__ import annotations
@@ -43,10 +45,6 @@ from .protocol import (
 __all__ = ["ShardWorker", "main", "serve_config_from_wire",
            "serve_config_to_wire"]
 
-#: Upper bound a worker waits on one locally-submitted request before
-#: failing that reply slot (the coordinator's heartbeat timeout governs
-#: hung *processes*; this governs hung *requests*).
-RESULT_TIMEOUT_SECONDS = 120.0
 #: Interval between heartbeat frames, and the coordinator monitor's
 #: polling period (``repro.runtime.shard.HEARTBEAT_TIMEOUT_SECONDS`` is
 #: the silence that counts as death).
@@ -101,14 +99,13 @@ class ShardWorker:
         config = serve_config_from_wire(init["serve"])
         #: Admission control lives in the coordinator: the shard must
         #: never second-guess it, so per-client limiting is off and the
-        #: local queue is deep enough for every in-flight scatter batch.
-        scatter = max(1, config.shard_scatter_batch)
+        #: local queue is exactly as deep as the coordinator's cap on
+        #: outstanding work — a shard never sheds what was admitted.
         self.config = dataclasses.replace(
             config,
             rate_limit_capacity=0,
             rate_limit_refill_per_second=0.0,
-            queue_depth=max(config.queue_depth,
-                            2 * config.shard_inflight * scatter + 8))
+            queue_depth=config.shards * config.queue_depth)
         started = time.perf_counter()
         from ..serve.engine import ChatGraphServer
 
@@ -138,9 +135,9 @@ class ShardWorker:
         self._write({"type": f"{kind}_reply", "shard": self.shard,
                      "rpc_id": frame.get("rpc_id", 0), **payload})
 
-    def _failed_slot(self, wire: dict[str, Any],
-                     exc: Exception) -> dict[str, Any]:
-        """The reply for one batch item that could not be served."""
+    def _failed(self, wire: dict[str, Any],
+                exc: Exception) -> dict[str, Any]:
+        """The reply for one request that could not be served."""
         return response_to_wire(ServeResponse(
             request_id=wire.get("request_id", 0), op=wire.get("op", ""),
             ok=False, error=str(exc), error_type=type(exc).__name__,
@@ -156,37 +153,36 @@ class ShardWorker:
     # ------------------------------------------------------------------
     # frame handlers
     # ------------------------------------------------------------------
-    def _handle_batch(self, frame: dict[str, Any]) -> None:
-        items = frame.get("items") or []
-        submitted: list[tuple[dict[str, Any], Any, Exception | None]] = []
-        for wire in items:
-            try:
-                request = request_from_wire(wire)
-                pending = self.server.submit(
-                    request, parent_span_id=wire.get("parent_span"))
-                submitted.append((wire, pending, None))
-            except Exception as exc:  # noqa: BLE001 - fail one slot only
-                submitted.append((wire, None, exc))
-        replies: list[dict[str, Any]] = []
-        for wire, pending, error in submitted:
-            if pending is None:
-                replies.append(self._failed_slot(wire, error))
-                continue
-            try:
-                response = pending.result(timeout=RESULT_TIMEOUT_SECONDS)
-                reply = response_to_wire(response)
-                #: The coordinator matches replies to items by position
-                #: but reconciles ids; the worker's lane name is
-                #: prefixed so merged stats can attribute work to a
-                #: shard (a failed slot already names the shard).
-                reply["request_id"] = wire.get("request_id", 0)
-                reply["worker"] = f"{self.name}/{reply.get('worker', '')}"
-            except Exception as exc:  # noqa: BLE001 - fail one slot only
-                reply = self._failed_slot(wire, exc)
-            replies.append(reply)
-        self._write({"type": "batch_reply", "shard": self.shard,
-                     "batch_id": frame.get("batch_id", 0),
-                     "replies": replies})
+    def _handle_request(self, frame: dict[str, Any]) -> None:
+        """Submit one request inline; its reply leaves when it resolves."""
+        wire = frame.get("request") or {}
+        try:
+            pending = self.server.submit(
+                request_from_wire(wire),
+                parent_span_id=wire.get("parent_span"))
+        except Exception as exc:  # noqa: BLE001 - fail this request only
+            self._send_reply(self._failed(wire, exc))
+            return
+        pending.add_done_callback(
+            lambda done: self._reply_for(wire, done))
+
+    def _reply_for(self, wire: dict[str, Any], pending: Any) -> None:
+        """The completion hook: runs on the resolving thread, so it must
+        never raise into the local server's worker."""
+        try:
+            reply = response_to_wire(pending.result(timeout=0))
+            # replies carry the coordinator's id; the lane name is
+            # prefixed so merged stats attribute work to a shard (a
+            # failed reply already names the shard alone)
+            reply["request_id"] = wire.get("request_id", 0)
+            reply["worker"] = f"{self.name}/{reply.get('worker', '')}"
+            self._send_reply(reply)
+        except Exception as exc:  # noqa: BLE001 - fail this request only
+            self._send_reply(self._failed(wire, exc))
+
+    def _send_reply(self, reply: dict[str, Any]) -> None:
+        self._write({"type": "reply", "shard": self.shard,
+                     "response": reply})
 
     def _handle_stats(self, frame: dict[str, Any]) -> None:
         payload: dict[str, Any] = {
@@ -257,32 +253,23 @@ class ShardWorker:
                      "pid": os.getpid(),
                      "startup_seconds": self.startup_seconds})
         self._heartbeat.start()
-        batch_threads: list[threading.Thread] = []
-        rpcs = {"stats": self._handle_stats,
-                "sessions": self._handle_sessions,
-                "adopt": self._handle_adopt,
-                "evict": self._handle_evict,
-                "warm": self._handle_warm}
+        # a request is only submitted here — never awaited — so the
+        # loop keeps reading and a long request cannot starve
+        # heartbeats or stats polls
+        handlers = {"request": self._handle_request,
+                    "stats": self._handle_stats,
+                    "sessions": self._handle_sessions,
+                    "adopt": self._handle_adopt,
+                    "evict": self._handle_evict,
+                    "warm": self._handle_warm}
         try:
             while not self._stop.is_set():
                 frame = read_frame(self._stdin)
                 if frame is None or frame["type"] == "shutdown":
                     break
                 kind = frame["type"]
-                if kind == "batch":
-                    # serve off-thread so the loop keeps reading: the
-                    # coordinator pipelines shard_inflight batches and
-                    # expects them to overlap, and a long batch must
-                    # not starve heartbeats or stats polls
-                    thread = threading.Thread(
-                        target=self._handle_batch, args=(frame,),
-                        name=f"{self.name}-batch", daemon=True)
-                    thread.start()
-                    batch_threads.append(thread)
-                    batch_threads = [t for t in batch_threads
-                                     if t.is_alive()]
-                elif kind in rpcs:
-                    rpcs[kind](frame)
+                if kind in handlers:
+                    handlers[kind](frame)
                 elif kind != "heartbeat":
                     raise ShardProtocolError(
                         f"unexpected frame type {kind!r}")
@@ -292,9 +279,9 @@ class ShardWorker:
             return 1
         finally:
             self._stop.set()
-            for thread in batch_threads:
-                thread.join(timeout=RESULT_TIMEOUT_SECONDS)
             try:
+                # the drain resolves every submitted request, and each
+                # resolution writes its reply
                 self.server.stop(drain=True, timeout=10.0)
             except ChatGraphError:
                 pass

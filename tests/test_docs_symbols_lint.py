@@ -156,7 +156,7 @@ def test_the_resolver_itself():
     assert resolve("repro.core.stages")
     assert resolve("repro.core.stages.StageGraph.run")
     assert resolve("repro.obs.Tracer.span")  # followed through a re-export
-    assert resolve("repro.runtime.shard.SCATTER_DEADLINE_SECONDS")
+    assert resolve("repro.runtime.shard.HEARTBEAT_TIMEOUT_SECONDS")
     assert not resolve("repro.core.stages.StageGraph.run_twice")
     assert not resolve("repro.core.no_such_module")
     assert not resolve("repro.obs.NoSuchThing")

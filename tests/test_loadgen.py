@@ -479,6 +479,61 @@ class _StubFleet:
         raise ServeError("shard 7 is not in the fleet")
 
 
+class _SettlingFleet(_StubFleet):
+    """A 3-shard stub whose killed shard returns only after the soak:
+    the restart lands during ``run_scenario``'s settle wait, as on a
+    real fleet whose soak drains faster than one worker model build."""
+
+    def __init__(self):
+        super().__init__()
+        self.restarts = 0
+        self.handles = [SimpleNamespace(alive=True, retired=False)
+                        for _ in range(3)]
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        pass
+
+    def stats(self):
+        stats = super().stats()
+        if self.restarts:
+            stats["counters"] = {"shard_restarts": self.restarts}
+        return stats
+
+    def kill_shard(self, index):
+        super().kill_shard(index)
+        self.handles[index].alive = False
+
+    @property
+    def ring(self):
+        # only the settle wait looks at the ring: the restart lands on
+        # its first look
+        for handle in self.handles:
+            if not handle.alive:
+                handle.alive = True
+                self.restarts += 1
+        return SimpleNamespace(shards=[0, 1, 2])
+
+
+def test_run_scenario_reads_recovery_counters_after_the_settle(
+        monkeypatch):
+    import repro.shard
+    from repro.loadgen.scenarios import run_scenario
+
+    fleet = _SettlingFleet()
+    monkeypatch.setattr(repro.shard, "ShardedChatGraphServer",
+                        lambda *args, **kwargs: fleet)
+    report = run_scenario(get_scenario("shard-kill", quick=True), seed=0)
+    assert ("kill", 0) in fleet.log and fleet.restarts == 1
+    assert report["fleet"]["alive"] == 3
+    assert report["counters"]["shard_restarts"] == 1
+    (gate,) = [row for row in report["slo"]["gates"]
+               if row["metric"] == "shard_restarts"]
+    assert gate["passed"]
+
+
 class TestFleetEvents:
     def test_event_validation(self):
         with pytest.raises(ConfigError):

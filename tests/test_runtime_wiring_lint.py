@@ -10,8 +10,11 @@ under ``src/repro`` and rejects any *call* to ``AdmissionQueue``,
 ``MetricsRegistry`` outside:
 
 * ``repro/runtime/`` (the one legitimate wiring site — the lifecycle
-  owns the queue/limiter/breakers and the one counter/histogram store,
-  the backends their internal staging queues and coalescers), and
+  owns the queue/limiter/breakers and the one counter/histogram store),
+  narrowed for the two that shape a request's path: the admission queue
+  is built in ``runtime/lifecycle.py`` alone and the micro-batcher in
+  ``runtime/local.py`` alone, so every request path has one queue and
+  one coalescer, and
 * each primitive's own definition module (constructors may appear in
   their doctests and helpers).
 
@@ -37,6 +40,12 @@ PRIMITIVES = {
     "MetricsRegistry": SRC / "obs" / "metrics.py",
 }
 
+#: Primitives confined to one runtime module rather than the package.
+ONLY_IN = {
+    "AdmissionQueue": RUNTIME_DIR / "lifecycle.py",
+    "MicroBatcher": RUNTIME_DIR / "local.py",
+}
+
 
 def iter_source_files():
     return sorted(SRC.rglob("*.py"))
@@ -52,21 +61,25 @@ def _call_name(node):
     return None
 
 
-def violations_in(path):
-    tree = ast.parse(path.read_text(encoding="utf-8"))
+def violations_in(path, source=None):
+    """Construction sites in ``path`` (its text, unless ``source`` is
+    given) that its location does not license."""
+    if source is None:
+        source = path.read_text(encoding="utf-8")
     found = []
-    for node in ast.walk(tree):
+    for node in ast.walk(ast.parse(source)):
         if not isinstance(node, ast.Call):
             continue
         name = _call_name(node)
-        if name not in PRIMITIVES:
+        if name not in PRIMITIVES or path == PRIMITIVES[name]:
             continue
-        if RUNTIME_DIR in path.parents:
-            continue
-        if path == PRIMITIVES[name]:
-            continue
-        found.append((node.lineno, f"{name}(...) constructed outside "
-                                   f"repro.runtime"))
+        if name in ONLY_IN:
+            if path != ONLY_IN[name]:
+                found.append((node.lineno, f"{name}(...) constructed "
+                                           f"outside {ONLY_IN[name].name}"))
+        elif RUNTIME_DIR not in path.parents:
+            found.append((node.lineno, f"{name}(...) constructed outside "
+                                       f"repro.runtime"))
     return found
 
 
@@ -74,7 +87,7 @@ def test_source_files_exist():
     files = iter_source_files()
     assert len(files) > 50  # sanity: we are really walking the tree
     assert RUNTIME_DIR.is_dir()
-    for definition in PRIMITIVES.values():
+    for definition in (*PRIMITIVES.values(), *ONLY_IN.values()):
         assert definition.exists(), definition
 
 
@@ -120,3 +133,13 @@ def test_lint_catches_a_planted_violation(tmp_path):
         encoding="utf-8")
     found = violations_in(planted)
     assert len(found) == 4
+    # inside the runtime, a second queue or coalescer is still refused
+    # outside its one module — here, a shard backend growing its own
+    runtime_planted = (
+        "queue = AdmissionQueue(maxsize=4)\n"
+        "batcher = MicroBatcher(4, 0.002)\n"
+        "books = MetricsRegistry()\n")
+    found = violations_in(RUNTIME_DIR / "shard.py", runtime_planted)
+    assert [lineno for lineno, __ in found] == [1, 2]
+    assert violations_in(RUNTIME_DIR / "local.py", runtime_planted) \
+        == [(1, "AdmissionQueue(...) constructed outside lifecycle.py")]

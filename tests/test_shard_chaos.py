@@ -30,8 +30,7 @@ RECOVERY_TIMEOUT = 60.0
 def _fleet():
     return ShardedChatGraphServer(
         ShardModelSpec(corpus_size=CORPUS, seed=0),
-        ServeConfig(shards=2, workers=1, queue_depth=256,
-                    shard_scatter_batch=4))
+        ServeConfig(shards=2, workers=1, queue_depth=256))
 
 
 def _requests(n, tag):

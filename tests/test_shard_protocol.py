@@ -40,7 +40,7 @@ def roundtrip(*frames):
 
 def test_frame_roundtrip_and_eof():
     frames = [{"type": "hello", "shard": 3},
-              {"type": "batch", "items": [{"op": "ask", "text": "hi"}]}]
+              {"type": "request", "request": {"op": "ask", "text": "hi"}}]
     assert roundtrip(*frames) == frames
 
 
@@ -154,17 +154,45 @@ def test_serve_config_wire_roundtrip():
     assert serve_config_from_wire(init["serve"]) == config
 
 
-def test_batch_reply_labels_every_slot_with_the_shard_once():
-    """A batch's three outcomes over a stub server, no process: a slot
-    refused at submit, a slot whose result raises, a served slot.  Both
-    failed slots name the shard alone (``shard-0``, never
-    ``shard-0/shard-0``); the served one is ``shard-0/<lane>``; ids are
-    the coordinator's."""
+def _stub_worker(submit):
+    """A ``ShardWorker`` over a stub server: no process, no model."""
     import threading
     from types import SimpleNamespace
 
-    from repro.errors import ServeError
     from repro.shard.worker import ShardWorker
+
+    worker = ShardWorker.__new__(ShardWorker)
+    worker.shard, worker.name = 0, "shard-0"
+    worker.server = SimpleNamespace(submit=submit)
+    worker._stdout = io.BytesIO()
+    worker._write_lock = threading.Lock()
+    worker._stop = threading.Event()
+    return worker
+
+
+def _written(worker):
+    """Every frame the worker has written so far, in order."""
+    stream = io.BytesIO(worker._stdout.getvalue())
+    frames = []
+    while (frame := read_frame(stream)) is not None:
+        frames.append(frame)
+    return frames
+
+
+def _request_frame(text, request_id):
+    return {"type": "request", "request": request_to_wire(
+        ServeRequest(op="propose", text=text), request_id)}
+
+
+def test_reply_labels_every_request_with_the_shard_once():
+    """One reply per request over a stub server, no process, in the
+    three outcomes: refused at submit, raising at result, served.  Both
+    failed replies name the shard alone (``shard-0``, never
+    ``shard-0/shard-0``); the served one is ``shard-0/<lane>``; ids are
+    the coordinator's."""
+    from types import SimpleNamespace
+
+    from repro.errors import ServeError
 
     def hung():
         raise TimeoutError("no result")
@@ -178,26 +206,49 @@ def test_batch_reply_labels_every_slot_with_the_shard_once():
     def submit(request, parent_span_id=None):
         if request.text == "refuse":
             raise ServeError("refused")
-        return SimpleNamespace(
+        done = SimpleNamespace(
             result=lambda timeout: results[request.text]())
+        done.add_done_callback = lambda fn: fn(done)
+        return done
 
-    worker = ShardWorker.__new__(ShardWorker)
-    worker.shard, worker.name = 0, "shard-0"
-    worker.server = SimpleNamespace(submit=submit)
-    worker._stdout = io.BytesIO()
-    worker._write_lock = threading.Lock()
-    worker._stop = threading.Event()
-    worker._handle_batch({"batch_id": 5, "items": [
-        request_to_wire(ServeRequest(op="propose", text=text), request_id)
-        for request_id, text in ((41, "refuse"), (42, "hang"),
-                                 (43, "serve"))]})
-    worker._stdout.seek(0)
-    frame = read_frame(worker._stdout)
-    assert frame["type"] == "batch_reply" and frame["batch_id"] == 5
-    refused, hung_slot, ok = frame["replies"]
-    assert [r["request_id"] for r in frame["replies"]] == [41, 42, 43]
+    worker = _stub_worker(submit)
+    for request_id, text in ((41, "refuse"), (42, "hang"), (43, "serve")):
+        worker._handle_request(_request_frame(text, request_id))
+    frames = _written(worker)
+    assert [frame["type"] for frame in frames] == ["reply"] * 3
+    refused, hung_reply, ok = [frame["response"] for frame in frames]
+    assert [r["request_id"] for r in (refused, hung_reply, ok)] \
+        == [41, 42, 43]
     assert (refused["ok"], refused["error_type"], refused["worker"]) \
         == (False, "ServeError", "shard-0")
-    assert (hung_slot["ok"], hung_slot["error_type"], hung_slot["worker"]) \
-        == (False, "TimeoutError", "shard-0")
+    assert (hung_reply["ok"], hung_reply["error_type"],
+            hung_reply["worker"]) == (False, "TimeoutError", "shard-0")
     assert (ok["ok"], ok["worker"]) == (True, "shard-0/worker-0")
+
+
+def test_a_fast_reply_leaves_before_a_slow_one_that_arrived_first():
+    """The reader only submits; each request's reply is written the
+    moment it resolves, so a slow request never holds a fast one's
+    reply back."""
+    from repro.serve.engine import PendingRequest
+
+    pending = {}
+
+    def submit(request, parent_span_id=None):
+        pending[request.text] = PendingRequest(request, len(pending) + 1,
+                                               0.0)
+        return pending[request.text]
+
+    worker = _stub_worker(submit)
+    worker._handle_request(_request_frame("slow", 7))
+    worker._handle_request(_request_frame("fast", 8))
+    assert _written(worker) == []  # submitted, never awaited
+    pending["fast"]._resolve(ServeResponse(
+        request_id=2, op="propose", ok=True, worker="worker-0"))
+    (fast,) = _written(worker)
+    assert fast["response"]["request_id"] == 8
+    assert not pending["slow"].done()
+    pending["slow"]._resolve(ServeResponse(
+        request_id=1, op="propose", ok=True, worker="worker-0"))
+    assert [frame["response"]["request_id"]
+            for frame in _written(worker)] == [8, 7]

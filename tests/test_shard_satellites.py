@@ -1,14 +1,14 @@
-"""The PR's satellite surfaces: async compaction, cache warming,
+"""Satellite surfaces of the fleet: async compaction, cache warming,
 cross-process trace/metrics merging, and the plumbing they ride on
-(breaker trip/reset, the MicroBatcher predicate override, the trace
-CLI's multi-input merge).
+(breaker trip/reset, the trace CLI's multi-input merge, the shard
+backend's in-flight books).
 """
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
-from types import SimpleNamespace
 
 import pytest
 
@@ -22,9 +22,8 @@ from repro.obs import (
     merge_traces,
     read_trace,
 )
+import repro.runtime.shard as shard_runtime
 from repro.runtime import RequestLifecycle, ShardBackend
-from repro.serve import MicroBatcher
-from repro.serve.admission import AdmissionQueue
 from repro.serve.breaker import BreakerRegistry
 from repro.serve.engine import PendingRequest, ServeRequest
 from repro.store import CompactTicket, GraphCatalog
@@ -179,7 +178,7 @@ def test_histogram_dump_merge_is_lossless():
 
 
 # ----------------------------------------------------------------------
-# plumbing: breaker trip/reset, MicroBatcher predicate override
+# plumbing: breaker trip/reset
 # ----------------------------------------------------------------------
 def test_breaker_registry_trip_and_reset_one():
     registry = BreakerRegistry(failure_threshold=3)
@@ -189,18 +188,6 @@ def test_breaker_registry_trip_and_reset_one():
     assert registry.snapshot()["shard:0"]["state"] == "open"
     registry.reset_one("shard:0")
     assert list(registry.open_names()) == []
-
-
-def test_microbatcher_predicate_override():
-    """The batching rule is a constructor argument (the shard
-    coordinator's scatter framing accepts anything routed)."""
-    queue = AdmissionQueue(4)
-    execute = SimpleNamespace(
-        request=SimpleNamespace(op="execute", session_id=None))
-    accept_all = MicroBatcher(4, 0.0, batchable_fn=lambda item: True)
-    assert accept_all.collect(queue, execute) == ([execute], [])
-    # the default is the stateless propose/ask rule
-    assert MicroBatcher(4, 0.0).collect(queue, execute) == ([], [execute])
 
 
 # ----------------------------------------------------------------------
@@ -225,48 +212,116 @@ def _routed(backend, text: str, request_id: int) -> PendingRequest:
     return item
 
 
+def _in_flight(backend, handle, items, dispatched_at):
+    """Register ``items`` as sent to ``handle`` at ``dispatched_at``."""
+    for item in items:
+        item.dispatched_at = dispatched_at
+        handle.inflight[item.request_id] = (handle.generation, item)
+    backend._outstanding += len(items)
+
+
+def _reply_frame(item):
+    return {"type": "reply", "response": {
+        "request_id": item.request_id, "op": "ask", "ok": True}}
+
+
 def test_gather_feeds_backpressure_ema_the_amortized_cost(monkeypatch):
-    """A scatter frame of four shares one round trip; the EMA behind
-    ``BackpressureError.retry_after`` must see a quarter of it per
-    request (what ``LocalBackend`` feeds for a flush of four), not the
-    whole round trip once per member."""
+    """Four requests overlapping on one shard share its time; the EMA
+    behind ``BackpressureError.retry_after`` must not see the whole
+    round trip once per request.  The amortization: each reply feeds
+    its round trip divided by the shard's in-flight count, itself
+    included — a quarter for the first of four, as ``LocalBackend``
+    feeds for a flush of four."""
     lifecycle, backend = _bound_fleet()
     fed: list[float] = []
     monkeypatch.setattr(lifecycle, "record_service_time", fed.append)
     handle = backend.handles[0]
     items = [_routed(backend, f"q{i}", i) for i in range(4)]
-    dispatched_at = time.perf_counter() - 0.4
+    _in_flight(backend, handle, items, time.perf_counter() - 0.4)
     for item in items:
-        item.dispatched_at = dispatched_at
-    handle.inflight[7] = (handle.generation, items, dispatched_at)
-    handle.pending_count = backend._outstanding = len(items)
-    backend._gather(handle, handle.generation, {
-        "type": "batch_reply", "batch_id": 7,
-        "replies": [{"request_id": item.request_id, "op": "ask",
-                     "ok": True} for item in items]})
+        backend._gather(handle, handle.generation, _reply_frame(item))
     assert all(item.result(timeout=1.0).ok for item in items)
     assert handle.pending_count == 0 and backend._outstanding == 0
-    # every member reports the frame's full round trip as its service
-    service = items[0].result().service_seconds
-    assert service >= 0.4
-    assert fed and max(fed) == pytest.approx(service / 4)
+    # every request reports its own full round trip as its service...
+    services = [item.result().service_seconds for item in items]
+    assert min(services) >= 0.4
+    # ...but the EMA is fed that round trip over the sharing count
+    assert fed == pytest.approx([service / sharing for service, sharing
+                                 in zip(services, (4, 3, 2, 1))])
 
 
-def test_route_spills_past_a_full_staging_queue():
-    """A handle's staging queue is sized for the fleet it joined; after
-    ``add_shard`` grows the outstanding limit a hot key can overflow
-    it.  The router then spills along the ring instead of failing the
-    request, and the books still balance."""
+def test_sweep_fails_a_hung_request_once_and_drops_its_late_reply(
+        monkeypatch):
+    """A request a live shard never answers fails after
+    ``RESULT_TIMEOUT_SECONDS`` with a ServeError — exactly one reply,
+    books balanced — and the reply arriving after that is ignored."""
     lifecycle, backend = _bound_fleet()
-    item = _routed(backend, "hot key", 1)
-    first = backend._pick_shard(item)
-    (other,) = [h for h in backend.handles if h is not first]
-    for filler in range(first.dispatch.maxsize):
-        first.dispatch.put(filler)
-    backend._route(item)
-    assert lifecycle.metrics.snapshot()["counters"]["shard_spills"] == 1
-    assert other.dispatch.drain() == [item]
-    assert item._tried == {first.index}
-    assert (first.pending_count, other.pending_count) == (0, 1)
-    assert backend._outstanding == 1
-    assert not item.done()
+    monkeypatch.setattr(shard_runtime, "RESULT_TIMEOUT_SECONDS", 0.1)
+    handle = backend.handles[0]
+    handle.last_beat = time.monotonic()  # alive and beating
+    hung, fresh = _routed(backend, "hung", 1), _routed(backend, "fresh", 2)
+    _in_flight(backend, handle, [hung], time.perf_counter() - 1.0)
+    _in_flight(backend, handle, [fresh], time.perf_counter())
+    replies = []
+    hung.add_done_callback(lambda done: replies.append(done.result()))
+    backend._sweep()
+    (response,) = replies
+    assert not response.ok and response.error_type == "ServeError"
+    assert "did not answer" in response.error
+    assert not fresh.done()  # within its bound: still in flight
+    assert handle.pending_count == 1 and backend._outstanding == 1
+    backend._gather(handle, handle.generation, _reply_frame(hung))
+    assert len(replies) == 1 and hung.result() is response
+    assert handle.pending_count == 1 and backend._outstanding == 1
+    counters = lifecycle.metrics.snapshot()["counters"]
+    assert counters["failed"] == 1 and counters["op_ask"] == 1
+    assert handle.alive  # a hung request is not a dead shard
+
+
+def test_done_callback_runs_once_whenever_it_is_attached():
+    """The completion hook a shard worker writes replies from: attached
+    before resolution it runs on the resolving call, attached after it
+    runs at once — and never twice."""
+    early = PendingRequest(ServeRequest(op="ask", text="q"), 1, 0.0)
+    calls = []
+    early.add_done_callback(calls.append)
+    assert calls == []
+    early._resolve(object())
+    assert calls == [early]
+    early.add_done_callback(calls.append)
+    assert calls == [early, early]  # the late hook ran at once
+    early._run_hooks()
+    assert calls == [early, early]
+
+
+def test_done_callback_races_resolution_without_loss_or_repeat():
+    """Hooks attached on two threads while two others resolve: every
+    hook runs exactly once, whichever side wins each race."""
+    items = [PendingRequest(ServeRequest(op="ask", text="q"), index, 0.0)
+             for index in range(10000)]
+    calls = []
+
+    def attach():
+        for item in items:
+            item.add_done_callback(lambda done: calls.append(
+                done.request_id))
+
+    def resolve(share):
+        for item in share:
+            item._resolve(None)
+
+    threads = [threading.Thread(target=attach),
+               threading.Thread(target=attach),
+               threading.Thread(target=resolve, args=(items[::2],)),
+               threading.Thread(target=resolve, args=(items[1::2],))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sorted(calls) == sorted(2 * list(range(len(items))))
