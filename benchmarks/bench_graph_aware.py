@@ -92,30 +92,54 @@ def test_unambiguous_prompts_unaffected(trained, report_table, benchmark):
     benchmark(lambda: evaluate_model(model, plain[:15]))
 
 
+#: CorpusSpec seeds the multi-level ablation sweeps; seed 0 is the one
+#: the single-seed table and its assertions read.
+ABLATION_SEEDS = range(20)
+
+
+def multi_level_exact_match(registry, seed, multi_level):
+    """Ambiguous exact match of a model trained on one sequence mode."""
+    spec = CorpusSpec(n_examples=CORPUS, seed=seed, ambiguous_fraction=0.5,
+                      multi_level=multi_level)
+    train, __, ambiguous = ambiguous_split(registry, spec)
+    model = build_model("chatglm-sim", registry.names(), seed=0)
+    Finetuner(model, FinetuneConfig(epochs=EPOCHS)).train(
+        train, objective="token")
+    return evaluate_model(model, ambiguous).exact_match
+
+
 def test_multi_level_ablation(report_table, benchmark):
-    """Training with super-graph tokens vs paths-only tokens."""
+    """Training with super-graph tokens vs paths-only tokens, per seed."""
     registry = default_registry()
-    results = {}
-    for multi_level in (True, False):
-        spec = CorpusSpec(n_examples=CORPUS, seed=0,
-                          ambiguous_fraction=0.5,
-                          multi_level=multi_level)
-        train, __, ambiguous = ambiguous_split(registry, spec)
-        model = build_model("chatglm-sim", registry.names(), seed=0)
-        Finetuner(model, FinetuneConfig(epochs=EPOCHS)).train(
-            train, objective="token")
-        results[multi_level] = evaluate_model(model, ambiguous)
+    scores = {seed: {multi_level: multi_level_exact_match(
+                         registry, seed, multi_level)
+                     for multi_level in (True, False)}
+              for seed in ABLATION_SEEDS}
     report_table(
         "E12-graph-aware-multilevel",
         f"ambiguous exact match, multi-level sequences:  "
-        f"{results[True].exact_match:.3f}",
+        f"{scores[0][True]:.3f}",
         f"ambiguous exact match, paths-only sequences:   "
-        f"{results[False].exact_match:.3f}",
+        f"{scores[0][False]:.3f}",
     )
-    # both configurations must beat the text-only floor decisively;
-    # multi-level adds motif tokens that help on clustered graphs
-    assert results[True].exact_match > 0.8
-    assert results[False].exact_match > 0.6
+    lines = [f"ambiguous exact match per CorpusSpec seed "
+             f"({CORPUS} examples, {EPOCHS} epochs, token objective)",
+             "seed  multi-level  paths-only  delta"]
+    for seed, row in scores.items():
+        lines.append(f"{seed:>4}  {row[True]:>11.3f}  {row[False]:>10.3f}  "
+                     f"{row[True] - row[False]:>+5.3f}")
+    for label, pick in (("mean", lambda v: sum(v) / len(v)),
+                        ("min", min), ("max", max)):
+        multi = pick([row[True] for row in scores.values()])
+        paths = pick([row[False] for row in scores.values()])
+        lines.append(f"{label:>4}  {multi:>11.3f}  {paths:>10.3f}")
+    worse = sum(row[True] < row[False] for row in scores.values())
+    lines.append(f"multi-level below paths-only on {worse} of "
+                 f"{len(scores)} seeds")
+    report_table("E12-graph-aware-multilevel-seeds", *lines)
+    # both configurations must beat the text-only floor decisively
+    assert scores[0][True] > 0.8
+    assert scores[0][False] > 0.6
 
     spec = CorpusSpec(n_examples=100, seed=1, ambiguous_fraction=0.5)
     benchmark(lambda: build_corpus(registry, spec))

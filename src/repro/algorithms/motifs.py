@@ -7,10 +7,11 @@ The motif census feeds the sequentializer's super-graph construction
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterator, Mapping, Set
+from collections.abc import Iterator, Mapping
 
 from ..errors import GraphError
 from ..graphs.graph import DiGraph, Graph, Node
+from ..graphs.topology import TopologyView, mask_ids, neighbor_masks
 from .clustering import triangles
 
 
@@ -28,31 +29,55 @@ def find_cliques(graph: Graph, max_cliques: int = 100000) -> Iterator[
     """
     if isinstance(graph, DiGraph):
         raise GraphError("clique enumeration requires an undirected graph")
-    return maximal_cliques({node: set(graph.neighbors(node)) - {node}
-                            for node in graph.nodes()}, max_cliques)
+    view = TopologyView.of(graph)
+    node_of = view.nodes.__getitem__
+    return (frozenset(map(node_of, mask_ids(clique)))
+            for clique in maximal_cliques(
+                dict(enumerate(neighbor_masks(view.adj))), max_cliques))
 
 
-def maximal_cliques(adjacency: Mapping[Node, Set[Node]],
-                    max_cliques: int = 100000) -> Iterator[frozenset[Node]]:
-    """:func:`find_cliques` over a loop-free ``node -> neighbour set`` map."""
-    emitted = 0
+def maximal_cliques(adjacency: Mapping[int, int],
+                    max_cliques: int = 100000) -> list[int]:
+    """:func:`find_cliques` over a loop-free ``id -> neighbour bitmask``
+    map (:func:`~repro.graphs.topology.neighbor_masks`), as bitmasks.
 
-    def expand(r: set[Node], p: set[Node],
-               x: set[Node]) -> Iterator[frozenset[Node]]:
-        nonlocal emitted
-        if emitted >= max_cliques:
+    Sets are ints (bit ``i`` is id ``i``), so intersecting two is one
+    ``&`` and sizing one is ``int.bit_count``.  Which maximal cliques
+    there are does not depend on the order the search meets them in;
+    past the cap, which ones were kept does.
+    """
+    cliques: list[int] = []
+
+    def expand(r: int, p: int, x: int) -> None:
+        if not p:
+            if not x:
+                cliques.append(r)
             return
-        if not p and not x:
-            emitted += 1
-            yield frozenset(r)
-            return
-        pivot = max(p | x, key=lambda u: len(adjacency[u] & p))
-        for v in list(p - adjacency[pivot]):
-            yield from expand(r | {v}, p & adjacency[v], x & adjacency[v])
-            p.discard(v)
-            x.add(v)
+        # pivot: the lowest id of p | x with the most neighbours in p
+        # (``bit & -bit`` isolates the lowest set bit)
+        best = -1
+        rest = p | x
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            u = bit.bit_length() - 1
+            count = (adjacency[u] & p).bit_count()
+            if count > best:
+                best, pivot = count, u
+        rest = p & ~adjacency[pivot]
+        while rest:
+            if len(cliques) >= max_cliques:
+                return
+            bit = rest & -rest
+            rest ^= bit
+            nbrs = adjacency[bit.bit_length() - 1]
+            expand(r | bit, p & nbrs, x & nbrs)
+            p ^= bit
+            x |= bit
 
-    yield from expand(set(), set(adjacency), set())
+    if max_cliques > 0:
+        expand(0, sum(1 << node for node in adjacency), 0)
+    return cliques
 
 
 def count_motifs(graph: Graph, size: int = 3) -> dict[str, int]:

@@ -9,7 +9,8 @@ insertion order and keeps adjacency in neighbour order, with two faces
 over the same numbering:
 
 * ``adj`` — int tuples per node, for code that walks in Python (the
-  path cover, the ring search, label propagation);
+  path cover, the ring search, label propagation), and the bitmask
+  rows :func:`neighbor_masks` makes of them (the clique search);
 * ``indptr`` / ``indices`` — the same rows flattened into numpy arrays
   on first use, for code that runs whole-array (PageRank).
 
@@ -117,3 +118,25 @@ def neighbor_sets(rows: tuple[tuple[int, ...], ...]) -> list[set[int]]:
     for node, nbrs in enumerate(sets):
         nbrs.discard(node)
     return sets
+
+
+def neighbor_masks(rows: tuple[tuple[int, ...], ...]) -> list[int]:
+    """Undirected int adjacency ``rows`` as bitmasks, self-loops dropped.
+
+    Bit ``v`` of entry ``u`` is set iff ``v`` is a neighbour of ``u``.
+    A row lists each neighbour once, so summing its powers of two is
+    or-ing them.
+    """
+    bit = [1 << node for node in range(len(rows))]
+    return [sum(map(bit.__getitem__, row)) & ~bit[node]
+            for node, row in enumerate(rows)]
+
+
+def mask_ids(mask: int) -> list[int]:
+    """Ids of the set bits of ``mask``, ascending."""
+    ids = []
+    while mask:
+        low = mask & -mask
+        ids.append(low.bit_length() - 1)
+        mask ^= low
+    return ids

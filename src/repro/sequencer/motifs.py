@@ -10,7 +10,7 @@ tree; cycles up to ``max_size`` become candidate motifs.
 from __future__ import annotations
 
 from ..graphs.graph import Graph, Node
-from ..graphs.topology import TopologyView
+from ..graphs.topology import TopologyView, mask_ids
 
 
 def find_rings(graph: Graph, max_size: int = 8) -> list[frozenset[Node]]:
@@ -22,18 +22,24 @@ def find_rings(graph: Graph, max_size: int = 8) -> list[frozenset[Node]]:
     Directed graphs are searched on their undirected skeleton.
     """
     view = TopologyView.of(graph)
-    return [frozenset(view.nodes[i] for i in ring)
+    node_of = view.nodes.__getitem__
+    return [frozenset(map(node_of, mask_ids(ring)))
             for ring in ring_ids(view.skeleton(), view.repr_ranks(),
                                  max_size)]
 
 
 def ring_ids(rows: tuple[tuple[int, ...], ...], rank: list[int],
-             max_size: int = 8) -> list[frozenset[int]]:
-    """:func:`find_rings` over undirected int adjacency ``rows``.
+             max_size: int = 8, min_size: int = 3,
+             avoid: int = 0) -> list[int]:
+    """:func:`find_rings` over undirected int adjacency ``rows``, as
+    bitmasks (bit ``i`` is id ``i``).
 
     ``rank`` orders node ids as their ``repr`` would
     (:meth:`TopologyView.repr_ranks`); equal-size rings come out in that
-    order.
+    order.  Only rings of at least ``min_size`` nodes that hold no id in
+    the bitmask ``avoid`` are returned, and a cycle walk stops as soon
+    as it meets such an id or outgrows ``max_size``; the spanning
+    forest, and so every ring returned, is the unfiltered search's.
     """
     parent = [-1] * len(rows)
     depth = [-1] * len(rows)
@@ -49,26 +55,32 @@ def ring_ids(rows: tuple[tuple[int, ...], ...], rank: list[int],
                     depth[neighbor] = depth[node] + 1
                     queue.append(neighbor)
 
-    rings: set[frozenset[int]] = set()
+    rings: set[int] = set()
     for u, row in enumerate(rows):
+        if avoid >> u & 1:
+            continue
         for v in row:
-            if v <= u or parent[u] == v or parent[v] == u:
-                continue  # seen from v's side, a self-loop, or a tree edge
-            # the cycle this non-tree edge closes with the tree
-            cycle = {u, v}
+            # skip an edge seen from v's side, a self-loop, a tree edge
+            # and an edge with an avoided end
+            if (v <= u or parent[u] == v or parent[v] == u
+                    or avoid >> v & 1):
+                continue
+            # the cycle this non-tree edge closes with the tree: climb
+            # the deeper end until the two ends meet at their ancestor
+            cycle, size = 1 << u | 1 << v, 2
             a, b = u, v
-            while depth[a] > depth[b]:
+            while True:
+                if depth[a] < depth[b]:
+                    a, b = b, a
                 a = parent[a]
-                cycle.add(a)
-            while depth[b] > depth[a]:
-                b = parent[b]
-                cycle.add(b)
-            while a != b:
-                a = parent[a]
-                b = parent[b]
-                cycle.add(a)
-                cycle.add(b)
-            if 3 <= len(cycle) <= max_size:
-                rings.add(frozenset(cycle))
+                if a == b:
+                    break
+                if size >= max_size or avoid >> a & 1:
+                    cycle = 0
+                    break
+                cycle |= 1 << a
+                size += 1
+            if cycle and size >= min_size:
+                rings.add(cycle)
     return sorted(rings, key=lambda ring: (
-        -len(ring), sorted(map(rank.__getitem__, ring))))
+        -ring.bit_count(), sorted(map(rank.__getitem__, mask_ids(ring)))))

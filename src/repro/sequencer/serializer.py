@@ -176,9 +176,9 @@ class GraphSequentializer:
             supergraph = coarsen(view, config.min_motif_size,
                                  name=graph.name)
             coarse = _Level(
-                TopologyView.of(supergraph.graph),
-                tuple(_super_token(supergraph.graph, sid)
-                      for sid in supergraph.graph.nodes()),
+                supergraph.view,
+                tuple(f"<m:{motif}:{size}>"
+                      for motif, size in supergraph.motifs),
                 config.path_length, max(1, config.max_paths // 4))
             n_sequences += coarse.count_into(features).n_paths
         return GraphSequences(
@@ -186,8 +186,3 @@ class GraphSequentializer:
             feature_counts=features, n_sequences=n_sequences,
             _base=base, _super=coarse)
 
-
-def _super_token(coarse: Graph, node: Node) -> str:
-    motif = coarse.get_node_attr(node, "motif", "singleton")
-    size = coarse.get_node_attr(node, "size", 1)
-    return f"<m:{motif}:{size}>"

@@ -2,20 +2,21 @@
 
 This is the tuple-and-set path cover, the per-path renderer, the
 ``Counter`` fold and the ``Graph``-object super-graph build exactly as
-they stood before the sequencer moved onto the interned view (PR 16),
-kept verbatim so ``test_sequencer_oracle.py`` can require the counting
-walk to reproduce them bit for bit.  It materialises every path; do not
+they stood before the sequencer moved onto the interned view, plus the set-based Bron-Kerbosch the clique search ran on before it
+moved onto bitmasks, kept verbatim so ``test_sequencer_oracle.py`` can
+require the counting walk and the coarse view to reproduce them bit for
+bit.  It materialises every path; do not
 optimise it, and do not import it from ``src/``.
 """
 
 from __future__ import annotations
 
 from collections import Counter, deque
+from collections.abc import Iterator, Mapping, Set
 from dataclasses import dataclass
 
-from repro.algorithms.motifs import find_cliques
 from repro.config import SequencerConfig
-from repro.errors import SequencerError
+from repro.errors import GraphError, SequencerError
 from repro.graphs.graph import DiGraph, Graph, Node
 from repro.sequencer.path_cover import CoverStats
 
@@ -135,6 +136,45 @@ def length_constrained_path_cover(
         total_edges=graph.number_of_edges(),
     )
     return paths, stats
+
+
+# ----------------------------------------------------------------------
+# cliques (was algorithms/motifs.py)
+# ----------------------------------------------------------------------
+def find_cliques(graph: Graph, max_cliques: int = 100000) -> Iterator[
+        frozenset[Node]]:
+    """Maximal cliques via Bron-Kerbosch with pivoting.
+
+    Yields each maximal clique as a frozenset.  Stops after
+    ``max_cliques`` cliques to bound worst-case blowup.
+    """
+    if isinstance(graph, DiGraph):
+        raise GraphError("clique enumeration requires an undirected graph")
+    return maximal_cliques({node: set(graph.neighbors(node)) - {node}
+                            for node in graph.nodes()}, max_cliques)
+
+
+def maximal_cliques(adjacency: Mapping[Node, Set[Node]],
+                    max_cliques: int = 100000) -> Iterator[frozenset[Node]]:
+    """:func:`find_cliques` over a loop-free ``node -> neighbour set`` map."""
+    emitted = 0
+
+    def expand(r: set[Node], p: set[Node],
+               x: set[Node]) -> Iterator[frozenset[Node]]:
+        nonlocal emitted
+        if emitted >= max_cliques:
+            return
+        if not p and not x:
+            emitted += 1
+            yield frozenset(r)
+            return
+        pivot = max(p | x, key=lambda u: len(adjacency[u] & p))
+        for v in list(p - adjacency[pivot]):
+            yield from expand(r | {v}, p & adjacency[v], x & adjacency[v])
+            p.discard(v)
+            x.add(v)
+
+    yield from expand(set(), set(adjacency), set())
 
 
 # ----------------------------------------------------------------------

@@ -1,73 +1,14 @@
-"""Tests for the second extension round: ring motifs, entity-type
-inference, chain serialization and IDF-weighted retrieval."""
+"""Tests for the second extension round: entity-type inference, chain
+serialization and IDF-weighted retrieval."""
 
 import json
 
 import pytest
 
 from repro.apis import APIChain, ChainNode, default_registry
-from repro.chem import parse_smiles
 from repro.errors import ChainError
-from repro.graphs import complete_graph, cycle_graph, path_graph
 from repro.kb import KnowledgeInferencer, Triple, TripleStore
 from repro.retrieval import APIRetriever
-from repro.sequencer import build_supergraph
-from repro.sequencer.motifs import find_rings
-
-
-class TestFindRings:
-    def test_single_cycle(self):
-        rings = find_rings(cycle_graph(6))
-        assert rings == [frozenset(range(6))]
-
-    def test_tree_has_no_rings(self):
-        assert find_rings(path_graph(6)) == []
-
-    def test_max_size_filter(self):
-        assert find_rings(cycle_graph(10), max_size=8) == []
-        assert len(find_rings(cycle_graph(8), max_size=8)) == 1
-
-    def test_fused_rings_found(self):
-        naphthalene = parse_smiles("c1ccc2ccccc2c1").to_graph()
-        rings = find_rings(naphthalene)
-        assert rings  # basis yields at least one small ring
-        assert all(3 <= len(ring) <= 8 for ring in rings)
-
-    def test_clique_rings_are_triangles(self):
-        rings = find_rings(complete_graph(4))
-        assert all(len(ring) == 3 for ring in rings)
-        assert len(rings) == 3  # m - n + 1 = 6 - 4 + 1
-
-    def test_directed_input_accepted(self):
-        from repro.graphs import DiGraph
-        d = DiGraph()
-        d.add_edges([(1, 2), (2, 3), (3, 1)])
-        assert len(find_rings(d)) == 1
-
-
-class TestRingSupergraph:
-    def test_benzene_contracts_to_one_supernode(self):
-        benzene = parse_smiles("c1ccccc1").to_graph()
-        sg = build_supergraph(benzene)
-        assert sg.graph.number_of_nodes() == 1
-        assert sg.graph.get_node_attr(0, "motif") == "ring"
-
-    def test_aspirin_ring_plus_singletons(self):
-        aspirin = parse_smiles("CC(=O)Oc1ccccc1C(=O)O").to_graph()
-        sg = build_supergraph(aspirin)
-        motifs = sorted(sg.graph.get_node_attr(n, "motif")
-                        for n in sg.graph.nodes())
-        assert motifs.count("ring") == 1
-        assert sg.compression_ratio > 1.5
-
-    def test_molecule_sequences_get_ring_tokens(self):
-        from repro.config import SequencerConfig
-        from repro.sequencer import GraphSequentializer
-        naphthalene = parse_smiles("c1ccc2ccccc2c1").to_graph()
-        out = GraphSequentializer(
-            SequencerConfig(multi_level=True)).sequentialize(naphthalene)
-        tokens = set(out.feature_counts)
-        assert any(token.startswith("<m:ring") for token in tokens)
 
 
 class TestEntityTypeInference:

@@ -1,12 +1,18 @@
-"""Tests for the graph sequentializer: path cover, super-graph, serializer."""
+"""Tests for the graph sequentializer: path cover, super-graph, rings,
+serializer."""
+
+import random
 
 import pytest
 
+from repro.chem import parse_smiles
 from repro.config import SequencerConfig
 from repro.errors import SequencerError
 from repro.graphs import (
     DiGraph,
     Graph,
+    TopologyView,
+    ba_graph,
     complete_graph,
     cycle_graph,
     er_graph,
@@ -20,6 +26,7 @@ from repro.sequencer import (
     build_supergraph,
     length_constrained_path_cover,
 )
+from repro.sequencer.motifs import find_rings, ring_ids
 from repro.sequencer.serializer import EDGE_TOKEN, node_token
 
 
@@ -134,6 +141,106 @@ class TestSuperGraph:
     def test_bad_min_size(self):
         with pytest.raises(SequencerError):
             build_supergraph(path_graph(3), min_motif_size=1)
+
+    def test_directed_graph_gives_undirected_supergraph(self):
+        d = DiGraph(name="d")
+        d.add_edges([(0, 1), (1, 2), (2, 0), (2, 3), (4, 3), (3, 5),
+                     (5, 4), (5, 6), (6, 5)])
+        sg = build_supergraph(d)
+        assert not isinstance(sg.graph, DiGraph)
+        assert not sg.view.directed
+        # motifs are found on the skeleton: the same groups as there
+        skeleton = d.to_undirected()
+        assert sg.members == build_supergraph(skeleton).members
+        # one undirected edge per pair of super-nodes an arc joins, in
+        # whichever direction the arc runs
+        contracted = {frozenset((sg.supernode_of(u), sg.supernode_of(v)))
+                      for u, v in skeleton.edges()
+                      if sg.supernode_of(u) != sg.supernode_of(v)}
+        edges = [frozenset(edge) for edge in sg.graph.edges()]
+        assert len(edges) == len(set(edges)) == sg.view.n_edges
+        assert set(edges) == contracted
+        assert sg.graph.number_of_edges() == 2
+
+    def test_coarse_view_matches_lazy_graph(self):
+        sg = build_supergraph(social_network(60, 3, p_in=0.4, seed=2))
+        assert sg.view == TopologyView.of(sg.graph)
+        assert sg.motifs == tuple(
+            (sg.graph.get_node_attr(sid, "motif"),
+             sg.graph.get_node_attr(sid, "size"))
+            for sid in sg.graph.nodes())
+
+
+class TestFindRings:
+    def test_single_cycle(self):
+        rings = find_rings(cycle_graph(6))
+        assert rings == [frozenset(range(6))]
+
+    def test_tree_has_no_rings(self):
+        assert find_rings(path_graph(6)) == []
+
+    def test_max_size_filter(self):
+        assert find_rings(cycle_graph(10), max_size=8) == []
+        assert len(find_rings(cycle_graph(8), max_size=8)) == 1
+
+    def test_fused_rings_found(self):
+        naphthalene = parse_smiles("c1ccc2ccccc2c1").to_graph()
+        rings = find_rings(naphthalene)
+        assert rings  # basis yields at least one small ring
+        assert all(3 <= len(ring) <= 8 for ring in rings)
+
+    def test_clique_rings_are_triangles(self):
+        rings = find_rings(complete_graph(4))
+        assert all(len(ring) == 3 for ring in rings)
+        assert len(rings) == 3  # m - n + 1 = 6 - 4 + 1
+
+    def test_directed_input_accepted(self):
+        from repro.graphs import DiGraph
+        d = DiGraph()
+        d.add_edges([(1, 2), (2, 3), (3, 1)])
+        assert len(find_rings(d)) == 1
+
+
+class TestRingSupergraph:
+    def test_benzene_contracts_to_one_supernode(self):
+        benzene = parse_smiles("c1ccccc1").to_graph()
+        sg = build_supergraph(benzene)
+        assert sg.graph.number_of_nodes() == 1
+        assert sg.graph.get_node_attr(0, "motif") == "ring"
+
+    def test_aspirin_ring_plus_singletons(self):
+        aspirin = parse_smiles("CC(=O)Oc1ccccc1C(=O)O").to_graph()
+        sg = build_supergraph(aspirin)
+        motifs = sorted(sg.graph.get_node_attr(n, "motif")
+                        for n in sg.graph.nodes())
+        assert motifs.count("ring") == 1
+        assert sg.compression_ratio > 1.5
+
+    def test_molecule_sequences_get_ring_tokens(self):
+        from repro.config import SequencerConfig
+        from repro.sequencer import GraphSequentializer
+        naphthalene = parse_smiles("c1ccc2ccccc2c1").to_graph()
+        out = GraphSequentializer(
+            SequencerConfig(multi_level=True)).sequentialize(naphthalene)
+        tokens = set(out.feature_counts)
+        assert any(token.startswith("<m:ring") for token in tokens)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_pruned_ring_search_drops_only_unusable_rings(seed):
+    """``min_size`` / ``avoid`` filter the full search's rings, in order."""
+    rng = random.Random(seed)
+    graph = (molecule_like_graph(4, 3, seed=seed) if seed % 2
+             else ba_graph(40, 2, seed=seed))
+    view = TopologyView.of(graph)
+    rows, rank = view.skeleton(), view.repr_ranks()
+    avoid = sum(1 << node for node in range(len(rows))
+                if rng.random() < 0.15)
+    for min_size in (3, 4, 6):
+        full = ring_ids(rows, rank, max_size=8)
+        assert ring_ids(rows, rank, 8, min_size, avoid) == [
+            ring for ring in full
+            if ring.bit_count() >= min_size and not ring & avoid]
 
 
 class TestSerializer:

@@ -14,8 +14,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.algorithms import find_cliques
 from repro.config import SequencerConfig
-from repro.graphs import DiGraph, Graph, complete_graph
+from repro.graphs import (
+    DiGraph,
+    Graph,
+    ba_graph,
+    complete_graph,
+    knowledge_graph,
+    molecule_like_graph,
+    social_network,
+)
 from repro.sequencer import (
     GraphSequentializer,
     build_supergraph,
@@ -114,6 +123,9 @@ def test_counting_sequencer_equals_oracle(
     assert stats == old_stats, where
 
     assert find_rings(graph) == oracle.find_rings(graph), where
+    if not directed:
+        assert (set(find_cliques(graph))
+                == set(oracle.find_cliques(graph))), where
     assert_same_supergraph(
         build_supergraph(graph, min_motif_size),
         oracle.build_supergraph(graph, min_motif_size), where)
@@ -125,6 +137,66 @@ def test_counting_sequencer_equals_oracle(
         assert_same_sequences(
             GraphSequentializer(config).sequentialize(graph),
             oracle.sequentialize(graph, config), where)
+
+
+def oriented(graph, seed):
+    """``graph`` as a DiGraph: each edge one way at random, some both."""
+    rng = random.Random(seed)
+    out = DiGraph(name=f"oriented({graph.name})")
+    for node in graph.nodes():
+        out.add_node(node, **graph.node_attrs(node))
+    for u, v in graph.edges():
+        if rng.random() < 0.5:
+            u, v = v, u
+        out.add_edge(u, v)
+        if rng.random() < 0.2:
+            out.add_edge(v, u)
+    return out
+
+
+#: Graphs of the sizes and kinds a large chat request uploads, past the
+#: 70 nodes and 0.25 density the hypothesis differential stops at.
+LEDGER_GRAPHS = {
+    "social-100": lambda: social_network(100, 4, seed=11),
+    "social-160": lambda: social_network(160, 6, p_in=0.3, seed=12),
+    "ba-120": lambda: ba_graph(120, 4, seed=13),
+    "ba-170": lambda: ba_graph(170, 6, seed=14),
+    "kg-150": lambda: knowledge_graph(150, 600, seed=15),
+    "kg-240": lambda: knowledge_graph(240, 960, seed=16),
+    "molecule": lambda: molecule_like_graph(6, 5, seed=17),
+    "oriented-ba": lambda: oriented(ba_graph(140, 5, seed=18), 19),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(LEDGER_GRAPHS))
+def test_ledger_sized_graphs_equal_oracle(kind):
+    graph = LEDGER_GRAPHS[kind]()
+    assert_same_supergraph(build_supergraph(graph),
+                           oracle.build_supergraph(graph), kind)
+    config = SequencerConfig()
+    assert_same_sequences(GraphSequentializer(config).sequentialize(graph),
+                          oracle.sequentialize(graph, config), kind)
+
+
+@pytest.mark.parametrize("directed", (False, True))
+def test_sequentialize_builds_no_object_graph(monkeypatch, directed):
+    graph = random_graph(3, 40, 0.2, directed, loops=True, isolated=2)
+    built = []
+    init = Graph.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(type(self))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Graph, "__init__", counting_init)
+    out = GraphSequentializer(SequencerConfig()).sequentialize(graph)
+    assert out.supergraph is not None
+    assert built == []
+    monkeypatch.undo()
+    # the object-graph face is still there, built on first read
+    expected = oracle.build_supergraph(graph)
+    assert_same_supergraph(out.supergraph, expected, "")
+    assert out.supergraph.graph is out.supergraph.graph
 
 
 def test_labels_intern_by_rendered_token():
