@@ -21,7 +21,9 @@ backend uses.  The pieces:
   dead: its ``shard:<i>`` circuit trips, every orphaned in-flight
   request fails over along its ring preference, and a background
   restart replaces the process.  A request a live shard leaves
-  unanswered for :data:`RESULT_TIMEOUT_SECONDS` fails alone.
+  unanswered for :data:`RESULT_TIMEOUT_SECONDS` fails alone.  Each
+  worker's process and pipes live behind one :class:`ShardLink`, so no
+  worker or fd outlives ``stop()``.
 * **migration** — :meth:`add_shard` / :meth:`remove_shard` reshape the
   fleet live: the router pauses, outstanding work quiesces to zero,
   pinned sessions move to their new ring-preferred shards via
@@ -34,7 +36,10 @@ backend uses.  The pieces:
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import os
+import select
 import subprocess
 import sys
 import threading
@@ -53,13 +58,15 @@ from ..shard.protocol import (
 from ..shard.ring import HashRing
 from ..shard.worker import HEARTBEAT_SECONDS, serve_config_to_wire
 from .lifecycle import ExecutionBackend, ReplyTiming, RequestLifecycle
+from .migration import plan_migration
 
 __all__ = ["HEARTBEAT_TIMEOUT_SECONDS", "HOT_GRAPH_REPLICAS",
            "MIGRATION_TIMEOUT_SECONDS", "RESULT_TIMEOUT_SECONDS",
            "SPAWN_TIMEOUT_SECONDS", "STATS_TIMEOUT_SECONDS",
-           "ShardBackend", "_ShardHandle"]
+           "ShardBackend", "ShardLink"]
 
-#: Ceiling on one worker-process model build + server start.
+#: Ceiling on one worker's model build + server start: a worker that
+#: has not said hello by then is killed and its spawn fails.
 SPAWN_TIMEOUT_SECONDS = 180.0
 #: Ceiling on one stats round trip to a live shard.
 STATS_TIMEOUT_SECONDS = 15.0
@@ -79,25 +86,91 @@ RESULT_TIMEOUT_SECONDS = 120.0
 MIGRATION_TIMEOUT_SECONDS = 30.0
 
 
+class ShardLink:
+    """One shard worker process and its two pipes: the only code that
+    spawns, writes to, reads from, kills, stops or reaps a worker.
+    Both exits end in the same close-and-reap."""
+
+    pid = 0
+    _proc: subprocess.Popen | None = None
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()  # frames never interleave
+
+    def spawn(self, init: dict[str, Any], deadline: float) -> dict[str, Any]:
+        """Start the worker, send ``init``, return its hello.  A worker
+        silent past ``deadline`` (monotonic), or dead first, is killed
+        and reaped, and a ServeError names its shard."""
+        self._proc = proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.shard.worker"],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL, env=dict(os.environ))
+        self.pid = proc.pid
+        ready = self.send(init) and select.select(
+            [proc.stdout], [], [], max(0.0, deadline - time.monotonic()))[0]
+        hello = self.recv() if ready else None
+        if hello is None or hello.get("type") != "hello":
+            self.kill()
+            raise ServeError(f"shard {init['shard']} " + (
+                f"sent {hello!r} instead of hello" if ready
+                else "did not say hello by its spawn deadline"))
+        return hello
+
+    def send(self, frame: dict[str, Any]) -> bool:
+        """Write one frame; False once the worker or link is gone."""
+        try:
+            with self._lock:
+                write_frame(self._proc.stdin, frame)
+            return True
+        except (OSError, ValueError, ChatGraphError):
+            return False
+
+    def recv(self) -> dict[str, Any] | None:
+        """The next frame; None at EOF, on a torn stream, or closed."""
+        try:
+            return read_frame(self._proc.stdout)
+        except (OSError, ValueError, ChatGraphError):
+            return None
+
+    def kill(self) -> None:
+        """SIGKILL, close both pipes (unread frames drop), reap; idempotent."""
+        if self._proc is not None:
+            self._proc.kill()
+            for stream in (self._proc.stdin, self._proc.stdout):
+                with contextlib.suppress(OSError):  # a write never read
+                    stream.close()
+            self._proc.wait()
+
+    def stop(self, deadline: float) -> None:
+        """Send ``shutdown``, let the worker drain and exit until
+        ``deadline``, then :meth:`kill` (a no-op signal unless it lags)."""
+        if self._proc is not None:
+            self.send({"type": "shutdown"})
+            with contextlib.suppress(subprocess.TimeoutExpired):
+                self._proc.wait(max(0.0, deadline - time.monotonic()))
+            self.kill()
+
+
 class _ShardHandle:
-    """Coordinator-side state of one shard worker process."""
+    """Coordinator-side state of one shard worker."""
 
     def __init__(self, index: int) -> None:
         self.index = index
         self.name = f"shard:{index}"
         self.lock = threading.Lock()
-        self.proc: subprocess.Popen | None = None
+        #: The live worker's link (None while down) and its reader.
+        self.link: ShardLink | None = None
+        self.reader: threading.Thread | None = None
         self.pid = 0
         self.alive = False
         #: A retired handle left the fleet through a migration: its
         #: exit is coordinated (like shutdown), so the death path skips
         #: counters, breaker trips, failover and restart for it.
         self.retired = False
-        #: Bumped on every death; readers/writers born under an older
-        #: generation see the mismatch and stand down, which makes the
-        #: death path idempotent against racing EOF + heartbeat timeout.
+        #: Bumped on every spawn; a death or a reply stamped with an
+        #: older generation is stale, which makes the death path
+        #: idempotent against racing EOF + heartbeat timeout.
         self.generation = 0
-        self.write_lock = threading.Lock()
         #: request_id -> (generation, item): requests written to this
         #: shard and not yet answered.
         self.inflight: dict[int, tuple[int, PendingRequest]] = {}
@@ -159,10 +232,10 @@ class ShardBackend(ExecutionBackend):
         self._route_gate.set()
         self._migration_lock = threading.Lock()
         self._router_thread: threading.Thread | None = None
+        #: Router, heartbeat monitor, restarts (readers are per handle).
         self._threads: list[threading.Thread] = []
         self._stopping = False
-        self._id_lock = threading.Lock()
-        self._next_rpc = 0
+        self._rpc_ids = itertools.count(1)
 
     def _active_handles(self) -> list[_ShardHandle]:
         return [handle for handle in self.handles if not handle.retired]
@@ -191,28 +264,24 @@ class ShardBackend(ExecutionBackend):
                 errors.append((handle.index, exc))
 
         # model builds dominate startup, so boot every shard in
-        # parallel: the fleet comes up in one model-build time, not N
-        boots = [threading.Thread(target=spawn, args=(handle,),
-                                  name=f"shard-boot-{handle.index}")
-                 for handle in self.handles]
-        for thread in boots:
-            thread.start()
-        for thread in boots:
-            thread.join(SPAWN_TIMEOUT_SECONDS)
+        # parallel: the fleet comes up in one model-build time, not N;
+        # each spawn ends by its own hello deadline
+        for thread in [_start_thread(spawn, handle,
+                                     name=f"shard-boot-{handle.index}")
+                       for handle in self.handles]:
+            thread.join()
         if errors:
-            self._kill_all()
+            self._stopping = True
+            self._stop_links(self.handles, time.monotonic())
             index, exc = errors[0]
             raise ServeError(
                 f"shard {index} failed to start: {exc}") from exc
 
     def launch(self) -> None:
-        self._router_thread = threading.Thread(
-            target=self._router_loop, name="shard-router", daemon=True)
-        self._threads = [self._router_thread, threading.Thread(
-            target=self._heartbeat_monitor, name="shard-heartbeats",
-            daemon=True)]
-        for thread in self._threads:
-            thread.start()
+        self._router_thread = _start_thread(self._router_loop,
+                                            name="shard-router")
+        self._threads = [self._router_thread, _start_thread(
+            self._heartbeat_monitor, name="shard-heartbeats")]
 
     def shutdown(self, drain: bool, deadline: float) -> None:
         # the router exits once the closed queue is empty *and* its last
@@ -222,67 +291,48 @@ class ShardBackend(ExecutionBackend):
             self._router_thread.join(
                 max(0.1, deadline - time.monotonic()))
         if drain:
-            while time.monotonic() < deadline:
-                with self._outstanding_cond:
-                    if self._outstanding == 0:
-                        break
-                time.sleep(0.01)
+            self._quiesce(deadline)
         self._stopping = True
-        self._stop_processes(self.handles, deadline)
+        self._stop_links(self.handles, deadline)
 
     def finalize(self, deadline: float) -> None:
+        # an in-flight restart is waited for too: its worker, once up,
+        # finds the fleet stopping and is killed, not installed
         with self._outstanding_cond:
             self._outstanding_cond.notify_all()
-        for thread in self._threads:
-            thread.join(max(0.1, deadline - time.monotonic()))
-        self._threads = []
-        self._router_thread = None
+        for thread in [*self._threads,
+                       *(handle.reader for handle in self.handles)]:
+            if thread is not None:
+                thread.join(max(0.1, deadline - time.monotonic()))
 
     # ------------------------------------------------------------------
     # process management
     # ------------------------------------------------------------------
     def _spawn_shard(self, handle: _ShardHandle) -> None:
-        """Start one worker process and wait for its hello."""
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "repro.shard.worker"],
-            stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-            stderr=subprocess.DEVNULL, env=dict(os.environ))
-        try:
-            write_frame(proc.stdin, {
-                "type": "init", "shard": handle.index,
-                "model": self.model_wire,
-                "serve": serve_config_to_wire(self.config)})
-            hello = read_frame(proc.stdout)
-        except (OSError, ValueError, ChatGraphError) as exc:
-            proc.kill()
-            raise ServeError(
-                f"shard {handle.index} died during startup: {exc}"
-            ) from exc
-        if hello is None or hello.get("type") != "hello":
-            proc.kill()
-            raise ServeError(
-                f"shard {handle.index} sent {hello!r} instead of hello")
+        """Start one worker and install its link — unless the fleet
+        began stopping meanwhile (a restart racing ``stop()``)."""
+        link = ShardLink()
+        hello = link.spawn({"type": "init", "shard": handle.index,
+                            "model": self.model_wire,
+                            "serve": serve_config_to_wire(self.config)},
+                           time.monotonic() + SPAWN_TIMEOUT_SECONDS)
         with handle.lock:
-            handle.proc = proc
-            handle.pid = int(hello.get("pid", proc.pid))
-            handle.startup_seconds = float(
-                hello.get("startup_seconds", 0.0))
-            handle.alive = True
-            handle.generation += 1
-            handle.last_beat = time.monotonic()
-            generation = handle.generation
-        reader = threading.Thread(
-            target=self._reader_loop, args=(handle, generation, proc),
-            name=f"shard-reader-{handle.index}-g{generation}",
-            daemon=True)
-        reader.start()
-
-    def _kill_all(self) -> None:
-        for handle in self.handles:
-            with handle.lock:
-                proc, handle.proc, handle.alive = handle.proc, None, False
-            if proc is not None:
-                proc.kill()
+            stopping = self._stopping
+            if not stopping:
+                handle.link, handle.pid = link, link.pid
+                handle.startup_seconds = float(
+                    hello.get("startup_seconds", 0.0))
+                handle.alive = True
+                handle.generation += 1
+                handle.last_beat = time.monotonic()
+                handle.reader = _start_thread(
+                    self._reader_loop, handle, handle.generation, link,
+                    name=f"shard-reader-{handle.index}"
+                         f"-g{handle.generation}")
+        if stopping:
+            link.kill()
+            raise ServeError(f"shard {handle.index} came up after the "
+                             f"fleet began stopping")
 
     def kill_shard(self, index: int) -> None:
         """Hard-kill one worker (chaos hook; SIGKILL, no goodbye).
@@ -293,9 +343,9 @@ class ShardBackend(ExecutionBackend):
         """
         handle = self.handles[index]
         with handle.lock:
-            proc = handle.proc
-        if proc is not None:
-            proc.kill()
+            link = handle.link
+        if link is not None:
+            link.kill()
 
     def _restart_shard(self, handle: _ShardHandle) -> None:
         try:
@@ -389,17 +439,13 @@ class ShardBackend(ExecutionBackend):
                                parent_span=item.parent_span_id)
         item.dispatched_at = time.perf_counter()
         with handle.lock:
-            alive = handle.alive
-            if alive:
-                generation, proc = handle.generation, handle.proc
+            link = handle.link if handle.alive else None
+            if link is not None:
+                generation = handle.generation
                 handle.inflight[item.request_id] = (generation, item)
-        if not alive:
+        if link is None:
             self._failover_item(item, handle.index)
-            return
-        try:
-            with handle.write_lock:
-                write_frame(proc.stdin, {"type": "request", "request": wire})
-        except (OSError, ValueError, ChatGraphError):
+        elif not link.send({"type": "request", "request": wire}):
             # whichever call runs the death path fails every request
             # registered under this generation over, this one included
             self._on_shard_down(handle, generation)
@@ -429,18 +475,9 @@ class ShardBackend(ExecutionBackend):
     # gather
     # ------------------------------------------------------------------
     def _reader_loop(self, handle: _ShardHandle, generation: int,
-                     proc: subprocess.Popen) -> None:
+                     link: ShardLink) -> None:
         try:
-            while True:
-                with handle.lock:
-                    if handle.generation != generation:
-                        return  # superseded; the new reader owns the pipe
-                try:
-                    frame = read_frame(proc.stdout)
-                except ChatGraphError:
-                    return
-                if frame is None:
-                    return
+            while (frame := link.recv()) is not None:
                 handle.last_beat = time.monotonic()
                 kind = str(frame.get("type"))
                 if kind == "reply":
@@ -509,15 +546,18 @@ class ShardBackend(ExecutionBackend):
             if handle.generation != generation or not handle.alive:
                 return
             handle.alive = False
-            proc, handle.proc = handle.proc, None
+            link, handle.link = handle.link, None
             # entries register only while alive, so all are this
             # generation's
             orphans = [item for __, item in handle.inflight.values()]
             handle.inflight.clear()
+            # and every control-channel RPC blocked on it fails
+            waiters = list(handle.rpc_waiters.values())
+            handle.rpc_waiters.clear()
             if not stopping:
                 handle.deaths += 1
-        if proc is not None:
-            proc.kill()
+        if link is not None:
+            link.kill()
         if not stopping:
             # a worker EOF-ing during coordinated shutdown (or a
             # migration retirement) is a clean exit, not a death: no
@@ -529,17 +569,12 @@ class ShardBackend(ExecutionBackend):
                 self.lifecycle.metrics.incr("breaker_opened")
         for item in orphans:
             self._failover_item(item, handle.index)
-        # fail any control-channel RPC blocked on this shard
-        with handle.lock:
-            waiters = list(handle.rpc_waiters.values())
-            handle.rpc_waiters.clear()
         for waiter in waiters:
             waiter[0].set()
         if not stopping and not self._stopping:
-            threading.Thread(
-                target=self._restart_shard, args=(handle,),
-                name=f"shard-restart-{handle.index}",
-                daemon=True).start()
+            self._threads.append(_start_thread(
+                self._restart_shard, handle,
+                name=f"shard-restart-{handle.index}"))
 
     def _heartbeat_monitor(self) -> None:
         while self.lifecycle.running:
@@ -556,7 +591,6 @@ class ShardBackend(ExecutionBackend):
                 alive = handle.alive
                 stale = now - handle.last_beat
                 generation = handle.generation
-                proc = handle.proc
                 expired = [handle.inflight.pop(request_id)[1]
                            for request_id, (__, item)
                            in list(handle.inflight.items())
@@ -567,57 +601,45 @@ class ShardBackend(ExecutionBackend):
                     f"{item.request_id} within {RESULT_TIMEOUT_SECONDS}s"))
             if alive and stale > HEARTBEAT_TIMEOUT_SECONDS:
                 # the process is wedged (a clean exit would have
-                # EOF'd the reader first): kill it so the reader
-                # unblocks and runs the death path
+                # EOF'd the reader first): the death path kills it
                 self.lifecycle.metrics.incr("shard_heartbeat_timeouts")
-                if proc is not None:
-                    proc.kill()
                 self._on_shard_down(handle, generation)
 
     # ------------------------------------------------------------------
     # control-channel RPCs
     # ------------------------------------------------------------------
     def _send_rpc(self, handle: _ShardHandle, kind: str,
-                  payload: dict[str, Any]) -> tuple[int, list[Any]] | None:
-        """Register a waiter and write one RPC frame; None on a dead
-        shard.  The only place a control-channel request is written."""
-        with self._id_lock:
-            self._next_rpc += 1
-            rpc_id = self._next_rpc
+                  payload: dict[str, Any]) -> tuple[int, list[Any]]:
+        """Register a waiter and write one RPC frame (a dead shard is
+        not written to).  The only place a control-channel request is
+        written."""
+        rpc_id = next(self._rpc_ids)
         waiter = [threading.Event(), None]
         with handle.lock:
-            if not handle.alive:
-                return None
-            proc = handle.proc
-            handle.rpc_waiters[rpc_id] = waiter
-        try:
-            with handle.write_lock:
-                write_frame(proc.stdin,
-                            {"type": kind, "rpc_id": rpc_id, **payload})
-        except (OSError, ValueError, ChatGraphError):
-            with handle.lock:
-                handle.rpc_waiters.pop(rpc_id, None)
-            return None
+            link = handle.link if handle.alive else None
+            if link is not None:
+                handle.rpc_waiters[rpc_id] = waiter
+        if link is None or not link.send(
+                {"type": kind, "rpc_id": rpc_id, **payload}):
+            waiter[0].set()  # no reply will come: the wait ends at once
         return rpc_id, waiter
 
-    def _wait_rpc(self, handle: _ShardHandle,
-                  sent: tuple[int, list[Any]] | None,
-                  deadline: float) -> dict[str, Any] | None:
-        """The reply to one sent RPC; None on a dead or late shard."""
-        if sent is None:
-            return None
-        rpc_id, waiter = sent
-        waiter[0].wait(max(0.0, deadline - time.monotonic()))
-        with handle.lock:
-            handle.rpc_waiters.pop(rpc_id, None)
-        return waiter[1]
-
-    def _shard_rpc(self, handle: _ShardHandle, kind: str,
-                   payload: dict[str, Any],
-                   deadline: float) -> dict[str, Any] | None:
-        """One request/reply round trip; None on a dead or late shard."""
-        return self._wait_rpc(
-            handle, self._send_rpc(handle, kind, payload), deadline)
+    def _rpc(self, kind: str, payloads: dict[int, dict[str, Any]],
+             deadline: float) -> dict[int, dict[str, Any]]:
+        """One ``kind`` round trip to each shard in ``payloads`` (index
+        -> payload), all written before any is waited on: it costs the
+        slowest reply, not the sum.  A dead or late shard has none."""
+        sent = [(self.handles[index], self._send_rpc(
+                    self.handles[index], kind, payload))
+                for index, payload in payloads.items()]
+        replies: dict[int, dict[str, Any]] = {}
+        for handle, (rpc_id, waiter) in sent:
+            waiter[0].wait(max(0.0, deadline - time.monotonic()))
+            with handle.lock:
+                handle.rpc_waiters.pop(rpc_id, None)
+            if waiter[1] is not None:
+                replies[handle.index] = waiter[1]
+        return replies
 
     def _accept_rpc(self, handle: _ShardHandle,
                     frame: dict[str, Any]) -> None:
@@ -629,20 +651,13 @@ class ShardBackend(ExecutionBackend):
 
     def _poll_shards(self, include_spans: bool = False
                      ) -> dict[int, dict[str, Any]]:
-        """One stats round trip to every live shard (dead ones skip).
-
-        Every shard is written to before any is waited on, so the poll
-        costs the slowest shard's reply, not the sum.
-        """
+        """One stats round trip to every live shard (dead ones skip)."""
         payload = {"include_spans": bool(include_spans)}
-        sent = [(handle, self._send_rpc(handle, "stats", payload))
-                for handle in self.handles]
-        deadline = time.monotonic() + STATS_TIMEOUT_SECONDS
-        replies: dict[int, dict[str, Any]] = {}
-        for handle, rpc in sent:
-            reply = self._wait_rpc(handle, rpc, deadline)
-            if reply is not None:
-                replies[handle.index] = handle.last_stats = reply
+        replies = self._rpc("stats", {
+            handle.index: payload for handle in self.handles},
+            time.monotonic() + STATS_TIMEOUT_SECONDS)
+        for index, reply in replies.items():
+            self.handles[index].last_stats = reply
         return replies
 
     # ------------------------------------------------------------------
@@ -705,14 +720,15 @@ class ShardBackend(ExecutionBackend):
         deadline = time.monotonic() + MIGRATION_TIMEOUT_SECONDS
         self._route_gate.clear()
         try:
-            self._quiesce(deadline)
+            if not self._quiesce(deadline):
+                raise ServeError(
+                    f"migration could not quiesce: {self._outstanding} "
+                    f"requests still outstanding at the deadline")
             placements, graph_names, session_graphs = \
                 self._collect_pins(old_ring, deadline)
             members = set(new_ring.shards)
             live = [h.index for h in self.handles
                     if h.alive and not h.retired and h.index in members]
-            from .migration import plan_migration
-
             plan = plan_migration(old_ring, new_ring, placements,
                                   live=live)
             moved = self._apply_plan(plan, session_graphs, leaving,
@@ -741,16 +757,13 @@ class ShardBackend(ExecutionBackend):
         finally:
             self._route_gate.set()
 
-    def _quiesce(self, deadline: float) -> None:
-        """Wait for every routed request to resolve (router is paused)."""
+    def _quiesce(self, deadline: float) -> bool:
+        """Wait for every routed request to resolve; False if some are
+        still outstanding at ``deadline``."""
         with self._outstanding_cond:
-            while self._outstanding > 0:
-                if time.monotonic() >= deadline:
-                    raise ServeError(
-                        f"migration could not quiesce: "
-                        f"{self._outstanding} requests still "
-                        f"outstanding at the deadline")
-                self._outstanding_cond.wait(0.05)
+            return self._outstanding_cond.wait_for(
+                lambda: self._outstanding == 0,
+                max(0.0, deadline - time.monotonic()))
 
     def _collect_pins(self, old_ring: HashRing, deadline: float
                       ) -> tuple[dict[str, int], set[str],
@@ -766,12 +779,9 @@ class ShardBackend(ExecutionBackend):
         placements: dict[str, int] = {}
         session_graphs: dict[str, tuple[str, str | None]] = {}
         graph_names = set(self.config.shard_hot_graphs)
-        for handle in self._active_handles():
-            if not handle.alive:
-                continue
-            reply = self._shard_rpc(handle, "sessions", {}, deadline)
-            if reply is None:
-                continue
+        replies = self._rpc("sessions", {
+            handle.index: {} for handle in self._active_handles()}, deadline)
+        for index, reply in replies.items():
             for entry in reply.get("sessions") or []:
                 session_id = entry.get("session_id")
                 if session_id is None:
@@ -783,10 +793,10 @@ class ShardBackend(ExecutionBackend):
                 if key in placements:
                     walk = {shard: rank for rank, shard in
                             enumerate(old_ring.preference(key))}
-                    if walk.get(handle.index, len(walk)) >= \
+                    if walk.get(index, len(walk)) >= \
                             walk.get(placements[key], len(walk)):
                         continue
-                placements[key] = handle.index
+                placements[key] = index
                 session_graphs[key] = (session_id, name)
         return placements, graph_names, session_graphs
 
@@ -804,21 +814,17 @@ class ShardBackend(ExecutionBackend):
         by_target: dict[int, list[Any]] = {}
         for move in plan.moves:
             by_target.setdefault(move.to_shard, []).append(move)
-        moved = 0
-        adopted: set[str] = set()
-        for target, moves in sorted(by_target.items()):
-            payload = {"sessions": [
-                {"session_id": session_graphs[move.key][0],
-                 "graph_name": session_graphs[move.key][1]}
-                for move in moves]}
-            reply = self._shard_rpc(self.handles[target], "adopt",
-                                    payload, deadline)
-            if reply is None:
-                # target died mid-migration: leave those sessions where
-                # they are; the death path's failover keeps serving them
-                continue
-            moved += int(reply.get("adopted", 0))
-            adopted.update(move.key for move in moves)
+        replies = self._rpc("adopt", {target: {"sessions": [
+            {"session_id": session_graphs[move.key][0],
+             "graph_name": session_graphs[move.key][1]}
+            for move in moves]}
+            for target, moves in sorted(by_target.items())}, deadline)
+        # a target that died mid-migration has no reply: its sessions
+        # stay where they are, and the death path's failover serves them
+        moved = sum(int(reply.get("adopted", 0))
+                    for reply in replies.values())
+        adopted = {move.key for target in replies
+                   for move in by_target[target]}
         by_source: dict[int, list[Any]] = {}
         for move in plan.moves:
             if move.key not in adopted:
@@ -826,10 +832,9 @@ class ShardBackend(ExecutionBackend):
             if leaving is not None and move.from_shard == leaving.index:
                 continue
             by_source.setdefault(move.from_shard, []).append(move)
-        for source, moves in sorted(by_source.items()):
-            self._shard_rpc(self.handles[source], "evict", {
-                "session_ids": [session_graphs[move.key][0]
-                                for move in moves]}, deadline)
+        self._rpc("evict", {source: {"session_ids": [
+            session_graphs[move.key][0] for move in moves]}
+            for source, moves in sorted(by_source.items())}, deadline)
         return moved
 
     def _warm_affinity(self, old_ring: HashRing, new_ring: HashRing,
@@ -850,44 +855,32 @@ class ShardBackend(ExecutionBackend):
             for index in new_ring.preferred(key, count):
                 if index not in old_owners:
                     by_shard.setdefault(index, []).append(name)
-        warmed = 0
-        for index, names in sorted(by_shard.items()):
-            reply = self._shard_rpc(self.handles[index], "warm",
-                                    {"names": names}, deadline)
-            if reply is not None:
-                warmed += int(reply.get("warmed", 0))
-        return warmed
+        replies = self._rpc("warm", {
+            index: {"names": names}
+            for index, names in sorted(by_shard.items())}, deadline)
+        return sum(int(reply.get("warmed", 0)) for reply in replies.values())
 
     def _retire(self, handle: _ShardHandle, deadline: float) -> None:
         """Coordinated exit of one shard: like shutdown, scoped to it."""
         handle.retired = True
-        self._stop_processes([handle], deadline)
+        self._stop_links([handle], deadline)
 
-    def _stop_processes(self, handles: list[_ShardHandle],
-                        deadline: float) -> None:
-        """Send shutdown to every live process, wait, kill stragglers.
-
-        All are told before any is waited on, so they drain side by
-        side; ``_stopping`` / ``retired`` is already set, so the
-        readers take the EOFs for coordinated exits, not deaths.
-        """
-        procs = []
+    def _stop_links(self, handles: list[_ShardHandle],
+                    deadline: float) -> None:
+        """Coordinated exit: all are told before any is waited on, and
+        each reader takes its worker's last replies up to EOF before the
+        link stops.  ``_stopping`` / ``retired`` is already set, so the
+        readers take the EOFs for coordinated exits, not deaths."""
+        links = []
         for handle in handles:
             with handle.lock:
-                proc = handle.proc
-            if proc is None:
-                continue
-            try:
-                with handle.write_lock:
-                    write_frame(proc.stdin, {"type": "shutdown"})
-            except (OSError, ValueError, ChatGraphError):
-                pass
-            procs.append(proc)
-        for proc in procs:
-            try:
-                proc.wait(max(0.1, deadline - time.monotonic()))
-            except subprocess.TimeoutExpired:
-                proc.kill()
+                link, reader = handle.link, handle.reader
+            if link is not None:
+                link.send({"type": "shutdown"})
+                links.append((link, reader))
+        for link, reader in links:
+            reader.join(max(0.0, deadline - time.monotonic()))
+            link.stop(deadline)
 
     # ------------------------------------------------------------------
     # snapshots
@@ -977,3 +970,10 @@ class ShardBackend(ExecutionBackend):
         shard_spans = [reply.get("spans") or []
                        for reply in replies.values()]
         return merge_traces(own, *shard_spans)
+
+
+def _start_thread(target: Any, *args: Any, name: str) -> threading.Thread:
+    thread = threading.Thread(target=target, args=args, name=name,
+                              daemon=True)
+    thread.start()
+    return thread

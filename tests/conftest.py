@@ -50,3 +50,13 @@ def molecule_graph():
 @pytest.fixture()
 def random_graph():
     return er_graph(30, 0.12, seed=7)
+
+
+@pytest.fixture()
+def loopback():
+    """Shard workers spawned under this fixture run on threads of this
+    process (see ``tests/shard_loopback.py``)."""
+    from .shard_loopback import loopback_links
+
+    with loopback_links():
+        yield

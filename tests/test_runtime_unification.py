@@ -11,8 +11,9 @@ Proves the refactor's contract (see ``repro.runtime``):
   refusing a backend that omits a required section;
 * byte-parity regression: the refactored single-process server still
   produces the exact canonical wire bytes under micro-batching and
-  across the process boundary, and the 1-shard fleet is the degenerate
-  case of the same runtime.
+  across the process boundary, and the 1-shard fleet (on the loopback
+  link, ``tests/shard_loopback.py``) is the degenerate case of the same
+  runtime.
 
 Golden traces are covered by ``test_golden_traces`` (which drives the
 same facade); this module adds the cross-facade and cross-config
@@ -110,12 +111,12 @@ class TestMicrobatchParity:
 # the 1-shard degenerate case (byte parity, shapes cannot drift)
 # ----------------------------------------------------------------------
 class TestDegenerateShardParity:
-    def test_one_shard_fleet_matches_single_process(self):
+    def test_one_shard_fleet_matches_single_process(self, chatgraph,
+                                                     loopback):
         from repro.shard import ShardModelSpec, ShardedChatGraphServer
 
         cases = _canonical_cases()
         spec = ShardModelSpec(corpus_size=200)
-        chatgraph = ChatGraph.pretrained(corpus_size=200)
         single = ChatGraphServer(chatgraph,
                                  ServeConfig(workers=1, queue_depth=64))
         sharded = ShardedChatGraphServer(

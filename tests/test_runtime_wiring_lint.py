@@ -21,6 +21,11 @@ under ``src/repro`` and rejects any *call* to ``AdmissionQueue``,
 Importing the names elsewhere stays legal (types in signatures,
 ``isinstance`` checks); *constructing* them is what concentrates
 control-plane policy and is what this lint confines.
+
+The same walk confines processes: a ``Popen(...)`` call is legal only
+inside :class:`repro.runtime.shard.ShardLink`, the one owner of a
+worker's process and pipes — so every kill, stop and reap is there too,
+and no second code path can start a process it forgets to reap.
 """
 
 import ast
@@ -45,6 +50,10 @@ ONLY_IN = {
     "AdmissionQueue": RUNTIME_DIR / "lifecycle.py",
     "MicroBatcher": RUNTIME_DIR / "local.py",
 }
+
+
+#: The one class that may start a process, and its module.
+POPEN_OWNER = (RUNTIME_DIR / "shard.py", "ShardLink")
 
 
 def iter_source_files():
@@ -81,6 +90,23 @@ def violations_in(path, source=None):
             found.append((node.lineno, f"{name}(...) constructed outside "
                                        f"repro.runtime"))
     return found
+
+
+def popen_calls_in(path, source=None):
+    """``Popen(...)`` calls in ``path`` outside the one owner class."""
+    if source is None:
+        source = path.read_text(encoding="utf-8")
+    tree = ast.parse(source)
+    owned = set()
+    if path == POPEN_OWNER[0]:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and node.name == POPEN_OWNER[1]:
+                owned.update(id(inner) for inner in ast.walk(node))
+    return sorted(
+        (node.lineno, f"Popen(...) called outside {POPEN_OWNER[1]}")
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and _call_name(node) == "Popen"
+        and id(node) not in owned)
 
 
 def test_source_files_exist():
@@ -143,3 +169,38 @@ def test_lint_catches_a_planted_violation(tmp_path):
     assert [lineno for lineno, __ in found] == [1, 2]
     assert violations_in(RUNTIME_DIR / "local.py", runtime_planted) \
         == [(1, "AdmissionQueue(...) constructed outside lifecycle.py")]
+
+
+def test_processes_start_only_in_the_shard_link():
+    problems = [f"{path.relative_to(SRC.parent.parent)}:{lineno}: {message}"
+                for path in iter_source_files()
+                for lineno, message in popen_calls_in(path)]
+    assert not problems, (
+        "a worker process is started, written, killed, stopped and "
+        "reaped by ShardLink alone; go through it:\n" + "\n".join(problems))
+
+
+def test_the_shard_link_itself_starts_the_process():
+    """The lint must keep seeing the one legitimate site."""
+    source = POPEN_OWNER[0].read_text(encoding="utf-8")
+    assert "Popen(" in source
+    assert popen_calls_in(POPEN_OWNER[0], source) == []
+    assert popen_calls_in(RUNTIME_DIR / "local.py", source) != []
+
+
+def test_popen_lint_catches_a_planted_violation():
+    planted = (
+        "import subprocess\n"
+        "class ShardLink:\n"
+        "    def spawn(self):\n"
+        "        return subprocess.Popen(['worker'])\n"
+        "class ShardBackend:\n"
+        "    def respawn(self):\n"
+        "        return subprocess.Popen(['worker'])\n"
+        "proc = Popen(['worker'])\n")
+    shard = POPEN_OWNER[0]
+    assert [lineno for lineno, __ in popen_calls_in(shard, planted)] \
+        == [7, 8]
+    # a class of the same name in another module is no owner
+    assert [lineno for lineno, __ in popen_calls_in(
+        SRC / "shard" / "worker.py", planted)] == [4, 7, 8]

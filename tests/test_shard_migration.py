@@ -9,10 +9,13 @@ Two layers:
   targets the key's first *live* shard in new-ring preference order,
   removing an unrelated shard never moves keys between survivors, and
   adding a shard only ever moves keys *onto* the new shard.
-* **live fleet** (slow) — a real 3-process reshape: pinned sessions
-  keep answering on their ring-preferred shard after ``add_shard`` and
+* **live fleet** — a 2 → 3 → 2 shard reshape on the loopback link
+  (``tests/shard_loopback.py``: each worker a thread of this process,
+  the coordinator's migration code unchanged): pinned sessions keep
+  answering on their ring-preferred shard after ``add_shard`` and
   ``remove_shard``, with a background submitter proving no request is
-  lost across either reshape.
+  lost across either reshape.  ``bench-slo --scenario shard-reshape``
+  is the same contract on real processes.
 """
 
 import threading
@@ -139,7 +142,7 @@ class TestPlanProperties:
 # live fleet
 # ----------------------------------------------------------------------
 class TestLiveMigration:
-    def test_sessions_follow_ring_across_add_and_remove(self):
+    def test_sessions_follow_ring_across_add_and_remove(self, loopback):
         from repro.config import ServeConfig
         from repro.shard import ShardModelSpec, ShardedChatGraphServer
 

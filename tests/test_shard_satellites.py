@@ -1,14 +1,13 @@
 """Satellite surfaces of the fleet: async compaction, cache warming,
 cross-process trace/metrics merging, and the plumbing they ride on
-(breaker trip/reset, the trace CLI's multi-input merge, the shard
-backend's in-flight books).
+(breaker trip/reset, the trace CLI's multi-input merge, the completion
+hooks a shard worker writes its replies from).
 """
 
 from __future__ import annotations
 
 import sys
 import threading
-import time
 
 import pytest
 
@@ -22,8 +21,6 @@ from repro.obs import (
     merge_traces,
     read_trace,
 )
-import repro.runtime.shard as shard_runtime
-from repro.runtime import RequestLifecycle, ShardBackend
 from repro.serve.breaker import BreakerRegistry
 from repro.serve.engine import PendingRequest, ServeRequest
 from repro.store import CompactTicket, GraphCatalog
@@ -191,93 +188,8 @@ def test_breaker_registry_trip_and_reset_one():
 
 
 # ----------------------------------------------------------------------
-# ShardBackend bookkeeping, process-free (bound, never booted)
+# PendingRequest completion hooks
 # ----------------------------------------------------------------------
-def _bound_fleet(shards: int = 2, **config):
-    """A ``ShardBackend`` bound to a lifecycle but never booted: no
-    worker processes, handles marked alive by hand."""
-    lifecycle = RequestLifecycle(
-        ServeConfig(shards=shards, **config), ShardBackend(model_wire={}))
-    backend = lifecycle.backend
-    for handle in backend.handles:
-        handle.alive = True
-    return lifecycle, backend
-
-
-def _routed(backend, text: str, request_id: int) -> PendingRequest:
-    item = PendingRequest(ServeRequest(op="ask", text=text),
-                          request_id=request_id,
-                          enqueued_at=time.perf_counter())
-    backend.prepare(item)
-    return item
-
-
-def _in_flight(backend, handle, items, dispatched_at):
-    """Register ``items`` as sent to ``handle`` at ``dispatched_at``."""
-    for item in items:
-        item.dispatched_at = dispatched_at
-        handle.inflight[item.request_id] = (handle.generation, item)
-    backend._outstanding += len(items)
-
-
-def _reply_frame(item):
-    return {"type": "reply", "response": {
-        "request_id": item.request_id, "op": "ask", "ok": True}}
-
-
-def test_gather_feeds_backpressure_ema_the_amortized_cost(monkeypatch):
-    """Four requests overlapping on one shard share its time; the EMA
-    behind ``BackpressureError.retry_after`` must not see the whole
-    round trip once per request.  The amortization: each reply feeds
-    its round trip divided by the shard's in-flight count, itself
-    included — a quarter for the first of four, as ``LocalBackend``
-    feeds for a flush of four."""
-    lifecycle, backend = _bound_fleet()
-    fed: list[float] = []
-    monkeypatch.setattr(lifecycle, "record_service_time", fed.append)
-    handle = backend.handles[0]
-    items = [_routed(backend, f"q{i}", i) for i in range(4)]
-    _in_flight(backend, handle, items, time.perf_counter() - 0.4)
-    for item in items:
-        backend._gather(handle, handle.generation, _reply_frame(item))
-    assert all(item.result(timeout=1.0).ok for item in items)
-    assert handle.pending_count == 0 and backend._outstanding == 0
-    # every request reports its own full round trip as its service...
-    services = [item.result().service_seconds for item in items]
-    assert min(services) >= 0.4
-    # ...but the EMA is fed that round trip over the sharing count
-    assert fed == pytest.approx([service / sharing for service, sharing
-                                 in zip(services, (4, 3, 2, 1))])
-
-
-def test_sweep_fails_a_hung_request_once_and_drops_its_late_reply(
-        monkeypatch):
-    """A request a live shard never answers fails after
-    ``RESULT_TIMEOUT_SECONDS`` with a ServeError — exactly one reply,
-    books balanced — and the reply arriving after that is ignored."""
-    lifecycle, backend = _bound_fleet()
-    monkeypatch.setattr(shard_runtime, "RESULT_TIMEOUT_SECONDS", 0.1)
-    handle = backend.handles[0]
-    handle.last_beat = time.monotonic()  # alive and beating
-    hung, fresh = _routed(backend, "hung", 1), _routed(backend, "fresh", 2)
-    _in_flight(backend, handle, [hung], time.perf_counter() - 1.0)
-    _in_flight(backend, handle, [fresh], time.perf_counter())
-    replies = []
-    hung.add_done_callback(lambda done: replies.append(done.result()))
-    backend._sweep()
-    (response,) = replies
-    assert not response.ok and response.error_type == "ServeError"
-    assert "did not answer" in response.error
-    assert not fresh.done()  # within its bound: still in flight
-    assert handle.pending_count == 1 and backend._outstanding == 1
-    backend._gather(handle, handle.generation, _reply_frame(hung))
-    assert len(replies) == 1 and hung.result() is response
-    assert handle.pending_count == 1 and backend._outstanding == 1
-    counters = lifecycle.metrics.snapshot()["counters"]
-    assert counters["failed"] == 1 and counters["op_ask"] == 1
-    assert handle.alive  # a hung request is not a dead shard
-
-
 def test_done_callback_runs_once_whenever_it_is_attached():
     """The completion hook a shard worker writes replies from: attached
     before resolution it runs on the resolving call, attached after it

@@ -1,32 +1,64 @@
-"""End-to-end sharded serving: parity, routing, stats, observability.
+"""End-to-end sharded serving: parity, routing, stats, observability,
+and the worker processes' lifecycle.
 
-One module-scoped 2-shard fleet (real worker processes) serves every
-test; a small corpus keeps the boot cheap.  The parity tests are the
-acceptance core: a sharded response must flatten to the same canonical
-bytes as the single-process server's for the same content-seeded
-request.
+The routing and protocol tests share one module-scoped 2-shard fleet
+on the loopback link (``tests/shard_loopback.py``: each worker is a
+thread of this process over a pipe pair), so they cost no process
+boot.  The parity tests are the acceptance core: a sharded response
+must flatten to the same canonical bytes as the single-process
+server's for the same content-seeded request — on the loopback *and*
+on real worker processes.  The last section runs real processes only:
+the spawn deadline, a restart racing ``stop()``, and no process or fd
+outliving ``stop()``.
 """
 
 from __future__ import annotations
 
+import gc
+import os
+import threading
+import time
+import warnings
+
 import pytest
 
+import repro.runtime.shard as shard_runtime
 from repro import ChatGraph, ChatGraphServer, ServeConfig, ServeRequest
 from repro.errors import ServeError
 from repro.graphs.io import from_dict, to_dict
+from repro.runtime import RequestLifecycle, ShardBackend
+from repro.serve.engine import PendingRequest
 from repro.shard import ShardModelSpec, ShardedChatGraphServer
 from repro.shard.protocol import dumps_canonical, value_to_wire
 from repro.testing.workloads import PROMPTS, bench_graphs, canonical_graph
 
+from .shard_loopback import loopback_links
+
 CORPUS = 150
+
+
+def _fleet(shards=2):
+    return ShardedChatGraphServer(
+        ShardModelSpec(corpus_size=CORPUS, seed=0),
+        ServeConfig(shards=shards, workers=1, queue_depth=64))
 
 
 @pytest.fixture(scope="module")
 def fleet():
-    server = ShardedChatGraphServer(
-        ShardModelSpec(corpus_size=CORPUS, seed=0),
-        ServeConfig(shards=2, workers=1, queue_depth=64))
-    with server:
+    # links are picked at spawn, so only the boot needs the patch (and
+    # the real-process fleet below spawns real processes beside it)
+    server = _fleet()
+    with loopback_links():
+        server.start()
+    try:
+        yield server
+    finally:
+        server.stop()
+
+
+@pytest.fixture(scope="module")
+def process_fleet():
+    with _fleet() as server:
         yield server
 
 
@@ -47,7 +79,10 @@ def test_fleet_boots_and_serves(fleet):
     assert "count_nodes" in response.value.answer
 
 
-def test_parity_with_single_process(fleet, single):
+@pytest.mark.parametrize("link", ["loopback", "process"])
+def test_parity_with_single_process(link, request, single):
+    fleet = request.getfixturevalue(
+        {"loopback": "fleet", "process": "process_fleet"}[link])
     graphs = bench_graphs(2)
     for op in ("ask", "propose"):
         for text in PROMPTS[:3]:
@@ -213,3 +248,192 @@ def test_fleet_gauges_match_the_single_process_names(fleet, single):
 def test_single_process_stats_has_empty_shards_section(single):
     shards = single.stats()["shards"]
     assert shards == {"count": 0, "alive": 0, "per_shard": {}}
+
+
+# ----------------------------------------------------------------------
+# the backend's in-flight books, with no link at all (bound, never booted)
+# ----------------------------------------------------------------------
+def _bound_fleet(shards: int = 2, **config):
+    """A ``ShardBackend`` bound to a lifecycle but never booted: no
+    links, handles marked alive by hand."""
+    lifecycle = RequestLifecycle(
+        ServeConfig(shards=shards, **config), ShardBackend(model_wire={}))
+    backend = lifecycle.backend
+    for handle in backend.handles:
+        handle.alive = True
+    return lifecycle, backend
+
+
+def _routed(backend, text: str, request_id: int) -> PendingRequest:
+    item = PendingRequest(ServeRequest(op="ask", text=text),
+                          request_id=request_id,
+                          enqueued_at=time.perf_counter())
+    backend.prepare(item)
+    return item
+
+
+def _in_flight(backend, handle, items, dispatched_at):
+    """Register ``items`` as sent to ``handle`` at ``dispatched_at``."""
+    for item in items:
+        item.dispatched_at = dispatched_at
+        handle.inflight[item.request_id] = (handle.generation, item)
+    backend._outstanding += len(items)
+
+
+def _reply_frame(item):
+    return {"type": "reply", "response": {
+        "request_id": item.request_id, "op": "ask", "ok": True}}
+
+
+def test_gather_feeds_backpressure_ema_the_amortized_cost(monkeypatch):
+    """Four requests overlapping on one shard share its time; the EMA
+    behind ``BackpressureError.retry_after`` must not see the whole
+    round trip once per request.  The amortization: each reply feeds
+    its round trip divided by the shard's in-flight count, itself
+    included — a quarter for the first of four, as ``LocalBackend``
+    feeds for a flush of four."""
+    lifecycle, backend = _bound_fleet()
+    fed: list[float] = []
+    monkeypatch.setattr(lifecycle, "record_service_time", fed.append)
+    handle = backend.handles[0]
+    items = [_routed(backend, f"q{i}", i) for i in range(4)]
+    _in_flight(backend, handle, items, time.perf_counter() - 0.4)
+    for item in items:
+        backend._gather(handle, handle.generation, _reply_frame(item))
+    assert all(item.result(timeout=1.0).ok for item in items)
+    assert handle.pending_count == 0 and backend._outstanding == 0
+    # every request reports its own full round trip as its service...
+    services = [item.result().service_seconds for item in items]
+    assert min(services) >= 0.4
+    # ...but the EMA is fed that round trip over the sharing count
+    assert fed == pytest.approx([service / sharing for service, sharing
+                                 in zip(services, (4, 3, 2, 1))])
+
+
+def test_sweep_fails_a_hung_request_once_and_drops_its_late_reply(
+        monkeypatch):
+    """A request a live shard never answers fails after
+    ``RESULT_TIMEOUT_SECONDS`` with a ServeError — exactly one reply,
+    books balanced — and the reply arriving after that is ignored."""
+    lifecycle, backend = _bound_fleet()
+    monkeypatch.setattr(shard_runtime, "RESULT_TIMEOUT_SECONDS", 0.1)
+    handle = backend.handles[0]
+    handle.last_beat = time.monotonic()  # alive and beating
+    hung, fresh = _routed(backend, "hung", 1), _routed(backend, "fresh", 2)
+    _in_flight(backend, handle, [hung], time.perf_counter() - 1.0)
+    _in_flight(backend, handle, [fresh], time.perf_counter())
+    replies = []
+    hung.add_done_callback(lambda done: replies.append(done.result()))
+    backend._sweep()
+    (response,) = replies
+    assert not response.ok and response.error_type == "ServeError"
+    assert "did not answer" in response.error
+    assert not fresh.done()  # within its bound: still in flight
+    assert handle.pending_count == 1 and backend._outstanding == 1
+    backend._gather(handle, handle.generation, _reply_frame(hung))
+    assert len(replies) == 1 and hung.result() is response
+    assert handle.pending_count == 1 and backend._outstanding == 1
+    counters = lifecycle.metrics.snapshot()["counters"]
+    assert counters["failed"] == 1 and counters["op_ask"] == 1
+    assert handle.alive  # a hung request is not a dead shard
+
+
+# ----------------------------------------------------------------------
+# worker processes: real ones only
+# ----------------------------------------------------------------------
+@pytest.fixture()
+def spawned_pids(monkeypatch):
+    """The pid of every worker process spawned during the test."""
+    pids = []
+
+    class RecordedLink(shard_runtime.ShardLink):
+        def spawn(self, init, deadline):
+            try:
+                return super().spawn(init, deadline)
+            finally:
+                pids.append(self.pid)
+
+    monkeypatch.setattr(shard_runtime, "ShardLink", RecordedLink)
+    return pids
+
+
+def _reaped(pid):
+    try:
+        os.waitpid(pid, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+def _wait_until(condition, timeout=60.0):
+    deadline = time.monotonic() + timeout
+    while not condition() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return condition()
+
+
+def test_spawn_deadline_fails_start_and_reaps_the_worker(
+        monkeypatch, spawned_pids):
+    """A worker silent past ``SPAWN_TIMEOUT_SECONDS`` is killed and
+    reaped, and ``start()`` raises naming it — not a fleet that boots
+    "up" with no live shard and comes alive seconds later."""
+    monkeypatch.setattr(shard_runtime, "SPAWN_TIMEOUT_SECONDS", 0.3)
+    server = _fleet(shards=1)
+    with pytest.raises(ServeError, match="shard 0 failed to start: "
+                                         "shard 0 did not say hello"):
+        server.start()
+    assert not server.lifecycle.running
+    assert not server.handles[0].alive
+    assert len(spawned_pids) == 1 and _reaped(spawned_pids[0])
+
+
+def test_spawn_deadline_fails_add_shard(process_fleet, monkeypatch,
+                                        spawned_pids):
+    monkeypatch.setattr(shard_runtime, "SPAWN_TIMEOUT_SECONDS", 0.3)
+    with pytest.raises(ServeError, match="shard 2 did not say hello"):
+        process_fleet.add_shard()
+    assert list(process_fleet.ring.shards) == [0, 1]
+    assert len(process_fleet.handles) == 2
+    assert len(spawned_pids) == 1 and _reaped(spawned_pids[0])
+
+
+def test_restart_racing_stop_leaves_no_worker(spawned_pids):
+    """A restart still building its worker when ``stop()`` runs is
+    waited for, and kills the worker it brings up."""
+    server = _fleet(shards=1)
+    with server:
+        handle = server.handles[0]
+        server.kill_shard(0)
+        assert _wait_until(lambda: not handle.alive)
+        time.sleep(0.3)  # the restart is now mid-spawn
+    # stop() waited for the restart, which found the fleet stopping
+    assert not [thread for thread in threading.enumerate()
+                if thread.name.startswith("shard-restart-")]
+    assert not handle.alive and handle.link is None
+    assert len(spawned_pids) == 2
+    assert all(_reaped(pid) for pid in spawned_pids)
+
+
+def _churn_a_fleet():
+    """Boot, a kill and its restart, a grow and a shrink, stop."""
+    with _fleet() as server:
+        graph = bench_graphs(1)[0]
+        assert server.ask("how many nodes are there", graph=graph).ok
+        victim = server.handles[0]
+        server.kill_shard(0)
+        assert _wait_until(lambda: victim.restarts == 1 and victim.alive)
+        server.add_shard()
+        server.remove_shard(1)
+        assert server.ask("how many nodes are there", graph=graph).ok
+
+
+def test_no_worker_or_fd_outlives_stop(spawned_pids):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        _churn_a_fleet()
+        gc.collect()
+    leaks = [str(w.message) for w in caught
+             if issubclass(w.category, ResourceWarning)]
+    assert not leaks, leaks
+    assert len(spawned_pids) == 4  # two boots, one restart, one add
+    assert [pid for pid in spawned_pids if not _reaped(pid)] == []
