@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import AnnIndex
-from .brute_force import BruteForceIndex
+from repro.ann import AnnIndex, BruteForceIndex
 
 
 def recall_at_k(approx_ids: list[int], exact_ids: list[int]) -> float:

@@ -14,8 +14,10 @@ import random
 
 import numpy as np
 
-from ..errors import IndexError_
-from .base import AnnIndex, SearchResult
+from repro.ann import AnnIndex, SearchResult
+from repro.errors import IndexError_
+
+from .counted import counted_distances
 
 
 class HNSWIndex(AnnIndex):
@@ -53,7 +55,7 @@ class HNSWIndex(AnnIndex):
         The per-insert RNG is derived from ``(seed, new_id)`` so the
         level draw is a pure function of the vector's identity, not of
         how many inserts happened before; a later
-        :meth:`~repro.ann.base.AnnIndex.compact` rebuilds with the
+        :meth:`~repro.ann.AnnIndex.compact` rebuilds with the
         fresh-build RNG stream and restores bit-compatibility.
         """
         assert self._data is not None
@@ -142,12 +144,12 @@ class HNSWIndex(AnnIndex):
         """
         adjacency = self.layers[layer]
         current = entry
-        d = self._distance(query, current)
+        d = float(counted_distances(self, query, [current])[0])
         while True:
             nbrs = adjacency.get(current)
             if not nbrs:
                 return current
-            dists = self._distances_bulk(query, np.array(nbrs))
+            dists = counted_distances(self, query, nbrs)
             j = int(np.argmin(dists))
             if not dists[j] < d:
                 return current
@@ -163,7 +165,7 @@ class HNSWIndex(AnnIndex):
         distance call.
         """
         adjacency = self.layers[layer]
-        d0 = self._distance(query, entry)
+        d0 = float(counted_distances(self, query, [entry])[0])
         visited = {entry}
         candidates = [(d0, entry)]
         # best: max-heap (negated) of the ef closest found so far
@@ -179,7 +181,7 @@ class HNSWIndex(AnnIndex):
                     fresh.append(v)
             if not fresh:
                 continue
-            dists = self._distances_bulk(query, np.array(fresh))
+            dists = counted_distances(self, query, fresh)
             for neighbor, d in zip(fresh, dists.tolist()):
                 if len(best) < ef or d < -best[0][0]:
                     heapq.heappush(candidates, (d, neighbor))

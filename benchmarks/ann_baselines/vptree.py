@@ -13,8 +13,10 @@ import random
 
 import numpy as np
 
-from ..errors import IndexError_
-from .base import AnnIndex, SearchResult
+from repro.ann import AnnIndex, SearchResult
+from repro.errors import IndexError_
+
+from .counted import counted_distances
 
 
 class _Node:
@@ -57,6 +59,11 @@ class VPTreeIndex(AnnIndex):
         node.outside = self._build_node(data, outside, rng)
         return node
 
+    def _insert_one(self, new_id: int) -> None:
+        raise IndexError_(
+            f"{type(self).__name__} does not support incremental "
+            "insertion; rebuild with build()")
+
     def _search_batch(self, queries: np.ndarray,
                       k: int) -> list[list[SearchResult]]:
         return [self._descend(query, k) for query in queries]
@@ -70,7 +77,7 @@ class VPTreeIndex(AnnIndex):
         def visit(node: "_Node | None") -> None:
             if node is None:
                 return
-            d = self._distance(query, node.point_id)
+            d = float(counted_distances(self, query, [node.point_id])[0])
             if len(best) < k:
                 heapq.heappush(best, (-d, node.point_id))
             elif d < -best[0][0]:

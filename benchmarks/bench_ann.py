@@ -11,15 +11,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.ann import (
-    BruteForceIndex,
-    HNSWIndex,
-    MRNGIndex,
-    TauMGIndex,
-    VPTreeIndex,
-    evaluate_index,
-)
-from repro.ann.evaluation import ground_truth
+from ann_baselines import HNSWIndex, VPTreeIndex, evaluate_index, ground_truth
+from repro.ann import BruteForceIndex, TauMGIndex
 
 DIM = 32
 N_QUERIES = 30
@@ -37,7 +30,7 @@ def corpus():
     indexes = {
         "brute-force": BruteForceIndex().build(data),
         "VP-tree": VPTreeIndex().build(data),
-        "MRNG": MRNGIndex(ef_search=32).build(data),
+        "MRNG": TauMGIndex(tau=0.0, ef_search=32).build(data),
         "tau-MG": TauMGIndex(tau=0.05, ef_search=32).build(data),
         "HNSW": HNSWIndex(ef_search=32).build(data),
     }
@@ -86,7 +79,7 @@ def test_hop_scaling(report_table, benchmark):
     for n in sizes:
         data, queries = make_data(n, seed=n)
         tau_mg = TauMGIndex(tau=0.05).build(data)
-        mrng = MRNGIndex().build(data)
+        mrng = TauMGIndex(tau=0.0).build(data)
         hops_tau = float(np.mean([tau_mg.routing_hops(q) for q in queries]))
         hops_mrng = float(np.mean([mrng.routing_hops(q) for q in queries]))
         bound = (n ** 0.5) * (np.log(n) ** 2)

@@ -18,7 +18,9 @@ Package map (one subpackage per subsystem; see DESIGN.md):
 
 - :mod:`repro.core` — the ChatGraph framework and the four scenarios
 - :mod:`repro.graphs` / :mod:`repro.algorithms` — graph substrate
-- :mod:`repro.embedding` / :mod:`repro.ann` — retrieval substrate (tau-MG)
+- :mod:`repro.embedding` / :mod:`repro.ann` — retrieval substrate (the
+  tau-MG index and brute force; the E6 ANN baselines live under
+  ``benchmarks/ann_baselines``)
 - :mod:`repro.sequencer` — graph sequentializer
 - :mod:`repro.apis` — the analysis API catalog, chains, executor
 - :mod:`repro.llm` — the (simulated) graph-aware language model

@@ -1,39 +1,28 @@
 """Approximate nearest neighbor search (paper Sec. II-D).
 
-The API-retrieval module searches the text-embedding space with a
-proximity-graph (PG) index.  This package implements the paper's
-tau-MG index (Def. 2/3: edge occlusion rule, greedy routing) together
-with the baselines it is compared against in the ANN literature:
+The API-retrieval module and the store's catalog index search the
+text-embedding space with the paper's tau-MG proximity-graph index
+(Def. 2/3: edge occlusion rule, greedy routing).  This package holds
+what they build:
 
-* :class:`BruteForceIndex` — exact scan (the ground truth),
-* :class:`MRNGIndex` — monotonic relative neighborhood graph (tau = 0),
-* :class:`TauMGIndex` — the tau-monotonic graph of the paper,
-* :class:`HNSWIndex` — hierarchical navigable small world graphs,
+* :class:`TauMGIndex` — the tau-monotonic graph (``tau = 0`` is the
+  MRNG),
+* :class:`BruteForceIndex` — exact scan, used for tiny catalogs and as
+  the ground truth.
 
-plus a recall/QPS evaluation harness in :mod:`repro.ann.evaluation`.
+The E6 baselines (HNSW, a VP-tree) and the recall/work harness live
+beside their benchmark, in ``benchmarks/ann_baselines``.
 """
 
 from .base import AnnIndex, SearchResult
 from .kernels import stable_topk
 from .brute_force import BruteForceIndex
-from .proximity_graph import ProximityGraphIndex
 from .tau_mg import TauMGIndex
-from .mrng import MRNGIndex
-from .hnsw import HNSWIndex
-from .vptree import VPTreeIndex
-from .evaluation import EvaluationResult, evaluate_index, recall_at_k
 
 __all__ = [
     "AnnIndex",
     "SearchResult",
     "BruteForceIndex",
-    "ProximityGraphIndex",
     "TauMGIndex",
-    "MRNGIndex",
-    "HNSWIndex",
-    "VPTreeIndex",
-    "EvaluationResult",
-    "evaluate_index",
-    "recall_at_k",
     "stable_topk",
 ]

@@ -8,7 +8,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ..errors import IndexError_
-from .kernels import gathered_distances, row_sq_norms
+from .kernels import row_sq_norms
 
 
 class SearchResult(NamedTuple):
@@ -23,12 +23,13 @@ class SearchResult(NamedTuple):
 class AnnIndex(ABC):
     """Abstract k-NN index over a fixed matrix of vectors.
 
-    Subclasses implement :meth:`_build` and :meth:`_search_batch`, the
-    one search hook: it answers a whole ``(m, d)`` query matrix, and
-    :meth:`search` is that hook on a one-row matrix.  The base class
-    owns the data matrix, validates inputs, filters tombstones, and
-    counts distance evaluations (``distance_computations``), which the
-    benchmarks use as a hardware-independent work measure.
+    Subclasses implement :meth:`_build`, :meth:`_insert_one` and
+    :meth:`_search_batch`, the one search hook: it answers a whole
+    ``(m, d)`` query matrix, and :meth:`search` is that hook on a
+    one-row matrix.  The base class owns the data matrix, validates
+    inputs, filters tombstones, and counts distance evaluations
+    (``distance_computations``), which the benchmarks use as a
+    hardware-independent work measure.
     """
 
     def __init__(self) -> None:
@@ -115,12 +116,6 @@ class AnnIndex(ABC):
         self.build(self._data[np.array(live, dtype=np.intp)])
         return id_map
 
-    def _insert_one(self, new_id: int) -> None:
-        """Incremental-insert hook; data/norms are already updated."""
-        raise IndexError_(
-            f"{type(self).__name__} does not support incremental "
-            "insertion; rebuild with build()")
-
     @property
     def n_tombstones(self) -> int:
         return len(self._tombstones)
@@ -178,32 +173,15 @@ class AnnIndex(ABC):
         return 0 if self._data is None else int(self._data.shape[0])
 
     # ------------------------------------------------------------------
-    # helpers for subclasses
-    # ------------------------------------------------------------------
-    def _distance(self, query: np.ndarray, vector_id: int) -> float:
-        """Instrumented single distance evaluation.
-
-        Routes through the same gather kernel as :meth:`_distances_bulk`
-        so a lone evaluation and a bulk one see bit-identical floats.
-        """
-        assert self._data is not None
-        self.distance_computations += 1
-        return float(gathered_distances(
-            self._data, np.array([vector_id]), query)[0])
-
-    def _distances_bulk(self, query: np.ndarray,
-                        ids: np.ndarray) -> np.ndarray:
-        """Instrumented vectorized distances to many points."""
-        assert self._data is not None
-        self.distance_computations += len(ids)
-        return gathered_distances(self._data, ids, query)
-
-    # ------------------------------------------------------------------
     # subclass hooks
     # ------------------------------------------------------------------
     @abstractmethod
     def _build(self, data: np.ndarray) -> None:
         """Construct index structures for ``data``."""
+
+    @abstractmethod
+    def _insert_one(self, new_id: int) -> None:
+        """Index row ``new_id``; data/norms are already updated."""
 
     @abstractmethod
     def _search_batch(self, queries: np.ndarray,

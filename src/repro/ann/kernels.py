@@ -4,8 +4,7 @@ The search bodies gather whole frontiers and evaluate them in one numpy
 expression; the scalar references under ``tests/ann_oracle.py``
 evaluate one point-to-query distance per call.  Both must agree
 *bitwise*, so every kernel here fixes one canonical floating-point
-evaluation order and :class:`~repro.ann.base.AnnIndex`'s distance
-helpers route through the same expressions.
+evaluation order.
 """
 
 from __future__ import annotations

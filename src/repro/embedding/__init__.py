@@ -11,7 +11,6 @@ from .tokenizer import char_ngrams, tokenize, word_ngrams
 from .vocabulary import Vocabulary
 from .tfidf import TfidfModel
 from .hashing import HashingEmbedder
-from .vectors import cosine_distance, cosine_similarity, l2_distance, normalize
 
 __all__ = [
     "char_ngrams",
@@ -20,8 +19,4 @@ __all__ = [
     "Vocabulary",
     "TfidfModel",
     "HashingEmbedder",
-    "cosine_distance",
-    "cosine_similarity",
-    "l2_distance",
-    "normalize",
 ]

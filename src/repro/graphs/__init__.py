@@ -38,7 +38,7 @@ from .io import (
 from .graphml import read_graphml, write_graphml
 from .properties import GraphSummary, degree_histogram, density, summarize
 from .topology import TopologyView
-from .views import ego_graph, induced_subgraph
+from .views import ego_graph
 
 __all__ = [
     "Graph",
@@ -46,7 +46,6 @@ __all__ = [
     "TopologyView",
     "ego_graph",
     "fingerprint",
-    "induced_subgraph",
     "from_adjacency",
     "from_dict",
     "from_edgelist",

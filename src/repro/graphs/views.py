@@ -1,17 +1,11 @@
-"""Derived subgraphs: induced subgraphs and ego networks."""
+"""Derived subgraphs: ego networks (induced ones are ``Graph.subgraph``)."""
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable
 
 from ..errors import NodeNotFoundError
 from .graph import DiGraph, Graph, Node
-
-
-def induced_subgraph(graph: Graph, nodes: Iterable[Node]) -> Graph:
-    """Return the subgraph induced by ``nodes`` (alias of ``graph.subgraph``)."""
-    return graph.subgraph(nodes)
 
 
 def ego_graph(graph: Graph, center: Node, radius: int = 1) -> Graph:

@@ -4,29 +4,24 @@ Every index class under ``src/repro/ann`` owns one search body, so
 comparing ``search`` with ``search_batch`` compares a path with itself.
 The oracles here are the scalar bodies those classes used to carry,
 moved out of ``src/`` verbatim: pure Python over an index's public
-adjacency (``neighbors`` / ``layers`` / ``entry_point`` / ``max_level``
-/ ``ef_search``), one distance evaluation per visited neighbour, no
-frontier batching, no lockstep.  The differential suites require ids,
-float bits and ``distance_computations`` to agree with them, and — for
-the graph indexes — the *built* adjacency to agree with an
-oracle-driven build.  Test code only: nothing under ``src/`` imports it.
+adjacency (``neighbors`` / ``entry_point`` / ``ef_search``), one
+distance evaluation per visited neighbour, no frontier batching, no
+lockstep.  The differential suites require ids, float bits and
+``distance_computations`` to agree with them, and — for tau-MG — the
+*built* adjacency to agree with an oracle-driven build.  Test code
+only: nothing under ``src/`` imports it.  The E6 baselines' oracles
+(HNSW, VP-tree) build on :class:`ScalarOracle` from
+``benchmarks/ann_baselines/tests/ann_oracle.py``.
 """
 
 import hashlib
 import heapq
 import json
-import math
-import random
 from collections import deque
 
 import numpy as np
 
-from repro.ann import (
-    BruteForceIndex,
-    HNSWIndex,
-    ProximityGraphIndex,
-    VPTreeIndex,
-)
+from repro.ann import BruteForceIndex, TauMGIndex
 
 
 class ScalarOracle:
@@ -71,7 +66,7 @@ class BruteForceOracle(ScalarOracle):
 
 
 class ProximityGraphOracle(ScalarOracle):
-    """Best-first beam search, as ``ProximityGraphIndex`` ran it scalar."""
+    """Best-first beam search, as ``TauMGIndex`` ran it scalar."""
 
     def __init__(self, data, neighbors, entry_point, ef_search, deleted=()):
         super().__init__(data, deleted)
@@ -109,202 +104,14 @@ class ProximityGraphOracle(ScalarOracle):
         return [(node, d) for d, node in hits]
 
 
-class HNSWOracle(ScalarOracle):
-    """Scalar HNSW: search over given layers, or its own build.
-
-    Constructed over an index's adjacency it only searches; constructed
-    with ``layers=None`` it grows its own graph through :meth:`build` /
-    :meth:`insert` with the scalar layer search, which is what the
-    built adjacency of ``HNSWIndex`` is compared against.
-    """
-
-    def __init__(self, data, m, ef_construction, ef_search, seed,
-                 layers=None, entry_point=0, max_level=-1, deleted=()):
-        super().__init__(data, deleted)
-        self.m = m
-        self.m0 = 2 * m
-        self.ef_construction = ef_construction
-        self.ef_search = ef_search
-        self.seed = seed
-        self._level_mult = 1.0 / math.log(m + 1)
-        self.layers = [] if layers is None else layers
-        self.entry_point = entry_point
-        self.max_level = max_level
-
-    # -- construction ---------------------------------------------------
-    def build(self):
-        rng = random.Random(self.seed)
-        self.layers = []
-        self.max_level = -1
-        for u in range(self.data.shape[0]):
-            self._insert(self.data, u, rng)
-        return self
-
-    def insert(self, vector):
-        vector = np.asarray(vector, dtype=np.float64).ravel()
-        self.data = np.vstack([self.data, vector[None, :]])
-        new_id = self.data.shape[0] - 1
-        self._insert(self.data, new_id,
-                     random.Random(f"{self.seed}:{new_id}"))
-        return new_id
-
-    def _random_level(self, rng):
-        return int(-math.log(max(rng.random(), 1e-12)) * self._level_mult)
-
-    def _insert(self, data, u, rng):
-        level = self._random_level(rng)
-        while len(self.layers) <= level:
-            self.layers.append({})
-        for l in range(level + 1):
-            self.layers[l].setdefault(u, [])
-        if self.max_level < 0:
-            self.entry_point = u
-            self.max_level = level
-            return
-        query = data[u]
-        entry = self.entry_point
-        for l in range(self.max_level, level, -1):
-            entry = self._greedy_step(query, entry, l)
-        for l in range(min(level, self.max_level), -1, -1):
-            candidates = self._search_layer(query, entry, l,
-                                            self.ef_construction)
-            cap = self.m0 if l == 0 else self.m
-            chosen = self._select_neighbors(data, query, candidates, cap)
-            self.layers[l][u] = [c for __, c in chosen]
-            for __, c in chosen:
-                self.layers[l][c].append(u)
-                if len(self.layers[l][c]) > cap:
-                    self._shrink(data, c, l, cap)
-            if candidates:
-                entry = candidates[0][1]
-        if level > self.max_level:
-            self.max_level = level
-            self.entry_point = u
-
-    def _select_neighbors(self, data, query, candidates, cap):
-        chosen = []
-        for dist, c in sorted(candidates):
-            if len(chosen) >= cap:
-                break
-            keep = True
-            for __, kept in chosen:
-                if float(np.linalg.norm(data[c] - data[kept])) < dist:
-                    keep = False
-                    break
-            if keep:
-                chosen.append((dist, c))
-        if len(chosen) < cap:
-            chosen_ids = {c for __, c in chosen}
-            for dist, c in sorted(candidates):
-                if len(chosen) >= cap:
-                    break
-                if c not in chosen_ids:
-                    chosen.append((dist, c))
-                    chosen_ids.add(c)
-        return chosen
-
-    def _shrink(self, data, node, layer, cap):
-        nbrs = self.layers[layer][node]
-        scored = [(float(np.linalg.norm(data[v] - data[node])), v)
-                  for v in nbrs]
-        chosen = self._select_neighbors(data, data[node], scored, cap)
-        self.layers[layer][node] = [v for __, v in chosen]
-
-    # -- search ---------------------------------------------------------
-    def _greedy_step(self, query, entry, layer):
-        current = entry
-        d = self._distance(query, current)
-        improved = True
-        while improved:
-            improved = False
-            for neighbor in self.layers[layer].get(current, []):
-                dn = self._distance(query, neighbor)
-                if dn < d:
-                    current, d = neighbor, dn
-                    improved = True
-        return current
-
-    def _search_layer(self, query, entry, layer, ef):
-        d0 = self._distance(query, entry)
-        visited = {entry}
-        candidates = [(d0, entry)]
-        best = [(-d0, entry)]
-        while candidates:
-            dist, node = heapq.heappop(candidates)
-            if dist > -best[0][0] and len(best) >= ef:
-                break
-            for neighbor in self.layers[layer].get(node, []):
-                if neighbor in visited:
-                    continue
-                visited.add(neighbor)
-                d = self._distance(query, neighbor)
-                if len(best) < ef or d < -best[0][0]:
-                    heapq.heappush(candidates, (d, neighbor))
-                    heapq.heappush(best, (-d, neighbor))
-                    if len(best) > ef:
-                        heapq.heappop(best)
-        return sorted((-negd, node) for negd, node in best)
-
-    def _search(self, query, k):
-        entry = self.entry_point
-        for l in range(self.max_level, 0, -1):
-            entry = self._greedy_step(query, entry, l)
-        ef = max(self.ef_search, k)
-        hits = self._search_layer(query, entry, 0, ef)
-        return [(node, d) for d, node in hits[:k]]
-
-
-class VPTreeOracle(ScalarOracle):
-    """Triangle-inequality descent over a built tree's nodes."""
-
-    def __init__(self, data, root, deleted=()):
-        super().__init__(data, deleted)
-        self.root = root
-
-    def _search(self, query, k):
-        best = []  # max-heap of the k best (negated distances)
-
-        def tau():
-            return -best[0][0] if len(best) == k else np.inf
-
-        def visit(node):
-            if node is None:
-                return
-            d = self._distance(query, node.point_id)
-            if len(best) < k:
-                heapq.heappush(best, (-d, node.point_id))
-            elif d < -best[0][0]:
-                heapq.heapreplace(best, (-d, node.point_id))
-            if node.inside is None and node.outside is None:
-                return
-            if d <= node.radius:
-                visit(node.inside)
-                if d + tau() > node.radius:
-                    visit(node.outside)
-            else:
-                visit(node.outside)
-                if d - tau() <= node.radius:
-                    visit(node.inside)
-
-        visit(self.root)
-        hits = sorted((-negd, pid) for negd, pid in best)
-        return [(pid, d) for d, pid in hits]
-
-
 def oracle_for(index, data, deleted=()):
     """The scalar oracle reading ``index``'s current adjacency."""
     if isinstance(index, BruteForceIndex):
         return BruteForceOracle(data, deleted)
-    if isinstance(index, ProximityGraphIndex):
+    if isinstance(index, TauMGIndex):
         return ProximityGraphOracle(data, index.neighbors,
                                     index.entry_point, index.ef_search,
                                     deleted)
-    if isinstance(index, HNSWIndex):
-        return HNSWOracle(data, index.m, index.ef_construction,
-                          index.ef_search, index.seed, index.layers,
-                          index.entry_point, index.max_level, deleted)
-    if isinstance(index, VPTreeIndex):
-        return VPTreeOracle(data, index._root, deleted)
     raise TypeError(f"no oracle for {type(index).__name__}")
 
 
@@ -345,10 +152,10 @@ def _reachable(neighbors, start):
     return seen
 
 
-def proximity_graph_build(index_cls, data, tau, max_degree, candidate_pool):
-    """``(neighbors, entry_point)`` of a fresh tau-MG / MRNG build.
+def proximity_graph_build(data, tau, max_degree, candidate_pool):
+    """``(neighbors, entry_point)`` of a fresh tau-MG build.
 
-    Candidate pools come from the class's exact-kNN kernel (its matmul
+    Candidate pools come from the index's exact-kNN kernel (its matmul
     selection is BLAS-ordered and not restatable in Python); the
     occlusion walk, the medoid and the connectivity repair are written
     out here.
@@ -358,7 +165,7 @@ def proximity_graph_build(index_cls, data, tau, max_degree, candidate_pool):
     neighbors = [[] for __ in range(n)]
     if n == 1:
         return neighbors, 0
-    knn = index_cls._exact_knn(data, min(candidate_pool, n - 1))
+    knn = TauMGIndex._exact_knn(data, min(candidate_pool, n - 1))
     for u in range(n):
         distances = np.linalg.norm(data[knn[u]] - data[u], axis=1)
         order = np.argsort(distances, kind="stable")
@@ -398,12 +205,13 @@ def proximity_graph_insert(data, neighbors, tau, max_degree,
 
 
 # ----------------------------------------------------------------------
-def adjacency_digest(index):
-    """SHA-256 over an index's built adjacency (golden at the parent)."""
-    if isinstance(index, HNSWIndex):
-        shape = {"layers": [sorted(layer.items()) for layer in index.layers],
-                 "entry": index.entry_point, "max_level": index.max_level}
-    else:
-        shape = {"neighbors": index.neighbors, "entry": index.entry_point}
+def digest(shape):
+    """SHA-256 over a built adjacency's canonical JSON."""
     return hashlib.sha256(
         json.dumps(shape, sort_keys=True).encode("ascii")).hexdigest()
+
+
+def adjacency_digest(index):
+    """Digest of a tau-MG's built adjacency (golden at the parent)."""
+    return digest({"neighbors": index.neighbors,
+                   "entry": index.entry_point})

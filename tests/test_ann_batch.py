@@ -10,18 +10,17 @@ and a lone ``search`` must be that body on a one-row matrix.
 import numpy as np
 import pytest
 
-from repro.ann import (
-    BruteForceIndex,
-    HNSWIndex,
-    MRNGIndex,
-    TauMGIndex,
-    stable_topk,
-)
+from repro.ann import BruteForceIndex, TauMGIndex, stable_topk
 from repro.errors import IndexError_
 
 from .ann_oracle import oracle_for
 
-INDEX_CLASSES = [BruteForceIndex, MRNGIndex, TauMGIndex, HNSWIndex]
+#: Default-parameter index per name; the MRNG is tau-MG at tau = 0.
+FACTORIES = {
+    "BruteForceIndex": BruteForceIndex,
+    "MRNGIndex": lambda: TauMGIndex(tau=0.0),
+    "TauMGIndex": TauMGIndex,
+}
 
 
 @pytest.fixture(scope="module")
@@ -45,19 +44,17 @@ def queries():
 
 @pytest.fixture(scope="module")
 def built(data, tied_data):
-    """One build per (index class, dataset), shared by the module.
+    """One build per (index name, dataset), shared by the module.
 
     Every test here only searches, so none needs a private build.
     """
     datasets = {"data": data, "tied": tied_data}
     cache = {}
 
-    def get(index_cls, dataset="data"):
-        key = (index_cls, dataset)
+    def get(name, dataset="data"):
+        key = (name, dataset)
         if key not in cache:
-            index = (index_cls(seed=0) if index_cls is HNSWIndex
-                     else index_cls())
-            cache[key] = index.build(datasets[dataset])
+            cache[key] = FACTORIES[name]().build(datasets[dataset])
         return cache[key]
 
     return get
@@ -70,20 +67,20 @@ def _oracle_reference(index, data, queries, k):
         oracle.distance_computations
 
 
-@pytest.mark.parametrize("index_cls", INDEX_CLASSES)
+@pytest.mark.parametrize("name", list(FACTORIES))
 @pytest.mark.parametrize("k", [1, 5, 32])
-def test_batched_bit_identical_to_scalar(data, queries, built, index_cls, k):
-    index = built(index_cls)
+def test_batched_bit_identical_to_scalar(data, queries, built, name, k):
+    index = built(name)
     want, __ = _oracle_reference(index, data, queries, k)
     got = index.search_batch(queries, k=k)
     assert got == want  # tuples: ids AND float distances
     assert [index.search(q, k=k) for q in queries] == got
 
 
-@pytest.mark.parametrize("index_cls", INDEX_CLASSES)
-def test_distance_computation_parity(data, queries, built, index_cls):
+@pytest.mark.parametrize("name", list(FACTORIES))
+def test_distance_computation_parity(data, queries, built, name):
     """Batched, lone and oracle searches all count the same work."""
-    index = built(index_cls)
+    index = built(name)
     __, oracle_work = _oracle_reference(index, data, queries, 8)
 
     base = index.distance_computations
@@ -97,10 +94,10 @@ def test_distance_computation_parity(data, queries, built, index_cls):
     assert batched_work == lone_work == oracle_work
 
 
-@pytest.mark.parametrize("index_cls", INDEX_CLASSES)
-def test_batched_identical_under_ties(tied_data, built, index_cls):
+@pytest.mark.parametrize("name", list(FACTORIES))
+def test_batched_identical_under_ties(tied_data, built, name):
     """Tie-heavy data: tie-breaking must match the oracle exactly."""
-    index = built(index_cls, "tied")
+    index = built(name, "tied")
     rng = np.random.default_rng(12)
     queries = tied_data[rng.integers(0, len(tied_data), size=12)]
     queries = queries + rng.normal(scale=1e-9, size=queries.shape)
@@ -108,10 +105,10 @@ def test_batched_identical_under_ties(tied_data, built, index_cls):
     assert index.search_batch(queries, k=15) == want
 
 
-@pytest.mark.parametrize("index_cls", INDEX_CLASSES)
-def test_pairs_unwrap_search_batch(queries, built, index_cls):
+@pytest.mark.parametrize("name", list(FACTORIES))
+def test_pairs_unwrap_search_batch(queries, built, name):
     """A hit *is* a ``(vector_id, distance)`` pair."""
-    hits = built(index_cls).search_batch(queries, k=6)
+    hits = built(name).search_batch(queries, k=6)
     pairs = [[(vector_id, distance) for vector_id, distance in row]
              for row in hits]
     assert pairs == [[(h.vector_id, h.distance) for h in row]
@@ -119,7 +116,7 @@ def test_pairs_unwrap_search_batch(queries, built, index_cls):
 
 
 def test_single_query_batch_matches_search(data, built):
-    index = built(BruteForceIndex)
+    index = built("BruteForceIndex")
     query = data[3] + 0.01
     assert index.search_batch(query[None, :], k=4) == [
         index.search(query, k=4)]
@@ -159,13 +156,13 @@ class TestBatchValidation:
             BruteForceIndex().search_batch(np.zeros((2, 3)))
 
     def test_bad_shape(self, built):
-        index = built(BruteForceIndex)
+        index = built("BruteForceIndex")
         with pytest.raises(IndexError_):
             index.search_batch(np.zeros(16))  # 1-D, not (m, d)
         with pytest.raises(IndexError_):
             index.search_batch(np.zeros((2, 5)))  # wrong dim
 
     def test_bad_k(self, built):
-        index = built(BruteForceIndex)
+        index = built("BruteForceIndex")
         with pytest.raises(IndexError_):
             index.search_batch(np.zeros((2, 16)), k=0)

@@ -12,23 +12,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ann import (
-    BruteForceIndex,
-    HNSWIndex,
-    MRNGIndex,
-    TauMGIndex,
-    VPTreeIndex,
-)
+from repro.ann import BruteForceIndex, TauMGIndex
 from repro.errors import IndexError_
 
 MUTABLE = [
     ("brute", lambda: BruteForceIndex()),
-    ("mrng", lambda: MRNGIndex(max_degree=4, candidate_pool=8,
-                               ef_search=8)),
+    ("mrng", lambda: TauMGIndex(tau=0.0, max_degree=4, candidate_pool=8,
+                                ef_search=8)),
     ("taumg", lambda: TauMGIndex(tau=0.1, max_degree=4,
                                  candidate_pool=8, ef_search=8)),
-    ("hnsw", lambda: HNSWIndex(m=4, ef_construction=8, ef_search=8,
-                               seed=3)),
 ]
 
 
@@ -116,16 +108,6 @@ def test_compact_id_map_is_order_preserving():
     assert index.n_tombstones == 0
 
 
-def test_vptree_rejects_incremental_insert():
-    index = VPTreeIndex(seed=0).build(np.eye(4))
-    with pytest.raises(IndexError_):
-        index.insert(np.ones(4))
-    # deletes still work (tombstones live in the base class)
-    index.delete(0)
-    hits = index.search(np.array([1.0, 0, 0, 0]), k=4)
-    assert 0 not in [h.vector_id for h in hits]
-
-
 def test_search_without_tombstones_is_untouched():
     # golden-trace safety: the tombstone filter must not change the
     # no-tombstone code path
@@ -149,9 +131,6 @@ def test_search_without_tombstones_is_untouched():
 # ----------------------------------------------------------------------
 def structure_of(index):
     """The index's internal structure, normalized for comparison."""
-    if isinstance(index, HNSWIndex):
-        return {"layers": index.layers, "entry": index.entry_point,
-                "max_level": index.max_level}
     if hasattr(index, "neighbors"):
         return {"neighbors": index.neighbors,
                 "entry": index.entry_point}

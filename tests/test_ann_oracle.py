@@ -1,4 +1,4 @@
-"""Searched differential: every ANN index vs ``tests/ann_oracle.py``.
+"""Searched differential: the served ANN indexes vs ``tests/ann_oracle.py``.
 
 Each index class owns one search body; the scalar bodies it replaced
 live on as oracles under ``tests/``.  The property below drives an
@@ -9,13 +9,14 @@ tie-heavy data and requires, at every step, that
   oracle's ``distance_computations``,
 * ``search(q, k) == search_batch(q[None], k)[0]`` and a multi-row
   batch equals its rows searched alone, and
-* for HNSW and the proximity graphs, the adjacency the index *built*
-  equals the one the oracle builds (scalar layer search for HNSW, the
-  occlusion rule restated edge by edge for tau-MG / MRNG).
+* for tau-MG (and the MRNG, its tau = 0 case), the adjacency the index
+  *built* equals the one the oracle builds (the occlusion rule restated
+  edge by edge).
 
 The golden digests at the bottom pin the built adjacency of one fixed
-seed per graph class to the commit that still carried the scalar,
-frontier and lockstep bodies side by side.
+seed per graph to the commit that still carried the scalar, frontier
+and lockstep bodies side by side.  The E6 baselines (HNSW, VP-tree)
+run the same differential in ``benchmarks/ann_baselines/tests``.
 """
 
 import numpy as np
@@ -23,17 +24,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ann import (
-    BruteForceIndex,
-    HNSWIndex,
-    MRNGIndex,
-    ProximityGraphIndex,
-    TauMGIndex,
-    VPTreeIndex,
-)
+from repro.ann import BruteForceIndex, TauMGIndex
 
 from .ann_oracle import (
-    HNSWOracle,
     adjacency_digest,
     oracle_for,
     proximity_graph_build,
@@ -42,17 +35,16 @@ from .ann_oracle import (
 
 INDEXES = {
     "brute": lambda: BruteForceIndex(),
-    "mrng": lambda: MRNGIndex(max_degree=4, candidate_pool=8, ef_search=6),
+    "mrng": lambda: TauMGIndex(tau=0.0, max_degree=4, candidate_pool=8,
+                               ef_search=6),
     "taumg": lambda: TauMGIndex(tau=0.1, max_degree=4, candidate_pool=8,
                                 ef_search=6),
-    "hnsw": lambda: HNSWIndex(m=3, ef_construction=6, ef_search=6, seed=3),
-    "vptree": lambda: VPTreeIndex(seed=3),
 }
 
 
 class Shadow:
     """The test's model of an index: its rows, its tombstones, and —
-    for the graph classes — an adjacency grown by the oracle alone."""
+    for tau-MG — an adjacency grown by the oracle alone."""
 
     def __init__(self, index, data):
         self.index = index
@@ -62,13 +54,10 @@ class Shadow:
         index = self.index
         self.data = np.array(data, dtype=np.float64)
         self.deleted = set()
-        self.hnsw = self.graph = None
-        if isinstance(index, HNSWIndex):
-            self.hnsw = HNSWOracle(self.data, index.m, index.ef_construction,
-                                   index.ef_search, index.seed).build()
-        elif isinstance(index, ProximityGraphIndex):
+        self.graph = None
+        if isinstance(index, TauMGIndex):
             self.graph = proximity_graph_build(
-                type(index), self.data, index.tau, index.max_degree,
+                self.data, index.tau, index.max_degree,
                 index.candidate_pool)
 
     def insert(self, vector):
@@ -77,9 +66,7 @@ class Shadow:
             return
         self.data = np.vstack([self.data, vector[None, :]])
         index = self.index
-        if self.hnsw is not None:
-            self.hnsw.insert(vector)
-        elif self.graph is not None:
+        if self.graph is not None:
             proximity_graph_insert(self.data, self.graph[0], index.tau,
                                    index.max_degree, index.candidate_pool)
 
@@ -92,10 +79,7 @@ class Shadow:
 
     def assert_same_adjacency(self):
         index = self.index
-        if self.hnsw is not None:
-            assert (index.layers, index.entry_point, index.max_level) == (
-                self.hnsw.layers, self.hnsw.entry_point, self.hnsw.max_level)
-        elif self.graph is not None:
+        if self.graph is not None:
             assert (index.neighbors, index.entry_point) == self.graph
 
     def assert_same_searches(self, queries, k):
@@ -138,13 +122,9 @@ def test_index_matches_oracle(name, n, dim, k, duplicates, grid, script,
     # grid queries tie exactly; the off-grid one breaks every tie
     queries = np.vstack([rng.integers(-3, 4, size=(3, dim)),
                          rng.normal(size=(1, dim))]).astype(np.float64)
-    if name == "vptree":  # rebuild-only: no incremental insert
-        script = [step for step in script if step != "insert"]
 
     for step in [None] + script:
         if step in ("delete", "compact") and not shadow.live_ids():
-            if name == "vptree":
-                break
             step = "insert"  # nothing left to delete or keep
         if step == "insert":
             vector = rng.integers(-3, 4, size=dim).astype(np.float64)
@@ -168,16 +148,12 @@ def test_index_matches_oracle(name, n, dim, k, duplicates, grid, script,
 # ----------------------------------------------------------------------
 GOLDEN = {
     # name: (factory, digest after build, digest after 12 inserts)
-    "hnsw": (
-        lambda: HNSWIndex(m=6, ef_construction=24, ef_search=16, seed=5),
-        "ed6a2fee03a6874e36aebe81f64e0fd98be4074c63ad4de995e5562138aeeab3",
-        "6764609324235bbf39a20eff432dabc763c4aad8615bb8461477ae18e123e3e1"),
     "taumg": (
         lambda: TauMGIndex(tau=0.05, max_degree=8, candidate_pool=24),
         "9f0441c18f9168b1b6e08e07c1a749219204edacc21403a7be8153d7516ebc6a",
         "e5c99b7a408c7ba789174808d444cfa8f272b70f6667e03e782c06af263c740e"),
     "mrng": (
-        lambda: MRNGIndex(max_degree=8, candidate_pool=24),
+        lambda: TauMGIndex(tau=0.0, max_degree=8, candidate_pool=24),
         "612dfe36a18113fc0d12674d9a07e06d7f815d8c07b17efa5c07c7b2ba5d5b4d",
         "92549cb64e88a6f16a22aef712c09e55d3ebfffc0f3f51ebe6223eb2a7ff3fa9"),
 }

@@ -3,7 +3,13 @@
 import pytest
 
 from repro.algorithms import is_isomorphic
-from repro.chem import BUILTIN_LIBRARY, Molecule, parse_smiles, write_smiles
+from repro.chem import (
+    BUILTIN_LIBRARY,
+    Molecule,
+    parse_smiles,
+    random_molecule,
+    write_smiles,
+)
 from repro.errors import SmilesError
 
 
@@ -136,3 +142,33 @@ class TestMolecule:
     def test_unknown_element_rejected(self):
         with pytest.raises(SmilesError):
             Molecule().add_atom("Xx")
+
+
+class TestRandomMolecule:
+    def test_valence_respected(self):
+        from repro.chem.elements import ELEMENTS
+        for seed in range(20):
+            mol = random_molecule(n_atoms=15, n_rings=2, seed=seed)
+            for atom in mol.atoms:
+                valence = ELEMENTS[atom.element].valence
+                assert mol.bond_order_sum(atom.index) <= valence + 1e-9
+
+    def test_connected(self):
+        for seed in range(10):
+            assert random_molecule(10, 1, seed=seed).is_connected()
+
+    def test_writable(self):
+        for seed in range(10):
+            mol = random_molecule(12, 2, seed=seed)
+            text = write_smiles(mol)
+            back = parse_smiles(text)
+            assert back.n_atoms == mol.n_atoms
+
+    def test_deterministic(self):
+        a = write_smiles(random_molecule(10, 1, seed=5))
+        b = write_smiles(random_molecule(10, 1, seed=5))
+        assert a == b
+
+    def test_bad_size(self):
+        with pytest.raises(ValueError):
+            random_molecule(0)

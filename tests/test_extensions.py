@@ -1,9 +1,8 @@
-"""Tests for the extension modules: assortativity, model persistence,
-GraphML, the new catalog APIs and the random molecule generator."""
+"""Tests for the extension modules: assortativity, GraphML and the new
+catalog APIs."""
 
 import io
 
-import numpy as np
 import pytest
 
 from repro.algorithms import (
@@ -11,8 +10,8 @@ from repro.algorithms import (
     degree_assortativity,
 )
 from repro.apis import APIChain, ChainContext, ChainExecutor, ChainNode
-from repro.chem import parse_smiles, random_molecule, write_smiles
-from repro.errors import ChatGraphError, GraphError, GraphIOError, ModelError
+from repro.chem import parse_smiles
+from repro.errors import ChatGraphError, GraphError, GraphIOError
 from repro.graphs import (
     Graph,
     complete_graph,
@@ -21,8 +20,6 @@ from repro.graphs import (
     star_graph,
     write_graphml,
 )
-from repro.llm import ChainLanguageModel, load_model, save_model
-from repro.llm.chain_model import GenerationState
 
 
 class TestAssortativity:
@@ -65,38 +62,6 @@ class TestAssortativity:
         g.add_node(2, team="a")
         g.add_edge(1, 2)
         assert attribute_assortativity(g, "team") == 1.0
-
-
-class TestModelPersistence:
-    def test_roundtrip_identical_distributions(self, tmp_path):
-        model = ChainLanguageModel(api_names=["a", "b", "c"], seed=3)
-        state = GenerationState(prompt_text="do a thing")
-        for __ in range(10):
-            model.train_step(state, "b")
-        path = tmp_path / "model.npz"
-        save_model(model, path)
-        loaded = load_model(path)
-        assert np.allclose(loaded.next_distribution(state),
-                           model.next_distribution(state))
-        assert loaded.learning_rate == model.learning_rate
-        assert loaded.token_id("c") == model.token_id("c")
-
-    def test_missing_file(self, tmp_path):
-        with pytest.raises(ModelError):
-            load_model(tmp_path / "missing.npz")
-
-    def test_malformed_file(self, tmp_path):
-        path = tmp_path / "bad.npz"
-        np.savez(path, junk=np.zeros(3))
-        with pytest.raises(ModelError):
-            load_model(path)
-
-    def test_finetuned_chatgraph_model_roundtrip(self, chatgraph,
-                                                 tmp_path):
-        path = tmp_path / "chain_model.npz"
-        save_model(chatgraph.model, path)
-        loaded = load_model(path)
-        assert loaded.vocab_size == chatgraph.model.vocab_size
 
 
 class TestGraphml:
@@ -198,36 +163,6 @@ class TestNewApis:
             ChainContext(graph=complete_graph(4)),
             pattern_edges=[(0, 1), (1, 2), (0, 2)], max_matches=100)
         assert result["n_matches"] == 24  # 4 triangles x 6 automorphisms
-
-
-class TestRandomMolecule:
-    def test_valence_respected(self):
-        from repro.chem.elements import ELEMENTS
-        for seed in range(20):
-            mol = random_molecule(n_atoms=15, n_rings=2, seed=seed)
-            for atom in mol.atoms:
-                valence = ELEMENTS[atom.element].valence
-                assert mol.bond_order_sum(atom.index) <= valence + 1e-9
-
-    def test_connected(self):
-        for seed in range(10):
-            assert random_molecule(10, 1, seed=seed).is_connected()
-
-    def test_writable(self):
-        for seed in range(10):
-            mol = random_molecule(12, 2, seed=seed)
-            text = write_smiles(mol)
-            back = parse_smiles(text)
-            assert back.n_atoms == mol.n_atoms
-
-    def test_deterministic(self):
-        a = write_smiles(random_molecule(10, 1, seed=5))
-        b = write_smiles(random_molecule(10, 1, seed=5))
-        assert a == b
-
-    def test_bad_size(self):
-        with pytest.raises(ValueError):
-            random_molecule(0)
 
 
 class TestCli:

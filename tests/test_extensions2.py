@@ -1,14 +1,13 @@
-"""Tests for the second extension round: entity-type inference, chain
-serialization and IDF-weighted retrieval."""
+"""Tests for the second extension round: entity-type inference and chain
+serialization."""
 
 import json
 
 import pytest
 
-from repro.apis import APIChain, ChainNode, default_registry
+from repro.apis import APIChain, ChainNode
 from repro.errors import ChainError
 from repro.kb import KnowledgeInferencer, Triple, TripleStore
-from repro.retrieval import APIRetriever
 
 
 class TestEntityTypeInference:
@@ -63,22 +62,3 @@ class TestChainSerialization:
             APIChain.from_dict({"nodes": [{"params": {}}]})
         with pytest.raises(ChainError):
             APIChain.from_dict({})
-
-
-class TestIdfRetrieval:
-    def test_idf_mode_still_retrieves(self):
-        registry = default_registry()
-        retriever = APIRetriever(registry, use_idf=True)
-        names = retriever.retrieve_names("predict molecule toxicity", k=3)
-        assert "predict_toxicity" in names
-
-    def test_idf_changes_rankings_somewhere(self):
-        registry = default_registry()
-        plain = APIRetriever(registry, use_idf=False)
-        weighted = APIRetriever(registry, use_idf=True)
-        queries = ("summarize the graph", "clean the knowledge graph",
-                   "count the triangles", "find similar molecules")
-        differs = any(
-            plain.retrieve_names(q, k=5) != weighted.retrieve_names(q, k=5)
-            for q in queries)
-        assert differs

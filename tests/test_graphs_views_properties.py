@@ -10,7 +10,6 @@ from repro.graphs import (
     degree_histogram,
     density,
     ego_graph,
-    induced_subgraph,
     path_graph,
     star_graph,
     summarize,
@@ -47,11 +46,6 @@ class TestEgoGraph:
         g = path_graph(3)
         with pytest.raises(ValueError):
             ego_graph(g, 0, -1)
-
-    def test_induced_subgraph_alias(self):
-        g = complete_graph(4)
-        sub = induced_subgraph(g, [0, 1])
-        assert sub.number_of_edges() == 1
 
 
 class TestDensity:

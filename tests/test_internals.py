@@ -1,10 +1,8 @@
 """Behavioral tests for internals that the happy paths exercise only
-indirectly: report rendering, executor summaries, and TF-IDF weighting
-details."""
+indirectly: report rendering and executor summaries."""
 
 from repro.apis.executor import _summarize
 from repro.core.reports import _format, render_answer
-from repro.embedding import TfidfModel, Vocabulary
 
 
 class TestReportFormatting:
@@ -38,20 +36,3 @@ class TestReportFormatting:
 
     def test_summarize_caps_length(self):
         assert len(_summarize({"k": "v" * 200})) <= 70
-
-
-class TestTfidfDetails:
-    def test_idf_decreases_with_frequency(self):
-        model = TfidfModel.fit(["alpha beta", "alpha gamma",
-                                "alpha delta"])
-        assert model.idf("alpha") < model.idf("beta")
-
-    def test_unseen_token_gets_max_idf(self):
-        model = TfidfModel.fit(["alpha beta"])
-        assert model.idf("zeta") >= model.idf("alpha")
-
-    def test_vocabulary_token_order_stable(self):
-        vocab = Vocabulary.from_corpus(["zeta alpha", "beta"])
-        tokens = vocab.tokens()
-        assert [vocab.index(token) for token in tokens] == \
-            list(range(len(tokens)))

@@ -17,8 +17,10 @@ from repro.llm import (
     beam_decode,
     build_model,
     greedy_decode,
+    load_model,
     predict_graph_type,
     sample_decode,
+    save_model,
 )
 from repro.llm.chain_model import EOS, GenerationState
 
@@ -211,3 +213,35 @@ class TestPresets:
     def test_presets_differ(self):
         assert PRESETS["chatglm-sim"].learning_rate != \
             PRESETS["moss-sim"].learning_rate
+
+
+class TestModelPersistence:
+    def test_roundtrip_identical_distributions(self, tmp_path):
+        model = ChainLanguageModel(api_names=["a", "b", "c"], seed=3)
+        state = GenerationState(prompt_text="do a thing")
+        for __ in range(10):
+            model.train_step(state, "b")
+        path = tmp_path / "model.npz"
+        save_model(model, path)
+        loaded = load_model(path)
+        assert np.allclose(loaded.next_distribution(state),
+                           model.next_distribution(state))
+        assert loaded.learning_rate == model.learning_rate
+        assert loaded.token_id("c") == model.token_id("c")
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(ModelError):
+            load_model(tmp_path / "missing.npz")
+
+    def test_malformed_file(self, tmp_path):
+        path = tmp_path / "bad.npz"
+        np.savez(path, junk=np.zeros(3))
+        with pytest.raises(ModelError):
+            load_model(path)
+
+    def test_finetuned_chatgraph_model_roundtrip(self, chatgraph,
+                                                 tmp_path):
+        path = tmp_path / "chain_model.npz"
+        save_model(chatgraph.model, path)
+        loaded = load_model(path)
+        assert loaded.vocab_size == chatgraph.model.vocab_size

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.apis import APIRegistry, Category
+from repro.apis import APIRegistry, Category, default_registry
 from repro.config import RetrievalConfig
 from repro.errors import EmbeddingError, IndexError_
 from repro.retrieval import APIRetriever
@@ -150,3 +150,22 @@ class TestRetrieveBatch:
             assert cached is not None
             np.testing.assert_array_equal(cached, snapshots[text])
         assert retriever.retrieve_batch(texts, k=3) == first
+
+
+class TestIdfRetrieval:
+    def test_idf_mode_still_retrieves(self):
+        registry = default_registry()
+        retriever = APIRetriever(registry, use_idf=True)
+        names = retriever.retrieve_names("predict molecule toxicity", k=3)
+        assert "predict_toxicity" in names
+
+    def test_idf_changes_rankings_somewhere(self):
+        registry = default_registry()
+        plain = APIRetriever(registry, use_idf=False)
+        weighted = APIRetriever(registry, use_idf=True)
+        queries = ("summarize the graph", "clean the knowledge graph",
+                   "count the triangles", "find similar molecules")
+        differs = any(
+            plain.retrieve_names(q, k=5) != weighted.retrieve_names(q, k=5)
+            for q in queries)
+        assert differs
