@@ -20,7 +20,6 @@ from typing import Sequence
 from ..config import FinetuneConfig
 from ..errors import FinetuneError
 from ..llm.chain_model import ChainLanguageModel, TrainingExample
-from .losses import min_matching_loss
 from .metrics import ChainMetrics, evaluate_model
 from .rollout import score_candidates
 
@@ -73,16 +72,19 @@ class Finetuner:
         report = FinetuneReport(objective=objective,
                                 epochs=self.config.epochs)
         start = time.perf_counter()
-        order = list(train_examples)
+        # a token example's prefix-independent part is resolved once
+        order = ([self.model.compile_chain(example)
+                  for example in train_examples]
+                 if objective == "token" else list(train_examples))
         for epoch in range(self.config.epochs):
             rng.shuffle(order)
             epoch_loss = 0.0
-            for example in order:
+            for item in order:
                 if objective == "token":
-                    epoch_loss += self.model.train_chain(
-                        example, self.config.learning_rate)
+                    epoch_loss += self.model.train_compiled(
+                        item, self.config.learning_rate)
                 else:
-                    epoch_loss += self._matching_step(example, rng)
+                    epoch_loss += self._matching_step(item, rng)
             report.train_losses.append(epoch_loss / len(order))
             if eval_examples:
                 report.eval_history.append(
@@ -115,9 +117,6 @@ class Finetuner:
             if best == "<eos>":
                 break
             state = state.advance(best)
-        # terminal check: the produced prefix should already be a chain
-        __ = min_matching_loss(state.prefix, example.target_chains,
-                               config.alpha)
         return total_loss / max(steps, 1)
 
 

@@ -34,6 +34,9 @@ EOS = "<eos>"
 _TEXT_BUCKETS = 256
 _GRAPH_BUCKETS = 64
 
+#: See :meth:`ChainLanguageModel.compile_chain`.
+CompiledChain = tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]
+
 
 def _bucket(feature: str, buckets: int) -> int:
     digest = hashlib.md5(feature.encode("utf-8")).digest()
@@ -207,10 +210,11 @@ class ChainLanguageModel:
     # ------------------------------------------------------------------
     # inference
     # ------------------------------------------------------------------
-    def _logits(self, features: dict[int, float]) -> np.ndarray:
-        idx = np.fromiter(features.keys(), dtype=np.int64)
-        vals = np.fromiter(features.values(), dtype=np.float64)
-        return self._weights[:, idx] @ vals
+    def _feature_arrays(self, state: GenerationState
+                        ) -> tuple[np.ndarray, np.ndarray]:
+        features = self.featurize(state)
+        return (np.fromiter(features.keys(), dtype=np.int64),
+                np.fromiter(features.values(), dtype=np.float64))
 
     def candidate_ids(self, state: GenerationState) -> list[int]:
         """Token ids decodable from ``state``.
@@ -246,19 +250,20 @@ class ChainLanguageModel:
         ids.add(self.eos_id)
         return frozenset(ids)
 
+    def _candidate_mask(self, state: GenerationState) -> np.ndarray:
+        """0.0 on :meth:`candidate_ids`, ``-inf`` elsewhere."""
+        mask = np.full(self.vocab_size, -np.inf)
+        mask[self.candidate_ids(state)] = 0.0
+        return mask
+
     def next_distribution(self, state: GenerationState,
                           temperature: float = 1.0) -> np.ndarray:
         """Distribution over the full vocabulary (masked to candidates)."""
         if temperature <= 0:
             raise ModelError("temperature must be > 0")
-        logits = self._logits(self.featurize(state)) / temperature
-        mask = np.full(self.vocab_size, -np.inf)
-        mask[self.candidate_ids(state)] = 0.0
-        logits = logits + mask
-        logits -= logits.max()
-        probs = np.exp(logits)
-        probs /= probs.sum()
-        return probs
+        idx, vals = self._feature_arrays(state)
+        logits = self._weights[:, idx] @ vals / temperature
+        return _softmax(logits + self._candidate_mask(state))
 
     def log_prob(self, state: GenerationState, api_name: str) -> float:
         """log P(api_name | state)."""
@@ -293,35 +298,79 @@ class ChainLanguageModel:
         per-step target weights and calls this; plain training passes a
         single target with weight 1.
         """
-        lr = self.learning_rate if learning_rate is None else learning_rate
         total = sum(target_weights.values())
         if total <= 0:
             raise ModelError("target weights must sum to > 0")
-        features = self.featurize(state)
-        probs = self.next_distribution(state)
-        target_vec = np.zeros(self.vocab_size)
+        target = np.zeros(self.vocab_size)
         for name, weight in target_weights.items():
-            target_vec[self.token_id(name)] = weight / total
-        error = probs - target_vec  # gradient of CE wrt logits
-        idx = np.fromiter(features.keys(), dtype=np.int64)
-        vals = np.fromiter(features.values(), dtype=np.float64)
-        self._weights[:, idx] -= lr * np.outer(error, vals)
-        if self.l2 > 0:
-            self._weights[:, idx] *= (1.0 - lr * self.l2)
-        loss = -float(np.sum(target_vec * np.log(np.maximum(probs, 1e-300))))
-        return loss
+            target[self.token_id(name)] = weight / total
+        return self._sgd_step(*self._feature_arrays(state),
+                              self._candidate_mask(state), target,
+                              learning_rate)
+
+    def compile_chain(self, example: TrainingExample) -> CompiledChain:
+        """What teacher forcing on ``example``'s first target chain needs
+        that no prefix changes: the static feature ids and values in
+        :meth:`featurize` order (bias excluded), the base candidates as
+        a vocabulary mask, and the chain's token ids followed by EOS."""
+        state = example.state()
+        static = self._static_features(state)
+        del static[self.n_features - 1]  # featurize puts the bias last
+        candidates = np.zeros(self.vocab_size, dtype=bool)
+        candidates[sorted(self._base_candidate_ids(state))] = True
+        return (np.fromiter(static.keys(), dtype=np.int64),
+                np.fromiter(static.values(), dtype=np.float64), candidates,
+                [self.token_id(name) for name in example.target_chains[0]]
+                + [self.eos_id])
+
+    def train_compiled(self, compiled: CompiledChain,
+                       learning_rate: float | None = None) -> float:
+        """Teacher-forced CE steps on a :meth:`compile_chain` result.
+
+        Each step adds only what the prefix changes — the previous-API
+        and position features and the prefix mask — so the updates equal
+        :meth:`train_step` on each advanced state, bit for bit.
+        """
+        feature_ids, feature_values, candidates, ids = compiled
+        prev_base = _TEXT_BUCKETS + _GRAPH_BUCKETS + self.vocab_size
+        mask = np.where(candidates, 0.0, -np.inf)
+        loss = 0.0
+        for step, token_id in enumerate(ids):
+            dynamic = [prev_base + self.vocab_size + min(step, 7)]
+            if step:  # the prefix grew by ids[step - 1]; EOS stays open
+                dynamic.insert(0, prev_base + ids[step - 1])
+                mask[ids[step - 1]] = -np.inf
+                mask[self.eos_id] = 0.0
+            loss += self._sgd_step(
+                np.concatenate((feature_ids, dynamic, [self.n_features - 1])),
+                np.concatenate((feature_values, [1.0] * (len(dynamic) + 1))),
+                mask, np.eye(1, self.vocab_size, token_id)[0], learning_rate)
+        return loss / len(ids)
 
     def train_chain(self, example: TrainingExample,
                     learning_rate: float | None = None) -> float:
         """Teacher-forced CE training on the first target chain (baseline)."""
-        chain = example.target_chains[0]
-        state = example.state()
-        loss = 0.0
-        for name in chain:
-            loss += self.train_step(state, name, learning_rate)
-            state = state.advance(name)
-        loss += self.train_step(state, EOS, learning_rate)
-        return loss / (len(chain) + 1)
+        return self.train_compiled(self.compile_chain(example), learning_rate)
+
+    def _sgd_step(self, idx: np.ndarray, vals: np.ndarray, mask: np.ndarray,
+                  target: np.ndarray, learning_rate: float | None) -> float:
+        """The one SGD body: one gather of the touched weight columns,
+        softmax, error, step and L2 decay on that copy, one scatter."""
+        lr = self.learning_rate if learning_rate is None else learning_rate
+        block = self._weights[:, idx]
+        probs = _softmax(block @ vals + mask)
+        block -= lr * np.outer(probs - target, vals)
+        if self.l2 > 0:
+            block *= (1.0 - lr * self.l2)
+        self._weights[:, idx] = block
+        return -float(np.sum(target * np.log(np.maximum(probs, 1e-300))))
+
+
+def _softmax(logits: np.ndarray) -> np.ndarray:
+    logits -= logits.max()
+    probs = np.exp(logits)
+    probs /= probs.sum()
+    return probs
 
 
 class BatchScorer:

@@ -235,6 +235,9 @@ class ShardBackend(ExecutionBackend):
         #: Router, heartbeat monitor, restarts (readers are per handle).
         self._threads: list[threading.Thread] = []
         self._stopping = False
+        #: Orders a death's restart decision against ``shutdown`` setting
+        #: ``_stopping``: ``finalize`` joins every restart not prevented.
+        self._restart_lock = threading.Lock()
         self._rpc_ids = itertools.count(1)
 
     def _active_handles(self) -> list[_ShardHandle]:
@@ -292,7 +295,8 @@ class ShardBackend(ExecutionBackend):
                 max(0.1, deadline - time.monotonic()))
         if drain:
             self._quiesce(deadline)
-        self._stopping = True
+        with self._restart_lock:
+            self._stopping = True
         self._stop_links(self.handles, deadline)
 
     def finalize(self, deadline: float) -> None:
@@ -571,10 +575,11 @@ class ShardBackend(ExecutionBackend):
             self._failover_item(item, handle.index)
         for waiter in waiters:
             waiter[0].set()
-        if not stopping and not self._stopping:
-            self._threads.append(_start_thread(
-                self._restart_shard, handle,
-                name=f"shard-restart-{handle.index}"))
+        with self._restart_lock:
+            if not stopping and not self._stopping:
+                self._threads.append(_start_thread(
+                    self._restart_shard, handle,
+                    name=f"shard-restart-{handle.index}"))
 
     def _heartbeat_monitor(self) -> None:
         while self.lifecycle.running:

@@ -255,12 +255,14 @@ def test_single_process_stats_has_empty_shards_section(single):
 # ----------------------------------------------------------------------
 def _bound_fleet(shards: int = 2, **config):
     """A ``ShardBackend`` bound to a lifecycle but never booted: no
-    links, handles marked alive by hand."""
+    links, handles marked alive and beating by hand (a handle left at
+    ``last_beat == 0`` is silent, and a sweep would restart it)."""
     lifecycle = RequestLifecycle(
         ServeConfig(shards=shards, **config), ShardBackend(model_wire={}))
     backend = lifecycle.backend
     for handle in backend.handles:
         handle.alive = True
+        handle.last_beat = time.monotonic()
     return lifecycle, backend
 
 
@@ -318,7 +320,6 @@ def test_sweep_fails_a_hung_request_once_and_drops_its_late_reply(
     lifecycle, backend = _bound_fleet()
     monkeypatch.setattr(shard_runtime, "RESULT_TIMEOUT_SECONDS", 0.1)
     handle = backend.handles[0]
-    handle.last_beat = time.monotonic()  # alive and beating
     hung, fresh = _routed(backend, "hung", 1), _routed(backend, "fresh", 2)
     _in_flight(backend, handle, [hung], time.perf_counter() - 1.0)
     _in_flight(backend, handle, [fresh], time.perf_counter())
@@ -335,7 +336,43 @@ def test_sweep_fails_a_hung_request_once_and_drops_its_late_reply(
     assert handle.pending_count == 1 and backend._outstanding == 1
     counters = lifecycle.metrics.snapshot()["counters"]
     assert counters["failed"] == 1 and counters["op_ask"] == 1
-    assert handle.alive  # a hung request is not a dead shard
+    # a hung request is not a dead shard: none died, none restarts
+    assert all(handle.alive for handle in backend.handles)
+    assert not backend._threads
+
+
+def test_stop_racing_a_death_leaves_no_restart_behind(monkeypatch):
+    """A shard dying while ``stop()`` runs: the death path's "not
+    stopping, so restart" decision and the restart thread's
+    registration are one step against ``stop()`` marking the fleet
+    stopping, so ``stop()`` either prevents the restart or waits for
+    it — it never returns with a restart still to start."""
+    lifecycle, backend = _bound_fleet(shards=1)
+    stop_returned = threading.Event()
+    restarts = []
+    monkeypatch.setattr(backend, "_restart_shard", lambda handle:
+                        restarts.append(stop_returned.is_set()))
+
+    def stop():
+        deadline = time.monotonic() + 5.0
+        backend.shutdown(False, deadline)
+        backend.finalize(deadline)
+        stop_returned.set()
+
+    start_thread = shard_runtime._start_thread
+
+    def stop_once_restart_is_decided(target, *args, name):
+        if name.startswith("shard-restart-"):
+            # a whole stop() fits here unless the decision locks it out
+            start_thread(stop, name="stopper").join(0.5)
+        return start_thread(target, *args, name=name)
+
+    monkeypatch.setattr(shard_runtime, "_start_thread",
+                        stop_once_restart_is_decided)
+    handle = backend.handles[0]
+    backend._on_shard_down(handle, handle.generation)
+    assert stop_returned.wait(5.0)
+    assert restarts == [False]
 
 
 # ----------------------------------------------------------------------
@@ -397,18 +434,34 @@ def test_spawn_deadline_fails_add_shard(process_fleet, monkeypatch,
     assert len(spawned_pids) == 1 and _reaped(spawned_pids[0])
 
 
-def test_restart_racing_stop_leaves_no_worker(spawned_pids):
+def test_restart_racing_stop_leaves_no_worker(spawned_pids, monkeypatch):
     """A restart still building its worker when ``stop()`` runs is
     waited for, and kills the worker it brings up."""
     server = _fleet(shards=1)
+    backend = server.backend
+    held, release = threading.Event(), threading.Event()
+
+    class HeldLink(shard_runtime.ShardLink):
+        def spawn(self, init, deadline):
+            # only the restart's spawn waits, until stop() has begun
+            if threading.current_thread().name.startswith(
+                    "shard-restart-"):
+                held.set()
+                assert release.wait(60.0)
+            return super().spawn(init, deadline)
+
+    monkeypatch.setattr(shard_runtime, "ShardLink", HeldLink)
+    threading.Thread(target=lambda: _wait_until(
+        lambda: backend._stopping) and release.set(), daemon=True).start()
     with server:
         handle = server.handles[0]
         server.kill_shard(0)
-        assert _wait_until(lambda: not handle.alive)
-        time.sleep(0.3)  # the restart is now mid-spawn
+        assert held.wait(60.0)
+    assert release.is_set()
     # stop() waited for the restart, which found the fleet stopping
-    assert not [thread for thread in threading.enumerate()
-                if thread.name.startswith("shard-restart-")]
+    assert not [thread for thread in backend._threads if thread.is_alive()]
+    assert server.metrics_snapshot()["counters"][
+        "shard_restart_failed"] == 1
     assert not handle.alive and handle.link is None
     assert len(spawned_pids) == 2
     assert all(_reaped(pid) for pid in spawned_pids)
