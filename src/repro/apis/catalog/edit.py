@@ -9,7 +9,7 @@ changed, and rebuild what they derived from it only then.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Callable
 
 from ...errors import APIError
 from ...graphs.graph import Graph
@@ -24,6 +24,16 @@ def _graph(context: ChainContext) -> Graph:
     return context.graph
 
 
+def _node_of(graph: Graph) -> Callable[[str], Any]:
+    """Findings name entities by ``str(node)``: map a name back to the
+    graph's own node (a string node keeps its name; an unknown name
+    stays as it is)."""
+    nodes = {str(node): node for node in graph.nodes()}
+    nodes.update((node, node) for node in graph.nodes()
+                 if isinstance(node, str))
+    return lambda name: nodes.get(name, name)
+
+
 def remove_flagged_edges(context: ChainContext,
                          confirm_each: bool = False) -> dict[str, Any]:
     """Remove the edges flagged by ``detect_incorrect_edges``.
@@ -35,10 +45,11 @@ def remove_flagged_edges(context: ChainContext,
     if findings is None:
         raise APIError("run detect_incorrect_edges before removing edges")
     graph = _graph(context).copy()
+    node = _node_of(graph)
     removed = []
     skipped = []
     for finding in findings:
-        u, v = finding["head"], finding["tail"]
+        u, v = node(finding["head"]), node(finding["tail"])
         question = (f"Remove suspected-wrong edge ({u}) -"
                     f"[{finding['relation']}]-> ({v})?")
         if confirm_each and not context.ask(question, finding):
@@ -60,10 +71,11 @@ def add_predicted_edges(context: ChainContext,
     if findings is None:
         raise APIError("run predict_missing_edges before adding edges")
     graph = _graph(context).copy()
+    node = _node_of(graph)
     added = []
     skipped = []
     for finding in findings:
-        u, v = finding["head"], finding["tail"]
+        u, v = node(finding["head"]), node(finding["tail"])
         question = (f"Add inferred edge ({u}) -"
                     f"[{finding['relation']}]-> ({v})?")
         if confirm_each and not context.ask(question, finding):

@@ -2,39 +2,43 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Any
+
+import numpy as np
 
 from ...errors import APIError
 from ...graphs.graph import DiGraph
 from ...kb.inference import KnowledgeInferencer
-from ...kb.triples import TripleStore
+from ...kb.triples import TripleStore, TripleTable
 from ..executor import ChainContext
 from ..registry import APIRegistry, APISpec, Category
 
 
-def _store(context: ChainContext) -> TripleStore:
-    """The caller's ``triple_store`` attachment, else one derived from
-    ``context.graph`` and kept for as long as that graph object stays
-    (an edit step that changes the graph replaces the object)."""
-    attached = context.extras.get("triple_store")
-    if isinstance(attached, TripleStore):
-        return attached
-    graph = context.graph
-    if not isinstance(graph, DiGraph):
-        raise APIError("knowledge APIs need a directed knowledge graph")
-    derived = context.extras.get("derived_triple_store")
-    if derived is None or derived[0] is not graph:
-        derived = (graph, TripleStore.from_graph(graph))
-        context.extras["derived_triple_store"] = derived
+def _table(context: ChainContext) -> TripleTable:
+    """The table of the caller's ``triple_store`` attachment, else of
+    ``context.graph``, kept for as long as that object stays (an edit
+    step that changes the graph replaces the object)."""
+    source = context.extras.get("triple_store")
+    if not isinstance(source, TripleStore):
+        source = context.graph
+        if not isinstance(source, DiGraph):
+            raise APIError("knowledge APIs need a directed knowledge graph")
+    derived = context.extras.get("derived_triple_table")
+    if derived is None or derived[0] is not source:
+        derived = (source, TripleTable.from_store(source)
+                   if isinstance(source, TripleStore)
+                   else TripleTable.from_graph(source))
+        context.extras["derived_triple_table"] = derived
     return derived[1]
 
 
 def _inferencer(context: ChainContext) -> KnowledgeInferencer:
-    store = _store(context)
+    table = _table(context)
     cached = context.extras.get("knowledge_inferencer")
-    if isinstance(cached, KnowledgeInferencer) and cached.store is store:
+    if isinstance(cached, KnowledgeInferencer) and cached.table is table:
         return cached
-    inferencer = KnowledgeInferencer.fit(store)
+    inferencer = KnowledgeInferencer.fit(table)
     context.extras["knowledge_inferencer"] = inferencer
     return inferencer
 
@@ -87,15 +91,15 @@ def infer_entity_types(context: ChainContext) -> dict[str, Any]:
 
 def knowledge_profile(context: ChainContext) -> dict[str, Any]:
     """Entity-type and relation inventory of the knowledge graph."""
-    store = _store(context)
-    type_counts: dict[str, int] = {}
-    for entity in store.entities():
-        etype = store.entity_type(entity) or "untyped"
-        type_counts[etype] = type_counts.get(etype, 0) + 1
-    relation_counts = {relation: len(store.by_relation(relation))
-                       for relation in store.relations()}
-    return {"n_facts": len(store), "n_entities": len(store.entities()),
-            "entity_types": type_counts, "relations": relation_counts}
+    table = _table(context)
+    type_name = (*table.types, "untyped")  # type id -1 reads "untyped"
+    relation_counts = np.bincount(table.relation,
+                                  minlength=len(table.relations))
+    return {"n_facts": len(table.head), "n_entities": len(table.entities),
+            "entity_types": dict(Counter(map(type_name.__getitem__,
+                                             table.entity_type.tolist()))),
+            "relations": dict(zip(table.relations,
+                                  relation_counts.tolist()))}
 
 
 def register(registry: APIRegistry) -> None:

@@ -2,19 +2,21 @@
 
 The cleaning scenario (paper Fig. 6) first invokes knowledge inference
 APIs to flag wrong facts and propose absent ones, then asks the user to
-confirm before graph-edit APIs apply the changes.  Detection combines
-mined type signatures (a fact violating its relation's high-confidence
-signature is suspect) with a duplication check; prediction fires mined
-2-hop path rules.
+confirm before graph-edit APIs apply the changes.  Detection flags the
+facts that violate their relation's high-confidence type signature;
+prediction fires mined 2-hop path rules.  Both run on the columns of a
+:class:`~repro.kb.TripleTable`.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+from bisect import bisect_left
 from dataclasses import dataclass
 
+import numpy as np
+
 from .rules import PathRule, RuleMiner, TypeSignature
-from .triples import Triple, TripleStore
+from .triples import Triple, TripleStore, TripleTable, firsts, spans
 
 
 @dataclass(frozen=True)
@@ -43,47 +45,69 @@ class KnowledgeInferencer:
         absent = inferencer.predict_missing_edges()
     """
 
-    def __init__(self, store: TripleStore,
+    def __init__(self, table: TripleTable,
                  signatures: dict[str, TypeSignature],
                  rules: list[PathRule]) -> None:
-        self.store = store
+        self.table = table
         self.signatures = signatures
         self.rules = rules
+        #: Per relation id: its signature's head and tail type ids (-2
+        #: when it has none, so no entity type matches) and confidence.
+        self._signature_head = np.full(len(table.relations), -2)
+        self._signature_tail = self._signature_head.copy()
+        self._signature_confidence = np.zeros(len(table.relations))
+        for relation, s in signatures.items():
+            r = bisect_left(table.relations, relation)
+            self._signature_head[r] = bisect_left(table.types, s.head_type)
+            self._signature_tail[r] = bisect_left(table.types, s.tail_type)
+            self._signature_confidence[r] = s.confidence
 
     @classmethod
-    def fit(cls, store: TripleStore,
+    def fit(cls, facts: TripleTable | TripleStore,
             miner: RuleMiner | None = None) -> "KnowledgeInferencer":
+        """Mine ``facts`` (a store is read into a table first)."""
+        table = facts if isinstance(facts, TripleTable) \
+            else TripleTable.from_store(facts)
         miner = miner or RuleMiner()
-        return cls(store=store,
-                   signatures=miner.mine_type_signatures(store),
-                   rules=miner.mine_path_rules(store))
+        return cls(table=table,
+                   signatures=miner.mine_type_signatures(table),
+                   rules=miner.mine_path_rules(table))
+
+    def _triple(self, head: int, relation: int, tail: int) -> Triple:
+        names = self.table.entities
+        return Triple(names[head], self.table.relations[relation],
+                      names[tail])
 
     # ------------------------------------------------------------------
     def detect_incorrect_edges(self,
                                min_confidence: float = 0.5
                                ) -> list[EdgeFinding]:
-        """Facts violating a learned high-confidence type signature."""
+        """Facts violating a learned high-confidence type signature:
+        one mask over the fact columns."""
+        table, relation = self.table, self.table.relation
+        confidence = self._signature_confidence[relation]
+        flagged = np.flatnonzero(
+            (self._signature_head[relation] != -2)
+            & (confidence >= min_confidence)
+            & ((table.entity_type[table.head]
+                != self._signature_head[relation])
+               | (table.entity_type[table.tail]
+                  != self._signature_tail[relation])))
+        flagged = flagged[np.argsort(-confidence[flagged], kind="stable")]
+        type_name = (*table.types, "?")  # type id -1 reads "?"
+        entity_type = table.entity_type.tolist()
         findings: list[EdgeFinding] = []
-        for triple in self.store:
-            signature = self.signatures.get(triple.relation)
-            if signature is None:
-                continue
-            if signature.matches(self.store, triple):
-                continue
-            head_type = self.store.entity_type(triple.head) or "?"
-            tail_type = self.store.entity_type(triple.tail) or "?"
-            confidence = signature.confidence
-            if confidence < min_confidence:
-                continue
+        for h, r, t in zip(table.head[flagged].tolist(),
+                           relation[flagged].tolist(),
+                           table.tail[flagged].tolist()):
+            s = self.signatures[table.relations[r]]
             findings.append(EdgeFinding(
-                triple=triple,
-                kind="incorrect",
-                confidence=confidence,
-                reason=(f"{triple.relation} links {head_type}->{tail_type} "
-                        f"but {signature.confidence:.0%} of facts link "
-                        f"{signature.head_type}->{signature.tail_type}"),
-            ))
-        findings.sort(key=lambda f: (-f.confidence, f.triple))
+                triple=self._triple(h, r, t), kind="incorrect",
+                confidence=s.confidence,
+                reason=(f"{s.relation} links {type_name[entity_type[h]]}->"
+                        f"{type_name[entity_type[t]]} but "
+                        f"{s.confidence:.0%} of facts link "
+                        f"{s.head_type}->{s.tail_type}")))
         return findings
 
     # ------------------------------------------------------------------
@@ -96,24 +120,25 @@ class KnowledgeInferencer:
         ``entity -> (type, normalized vote share)`` for entities without
         a declared type that received any votes.
         """
-        votes: dict[str, dict[str, float]] = {}
-        for triple in self.store:
-            signature = self.signatures.get(triple.relation)
-            if signature is None:
-                continue
-            for entity, etype in ((triple.head, signature.head_type),
-                                  (triple.tail, signature.tail_type)):
-                if self.store.entity_type(entity) is not None:
-                    continue
-                votes.setdefault(entity, {})
-                votes[entity][etype] = votes[entity].get(etype, 0.0) \
-                    + signature.confidence
+        table = self.table
+        typed = table.entity_type.tolist()
+        head_type, tail_type, confidence = (
+            column.tolist() for column in (self._signature_head,
+                                           self._signature_tail,
+                                           self._signature_confidence))
+        votes: dict[int, dict[int, float]] = {}
+        for h, r, t in zip(table.head.tolist(), table.relation.tolist(),
+                           table.tail.tolist()):
+            for entity, etype in ((h, head_type[r]), (t, tail_type[r])):
+                if etype != -2 and typed[entity] < 0:
+                    ballot = votes.setdefault(entity, {})
+                    ballot[etype] = ballot.get(etype, 0.0) + confidence[r]
         inferred: dict[str, tuple[str, float]] = {}
         for entity, ballot in votes.items():
-            total = sum(ballot.values())
             best_type, weight = max(ballot.items(),
                                     key=lambda kv: (kv[1], kv[0]))
-            inferred[entity] = (best_type, weight / total)
+            inferred[table.entities[entity]] = (
+                table.types[best_type], weight / sum(ballot.values()))
         return inferred
 
     # ------------------------------------------------------------------
@@ -123,38 +148,42 @@ class KnowledgeInferencer:
 
         A prediction must also satisfy the head relation's type signature
         (when one was mined), which suppresses rule-noise predictions.
+        Of the rules implying one triple, the most confident (then the
+        first listed) names it.
         """
-        out_edges: dict[str, list[tuple[str, str]]] = defaultdict(list)
-        for triple in self.store:
-            out_edges[triple.head].append((triple.relation, triple.tail))
-
-        best: dict[Triple, tuple[float, PathRule]] = {}
-        for rule in self.rules:
-            if rule.confidence < min_confidence:
-                continue
-            for x, firsts in out_edges.items():
-                for r1, z in firsts:
-                    if r1 != rule.body_first:
-                        continue
-                    for r2, y in out_edges.get(z, ()):
-                        if r2 != rule.body_second or x == y:
-                            continue
-                        candidate = Triple(x, rule.head_relation, y)
-                        if candidate in self.store:
-                            continue
-                        signature = self.signatures.get(rule.head_relation)
-                        if signature is not None and not signature.matches(
-                                self.store, candidate):
-                            continue
-                        current = best.get(candidate)
-                        if current is None or rule.confidence > current[0]:
-                            best[candidate] = (rule.confidence, rule)
-
-        findings = [EdgeFinding(
-            triple=triple, kind="missing", confidence=confidence,
-            reason=f"implied by rule {rule.render()}")
-            for triple, (confidence, rule) in best.items()]
-        findings.sort(key=lambda f: (-f.confidence, f.triple))
-        if limit is not None:
-            findings = findings[:limit]
-        return findings
+        table = self.table
+        n, m = len(table.entities), max(len(table.relations), 1)
+        rules = [rule for rule in self.rules
+                 if rule.confidence >= min_confidence]
+        index = {name: i for i, name in enumerate(table.relations)}
+        body = np.array([index[r.body_first] * m + index[r.body_second]
+                         for r in rules], dtype=np.int64)
+        by_body = np.argsort(body, kind="stable")
+        # each walk joined to every rule whose body it instantiates
+        x, r1, r2, y = table.two_hop()
+        lo, hi = (np.searchsorted(body[by_body], r1 * m + r2, side)
+                  for side in ("left", "right"))
+        walk, at = spans(lo, hi - lo)
+        rule, x, y = by_body[at], x[walk], y[walk]
+        head = np.array([index[r.head_relation] for r in rules],
+                        dtype=np.int64)[rule]
+        key = (x * m + head) * n + y
+        signature = self._signature_head[head]
+        # absent from the facts, and typed as the head's signature wants
+        facts = (table.head * m + table.relation) * n + table.tail
+        keep = (np.searchsorted(facts, key, "right")
+                == np.searchsorted(facts, key)) & (
+            (signature == -2) | ((table.entity_type[x] == signature) & (
+                table.entity_type[y] == self._signature_tail[head])))
+        confidence = np.array([r.confidence for r in rules])
+        key, rule = key[keep], rule[keep]
+        # per triple: the most confident rule, then the first listed
+        order = np.lexsort((rule, -confidence[rule], key))
+        first = firsts(key[order])
+        key, rule = key[order][first], rule[order][first]
+        order = np.argsort(-confidence[rule], kind="stable")[:limit]
+        return [EdgeFinding(
+            triple=self._triple(k // n // m, k // n % m, k % n),
+            kind="missing", confidence=rules[r].confidence,
+            reason=f"implied by rule {rules[r].render()}")
+            for k, r in zip(key[order].tolist(), rule[order].tolist())]

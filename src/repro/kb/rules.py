@@ -1,4 +1,4 @@
-"""Rule mining over a triple store (AMIE-lite).
+"""Rule mining over a triple table (AMIE-lite).
 
 Two rule families feed the cleaning scenario:
 
@@ -12,10 +12,11 @@ Two rule families feed the cleaning scenario:
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
 from dataclasses import dataclass
 
-from .triples import Triple, TripleStore
+import numpy as np
+
+from .triples import TripleStore, TripleTable, firsts, spans
 
 
 @dataclass(frozen=True)
@@ -29,10 +30,6 @@ class TypeSignature:
     confidence: float
     #: Number of facts the signature was learned from.
     support: int
-
-    def matches(self, store: TripleStore, triple: Triple) -> bool:
-        return (store.entity_type(triple.head) == self.head_type
-                and store.entity_type(triple.tail) == self.tail_type)
 
 
 @dataclass(frozen=True)
@@ -54,7 +51,7 @@ class PathRule:
 
 
 class RuleMiner:
-    """Mine type signatures and path rules from a triple store."""
+    """Mine type signatures and path rules from a triple table."""
 
     def __init__(self, min_signature_confidence: float = 0.7,
                  min_rule_support: int = 2,
@@ -64,62 +61,81 @@ class RuleMiner:
         self.min_rule_confidence = min_rule_confidence
 
     # ------------------------------------------------------------------
-    def mine_type_signatures(self,
-                             store: TripleStore) -> dict[str, TypeSignature]:
-        """Dominant (head type, tail type) per relation, when confident."""
+    def mine_type_signatures(self, facts: TripleTable | TripleStore
+                             ) -> dict[str, TypeSignature]:
+        """Dominant (head type, tail type) per relation, when confident.
+
+        Counts are one ``bincount`` over (relation, head type, tail
+        type); of two tied pairs, the one met first in fact order wins.
+        """
+        table = _table(facts)
+        head_type = table.entity_type[table.head]
+        tail_type = table.entity_type[table.tail]
+        typed = np.flatnonzero((head_type >= 0) & (tail_type >= 0))
+        if not len(typed):
+            return {}
+        width = len(table.types) ** 2
+        key = table.relation[typed] * width \
+            + head_type[typed] * len(table.types) + tail_type[typed]
+        counts = np.bincount(key, minlength=len(table.relations) * width)
+        first = np.full(len(counts), len(key))
+        np.minimum.at(first, key, np.arange(len(key)))
+        counts, first = counts.reshape(-1, width), first.reshape(-1, width)
+        # most facts first, then the pair met first (``most_common``'s rule)
+        best = np.argmax(counts * (len(key) + 1) - first, axis=1)
         signatures: dict[str, TypeSignature] = {}
-        for relation in store.relations():
-            facts = store.by_relation(relation)
-            typed = [(store.entity_type(t.head), store.entity_type(t.tail))
-                     for t in facts]
-            typed = [(h, t) for h, t in typed if h is not None
-                     and t is not None]
-            if not typed:
-                continue
-            (head_type, tail_type), count = \
-                Counter(typed).most_common(1)[0]
-            confidence = count / len(typed)
-            if confidence >= self.min_signature_confidence:
+        for relation, pair, count, total in zip(
+                table.relations, best.tolist(),
+                counts[np.arange(len(best)), best].tolist(),
+                counts.sum(axis=1).tolist()):
+            if total and count / total >= self.min_signature_confidence:
+                head, tail = divmod(pair, len(table.types))
                 signatures[relation] = TypeSignature(
-                    relation=relation, head_type=head_type,
-                    tail_type=tail_type, confidence=confidence,
-                    support=len(typed))
+                    relation=relation, head_type=table.types[head],
+                    tail_type=table.types[tail], confidence=count / total,
+                    support=total)
         return signatures
 
     # ------------------------------------------------------------------
-    def mine_path_rules(self, store: TripleStore) -> list[PathRule]:
-        """2-hop path rules with enough support and confidence."""
-        # index: head entity -> list of (relation, tail)
-        out_edges: dict[str, list[tuple[str, str]]] = defaultdict(list)
-        pair_relations: dict[tuple[str, str], set[str]] = defaultdict(set)
-        for triple in store:
-            out_edges[triple.head].append((triple.relation, triple.tail))
-            pair_relations[(triple.head, triple.tail)].add(triple.relation)
+    def mine_path_rules(self, facts: TripleTable | TripleStore
+                        ) -> list[PathRule]:
+        """2-hop path rules with enough support and confidence.
 
-        # body instantiation counts: (r1, r2) -> set of (x, y)
-        body_pairs: dict[tuple[str, str], set[tuple[str, str]]] = \
-            defaultdict(set)
-        for x, firsts in out_edges.items():
-            for r1, z in firsts:
-                for r2, y in out_edges.get(z, ()):
-                    if x != y:
-                        body_pairs[(r1, r2)].add((x, y))
+        The distinct (x, y) pairs of each body ``(r1, r2)`` come from a
+        sorted-key dedupe of the two-hop walks; the relations holding on
+        each pair, from a ``searchsorted`` over the facts in (head, tail,
+        relation) order.
+        """
+        table = _table(facts)
+        n, m = len(table.entities), len(table.relations)
+        x, r1, r2, y = table.two_hop()
+        pairs = np.sort(((r1 * m + r2) * n + x) * n + y)
+        pairs = pairs[firsts(pairs)]
+        body, pair = pairs // (n * n), pairs % (n * n) * m
+        by_pair = np.sort((table.head * n + table.tail) * m + table.relation)
+        lo = np.searchsorted(by_pair, pair)
+        which, at = spans(lo, np.searchsorted(by_pair, pair + m) - lo)
+        hits = np.sort(body[which] * m + by_pair[at] % m)
+        first = firsts(hits)
+        hits, support = hits[first], np.diff(first, append=len(hits))
+        # bodies: how many distinct (x, y) pairs each one holds on
+        first = firsts(body)
+        sizes = np.diff(first, append=len(body))
+        confidence = support / sizes[np.searchsorted(body[first], hits // m)]
+        keep = (support >= self.min_rule_support) \
+            & (confidence >= self.min_rule_confidence)
+        hits, support, confidence = hits[keep], support[keep], confidence[keep]
+        head, first, second = hits % m, hits // m // m, hits // m % m
+        order = np.lexsort((second, first, head, -support, -confidence))
+        return [PathRule(head_relation=table.relations[h],
+                         body_first=table.relations[b1],
+                         body_second=table.relations[b2], support=s,
+                         confidence=c)
+                for h, b1, b2, s, c in zip(
+                    *(column[order].tolist() for column in (
+                        head, first, second, support, confidence)))]
 
-        rules: list[PathRule] = []
-        for (r1, r2), pairs in body_pairs.items():
-            head_hits: Counter = Counter()
-            for x, y in pairs:
-                for head_relation in pair_relations.get((x, y), ()):
-                    head_hits[head_relation] += 1
-            for head_relation, support in head_hits.items():
-                confidence = support / len(pairs)
-                if support >= self.min_rule_support \
-                        and confidence >= self.min_rule_confidence:
-                    rules.append(PathRule(
-                        head_relation=head_relation, body_first=r1,
-                        body_second=r2, support=support,
-                        confidence=confidence))
-        rules.sort(key=lambda r: (-r.confidence, -r.support,
-                                  r.head_relation, r.body_first,
-                                  r.body_second))
-        return rules
+
+def _table(facts: TripleTable | TripleStore) -> TripleTable:
+    return facts if isinstance(facts, TripleTable) \
+        else TripleTable.from_store(facts)

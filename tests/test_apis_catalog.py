@@ -6,6 +6,7 @@ from repro.apis import APIChain, ChainContext, ChainExecutor
 from repro.chem import parse_smiles
 from repro.errors import APIError, ChainExecutionError
 from repro.graphs import (
+    DiGraph,
     complete_graph,
     knowledge_graph,
     path_graph,
@@ -236,6 +237,46 @@ class TestKnowledgeAndEditApis:
         record = executor.execute(chain, ctx)
         assert record.final_result["n_removed"] == 0
         assert record.final_result["skipped"]
+
+    @staticmethod
+    def int_ids(graph):
+        """``graph`` with every node renamed to its insertion index."""
+        index = {node: i for i, node in enumerate(graph.nodes())}
+        relabelled = DiGraph()
+        for node, i in index.items():
+            relabelled.add_node(i, **graph.node_attrs(node))
+        for u, v in graph.edges():
+            relabelled.add_edge(index[u], index[v], **graph.edge_attrs(u, v))
+        return relabelled
+
+    def test_edit_steps_resolve_int_node_ids(self, executor):
+        """Findings name entities by ``str(node)``; the edit steps must
+        act on the graph's own (here int) nodes, not on new strings."""
+        store = TripleStore.from_graph(knowledge_graph(60, 300, seed=21))
+        noisy, __, __ = corrupt_store(store, 0.1, 0.0, seed=3)
+        graph = self.int_ids(noisy.to_graph())
+        ctx = ChainContext(graph=graph)
+        record = executor.execute(APIChain.from_names(
+            ["detect_incorrect_edges", "remove_flagged_edges"]), ctx)
+        flagged = record.steps[0].result
+        assert len(flagged) > 10
+        assert record.final_result["n_removed"] == len(flagged)
+        assert ctx.graph.number_of_edges() == \
+            graph.number_of_edges() - len(flagged)
+        for finding in flagged:
+            assert not ctx.graph.has_edge(int(finding["head"]),
+                                          int(finding["tail"]))
+
+        dense = TripleStore.from_graph(knowledge_graph(40, 400, seed=22))
+        sparse, __, __ = corrupt_store(dense, 0.0, 0.08, seed=4)
+        graph = self.int_ids(sparse.to_graph())
+        ctx = ChainContext(graph=graph)
+        record = executor.execute(APIChain.from_names(
+            ["predict_missing_edges", "add_predicted_edges"]), ctx)
+        assert record.final_result["n_added"] > 0
+        assert set(ctx.graph.nodes()) == set(graph.nodes())
+        for u, v in record.final_result["added"]:
+            assert ctx.graph.has_edge(u, v) and not graph.has_edge(u, v)
 
     PLANTED = (("person_0", "works_at", "person_5"),
                ("city_2", "located_in", "person_10"))

@@ -1,5 +1,9 @@
 """Tests for the knowledge-graph substrate (triples, rules, inference)."""
 
+import subprocess
+import sys
+import textwrap
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -246,3 +250,58 @@ class TestCleaning:
         plan = CleaningPlan(removals=[finding])
         assert "1 removals" in plan.render()
         assert "a" in plan.render()
+
+
+class TestEntityTypeInference:
+    @pytest.fixture()
+    def store(self):
+        store = TripleStore()
+        for entity, etype in (("alice", "person"), ("bob", "person"),
+                              ("acme", "organization"),
+                              ("globex", "organization")):
+            store.set_entity_type(entity, etype)
+        for head, tail in (("alice", "acme"), ("bob", "acme"),
+                           ("alice", "globex"), ("bob", "globex")):
+            store.add(Triple(head, "works_at", tail))
+        # mystery entity participating as a works_at head
+        store.add(Triple("carol", "works_at", "acme"))
+        return store
+
+    def test_untyped_entity_gets_type(self, store):
+        inferencer = KnowledgeInferencer.fit(store)
+        inferred = inferencer.infer_entity_types()
+        assert inferred["carol"][0] == "person"
+        assert inferred["carol"][1] == 1.0
+
+    def test_typed_entities_not_retyped(self, store):
+        inferencer = KnowledgeInferencer.fit(store)
+        assert "alice" not in inferencer.infer_entity_types()
+
+    def test_no_signatures_no_inference(self):
+        store = TripleStore.from_triples([("a", "r", "b")])
+        inferencer = KnowledgeInferencer.fit(store)
+        assert inferencer.infer_entity_types() == {}
+
+
+def test_kg_asks_leave_numpy_ma_unimported():
+    """``np.unique`` imports ``numpy.ma`` on first use (about 1 MB of
+    resident memory per process); the knowledge steps must not."""
+    script = textwrap.dedent("""
+        import sys
+        from repro import ChatGraph
+        from repro.graphs import knowledge_graph
+        chatgraph = ChatGraph.pretrained(corpus_size=300, seed=0)
+        assert "numpy.ma" not in sys.modules
+        steps = set()
+        for text in ("Profile the knowledge graph G and mine its rules",
+                     "Clean G"):
+            reply = chatgraph.ask(text, graph=knowledge_graph(60, 240))
+            steps.update(node.api_name for node in reply.chain.nodes)
+        assert {"knowledge_profile", "mine_rules",
+                "detect_incorrect_edges"} <= steps, steps
+        print("numpy.ma" in sys.modules)
+        """)
+    completed = subprocess.run([sys.executable, "-c", script],
+                               capture_output=True, text=True, timeout=240)
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.strip() == "False"
