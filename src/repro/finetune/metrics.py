@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from ..llm.chain_model import ChainLanguageModel, TrainingExample
-from ..llm.decoding import greedy_decode
+from ..llm.decoding import greedy_decode_batch
 from .losses import min_matching_loss
 
 Chain = Sequence[str]
@@ -34,25 +34,24 @@ class ChainMetrics:
                 f"len={self.mean_length:5.2f}")
 
 
-def _default_decoder(model: ChainLanguageModel,
-                     example: TrainingExample) -> list[str]:
-    return greedy_decode(model, example.state())
-
-
 def evaluate_model(model: ChainLanguageModel,
                    examples: Sequence[TrainingExample],
                    decoder: Decoder | None = None,
                    alpha: float = 1.0) -> ChainMetrics:
-    """Decode every example and score against its ground-truth chains."""
-    decoder = decoder or _default_decoder
+    """Decode every example (by default greedy, as one lockstep fleet)
+    and score against its ground-truth chains."""
     if not examples:
         raise ValueError("no evaluation examples")
+    if decoder is None:
+        chains = greedy_decode_batch(
+            model, [example.state() for example in examples])
+    else:
+        chains = [decoder(model, example) for example in examples]
     exact = 0
     set_hits = 0
     losses = []
     lengths = []
-    for example in examples:
-        generated = tuple(decoder(model, example))
+    for example, generated in zip(examples, map(tuple, chains)):
         lengths.append(len(generated))
         if any(generated == tuple(truth)
                for truth in example.target_chains):

@@ -8,6 +8,12 @@ chains, and keep the best (the candidate's score).  The candidate with
 the lowest best-loss is appended.  With ``r = 0`` the candidate is
 scored by the loss of the greedy completion — the degenerate baseline
 the E9 ablation compares against.
+
+Each step scores through one :class:`~repro.llm.chain_model.BatchScorer`
+lane built from its state (the scorer snapshots the weights, so it
+never outlives the step): the greedy anchors of all candidates run as
+one lockstep fleet, the random rollouts one after another in candidate
+order, which keeps the ``rng`` draw stream of sampling each in turn.
 """
 
 from __future__ import annotations
@@ -16,8 +22,13 @@ import random
 from typing import Sequence
 
 from ..errors import ModelError
-from ..llm.chain_model import ChainLanguageModel, GenerationState
-from ..llm.decoding import greedy_decode, sample_decode
+from ..llm.chain_model import (
+    EOS,
+    BatchScorer,
+    ChainLanguageModel,
+    GenerationState,
+)
+from ..llm.decoding import greedy_lanes, sample_chain
 from .losses import min_matching_loss
 
 Chain = Sequence[str]
@@ -39,31 +50,32 @@ def score_candidates(model: ChainLanguageModel, state: GenerationState,
     ``greedy_anchor=False`` with random rollouts only.
     """
     rng = rng or random.Random(0)
+    scorer = BatchScorer(model, [state])
     prefix = list(state.prefix)
+    remaining = max_length - len(prefix) - 1
+    names = [model.token_name(token_id)
+             for token_id in scorer.candidates(state)
+             if token_id != model.eos_id]
+    advanced = [state.advance(name) for name in names]
+    anchors = (greedy_lanes(scorer, advanced, [0] * len(advanced), remaining)
+               if greedy_anchor and remaining > 0 else [])
     scores: dict[str, float] = {}
-    for token_id in model.candidate_ids(state):
-        name = model.token_name(token_id)
-        if token_id == model.eos_id:
-            scores[name] = min_matching_loss(prefix, truths, alpha)
-            continue
-        advanced = state.advance(name)
-        remaining = max_length - len(prefix) - 1
+    for row, (name, current) in enumerate(zip(names, advanced)):
         best = float("inf")
         completions: list[list[str]] = [[]]
         if remaining > 0:
             if greedy_anchor:
-                completions.append(greedy_decode(model, advanced,
-                                                 max_length=remaining))
+                completions.append(anchors[row])
             for __ in range(rollouts):
-                completions.append(sample_decode(
-                    model, advanced, temperature=temperature,
-                    max_length=remaining, rng=rng))
+                completions.append(sample_chain(scorer, current, temperature,
+                                                remaining, rng))
         for completion in completions:
             full = prefix + [name] + completion
             best = min(best, min_matching_loss(full, truths, alpha))
             if best == 0.0:
                 break
         scores[name] = best
+    scores[EOS] = min_matching_loss(prefix, truths, alpha)
     return scores
 
 

@@ -159,15 +159,6 @@ class ChainLanguageModel:
         return (_TEXT_BUCKETS + _GRAPH_BUCKETS + len(self._vocab)
                 + len(self._vocab) + 8 + 1)
 
-    def featurize(self, state: GenerationState) -> dict[int, float]:
-        """Sparse feature vector of a decoding state."""
-        features = self._static_features(state)
-        bias = features.pop(self.n_features - 1)
-        for idx in self._dynamic_feature_ids(state):
-            features[idx] = 1.0
-        features[self.n_features - 1] = bias  # keep insertion order stable
-        return features
-
     def _static_features(self, state: GenerationState) -> dict[int, float]:
         """The feature components invariant under :meth:`advance`.
 
@@ -210,34 +201,14 @@ class ChainLanguageModel:
     # ------------------------------------------------------------------
     # inference
     # ------------------------------------------------------------------
-    def _feature_arrays(self, state: GenerationState
-                        ) -> tuple[np.ndarray, np.ndarray]:
-        features = self.featurize(state)
-        return (np.fromiter(features.keys(), dtype=np.int64),
-                np.fromiter(features.values(), dtype=np.float64))
-
-    def candidate_ids(self, state: GenerationState) -> list[int]:
-        """Token ids decodable from ``state``.
+    def _base_candidate_ids(self, state: GenerationState) -> frozenset[int]:
+        """Token ids decodable from ``state`` before the prefix mask.
 
         The prediction space is reduced (paper Sec. II-A) to the state's
         ``allowed`` set when given (the graph type's category-routed
-        APIs), else to the retrieved APIs, else the full vocabulary.
-        APIs already in the prefix are masked — chains never invoke the
-        same API twice, so this prevents degenerate loops.  The
-        *retrieved* set additionally biases scores through rank features.
-        """
-        ids = set(self._base_candidate_ids(state))
-        ids -= {self._vocab[name] for name in state.prefix
-                if name in self._vocab}
-        ids.add(self.eos_id)
-        return sorted(ids)
-
-    def _base_candidate_ids(self, state: GenerationState) -> frozenset[int]:
-        """Prefix-independent part of :meth:`candidate_ids`.
-
-        Constant across :meth:`GenerationState.advance`, so batched
-        decoding resolves it once per lane and only re-applies the
-        prefix mask each step.
+        APIs), else to the retrieved APIs, else the full vocabulary, plus
+        EOS.  Each step then masks the APIs already in the prefix: chains
+        never invoke the same API twice.
         """
         if state.allowed:
             ids = {self._vocab[name] for name in state.allowed
@@ -250,20 +221,12 @@ class ChainLanguageModel:
         ids.add(self.eos_id)
         return frozenset(ids)
 
-    def _candidate_mask(self, state: GenerationState) -> np.ndarray:
-        """0.0 on :meth:`candidate_ids`, ``-inf`` elsewhere."""
-        mask = np.full(self.vocab_size, -np.inf)
-        mask[self.candidate_ids(state)] = 0.0
-        return mask
-
     def next_distribution(self, state: GenerationState,
                           temperature: float = 1.0) -> np.ndarray:
-        """Distribution over the full vocabulary (masked to candidates)."""
-        if temperature <= 0:
-            raise ModelError("temperature must be > 0")
-        idx, vals = self._feature_arrays(state)
-        logits = self._weights[:, idx] @ vals / temperature
-        return _softmax(logits + self._candidate_mask(state))
+        """Distribution over the full vocabulary (masked to candidates),
+        read off a one-lane :class:`BatchScorer`."""
+        return BatchScorer(self, [state]).distributions(
+            [state], [0], temperature)[0]
 
     def log_prob(self, state: GenerationState, api_name: str) -> float:
         """log P(api_name | state)."""
@@ -304,22 +267,32 @@ class ChainLanguageModel:
         target = np.zeros(self.vocab_size)
         for name, weight in target_weights.items():
             target[self.token_id(name)] = weight / total
-        return self._sgd_step(*self._feature_arrays(state),
-                              self._candidate_mask(state), target,
+        feature_ids, feature_values, candidates = self._compile_state(state)
+        mask = np.where(candidates, 0.0, -np.inf)
+        mask[[self._vocab[name] for name in state.prefix
+              if name in self._vocab]] = -np.inf
+        mask[self.eos_id] = 0.0
+        return self._sgd_step(feature_ids, feature_values,
+                              self._dynamic_feature_ids(state), mask, target,
                               learning_rate)
 
-    def compile_chain(self, example: TrainingExample) -> CompiledChain:
-        """What teacher forcing on ``example``'s first target chain needs
-        that no prefix changes: the static feature ids and values in
-        :meth:`featurize` order (bias excluded), the base candidates as
-        a vocabulary mask, and the chain's token ids followed by EOS."""
-        state = example.state()
+    def _compile_state(self, state: GenerationState
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """What no prefix changes about ``state``: the static feature ids
+        and values (bias excluded, :meth:`_sgd_step` appends it last) and
+        the base candidates as a vocabulary mask."""
         static = self._static_features(state)
-        del static[self.n_features - 1]  # featurize puts the bias last
+        del static[self.n_features - 1]
         candidates = np.zeros(self.vocab_size, dtype=bool)
         candidates[sorted(self._base_candidate_ids(state))] = True
         return (np.fromiter(static.keys(), dtype=np.int64),
-                np.fromiter(static.values(), dtype=np.float64), candidates,
+                np.fromiter(static.values(), dtype=np.float64), candidates)
+
+    def compile_chain(self, example: TrainingExample) -> CompiledChain:
+        """What teacher forcing on ``example``'s first target chain needs
+        that no prefix changes: :meth:`_compile_state` of its state, and
+        the chain's token ids followed by EOS."""
+        return (*self._compile_state(example.state()),
                 [self.token_id(name) for name in example.target_chains[0]]
                 + [self.eos_id])
 
@@ -342,9 +315,8 @@ class ChainLanguageModel:
                 mask[ids[step - 1]] = -np.inf
                 mask[self.eos_id] = 0.0
             loss += self._sgd_step(
-                np.concatenate((feature_ids, dynamic, [self.n_features - 1])),
-                np.concatenate((feature_values, [1.0] * (len(dynamic) + 1))),
-                mask, np.eye(1, self.vocab_size, token_id)[0], learning_rate)
+                feature_ids, feature_values, dynamic, mask,
+                np.eye(1, self.vocab_size, token_id)[0], learning_rate)
         return loss / len(ids)
 
     def train_chain(self, example: TrainingExample,
@@ -352,11 +324,15 @@ class ChainLanguageModel:
         """Teacher-forced CE training on the first target chain (baseline)."""
         return self.train_compiled(self.compile_chain(example), learning_rate)
 
-    def _sgd_step(self, idx: np.ndarray, vals: np.ndarray, mask: np.ndarray,
-                  target: np.ndarray, learning_rate: float | None) -> float:
-        """The one SGD body: one gather of the touched weight columns,
-        softmax, error, step and L2 decay on that copy, one scatter."""
+    def _sgd_step(self, feature_ids: np.ndarray, feature_values: np.ndarray,
+                  dynamic: list[int], mask: np.ndarray, target: np.ndarray,
+                  learning_rate: float | None) -> float:
+        """The one SGD body over the static, then ``dynamic``, then bias
+        features: one gather of their weight columns, softmax, error,
+        step and L2 decay on that copy, one scatter."""
         lr = self.learning_rate if learning_rate is None else learning_rate
+        idx = np.concatenate((feature_ids, dynamic, [self.n_features - 1]))
+        vals = np.concatenate((feature_values, [1.0] * (len(dynamic) + 1)))
         block = self._weights[:, idx]
         probs = _softmax(block @ vals + mask)
         block -= lr * np.outer(probs - target, vals)
@@ -383,9 +359,10 @@ class BatchScorer:
     costs one dense ``Phi @ W.T`` matmul plus the tiny dynamic
     (previous-API + position + prefix-mask) updates.
 
-    Used by :func:`repro.llm.decoding.greedy_decode_batch` (one lane per
-    input state) and :func:`repro.llm.decoding.beam_decode` (every live
-    beam shares lane 0's static features).
+    It is the model's only inference scorer: every decoder, the rollout
+    search and :meth:`ChainLanguageModel.next_distribution` read one.
+    A single-state decode builds one lane and scores every descendant
+    state (live beams, advanced candidates, rollouts) against it.
     """
 
     def __init__(self, model: ChainLanguageModel,
@@ -410,6 +387,15 @@ class BatchScorer:
     @property
     def n_lanes(self) -> int:
         return self._phi_static.shape[0]
+
+    def candidates(self, state: GenerationState, lane: int = 0) -> list[int]:
+        """Sorted token ids open to ``state`` (a descendant of ``lane``):
+        the lane's base candidates minus the APIs in the prefix."""
+        open_ids = self._mask_static[lane] == 0.0
+        vocab = self.model._vocab
+        open_ids[[vocab[name] for name in state.prefix if name in vocab]] = \
+            False
+        return np.flatnonzero(open_ids).tolist()
 
     def distributions(self, states: Sequence[GenerationState],
                       lanes: Sequence[int],

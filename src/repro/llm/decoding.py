@@ -5,15 +5,12 @@ matching-based loss) is the *training-time* decoder and lives in
 :mod:`repro.finetune.rollout`; the strategies here are the inference-
 time decoders the chat pipeline uses.
 
-Two execution paths share one model:
-
-* the scalar path (:func:`greedy_decode`, :func:`sample_decode`) calls
-  :meth:`~repro.llm.chain_model.ChainLanguageModel.next_distribution`
-  once per state per step;
-* the batched path (:func:`greedy_decode_batch`, and
-  :func:`beam_decode`, which expands all live beams per step through
-  one call) scores whole fleets of states with a single matmul via
-  :class:`~repro.llm.chain_model.BatchScorer`.
+Every decoder scores through a :class:`~repro.llm.chain_model.BatchScorer`:
+:func:`greedy_lanes` advances a fleet in lockstep (one lane per state in
+:func:`greedy_decode_batch`, a fleet of one in :func:`greedy_decode`),
+:func:`beam_decode` expands all live beams of a step through one call,
+and :func:`sample_chain` samples from a lane.  The rollout search reuses
+:func:`greedy_lanes` and :func:`sample_chain` on one scorer per step.
 """
 
 from __future__ import annotations
@@ -31,19 +28,7 @@ from .chain_model import BatchScorer, ChainLanguageModel, GenerationState
 def greedy_decode(model: ChainLanguageModel, state: GenerationState,
                   max_length: int = 8) -> list[str]:
     """Always take the argmax next API; stop at EOS or ``max_length``."""
-    if max_length < 1:
-        raise ModelError("max_length must be >= 1")
-    chain: list[str] = []
-    current = state
-    for __ in range(max_length):
-        probs = model.next_distribution(current)
-        token_id = int(np.argmax(probs))
-        if token_id == model.eos_id:
-            break
-        name = model.token_name(token_id)
-        chain.append(name)
-        current = current.advance(name)
-    return chain
+    return greedy_decode_batch(model, [state], max_length)[0]
 
 
 #: One beam hypothesis: (neg mean log-prob, tiebreak, raw total
@@ -106,33 +91,36 @@ def beam_decode(model: ChainLanguageModel, state: GenerationState,
 def greedy_decode_batch(model: ChainLanguageModel,
                         states: Sequence[GenerationState],
                         max_length: int = 8) -> list[list[str]]:
-    """Greedy-decode a fleet of states in lockstep.
+    """Greedy-decode a fleet of states in lockstep, one lane each."""
+    states = list(states)
+    return greedy_lanes(BatchScorer(model, states), states,
+                        range(len(states)), max_length)
 
-    Equivalent to ``[greedy_decode(model, s, max_length) for s in
-    states]`` but each step scores every still-decoding state with one
-    batched model call.  Lanes that emit EOS drop out of the batch.
-    """
+
+def greedy_lanes(scorer: BatchScorer, states: Sequence[GenerationState],
+                 lanes: Sequence[int], max_length: int) -> list[list[str]]:
+    """Greedy-decode ``states[i]`` (a descendant of lane ``lanes[i]``)
+    in lockstep: each step scores every still-decoding state with one
+    batched argmax, and states that emit EOS drop out of the batch."""
     if max_length < 1:
         raise ModelError("max_length must be >= 1")
-    states = list(states)
-    scorer = BatchScorer(model, states)
+    model = scorer.model
     chains: list[list[str]] = [[] for __ in states]
     current = list(states)
-    active = list(range(len(states)))
+    active = list(range(len(current)))
     for __ in range(max_length):
         if not active:
             break
         token_ids = scorer.argmax_tokens(
-            [current[lane] for lane in active], active)
+            [current[row] for row in active], [lanes[row] for row in active])
         still_active: list[int] = []
-        for row, lane in enumerate(active):
-            token_id = int(token_ids[row])
+        for token_id, row in zip(token_ids.tolist(), active):
             if token_id == model.eos_id:
                 continue
             name = model.token_name(token_id)
-            chains[lane].append(name)
-            current[lane] = current[lane].advance(name)
-            still_active.append(lane)
+            chains[row].append(name)
+            current[row] = current[row].advance(name)
+            still_active.append(row)
         active = still_active
     return chains
 
@@ -140,12 +128,22 @@ def greedy_decode_batch(model: ChainLanguageModel,
 def sample_decode(model: ChainLanguageModel, state: GenerationState,
                   temperature: float = 1.0, max_length: int = 8,
                   rng: random.Random | None = None) -> list[str]:
-    """Sample a chain token by token (used for random rollouts)."""
-    rng = rng or random.Random(0)
+    """Sample a chain token by token."""
+    return sample_chain(BatchScorer(model, [state]), state, temperature,
+                        max_length, rng or random.Random(0))
+
+
+def sample_chain(scorer: BatchScorer, state: GenerationState,
+                 temperature: float, max_length: int,
+                 rng: random.Random) -> list[str]:
+    """Sample a chain from ``state`` (a descendant of lane 0): each step
+    draws one ``rng.random()`` threshold against the cumulative
+    next-token distribution."""
+    model = scorer.model
     chain: list[str] = []
     current = state
     for __ in range(max_length):
-        probs = model.next_distribution(current, temperature=temperature)
+        probs = scorer.distributions([current], [0], temperature)[0]
         threshold = rng.random()
         cumulative = 0.0
         token_id = model.eos_id

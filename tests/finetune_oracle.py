@@ -9,9 +9,11 @@ weight columns with two gathers and two scatters.  It is written for
 clarity, not speed; ``tests/test_finetune_oracle.py`` asserts the
 production trainer reaches exactly the same weights and losses.
 
-Only the feature map (``featurize``), the candidate set
-(``candidate_ids``) and the rollout scorer are shared with the
-production code — everything that decides the update is here.
+The feature map, the next-token distribution and the rollout scorer
+come from ``tests/decode_oracle.py``, the scalar decoding path: only
+the model's per-state feature parts and the matching loss are shared
+with the production code — everything that decides an update or a
+rollout score is in the two oracles.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ import numpy as np
 
 from repro.config import FinetuneConfig
 from repro.errors import ModelError
-from repro.finetune.rollout import score_candidates
 from repro.llm.chain_model import (
     EOS,
     ChainLanguageModel,
@@ -32,21 +33,7 @@ from repro.llm.chain_model import (
     TrainingExample,
 )
 
-
-def next_distribution(model: ChainLanguageModel,
-                      state: GenerationState) -> np.ndarray:
-    """Masked softmax over the full vocabulary."""
-    features = model.featurize(state)
-    idx = np.fromiter(features.keys(), dtype=np.int64)
-    vals = np.fromiter(features.values(), dtype=np.float64)
-    logits = model._weights[:, idx] @ vals
-    mask = np.full(model.vocab_size, -np.inf)
-    mask[model.candidate_ids(state)] = 0.0
-    logits = logits + mask
-    logits -= logits.max()
-    probs = np.exp(logits)
-    probs /= probs.sum()
-    return probs
+from .decode_oracle import featurize, next_distribution, score_candidates
 
 
 def weighted_step(model: ChainLanguageModel, state: GenerationState,
@@ -56,7 +43,7 @@ def weighted_step(model: ChainLanguageModel, state: GenerationState,
     total = sum(target_weights.values())
     if total <= 0:
         raise ModelError("target weights must sum to > 0")
-    features = model.featurize(state)
+    features = featurize(model, state)
     probs = next_distribution(model, state)
     target_vec = np.zeros(model.vocab_size)
     for name, weight in target_weights.items():

@@ -3,9 +3,11 @@
 ``process`` and ``process_batch`` share one body, so comparing them at
 size 1 compares a path with itself.  This oracle is composed from the
 public per-item component calls, exactly as
-``benchmarks/ledger/layers.py::Replay.run`` composes them, and touches
-neither the stage graph nor any batched kernel — the parity suites
-require both pipeline entry points to agree with it field by field.
+``benchmarks/ledger/layers.py::Replay.run`` composes them, except that
+greedy decoding is the scalar reference in ``tests/decode_oracle.py``.
+It touches no stage graph, and the greedy decodes touch no batched
+kernel — the parity suites require both pipeline entry points to agree
+with it field by field.
 Test code only: nothing under ``src/`` imports it.
 """
 
@@ -15,8 +17,10 @@ from repro.core.fallbacks import FALLBACKS
 from repro.core.pipeline import PipelineResult
 from repro.errors import ChainError, EmbeddingError
 from repro.llm.chain_model import GenerationState
-from repro.llm.decoding import beam_decode, greedy_decode
+from repro.llm.decoding import beam_decode
 from repro.llm.intent import CATEGORY_ROUTING
+
+from .decode_oracle import greedy_decode
 
 
 def oracle_process(chatgraph, prompt):

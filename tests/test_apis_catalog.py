@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.apis import APIChain, ChainContext, ChainExecutor
+from repro.apis import APIChain, ChainContext, ChainExecutor, ChainNode
 from repro.chem import parse_smiles
 from repro.errors import APIError, ChainExecutionError
 from repro.graphs import (
@@ -11,6 +11,7 @@ from repro.graphs import (
     knowledge_graph,
     path_graph,
     social_network,
+    star_graph,
 )
 from repro.kb import TripleStore, corrupt_store
 
@@ -383,3 +384,60 @@ class TestReportApis:
         ])
         record = executor.execute(chain, ChainContext(graph=social_graph))
         assert record.final_result.startswith("My Title")
+
+
+class TestNewApis:
+    @pytest.fixture()
+    def executor(self, registry):
+        return ChainExecutor(registry)
+
+    def run_one(self, executor, api_name, context, **params):
+        chain = APIChain([ChainNode(api_name, dict(params))])
+        return executor.execute(chain, context).final_result
+
+    def test_assortativity_api(self, executor):
+        result = self.run_one(executor, "assortativity",
+                              ChainContext(graph=star_graph(5)))
+        assert result["degree_assortativity"] < -0.9
+        assert "disassortative" in result["tendency"]
+
+    def test_homophily_api(self, executor, social_graph):
+        result = self.run_one(executor, "homophily",
+                              ChainContext(graph=social_graph))
+        assert result["homophilous"] is True
+
+    def test_substructure_count_carboxyl(self, executor):
+        aspirin = parse_smiles("CC(=O)Oc1ccccc1C(=O)O")
+        result = self.run_one(executor, "substructure_count",
+                              ChainContext(graph=aspirin.to_graph()),
+                              pattern="C(=O)O")
+        assert result["n_distinct_sites"] == 2
+
+    def test_substructure_count_requires_pattern(self, executor):
+        from repro.errors import ChainExecutionError
+        with pytest.raises(ChainExecutionError):
+            self.run_one(executor, "substructure_count",
+                         ChainContext(graph=parse_smiles("C").to_graph()))
+
+    def test_find_substructure_labeled(self, executor):
+        mol = parse_smiles("CCO")
+        result = self.run_one(
+            executor, "find_substructure",
+            ChainContext(graph=mol.to_graph()),
+            pattern_edges=[("C1", "O1")], label_key="element")
+        assert result["n_matches"] == 1  # the single C-O bond
+
+    def test_find_substructure_symmetric_pattern(self, executor):
+        mol = parse_smiles("CCO")
+        result = self.run_one(
+            executor, "find_substructure",
+            ChainContext(graph=mol.to_graph()),
+            pattern_edges=[("C1", "C2")], label_key="element")
+        assert result["n_matches"] == 2  # C-C in both orientations
+
+    def test_find_substructure_unlabeled(self, executor):
+        result = self.run_one(
+            executor, "find_substructure",
+            ChainContext(graph=complete_graph(4)),
+            pattern_edges=[(0, 1), (1, 2), (0, 2)], max_matches=100)
+        assert result["n_matches"] == 24  # 4 triangles x 6 automorphisms

@@ -1,5 +1,7 @@
 """Tests for API specs, the registry and chain objects."""
 
+import json
+
 import pytest
 
 from repro.apis import (
@@ -168,3 +170,26 @@ class TestChainToGraph:
         graph = chain_to_graph(chain)
         assert graph.has_edge(0, 2)
         assert not graph.has_edge(1, 2)
+
+
+class TestChainSerialization:
+    def test_roundtrip(self):
+        chain = APIChain([
+            ChainNode("graph_summary"),
+            ChainNode("rank_pagerank", {"top": 3}),
+            ChainNode("generate_report", {"title": "T"}, depends_on=(0,)),
+        ])
+        doc = chain.to_dict()
+        back = APIChain.from_dict(json.loads(json.dumps(doc)))
+        assert back == chain
+
+    def test_roundtrip_validates(self, registry):
+        chain = APIChain.from_names(["count_nodes", "count_edges"])
+        back = APIChain.from_dict(chain.to_dict())
+        back.validate(registry)
+
+    def test_malformed_rejected(self):
+        with pytest.raises(ChainError):
+            APIChain.from_dict({"nodes": [{"params": {}}]})
+        with pytest.raises(ChainError):
+            APIChain.from_dict({})

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.apis.executor import ExecutionEvent
+from repro.apis.executor import ExecutionEvent, _summarize
 from repro.chem import parse_smiles
 from repro.core import (
     ChainMonitor,
@@ -12,6 +12,7 @@ from repro.core import (
     run_graph_comparison,
     run_graph_understanding,
 )
+from repro.core.reports import _format
 from repro.core.suggestions import suggested_questions
 from repro.kb import TripleStore, corrupt_store
 
@@ -208,3 +209,36 @@ class TestSuggestions:
 
     def test_type_specific(self, kg_graph):
         assert "Clean G" in suggested_questions(kg_graph)
+
+
+class TestReportFormatting:
+    def test_format_float_precision(self):
+        assert _format(0.123456789) == "0.1235"
+
+    def test_format_dict_and_list(self):
+        assert _format({"a": 1}) == "{a=1}"
+        text = _format(list(range(10)))
+        assert "... (4 more)" in text
+
+    def test_format_truncates(self):
+        text = _format("x" * 1000)
+        assert len(text) <= 400
+        assert text.endswith("...")
+
+    def test_render_answer_failure_lines(self):
+        from repro.apis.executor import ChainExecutionRecord, StepRecord
+        from repro.apis.chain import APIChain
+        record = ChainExecutionRecord(chain=APIChain.from_names(["x"]))
+        record.steps.append(StepRecord(
+            index=0, api_name="x", result=None, seconds=0.0,
+            ok=False, error="kaput"))
+        assert "x: failed (kaput)" in render_answer(record)
+
+    def test_render_answer_empty(self):
+        from repro.apis.executor import ChainExecutionRecord
+        from repro.apis.chain import APIChain
+        record = ChainExecutionRecord(chain=APIChain())
+        assert render_answer(record) == "(no results)"
+
+    def test_summarize_caps_length(self):
+        assert len(_summarize({"k": "v" * 200})) <= 70

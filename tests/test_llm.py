@@ -24,6 +24,8 @@ from repro.llm import (
 )
 from repro.llm.chain_model import EOS, GenerationState
 
+from . import decode_oracle as oracle
+
 APIS = ["api_a", "api_b", "api_c", "api_d"]
 
 
@@ -153,7 +155,7 @@ class TestChainModel:
         s1 = state()
         s2 = GenerationState(prompt_text=s1.prompt_text,
                              graph_tokens=(("<n:C>", 5),))
-        assert model.featurize(s1) != model.featurize(s2)
+        assert oracle.featurize(model, s1) != oracle.featurize(model, s2)
 
 
 class TestDecoding:

@@ -2,10 +2,10 @@
 
 The batched model surface (``greedy_decode_batch``, and the
 ``BatchScorer`` behind it and beam search) must make the *same decoding
-decisions* as the scalar path — these tests pin that down with
-property-based state generation, a 10-step beam regression against an
-independent reference implementation, and the masked-token expansion
-rule.
+decisions* as the scalar path kept in ``tests/decode_oracle.py`` —
+these tests pin that down with property-based state generation, a
+10-step beam regression against an independent reference
+implementation, and the masked-token expansion rule.
 """
 
 import math
@@ -20,10 +20,11 @@ from repro.llm import (
     ChainLanguageModel,
     TrainingExample,
     beam_decode,
-    greedy_decode,
     greedy_decode_batch,
 )
 from repro.llm.chain_model import GenerationState
+
+from . import decode_oracle as oracle
 
 APIS = ["load_graph", "count_nodes", "count_edges", "pagerank",
         "find_communities", "shortest_path", "visualize", "report"]
@@ -71,7 +72,7 @@ def trained_model():
 
 
 # ---------------------------------------------------------------------------
-# BatchScorer.distributions == per-state next_distribution
+# BatchScorer.distributions == the oracle's per-state next_distribution
 # ---------------------------------------------------------------------------
 
 subsets = st.lists(st.sampled_from(APIS), unique=True, max_size=5)
@@ -80,7 +81,7 @@ subsets = st.lists(st.sampled_from(APIS), unique=True, max_size=5)
 def _assert_rows_match_scalar(model, probs, states):
     assert probs.shape == (len(states), model.vocab_size)
     for row, state in enumerate(states):
-        scalar = model.next_distribution(state)
+        scalar = oracle.next_distribution(model, state)
         np.testing.assert_allclose(probs[row], scalar,
                                    rtol=1e-12, atol=1e-15)
         # the decisions decoding actually takes must be identical
@@ -125,7 +126,7 @@ def test_batch_scorer_matches_scalar(trained_model):
 
 
 # ---------------------------------------------------------------------------
-# greedy_decode_batch == per-state greedy_decode
+# greedy_decode_batch == the oracle's per-state greedy_decode
 # ---------------------------------------------------------------------------
 
 def test_greedy_batch_matches_scalar(trained_model):
@@ -133,7 +134,7 @@ def test_greedy_batch_matches_scalar(trained_model):
               for text in PROMPTS
               for retrieved in ((), ("load_graph", "pagerank", "report"))
               for allowed in ((), tuple(APIS[:4]))]
-    scalar = [greedy_decode(trained_model, s, max_length=6)
+    scalar = [oracle.greedy_decode(trained_model, s, max_length=6)
               for s in states]
     batched = greedy_decode_batch(trained_model, states, max_length=6)
     assert scalar == batched
@@ -143,7 +144,7 @@ def test_greedy_batch_singleton_and_empty(trained_model):
     assert greedy_decode_batch(trained_model, [], max_length=4) == []
     state = _state(PROMPTS[0])
     assert greedy_decode_batch(trained_model, [state], max_length=4) == [
-        greedy_decode(trained_model, state, max_length=4)]
+        oracle.greedy_decode(trained_model, state, max_length=4)]
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +171,7 @@ def _reference_beam(model, state, beam_width, max_length):
             if finished:
                 expanded.append((score, t, (chain, current, logps, True)))
                 continue
-            probs = model.next_distribution(current)
+            probs = oracle.next_distribution(model, current)
             order = np.argsort(probs)[::-1][:beam_width]
             for token_id in order:
                 p = float(probs[token_id])

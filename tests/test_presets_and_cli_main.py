@@ -1,5 +1,6 @@
 """Every model preset drives the full system; the CLI entry point works."""
 
+import io
 import subprocess
 import sys
 
@@ -8,6 +9,7 @@ import pytest
 from repro import ChatGraph, ChatGraphConfig
 from repro.config import LLMConfig
 from repro.core import run_graph_understanding
+from repro.errors import ChatGraphError
 from repro.graphs import social_network
 
 
@@ -52,3 +54,70 @@ class TestCliMain:
             capture_output=True, text=True, timeout=240)
         assert completed.returncode == 0
         assert "count_nodes: 12" in completed.stdout
+
+
+class TestCli:
+    @pytest.fixture()
+    def cli(self, chatgraph):
+        from repro.cli import ChatCli
+        return ChatCli(chatgraph, out=io.StringIO())
+
+    def run_script(self, cli, *lines):
+        for line in lines:
+            cli.handle(line)
+        return cli.out.getvalue()
+
+    def test_demo_and_question(self, cli):
+        output = self.run_script(
+            cli, "/demo social", "how many nodes does the graph have")
+        assert "count_nodes: 50" in output
+
+    def test_suggest(self, cli):
+        output = self.run_script(cli, "/demo kg", "/suggest")
+        assert "Clean G" in output
+
+    def test_manual_confirm_flow(self, cli):
+        output = self.run_script(
+            cli, "/demo social", "/manual",
+            "Write a brief report for G", "/chain",
+            "/edit remove 1", "/confirm")
+        assert "Graph report" in output
+        assert "(confirm with /confirm" in output
+
+    def test_reject(self, cli):
+        output = self.run_script(
+            cli, "/demo social", "/manual", "count the nodes", "/reject")
+        assert "chain discarded" in output
+
+    def test_unknown_command(self, cli):
+        assert "unknown command" in self.run_script(cli, "/bogus")
+
+    def test_error_reported_not_raised(self, cli):
+        output = self.run_script(cli, "/upload /no/such/file.json")
+        assert "error:" in output
+
+    def test_apis_listing(self, cli):
+        output = self.run_script(cli, "/apis")
+        assert "detect_communities" in output
+
+    def test_config_shown(self, cli):
+        output = self.run_script(cli, "/config")
+        assert "top_k_apis" in output
+
+    def test_quit_stops(self, cli):
+        self.run_script(cli, "/quit")
+        assert not cli.running
+
+    def test_load_graph_kinds(self, tmp_path, chatgraph):
+        from repro.cli import load_graph
+        import json as json_mod
+        from repro.graphs.io import to_dict
+        g = social_network(10, 2, seed=0)
+        json_path = tmp_path / "g.json"
+        json_path.write_text(json_mod.dumps(to_dict(g)))
+        assert load_graph(str(json_path)).number_of_nodes() == 10
+        smi_path = tmp_path / "m.smi"
+        smi_path.write_text("CCO\n")
+        assert load_graph(str(smi_path)).number_of_nodes() == 3
+        with pytest.raises(ChatGraphError):
+            load_graph(str(tmp_path / "missing.json"))
