@@ -170,20 +170,27 @@ def approximate_ged(g1: Graph, g2: Graph,
     if size == 0:
         return GedResult(cost=0.0, mapping={}, exact=True)
     big = 1e9
-    cost = [[0.0] * size for __ in range(size)]
-    for i, u in enumerate(nodes1):
-        du = g1.degree(u)
-        for j, v in enumerate(nodes2):
-            sub = 0.0 if node_label(g1, u) == node_label(g2, v) else 1.0
-            # local edge-structure estimate: degree difference
-            cost[i][j] = sub + abs(du - g2.degree(v)) / 2.0
-        for j in range(n2, size):
-            cost[i][j] = (1.0 + du / 2.0) if j - n2 == i else big
-    for i in range(n1, size):
-        for j, v in enumerate(nodes2):
-            cost[i][j] = (1.0 + g2.degree(v) / 2.0) if i - n1 == j else big
-        for j in range(n2, size):
-            cost[i][j] = 0.0
+    labels1 = [node_label(g1, u) for u in nodes1]
+    labels2 = [node_label(g2, v) for v in nodes2]
+    degrees1 = [g1.degree(u) for u in nodes1]
+    degrees2 = [g2.degree(v) for v in nodes2]
+    cost: list[list[float]] = []
+    for i, (label, du) in enumerate(zip(labels1, degrees1)):
+        # substituting u: label mismatch + half the degree difference
+        # (the local edge-structure estimate); then deleting u, allowed
+        # in u's own column of the deletion block only
+        row = [(0.0 if label == other else 1.0) + abs(du - dv) / 2.0
+               for other, dv in zip(labels2, degrees2)]
+        row.extend([big] * n1)
+        row[n2 + i] = 1.0 + du / 2.0
+        cost.append(row)
+    for i, dv in enumerate(degrees2):
+        # inserting v, allowed in v's own column only; then the zero
+        # dummy block
+        row = [big] * n2
+        row[i] = 1.0 + dv / 2.0
+        row.extend([0.0] * n1)
+        cost.append(row)
     assignment, __ = hungarian(cost)
     mapping: dict[Node, Node | None] = {}
     for i, u in enumerate(nodes1):

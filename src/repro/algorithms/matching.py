@@ -21,7 +21,8 @@ def hungarian(cost: Sequence[Sequence[float]]) -> tuple[list[int], float]:
     ``i`` is left unassigned; ``total`` sums the assigned entries.
     ``min(n_rows, n_cols)`` assignments are always made.
 
-    Implements the O(n^2 m) potentials/augmenting-path formulation.
+    Implements the O(n^2 m) potentials/augmenting-path formulation, as
+    plain lists: at N around 50 a numpy column scan was twice as slow.
     """
     n = len(cost)
     if n == 0:
@@ -47,31 +48,36 @@ def hungarian(cost: Sequence[Sequence[float]]) -> tuple[list[int], float]:
         p[0] = i
         j0 = 0
         minv = [INF] * (m + 1)
-        used = [False] * (m + 1)
+        # columns off the alternating tree (ascending, so the first
+        # minimum wins ties) and on it (column 0 is the root's slot)
+        free = list(range(1, m + 1))
+        used = [0]
         while True:
-            used[j0] = True
             i0 = p[j0]
+            row = cost[i0 - 1]
+            ui = u[i0]
             delta = INF
             j1 = 0
-            for j in range(1, m + 1):
-                if used[j]:
-                    continue
-                cur = cost[i0 - 1][j - 1] - u[i0] - v[j]
+            for j in free:
+                cur = row[j - 1] - ui - v[j]
                 if cur < minv[j]:
                     minv[j] = cur
                     way[j] = j0
                 if minv[j] < delta:
                     delta = minv[j]
                     j1 = j
-            for j in range(m + 1):
-                if used[j]:
-                    u[p[j]] += delta
-                    v[j] -= delta
-                else:
-                    minv[j] -= delta
+            if j1 == 0:
+                raise ValueError("cost matrix admits no finite assignment")
+            for j in used:
+                u[p[j]] += delta
+                v[j] -= delta
+            for j in free:
+                minv[j] -= delta
             j0 = j1
             if p[j0] == 0:
                 break
+            free.remove(j0)
+            used.append(j0)
         while j0 != 0:
             j1 = way[j0]
             p[j0] = p[j1]

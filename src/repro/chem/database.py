@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 from ..errors import ChatGraphError
 from ..algorithms.ged import graph_edit_distance
+from ..graphs.graph import Graph
 from ..algorithms.similarity import (
     wl_histogram_similarity,
     wl_histograms,
@@ -91,8 +92,9 @@ class MoleculeDatabase:
 
     def __init__(self) -> None:
         self._molecules: dict[str, Molecule] = {}
-        # WL histograms are pure functions of each molecule; caching them
-        # makes repeated similarity searches O(1) per database entry
+        # each entry's graph and WL histograms, built on first search:
+        # entries are never replaced, so neither goes stale
+        self._graph_cache: dict[str, Graph] = {}
         self._wl_cache: dict[str, object] = {}
         # canonical-SMILES -> name, rebuilt lazily when entries change
         self._canonical_cache: dict[str, str] = {}
@@ -153,6 +155,12 @@ class MoleculeDatabase:
                 for name, mol in self._molecules.items()}
         return self._canonical_cache.get(key)
 
+    def _graph(self, name: str) -> Graph:
+        graph = self._graph_cache.get(name)
+        if graph is None:
+            graph = self._graph_cache[name] = self._molecules[name].to_graph()
+        return graph
+
     def similarity_search(self, query: Molecule, k: int = 2,
                           method: str = "wl",
                           shortlist: int = 10) -> list[SimilarityHit]:
@@ -166,10 +174,10 @@ class MoleculeDatabase:
         query_graph = query.to_graph()
         query_hist = wl_histograms(query_graph)
         scored: list[tuple[float, str]] = []
-        for name, mol in self._molecules.items():
+        for name in self._molecules:
             hist = self._wl_cache.get(name)
             if hist is None:
-                hist = wl_histograms(mol.to_graph())
+                hist = wl_histograms(self._graph(name))
                 self._wl_cache[name] = hist
             sim = wl_histogram_similarity(query_hist, hist)
             scored.append((sim, name))
@@ -180,8 +188,7 @@ class MoleculeDatabase:
                     for sim, name in scored[:k]]
         reranked: list[tuple[float, str]] = []
         for __, name in scored[:max(shortlist, k)]:
-            ged = graph_edit_distance(query_graph,
-                                      self._molecules[name].to_graph())
+            ged = graph_edit_distance(query_graph, self._graph(name))
             reranked.append((1.0 / (1.0 + ged.cost), name))
         reranked.sort(key=lambda pair: (-pair[0], pair[1]))
         return [SimilarityHit(name, self._molecules[name].smiles,

@@ -89,26 +89,12 @@ def h_bond_acceptors(mol: Molecule) -> int:
 
 def rotatable_bonds(mol: Molecule) -> int:
     """Single, non-ring bonds between two non-terminal heavy atoms."""
-    ring_atoms = mol.ring_membership()
-    degree: Counter = Counter()
-    for bond in mol.bonds:
-        degree[bond.u] += 1
-        degree[bond.v] += 1
     count = 0
-    for bond in mol.bonds:
-        if bond.order != 1.0:
-            continue
-        if bond.u in ring_atoms and bond.v in ring_atoms:
-            # conservative: skip bonds fully inside ring systems
-            ring_bond = True
-            from ..algorithms.components import bridges
-            bridge_set = {frozenset(e) for e in bridges(mol.to_graph())}
-            ring_bond = frozenset((bond.u, bond.v)) not in bridge_set
-            if ring_bond:
-                continue
-        if degree[bond.u] < 2 or degree[bond.v] < 2:
-            continue
-        count += 1
+    for bond, is_bridge in zip(mol.bonds, mol.rings().bridge):
+        # a bond is a ring bond iff it is not a bridge
+        if bond.order == 1.0 and is_bridge \
+                and mol.degree(bond.u) >= 2 and mol.degree(bond.v) >= 2:
+            count += 1
     return count
 
 

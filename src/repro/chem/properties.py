@@ -99,18 +99,23 @@ def structural_alerts(mol: Molecule) -> list[str]:
                    if atom.element in ("F", "Cl", "Br", "I"))
     if halogens >= 3:
         alerts.append(f"high halogen load ({halogens})")
-    # three-membered heterocycle (epoxide/aziridine-like strain)
-    graph = mol.to_graph()
-    from ..algorithms.motifs import count_motifs
-    if mol.n_atoms <= 60:
-        tri = count_motifs(graph, 3).get("triangle", 0)
-        if tri > 0:
-            hetero_tri = any(
-                mol.atoms[i].element in ("O", "N", "S")
-                for i in mol.ring_membership())
-            if hetero_tri:
-                alerts.append("strained heterocycle")
+    # three-membered heterocycle (epoxide/aziridine-like strain): a
+    # 3-ring holding O, N or S; each triangle closes over one of its bonds
+    if _hetero_triangle(mol):
+        alerts.append("strained heterocycle")
     return alerts
+
+
+def _hetero_triangle(mol: Molecule) -> bool:
+    """Whether some 3-ring of ``mol`` holds an O, N or S atom."""
+    around = [{index for index, __ in mol.neighbors(atom.index)}
+              for atom in mol.atoms]
+    for bond in mol.bonds:
+        for third in around[bond.u] & around[bond.v]:
+            if any(mol.atoms[index].element in ("O", "N", "S")
+                   for index in (bond.u, bond.v, third)):
+                return True
+    return False
 
 
 def predict_toxicity(mol: Molecule) -> PropertyPrediction:

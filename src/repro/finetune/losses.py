@@ -19,7 +19,7 @@ chains ChatGraph generates in practice.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
 
 from ..algorithms.matching import hungarian
 
@@ -98,6 +98,30 @@ def min_matching_loss(generated: Chain, truths: Sequence[Chain],
         raise ValueError("need at least one ground-truth chain")
     return min(node_matching_loss(generated, truth, alpha)
                for truth in truths)
+
+
+def memoised_matching_loss() -> Callable[[Chain, Sequence[Chain], float],
+                                          float]:
+    """:func:`min_matching_loss` with a memo of its own.
+
+    The matching objective re-scores the same (chain, truths) pairs many
+    times over one training run (the rollouts of neighbouring candidates
+    and steps complete to the same chains), so :meth:`Finetuner.train`
+    takes one per call.  ``truths`` must be hashable, as a
+    :class:`~repro.llm.chain_model.TrainingExample`'s ``target_chains``
+    tuple is.
+    """
+    memo: dict[tuple[tuple[str, ...], Sequence[Chain], float], float] = {}
+
+    def loss(generated: Chain, truths: Sequence[Chain],
+             alpha: float = 1.0) -> float:
+        key = (tuple(generated), truths, alpha)
+        value = memo.get(key)
+        if value is None:
+            value = memo[key] = min_matching_loss(generated, truths, alpha)
+        return value
+
+    return loss
 
 
 def chain_ged(generated: Chain, truth: Chain) -> float:

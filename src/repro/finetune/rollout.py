@@ -19,7 +19,7 @@ order, which keeps the ``rng`` draw stream of sampling each in turn.
 from __future__ import annotations
 
 import random
-from typing import Sequence
+from typing import Callable, Sequence
 
 from ..errors import ModelError
 from ..llm.chain_model import (
@@ -39,7 +39,9 @@ def score_candidates(model: ChainLanguageModel, state: GenerationState,
                      alpha: float = 1.0, max_length: int = 8,
                      temperature: float = 1.0,
                      rng: random.Random | None = None,
-                     greedy_anchor: bool = True) -> dict[str, float]:
+                     greedy_anchor: bool = True,
+                     loss: Callable[[Chain, Sequence[Chain], float], float]
+                     = min_matching_loss) -> dict[str, float]:
     """Best rollout loss per candidate next API (lower is better).
 
     EOS is scored too (as the loss of stopping here), under the key
@@ -47,7 +49,8 @@ def score_candidates(model: ChainLanguageModel, state: GenerationState,
     completions: the stop-now completion, optionally the model's greedy
     completion (``greedy_anchor``, a stabilizer the trainer keeps on),
     and ``rollouts`` random completions — the paper's pure scheme is
-    ``greedy_anchor=False`` with random rollouts only.
+    ``greedy_anchor=False`` with random rollouts only.  ``loss`` is the
+    Def. 1 loss (the trainer passes a memoised one).
     """
     rng = rng or random.Random(0)
     scorer = BatchScorer(model, [state])
@@ -71,11 +74,11 @@ def score_candidates(model: ChainLanguageModel, state: GenerationState,
                                                 remaining, rng))
         for completion in completions:
             full = prefix + [name] + completion
-            best = min(best, min_matching_loss(full, truths, alpha))
+            best = min(best, loss(full, truths, alpha))
             if best == 0.0:
                 break
         scores[name] = best
-    scores[EOS] = min_matching_loss(prefix, truths, alpha)
+    scores[EOS] = loss(prefix, truths, alpha)
     return scores
 
 

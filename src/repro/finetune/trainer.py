@@ -15,11 +15,12 @@ import math
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 from ..config import FinetuneConfig
 from ..errors import FinetuneError
 from ..llm.chain_model import ChainLanguageModel, TrainingExample
+from .losses import memoised_matching_loss
 from .metrics import ChainMetrics, evaluate_model
 from .rollout import score_candidates
 
@@ -76,6 +77,7 @@ class Finetuner:
         order = ([self.model.compile_chain(example)
                   for example in train_examples]
                  if objective == "token" else list(train_examples))
+        loss = memoised_matching_loss()
         for epoch in range(self.config.epochs):
             rng.shuffle(order)
             epoch_loss = 0.0
@@ -84,7 +86,7 @@ class Finetuner:
                     epoch_loss += self.model.train_compiled(
                         item, self.config.learning_rate)
                 else:
-                    epoch_loss += self._matching_step(item, rng)
+                    epoch_loss += self._matching_step(item, rng, loss)
             report.train_losses.append(epoch_loss / len(order))
             if eval_examples:
                 report.eval_history.append(
@@ -94,8 +96,8 @@ class Finetuner:
         return report
 
     # ------------------------------------------------------------------
-    def _matching_step(self, example: TrainingExample,
-                       rng: random.Random) -> float:
+    def _matching_step(self, example: TrainingExample, rng: random.Random,
+                       loss: Callable[..., float]) -> float:
         """One example under the matching + rollout objective."""
         config = self.config
         state = example.state()
@@ -106,7 +108,7 @@ class Finetuner:
             scores = score_candidates(
                 self.model, state, example.target_chains,
                 rollouts=config.rollouts, alpha=config.alpha,
-                max_length=max_length, rng=rng)
+                max_length=max_length, rng=rng, loss=loss)
             weights = _scores_to_weights(scores)
             total_loss += self.model.train_weighted_step(
                 state, weights, config.learning_rate)

@@ -129,13 +129,17 @@ class Graph:
         return iter(self._nodes)
 
     def edges(self) -> Iterator[tuple[Node, Node]]:
-        """Iterate over edges, each reported once as ``(u, v)``."""
-        seen: set[tuple[Node, Node]] = set()
+        """Iterate over edges, each reported once as ``(u, v)``.
+
+        An edge is reported from whichever endpoint the walk over nodes
+        (in insertion order) reaches first.
+        """
+        walked: set[Node] = set()
         for u, nbrs in self._adj.items():
             for v in nbrs:
-                if (v, u) not in seen:
-                    seen.add((u, v))
+                if v not in walked:
                     yield (u, v)
+            walked.add(u)
 
     def neighbors(self, node: Node) -> Iterator[Node]:
         """Iterate over the neighbors of ``node``."""

@@ -130,3 +130,16 @@ def label_propagation(graph: Graph, max_iter: int = 100,
     for node, label in labels.items():
         groups.setdefault(label, set()).add(node)
     return sorted(groups.values(), key=len, reverse=True)
+
+
+def graph_edges(graph: Graph) -> list[tuple[Node, Node]]:
+    """``Graph.edges`` before it walked nodes instead of hashing pairs:
+    each undirected edge once, deduplicated by a set of ``(u, v)``."""
+    out = []
+    seen: set[tuple[Node, Node]] = set()
+    for u, nbrs in graph._adj.items():
+        for v in nbrs:
+            if (v, u) not in seen:
+                seen.add((u, v))
+                out.append((u, v))
+    return out

@@ -60,6 +60,12 @@ class TestHungarian:
         with pytest.raises(ValueError):
             hungarian([[1, 2], [3]])
 
+    def test_no_finite_assignment_raises(self):
+        # a row with no finite cost used to spin forever
+        inf = float("inf")
+        with pytest.raises(ValueError, match="no finite assignment"):
+            hungarian([[inf, inf], [1.0, 2.0]])
+
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_scipy(self, seed):
         rng = np.random.default_rng(seed)

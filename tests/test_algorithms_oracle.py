@@ -48,6 +48,23 @@ SHAPES = st.tuples(st.integers(0, 40),
 
 
 @given(seed=st.integers(0, 2 ** 32 - 1), shape=SHAPES,
+       loops=st.booleans(), isolated=st.integers(0, 3),
+       removed=st.integers(0, 5))
+@settings(max_examples=300, deadline=None, print_blob=True)
+def test_graph_edges_keep_their_sequence(seed, shape, loops, isolated,
+                                         removed):
+    graph = random_graph(seed, *shape, False, loops, isolated)
+    rng = random.Random(seed)
+    nodes = list(graph.nodes())
+    for node in rng.sample(nodes, min(removed, len(nodes))):
+        graph.remove_node(node)
+    edges = oracle.graph_edges(graph)
+    for u, v in rng.sample(edges, min(removed, len(edges))):
+        graph.remove_edge(u, v)
+    assert list(graph.edges()) == oracle.graph_edges(graph)
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), shape=SHAPES,
        directed=st.booleans(), loops=st.booleans(),
        isolated=st.integers(0, 3),
        damping=st.sampled_from((0.5, 0.85, 0.99)))

@@ -100,11 +100,24 @@ class TestProperties:
         alerts = structural_alerts(parse_smiles("ClC(Cl)Cl"))
         assert any("halogen" in a for a in alerts)
 
+    @pytest.mark.parametrize("smiles,alert", [
+        ("C1CO1", True),            # epoxide
+        ("C1CN1", True),            # aziridine
+        ("C1CC1", False),           # cyclopropane: no heteroatom
+        # cyclopropylpyridine: the N is on the 6-ring, not the 3-ring
+        ("C1CC1c1ccncc1", False),
+    ])
+    def test_strained_heterocycle_needs_a_hetero_3_ring(self, smiles, alert):
+        alerts = structural_alerts(parse_smiles(smiles))
+        assert ("strained heterocycle" in alerts) is alert
+
     def test_clean_molecule_no_alerts(self):
         assert structural_alerts(parse_smiles("CCO")) == []
 
     def test_toxicity_classes(self):
         assert predict_toxicity(parse_smiles("CCO")).value == "low"
+        # an all-carbon 3-ring beside a pyridine raises no alert
+        assert predict_toxicity(parse_smiles("C1CC1c1ccncc1")).value == "low"
         tnt = parse_smiles("Cc1c(N(=O)=O)cc(N(=O)=O)cc1N(=O)=O")
         assert predict_toxicity(tnt).value == "high"
 
