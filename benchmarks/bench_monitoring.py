@@ -8,6 +8,7 @@ overhead monitoring adds.
 
 from __future__ import annotations
 
+import statistics
 import time
 
 import pytest
@@ -15,7 +16,7 @@ import pytest
 from repro import ChatSession
 from repro.apis import APIChain, ChainContext
 from repro.core import ChainMonitor, run_chain_monitoring
-from repro.graphs import social_network
+from repro.graphs import Graph, social_network
 
 CHAINS = {
     2: ["predict_graph_type", "graph_summary"],
@@ -51,9 +52,19 @@ def test_event_completeness(chatgraph, report_table, benchmark):
         assert monitor.progress == 1.0
     report_table("E5-monitoring-events", *rows)
 
+    # each round on a fresh copy: rounds on one graph object would time
+    # the topology memo its first round filled
     chain = APIChain.from_names(CHAINS[4])
-    benchmark(lambda: chatgraph.executor.execute(
-        chain, ChainContext(graph=graph)))
+    benchmark.pedantic(
+        lambda fresh: chatgraph.executor.execute(
+            chain, ChainContext(graph=fresh)),
+        setup=lambda: ((graph.copy(),), {}), rounds=20)
+
+
+#: Paired runs behind the E5 overhead line: the median and quartiles
+#: of a per-pair ratio, since one pair on a shared host read anywhere
+#: from -14% to +1% between regenerations.
+PAIRS = 21
 
 
 def test_monitoring_overhead(chatgraph, report_table, benchmark):
@@ -61,32 +72,47 @@ def test_monitoring_overhead(chatgraph, report_table, benchmark):
     graph = social_network(60, 4, seed=9)
     chain = APIChain.from_names(CHAINS[6])
 
-    def run(with_monitor: bool) -> float:
+    def run(with_monitor: bool, fresh: Graph) -> float:
         monitor = ChainMonitor()
         if with_monitor:
             chatgraph.executor.add_listener(monitor)
         start = time.perf_counter()
         try:
-            for __ in range(5):
-                chatgraph.executor.execute(chain,
-                                           ChainContext(graph=graph))
+            chatgraph.executor.execute(chain, ChainContext(graph=fresh))
         finally:
             if with_monitor:
                 chatgraph.executor.remove_listener(monitor)
-        return (time.perf_counter() - start) / 5
+        return time.perf_counter() - start
 
-    bare = run(False)
-    monitored = run(True)
-    overhead = (monitored - bare) / bare * 100
+    # every run gets a fresh copy (untimed): the steps' topology results
+    # are memoised on the graph object, and a run served from what an
+    # earlier run left there would time memo hits
+    run(False, graph.copy())  # lazy imports and first calls out of the way
+    bare, monitored, ratios = [], [], []
+    for pair in range(PAIRS):
+        # alternate which side goes first, so drift favours neither
+        order = (False, True) if pair % 2 == 0 else (True, False)
+        times = {side: run(side, graph.copy()) for side in order}
+        bare.append(times[False])
+        monitored.append(times[True])
+        ratios.append((times[True] - times[False]) / times[False] * 100)
+    b1, b2, b3 = statistics.quantiles(bare, n=4)
+    m1, m2, m3 = statistics.quantiles(monitored, n=4)
+    r1, r2, r3 = statistics.quantiles(ratios, n=4)
     report_table(
         "E5-monitoring-overhead",
-        f"execution without monitor: {bare * 1e3:.2f} ms",
-        f"execution with monitor:    {monitored * 1e3:.2f} ms",
-        f"overhead: {overhead:+.1f}%",
+        f"{PAIRS} alternating pairs, each run on a fresh copy of the graph;"
+        f" median (q1 .. q3)",
+        f"execution without monitor: {b2 * 1e3:.2f} ms "
+        f"({b1 * 1e3:.2f} .. {b3 * 1e3:.2f})",
+        f"execution with monitor:    {m2 * 1e3:.2f} ms "
+        f"({m1 * 1e3:.2f} .. {m3 * 1e3:.2f})",
+        f"overhead per pair: {r2:+.1f}% ({r1:+.1f}% .. {r3:+.1f}%)",
     )
-    assert monitored < bare * 2  # monitoring is cheap
+    assert m2 < b2 * 2  # monitoring is cheap
 
-    benchmark(lambda: run(True))
+    benchmark.pedantic(run, setup=lambda: ((True, graph.copy()), {}),
+                       rounds=20)
 
 
 def test_edit_round_trip(chatgraph, report_table, benchmark):

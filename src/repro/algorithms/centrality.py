@@ -89,13 +89,24 @@ def pagerank(graph: Graph, damping: float = 0.85, max_iter: int = 100,
     pseudo-arc per node carrying that term, and the real arcs follow in
     source order.  The two scalar reductions go through Python ``sum``
     — numpy's pairwise ``.sum()`` would round differently.
+
+    The ranks are memoised on the graph's view (one slot, the last
+    ``damping`` / ``max_iter`` / ``tol``); each call returns a new dict.
     """
     if not 0.0 < damping < 1.0:
         raise GraphError("damping must be in (0, 1)")
     view = TopologyView.of(graph)
+    rank = view.memo("pagerank", (damping, max_iter, tol),
+                     lambda: _pagerank(view, damping, max_iter, tol))
+    return dict(zip(view.nodes, rank.tolist()))
+
+
+def _pagerank(view: TopologyView, damping: float, max_iter: int,
+              tol: float) -> np.ndarray:
+    """The rank of each node id (an empty array for an empty graph)."""
     n = len(view.nodes)
     if n == 0:
-        return {}
+        return np.empty(0)
     out_degree = np.diff(view.indptr)
     dangling = np.flatnonzero(out_degree == 0)
     sources = np.repeat(np.arange(n), out_degree)
@@ -119,4 +130,4 @@ def pagerank(graph: Graph, damping: float = 0.85, max_iter: int = 100,
         rank = nxt
         if err < tol:
             break
-    return dict(zip(view.nodes, rank.tolist()))
+    return rank

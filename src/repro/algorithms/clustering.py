@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..errors import GraphError
 from ..graphs.graph import DiGraph, Graph, Node
 from ..graphs.topology import TopologyView, neighbor_sets
@@ -9,14 +11,25 @@ from ..graphs.topology import TopologyView, neighbor_sets
 
 def _triangles_and_degrees(graph: Graph) -> tuple[TopologyView, list[int],
                                                   list[int]]:
-    """Per node id: triangles through it and its loop-free degree."""
+    """Per node id: triangles through it and its loop-free degree.
+
+    Counted once per view (see :meth:`TopologyView.memo`); the lists
+    are new on every call.
+    """
     if isinstance(graph, DiGraph):
         raise GraphError("clustering metrics require an undirected graph")
     view = TopologyView.of(graph)
+    counts, degrees = view.memo("triangles", (),
+                                lambda: _count_triangles(view))
+    return view, counts.tolist(), degrees.tolist()
+
+
+def _count_triangles(view: TopologyView) -> tuple[np.ndarray, np.ndarray]:
     sets = neighbor_sets(view.adj)
-    counts = [sum(len(nbrs & sets[other]) for other in nbrs) // 2
-              for nbrs in sets]
-    return view, counts, list(map(len, sets))
+    n = len(sets)
+    counts = np.fromiter((sum(len(nbrs & sets[other]) for other in nbrs)
+                          // 2 for nbrs in sets), dtype=np.intp, count=n)
+    return counts, np.fromiter(map(len, sets), dtype=np.intp, count=n)
 
 
 def triangles(graph: Graph) -> dict[Node, int]:

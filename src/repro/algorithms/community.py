@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from ..errors import GraphError
 from ..graphs.graph import DiGraph, Graph, Node
 from ..graphs.topology import TopologyView
@@ -56,12 +58,24 @@ def label_propagation(graph: Graph, max_iter: int = 100,
     """Asynchronous label propagation (Raghavan et al.).
 
     Deterministic given ``seed``.  Returns the communities sorted by size
-    (largest first).
+    (largest first).  The final labels are memoised on the graph's view
+    (one slot, the last ``max_iter`` / ``seed``); the sets are built
+    afresh on every call, members added in node order.
     """
     _require_undirected(graph)
-    rng = random.Random(seed)
     view = TopologyView.of(graph)
-    rows = view.adj
+    labels = view.memo("label_propagation", (max_iter, seed),
+                       lambda: _propagate(view.adj, max_iter, seed))
+    groups: dict[int, set[Node]] = {}
+    for node, label in zip(view.nodes, labels.tolist()):
+        groups.setdefault(label, set()).add(node)
+    return sorted(groups.values(), key=len, reverse=True)
+
+
+def _propagate(rows: tuple[tuple[int, ...], ...], max_iter: int,
+               seed: int) -> np.ndarray:
+    """The final label of each node id."""
+    rng = random.Random(seed)
     labels = list(range(len(rows)))
     order = list(range(len(rows)))
     for __ in range(max_iter):
@@ -83,28 +97,49 @@ def label_propagation(graph: Graph, max_iter: int = 100,
                 changed = True
         if not changed:
             break
-    groups: dict[int, set[Node]] = {}
-    for node, label in zip(view.nodes, labels):
-        groups.setdefault(label, set()).add(node)
-    return sorted(groups.values(), key=len, reverse=True)
+    return np.array(labels, dtype=np.intp)
+
+
+def label_propagation_modularity(graph: Graph, max_iter: int = 100,
+                                 seed: int = 0) -> float:
+    """``modularity(graph, label_propagation(graph, max_iter, seed))``,
+    memoised on the graph's view beside the labels it scores."""
+    _require_undirected(graph)
+    return TopologyView.of(graph).memo(
+        "label_propagation_modularity", (max_iter, seed),
+        lambda: modularity(graph, label_propagation(graph, max_iter, seed)))
 
 
 def greedy_modularity_communities(graph: Graph) -> list[set[Node]]:
     """CNM-style greedy agglomeration: merge the pair of communities with
     the best modularity gain until no merge improves Q.
 
-    Returns communities sorted by size (largest first).
+    Returns communities sorted by size (largest first).  The merges are
+    memoised on the graph's view; every call replays them on fresh
+    singleton sets, so each set is built as the search built it.
     """
     _require_undirected(graph)
+    view = TopologyView.of(graph)
+    merges = view.memo("greedy_modularity", (), lambda: _greedy_merges(graph))
+    communities = {i: {node} for i, node in enumerate(view.nodes)}
+    for i, j in merges.tolist():
+        communities[i] |= communities.pop(j)
+    return sorted(communities.values(), key=len, reverse=True)
+
+
+def _greedy_merges(graph: Graph) -> np.ndarray:
+    """The ``(kept, absorbed)`` community ids of each merge, in order;
+    community ``i`` starts as the ``i``-th node alone."""
     m = graph.number_of_edges()
+    merges: list[tuple[int, int]] = []
     if m == 0:
-        return [{node} for node in graph.nodes()]
-    communities: dict[int, set[Node]] = {
-        i: {node} for i, node in enumerate(graph.nodes())}
+        return np.empty((0, 2), dtype=np.intp)
+    # a dict, not a set: the search breaks ties in id order
+    alive = dict.fromkeys(range(graph.number_of_nodes()))
     membership = {node: i for i, node in enumerate(graph.nodes())}
     # e[i][j]: number of edges between communities i and j
-    e: dict[int, dict[int, int]] = {i: {} for i in communities}
-    a: dict[int, int] = {i: 0 for i in communities}  # degree sums
+    e: dict[int, dict[int, int]] = {i: {} for i in alive}
+    a: dict[int, int] = {i: 0 for i in alive}  # degree sums
     for u, v in graph.edges():
         cu, cv = membership[u], membership[v]
         e[cu][cv] = e[cu].get(cv, 0) + 1
@@ -117,12 +152,12 @@ def greedy_modularity_communities(graph: Graph) -> list[set[Node]]:
         eij = e[i].get(j, 0)
         return eij / m - a[i] * a[j] / (2.0 * m * m)
 
-    while len(communities) > 1:
+    while len(alive) > 1:
         best_pair = None
         best_gain = 1e-12  # only strictly positive merges
-        for i in communities:
+        for i in alive:
             for j in e[i]:
-                if j <= i or j not in communities:
+                if j <= i or j not in alive:
                     continue
                 g = gain(i, j)
                 if g > best_gain:
@@ -131,12 +166,12 @@ def greedy_modularity_communities(graph: Graph) -> list[set[Node]]:
         if best_pair is None:
             break
         i, j = best_pair
-        communities[i] |= communities.pop(j)
+        merges.append(best_pair)
+        del alive[j]
         a[i] += a.pop(j)
         for k, count in e.pop(j).items():
             if k == j:
                 continue
-            target = i if k == i else k
             if k == i:
                 e[i][i] = e[i].get(i, 0) + count
                 e[i].pop(j, None)
@@ -145,4 +180,4 @@ def greedy_modularity_communities(graph: Graph) -> list[set[Node]]:
                 e[k][i] = e[i][k]
                 e[k].pop(j, None)
         e[i].pop(j, None)
-    return sorted(communities.values(), key=len, reverse=True)
+    return np.array(merges, dtype=np.intp).reshape(-1, 2)

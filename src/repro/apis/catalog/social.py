@@ -10,6 +10,7 @@ from ...algorithms import (
     bridges,
     greedy_modularity_communities,
     label_propagation,
+    label_propagation_modularity,
     modularity,
     pagerank,
 )
@@ -32,18 +33,21 @@ def detect_communities(context: ChainContext, method: str = "label_prop",
     graph = _social_graph(context)
     if method == "label_prop":
         communities = label_propagation(graph, seed=seed)
+        score = label_propagation_modularity(graph, seed=seed)
     elif method == "greedy_modularity":
         communities = greedy_modularity_communities(graph)
+        score = modularity(graph, communities)
     elif method == "spectral":
         from ...algorithms import spectral_communities
         communities = spectral_communities(graph, k=k)
+        score = modularity(graph, communities)
     else:
         raise APIError(f"unknown community method {method!r}")
     return {
         "method": method,
         "n_communities": len(communities),
         "sizes": sorted((len(c) for c in communities), reverse=True),
-        "modularity": round(modularity(graph, communities), 4),
+        "modularity": round(score, 4),
         "communities": [sorted(c, key=repr) for c in communities],
     }
 

@@ -93,6 +93,14 @@ def parse_smiles(smiles: str, name: str = "") -> Molecule:
                 raise SmilesError(smiles, "ring closure before any atom")
             if ring_id in ring_bonds:
                 other, opening_bond = ring_bonds.pop(ring_id)
+                if other == prev_atom:
+                    raise SmilesError(
+                        smiles, f"ring closure {ring_id} onto its own atom")
+                if any(atom == other
+                       for atom, __ in mol.neighbors(prev_atom)):
+                    raise SmilesError(
+                        smiles,
+                        f"ring closure {ring_id} onto an existing bond")
                 order = pending_bond if pending_bond is not None \
                     else opening_bond
                 if order is None:

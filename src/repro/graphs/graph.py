@@ -7,15 +7,20 @@ predecessor adjacency.  The representation is a dict-of-dicts adjacency,
 so neighbor iteration and membership tests are O(1) amortized.
 
 Every change of *topology* (a node or an edge appearing or going) bumps
-:attr:`Graph.topology_stamp`; forms derived from the topology alone are
-memoised on the graph under it (see :mod:`repro.graphs.topology`).
-Attribute writes do not bump it: ``node_attrs`` / ``edge_attrs`` hand
-out the live dicts, so nothing that reads attributes may be memoised
-under the stamp.
+:attr:`Graph.topology_stamp`.  The graph memoises its
+:class:`~repro.graphs.topology.TopologyView` under the stamp, and the
+view in turn memoises what the algorithms compute from the topology
+alone (PageRank, label propagation, triangles, ...), so a graph asked
+about turn after turn is analysed once per topology.  Attribute writes
+do not bump the stamp: ``node_attrs`` / ``edge_attrs`` hand out the live
+dicts, so nothing that reads attributes may be memoised under it.
+``node_attr_dicts`` and ``edge_attr_keys`` read every attribute dict in
+one pass for the scans that need them all.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Any, Hashable, Iterable, Iterator
 
 from ..errors import EdgeNotFoundError, GraphError, NodeNotFoundError
@@ -176,6 +181,17 @@ class Graph:
         if not self.has_edge(u, v):
             raise EdgeNotFoundError(u, v)
         return self._adj[u][v]
+
+    def node_attr_dicts(self) -> Iterator[dict[str, Any]]:
+        """The mutable attribute dict of every node, in node order."""
+        return iter(self._nodes.values())
+
+    def edge_attr_keys(self) -> set[str]:
+        """Every key that some edge's attribute dict holds."""
+        # an undirected edge's dict is read from both its arcs; a set
+        # does not mind
+        return set().union(
+            *chain.from_iterable(map(dict.values, self._adj.values())))
 
     def set_node_attr(self, node: Node, key: str, value: Any) -> None:
         self.node_attrs(node)[key] = value

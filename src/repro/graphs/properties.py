@@ -5,16 +5,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graph import DiGraph, Graph
+from .topology import TopologyView
 
 
 def density(graph: Graph) -> float:
     """Edge density in ``[0, 1]`` (0 for graphs with < 2 nodes)."""
-    n = graph.number_of_nodes()
+    return _density(graph.number_of_nodes(), graph.number_of_edges(),
+                    graph.directed)
+
+
+def _density(n: int, m: int, directed: bool) -> float:
     if n < 2:
         return 0.0
-    m = graph.number_of_edges()
     possible = n * (n - 1)
-    if not graph.directed:
+    if not directed:
         possible //= 2
     return m / possible
 
@@ -57,22 +61,23 @@ class GraphSummary:
 
 
 def summarize(graph: Graph) -> GraphSummary:
-    """Compute a :class:`GraphSummary` for ``graph``."""
-    degrees = [graph.degree(node) for node in graph.nodes()]
-    node_keys: set[str] = set()
-    for node in graph.nodes():
-        node_keys.update(graph.node_attrs(node))
-    edge_keys: set[str] = set()
-    for u, v in graph.edges():
-        edge_keys.update(graph.edge_attrs(u, v))
+    """Compute a :class:`GraphSummary` for ``graph``.
+
+    The degree figures come off the graph's memoised view: the degrees
+    sum to twice the edge count, a self-loop counting twice.
+    """
+    view = TopologyView.of(graph)
+    n, m = len(view.nodes), view.n_edges
+    node_keys: set[str] = set().union(*graph.node_attr_dicts())
+    edge_keys = graph.edge_attr_keys()
     return GraphSummary(
-        n_nodes=graph.number_of_nodes(),
-        n_edges=graph.number_of_edges(),
+        n_nodes=n,
+        n_edges=m,
         directed=isinstance(graph, DiGraph) and graph.directed,
-        density=density(graph),
-        max_degree=max(degrees, default=0),
-        mean_degree=(sum(degrees) / len(degrees)) if degrees else 0.0,
-        n_isolated=sum(1 for d in degrees if d == 0),
+        density=_density(n, m, graph.directed),
+        max_degree=view.max_degree(),
+        mean_degree=2 * m / n if n else 0.0,
+        n_isolated=len(view.isolated),
         node_labels=tuple(sorted(node_keys)),
         edge_labels=tuple(sorted(edge_keys)),
     )

@@ -17,23 +17,37 @@ over the same numbering:
 :meth:`TopologyView.of` is memoised on the graph under
 :attr:`Graph.topology_stamp`: one view is built per topology and shared
 by everything that asks — the sequencer while a chain is proposed, every
-step while it is executed.  The view holds *topology only*.  Attribute
-writes do not move the stamp, so nothing read from ``node_attrs`` /
-``edge_attrs`` belongs here.
+step while it is executed, every later turn on the same graph.  The view
+holds *topology only*.  Attribute writes do not move the stamp, so
+nothing read from ``node_attrs`` / ``edge_attrs`` belongs here.
 
 A view is a *snapshot*: it holds no reference to the graph it was taken
 from, so it can back a cached (shared) result while the graph is edited.
+
+A view also memoises what is computed from the topology alone
+(:meth:`TopologyView.memo`): label propagation and the modularity of its
+partition, greedy modularity, PageRank, triangles and loop-free degrees,
+the largest degree.  Each algorithm has one slot holding its last
+parameters and value, so the memo cannot grow with the parameters a
+caller tries, and the value is kept as int or float arrays; callers
+build fresh containers from it on every call.  The slots live and die
+with the view: an edit of the topology takes a new view with empty
+slots, and since views are memoised per graph *object*, two graphs
+never share a result, however equal their contents.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, chain
+from typing import Any, Callable, TypeVar
 
 import numpy as np
 
 from .graph import DiGraph, Graph, Node
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -49,6 +63,10 @@ class TopologyView:
     #: Ids with ``degree == 0`` (for a directed graph: in + out).
     isolated: frozenset[int]
     n_edges: int
+    #: Algorithm name -> ``(params, value)`` of its last call (see
+    #: :meth:`memo`); not part of the view's equality.
+    _results: dict[str, tuple[Any, Any]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def of(cls, graph: Graph) -> "TopologyView":
@@ -82,6 +100,40 @@ class TopologyView:
         """``adj`` flattened row after row (arc targets in source order)."""
         return np.fromiter(chain.from_iterable(self.adj), dtype=np.intp,
                            count=int(self.indptr[-1]))
+
+    def memo(self, name: str, params: tuple, compute: Callable[[], T]) -> T:
+        """``compute()``, or what it returned when last called with
+        ``params`` under ``name`` on this view.
+
+        ``compute`` must read the topology only, and its value must not
+        be handed out as is: callers build fresh containers from it.
+        A parameter matches by value *and* type (``-1`` and ``-1.0``
+        seed different random streams).  No lock: the slot is one store
+        of an immutable pair, and two threads that miss together compute
+        equal values.
+        """
+        key = tuple(zip(map(type, params), params))
+        slot = self._results.get(name)
+        if slot is not None and slot[0] == key:
+            return slot[1]
+        value = compute()
+        self._results[name] = (key, value)
+        return value
+
+    def max_degree(self) -> int:
+        """Largest :meth:`Graph.degree` (a self-loop counts twice; in +
+        out on a directed graph), 0 on an empty graph."""
+        return self.memo("max_degree", (), self._max_degree)
+
+    def _max_degree(self) -> int:
+        if not self.adj:
+            return 0
+        if self.directed:
+            degrees = np.diff(self.indptr) + np.bincount(
+                self.indices, minlength=len(self.adj))
+            return int(degrees.max())
+        return max(len(row) + (node in row)
+                   for node, row in enumerate(self.adj))
 
     def repr_ranks(self) -> list[int]:
         """Per id, the position of the node's ``repr`` among all nodes'.

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from ..algorithms.clustering import average_clustering
 from ..apis.registry import Category
 from ..graphs.graph import DiGraph, Graph
+from ..graphs.topology import TopologyView
 from ..chem.elements import ELEMENTS
 from ..embedding.tokenizer import tokenize
 
@@ -51,7 +52,12 @@ class GraphTypePredictor:
         scores = {t: 0.0 for t in GRAPH_TYPES}
         evidence: list[str] = []
 
-        kinds = {graph.get_node_attr(node, "kind") for node in graph.nodes()}
+        kinds: set = set()
+        elements: set = set()
+        for attrs in graph.node_attr_dicts():
+            kinds.add(attrs.get("kind"))
+            elements.add(attrs.get("element"))
+        elements.discard(None)
         # attribute signals are near-decisive when present
         if "atom" in kinds:
             scores["molecule"] += 3.0
@@ -62,14 +68,10 @@ class GraphTypePredictor:
         if "entity" in kinds:
             scores["knowledge"] += 3.0
             evidence.append("nodes carry kind='entity'")
-        elements = {graph.get_node_attr(node, "element")
-                    for node in graph.nodes()} - {None}
         if elements and all(e in ELEMENTS for e in elements):
             scores["molecule"] += 2.0
             evidence.append(f"element labels {sorted(elements)[:4]}")
-        has_relations = any("relation" in graph.edge_attrs(u, v)
-                            for u, v in graph.edges())
-        if has_relations:
+        if "relation" in graph.edge_attr_keys():
             scores["knowledge"] += 2.0
             evidence.append("edges carry relation labels")
 
@@ -78,10 +80,10 @@ class GraphTypePredictor:
             scores["knowledge"] += 1.0
             evidence.append("directed")
         else:
-            n = graph.number_of_nodes()
-            if n and graph.number_of_edges() > 0:
-                degrees = [graph.degree(node) for node in graph.nodes()]
-                max_degree = max(degrees)
+            view = TopologyView.of(graph)
+            n = len(view.nodes)
+            if n and view.n_edges > 0:
+                max_degree = view.max_degree()
                 if 0 < max_degree <= 4:
                     scores["molecule"] += 1.0
                     evidence.append("max degree <= 4 (valence-like)")

@@ -80,6 +80,29 @@ class TestParser:
         with pytest.raises(SmilesError):
             parse_smiles(bad)
 
+    @pytest.mark.parametrize("bad,why", [
+        ("C1C1", "existing bond"), ("C1=C1", "existing bond"),
+        ("CC1C1", "existing bond"), ("C12CC12", "existing bond"),
+        ("C11", "own atom"), ("C%11%11", "own atom"),
+    ])
+    def test_ring_closure_must_add_a_new_bond(self, bad, why):
+        # a closure onto a bonded pair would be a second bond between
+        # them, and one onto its own atom a self-loop
+        with pytest.raises(SmilesError, match=why):
+            parse_smiles(bad)
+
+    @pytest.mark.parametrize("smiles,atoms,bonds,rings", [
+        ("C1CC1", 3, 3, 1), ("C12CC1C2", 4, 5, 2), ("C1CC2CC1C2", 6, 7, 2),
+        ("C1CCCCC1C1CC1", 9, 10, 2), ("c1ccccc1", 6, 6, 1),
+    ])
+    def test_valid_ring_closures_still_parse(self, smiles, atoms, bonds,
+                                             rings):
+        mol = parse_smiles(smiles)
+        assert (mol.n_atoms, mol.n_bonds, mol.ring_count()) == (
+            atoms, bonds, rings)
+        pairs = [frozenset((bond.u, bond.v)) for bond in mol.bonds]
+        assert len(set(pairs)) == len(pairs)
+
 
 class TestWriter:
     @pytest.mark.parametrize("name", sorted(BUILTIN_LIBRARY))

@@ -142,6 +142,22 @@ class TestGraphQueries:
         with pytest.raises(TypeError):
             hash(Graph())
 
+    @pytest.mark.parametrize("cls", [Graph, DiGraph])
+    def test_attribute_scans_read_the_live_dicts(self, cls):
+        g = cls()
+        g.add_node("a", kind="person")
+        g.add_node("b")
+        g.add_edge("a", "b", relation="knows")
+        g.add_edge("b", "b", weight=2)
+        g.add_edge("b", "c")
+        assert list(g.node_attr_dicts()) == [
+            g.node_attrs(node) for node in g.nodes()]
+        assert next(g.node_attr_dicts()) is g.node_attrs("a")
+        assert g.edge_attr_keys() == {"relation", "weight"}
+        g.edge_attrs("b", "c")["seen"] = True
+        assert g.edge_attr_keys() == {"relation", "weight", "seen"}
+        assert cls().edge_attr_keys() == set()
+
 
 class TestGraphDerived:
     def test_copy_is_deep_for_attrs(self):
