@@ -35,12 +35,7 @@ from .clustering import (
     transitivity,
     triangles,
 )
-from .community import (
-    greedy_modularity_communities,
-    label_propagation,
-    label_propagation_modularity,
-    modularity,
-)
+from .community import greedy_modularity_communities, label_propagation, modularity
 from .cores import core_number, k_core
 from .spectral import fiedler_vector, spectral_bisection, spectral_communities
 from .motifs import count_motifs, find_cliques, motif_census, triangle_count
@@ -71,8 +66,7 @@ __all__ = [
     "pagerank",
     "average_clustering", "clustering_coefficient", "transitivity",
     "triangles",
-    "greedy_modularity_communities", "label_propagation",
-    "label_propagation_modularity", "modularity",
+    "greedy_modularity_communities", "label_propagation", "modularity",
     "core_number", "k_core",
     "fiedler_vector", "spectral_bisection", "spectral_communities",
     "count_motifs", "find_cliques", "motif_census", "triangle_count",

@@ -62,18 +62,38 @@ def label_propagation(graph: Graph, max_iter: int = 100,
     (one slot, the last ``max_iter`` / ``seed``); the sets are built
     afresh on every call, members added in node order.
     """
-    _require_undirected(graph)
-    view = TopologyView.of(graph)
-    labels = view.memo("label_propagation", (max_iter, seed),
-                       lambda: _propagate(view.adj, max_iter, seed))
+    view, labels, __ = _label_propagation(graph, max_iter, seed)
     groups: dict[int, set[Node]] = {}
     for node, label in zip(view.nodes, labels.tolist()):
         groups.setdefault(label, set()).add(node)
     return sorted(groups.values(), key=len, reverse=True)
 
 
+def _label_propagation_modularity(graph: Graph, max_iter: int = 100,
+                                  seed: int = 0) -> float:
+    """``modularity(graph, label_propagation(graph, max_iter, seed))``,
+    read from the memo slot that holds the labels."""
+    return _label_propagation(graph, max_iter, seed)[2]
+
+
+def _label_propagation(graph: Graph, max_iter: int,
+                       seed: int) -> tuple[TopologyView, np.ndarray, float]:
+    """The view, the final label of each node id and the modularity of
+    that partition, memoised together in the view's one slot."""
+    _require_undirected(graph)
+    view = TopologyView.of(graph)
+
+    def compute() -> tuple[np.ndarray, float]:
+        labels = _propagate(view.adj, max_iter, seed)
+        return (np.array(labels, dtype=np.intp),
+                _partition_modularity(view, labels))
+
+    labels, score = view.memo("label_propagation", (max_iter, seed), compute)
+    return view, labels, score
+
+
 def _propagate(rows: tuple[tuple[int, ...], ...], max_iter: int,
-               seed: int) -> np.ndarray:
+               seed: int) -> list[int]:
     """The final label of each node id."""
     rng = random.Random(seed)
     labels = list(range(len(rows)))
@@ -97,49 +117,49 @@ def _propagate(rows: tuple[tuple[int, ...], ...], max_iter: int,
                 changed = True
         if not changed:
             break
-    return np.array(labels, dtype=np.intp)
+    return labels
 
 
-def label_propagation_modularity(graph: Graph, max_iter: int = 100,
-                                 seed: int = 0) -> float:
-    """``modularity(graph, label_propagation(graph, max_iter, seed))``,
-    memoised on the graph's view beside the labels it scores."""
-    _require_undirected(graph)
-    return TopologyView.of(graph).memo(
-        "label_propagation_modularity", (max_iter, seed),
-        lambda: modularity(graph, label_propagation(graph, max_iter, seed)))
+def _partition_modularity(view: TopologyView, labels: list[int]) -> float:
+    """:func:`modularity` of the undirected ``view`` split by ``labels``,
+    its terms summed in :func:`label_propagation`'s community order so
+    the float is the same."""
+    m = view.n_edges
+    if m == 0:
+        return 0.0
+    sizes: dict[int, int] = {}  # first-seen order, as the groups are
+    internal: dict[int, int] = {}
+    degree_sum: dict[int, int] = {}
+    for u, row in enumerate(view.adj):
+        label = labels[u]
+        sizes[label] = sizes.get(label, 0) + 1
+        # a self-loop is listed once in its row and counts twice
+        degree_sum[label] = degree_sum.get(label, 0) + len(row) + (u in row)
+        for v in row:
+            if v >= u and labels[v] == label:
+                internal[label] = internal.get(label, 0) + 1
+    q = 0.0
+    for label in sorted(sizes, key=sizes.__getitem__, reverse=True):
+        q += internal.get(label, 0) / m - (degree_sum[label] / (2.0 * m)) ** 2
+    return q
 
 
 def greedy_modularity_communities(graph: Graph) -> list[set[Node]]:
     """CNM-style greedy agglomeration: merge the pair of communities with
     the best modularity gain until no merge improves Q.
 
-    Returns communities sorted by size (largest first).  The merges are
-    memoised on the graph's view; every call replays them on fresh
-    singleton sets, so each set is built as the search built it.
+    Returns communities sorted by size (largest first).
     """
     _require_undirected(graph)
-    view = TopologyView.of(graph)
-    merges = view.memo("greedy_modularity", (), lambda: _greedy_merges(graph))
-    communities = {i: {node} for i, node in enumerate(view.nodes)}
-    for i, j in merges.tolist():
-        communities[i] |= communities.pop(j)
-    return sorted(communities.values(), key=len, reverse=True)
-
-
-def _greedy_merges(graph: Graph) -> np.ndarray:
-    """The ``(kept, absorbed)`` community ids of each merge, in order;
-    community ``i`` starts as the ``i``-th node alone."""
     m = graph.number_of_edges()
-    merges: list[tuple[int, int]] = []
     if m == 0:
-        return np.empty((0, 2), dtype=np.intp)
-    # a dict, not a set: the search breaks ties in id order
-    alive = dict.fromkeys(range(graph.number_of_nodes()))
+        return [{node} for node in graph.nodes()]
+    communities: dict[int, set[Node]] = {
+        i: {node} for i, node in enumerate(graph.nodes())}
     membership = {node: i for i, node in enumerate(graph.nodes())}
     # e[i][j]: number of edges between communities i and j
-    e: dict[int, dict[int, int]] = {i: {} for i in alive}
-    a: dict[int, int] = {i: 0 for i in alive}  # degree sums
+    e: dict[int, dict[int, int]] = {i: {} for i in communities}
+    a: dict[int, int] = {i: 0 for i in communities}  # degree sums
     for u, v in graph.edges():
         cu, cv = membership[u], membership[v]
         e[cu][cv] = e[cu].get(cv, 0) + 1
@@ -152,12 +172,12 @@ def _greedy_merges(graph: Graph) -> np.ndarray:
         eij = e[i].get(j, 0)
         return eij / m - a[i] * a[j] / (2.0 * m * m)
 
-    while len(alive) > 1:
+    while len(communities) > 1:
         best_pair = None
         best_gain = 1e-12  # only strictly positive merges
-        for i in alive:
+        for i in communities:
             for j in e[i]:
-                if j <= i or j not in alive:
+                if j <= i or j not in communities:
                     continue
                 g = gain(i, j)
                 if g > best_gain:
@@ -166,8 +186,7 @@ def _greedy_merges(graph: Graph) -> np.ndarray:
         if best_pair is None:
             break
         i, j = best_pair
-        merges.append(best_pair)
-        del alive[j]
+        communities[i] |= communities.pop(j)
         a[i] += a.pop(j)
         for k, count in e.pop(j).items():
             if k == j:
@@ -180,4 +199,4 @@ def _greedy_merges(graph: Graph) -> np.ndarray:
                 e[k][i] = e[i][k]
                 e[k].pop(j, None)
         e[i].pop(j, None)
-    return np.array(merges, dtype=np.intp).reshape(-1, 2)
+    return sorted(communities.values(), key=len, reverse=True)

@@ -10,10 +10,10 @@ from ...algorithms import (
     bridges,
     greedy_modularity_communities,
     label_propagation,
-    label_propagation_modularity,
     modularity,
     pagerank,
 )
+from ...algorithms.community import _label_propagation_modularity
 from ...errors import APIError
 from ...graphs.graph import DiGraph, Graph
 from ..executor import ChainContext
@@ -33,7 +33,7 @@ def detect_communities(context: ChainContext, method: str = "label_prop",
     graph = _social_graph(context)
     if method == "label_prop":
         communities = label_propagation(graph, seed=seed)
-        score = label_propagation_modularity(graph, seed=seed)
+        score = _label_propagation_modularity(graph, seed=seed)
     elif method == "greedy_modularity":
         communities = greedy_modularity_communities(graph)
         score = modularity(graph, communities)

@@ -75,7 +75,7 @@ def summarize(graph: Graph) -> GraphSummary:
         n_edges=m,
         directed=isinstance(graph, DiGraph) and graph.directed,
         density=_density(n, m, graph.directed),
-        max_degree=view.max_degree(),
+        max_degree=view.max_degree,
         mean_degree=2 * m / n if n else 0.0,
         n_isolated=len(view.isolated),
         node_labels=tuple(sorted(node_keys)),

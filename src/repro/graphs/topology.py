@@ -26,14 +26,14 @@ from, so it can back a cached (shared) result while the graph is edited.
 
 A view also memoises what is computed from the topology alone
 (:meth:`TopologyView.memo`): label propagation and the modularity of its
-partition, greedy modularity, PageRank, triangles and loop-free degrees,
-the largest degree.  Each algorithm has one slot holding its last
-parameters and value, so the memo cannot grow with the parameters a
-caller tries, and the value is kept as int or float arrays; callers
-build fresh containers from it on every call.  The slots live and die
-with the view: an edit of the topology takes a new view with empty
-slots, and since views are memoised per graph *object*, two graphs
-never share a result, however equal their contents.
+partition, PageRank, triangles and loop-free degrees.  Each algorithm
+has one slot holding its last parameters and value, so the memo cannot
+grow with the parameters a caller tries, and the value is kept as int
+or float arrays; callers build fresh containers from it on every call.
+The slots live and die with the view: an edit of the topology takes a
+new view with empty slots, and since views are memoised per graph
+*object*, two graphs never share a result, however equal their
+contents.  The largest degree is a cached property, like ``indptr``.
 """
 
 from __future__ import annotations
@@ -105,8 +105,10 @@ class TopologyView:
         """``compute()``, or what it returned when last called with
         ``params`` under ``name`` on this view.
 
-        ``compute`` must read the topology only, and its value must not
-        be handed out as is: callers build fresh containers from it.
+        ``compute`` must read this view only, never the live graph
+        (which may have been edited since the view was taken), and its
+        value must not be handed out as is: callers build fresh
+        containers from it.
         A parameter matches by value *and* type (``-1`` and ``-1.0``
         seed different random streams).  No lock: the slot is one store
         of an immutable pair, and two threads that miss together compute
@@ -120,12 +122,10 @@ class TopologyView:
         self._results[name] = (key, value)
         return value
 
+    @cached_property
     def max_degree(self) -> int:
         """Largest :meth:`Graph.degree` (a self-loop counts twice; in +
         out on a directed graph), 0 on an empty graph."""
-        return self.memo("max_degree", (), self._max_degree)
-
-    def _max_degree(self) -> int:
         if not self.adj:
             return 0
         if self.directed:

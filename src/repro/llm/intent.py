@@ -83,7 +83,7 @@ class GraphTypePredictor:
             view = TopologyView.of(graph)
             n = len(view.nodes)
             if n and view.n_edges > 0:
-                max_degree = view.max_degree()
+                max_degree = view.max_degree
                 if 0 < max_degree <= 4:
                     scores["molecule"] += 1.0
                     evidence.append("max degree <= 4 (valence-like)")
