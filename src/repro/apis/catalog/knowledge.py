@@ -15,32 +15,36 @@ from ..executor import ChainContext
 from ..registry import APIRegistry, APISpec, Category
 
 
+def _source(context: ChainContext) -> TripleStore | DiGraph:
+    """The caller's ``triple_store`` attachment, else ``context.graph``."""
+    store = context.extras.get("triple_store")
+    if isinstance(store, TripleStore):
+        return store
+    if not isinstance(context.graph, DiGraph):
+        raise APIError("knowledge APIs need a directed knowledge graph")
+    return context.graph
+
+
 def _table(context: ChainContext) -> TripleTable:
-    """The table of the caller's ``triple_store`` attachment, else of
-    ``context.graph``, kept for as long as that object stays (an edit
-    step that changes the graph replaces the object)."""
-    source = context.extras.get("triple_store")
-    if not isinstance(source, TripleStore):
-        source = context.graph
-        if not isinstance(source, DiGraph):
-            raise APIError("knowledge APIs need a directed knowledge graph")
-    derived = context.extras.get("derived_triple_table")
-    if derived is None or derived[0] is not source:
-        derived = (source, TripleTable.from_store(source)
-                   if isinstance(source, TripleStore)
-                   else TripleTable.from_graph(source))
-        context.extras["derived_triple_table"] = derived
-    return derived[1]
+    """The facts the knowledge steps read: memoised on a graph under its
+    content stamp (an edit step that changes the graph replaces the
+    object; a later turn on the unchanged graph reads the same table)."""
+    source = _source(context)
+    if isinstance(source, TripleStore):
+        return TripleTable.from_store(source)
+    return source.content_memo("triple_table",
+                               lambda: TripleTable.from_graph(source))
 
 
 def _inferencer(context: ChainContext) -> KnowledgeInferencer:
-    table = _table(context)
-    cached = context.extras.get("knowledge_inferencer")
-    if isinstance(cached, KnowledgeInferencer) and cached.table is table:
-        return cached
-    inferencer = KnowledgeInferencer.fit(table)
-    context.extras["knowledge_inferencer"] = inferencer
-    return inferencer
+    """The signature and rule fit of :func:`_table`, memoised alike.
+    Steps read it and build fresh results; none hands it out."""
+    source = _source(context)
+    if isinstance(source, TripleStore):
+        return KnowledgeInferencer.fit(source)
+    return source.content_memo(
+        "knowledge_inferencer",
+        lambda: KnowledgeInferencer.fit(_table(context)))
 
 
 def mine_rules(context: ChainContext) -> dict[str, Any]:

@@ -3,10 +3,10 @@
 The paper's configuration screen exposes two groups of parameters:
 
 * framework parameters — for the ANN search (``tau``, ``ef_search``,
-  ``top_k_apis``, ``epsilon``), the graph sequentializer (``path_length``,
+  ``top_k_apis``), the graph sequentializer (``path_length``,
   ``multi_level``), and the finetuning module (``alpha``, ``rollouts``,
   ``epochs``, ``learning_rate``);
-* LLM parameters — model preset name, ``temperature``, ``max_chain_length``,
+* LLM parameters — model preset name, ``max_chain_length``,
   ``beam_width``, and the random ``seed``.
 
 :class:`ChatGraphConfig` groups both, validates every field, and is the
@@ -22,8 +22,9 @@ from typing import Any
 from .errors import ConfigError
 
 #: Model presets accepted by :attr:`LLMConfig.model`.  They mirror the three
-#: LLMs the paper integrates (ChatGLM, MOSS, Vicuna); each preset selects a
-#: different capacity/temperature for the simulated backbone.
+#: LLMs the paper integrates (ChatGLM, MOSS, Vicuna); each preset selects
+#: different learning dynamics (learning rate, L2) for the simulated
+#: backbone.
 MODEL_PRESETS = ("chatglm-sim", "moss-sim", "vicuna-sim")
 
 
@@ -43,8 +44,6 @@ class RetrievalConfig:
     ef_search: int = 32
     #: Number of candidate APIs returned to the LLM.
     top_k_apis: int = 8
-    #: Approximation slack of Def. 2 used by the evaluation harness.
-    epsilon: float = 0.1
     #: Dimensionality of the hashed text-embedding space.
     embedding_dim: int = 128
 
@@ -52,7 +51,6 @@ class RetrievalConfig:
         _require(self.tau >= 0.0, "tau must be >= 0")
         _require(self.ef_search >= 1, "ef_search must be >= 1")
         _require(self.top_k_apis >= 1, "top_k_apis must be >= 1")
-        _require(self.epsilon >= 0.0, "epsilon must be >= 0")
         _require(self.embedding_dim >= 8, "embedding_dim must be >= 8")
 
 
@@ -105,8 +103,6 @@ class LLMConfig:
 
     #: Which preset backbone to use; see :data:`MODEL_PRESETS`.
     model: str = "chatglm-sim"
-    #: Softmax temperature applied during sampling-based decoding.
-    temperature: float = 1.0
     #: Hard cap on generated API-chain length.
     max_chain_length: int = 8
     #: Beam width for beam-search decoding (1 = greedy).
@@ -117,7 +113,6 @@ class LLMConfig:
     def __post_init__(self) -> None:
         _require(self.model in MODEL_PRESETS,
                  f"model must be one of {MODEL_PRESETS}, got {self.model!r}")
-        _require(self.temperature > 0.0, "temperature must be > 0")
         _require(self.max_chain_length >= 1, "max_chain_length must be >= 1")
         _require(self.beam_width >= 1, "beam_width must be >= 1")
 

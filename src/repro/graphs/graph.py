@@ -11,21 +11,36 @@ Every change of *topology* (a node or an edge appearing or going) bumps
 :class:`~repro.graphs.topology.TopologyView` under the stamp, and the
 view in turn memoises what the algorithms compute from the topology
 alone (PageRank, label propagation, triangles, ...), so a graph asked
-about turn after turn is analysed once per topology.  Attribute writes
-do not bump the stamp: ``node_attrs`` / ``edge_attrs`` hand out the live
-dicts, so nothing that reads attributes may be memoised under it.
+about turn after turn is analysed once per topology.
+
+Every attribute write (``add_node`` / ``add_edge`` with attributes,
+``set_node_attr``, ``set_edge_attr``) bumps an attribute stamp instead.
+``node_attrs``, ``edge_attrs`` and ``node_attr_dicts`` hand out
+read-only mappings, so no write can get past the stamps, and
+:attr:`Graph.content_stamp` — the pair of both — names what the graph
+holds.  :meth:`Graph.content_memo` files results that read attributes
+(the type prediction, the triple table and its fits) under it.
 ``node_attr_dicts`` and ``edge_attr_keys`` read every attribute dict in
 one pass for the scans that need them all.
+
+:meth:`Graph.freeze` turns a graph into a snapshot that many readers may
+share: every later write raises :class:`~repro.errors.GraphError`, and
+``copy()`` gives a private, editable graph.
 """
 
 from __future__ import annotations
 
 from itertools import chain
-from typing import Any, Hashable, Iterable, Iterator
+from types import MappingProxyType
+from typing import (Any, Callable, Hashable, Iterable, Iterator, Mapping,
+                    TypeVar)
 
 from ..errors import EdgeNotFoundError, GraphError, NodeNotFoundError
 
 Node = Hashable
+T = TypeVar("T")
+
+_FROZEN = "graph is a shared read-only snapshot; edit a copy()"
 
 
 class Graph:
@@ -47,10 +62,14 @@ class Graph:
         self._nodes: dict[Node, dict[str, Any]] = {}
         self._adj: dict[Node, dict[Node, dict[str, Any]]] = {}
         self._stamp = 0
+        self._attr_stamp = 0
+        self._read_only = False
         #: ``(stamp, view)`` of the last :class:`TopologyView` taken, or
         #: None.  One store of an immutable pair, so no lock: two
         #: threads racing on an unchanged graph build equal views.
         self._view_memo: tuple[int, Any] | None = None
+        #: Slot name -> ``(content_stamp, value)`` (see content_memo).
+        self._content_results: dict[str, tuple[tuple[int, int], Any]] = {}
 
     @property
     def topology_stamp(self) -> int:
@@ -61,18 +80,59 @@ class Graph:
         """
         return self._stamp
 
+    @property
+    def content_stamp(self) -> tuple[int, int]:
+        """``(topology_stamp, attribute stamp)``: the attribute stamp
+        counts the attribute writes so far (``add_node`` / ``add_edge``
+        with attributes, ``set_node_attr``, ``set_edge_attr``), so no
+        two states of this object's nodes, edges and attributes share
+        the pair."""
+        return (self._stamp, self._attr_stamp)
+
+    def content_memo(self, name: str, compute: Callable[[], T]) -> T:
+        """``compute()``, or what it returned under ``name`` while the
+        graph held what it holds now (same :attr:`content_stamp`).
+
+        One slot per name, filed on this object only: equal graphs never
+        share a value, and ``copy()`` starts empty.  The value must not
+        be handed out as is unless it is immutable: callers build fresh
+        containers from it.  No lock: the slot is one store of an
+        immutable pair, and two threads that miss together compute
+        equal values.
+        """
+        # stamped before computing: a write racing the compute files
+        # the value under a stamp that never comes back
+        stamp = (self._stamp, self._attr_stamp)
+        slot = self._content_results.get(name)
+        if slot is not None and slot[0] == stamp:
+            return slot[1]
+        value = compute()
+        self._content_results[name] = (stamp, value)
+        return value
+
+    def freeze(self) -> "Graph":
+        """Refuse every later write with :class:`GraphError`; returns
+        ``self``.  A frozen graph is a snapshot readers may share;
+        ``copy()`` gives an editable one."""
+        self._read_only = True
+        return self
+
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
     def add_node(self, node: Node, **attrs: Any) -> None:
         """Add ``node``; if it exists, merge ``attrs`` into its attributes."""
+        if self._read_only:
+            raise GraphError(_FROZEN)
         if node is None:
             raise GraphError("None is not a valid node")
         if node not in self._nodes:
             self._nodes[node] = {}
             self._adj[node] = {}
             self._stamp += 1
-        self._nodes[node].update(attrs)
+        if attrs:
+            self._nodes[node].update(attrs)
+            self._attr_stamp += 1
 
     def add_nodes(self, nodes: Iterable[Node]) -> None:
         """Add every node in ``nodes`` (without attributes)."""
@@ -93,7 +153,9 @@ class Graph:
             self._adj[u][v] = data
             self._adj[v][u] = data
             self._stamp += 1
-        data.update(attrs)
+        if attrs:
+            data.update(attrs)
+            self._attr_stamp += 1
 
     def add_edges(self, edges: Iterable[tuple[Node, Node]]) -> None:
         """Add every ``(u, v)`` pair in ``edges``."""
@@ -102,6 +164,8 @@ class Graph:
 
     def remove_node(self, node: Node) -> None:
         """Remove ``node`` and all incident edges."""
+        if self._read_only:
+            raise GraphError(_FROZEN)
         if node not in self._nodes:
             raise NodeNotFoundError(node)
         for neighbor in list(self._adj[node]):
@@ -113,6 +177,8 @@ class Graph:
 
     def remove_edge(self, u: Node, v: Node) -> None:
         """Remove edge ``(u, v)``; endpoints stay."""
+        if self._read_only:
+            raise GraphError(_FROZEN)
         if u not in self._nodes or v not in self._adj[u]:
             raise EdgeNotFoundError(u, v)
         del self._adj[u][v]
@@ -170,21 +236,23 @@ class Graph:
     # ------------------------------------------------------------------
     # attributes
     # ------------------------------------------------------------------
-    def node_attrs(self, node: Node) -> dict[str, Any]:
-        """Return the mutable attribute dict of ``node``."""
+    def node_attrs(self, node: Node) -> Mapping[str, Any]:
+        """A read-only mapping of the attributes of ``node`` (it shows
+        later writes; write through :meth:`set_node_attr`)."""
         if node not in self._nodes:
             raise NodeNotFoundError(node)
-        return self._nodes[node]
+        return MappingProxyType(self._nodes[node])
 
-    def edge_attrs(self, u: Node, v: Node) -> dict[str, Any]:
-        """Return the mutable attribute dict of edge ``(u, v)``."""
+    def edge_attrs(self, u: Node, v: Node) -> Mapping[str, Any]:
+        """A read-only mapping of the attributes of edge ``(u, v)``
+        (write through :meth:`set_edge_attr`)."""
         if not self.has_edge(u, v):
             raise EdgeNotFoundError(u, v)
-        return self._adj[u][v]
+        return MappingProxyType(self._adj[u][v])
 
-    def node_attr_dicts(self) -> Iterator[dict[str, Any]]:
-        """The mutable attribute dict of every node, in node order."""
-        return iter(self._nodes.values())
+    def node_attr_dicts(self) -> Iterator[Mapping[str, Any]]:
+        """Every node's attributes, read-only, in node order."""
+        return map(MappingProxyType, self._nodes.values())
 
     def edge_attr_keys(self) -> set[str]:
         """Every key that some edge's attribute dict holds."""
@@ -194,23 +262,38 @@ class Graph:
             *chain.from_iterable(map(dict.values, self._adj.values())))
 
     def set_node_attr(self, node: Node, key: str, value: Any) -> None:
-        self.node_attrs(node)[key] = value
+        if self._read_only:
+            raise GraphError(_FROZEN)
+        if node not in self._nodes:
+            raise NodeNotFoundError(node)
+        self._nodes[node][key] = value
+        self._attr_stamp += 1
 
     def set_edge_attr(self, u: Node, v: Node, key: str, value: Any) -> None:
-        self.edge_attrs(u, v)[key] = value
+        if self._read_only:
+            raise GraphError(_FROZEN)
+        if not self.has_edge(u, v):
+            raise EdgeNotFoundError(u, v)
+        self._adj[u][v][key] = value
+        self._attr_stamp += 1
 
     def get_node_attr(self, node: Node, key: str, default: Any = None) -> Any:
-        return self.node_attrs(node).get(key, default)
+        if node not in self._nodes:
+            raise NodeNotFoundError(node)
+        return self._nodes[node].get(key, default)
 
     def get_edge_attr(self, u: Node, v: Node, key: str,
                       default: Any = None) -> Any:
-        return self.edge_attrs(u, v).get(key, default)
+        if not self.has_edge(u, v):
+            raise EdgeNotFoundError(u, v)
+        return self._adj[u][v].get(key, default)
 
     # ------------------------------------------------------------------
     # derived graphs
     # ------------------------------------------------------------------
     def copy(self) -> "Graph":
-        """Return a deep structural copy (attribute dicts are copied)."""
+        """Return a deep structural copy (attribute dicts are copied);
+        the copy is editable, with empty memos."""
         clone = type(self)(name=self.name)
         for node, attrs in self._nodes.items():
             clone.add_node(node, **attrs)
@@ -219,14 +302,16 @@ class Graph:
         return clone
 
     def subgraph(self, nodes: Iterable[Node]) -> "Graph":
-        """Return the induced subgraph on ``nodes`` (a copy)."""
+        """Return the induced subgraph on ``nodes`` (a copy), its nodes
+        in this graph's order."""
         keep = set(nodes)
-        missing = keep - set(self._nodes)
+        missing = keep - self._nodes.keys()
         if missing:
             raise NodeNotFoundError(next(iter(missing)))
         sub = type(self)(name=self.name)
-        for node in keep:
-            sub.add_node(node, **self._nodes[node])
+        for node, attrs in self._nodes.items():
+            if node in keep:
+                sub.add_node(node, **attrs)
         for u, v in self.edges():
             if u in keep and v in keep:
                 sub.add_edge(u, v, **self._adj[u][v])
@@ -308,9 +393,13 @@ class DiGraph(Graph):
             self._adj[u][v] = data
             self._pred[v][u] = data
             self._stamp += 1
-        data.update(attrs)
+        if attrs:
+            data.update(attrs)
+            self._attr_stamp += 1
 
     def remove_node(self, node: Node) -> None:
+        if self._read_only:
+            raise GraphError(_FROZEN)
         if node not in self._nodes:
             raise NodeNotFoundError(node)
         for successor in list(self._adj[node]):
@@ -323,6 +412,8 @@ class DiGraph(Graph):
         self._stamp += 1
 
     def remove_edge(self, u: Node, v: Node) -> None:
+        if self._read_only:
+            raise GraphError(_FROZEN)
         if u not in self._nodes or v not in self._adj[u]:
             raise EdgeNotFoundError(u, v)
         del self._adj[u][v]

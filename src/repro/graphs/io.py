@@ -143,15 +143,16 @@ def fingerprint(graph: Graph) -> str:
     endpoints' canonical JSON first).
     """
     ids = {node: _canonical(node) for node in graph.nodes()}
-    nodes = sorted(f"[{ids[node]}, {_canonical(graph.node_attrs(node))}]"
-                   for node in ids)
+    nodes = sorted(f"[{ids[node]}, {_canonical(dict(attrs))}]"
+                   for node, attrs in zip(ids, graph.node_attr_dicts()))
     edges = []
     for u, v in graph.edges():
         first, second = ids[u], ids[v]
         if not graph.directed and second < first:
             first, second = second, first
         edges.append(
-            f"[{first}, {second}, {_canonical(graph.edge_attrs(u, v))}]")
+            f"[{first}, {second}, "
+            f"{_canonical(dict(graph.edge_attrs(u, v)))}]")
     edges.sort()
     document = (f"[{_canonical(graph.directed)}, {_canonical(graph.name)}, "
                 f"[{', '.join(nodes)}], [{', '.join(edges)}]]")

@@ -175,6 +175,14 @@ class TripleTable:
     relation: np.ndarray
     tail: np.ndarray
 
+    def __post_init__(self) -> None:
+        # a knowledge step's table is shared by every later read of the
+        # same graph content (Graph.content_memo), so its columns are
+        # read-only
+        for column in (self.entity_type, self.head, self.relation,
+                       self.tail):
+            column.setflags(write=False)
+
     @classmethod
     def from_columns(cls, heads: list[str], relations: list[str],
                      tails: list[str], entity_types: dict[str, str]

@@ -46,9 +46,23 @@ class TypePrediction:
 
 
 class GraphTypePredictor:
-    """Structural + attribute graph-type classifier."""
+    """Structural + attribute graph-type classifier.
+
+    A prediction is memoised on the graph under its content stamp
+    (:meth:`Graph.content_memo`): the type stage and the
+    ``predict_graph_type`` step of a request, and every later turn on
+    the unchanged graph, share one scan.  Each call gets its own
+    ``scores`` dict.
+    """
 
     def predict(self, graph: Graph) -> TypePrediction:
+        memo = graph.content_memo("graph_type",
+                                  lambda: self._predict(graph))
+        return TypePrediction(memo.graph_type, dict(memo.scores),
+                              memo.evidence)
+
+    @staticmethod
+    def _predict(graph: Graph) -> TypePrediction:
         scores = {t: 0.0 for t in GRAPH_TYPES}
         evidence: list[str] = []
 

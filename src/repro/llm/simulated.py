@@ -2,7 +2,7 @@
 
 The paper downloads ChatGLM, MOSS and Vicuna from HuggingFace; offline
 we expose three presets of the simulated backbone that differ in
-learning dynamics and decoding temperature, so the configuration screen
+learning dynamics (learning rate and L2), so the configuration screen
 (Fig. 3) keeps its model selector.
 """
 
@@ -22,16 +22,12 @@ class ModelPreset:
     name: str
     learning_rate: float
     l2: float
-    temperature: float
 
 
 PRESETS: dict[str, ModelPreset] = {
-    "chatglm-sim": ModelPreset("chatglm-sim", learning_rate=0.5,
-                               l2=1e-3, temperature=1.0),
-    "moss-sim": ModelPreset("moss-sim", learning_rate=0.3,
-                            l2=3e-3, temperature=0.8),
-    "vicuna-sim": ModelPreset("vicuna-sim", learning_rate=0.7,
-                              l2=1e-3, temperature=1.2),
+    "chatglm-sim": ModelPreset("chatglm-sim", learning_rate=0.5, l2=1e-3),
+    "moss-sim": ModelPreset("moss-sim", learning_rate=0.3, l2=3e-3),
+    "vicuna-sim": ModelPreset("vicuna-sim", learning_rate=0.7, l2=1e-3),
 }
 
 

@@ -12,7 +12,7 @@ Quick start::
     catalog = GraphCatalog("/tmp/graphs", snapshot_every=1000)
     handle = catalog.create("social")
     handle.add_edge("ada", "bob", weight=2.0)
-    view = catalog.view("social")        # immutable copy, pinned epoch
+    view = catalog.view("social")        # shared read-only, pinned epoch
     catalog.open("social").compact()     # roll epoch, prune history
 """
 

@@ -5,9 +5,13 @@ by the snapshot + edit-log format of this package.  Concurrency model:
 
 * **single writer** — every mutation of a graph goes through its
   :class:`GraphHandle`, serialized by a per-handle lock;
-* **immutable reader views** — :meth:`GraphCatalog.view` returns a
-  :class:`GraphView` carrying a private copy of the graph pinned to a
-  ``(name, epoch, version)`` triple; later writes never show through.
+* **shared read-only views** — :meth:`GraphCatalog.view` returns a
+  :class:`GraphView` pinned to a ``(name, epoch, version)`` triple.
+  Every reader of one version gets the same view: the first read after
+  an edit copies the graph once and freezes the copy, so a write to it
+  raises :class:`~repro.errors.GraphError` and later edits never show
+  through.  What readers derive from it (its topology and content
+  memos) is computed once per version, not once per read.
 
 Epochs advance on :meth:`GraphHandle.snapshot` (write state, start a
 fresh log) and :meth:`GraphHandle.compact` (snapshot + prune old
@@ -72,7 +76,8 @@ class CompactTicket:
 
 
 class GraphView:
-    """An immutable reader view pinned to one catalog epoch/version."""
+    """A read-only view pinned to one catalog epoch/version, shared by
+    every reader of that version."""
 
     def __init__(self, name: str, epoch: int, version: int,
                  graph: Graph) -> None:
@@ -85,7 +90,9 @@ class GraphView:
 
     @property
     def graph(self) -> Graph:
-        """The viewed graph (private copy — safe to mutate)."""
+        """The viewed graph: a frozen snapshot shared by every reader of
+        this version (a write raises :class:`~repro.errors.GraphError`;
+        ``graph.copy()`` gives a private, editable graph)."""
         return self._graph
 
     def __repr__(self) -> str:
@@ -101,6 +108,9 @@ class GraphHandle:
         self.name = name
         self._lock = threading.Lock()
         self._index: NodeVectorIndex | None = None
+        #: The view every reader of the current epoch/version shares
+        #: (built by the first read after a change), or None.
+        self._view: GraphView | None = None
         manifest = layout.read_manifest(catalog.root, name)
         try:
             self.epoch = int(manifest["epoch"])
@@ -123,10 +133,15 @@ class GraphHandle:
     # reading
     # ------------------------------------------------------------------
     def view(self) -> GraphView:
-        """A private immutable copy of the current state."""
+        """The shared read-only view of the current state."""
         with self._lock:
-            return GraphView(self.name, self.epoch, self.version,
-                             self._graph.copy())
+            view = self._view
+            if view is None or (view.epoch, view.version) != (
+                    self.epoch, self.version):
+                view = self._view = GraphView(
+                    self.name, self.epoch, self.version,
+                    self._graph.copy().freeze())
+            return view
 
     @property
     def graph(self) -> Graph:
@@ -166,10 +181,10 @@ class GraphHandle:
                 f"graph into {'directed' if self.directed else 'undirected'} "
                 f"store graph {self.name!r}")
         records = [make_record("add_node", id=node,
-                               attrs=graph.node_attrs(node))
+                               attrs=dict(graph.node_attrs(node)))
                    for node in graph.nodes()]
         records += [make_record("add_edge", u=u, v=v,
-                                attrs=graph.edge_attrs(u, v))
+                                attrs=dict(graph.edge_attrs(u, v)))
                     for u, v in graph.edges()]
         with self._lock:
             for record in records:

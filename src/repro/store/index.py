@@ -14,7 +14,7 @@ gate).
 from __future__ import annotations
 
 import json
-from typing import Any, Callable
+from typing import Any, Callable, Mapping
 
 import numpy as np
 
@@ -32,10 +32,10 @@ def default_index_factory() -> AnnIndex:
     return TauMGIndex(max_degree=8, candidate_pool=24, ef_search=32)
 
 
-def node_text(node: Node, attrs: dict[str, Any]) -> str:
+def node_text(node: Node, attrs: Mapping[str, Any]) -> str:
     """Deterministic embedding text for a node (id + attributes)."""
     return ("node " + json.dumps(node, sort_keys=True, default=repr)
-            + " " + json.dumps(attrs, sort_keys=True, default=repr))
+            + " " + json.dumps(dict(attrs), sort_keys=True, default=repr))
 
 
 class NodeVectorIndex:
@@ -74,7 +74,7 @@ class NodeVectorIndex:
     # ------------------------------------------------------------------
     # incremental maintenance
     # ------------------------------------------------------------------
-    def add_node(self, node: Node, attrs: dict[str, Any]) -> int:
+    def add_node(self, node: Node, attrs: Mapping[str, Any]) -> int:
         if node in self._node_to_vid:
             raise StoreError(f"node {node!r} already indexed")
         vid = self.index.insert(self.embedder.embed(
@@ -92,7 +92,7 @@ class NodeVectorIndex:
         self.index.delete(vid)
         self.incremental_deletes += 1
 
-    def update_node(self, node: Node, attrs: dict[str, Any]) -> int:
+    def update_node(self, node: Node, attrs: Mapping[str, Any]) -> int:
         """Attribute change: the node's vector is replaced."""
         self.remove_node(node)
         return self.add_node(node, attrs)

@@ -26,9 +26,9 @@ def graph_to_document(graph: Graph) -> dict[str, Any]:
         "format": SNAPSHOT_FORMAT,
         "directed": graph.directed,
         "name": graph.name,
-        "nodes": [[node, graph.node_attrs(node)]
+        "nodes": [[node, dict(graph.node_attrs(node))]
                   for node in graph.nodes()],
-        "edges": [[u, v, graph.edge_attrs(u, v)]
+        "edges": [[u, v, dict(graph.edge_attrs(u, v))]
                   for u, v in graph.edges()],
     }
 

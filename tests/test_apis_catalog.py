@@ -13,7 +13,7 @@ from repro.graphs import (
     social_network,
     star_graph,
 )
-from repro.kb import TripleStore, corrupt_store
+from repro.kb import KnowledgeInferencer, TripleStore, corrupt_store
 
 
 @pytest.fixture()
@@ -310,20 +310,23 @@ class TestKnowledgeAndEditApis:
         assert results[4] == []
 
     def test_edit_step_that_edits_nothing_keeps_the_fit(
-            self, executor, planted_graph):
+            self, executor, planted_graph, monkeypatch):
+        fits = []
+        fit = KnowledgeInferencer.fit
+        monkeypatch.setattr(KnowledgeInferencer, "fit", classmethod(
+            lambda cls, *args: fits.append(args) or fit(*args)))
         ctx = ChainContext(graph=planted_graph,
                            confirm=lambda question, payload: False)
         executor.execute(APIChain.from_names(["detect_incorrect_edges"]),
                          ctx)
-        fitted = ctx.extras["knowledge_inferencer"]
-        from repro.apis import ChainNode
+        assert len(fits) == 1
         record = executor.execute(APIChain([
             ChainNode("detect_incorrect_edges"),
             ChainNode("remove_flagged_edges", {"confirm_each": True}),
             ChainNode("mine_rules")]), ctx)
         assert record.steps[1].result["n_removed"] == 0
         assert ctx.graph is planted_graph
-        assert ctx.extras["knowledge_inferencer"] is fitted
+        assert len(fits) == 1
 
     def test_attached_triple_store_wins_over_the_graph(
             self, executor, planted_graph):

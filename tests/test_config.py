@@ -22,7 +22,7 @@ class TestValidation:
 
     @pytest.mark.parametrize("kwargs", [
         {"tau": -0.1}, {"ef_search": 0}, {"top_k_apis": 0},
-        {"epsilon": -1.0}, {"embedding_dim": 4},
+        {"embedding_dim": 4},
     ])
     def test_retrieval_validation(self, kwargs):
         with pytest.raises(ConfigError):
@@ -44,8 +44,7 @@ class TestValidation:
             FinetuneConfig(**kwargs)
 
     @pytest.mark.parametrize("kwargs", [
-        {"model": "gpt4"}, {"temperature": 0.0}, {"max_chain_length": 0},
-        {"beam_width": 0},
+        {"model": "gpt4"}, {"max_chain_length": 0}, {"beam_width": 0},
     ])
     def test_llm_validation(self, kwargs):
         with pytest.raises(ConfigError):

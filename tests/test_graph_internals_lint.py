@@ -1,13 +1,14 @@
 """Lint: a graph's adjacency is private to ``repro/graphs/graph.py``.
 
-``Graph.topology_stamp`` is what every memoised derived form is filed
-under, and it is only sound while each change of topology goes through
-one of the seven mutators that bump it.  A module that writes (or even
-reads) ``graph._adj`` / ``_nodes`` / ``_pred`` / ``_stamp`` by hand can
-change a graph behind the stamp's back, and every consumer of
-:class:`repro.graphs.TopologyView` would then keep serving the old
-topology.  The memo slot itself is shared by exactly two files: the
-graph that holds it and the view that fills it.
+``Graph.topology_stamp`` and ``Graph.content_stamp`` are what every
+memoised derived form is filed under, and they are only sound while
+each change goes through one of the mutators that bump them.  A module
+that writes (or even reads) ``graph._adj`` / ``_nodes`` / ``_pred`` /
+``_stamp`` / ``_attr_stamp`` by hand can change a graph behind the
+stamps' back (or edit a frozen snapshot), and every consumer of
+:class:`repro.graphs.TopologyView` or ``Graph.content_memo`` would then
+keep serving the old answers.  The view memo slot is shared by exactly
+two files: the graph that holds it and the view that fills it.
 
 This lint walks every module under ``src/repro`` and rejects any
 attribute access by those names outside their owners.
@@ -26,6 +27,9 @@ OWNERS = {
     "_nodes": {GRAPH},
     "_pred": {GRAPH},
     "_stamp": {GRAPH},
+    "_attr_stamp": {GRAPH},
+    "_read_only": {GRAPH},
+    "_content_results": {GRAPH},
     "_view_memo": {GRAPH, TOPOLOGY},
 }
 

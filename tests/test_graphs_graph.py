@@ -1,5 +1,11 @@
 """Tests for the core Graph/DiGraph data structures."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
 from repro.errors import EdgeNotFoundError, GraphError, NodeNotFoundError
@@ -152,10 +158,13 @@ class TestGraphQueries:
         g.add_edge("b", "c")
         assert list(g.node_attr_dicts()) == [
             g.node_attrs(node) for node in g.nodes()]
-        assert next(g.node_attr_dicts()) is g.node_attrs("a")
+        first = next(g.node_attr_dicts())
+        assert first == {"kind": "person"}
         assert g.edge_attr_keys() == {"relation", "weight"}
-        g.edge_attrs("b", "c")["seen"] = True
+        g.set_edge_attr("b", "c", "seen", True)
         assert g.edge_attr_keys() == {"relation", "weight", "seen"}
+        g.set_node_attr("a", "seen", True)
+        assert first == {"kind": "person", "seen": True}
         assert cls().edge_attr_keys() == set()
 
 
@@ -173,6 +182,44 @@ class TestGraphDerived:
         sub = g.subgraph([1, 2, 3])
         assert sub.number_of_nodes() == 3
         assert sub.number_of_edges() == 3
+
+    def test_subgraph_keeps_the_parent_node_order(self):
+        g = Graph()
+        g.add_edges([("erin", "alice"), ("alice", "bob"), ("bob", "carol"),
+                     ("dave", "erin")])
+        assert list(g.subgraph({"carol", "erin", "bob", "alice"})
+                    .nodes()) == ["erin", "alice", "bob", "carol"]
+
+    def test_derived_node_order_ignores_the_hash_seed(self):
+        # string hashes change with PYTHONHASHSEED, so set iteration
+        # order does too; subgraphs (and k_core, ego_graph built on
+        # them) must not follow it
+        script = textwrap.dedent("""
+            from repro.algorithms import k_core
+            from repro.graphs import Graph, ego_graph
+            g = Graph()
+            g.add_edges([("alice", "bob"), ("bob", "carol"),
+                         ("carol", "alice"), ("carol", "erin"),
+                         ("erin", "alice"), ("erin", "bob"),
+                         ("dave", "frank")])
+            print(list(g.subgraph(["carol", "bob", "erin", "alice"])
+                       .nodes()))
+            print(list(k_core(g, 3).nodes()))
+            print(list(ego_graph(g, "erin").nodes()))
+            """)
+        src = Path(__file__).resolve().parent.parent / "src"
+        outputs = []
+        for seed in ("1", "2"):
+            env = {**os.environ, "PYTHONHASHSEED": seed,
+                   "PYTHONPATH": str(src)}
+            completed = subprocess.run(
+                [sys.executable, "-c", script], capture_output=True,
+                text=True, timeout=60, env=env)
+            assert completed.returncode == 0, completed.stderr
+            outputs.append(completed.stdout)
+        assert outputs[0] == outputs[1]
+        assert outputs[0].splitlines()[0] == \
+            "['alice', 'bob', 'carol', 'erin']"
 
     def test_subgraph_missing_node_raises(self):
         g = Graph()

@@ -3,6 +3,7 @@
 import random
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -38,7 +39,8 @@ def assert_view_is_current(graph, where):
 
 
 #: The seven mutators that change topology (``DiGraph`` overrides three
-#: of them), then the writes that must not count as a change.
+#: of them), then the writes that must not count as a change (the last
+#: two try to write through a returned mapping, which refuses).
 TOPOLOGY_OPS = ("add_node", "add_edge", "remove_node", "remove_edge")
 ATTRIBUTE_OPS = ("set_node_attr", "set_edge_attr", "readd_node",
                  "readd_edge", "node_attrs_dict", "edge_attrs_dict")
@@ -74,9 +76,12 @@ def apply_op(graph, op, rng, pool):
     elif op == "readd_edge" and edges:
         graph.add_edge(*rng.choice(edges), relation="again")
     elif op == "node_attrs_dict" and nodes:
-        graph.node_attrs(rng.choice(nodes))["live"] = rng.random()
+        # the handed-out mappings are read-only: the write is refused
+        with pytest.raises(TypeError):
+            graph.node_attrs(rng.choice(nodes))["live"] = rng.random()
     elif op == "edge_attrs_dict" and edges:
-        graph.edge_attrs(*rng.choice(edges)).clear()
+        with pytest.raises(AttributeError):
+            graph.edge_attrs(*rng.choice(edges)).clear()
     return False
 
 

@@ -54,9 +54,14 @@ def noisy_kgs():
         noisy, __, __ = corrupt_store(store, rate, 0.05, seed=seed)
         graph = noisy.to_graph()
         graphs.append(graph)
-        stripped = graph.copy()
-        for node in list(stripped.nodes())[::3]:
-            stripped.node_attrs(node).pop("entity_type", None)
+        stripped = DiGraph(name=graph.name)
+        for i, node in enumerate(graph.nodes()):
+            attrs = dict(graph.node_attrs(node))
+            if i % 3 == 0:
+                attrs.pop("entity_type", None)
+            stripped.add_node(node, **attrs)
+        for u, v in graph.edges():
+            stripped.add_edge(u, v, **graph.edge_attrs(u, v))
         graphs.append(stripped)
     return graphs
 

@@ -65,9 +65,15 @@ class TestGraphTypePredictor:
 
     def test_structure_only_molecule(self):
         # atom graphs without kind attr still classified by elements
-        g = parse_smiles("CCO").to_graph()
-        for node in g.nodes():
-            del g.node_attrs(node)["kind"]
+        from repro.graphs import Graph
+        atoms = parse_smiles("CCO").to_graph()
+        g = Graph()
+        for node in atoms.nodes():
+            g.add_node(node, **{key: value for key, value
+                                in atoms.node_attrs(node).items()
+                                if key != "kind"})
+        for u, v in atoms.edges():
+            g.add_edge(u, v, **atoms.edge_attrs(u, v))
         assert predict_graph_type(g) == "molecule"
 
 

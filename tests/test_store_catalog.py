@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from repro.errors import StoreError
+from repro.errors import GraphError, StoreError
 from repro.graphs.graph import Graph
 from repro.obs import MetricsRegistry, Tracer
 from repro.store import GraphCatalog, graph_bytes
@@ -142,9 +142,13 @@ def test_views_are_immutable_epoch_pinned_copies(tmp_path):
     handle.set_node_attr("a", "rank", 99)
     assert not view.graph.has_node("b")
     assert view.graph.node_attrs("a") == {"rank": 1}
-    # mutating the view copy never reaches the store
-    view.graph.add_node("rogue")
+    # the view refuses writes; a copy of it is private and editable
+    with pytest.raises(GraphError):
+        view.graph.add_node("rogue")
+    private = view.graph.copy()
+    private.add_node("rogue")
     assert not handle.graph.has_node("rogue")
+    assert not view.graph.has_node("rogue")
 
 
 def test_auto_snapshot_rolls_epochs(tmp_path):
