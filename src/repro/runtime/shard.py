@@ -17,6 +17,14 @@ backend uses.  The pieces:
   ``microbatch_*``), and a per-shard reader resolves each caller's
   :class:`~repro.serve.engine.PendingRequest` from its own ``reply``
   frame through ``lifecycle.reply``.
+* **graph refs** — an inline graph is shipped to each shard once per
+  graph object and content: the frame names it by
+  :func:`~repro.shard.protocol.graph_ref` and carries the body only
+  when the shard does not hold that ref.  The worker keeps what it was
+  sent in a :class:`~repro.shard.protocol.GraphTable`, so its memos
+  survive between requests; each handle keeps a mirror of that table,
+  updated in frame order under its send lock and cleared whenever a
+  new worker generation is installed.
 * **failure** — missed heartbeats or a dropped pipe mark the shard
   dead: its ``shard:<i>`` circuit trips, every orphaned in-flight
   request fails over along its ring preference, and a background
@@ -50,6 +58,7 @@ from ..errors import ChatGraphError, ServeError
 from ..obs.export import merge_traces
 from ..serve.engine import PendingRequest, ServeRequest, ServeResponse
 from ..shard.protocol import (
+    GraphTable,
     read_frame,
     request_to_wire,
     response_from_wire,
@@ -158,6 +167,13 @@ class _ShardHandle:
         self.index = index
         self.name = f"shard:{index}"
         self.lock = threading.Lock()
+        #: Orders request frames: taken before ``lock``, held from the
+        #: ship-or-ref decision through the write, so ``graphs`` sees
+        #: refs in the order the worker reads them.
+        self.send_lock = threading.Lock()
+        #: Mirror of the live worker's graph table (see
+        #: :func:`~repro.shard.protocol.request_to_wire`).
+        self.graphs = GraphTable()
         #: The live worker's link (None while down) and its reader.
         self.link: ShardLink | None = None
         self.reader: threading.Thread | None = None
@@ -320,9 +336,11 @@ class ShardBackend(ExecutionBackend):
                             "model": self.model_wire,
                             "serve": serve_config_to_wire(self.config)},
                            time.monotonic() + SPAWN_TIMEOUT_SECONDS)
-        with handle.lock:
+        with handle.send_lock, handle.lock:
             stopping = self._stopping
             if not stopping:
+                # the new worker holds no graph yet
+                handle.graphs.clear()
                 handle.link, handle.pid = link, link.pid
                 handle.startup_seconds = float(
                     hello.get("startup_seconds", 0.0))
@@ -435,24 +453,36 @@ class ShardBackend(ExecutionBackend):
         """Write one request to its shard as its own ``request`` frame.
 
         Registered under the handle lock with a liveness re-check, so a
-        concurrent death is guaranteed to see and fail it over.  A
-        wedged worker's full pipe blocks this write (and the router)
-        until the heartbeat monitor kills it.
+        concurrent death is guaranteed to see and fail it over.  The
+        send lock spans the mirror update and the write; a frame that
+        never reaches the worker leaves a mirror that is cleared before
+        the next worker is installed.  A wedged worker's full pipe
+        blocks this write (and the router) until the heartbeat monitor
+        kills it.
         """
-        wire = request_to_wire(item.request, item.request_id,
-                               parent_span=item.parent_span_id)
-        item.dispatched_at = time.perf_counter()
-        with handle.lock:
-            link = handle.link if handle.alive else None
-            if link is not None:
-                generation = handle.generation
-                handle.inflight[item.request_id] = (generation, item)
+        with handle.send_lock:
+            wire = request_to_wire(item.request, item.request_id,
+                                   parent_span=item.parent_span_id,
+                                   graphs=handle.graphs)
+            item.dispatched_at = time.perf_counter()
+            with handle.lock:
+                link = handle.link if handle.alive else None
+                if link is not None:
+                    generation = handle.generation
+                    handle.inflight[item.request_id] = (generation, item)
+            sent = link is not None and link.send(
+                {"type": "request", "request": wire})
+        # failover forwards to another shard: never under this send lock
         if link is None:
             self._failover_item(item, handle.index)
-        elif not link.send({"type": "request", "request": wire}):
+        elif not sent:
             # whichever call runs the death path fails every request
             # registered under this generation over, this one included
             self._on_shard_down(handle, generation)
+        elif wire["graph_ref"] is not None:
+            self.lifecycle.metrics.incr(
+                "shard_graph_refs" if wire["graph"] is None
+                else "shard_graph_bodies")
 
     def _router_loop(self) -> None:
         lifecycle = self.lifecycle

@@ -10,11 +10,12 @@ frames byte-stable, so tests can diff them.
 Frame types (``"type"`` field):
 
 * coordinator -> worker: ``init`` (model spec + serve config),
-  ``request`` (one request wire), the control-channel
-  RPCs — ``stats`` (snapshot poll, optionally with spans), ``sessions``
-  (placement inventory), ``adopt`` / ``evict`` (session ownership
-  transfer on a ring change), ``warm`` (pre-warm caches for moved
-  graph affinity) — each carrying an ``rpc_id``, and ``shutdown``;
+  ``request`` (one request wire; see *graph refs* below), the
+  control-channel RPCs — ``stats`` (snapshot poll, optionally with
+  spans), ``sessions`` (placement inventory), ``adopt`` / ``evict``
+  (session ownership transfer on a ring change), ``warm`` (pre-warm
+  caches for moved graph affinity) — each carrying an ``rpc_id``, and
+  ``shutdown``;
 * worker -> coordinator: ``hello`` (model built, serving),
   ``reply`` (one response wire, under its request's id, written the
   moment the request resolves — in any order), one
@@ -27,25 +28,42 @@ objects whose ``value`` is a :class:`ShardValue` — a light shim
 exposing the same ``answer`` / ``chain`` / ``record.is_degraded``
 surface the soak runner and callers read, without shipping live
 pipeline objects between processes.
+
+Graph refs: an inline graph crosses the pipe once per shard.
+:func:`graph_ref` names a graph object's current content with an int
+(a write moves :attr:`~repro.graphs.Graph.content_stamp`, so the edited
+graph gets a new ref; equal content in two objects gets two).  A
+``request`` wire always carries ``graph_ref`` and carries the ``graph``
+body only when the receiving shard does not hold that ref.  The worker
+files each body it receives in its :class:`GraphTable`, and the
+coordinator keeps a mirror table per shard that sees the same refs in
+the same order: both apply one rule, so the mirror knows exactly which
+refs the worker holds.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import struct
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, BinaryIO
 
 from ..errors import ServeError
+from ..graphs.graph import Graph
 from ..graphs.io import from_dict, to_dict
 from ..serve.engine import ServeRequest, ServeResponse
 
 __all__ = [
+    "GRAPH_TABLE_BUDGET",
+    "GraphTable",
     "MAX_FRAME_BYTES",
     "ShardProtocolError",
     "ShardRecord",
     "ShardValue",
     "dumps_canonical",
+    "graph_ref",
     "read_frame",
     "request_from_wire",
     "request_to_wire",
@@ -59,7 +77,13 @@ __all__ = [
 #: far below this; anything bigger is a protocol bug, not data).
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
+#: Nodes + edges one shard's :class:`GraphTable` holds in all, read at
+#: use on both sides of the pipe.  A graph larger than this is shipped
+#: with every request and never held.
+GRAPH_TABLE_BUDGET = 1 << 16
+
 _LENGTH = struct.Struct(">I")
+_GRAPH_REFS = itertools.count(1)
 
 
 class ShardProtocolError(ServeError):
@@ -132,11 +156,84 @@ def read_frame(stream: BinaryIO) -> dict[str, Any] | None:
 
 
 # ----------------------------------------------------------------------
+# graph refs
+# ----------------------------------------------------------------------
+def graph_ref(graph: Graph) -> int:
+    """The wire name of this graph object's current content: a content
+    memo, so it lasts until the next write and costs a lookup, not a
+    walk.  Two threads that miss together may draw two refs; both name
+    the same content, so either is valid."""
+    return graph.content_memo("shard_ref", lambda: next(_GRAPH_REFS))
+
+
+def _graph_size(graph: Graph) -> int:
+    return graph.number_of_nodes() + graph.number_of_edges()
+
+
+class GraphTable:
+    """Graph refs one shard holds, least recently used first, bounded
+    by :data:`GRAPH_TABLE_BUDGET` nodes + edges in all.
+
+    The worker's table maps a ref to its rebuilt, frozen graph; the
+    coordinator's mirror maps it to ``True``.  Each side updates its
+    table from one ordered stream of ``request`` wires (the worker's
+    reader, the coordinator's per-shard send lock) through
+    :meth:`get` and :meth:`hold` with the same sizes, so both evict the
+    same refs.  No lock of its own.
+    """
+
+    def __init__(self) -> None:
+        self._entries: OrderedDict[int, tuple[int, Any]] = OrderedDict()
+        #: Nodes + edges of everything held.
+        self.weight = 0
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def refs(self) -> list[int]:
+        """The refs held, least recently used first."""
+        return list(self._entries)
+
+    def get(self, ref: int) -> Any:
+        """What ``ref`` names (now the most recently used), or None."""
+        entry = self._entries.get(ref)
+        if entry is None:
+            return None
+        self._entries.move_to_end(ref)
+        return entry[1]
+
+    def hold(self, ref: int, size: int, value: Any) -> None:
+        """File ``value`` (``size`` nodes + edges) under ``ref``,
+        evicting the least recently used until it fits; a value larger
+        than the whole budget is not held."""
+        budget = GRAPH_TABLE_BUDGET
+        if size > budget:
+            return
+        old = self._entries.pop(ref, None)
+        if old is not None:
+            self.weight -= old[0]
+        while self.weight + size > budget:
+            self.weight -= self._entries.popitem(last=False)[1][0]
+        self._entries[ref] = (size, value)
+        self.weight += size
+
+    def clear(self) -> None:
+        self._entries.clear()
+        self.weight = 0
+
+
+# ----------------------------------------------------------------------
 # requests across the boundary
 # ----------------------------------------------------------------------
 def request_to_wire(request: ServeRequest, request_id: int,
-                    parent_span: str | None = None) -> dict[str, Any]:
+                    parent_span: str | None = None,
+                    graphs: GraphTable | None = None) -> dict[str, Any]:
     """Serialize one request for its ``request`` frame.
+
+    An inline graph travels as its :func:`graph_ref`, plus its body
+    unless ``graphs`` (the coordinator's mirror of the receiving
+    shard's table) holds the ref; a shipped ref is filed there.
+    Without ``graphs`` the body always travels.
 
     ``execute`` never crosses the boundary (a
     :class:`~repro.core.pipeline.PipelineResult` holds live pipeline
@@ -145,12 +242,20 @@ def request_to_wire(request: ServeRequest, request_id: int,
     if request.op == "execute":
         raise ShardProtocolError(
             "op 'execute' cannot cross the shard boundary")
+    graph = request.graph
+    ref = body = None
+    if graph is not None:
+        ref = graph_ref(graph)
+        if graphs is None or graphs.get(ref) is None:
+            body = to_dict(graph)
+            if graphs is not None:
+                graphs.hold(ref, _graph_size(graph), True)
     return {
         "request_id": request_id,
         "op": request.op,
         "text": request.text,
-        "graph": (None if request.graph is None
-                  else to_dict(request.graph)),
+        "graph_ref": ref,
+        "graph": body,
         "graph_name": request.graph_name,
         "session_id": request.session_id,
         "client_id": request.client_id,
@@ -162,17 +267,43 @@ def request_to_wire(request: ServeRequest, request_id: int,
     }
 
 
-def request_from_wire(wire: dict[str, Any]) -> ServeRequest:
-    graph = wire.get("graph")
+def request_from_wire(wire: dict[str, Any],
+                      graphs: GraphTable | None = None) -> ServeRequest:
+    """Rebuild one request.  ``graphs`` is the receiving shard's table:
+    a shipped body is rebuilt, frozen and filed under its ref, and a
+    ref alone is looked up.  A ref that is not an int, or a ref alone
+    that ``graphs`` does not hold (or with no table), raises
+    :class:`ShardProtocolError`."""
     return ServeRequest(
         op=wire["op"],
         text=wire.get("text", ""),
-        graph=None if graph is None else from_dict(graph),
+        graph=_graph_from_wire(wire.get("graph_ref"), wire.get("graph"),
+                               graphs),
         graph_name=wire.get("graph_name"),
         session_id=wire.get("session_id"),
         client_id=wire.get("client_id", "anonymous"),
         attachments=dict(wire.get("attachments") or {}),
     )
+
+
+def _graph_from_wire(ref: Any, body: dict[str, Any] | None,
+                     graphs: GraphTable | None) -> Graph | None:
+    if ref is not None and type(ref) is not int:
+        raise ShardProtocolError(f"graph_ref must be an int, got {ref!r}")
+    if body is None:
+        graph = None if ref is None or graphs is None else graphs.get(ref)
+        if ref is not None and graph is None:
+            raise ShardProtocolError(
+                f"graph_ref {ref} came without its body and is not held "
+                f"here")
+        return graph
+    if graphs is None or ref is None:
+        return from_dict(body)
+    # frozen: requests sharing a held graph cannot change what the
+    # next one reads
+    graph = from_dict(body).freeze()
+    graphs.hold(ref, _graph_size(graph), graph)
+    return graph
 
 
 # ----------------------------------------------------------------------

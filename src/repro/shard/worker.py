@@ -16,7 +16,11 @@ Protocol (see :mod:`repro.shard.protocol`): stdin carries ``init`` /
 matching ``*_reply`` frames.  The reader submits each ``request``
 inline and hooks its completion, so its ``reply`` leaves the moment it
 resolves; execution batching is the local server's ``microbatch_*``
-alone.  stdout belongs to the protocol exclusively — ``main`` repoints
+alone.  Before it submits, the reader resolves the request's inline
+graph through the worker's :class:`~repro.shard.protocol.GraphTable`,
+in frame order: a shipped body is filed under its ref, a ref alone is
+looked up, so a graph asked about again is the same object, memos and
+all.  stdout belongs to the protocol exclusively — ``main`` repoints
 ``sys.stdout`` at stderr before any library code runs, so a stray
 ``print`` can never corrupt a frame.  A clean EOF on stdin
 (coordinator gone) is the shutdown signal; the worker drains and exits.
@@ -35,6 +39,7 @@ from ..config import ChatGraphConfig, ObsConfig, ServeConfig
 from ..errors import ChatGraphError
 from ..serve.engine import ServeResponse
 from .protocol import (
+    GraphTable,
     ShardProtocolError,
     read_frame,
     request_from_wire,
@@ -96,6 +101,8 @@ class ShardWorker:
         self._stdout = stdout
         self._write_lock = threading.Lock()
         self._stop = threading.Event()
+        #: Inline graphs by ref; only the reader thread touches it.
+        self.graphs = GraphTable()
         config = serve_config_from_wire(init["serve"])
         #: Admission control lives in the coordinator: the shard must
         #: never second-guess it, so per-client limiting is off and the
@@ -154,11 +161,12 @@ class ShardWorker:
     # frame handlers
     # ------------------------------------------------------------------
     def _handle_request(self, frame: dict[str, Any]) -> None:
-        """Submit one request inline; its reply leaves when it resolves."""
+        """Submit one request inline; its reply leaves when it resolves.
+        A graph ref this shard does not hold fails this request alone."""
         wire = frame.get("request") or {}
         try:
             pending = self.server.submit(
-                request_from_wire(wire),
+                request_from_wire(wire, self.graphs),
                 parent_span_id=wire.get("parent_span"))
         except Exception as exc:  # noqa: BLE001 - fail this request only
             self._send_reply(self._failed(wire, exc))

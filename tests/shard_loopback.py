@@ -61,6 +61,9 @@ class LoopbackLink(shard_runtime.ShardLink):
     """
 
     _thread: threading.Thread | None = None
+    #: The worker the thread runs, set before its hello: a test reads
+    #: its state (say, its graph table) directly.
+    worker: Any = None
 
     def spawn(self, init: dict[str, Any], deadline: float) -> dict[str, Any]:
         worker_in, to_worker = os.pipe()
@@ -86,7 +89,8 @@ class LoopbackLink(shard_runtime.ShardLink):
 
     def _run(self, init: dict[str, Any], stdin: Any, stdout: Any) -> None:
         try:
-            shard_worker.ShardWorker(init, stdin, stdout).run()
+            self.worker = shard_worker.ShardWorker(init, stdin, stdout)
+            self.worker.run()
         finally:
             with self._cut_lock:
                 self._cut = True  # the fd is about to close: no dup2 onto it

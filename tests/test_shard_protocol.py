@@ -159,10 +159,12 @@ def _stub_worker(submit):
     import threading
     from types import SimpleNamespace
 
+    from repro.shard.protocol import GraphTable
     from repro.shard.worker import ShardWorker
 
     worker = ShardWorker.__new__(ShardWorker)
     worker.shard, worker.name = 0, "shard-0"
+    worker.graphs = GraphTable()
     worker.server = SimpleNamespace(submit=submit)
     worker._stdout = io.BytesIO()
     worker._write_lock = threading.Lock()
