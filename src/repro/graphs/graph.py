@@ -97,8 +97,10 @@ class Graph:
         share a value, and ``copy()`` starts empty.  The value must not
         be handed out as is unless it is immutable: callers build fresh
         containers from it.  No lock: the slot is one store of an
-        immutable pair, and two threads that miss together compute
-        equal values.
+        immutable pair.  Two threads that miss together both compute,
+        and the slot may keep either value, so every value ``compute``
+        can return under one stamp must be valid for that content (they
+        need not be equal: a shard ref draws a new counter value).
         """
         # stamped before computing: a write racing the compute files
         # the value under a stamp that never comes back

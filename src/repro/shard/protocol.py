@@ -79,8 +79,10 @@ MAX_FRAME_BYTES = 64 * 1024 * 1024
 
 #: Nodes + edges one shard's :class:`GraphTable` holds in all, read at
 #: use on both sides of the pipe.  A graph larger than this is shipped
-#: with every request and never held.
-GRAPH_TABLE_BUDGET = 1 << 16
+#: with every request and never held.  A held graph costs a worker
+#: ~310 B of heap per node + edge with its memos, so a full table is
+#: ~10 MB, paid even by traffic that never asks a graph twice.
+GRAPH_TABLE_BUDGET = 1 << 15
 
 _LENGTH = struct.Struct(">I")
 _GRAPH_REFS = itertools.count(1)
@@ -166,20 +168,24 @@ def graph_ref(graph: Graph) -> int:
     return graph.content_memo("shard_ref", lambda: next(_GRAPH_REFS))
 
 
-def _graph_size(graph: Graph) -> int:
-    return graph.number_of_nodes() + graph.number_of_edges()
+def _body_size(body: dict[str, Any]) -> int:
+    """What a shipped body weighs in a :class:`GraphTable`: its node and
+    edge entries, read off the frame, so the mirror and the worker
+    weigh the same thing whatever the worker rebuilds from it."""
+    return len(body["nodes"]) + len(body["edges"])
 
 
 class GraphTable:
     """Graph refs one shard holds, least recently used first, bounded
     by :data:`GRAPH_TABLE_BUDGET` nodes + edges in all.
 
-    The worker's table maps a ref to its rebuilt, frozen graph; the
-    coordinator's mirror maps it to ``True``.  Each side updates its
-    table from one ordered stream of ``request`` wires (the worker's
-    reader, the coordinator's per-shard send lock) through
-    :meth:`get` and :meth:`hold` with the same sizes, so both evict the
-    same refs.  No lock of its own.
+    The worker's table maps a ref to its rebuilt, frozen graph (or to
+    the error its body raised on rebuild); the coordinator's mirror
+    maps it to ``True``.  Each side updates its table from one ordered
+    stream of ``request`` wires (the worker's reader, the
+    coordinator's per-shard send lock) through :meth:`get` and
+    :meth:`hold`, weighing each body by its frame alone, so both evict
+    the same refs.  No lock of its own.
     """
 
     def __init__(self) -> None:
@@ -249,7 +255,7 @@ def request_to_wire(request: ServeRequest, request_id: int,
         if graphs is None or graphs.get(ref) is None:
             body = to_dict(graph)
             if graphs is not None:
-                graphs.hold(ref, _graph_size(graph), True)
+                graphs.hold(ref, _body_size(body), True)
     return {
         "request_id": request_id,
         "op": request.op,
@@ -273,7 +279,9 @@ def request_from_wire(wire: dict[str, Any],
     a shipped body is rebuilt, frozen and filed under its ref, and a
     ref alone is looked up.  A ref that is not an int, or a ref alone
     that ``graphs`` does not hold (or with no table), raises
-    :class:`ShardProtocolError`."""
+    :class:`ShardProtocolError`.  A body that cannot be rebuilt is
+    filed too, as its error: the mirror filed its ref, and a later ref
+    alone raises the same error."""
     return ServeRequest(
         op=wire["op"],
         text=wire.get("text", ""),
@@ -296,13 +304,25 @@ def _graph_from_wire(ref: Any, body: dict[str, Any] | None,
             raise ShardProtocolError(
                 f"graph_ref {ref} came without its body and is not held "
                 f"here")
+        if isinstance(graph, Exception):
+            raise graph.with_traceback(None)
         return graph
     if graphs is None or ref is None:
         return from_dict(body)
-    # frozen: requests sharing a held graph cannot change what the
-    # next one reads
-    graph = from_dict(body).freeze()
-    graphs.hold(ref, _graph_size(graph), graph)
+    try:
+        size = _body_size(body)
+    except (KeyError, TypeError) as exc:
+        # the coordinator never sends one: its mirror filed nothing
+        raise ShardProtocolError(f"malformed graph body: {exc!r}") from exc
+    try:
+        # frozen: requests sharing a held graph cannot change what the
+        # next one reads
+        graph = from_dict(body).freeze()
+    except Exception as exc:  # noqa: BLE001 - filed whatever failed
+        # the mirror filed this ref: the table must hold it too
+        graphs.hold(ref, size, exc)
+        raise
+    graphs.hold(ref, size, graph)
     return graph
 
 

@@ -18,7 +18,8 @@ import pytest
 import repro.shard.protocol as protocol
 from repro import ChatGraph, ServeConfig, ServeRequest
 from repro.errors import GraphError
-from repro.graphs import social_network
+from repro.graphs import Graph, social_network
+from repro.graphs.io import from_dict, to_dict
 from repro.shard import ShardModelSpec, ShardedChatGraphServer
 from repro.shard.protocol import (GraphTable, dumps_canonical, graph_ref,
                                   request_to_wire, value_to_wire)
@@ -279,3 +280,47 @@ def test_unknown_and_non_int_refs_fail_only_their_own_request():
                        3: (False, "ShardProtocolError"),
                        5: (False, "ShardProtocolError")}
     assert replies[1]["value"] == replies[4]["value"]
+
+
+def test_both_tables_weigh_the_frame_not_the_rebuilt_graph(
+        make_fleet, reference, sent, monkeypatch):
+    """A body the worker rebuilds into another graph, or cannot rebuild
+    at all, weighs what its frame holds on both sides, so a tight
+    budget still evicts the same refs and no later ref goes missing."""
+    plain = social_network(20, 2, seed=1)
+    # an edge attribute named ``source`` and a node attribute named
+    # ``id`` take the place of the key on the wire: the worker's graph
+    # gains the nodes they name
+    clashing = social_network(24, 2, seed=2)
+    u, v = next(iter(clashing.edges()))
+    clashing.set_edge_attr(u, v, "source", "ghost-source")
+    clashing.set_node_attr(u, "id", "ghost-id")
+    body_size = len(to_dict(clashing)["nodes"]) \
+        + len(to_dict(clashing)["edges"])
+    assert _size(from_dict(to_dict(clashing))) > body_size
+    # tuple node ids arrive as lists, which the worker cannot rebuild
+    broken = Graph()
+    broken.add_edge((0, 1), (1, 2))
+    monkeypatch.setattr(protocol, "GRAPH_TABLE_BUDGET",
+                        _size(plain) + body_size + _size(broken))
+    fleet = make_fleet(shards=1)
+    handle = fleet.handles[0]
+    _ask(fleet, reference, TEXT, plain)
+    remote = fleet.request(ServeRequest(op="ask", text=TEXT, graph=clashing))
+    local = reference.ask(TEXT, graph=from_dict(to_dict(clashing)))
+    assert dumps_canonical(value_to_wire("ask", remote.value)) \
+        == dumps_canonical(value_to_wire("ask", local))
+    assert _tables_agree(handle).refs() \
+        == [graph_ref(plain), graph_ref(clashing)]
+    for _ in range(2):
+        failed = fleet.request(ServeRequest(op="ask", text=TEXT,
+                                            graph=broken))
+        assert not failed.ok and failed.error_type == "GraphIOError"
+        assert _tables_agree(handle).refs()[-1] == graph_ref(broken)
+    assert [wire["graph"] is None for wire in sent[-2:]] == [False, True]
+    # all three fit: the first is still held on both sides
+    _ask(fleet, reference, TEXT, plain)
+    assert sent[-1]["graph"] is None
+    assert _tables_agree(handle).refs() \
+        == [graph_ref(clashing), graph_ref(broken), graph_ref(plain)]
+    assert fleet.stats()["counters"].get("shard_deaths", 0) == 0
