@@ -174,15 +174,18 @@ class ServeConfig:
     #: Seconds an open breaker waits before a half-open probe.
     breaker_cooldown_seconds: float = 30.0
     #: Maximum requests coalesced into one micro-batch; ``0`` or ``1``
-    #: never coalesces (every flush is a batch of one).  Only stateless
-    #: ``propose``/``ask`` requests batch; session turns and
-    #: ``execute`` requests are always served alone.
-    microbatch_size: int = 0
+    #: never coalesces (every flush is a batch of one).  Stateless
+    #: ``propose``/``ask`` requests and session turns batch, at most
+    #: one turn per session per flush; ``execute`` requests are always
+    #: served alone.  8 is what the ``serve_mixed`` coalescing sweep
+    #: supports (docs/PERFORMANCE.md §4).
+    microbatch_size: int = 8
     #: How long a worker holding a partial batch waits for more
     #: requests before flushing it.  The knob trades tail latency
     #: (first request waits up to this long) against batching
-    #: efficiency; ``0`` flushes immediately with whatever is queued.
-    microbatch_deadline_seconds: float = 0.005
+    #: efficiency; ``0`` (the default) flushes immediately with
+    #: whatever is already queued, so coalescing adds no wait.
+    microbatch_deadline_seconds: float = 0.0
     #: Root directory of a durable :class:`repro.store.GraphCatalog`;
     #: empty disables the store (requests then must carry inline
     #: graphs).  When set, requests may name catalog graphs via

@@ -88,9 +88,23 @@ class ChatSession:
 
     def propose(self, text: str) -> PipelineResult:
         """Generate the chain for ``text`` and hold it for confirmation."""
+        prompt = self.build_prompt(text)
+        return self.hold(self.chatgraph.propose(
+            text, prompt.graph, **prompt.attachments))
+
+    def build_prompt(self, text: str) -> Prompt:
+        """The first half of :meth:`propose`: record the user's turn and
+        build the prompt the pipeline answers.  A server runs that
+        pipeline pass for many sessions at once, then calls
+        :meth:`hold` with each session's result."""
         self.history.append(DialogTurn("user", text))
-        result = self.chatgraph.propose(text, self.graph,
-                                        **self.attachments)
+        return Prompt(text=text,
+                      graph=self.chatgraph.resolve_graph(self.graph),
+                      attachments=dict(self.attachments))
+
+    def hold(self, result: PipelineResult) -> PipelineResult:
+        """The second half of :meth:`propose`: hold ``result`` (the
+        pipeline's answer to :meth:`build_prompt`) for confirmation."""
         self._pending = result
         self.history.append(DialogTurn(
             "assistant",

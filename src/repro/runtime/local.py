@@ -2,9 +2,10 @@
 
 ``LocalBackend`` is the request-plane half of what used to be the
 monolithic serve engine: N worker threads consuming the lifecycle's
-admission queue, a micro-batcher coalescing stateless requests into
-one pass through the pipeline stages (a lone request is a batch of
-one), the session store, the pipeline caches, the durable-catalog
+admission queue, a micro-batcher coalescing ``propose``/``ask``
+requests (stateless ones and turns of distinct sessions) into one pass
+through the pipeline stages (a lone request is a batch of one), the
+session store, the pipeline caches, the durable-catalog
 binding, and the robustness installation (policy + breakers) on the
 shared :class:`~repro.core.chatgraph.ChatGraph`.
 
@@ -32,7 +33,7 @@ from ..obs.trace import span
 from ..serve.cache import PipelineCaches
 from ..serve.engine import PendingRequest, ServeRequest, ServeResponse
 from ..serve.microbatch import MicroBatcher
-from ..serve.sessions import SessionStore
+from ..serve.sessions import SessionEntry, SessionStore
 from .lifecycle import ExecutionBackend, ReplyTiming, RequestLifecycle
 
 __all__ = ["LocalBackend"]
@@ -228,12 +229,13 @@ class LocalBackend(ExecutionBackend):
     def _serve(self, batch: list[PendingRequest], worker: str) -> None:
         """Serve the requests of one flush and resolve their handles.
 
-        The one serve body: a lone (or stateful) request is a batch of
-        one.  The stateless ``propose``/``ask`` members share one
-        pipeline pass; then each member runs its own tail under its own
-        ``request:<op>`` span.  A failure — a bad graph name, a stage
-        or step raising — degrades that one response, never its
-        batchmates, and never the worker.
+        The one serve body: a lone request is a batch of one.  The
+        ``propose``/``ask`` members — stateless requests and session
+        turns, at most one turn per session (the batcher sees to that) —
+        share one pipeline pass; then each member runs its own tail
+        under its own ``request:<op>`` span.  A failure — a bad graph
+        name, a stage or step raising — degrades that one response,
+        never its batchmates, and never the worker.
         """
         lifecycle = self.lifecycle
         metrics, tracer = lifecycle.metrics, lifecycle.tracer
@@ -294,17 +296,25 @@ class LocalBackend(ExecutionBackend):
 
     def _propose(self, batch: list[PendingRequest],
                  seeds: list[int]) -> list[Any]:
-        """One pipeline pass over the stateless members of ``batch``.
+        """One pipeline pass over the ``propose``/``ask`` members of
+        ``batch``.
 
         Returns one outcome per member: its :class:`PipelineResult`,
         the exception that failed it (raised again inside its request
-        span by :meth:`_finish`), or None for a member that takes no
-        part in the pass (a session turn, an ``execute``).
+        span by :meth:`_finish`), or None for an ``execute``.  A
+        session turn that reached the pass has ``(entry, result)``: it
+        holds its session's lock, which :meth:`_finish` releases after
+        the turn's tail.  The locks are taken in session-id order, so
+        two flushes that share sessions cannot wait on each other.
         """
         outcomes: list[Any] = [None] * len(batch)
         prompts: dict[int, Prompt] = {}
+        turns: list[int] = []
         for index, (item, seed) in enumerate(zip(batch, seeds)):
             if not MicroBatcher.batchable(item):
+                continue
+            if item.request.session_id is not None:
+                turns.append(index)
                 continue
             try:
                 graph = self._resolve_graph(item.request)
@@ -315,15 +325,47 @@ class LocalBackend(ExecutionBackend):
             attachments.setdefault("request_seed", seed)
             prompts[index] = Prompt(text=item.request.text, graph=graph,
                                     attachments=attachments)
+        entries: dict[int, SessionEntry] = {}
+        for index in sorted(turns,
+                            key=lambda i: batch[i].request.session_id):
+            try:
+                entries[index], prompts[index] = self._open_turn(
+                    batch[index].request)
+            except Exception as exc:  # noqa: BLE001 - this item only
+                outcomes[index] = exc
         if prompts:
+            members = sorted(prompts)
             try:
                 results = self.chatgraph.propose_batch(
-                    list(prompts.values()), return_exceptions=True)
+                    [prompts[index] for index in members],
+                    return_exceptions=True)
             except Exception as exc:  # noqa: BLE001 - fail the pass
-                results = [exc] * len(prompts)
-            for index, result in zip(prompts, results):
-                outcomes[index] = result
+                results = [exc] * len(members)
+            for index, result in zip(members, results):
+                outcomes[index] = ((entries[index], result)
+                                   if index in entries else result)
         return outcomes
+
+    def _open_turn(self, request: ServeRequest
+                   ) -> tuple[SessionEntry, Prompt]:
+        """Take a session turn's lock, apply its upload and build the
+        prompt its session would propose.  The lock stays held for
+        :meth:`_finish` unless this raises."""
+        view = self._resolve_view(request)
+        entry = self.sessions.get_or_create(request.session_id)
+        entry.lock.acquire()
+        try:
+            if view is not None:
+                entry.session.upload_graph(view.graph,
+                                           **request.attachments)
+                entry.graph_ref = (view.name, view.epoch)
+            elif request.graph is not None:
+                entry.session.upload_graph(request.graph,
+                                           **request.attachments)
+            return entry, entry.session.build_prompt(request.text)
+        except BaseException:
+            entry.lock.release()
+            raise
 
     def _finish(self, item: PendingRequest, outcome: Any) -> Any:
         """One member's tail: what its response carries as ``value``
@@ -332,25 +374,22 @@ class LocalBackend(ExecutionBackend):
         request = item.request
         if request.op == "execute":
             return self._execute(request.pipeline_result, request.chain)
-        if MicroBatcher.batchable(item):
-            if isinstance(outcome, BaseException):
-                raise outcome
+        if isinstance(outcome, BaseException):
+            raise outcome
+        if request.session_id is None:
             self._record_pipeline(outcome)
             return outcome if request.op == "propose" \
                 else self._execute(outcome)
         # a session turn: an ``ask`` with a session_id
         # (``ServeRequest.validate`` refuses one on a ``propose``)
-        view = self._resolve_view(request)
-        entry = self.sessions.get_or_create(request.session_id)
-        with entry.lock:
-            if view is not None:
-                entry.session.upload_graph(view.graph,
-                                           **request.attachments)
-                entry.graph_ref = (view.name, view.epoch)
-            elif request.graph is not None:
-                entry.session.upload_graph(request.graph,
-                                           **request.attachments)
-            chat_response = entry.session.send(request.text)
+        entry, result = outcome
+        try:
+            if isinstance(result, BaseException):
+                raise result
+            entry.session.hold(result)
+            chat_response = entry.session.confirm()
+        finally:
+            entry.lock.release()
         self._record_pipeline(chat_response.pipeline)
         if chat_response.record is not None:
             self._record_execution(chat_response.record)

@@ -59,8 +59,9 @@ from ..obs.export import merge_traces
 from ..serve.engine import PendingRequest, ServeRequest, ServeResponse
 from ..shard.protocol import (
     GraphTable,
+    ShardProtocolError,
+    encode_request,
     read_frame,
-    request_to_wire,
     response_from_wire,
     write_frame,
 )
@@ -125,8 +126,10 @@ class ShardLink:
                 else "did not say hello by its spawn deadline"))
         return hello
 
-    def send(self, frame: dict[str, Any]) -> bool:
-        """Write one frame; False once the worker or link is gone."""
+    def send(self, frame: dict[str, Any] | bytes) -> bool:
+        """Write one frame (or its payload from
+        :func:`~repro.shard.protocol.encode_frame`); False once the
+        worker or link is gone."""
         try:
             with self._lock:
                 write_frame(self._proc.stdin, frame)
@@ -172,7 +175,7 @@ class _ShardHandle:
         #: refs in the order the worker reads them.
         self.send_lock = threading.Lock()
         #: Mirror of the live worker's graph table (see
-        #: :func:`~repro.shard.protocol.request_to_wire`).
+        #: :func:`~repro.shard.protocol.encode_request`).
         self.graphs = GraphTable()
         #: The live worker's link (None while down) and its reader.
         self.link: ShardLink | None = None
@@ -339,8 +342,10 @@ class ShardBackend(ExecutionBackend):
         with handle.send_lock, handle.lock:
             stopping = self._stopping
             if not stopping:
-                # the new worker holds no graph yet
+                # the new worker holds no graph yet, and a fresh process
+                # starts with its circuit closed: routable once alive
                 handle.graphs.clear()
+                self.lifecycle.breakers.reset_one(handle.name)
                 handle.link, handle.pid = link, link.pid
                 handle.startup_seconds = float(
                     hello.get("startup_seconds", 0.0))
@@ -377,8 +382,6 @@ class ShardBackend(ExecutionBackend):
             return
         handle.restarts += 1
         self.lifecycle.metrics.incr("shard_restarts")
-        # the replacement is a fresh process: its circuit starts closed
-        self.lifecycle.breakers.reset_one(handle.name)
 
     # ------------------------------------------------------------------
     # routing
@@ -456,22 +459,29 @@ class ShardBackend(ExecutionBackend):
         concurrent death is guaranteed to see and fail it over.  The
         send lock spans the mirror update and the write; a frame that
         never reaches the worker leaves a mirror that is cleared before
-        the next worker is installed.  A wedged worker's full pipe
-        blocks this write (and the router) until the heartbeat monitor
-        kills it.
+        the next worker is installed.  A request whose frame cannot be
+        encoded fails alone before the mirror or ``inflight`` sees it.
+        A wedged worker's full pipe blocks this write (and the router)
+        until the heartbeat monitor kills it.
         """
-        with handle.send_lock:
-            wire = request_to_wire(item.request, item.request_id,
-                                   parent_span=item.parent_span_id,
-                                   graphs=handle.graphs)
-            item.dispatched_at = time.perf_counter()
-            with handle.lock:
-                link = handle.link if handle.alive else None
-                if link is not None:
-                    generation = handle.generation
-                    handle.inflight[item.request_id] = (generation, item)
-            sent = link is not None and link.send(
-                {"type": "request", "request": wire})
+        try:
+            with handle.send_lock:
+                wire, payload = encode_request(
+                    item.request, item.request_id, item.parent_span_id,
+                    handle.graphs)
+                item.dispatched_at = time.perf_counter()
+                with handle.lock:
+                    link = handle.link if handle.alive else None
+                    if link is not None:
+                        generation = handle.generation
+                        handle.inflight[item.request_id] = (generation,
+                                                            item)
+                sent = link is not None and link.send(payload)
+        except ShardProtocolError as exc:
+            # only the encode raises it, before the mirror or
+            # ``inflight`` saw the request
+            self._resolve_failure(item, exc)
+            return
         # failover forwards to another shard: never under this send lock
         if link is None:
             self._failover_item(item, handle.index)

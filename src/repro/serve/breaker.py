@@ -229,8 +229,12 @@ class BreakerRegistry:
         return self.breaker(api_name).trip()
 
     def reset_one(self, api_name: str) -> None:
-        """Close ``api_name``'s circuit (a replaced shard starts clean)."""
-        self.breaker(api_name).reset()
+        """Close ``api_name``'s circuit, if it has one (a replaced shard
+        starts clean)."""
+        with self._lock:
+            breaker = self._breakers.get(api_name)
+        if breaker is not None:
+            breaker.reset()
 
     def reset(self) -> None:
         with self._lock:

@@ -1,21 +1,24 @@
 """Request micro-batching: coalesce queued work into shared batches.
 
-A worker that pops one request from the admission queue hands it to the
-:class:`MicroBatcher`, which greedily gathers more *batchable* requests
-(stateless ``propose``/``ask``) until either the batch is full or the
-flush deadline expires.  The whole batch then makes one pass through
-the stage graph a lone request goes through (see
+A worker that pops one request hands it to the :class:`MicroBatcher`,
+which greedily gathers more *batchable* requests (``propose``/``ask``:
+stateless requests and session turns) until either the batch is full
+or the flush deadline expires.  The whole batch then makes one pass
+through the stage graph a lone request goes through (see
 :mod:`repro.core.stages`) — one embedding call, one ANN search, one
 decode matmul per step — instead of N passes of one.
 
-Session turns and ``execute`` requests never batch: sessions serialize
-on their own locks and executions carry per-request state, so they pass
-through (the ``passthrough`` list) and are served as batches of one.
+A flush holds at most one turn per session: a session's dialog is
+ordered, and the worker holds each member session's lock across the
+shared pass.  A further turn of a session already in the flush passes
+through (the ``passthrough`` list), as does every ``execute`` request
+(it carries per-request state); the same worker serves them after the
+flush, one by one, in queue order.
 
 The deadline is the tail-latency knob: the first request of a partial
 batch waits at most ``deadline_seconds`` for company.  With a deadline
-of zero the batcher still coalesces whatever is *already* queued — the
-no-added-latency operating point.
+of zero (the serving default) the batcher still coalesces whatever is
+*already* queued — the no-added-latency operating point.
 """
 
 from __future__ import annotations
@@ -43,25 +46,26 @@ class MicroBatcher:
 
     @staticmethod
     def batchable(item: Any) -> bool:
-        """True for a stateless ``propose``/``ask``: the requests one
-        pass through the stage graph can serve together."""
-        request = item.request
-        return (request.op in ("propose", "ask")
-                and request.session_id is None)
+        """True for a ``propose``/``ask`` (a session turn included):
+        the requests one pass through the stage graph can serve
+        together."""
+        return item.request.op in ("propose", "ask")
 
     def collect(self, queue: AdmissionQueue,
                 first: Any) -> tuple[list[Any], list[Any]]:
         """Grow a batch around ``first``; returns (batch, passthrough).
 
-        ``batch`` holds up to ``max_batch`` batchable requests;
-        ``passthrough`` holds everything popped along the way that must
-        be served individually.  A non-batchable ``first`` short-
-        circuits: it is returned alone without waiting.
+        ``batch`` holds up to ``max_batch`` batchable requests, at most
+        one turn per session; ``passthrough`` holds everything popped
+        along the way that must be served individually, in the order it
+        was popped.  A non-batchable ``first`` short-circuits: it is
+        returned alone without waiting.
         """
         if not self.batchable(first):
             return [], [first]
         start = self._clock()
         batch = [first]
+        sessions = {first.request.session_id}
         join_times = [start]
         passthrough: list[Any] = []
         deadline = start + self.deadline_seconds
@@ -85,8 +89,11 @@ class MicroBatcher:
                 if waited <= 0.0 or waited >= remaining:
                     deadline = min(deadline, self._clock())
                 continue
-            if self.batchable(item):
+            session = item.request.session_id
+            if self.batchable(item) and (session is None
+                                         or session not in sessions):
                 batch.append(item)
+                sessions.add(session)
                 join_times.append(self._clock())
             else:
                 passthrough.append(item)

@@ -38,7 +38,9 @@ body only when the receiving shard does not hold that ref.  The worker
 files each body it receives in its :class:`GraphTable`, and the
 coordinator keeps a mirror table per shard that sees the same refs in
 the same order: both apply one rule, so the mirror knows exactly which
-refs the worker holds.
+refs the worker holds.  The coordinator encodes each ``request`` frame
+(:func:`encode_request`) before its mirror files anything, so a request
+that cannot cross the pipe fails alone and leaves the mirror as it was.
 """
 
 from __future__ import annotations
@@ -63,6 +65,8 @@ __all__ = [
     "ShardRecord",
     "ShardValue",
     "dumps_canonical",
+    "encode_frame",
+    "encode_request",
     "graph_ref",
     "read_frame",
     "request_from_wire",
@@ -102,18 +106,25 @@ def dumps_canonical(obj: Any) -> bytes:
             f"frame is not JSON-serializable: {exc}") from exc
 
 
-def write_frame(stream: BinaryIO, obj: Any) -> None:
-    """Write one length-prefixed frame and flush.
-
-    Callers serialize concurrent writers themselves (the worker's
-    heartbeat thread and reply path share one lock) — a frame must
-    never interleave with another.
-    """
+def encode_frame(obj: Any) -> bytes:
+    """One frame's payload: its canonical JSON, within the frame cap."""
     payload = dumps_canonical(obj)
     if len(payload) > MAX_FRAME_BYTES:
         raise ShardProtocolError(
             f"frame of {len(payload)} bytes exceeds the "
             f"{MAX_FRAME_BYTES}-byte cap")
+    return payload
+
+
+def write_frame(stream: BinaryIO, obj: Any) -> None:
+    """Write one length-prefixed frame and flush; ``obj`` is the frame
+    or its payload from :func:`encode_frame`.
+
+    Callers serialize concurrent writers themselves (the worker's
+    heartbeat thread and reply path share one lock) — a frame must
+    never interleave with another.
+    """
+    payload = obj if isinstance(obj, bytes) else encode_frame(obj)
     stream.write(_LENGTH.pack(len(payload)) + payload)
     stream.flush()
 
@@ -196,6 +207,11 @@ class GraphTable:
     def __len__(self) -> int:
         return len(self._entries)
 
+    def __contains__(self, ref: int) -> bool:
+        """Whether ``ref`` is held; unlike :meth:`get`, leaves the
+        order alone."""
+        return ref in self._entries
+
     def refs(self) -> list[int]:
         """The refs held, least recently used first."""
         return list(self._entries)
@@ -245,6 +261,30 @@ def request_to_wire(request: ServeRequest, request_id: int,
     :class:`~repro.core.pipeline.PipelineResult` holds live pipeline
     objects); the coordinator rejects it at submit time.
     """
+    wire = _request_wire(request, request_id, parent_span, graphs)
+    _file_graph(wire, graphs)
+    return wire
+
+
+def encode_request(request: ServeRequest, request_id: int,
+                   parent_span: str | None,
+                   graphs: GraphTable) -> tuple[dict[str, Any], bytes]:
+    """:func:`request_to_wire` and its whole ``request`` frame, encoded
+    (:func:`encode_frame`) before the mirror ``graphs`` files the ref.
+    A request that cannot be encoded (say, a set-valued attribute) or
+    exceeds the frame cap raises :class:`ShardProtocolError` with the
+    mirror untouched, so it fails alone and the link stays up."""
+    wire = _request_wire(request, request_id, parent_span, graphs)
+    payload = encode_frame({"type": "request", "request": wire})
+    _file_graph(wire, graphs)
+    return wire, payload
+
+
+def _request_wire(request: ServeRequest, request_id: int,
+                  parent_span: str | None,
+                  graphs: GraphTable | None) -> dict[str, Any]:
+    """The wire, shipping the body unless ``graphs`` holds the ref;
+    ``graphs`` is only read."""
     if request.op == "execute":
         raise ShardProtocolError(
             "op 'execute' cannot cross the shard boundary")
@@ -252,10 +292,8 @@ def request_to_wire(request: ServeRequest, request_id: int,
     ref = body = None
     if graph is not None:
         ref = graph_ref(graph)
-        if graphs is None or graphs.get(ref) is None:
+        if graphs is None or ref not in graphs:
             body = to_dict(graph)
-            if graphs is not None:
-                graphs.hold(ref, _body_size(body), True)
     return {
         "request_id": request_id,
         "op": request.op,
@@ -271,6 +309,18 @@ def request_to_wire(request: ServeRequest, request_id: int,
         #: traces keep one tree across the process boundary.
         "parent_span": parent_span,
     }
+
+
+def _file_graph(wire: dict[str, Any], graphs: GraphTable | None) -> None:
+    """Update the mirror as the worker will on reading ``wire``: a ref
+    alone is touched, a shipped body is held."""
+    ref = wire["graph_ref"]
+    if graphs is None or ref is None:
+        return
+    if wire["graph"] is None:
+        graphs.get(ref)
+    else:
+        graphs.hold(ref, _body_size(wire["graph"]), True)
 
 
 def request_from_wire(wire: dict[str, Any],

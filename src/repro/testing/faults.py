@@ -195,10 +195,11 @@ def slow_chatgraph(chatgraph: Any, seconds: float) -> Iterator[None]:
     How a test holds a serve worker busy (full queues, cancelled
     shutdowns, responsive stats) without a production config knob.
     ``propose`` and ``propose_batch`` are the two ways into the
-    pipeline (``ask`` and sessions go through ``propose``) and neither
-    calls the other — they meet below, in ``ChatPipeline`` — so every
-    request pays the delay once and a micro-batch pays it once for all
-    its members.
+    pipeline (``ask`` and an unserved ``ChatSession`` go through
+    ``propose``; a server's every flush, session turns included, goes
+    through ``propose_batch``) and neither calls the other — they meet
+    below, in ``ChatPipeline`` — so every request pays the delay once
+    and a micro-batch pays it once for all its members.
     """
     names = ("propose", "propose_batch")
 

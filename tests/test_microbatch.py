@@ -1,21 +1,29 @@
 """Tests for request micro-batching (repro.serve.microbatch + engine).
 
-The batcher must only coalesce stateless ``propose``/``ask`` requests,
-flush on size or deadline, and — end to end — a micro-batched server
-must return bit-identical responses to the scalar path while recording
-the ``microbatched`` counter and ``microbatch_size`` histogram.
+The batcher must only coalesce ``propose``/``ask`` requests (stateless
+ones and turns of distinct sessions), flush on size or deadline, and —
+end to end — a micro-batched server must return bit-identical responses
+to the scalar path while recording the ``microbatched`` counter and
+``microbatch_size`` histogram.
 """
 
 from __future__ import annotations
+
+import contextlib
+import threading
+import time
 
 import pytest
 
 from repro import ChatGraph, ChatGraphServer, ServeConfig, ServeRequest
 from repro.config import ObsConfig
+from repro.core.session import ChatSession
+from repro.errors import ServeError
 from repro.graphs import knowledge_graph
 from repro.loadgen import bench_workload
 from repro.serve import AdmissionQueue, MicroBatcher
 from repro.serve.engine import PendingRequest
+from repro.shard.protocol import dumps_canonical, value_to_wire
 from repro.testing import slow_chatgraph
 
 
@@ -32,6 +40,33 @@ def _pending(op: str, session_id: str | None = None) -> PendingRequest:
     return PendingRequest(request, request_id=0, enqueued_at=0.0)
 
 
+def _reply_bytes(response) -> bytes:
+    assert response.ok, response.error
+    return dumps_canonical(value_to_wire(response.op, response.value))
+
+
+@contextlib.contextmanager
+def _first_pass_held(chatgraph):
+    """Hold the first pipeline pass until ``released`` is set, so what
+    is submitted meanwhile queues behind a busy worker; ``started`` is
+    set once that pass (and so its flush) has begun."""
+    started, released = threading.Event(), threading.Event()
+    inner = chatgraph.propose_batch
+
+    def propose_batch(*args, **kwargs):
+        if not started.is_set():
+            started.set()
+            released.wait(60.0)
+        return inner(*args, **kwargs)
+
+    chatgraph.propose_batch = propose_batch
+    try:
+        yield started, released
+    finally:
+        released.set()
+        del chatgraph.propose_batch
+
+
 @pytest.fixture(scope="module")
 def serve_chatgraph():
     return ChatGraph.pretrained(corpus_size=300, seed=0)
@@ -42,9 +77,10 @@ class TestBatchable:
         assert MicroBatcher.batchable(_pending("propose"))
         assert MicroBatcher.batchable(_pending("ask"))
 
-    def test_session_bound_requests_do_not_batch(self):
-        assert not MicroBatcher.batchable(_pending("propose", "s1"))
-        assert not MicroBatcher.batchable(_pending("ask", "s1"))
+    def test_session_turns_batch(self):
+        # a session turn is an ``ask`` with a session_id (admission
+        # refuses a session-bound ``propose``)
+        assert MicroBatcher.batchable(_pending("ask", "s1"))
 
     def test_execute_does_not_batch(self):
         assert not MicroBatcher.batchable(_pending("execute"))
@@ -95,15 +131,30 @@ class TestCollect:
         assert batch == [first] and passthrough == []
 
     def test_non_batchable_items_pass_through(self):
+        """An ``execute``, and every further turn of a session already
+        in the flush, pass through in the order they were popped."""
         batcher = MicroBatcher(max_batch=8, deadline_seconds=0.0,
                                clock=FakeClock())
-        session = _pending("ask", session_id="dialog-1")
+        first = _pending("ask", session_id="dialog-1")
+        execute = _pending("execute")
+        again = _pending("ask", session_id="dialog-1")
+        other = _pending("ask", session_id="dialog-2")
+        third = _pending("ask", session_id="dialog-1")
         tail = _pending("propose")
-        queue = self._queue([session, tail])
-        batch, passthrough = batcher.collect(queue, _pending("ask"))
-        assert session in passthrough
-        assert session not in batch
-        assert tail in batch
+        queue = self._queue([execute, again, other, third, tail])
+        batch, passthrough = batcher.collect(queue, first)
+        assert batch == [first, other, tail]
+        assert passthrough == [execute, again, third]
+
+    def test_distinct_sessions_share_a_flush(self):
+        batcher = MicroBatcher(max_batch=3, deadline_seconds=0.0,
+                               clock=FakeClock())
+        turns = [_pending("ask", session_id=f"dialog-{index}")
+                 for index in range(4)]
+        queue = self._queue(turns[1:])
+        batch, passthrough = batcher.collect(queue, turns[0])
+        assert batch == turns[:3] and passthrough == []
+        assert len(queue) == 1
 
     def test_constructor_validation(self):
         with pytest.raises(ValueError):
@@ -122,11 +173,25 @@ class TestServerMicroBatching:
             responses = [item.result(timeout=120.0) for item in pending]
         return server, responses
 
+    def _behind_one(self, chatgraph, head, rest, **config):
+        """One worker serves ``head`` alone and holds its pass until
+        every request of ``rest`` is queued behind it."""
+        server = ChatGraphServer(
+            chatgraph, ServeConfig(workers=1, enable_caches=False,
+                                   queue_depth=64, **config))
+        with server, _first_pass_held(chatgraph) as (started, released):
+            pending = [server.submit(head)]
+            assert started.wait(60.0)
+            pending += [server.submit(request) for request in rest]
+            released.set()
+            responses = [item.result(timeout=120.0) for item in pending]
+        return server, responses
+
     def test_batched_responses_identical_to_scalar(self, serve_chatgraph):
         workload = bench_workload(10, n_graphs=3)
         workload += [ServeRequest(op="ask", text=r.text, graph=r.graph)
                      for r in workload[:4]]
-        _, serial = self._run(serve_chatgraph, workload)
+        _, serial = self._run(serve_chatgraph, workload, microbatch_size=0)
         server, batched = self._run(serve_chatgraph, workload,
                                     microbatch_size=8,
                                     microbatch_deadline_seconds=0.05)
@@ -148,43 +213,149 @@ class TestServerMicroBatching:
         assert histogram.count >= 1
         assert histogram.max >= 2
 
-    def test_microbatching_off_by_default(self, serve_chatgraph):
-        """"Off" is a flush size of one: the batcher is always there,
-        but a pre-filled queue is still served one request per pass —
-        nothing counts as micro-batched and no ``microbatch`` span
-        opens."""
-        workload = bench_workload(4, n_graphs=2)
-        server, responses = self._run(
-            serve_chatgraph, workload,
+    def test_microbatching_on_by_default(self, serve_chatgraph):
+        """The default coalesces, without waiting: a flush of up to 8
+        takes only what is already queued.  Requests held behind a busy
+        worker share its next pass, inside one ``microbatch`` span."""
+        defaults = ServeConfig()
+        assert defaults.microbatch_size == 8
+        assert defaults.microbatch_deadline_seconds == 0.0
+        workload = bench_workload(5, n_graphs=2)
+        server, responses = self._behind_one(
+            serve_chatgraph, workload[0], workload[1:],
             obs=ObsConfig(enable_tracing=True))
         assert all(r.ok for r in responses)
-        assert ServeConfig().microbatch_size == 0
-        assert server.backend.batcher.max_batch == 1
-        assert server.stats()["counters"].get("microbatched", 0) == 0
-        assert server.metrics.histogram("microbatch_size").count == 0
+        assert server.backend.batcher.max_batch == 8
+        assert server.backend.batcher.deadline_seconds == 0.0
+        assert server.stats()["counters"].get("microbatched", 0) == 4
+        histogram = server.metrics.histogram("microbatch_size")
+        assert (histogram.count, histogram.max) == (1, 4.0)
         names = [span.name for span in server.tracer.finished_spans()]
-        assert "microbatch" not in names
+        assert names.count("microbatch") == 1
         assert sum(n.startswith("request:") for n in names) == \
             len(workload)
 
-    def test_session_requests_bypass_batching(self, serve_chatgraph):
+    def test_session_turns_share_a_flush(self, serve_chatgraph):
+        """Turns of three sessions queued behind a busy worker share its
+        next pass, and each reply is byte-equal to the turn served
+        alone."""
+        head = bench_workload(1, n_graphs=1)[0]
+        turns = [ServeRequest(op="ask", text=text,
+                              graph=knowledge_graph(24, 80, seed=3 + index),
+                              session_id=f"dlg-{index}")
+                 for index, text in enumerate((
+                     "how many nodes are there",
+                     "compute the graph density",
+                     "write a brief report for G"))]
+        server, responses = self._behind_one(serve_chatgraph, head, turns)
+        _, alone = self._run(serve_chatgraph, [head] + turns,
+                             microbatch_size=0)
+        assert [_reply_bytes(r) for r in responses] == \
+            [_reply_bytes(r) for r in alone]
+        assert server.stats()["counters"].get("microbatched", 0) == 3
+        assert server.sessions.stats()["created"] == 3
+
+    def test_turns_of_one_session_never_share_a_flush(self,
+                                                      serve_chatgraph):
+        """Behind a busy worker, one session's second and third turns
+        pass through the flush its first turn joins; the worker serves
+        them after it, in queue order."""
+        head = bench_workload(1, n_graphs=1)[0]
+        texts = ("how many nodes are there", "compute the graph density",
+                 "write a brief report for G")
+        rest = [
+            ServeRequest(op="ask", text=texts[0],
+                         graph=knowledge_graph(24, 80, seed=3),
+                         session_id="dlg-1"),
+            ServeRequest(op="ask", text=texts[1], session_id="dlg-1"),
+            ServeRequest(op="ask", text=texts[0],
+                         graph=knowledge_graph(24, 80, seed=4),
+                         session_id="dlg-2"),
+            ServeRequest(op="ask", text=texts[2], session_id="dlg-1"),
+        ]
+        server, responses = self._behind_one(serve_chatgraph, head, rest)
+        _, alone = self._run(serve_chatgraph, [head] + rest,
+                             microbatch_size=0)
+        assert [_reply_bytes(r) for r in responses] == \
+            [_reply_bytes(r) for r in alone]
+        # only dlg-1's first turn and dlg-2's turn shared a pass
+        assert server.stats()["counters"].get("microbatched", 0) == 2
+        history = server.sessions.get("dlg-1").session.history
+        assert [turn.text for turn in history
+                if turn.role == "user"] == list(texts)
+
+    def test_a_turn_failing_before_the_pass_fails_alone(
+            self, serve_chatgraph, monkeypatch):
+        """A session turn whose preparation raises after its lock was
+        taken fails alone and releases the lock: its batchmates are
+        served, and so is its session's next turn."""
+        real = ChatSession.build_prompt
+
+        def build_prompt(session, text):
+            if text == "boom":
+                raise ServeError("prompt refused")
+            return real(session, text)
+
+        monkeypatch.setattr(ChatSession, "build_prompt", build_prompt)
         graph = knowledge_graph(24, 80, seed=3)
-        workload = bench_workload(6, n_graphs=2)
-        workload.insert(3, ServeRequest(op="ask",
-                                        text="how many nodes are there",
-                                        graph=graph, session_id="dlg-1"))
-        server, responses = self._run(serve_chatgraph, workload,
-                                      microbatch_size=8,
-                                      microbatch_deadline_seconds=0.05)
+        head = bench_workload(1, n_graphs=1)[0]
+        rest = [
+            ServeRequest(op="ask", text="boom", graph=graph,
+                         session_id="dlg-1"),
+            ServeRequest(op="ask", text="how many nodes are there",
+                         graph=graph, session_id="dlg-2"),
+            ServeRequest(op="ask", text="compute the graph density",
+                         session_id="dlg-1"),
+        ]
+        server, responses = self._behind_one(serve_chatgraph, head, rest)
+        assert [r.ok for r in responses] == [True, False, True, True]
+        assert responses[1].error == "prompt refused"
+        assert server.stats()["counters"].get("microbatched", 0) == 2
+
+    def test_overlapping_session_flushes_do_not_deadlock(
+            self, serve_chatgraph):
+        """Two workers serve flushes holding the same two sessions in
+        opposite arrival order at once.  Each takes its members' locks
+        in session-id order, so neither waits on the other for ever; a
+        slow session lookup widens the window a lock cycle would need.
+        The joins are bounded, so a deadlock fails instead of hanging."""
+        graph = knowledge_graph(24, 80, seed=3)
+
+        def turn(session_id):
+            request = ServeRequest(op="ask", text="how many nodes are there",
+                                   graph=graph, session_id=session_id)
+            return PendingRequest(request, request_id=0,
+                                  enqueued_at=time.perf_counter())
+
+        flushes = [[turn("dlg-a"), turn("dlg-b")],
+                   [turn("dlg-b"), turn("dlg-a")]]
+        server = ChatGraphServer(serve_chatgraph,
+                                 ServeConfig(workers=2, enable_caches=False))
+        with server:
+            backend = server.backend
+            lookup = backend.sessions.get_or_create
+
+            def slow_lookup(session_id):
+                time.sleep(0.05)
+                return lookup(session_id)
+
+            backend.sessions.get_or_create = slow_lookup
+            workers = [threading.Thread(target=backend._serve,
+                                        args=(flush, f"worker-{index}"),
+                                        daemon=True)
+                       for index, flush in enumerate(flushes)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(30.0)
+            assert not any(worker.is_alive() for worker in workers), \
+                "two flushes sharing sessions deadlocked"
+        responses = [item.result(timeout=1.0)
+                     for flush in flushes for item in flush]
         assert all(r.ok for r in responses)
-        session_response = responses[3]
-        assert session_response.op == "ask"
-        assert session_response.value.answer
-        # the session request was served, but never as part of a batch:
-        # microbatched counts only the stateless requests
-        counters = server.stats()["counters"]
-        assert counters.get("microbatched", 0) <= len(workload) - 1
-        assert server.sessions.stats()["created"] >= 1
+        for session_id in ("dlg-a", "dlg-b"):
+            history = server.sessions.get(session_id).session.history
+            assert [t.role for t in history].count("user") == 2
 
 
 class ScriptedQueue:

@@ -136,7 +136,9 @@ class TestTraceDeterminism:
                 for index, text in enumerate(prompts)]
 
     def run_once(self, chatgraph, order):
-        config = traced_config(workers=4)
+        # never coalesce: a shared pass adds a ``microbatch`` span, and
+        # which requests share one depends on timing, not on the seed
+        config = traced_config(workers=4, microbatch_size=0)
         requests = self.workload()
         if order == "reversed":
             requests = requests[::-1]

@@ -3,10 +3,12 @@
 ``LocalBackend._serve`` is the only way a popped request is served, so
 what a server answers, counts and traces must not depend on how its
 requests happened to be grouped.  The differential below drives one
-fixed mixed workload (stateless ask/propose, a session dialog, an
-``execute`` of an edited chain, one bad graph name) through
+fixed mixed workload (stateless ask/propose, three interleaved session
+dialogs, an ``execute`` of an edited chain, one bad graph name) through
 ``microbatch_size`` 0, 1 and 8 with tracing off and on, and pins the
-books for sizes 0 and 8 to the numbers the two-body parent produced.
+books to the numbers a scalar server produces.  At size 8 the first
+turn of each dialog shares a pass with a stateless request; the later
+turns pass through that flush and are served after it, in order.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import pytest
 from repro import ChatGraphServer, ServeConfig, ServeRequest
 from repro.config import ObsConfig
 from repro.errors import ServeError
-from repro.graphs import knowledge_graph
+from repro.graphs import knowledge_graph, social_network
 from repro.loadgen import bench_workload
 from repro.obs import check_trace
 from repro.shard.protocol import dumps_canonical, value_to_wire
@@ -24,32 +26,34 @@ from repro.shard.protocol import dumps_canonical, value_to_wire
 SIZES = (0, 1, 8)
 
 #: ``stats()["counters"]`` and the per-series ``stats()["latency"]``
-#: counts for the workload below, measured at the parent commit (the
-#: scalar body at ``microbatch_size=0``, the batched body at 8) — the
-#: same for both sizes there, and for every size here.
+#: counts for the workload below, as the scalar body counted them (the
+#: books for the first dialog were pinned by the two-body server; the
+#: other two dialogs add 6 asks, 6 chains and 9 steps, counted by a
+#: server that served every session turn alone) — the same for every
+#: size here.
 #: ``microbatched`` and the two ``microbatch_*`` histograms are the
 #: only series that may tell a shared pass from a lone one.
 PARENT_COUNTERS = {
-    "admitted": 13,
-    "events_chain_finished": 8,
-    "events_chain_started": 8,
-    "events_step_finished": 21,
-    "events_step_started": 21,
+    "admitted": 13 + 6,
+    "events_chain_finished": 8 + 6,
+    "events_chain_started": 8 + 6,
+    "events_step_finished": 21 + 9,
+    "events_step_started": 21 + 9,
     "failed": 1,
-    "op_ask": 8,
+    "op_ask": 8 + 6,
     "op_execute": 1,
     "op_propose": 4,
 }
 PARENT_LATENCY_COUNTS = {
-    "execute": 8,
-    "generate": 11,
-    "graph_type": 11,
-    "intent": 11,
-    "queued": 13,
-    "retrieval": 11,
-    "sequentialize": 11,
-    "service": 13,
-    "total": 13,
+    "execute": 8 + 6,
+    "generate": 11 + 6,
+    "graph_type": 11 + 6,
+    "intent": 11 + 6,
+    "queued": 13 + 6,
+    "retrieval": 11 + 6,
+    "sequentialize": 11 + 6,
+    "service": 13 + 6,
+    "total": 13 + 6,
 }
 BATCH_ONLY = ("microbatch_size", "microbatch_queue_delay")
 
@@ -63,16 +67,25 @@ def _stateless_workload() -> list[ServeRequest]:
     return proposes[:2] + asks[:2] + [bad] + proposes[2:] + asks[2:]
 
 
-def _dialog() -> list[ServeRequest]:
-    graph = knowledge_graph(24, 80, seed=3)
-    return [
-        ServeRequest(op="ask", text="how many nodes are there",
-                     graph=graph, session_id="dlg-1"),
-        ServeRequest(op="ask", text="compute the graph density",
-                     session_id="dlg-1"),
-        ServeRequest(op="ask", text="write a brief report for G",
-                     session_id="dlg-1"),
+def _dialogs() -> list[ServeRequest]:
+    """Three three-turn dialogs, each uploading its graph on its first
+    turn, their turns interleaved."""
+    dialogs = [
+        ("dlg-1", knowledge_graph(24, 80, seed=3),
+         ("how many nodes are there", "compute the graph density",
+          "write a brief report for G")),
+        ("dlg-2", social_network(30, 3, seed=5),
+         ("detect the communities of this network",
+          "how many nodes are there", "find the most influential nodes")),
+        ("dlg-3", knowledge_graph(30, 90, seed=7),
+         ("write a brief report for G", "count the edges",
+          "compute the graph density")),
     ]
+    return [ServeRequest(op="ask", text=texts[turn],
+                         graph=graph if turn == 0 else None,
+                         session_id=session_id, client_id=session_id)
+            for turn in range(3)
+            for session_id, graph, texts in dialogs]
 
 
 def _reply_bytes(response) -> bytes:
@@ -93,7 +106,7 @@ def _run(chatgraph, size: int, tracing: bool):
         # one burst: a single worker with a 0.3 s window coalesces the
         # stateless members whenever ``size`` lets it
         pending = [server.submit(request)
-                   for request in _stateless_workload() + _dialog()]
+                   for request in _stateless_workload() + _dialogs()]
         responses = [item.result(timeout=120.0) for item in pending]
         # the paper's confirm/edit loop: drop the last step of the
         # first proposal and execute what is left
@@ -135,9 +148,17 @@ def test_replies_and_books_do_not_depend_on_flush_size(chatgraph, tracing):
         requests = [s for s in spans if s.kind == "request"]
         assert sorted(s.name for s in requests) == sorted(
             f"request:{reply_op}" for reply_op in
-            ["propose"] * 4 + ["ask"] * 8 + ["execute"]), size
+            ["propose"] * 4 + ["ask"] * 14 + ["execute"]), size
         assert [s.kind for s in spans].count("op") == 0, size
         assert any(s.name == "microbatch" for s in spans) == (size > 1)
+        # each dialog's first turn shares a pass; its later turns pass
+        # through that flush
+        turns_shared = sorted(
+            s.attrs["client"] for s in requests
+            if s.attrs["client"].startswith("dlg-")
+            and "batch_size" in s.attrs)
+        assert turns_shared == (["dlg-1", "dlg-2", "dlg-3"] if size > 1
+                                else []), size
 
 
 @pytest.mark.parametrize("size", SIZES)

@@ -11,6 +11,7 @@ the same question about the same graph object.
 
 from __future__ import annotations
 
+import json
 import time
 
 import pytest
@@ -65,8 +66,10 @@ def sent(monkeypatch):
     real_send = LoopbackLink.send
 
     def send(link, frame):
-        if frame.get("type") == "request":
-            frames.append(frame["request"])
+        # request frames arrive encoded (``encode_request``)
+        decoded = json.loads(frame) if isinstance(frame, bytes) else frame
+        if decoded.get("type") == "request":
+            frames.append(decoded["request"])
         return real_send(link, frame)
 
     monkeypatch.setattr(LoopbackLink, "send", send)
@@ -324,3 +327,27 @@ def test_both_tables_weigh_the_frame_not_the_rebuilt_graph(
     assert _tables_agree(handle).refs() \
         == [graph_ref(clashing), graph_ref(broken), graph_ref(plain)]
     assert fleet.stats()["counters"].get("shard_deaths", 0) == 0
+
+
+def test_an_unencodable_graph_fails_only_its_own_request(
+        make_fleet, reference, sent):
+    """A set-valued node attribute cannot be encoded.  That request
+    fails alone before any mirror files its ref; no shard dies or fails
+    over, and the next request is served."""
+    fleet = make_fleet(shards=2)
+    bad = social_network(20, 2, seed=1)
+    bad.set_node_attr(next(iter(bad.nodes())), "tags", {"a", "b"})
+    failed = fleet.request(ServeRequest(op="ask", text=TEXT, graph=bad))
+    assert not failed.ok and failed.error_type == "ShardProtocolError"
+    assert "not JSON-serializable" in failed.error
+    assert sent == []
+    for handle in fleet.handles:
+        assert handle.alive
+        assert graph_ref(bad) not in _tables_agree(handle).refs()
+    good = social_network(24, 2, seed=2)
+    _ask(fleet, reference, TEXT, good)
+    assert [wire["graph_ref"] for wire in sent] == [graph_ref(good)]
+    counters = fleet.stats()["counters"]
+    assert counters.get("shard_deaths", 0) == 0
+    assert counters.get("shard_failovers", 0) == 0
+    assert counters["failed"] == 1
