@@ -7,15 +7,13 @@ toggled and shown to change observable behaviour; the session round-trip
 
 from __future__ import annotations
 
-import pytest
+import itertools
+
+import numpy as np
 
 from repro import ChatGraph, ChatGraphConfig, ChatSession
-from repro.config import (
-    FinetuneConfig,
-    LLMConfig,
-    RetrievalConfig,
-    SequencerConfig,
-)
+from repro.config import MODEL_PRESETS, LLMConfig, SequencerConfig
+from repro.finetune import CorpusSpec
 from repro.graphs import social_network
 from repro.sequencer import GraphSequentializer
 
@@ -33,7 +31,6 @@ def test_config_parameter_effects(chatgraph, report_table, benchmark):
 
     # retrieval.tau (index shape)
     from repro.ann import TauMGIndex
-    import numpy as np
     data = np.random.default_rng(0).normal(size=(400, 16))
     edges = {tau: TauMGIndex(tau=tau).build(data).n_edges()
              for tau in (0.0, 0.1)}
@@ -66,11 +63,23 @@ def test_config_parameter_effects(chatgraph, report_table, benchmark):
     rows.append(f"llm.max_chain_length=1: proposed {len(result.chain)} "
                 f"step(s) (fallback={result.used_fallback})")
 
-    # llm.model preset
-    for preset in ("chatglm-sim", "moss-sim", "vicuna-sim"):
+    # llm.model preset: each trains at its own learning rate and L2
+    weights, held_out = {}, {}
+    for preset in MODEL_PRESETS:
         cg = ChatGraph(config=ChatGraphConfig(llm=LLMConfig(model=preset)))
-        assert cg.model is not None
-    rows.append("llm.model: all three presets instantiate")
+        report = cg.finetune(CorpusSpec(n_examples=120, seed=4))
+        weights[preset] = cg.model._weights
+        held_out[preset] = report.final_metrics
+    for left, right in itertools.combinations(MODEL_PRESETS, 2):
+        assert not np.array_equal(weights[left], weights[right]), \
+            (left, right)
+    rows.append(
+        "llm.model: three presets train to three different models; "
+        "held-out exact match / matching loss "
+        f"(n={held_out['chatglm-sim'].n_examples}): "
+        + ", ".join(f"{preset} {held_out[preset].exact_match:.3f} / "
+                    f"{held_out[preset].mean_matching_loss:.3f}"
+                    for preset in MODEL_PRESETS))
 
     report_table("E11-config-coverage", *rows)
     benchmark(lambda: ChatGraphConfig.from_dict(

@@ -5,9 +5,10 @@ The paper's configuration screen exposes two groups of parameters:
 * framework parameters — for the ANN search (``tau``, ``ef_search``,
   ``top_k_apis``), the graph sequentializer (``path_length``,
   ``multi_level``), and the finetuning module (``alpha``, ``rollouts``,
-  ``epochs``, ``learning_rate``);
-* LLM parameters — model preset name, ``max_chain_length``,
-  ``beam_width``, and the random ``seed``.
+  ``epochs``);
+* LLM parameters — model preset name, ``max_chain_length`` and the
+  random ``seed``.  The preset owns the learning rate and L2 strength
+  the finetuning module trains at (:data:`repro.llm.PRESETS`).
 
 :class:`ChatGraphConfig` groups both, validates every field, and is the
 single object threaded through :class:`repro.core.chatgraph.ChatGraph`.
@@ -84,17 +85,11 @@ class FinetuneConfig:
     rollouts: int = 4
     #: Training epochs.
     epochs: int = 5
-    #: Learning rate of the chain model.
-    learning_rate: float = 0.5
-    #: L2 regularization strength of the chain model.
-    l2: float = 1e-3
 
     def __post_init__(self) -> None:
         _require(self.alpha >= 0.0, "alpha must be >= 0")
         _require(self.rollouts >= 0, "rollouts must be >= 0")
         _require(self.epochs >= 1, "epochs must be >= 1")
-        _require(self.learning_rate > 0.0, "learning_rate must be > 0")
-        _require(self.l2 >= 0.0, "l2 must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -105,16 +100,13 @@ class LLMConfig:
     model: str = "chatglm-sim"
     #: Hard cap on generated API-chain length.
     max_chain_length: int = 8
-    #: Beam width for beam-search decoding (1 = greedy).
-    beam_width: int = 1
-    #: Seed for every stochastic component (rollouts, sampling, init).
+    #: Seed for every stochastic component (init, shuffling, rollouts).
     seed: int = 0
 
     def __post_init__(self) -> None:
         _require(self.model in MODEL_PRESETS,
                  f"model must be one of {MODEL_PRESETS}, got {self.model!r}")
         _require(self.max_chain_length >= 1, "max_chain_length must be >= 1")
-        _require(self.beam_width >= 1, "beam_width must be >= 1")
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ from ..apis.registry import APIRegistry, Category
 from ..config import ChatGraphConfig
 from ..errors import ChainError, ConfigError
 from ..llm.chain_model import ChainLanguageModel, GenerationState
-from ..llm.decoding import beam_decode, greedy_decode_batch
+from ..llm.decoding import greedy_decode_batch
 from ..llm.intent import (
     CATEGORY_ROUTING,
     GraphTypePredictor,
@@ -430,11 +430,10 @@ class SequentializeStage(Stage):
 
 
 class GenerateStage(Stage):
-    """Decode an API chain (greedy or beam) from the assembled state.
+    """Greedy-decode an API chain from the assembled state.
 
-    Every greedy context decodes through one lockstep
-    :func:`~repro.llm.decoding.greedy_decode_batch` fleet; beam search
-    carries per-candidate state and decodes per item.
+    Every context of a pass decodes through one lockstep
+    :func:`~repro.llm.decoding.greedy_decode_batch` fleet.
     """
 
     name = "generate"
@@ -456,16 +455,9 @@ class GenerateStage(Stage):
                                allowed=allowed)
 
     def run(self, ctxs: Sequence[StageContext]) -> None:
-        llm = self.config.llm
-        states = [self._state(ctx) for ctx in ctxs]
-        if llm.beam_width > 1:
-            names_per = [beam_decode(self.model, state,
-                                     beam_width=llm.beam_width,
-                                     max_length=llm.max_chain_length)
-                         for state in states]
-        else:
-            names_per = greedy_decode_batch(
-                self.model, states, max_length=llm.max_chain_length)
+        names_per = greedy_decode_batch(
+            self.model, [self._state(ctx) for ctx in ctxs],
+            max_length=self.config.llm.max_chain_length)
         for ctx, names in zip(ctxs, names_per):
             ctx["names"] = names
 

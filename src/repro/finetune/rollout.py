@@ -2,7 +2,7 @@
 
 Chain generation extends a partial chain one API at a time.  For each
 candidate next API ``a`` we run ``r`` random rollouts: complete
-``C_p + {a}`` to a full chain by temperature sampling, take the minimum
+``C_p + {a}`` to a full chain by sampling from the model, take the minimum
 node matching-based loss of each completion against the ground-truth
 chains, and keep the best (the candidate's score).  The candidate with
 the lowest best-loss is appended.  With ``r = 0`` the candidate is
@@ -37,7 +37,6 @@ Chain = Sequence[str]
 def score_candidates(model: ChainLanguageModel, state: GenerationState,
                      truths: Sequence[Chain], rollouts: int = 4,
                      alpha: float = 1.0, max_length: int = 8,
-                     temperature: float = 1.0,
                      rng: random.Random | None = None,
                      greedy_anchor: bool = True,
                      loss: Callable[[Chain, Sequence[Chain], float], float]
@@ -70,8 +69,8 @@ def score_candidates(model: ChainLanguageModel, state: GenerationState,
             if greedy_anchor:
                 completions.append(anchors[row])
             for __ in range(rollouts):
-                completions.append(sample_chain(scorer, current, temperature,
-                                                remaining, rng))
+                completions.append(sample_chain(scorer, current, remaining,
+                                                rng))
         for completion in completions:
             full = prefix + [name] + completion
             best = min(best, loss(full, truths, alpha))
@@ -85,7 +84,6 @@ def score_candidates(model: ChainLanguageModel, state: GenerationState,
 def rollout_decode(model: ChainLanguageModel, state: GenerationState,
                    truths: Sequence[Chain], rollouts: int = 4,
                    alpha: float = 1.0, max_length: int = 8,
-                   temperature: float = 1.0,
                    rng: random.Random | None = None,
                    greedy_anchor: bool = True) -> list[str]:
     """Full search-based prediction: extend until EOS wins or the cap.
@@ -101,8 +99,7 @@ def rollout_decode(model: ChainLanguageModel, state: GenerationState,
     for __ in range(max_length):
         scores = score_candidates(model, current, truths, rollouts=rollouts,
                                   alpha=alpha, max_length=max_length,
-                                  temperature=temperature, rng=rng,
-                                  greedy_anchor=greedy_anchor)
+                                  rng=rng, greedy_anchor=greedy_anchor)
         # lowest loss wins; EOS wins ties (prefer stopping when equal)
         best_name = min(
             scores,

@@ -45,6 +45,9 @@ class FinetuneReport:
 class Finetuner:
     """Drives finetuning of a :class:`ChainLanguageModel`.
 
+    Every step runs at the model's own learning rate and L2 strength,
+    which its preset sets (:data:`repro.llm.PRESETS`).
+
     Example::
 
         tuner = Finetuner(model, FinetuneConfig(rollouts=4))
@@ -83,8 +86,7 @@ class Finetuner:
             epoch_loss = 0.0
             for item in order:
                 if objective == "token":
-                    epoch_loss += self.model.train_compiled(
-                        item, self.config.learning_rate)
+                    epoch_loss += self.model.train_compiled(item)
                 else:
                     epoch_loss += self._matching_step(item, rng, loss)
             report.train_losses.append(epoch_loss / len(order))
@@ -110,8 +112,7 @@ class Finetuner:
                 rollouts=config.rollouts, alpha=config.alpha,
                 max_length=max_length, rng=rng, loss=loss)
             weights = _scores_to_weights(scores)
-            total_loss += self.model.train_weighted_step(
-                state, weights, config.learning_rate)
+            total_loss += self.model.train_weighted_step(state, weights)
             steps += 1
             best = min(scores, key=lambda name: (scores[name],
                                                  0 if name == "<eos>" else 1,

@@ -12,12 +12,7 @@ search-based (rollout) decoding — runs unchanged on top of it.
 from .prompts import Prompt
 from .intent import GraphTypePredictor, IntentClassifier, predict_graph_type
 from .chain_model import BatchScorer, ChainLanguageModel, TrainingExample
-from .decoding import (
-    beam_decode,
-    greedy_decode,
-    greedy_decode_batch,
-    sample_decode,
-)
+from .decoding import greedy_decode, greedy_decode_batch
 from .simulated import PRESETS, build_model
 from .persistence import load_model, save_model
 
@@ -31,10 +26,8 @@ __all__ = [
     "BatchScorer",
     "ChainLanguageModel",
     "TrainingExample",
-    "beam_decode",
     "greedy_decode",
     "greedy_decode_batch",
-    "sample_decode",
     "PRESETS",
     "build_model",
 ]

@@ -221,12 +221,10 @@ class ChainLanguageModel:
         ids.add(self.eos_id)
         return frozenset(ids)
 
-    def next_distribution(self, state: GenerationState,
-                          temperature: float = 1.0) -> np.ndarray:
+    def next_distribution(self, state: GenerationState) -> np.ndarray:
         """Distribution over the full vocabulary (masked to candidates),
         read off a one-lane :class:`BatchScorer`."""
-        return BatchScorer(self, [state]).distributions(
-            [state], [0], temperature)[0]
+        return BatchScorer(self, [state]).distributions([state], [0])[0]
 
     def log_prob(self, state: GenerationState, api_name: str) -> float:
         """log P(api_name | state)."""
@@ -247,14 +245,12 @@ class ChainLanguageModel:
     # ------------------------------------------------------------------
     # training
     # ------------------------------------------------------------------
-    def train_step(self, state: GenerationState, target: str,
-                   learning_rate: float | None = None) -> float:
+    def train_step(self, state: GenerationState, target: str) -> float:
         """One cross-entropy SGD step; returns the step's loss."""
-        return self.train_weighted_step(state, {target: 1.0}, learning_rate)
+        return self.train_weighted_step(state, {target: 1.0})
 
     def train_weighted_step(self, state: GenerationState,
-                            target_weights: dict[str, float],
-                            learning_rate: float | None = None) -> float:
+                            target_weights: dict[str, float]) -> float:
         """SGD toward a *distribution* over targets.
 
         The finetuning module converts its chain-level matching loss into
@@ -273,8 +269,7 @@ class ChainLanguageModel:
               if name in self._vocab]] = -np.inf
         mask[self.eos_id] = 0.0
         return self._sgd_step(feature_ids, feature_values,
-                              self._dynamic_feature_ids(state), mask, target,
-                              learning_rate)
+                              self._dynamic_feature_ids(state), mask, target)
 
     def _compile_state(self, state: GenerationState
                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -296,8 +291,7 @@ class ChainLanguageModel:
                 [self.token_id(name) for name in example.target_chains[0]]
                 + [self.eos_id])
 
-    def train_compiled(self, compiled: CompiledChain,
-                       learning_rate: float | None = None) -> float:
+    def train_compiled(self, compiled: CompiledChain) -> float:
         """Teacher-forced CE steps on a :meth:`compile_chain` result.
 
         Each step adds only what the prefix changes — the previous-API
@@ -316,21 +310,20 @@ class ChainLanguageModel:
                 mask[self.eos_id] = 0.0
             loss += self._sgd_step(
                 feature_ids, feature_values, dynamic, mask,
-                np.eye(1, self.vocab_size, token_id)[0], learning_rate)
+                np.eye(1, self.vocab_size, token_id)[0])
         return loss / len(ids)
 
-    def train_chain(self, example: TrainingExample,
-                    learning_rate: float | None = None) -> float:
+    def train_chain(self, example: TrainingExample) -> float:
         """Teacher-forced CE training on the first target chain (baseline)."""
-        return self.train_compiled(self.compile_chain(example), learning_rate)
+        return self.train_compiled(self.compile_chain(example))
 
     def _sgd_step(self, feature_ids: np.ndarray, feature_values: np.ndarray,
-                  dynamic: list[int], mask: np.ndarray, target: np.ndarray,
-                  learning_rate: float | None) -> float:
+                  dynamic: list[int], mask: np.ndarray,
+                  target: np.ndarray) -> float:
         """The one SGD body over the static, then ``dynamic``, then bias
         features: one gather of their weight columns, softmax, error,
         step and L2 decay on that copy, one scatter."""
-        lr = self.learning_rate if learning_rate is None else learning_rate
+        lr = self.learning_rate
         idx = np.concatenate((feature_ids, dynamic, [self.n_features - 1]))
         vals = np.concatenate((feature_values, [1.0] * (len(dynamic) + 1)))
         block = self._weights[:, idx]
@@ -362,7 +355,7 @@ class BatchScorer:
     It is the model's only inference scorer: every decoder, the rollout
     search and :meth:`ChainLanguageModel.next_distribution` read one.
     A single-state decode builds one lane and scores every descendant
-    state (live beams, advanced candidates, rollouts) against it.
+    state (advanced candidates, rollouts) against it.
     """
 
     def __init__(self, model: ChainLanguageModel,
@@ -398,14 +391,13 @@ class BatchScorer:
         return np.flatnonzero(open_ids).tolist()
 
     def distributions(self, states: Sequence[GenerationState],
-                      lanes: Sequence[int],
-                      temperature: float = 1.0) -> np.ndarray:
+                      lanes: Sequence[int]) -> np.ndarray:
         """``(len(states), vocab)`` next-token distributions.
 
         ``states[i]`` must be a (possibly advanced) descendant of the
         construction-time state of lane ``lanes[i]``.
         """
-        logits = self._masked_logits(states, lanes, temperature)
+        logits = self._masked_logits(states, lanes)
         logits -= logits.max(axis=1, keepdims=True)
         probs = np.exp(logits)
         probs /= probs.sum(axis=1, keepdims=True)
@@ -418,14 +410,10 @@ class BatchScorer:
         ``argmax(softmax(x)) == argmax(x)``, so the greedy fleet
         decoder skips the exp/normalize work entirely.
         """
-        logits = self._masked_logits(states, lanes, 1.0)
-        return np.argmax(logits, axis=1)
+        return np.argmax(self._masked_logits(states, lanes), axis=1)
 
     def _masked_logits(self, states: Sequence[GenerationState],
-                       lanes: Sequence[int],
-                       temperature: float) -> np.ndarray:
-        if temperature <= 0:
-            raise ModelError("temperature must be > 0")
+                       lanes: Sequence[int]) -> np.ndarray:
         model = self.model
         vocab = model._vocab
         n = len(states)
@@ -451,7 +439,5 @@ class BatchScorer:
         if masked_rows:
             logits_mask[masked_rows, masked_cols] = -np.inf
         logits = phi @ self._wt
-        if temperature != 1.0:
-            logits /= temperature
         logits += logits_mask
         return logits

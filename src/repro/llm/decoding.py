@@ -1,25 +1,23 @@
-"""Chain decoding strategies: greedy, beam and temperature sampling.
+"""Chain decoding: the greedy decoder and the rollout sampler.
 
-The paper's search-based prediction (random rollouts scored by the node
+The paper has two decoders.  Greedy decoding runs at inference: the
+chat pipeline decodes every request through :func:`greedy_decode_batch`.
+The search-based prediction (random rollouts scored by the node
 matching-based loss) is the *training-time* decoder and lives in
-:mod:`repro.finetune.rollout`; the strategies here are the inference-
-time decoders the chat pipeline uses.
+:mod:`repro.finetune.rollout`; it draws its random completions with
+:func:`sample_chain`.
 
-Every decoder scores through a :class:`~repro.llm.chain_model.BatchScorer`:
+Both score through a :class:`~repro.llm.chain_model.BatchScorer`:
 :func:`greedy_lanes` advances a fleet in lockstep (one lane per state in
 :func:`greedy_decode_batch`, a fleet of one in :func:`greedy_decode`),
-:func:`beam_decode` expands all live beams of a step through one call,
 and :func:`sample_chain` samples from a lane.  The rollout search reuses
-:func:`greedy_lanes` and :func:`sample_chain` on one scorer per step.
+both on one scorer per step.
 """
 
 from __future__ import annotations
 
-import heapq
 import random
 from typing import Sequence
-
-import numpy as np
 
 from ..errors import ModelError
 from .chain_model import BatchScorer, ChainLanguageModel, GenerationState
@@ -29,63 +27,6 @@ def greedy_decode(model: ChainLanguageModel, state: GenerationState,
                   max_length: int = 8) -> list[str]:
     """Always take the argmax next API; stop at EOS or ``max_length``."""
     return greedy_decode_batch(model, [state], max_length)[0]
-
-
-#: One beam hypothesis: (neg mean log-prob, tiebreak, raw total
-#: log-prob, chain, state, finished).  The *raw* cumulative log-prob is
-#: carried alongside the length-normalized ranking score instead of
-#: being re-derived from it (``-score * length`` reconstruction drifts
-#: one rounding per step and compounds over long beams).
-_Beam = tuple[float, int, float, tuple[str, ...], GenerationState, bool]
-
-
-def beam_decode(model: ChainLanguageModel, state: GenerationState,
-                beam_width: int = 4, max_length: int = 8) -> list[str]:
-    """Length-normalized beam search; returns the best finished chain.
-
-    All live beams of a step are scored through one batched model call
-    (they share ``state``'s static features, so the per-step cost is a
-    single ``(n_live, vocab)`` matmul).  Candidates whose probability
-    is exactly ``0.0`` are disallowed (masked) tokens and are never
-    expanded.
-    """
-    if beam_width < 1:
-        raise ModelError("beam_width must be >= 1")
-    scorer = BatchScorer(model, [state])
-    beams: list[_Beam] = [(0.0, 0, 0.0, (), state, False)]
-    tie = 0
-    for __ in range(max_length + 1):
-        live = [beam for beam in beams if not beam[5]]
-        if not live:
-            break
-        probs = scorer.distributions([beam[4] for beam in live],
-                                     [0] * len(live))
-        expanded: list[_Beam] = [beam for beam in beams if beam[5]]
-        for row, (__score, __tie, total_logp, chain, current,
-                  __fin) in enumerate(live):
-            row_probs = probs[row]
-            candidate_ids = np.argsort(row_probs)[::-1][:beam_width]
-            for token_id in candidate_ids:
-                p = float(row_probs[token_id])
-                if p == 0.0:
-                    continue  # masked (disallowed) token
-                logp = float(np.log(p))
-                tie += 1
-                new_logp = total_logp + logp
-                if int(token_id) == model.eos_id:
-                    new_score = -new_logp / (len(chain) + 2)
-                    expanded.append((new_score, tie, new_logp, chain,
-                                     current, True))
-                else:
-                    name = model.token_name(int(token_id))
-                    new_chain = chain + (name,)
-                    new_score = -new_logp / (len(new_chain) + 1)
-                    expanded.append((new_score, tie, new_logp, new_chain,
-                                     current.advance(name), False))
-        beams = heapq.nsmallest(beam_width, expanded)
-    finished_beams = [beam for beam in beams if beam[5]] or beams
-    best = min(finished_beams)
-    return list(best[3])
 
 
 def greedy_decode_batch(model: ChainLanguageModel,
@@ -125,17 +66,8 @@ def greedy_lanes(scorer: BatchScorer, states: Sequence[GenerationState],
     return chains
 
 
-def sample_decode(model: ChainLanguageModel, state: GenerationState,
-                  temperature: float = 1.0, max_length: int = 8,
-                  rng: random.Random | None = None) -> list[str]:
-    """Sample a chain token by token."""
-    return sample_chain(BatchScorer(model, [state]), state, temperature,
-                        max_length, rng or random.Random(0))
-
-
 def sample_chain(scorer: BatchScorer, state: GenerationState,
-                 temperature: float, max_length: int,
-                 rng: random.Random) -> list[str]:
+                 max_length: int, rng: random.Random) -> list[str]:
     """Sample a chain from ``state`` (a descendant of lane 0): each step
     draws one ``rng.random()`` threshold against the cumulative
     next-token distribution."""
@@ -143,7 +75,7 @@ def sample_chain(scorer: BatchScorer, state: GenerationState,
     chain: list[str] = []
     current = state
     for __ in range(max_length):
-        probs = scorer.distributions([current], [0], temperature)[0]
+        probs = scorer.distributions([current], [0])[0]
         threshold = rng.random()
         cumulative = 0.0
         token_id = model.eos_id

@@ -3,7 +3,9 @@
 The paper downloads ChatGLM, MOSS and Vicuna from HuggingFace; offline
 we expose three presets of the simulated backbone that differ in
 learning dynamics (learning rate and L2), so the configuration screen
-(Fig. 3) keeps its model selector.
+(Fig. 3) keeps its model selector.  A preset is the only owner of those
+two numbers: :class:`~repro.finetune.Finetuner` trains every model at
+its own rate, so the three presets finetune to three different models.
 """
 
 from __future__ import annotations

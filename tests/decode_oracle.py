@@ -72,13 +72,11 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return probs
 
 
-def next_distribution(model: ChainLanguageModel, state: GenerationState,
-                      temperature: float = 1.0) -> np.ndarray:
+def next_distribution(model: ChainLanguageModel,
+                      state: GenerationState) -> np.ndarray:
     """Distribution over the full vocabulary (masked to candidates)."""
-    if temperature <= 0:
-        raise ModelError("temperature must be > 0")
     idx, vals = feature_arrays(model, state)
-    logits = model._weights[:, idx] @ vals / temperature
+    logits = model._weights[:, idx] @ vals
     return _softmax(logits + candidate_mask(model, state))
 
 
@@ -101,14 +99,14 @@ def greedy_decode(model: ChainLanguageModel, state: GenerationState,
 
 
 def sample_decode(model: ChainLanguageModel, state: GenerationState,
-                  temperature: float = 1.0, max_length: int = 8,
+                  max_length: int = 8,
                   rng: random.Random | None = None) -> list[str]:
     """Sample a chain token by token."""
     rng = rng or random.Random(0)
     chain: list[str] = []
     current = state
     for __ in range(max_length):
-        probs = next_distribution(model, current, temperature=temperature)
+        probs = next_distribution(model, current)
         threshold = rng.random()
         cumulative = 0.0
         token_id = model.eos_id
@@ -128,7 +126,6 @@ def sample_decode(model: ChainLanguageModel, state: GenerationState,
 def score_candidates(model: ChainLanguageModel, state: GenerationState,
                      truths: Sequence[Chain], rollouts: int = 4,
                      alpha: float = 1.0, max_length: int = 8,
-                     temperature: float = 1.0,
                      rng: random.Random | None = None,
                      greedy_anchor: bool = True) -> dict[str, float]:
     """Best rollout loss per candidate next API (lower is better)."""
@@ -150,8 +147,7 @@ def score_candidates(model: ChainLanguageModel, state: GenerationState,
                                                  max_length=remaining))
             for __ in range(rollouts):
                 completions.append(sample_decode(
-                    model, advanced, temperature=temperature,
-                    max_length=remaining, rng=rng))
+                    model, advanced, max_length=remaining, rng=rng))
         for completion in completions:
             full = prefix + [name] + completion
             best = min(best, min_matching_loss(full, truths, alpha))
@@ -164,7 +160,6 @@ def score_candidates(model: ChainLanguageModel, state: GenerationState,
 def rollout_decode(model: ChainLanguageModel, state: GenerationState,
                    truths: Sequence[Chain], rollouts: int = 4,
                    alpha: float = 1.0, max_length: int = 8,
-                   temperature: float = 1.0,
                    rng: random.Random | None = None,
                    greedy_anchor: bool = True) -> list[str]:
     """Extend by the best-scored candidate until EOS wins or the cap."""
@@ -176,8 +171,7 @@ def rollout_decode(model: ChainLanguageModel, state: GenerationState,
     for __ in range(max_length):
         scores = score_candidates(model, current, truths, rollouts=rollouts,
                                   alpha=alpha, max_length=max_length,
-                                  temperature=temperature, rng=rng,
-                                  greedy_anchor=greedy_anchor)
+                                  rng=rng, greedy_anchor=greedy_anchor)
         best_name = min(
             scores,
             key=lambda name: (scores[name], 0 if name == "<eos>" else 1,

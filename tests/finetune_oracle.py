@@ -71,7 +71,8 @@ def train_chain(model: ChainLanguageModel, example: TrainingExample,
 
 
 def matching_step(model: ChainLanguageModel, example: TrainingExample,
-                  config: FinetuneConfig, rng: random.Random) -> float:
+                  config: FinetuneConfig, rng: random.Random,
+                  learning_rate: float) -> float:
     """One example under the matching + rollout objective."""
     state = example.state()
     max_length = max(len(chain) for chain in example.target_chains) + 2
@@ -87,7 +88,7 @@ def matching_step(model: ChainLanguageModel, example: TrainingExample,
         norm = sum(weights.values())
         total_loss += weighted_step(
             model, state, {name: w / norm for name, w in weights.items()},
-            config.learning_rate)
+            learning_rate)
         steps += 1
         best = min(scores, key=lambda name: (scores[name],
                                              0 if name == EOS else 1, name))
@@ -98,9 +99,14 @@ def matching_step(model: ChainLanguageModel, example: TrainingExample,
 
 
 def train(model: ChainLanguageModel, examples: Sequence[TrainingExample],
-          config: FinetuneConfig, objective: str,
-          seed: int = 0) -> list[float]:
-    """The epoch loop; returns the per-epoch mean training losses."""
+          config: FinetuneConfig, objective: str, seed: int = 0,
+          learning_rate: float | None = None) -> list[float]:
+    """The epoch loop; returns the per-epoch mean training losses.
+
+    Steps run at ``learning_rate``, by default the model's own.
+    """
+    if learning_rate is None:
+        learning_rate = model.learning_rate
     rng = random.Random(seed)
     losses = []
     order = list(examples)
@@ -109,9 +115,9 @@ def train(model: ChainLanguageModel, examples: Sequence[TrainingExample],
         epoch_loss = 0.0
         for example in order:
             if objective == "token":
-                epoch_loss += train_chain(model, example,
-                                          config.learning_rate)
+                epoch_loss += train_chain(model, example, learning_rate)
             else:
-                epoch_loss += matching_step(model, example, config, rng)
+                epoch_loss += matching_step(model, example, config, rng,
+                                            learning_rate)
         losses.append(epoch_loss / len(order))
     return losses

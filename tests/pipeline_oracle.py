@@ -17,7 +17,6 @@ from repro.core.fallbacks import FALLBACKS
 from repro.core.pipeline import PipelineResult
 from repro.errors import ChainError, EmbeddingError
 from repro.llm.chain_model import GenerationState
-from repro.llm.decoding import beam_decode
 from repro.llm.intent import CATEGORY_ROUTING
 
 from .decode_oracle import greedy_decode
@@ -47,13 +46,8 @@ def oracle_process(chatgraph, prompt):
         prompt_text=text, graph_tokens=graph_tokens, retrieved=retrieved,
         allowed=tuple(spec.name for spec in
                       chatgraph.registry.by_category(*categories)))
-    if config.llm.beam_width > 1:
-        names = beam_decode(chatgraph.model, state,
-                            beam_width=config.llm.beam_width,
-                            max_length=config.llm.max_chain_length)
-    else:
-        names = greedy_decode(chatgraph.model, state,
-                              max_length=config.llm.max_chain_length)
+    names = greedy_decode(chatgraph.model, state,
+                          max_length=config.llm.max_chain_length)
     chain = APIChain.from_names(list(names))
     used_fallback = False
     try:

@@ -37,14 +37,13 @@ class TestValidation:
 
     @pytest.mark.parametrize("kwargs", [
         {"alpha": -1.0}, {"rollouts": -1}, {"epochs": 0},
-        {"learning_rate": 0.0}, {"l2": -0.1},
     ])
     def test_finetune_validation(self, kwargs):
         with pytest.raises(ConfigError):
             FinetuneConfig(**kwargs)
 
     @pytest.mark.parametrize("kwargs", [
-        {"model": "gpt4"}, {"max_chain_length": 0}, {"beam_width": 0},
+        {"model": "gpt4"}, {"max_chain_length": 0},
     ])
     def test_llm_validation(self, kwargs):
         with pytest.raises(ConfigError):
@@ -65,7 +64,7 @@ class TestUpdatesAndSerialization:
     def test_roundtrip_dict(self):
         config = ChatGraphConfig(
             retrieval=RetrievalConfig(tau=0.2),
-            llm=LLMConfig(model="vicuna-sim", beam_width=3))
+            llm=LLMConfig(model="vicuna-sim", max_chain_length=3))
         data = config.to_dict()
         back = ChatGraphConfig.from_dict(data)
         assert back == config

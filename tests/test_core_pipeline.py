@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.config import ChatGraphConfig, LLMConfig
 from repro.llm.prompts import Prompt
 from repro.apis.registry import Category
 from repro.chem import parse_smiles
@@ -75,16 +74,6 @@ class TestPipelineStages:
         names = result.chain.api_names()
         assert "detect_incorrect_edges" in names
         assert "export_graph" in names
-
-
-class TestBeamConfig:
-    def test_beam_decoding_path(self, social_graph):
-        from repro import ChatGraph
-        config = ChatGraphConfig(llm=LLMConfig(beam_width=3))
-        cg = ChatGraph.pretrained(config=config, corpus_size=400, seed=1)
-        result = cg.pipeline.process(
-            Prompt("detect the communities of this network", social_graph))
-        assert "detect_communities" in result.chain.api_names()
 
 
 class TestFallbackChainValidity:

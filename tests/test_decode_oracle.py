@@ -12,6 +12,7 @@ under-trained (E9's recipe) and a trained model over two corpora.
 
 from __future__ import annotations
 
+import copy
 import functools
 import random
 
@@ -28,12 +29,8 @@ from repro.finetune import (
     rollout_decode,
     score_candidates,
 )
-from repro.llm import build_model
-from repro.llm.decoding import (
-    greedy_decode,
-    greedy_decode_batch,
-    sample_decode,
-)
+from repro.llm import BatchScorer, build_model
+from repro.llm.decoding import greedy_decode, greedy_decode_batch, sample_chain
 from repro.retrieval import APIRetriever
 
 from . import decode_oracle as oracle
@@ -80,11 +77,10 @@ def case(request):
 def test_distributions_allclose_with_exact_zeros(case):
     model, examples = case
     for state in _states(examples):
-        for temperature in (0.7, 1.0, 1.5):
-            got = model.next_distribution(state, temperature)
-            want = oracle.next_distribution(model, state, temperature)
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
-            assert np.array_equal(got == 0.0, want == 0.0)
+        got = model.next_distribution(state)
+        want = oracle.next_distribution(model, state)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+        assert np.array_equal(got == 0.0, want == 0.0)
         masked = np.ones(model.vocab_size, dtype=bool)
         masked[oracle.candidate_ids(model, state)] = False
         assert np.all(got[masked] == 0.0)
@@ -100,12 +96,18 @@ def test_greedy_chains_equal(case):
 
 @pytest.mark.parametrize("temperature", [0.7, 1.0, 1.5])
 def test_sampled_chains_equal(case, temperature):
+    """The rollout sampler draws the reference's chains from one lane,
+    on flatter and sharper distributions too: sampling ``W`` at
+    temperature ``T`` is sampling the model whose weights are ``W / T``."""
     model, examples = case
+    model = copy.deepcopy(model)
+    model._weights /= temperature
     for state in _states(examples):
+        scorer = BatchScorer(model, [state])
         got, want = random.Random(7), random.Random(7)
         for __ in range(3):
-            assert sample_decode(model, state, temperature, rng=got) == \
-                oracle.sample_decode(model, state, temperature, rng=want)
+            assert sample_chain(scorer, state, 8, got) == \
+                oracle.sample_decode(model, state, rng=want)
         assert got.random() == want.random()  # same number of draws
 
 

@@ -1,5 +1,6 @@
 """Tests for the language-model substrate: intent, chain model, decoding."""
 
+import itertools
 import random
 
 import numpy as np
@@ -8,23 +9,27 @@ import pytest
 from repro.chem import parse_smiles
 from repro.errors import ModelError
 from repro.graphs import knowledge_graph, social_network
+from repro import ChatGraph, ChatGraphConfig
+from repro.config import FinetuneConfig, LLMConfig
+from repro.finetune import CorpusSpec, build_corpus
 from repro.llm import (
+    BatchScorer,
     ChainLanguageModel,
     GraphTypePredictor,
     IntentClassifier,
     PRESETS,
     TrainingExample,
-    beam_decode,
     build_model,
     greedy_decode,
     load_model,
     predict_graph_type,
-    sample_decode,
     save_model,
 )
 from repro.llm.chain_model import EOS, GenerationState
+from repro.llm.decoding import sample_chain
 
 from . import decode_oracle as oracle
+from . import finetune_oracle
 
 APIS = ["api_a", "api_b", "api_c", "api_d"]
 
@@ -123,10 +128,6 @@ class TestChainModel:
         probs = model.next_distribution(state(prefix=["api_a"]))
         assert probs[model.token_id("api_a")] == 0.0
 
-    def test_bad_temperature(self, model):
-        with pytest.raises(ModelError):
-            model.next_distribution(state(), temperature=0.0)
-
     def test_training_reduces_loss(self, model):
         s = state("count things")
         first = model.train_step(s, "api_b")
@@ -188,23 +189,17 @@ class TestDecoding:
         with pytest.raises(ModelError):
             greedy_decode(trained, state(), max_length=0)
 
-    def test_beam_recovers_chain(self, trained):
-        out = beam_decode(trained, state("run the pipeline"), beam_width=3)
-        assert out == ["api_a", "api_b", "api_c"]
-
-    def test_beam_bad_width(self, trained):
-        with pytest.raises(ModelError):
-            beam_decode(trained, state(), beam_width=0)
-
     def test_sample_deterministic_rng(self, trained):
         s = state("run the pipeline")
-        a = sample_decode(trained, s, rng=random.Random(3))
-        b = sample_decode(trained, s, rng=random.Random(3))
+        scorer = BatchScorer(trained, [s])
+        a = sample_chain(scorer, s, 8, random.Random(3))
+        b = sample_chain(scorer, s, 8, random.Random(3))
         assert a == b
 
     def test_sample_respects_max_length(self, trained):
-        out = sample_decode(trained, state(), max_length=2,
-                            rng=random.Random(0))
+        s = state()
+        out = sample_chain(BatchScorer(trained, [s]), s, 2,
+                           random.Random(0))
         assert len(out) <= 2
 
 
@@ -219,8 +214,27 @@ class TestPresets:
             build_model("gpt-sim", APIS)
 
     def test_presets_differ(self):
-        assert PRESETS["chatglm-sim"].learning_rate != \
-            PRESETS["moss-sim"].learning_rate
+        """Each preset finetunes at its own learning rate and L2, so the
+        three train to three different models; ``chatglm-sim`` trains
+        to the weights of the reference loop at a rate of 0.5, the one
+        rate every preset used to be trained at."""
+        weights = {}
+        for name in PRESETS:
+            config = ChatGraphConfig(llm=LLMConfig(model=name))
+            weights[name] = ChatGraph.pretrained(
+                config=config, corpus_size=120, seed=0).model._weights
+        for left, right in itertools.combinations(PRESETS, 2):
+            assert not np.array_equal(weights[left], weights[right]), \
+                (left, right)
+        reference = ChatGraph()
+        train, __ = build_corpus(reference.registry,
+                                 CorpusSpec(n_examples=120, seed=0),
+                                 retriever=reference.retriever)
+        finetune_oracle.train(reference.model, train, FinetuneConfig(),
+                              "token", learning_rate=0.5)
+        assert reference.config.llm.model == "chatglm-sim"
+        assert np.array_equal(weights["chatglm-sim"],
+                              reference.model._weights)
 
 
 class TestModelPersistence:

@@ -9,7 +9,6 @@ to the scalar path while recording the ``microbatched`` counter and
 
 from __future__ import annotations
 
-import contextlib
 import threading
 import time
 
@@ -24,7 +23,8 @@ from repro.loadgen import bench_workload
 from repro.serve import AdmissionQueue, MicroBatcher
 from repro.serve.engine import PendingRequest
 from repro.shard.protocol import dumps_canonical, value_to_wire
-from repro.testing import slow_chatgraph
+
+from .serve_helpers import first_pass_held
 
 
 class FakeClock:
@@ -45,26 +45,21 @@ def _reply_bytes(response) -> bytes:
     return dumps_canonical(value_to_wire(response.op, response.value))
 
 
-@contextlib.contextmanager
-def _first_pass_held(chatgraph):
-    """Hold the first pipeline pass until ``released`` is set, so what
-    is submitted meanwhile queues behind a busy worker; ``started`` is
-    set once that pass (and so its flush) has begun."""
-    started, released = threading.Event(), threading.Event()
-    inner = chatgraph.propose_batch
-
-    def propose_batch(*args, **kwargs):
-        if not started.is_set():
-            started.set()
-            released.wait(60.0)
-        return inner(*args, **kwargs)
-
-    chatgraph.propose_batch = propose_batch
-    try:
-        yield started, released
-    finally:
+def _behind_one(chatgraph, head, rest, hold_seconds=0.0, **config):
+    """One worker serves ``head`` alone and holds its pass until every
+    request of ``rest`` is queued behind it (and ``hold_seconds`` more),
+    so ``rest`` reaches the batcher already queued."""
+    server = ChatGraphServer(
+        chatgraph, ServeConfig(workers=1, enable_caches=False,
+                               queue_depth=64, **config))
+    with server, first_pass_held(chatgraph) as (started, released):
+        pending = [server.submit(head)]
+        assert started.wait(60.0)
+        pending += [server.submit(request) for request in rest]
+        time.sleep(hold_seconds)
         released.set()
-        del chatgraph.propose_batch
+        responses = [item.result(timeout=120.0) for item in pending]
+    return server, responses
 
 
 @pytest.fixture(scope="module")
@@ -173,28 +168,13 @@ class TestServerMicroBatching:
             responses = [item.result(timeout=120.0) for item in pending]
         return server, responses
 
-    def _behind_one(self, chatgraph, head, rest, **config):
-        """One worker serves ``head`` alone and holds its pass until
-        every request of ``rest`` is queued behind it."""
-        server = ChatGraphServer(
-            chatgraph, ServeConfig(workers=1, enable_caches=False,
-                                   queue_depth=64, **config))
-        with server, _first_pass_held(chatgraph) as (started, released):
-            pending = [server.submit(head)]
-            assert started.wait(60.0)
-            pending += [server.submit(request) for request in rest]
-            released.set()
-            responses = [item.result(timeout=120.0) for item in pending]
-        return server, responses
-
     def test_batched_responses_identical_to_scalar(self, serve_chatgraph):
         workload = bench_workload(10, n_graphs=3)
         workload += [ServeRequest(op="ask", text=r.text, graph=r.graph)
                      for r in workload[:4]]
         _, serial = self._run(serve_chatgraph, workload, microbatch_size=0)
-        server, batched = self._run(serve_chatgraph, workload,
-                                    microbatch_size=8,
-                                    microbatch_deadline_seconds=0.05)
+        server, batched = _behind_one(serve_chatgraph, workload[0],
+                                      workload[1:], microbatch_size=8)
         assert all(r.ok for r in serial)
         assert all(r.ok for r in batched)
         for left, right in zip(serial, batched):
@@ -206,12 +186,11 @@ class TestServerMicroBatching:
                 assert left.value.intent == right.value.intent
             else:
                 assert left.value.answer == right.value.answer
-        # a single worker over a pre-filled queue must have coalesced
+        # the 13 requests queued behind the held head flush as 8 + 5
         counters = server.stats()["counters"]
-        assert counters.get("microbatched", 0) >= 2
+        assert counters.get("microbatched", 0) == len(workload) - 1
         histogram = server.metrics.histogram("microbatch_size")
-        assert histogram.count >= 1
-        assert histogram.max >= 2
+        assert (histogram.count, histogram.max) == (2, 8.0)
 
     def test_microbatching_on_by_default(self, serve_chatgraph):
         """The default coalesces, without waiting: a flush of up to 8
@@ -221,7 +200,7 @@ class TestServerMicroBatching:
         assert defaults.microbatch_size == 8
         assert defaults.microbatch_deadline_seconds == 0.0
         workload = bench_workload(5, n_graphs=2)
-        server, responses = self._behind_one(
+        server, responses = _behind_one(
             serve_chatgraph, workload[0], workload[1:],
             obs=ObsConfig(enable_tracing=True))
         assert all(r.ok for r in responses)
@@ -247,7 +226,7 @@ class TestServerMicroBatching:
                      "how many nodes are there",
                      "compute the graph density",
                      "write a brief report for G"))]
-        server, responses = self._behind_one(serve_chatgraph, head, turns)
+        server, responses = _behind_one(serve_chatgraph, head, turns)
         _, alone = self._run(serve_chatgraph, [head] + turns,
                              microbatch_size=0)
         assert [_reply_bytes(r) for r in responses] == \
@@ -273,7 +252,7 @@ class TestServerMicroBatching:
                          session_id="dlg-2"),
             ServeRequest(op="ask", text=texts[2], session_id="dlg-1"),
         ]
-        server, responses = self._behind_one(serve_chatgraph, head, rest)
+        server, responses = _behind_one(serve_chatgraph, head, rest)
         _, alone = self._run(serve_chatgraph, [head] + rest,
                              microbatch_size=0)
         assert [_reply_bytes(r) for r in responses] == \
@@ -307,7 +286,7 @@ class TestServerMicroBatching:
             ServeRequest(op="ask", text="compute the graph density",
                          session_id="dlg-1"),
         ]
-        server, responses = self._behind_one(serve_chatgraph, head, rest)
+        server, responses = _behind_one(serve_chatgraph, head, rest)
         assert [r.ok for r in responses] == [True, False, True, True]
         assert responses[1].error == "prompt refused"
         assert server.stats()["counters"].get("microbatched", 0) == 2
@@ -439,25 +418,19 @@ class TestQueueDelayAccounting:
 
     def test_server_records_coalescing_wait_not_admission_wait(
             self, serve_chatgraph):
-        """The regression this PR fixes: ``microbatch_queue_delay``
-        used to record the full admission-queue wait, so a later
-        batch's members reported the previous batch's ~0.3s service
-        time instead of their own coalescing wait (bounded by the
-        0.02s flush deadline)."""
+        """``microbatch_queue_delay`` records each member's coalescing
+        wait, not its admission-queue wait: members queued behind a
+        worker held for 0.3s report waits well under that hold."""
         workload = bench_workload(12, n_graphs=2)
-        server = ChatGraphServer(
-            serve_chatgraph,
-            ServeConfig(workers=1, enable_caches=False, queue_depth=64,
-                        microbatch_size=6,
-                        microbatch_deadline_seconds=0.02))
-        with slow_chatgraph(serve_chatgraph, 0.3), server:
-            pending = [server.submit(request) for request in workload]
-            responses = [item.result(timeout=120.0) for item in pending]
+        server, responses = _behind_one(serve_chatgraph, workload[0],
+                                        workload[1:], hold_seconds=0.3,
+                                        microbatch_size=6)
         assert all(r.ok for r in responses)
         counters = server.stats()["counters"]
-        assert counters.get("microbatched", 0) >= len(workload) - 1
+        assert counters.get("microbatched", 0) == len(workload) - 1
         delay = server.metrics.histogram("microbatch_queue_delay")
-        assert delay.count >= counters["microbatched"]
-        # every wait is a coalescing wait: well under the 0.3s injected
-        # delay each batch spends in service
+        assert delay.count == counters["microbatched"]
+        # each member waited out the hold in the admission queue, and
+        # none of that wait is reported as coalescing
+        assert server.metrics.histogram("queued").max >= 0.3
         assert delay.max < 0.2

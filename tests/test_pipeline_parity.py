@@ -101,11 +101,3 @@ class TestScalarBatchParity:
                    for key in caches.retrieval._data)
 
 
-class TestBeamParity:
-    def test_beam_decoding_batch_matches_scalar(self):
-        config = ChatGraphConfig(llm=LLMConfig(beam_width=3))
-        cg = ChatGraph.pretrained(config=config, corpus_size=300, seed=1)
-        prompts = build_prompts([(0, 1), (2, 1), (3, 2), (5, 0)])
-        scalar = [cg.pipeline.process(p) for p in prompts]
-        batched = cg.pipeline.process_batch(prompts)
-        assert_result_parity(cg, prompts, scalar, batched)

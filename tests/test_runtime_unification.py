@@ -30,6 +30,8 @@ from repro.serve.engine import ServeRequest
 from repro.shard.protocol import dumps_canonical, value_to_wire
 from repro.testing import CANONICAL_PROMPTS, canonical_graph
 
+from .serve_helpers import first_pass_held
+
 
 @pytest.fixture(scope="module")
 def chatgraph():
@@ -41,14 +43,17 @@ def _canonical_cases():
             for __, text, kind in CANONICAL_PROMPTS[:4]]
 
 
+def _ask(text, graph):
+    return ServeRequest(op="ask", text=text, graph=graph)
+
+
+def _reply_bytes(response):
+    assert response.ok, response.error
+    return dumps_canonical(value_to_wire("ask", response.value))
+
+
 def _wire_bytes(server, cases):
-    out = []
-    for text, graph in cases:
-        response = server.request(
-            ServeRequest(op="ask", text=text, graph=graph))
-        assert response.ok, response.error
-        out.append(dumps_canonical(value_to_wire("ask", response.value)))
-    return out
+    return [_reply_bytes(server.request(_ask(*case))) for case in cases]
 
 
 # ----------------------------------------------------------------------
@@ -85,17 +90,27 @@ class TestSharedLifecycle:
 # ----------------------------------------------------------------------
 class TestMicrobatchParity:
     def test_microbatched_bytes_match_scalar(self, chatgraph):
+        """Requests queued behind a held worker share one flush and
+        reply the bytes each one gets when served alone."""
         cases = _canonical_cases()
         scalar_config = ServeConfig(workers=1, enable_caches=False,
-                                    queue_depth=64)
+                                    queue_depth=64, microbatch_size=0)
         batched_config = ServeConfig(workers=1, enable_caches=False,
-                                     queue_depth=64, microbatch_size=4,
-                                     microbatch_deadline_seconds=0.02)
+                                     queue_depth=64, microbatch_size=4)
         with ChatGraphServer(chatgraph, scalar_config) as server:
             scalar = _wire_bytes(server, cases)
-        with ChatGraphServer(chatgraph, batched_config) as server:
-            batched = _wire_bytes(server, cases)
+        server = ChatGraphServer(chatgraph, batched_config)
+        with server, first_pass_held(chatgraph) as (started, released):
+            head = server.submit(_ask(*cases[0]))
+            assert started.wait(60.0)
+            pending = [server.submit(_ask(*case)) for case in cases]
+            released.set()
+            assert _reply_bytes(head.result(timeout=120.0)) == scalar[0]
+            batched = [_reply_bytes(item.result(timeout=120.0))
+                       for item in pending]
         assert scalar == batched
+        assert server.stats()["counters"].get("microbatched", 0) == \
+            len(cases)
 
     def test_rerun_is_byte_identical(self, chatgraph):
         cases = _canonical_cases()
