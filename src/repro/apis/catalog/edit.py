@@ -13,7 +13,7 @@ from typing import Any, Callable
 
 from ...errors import APIError
 from ...graphs.graph import Graph
-from ...graphs.io import to_dict
+from ...graphs.io import to_document
 from ..executor import ChainContext
 from ..registry import APIRegistry, APISpec, Category
 
@@ -127,14 +127,9 @@ def export_graph(context: ChainContext) -> dict[str, Any]:
     does not depend on the order they were inserted in (a graph that
     crossed the shard pipe arrives with its attributes key-sorted).
     """
-    document = to_dict(_graph(context))
-    document["nodes"] = [
-        {"id": entry.pop("id"), **dict(sorted(entry.items()))}
-        for entry in document["nodes"]]
-    document["edges"] = [
-        {"source": entry.pop("source"), "target": entry.pop("target"),
-         **dict(sorted(entry.items()))}
-        for entry in document["edges"]]
+    document = to_document(_graph(context))
+    for row in document["nodes"] + document["edges"]:
+        row[-1] = dict(sorted(row[-1].items()))
     return document
 
 

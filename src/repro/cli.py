@@ -44,7 +44,7 @@ from typing import IO
 
 from . import ChatGraph, ChatSession
 from .errors import ChatGraphError
-from .graphs import from_dict, read_edgelist, read_graphml
+from .graphs import from_document, read_edgelist, read_graphml
 from .graphs.generators import (
     knowledge_graph,
     social_network,
@@ -59,7 +59,7 @@ def load_graph(path: str):
         raise ChatGraphError(f"no such file: {path}")
     suffix = file_path.suffix.lower()
     if suffix == ".json":
-        return from_dict(json.loads(file_path.read_text()))
+        return from_document(json.loads(file_path.read_text()))
     if suffix == ".graphml":
         return read_graphml(file_path)
     if suffix in (".smi", ".smiles"):

@@ -15,8 +15,9 @@ from pathlib import Path
 from typing import Any, Callable
 
 from ..apis.chain import APIChain, ChainNode
-from ..errors import SessionError
+from ..errors import GraphIOError, SessionError
 from ..graphs.graph import Graph
+from ..graphs.io import from_document, to_document
 from ..llm.prompts import Prompt
 from .chatgraph import ChatGraph, ChatResponse
 from .monitoring import ChainMonitor
@@ -187,13 +188,12 @@ class ChatSession:
         Pending (unconfirmed) chains and non-graph attachments are not
         persisted; reload with :meth:`load` against any ChatGraph.
         """
-        from ..graphs.io import to_dict as graph_to_dict
         document = {
-            "version": 1,
+            "version": 2,
             "history": [{"role": turn.role, "text": turn.text}
                         for turn in self.history],
-            "graph": graph_to_dict(self.graph)
-            if self.graph is not None else None,
+            "graph": to_document(self.graph) if self.graph is not None
+            else None,
         }
         Path(path).write_text(json.dumps(document, indent=1),
                               encoding="utf-8")
@@ -201,15 +201,18 @@ class ChatSession:
     @classmethod
     def load(cls, path: "str | Path",
              chatgraph: ChatGraph) -> "ChatSession":
-        """Rebuild a session saved by :meth:`save`."""
-        from ..graphs.io import from_dict as graph_from_dict
+        """Rebuild a session saved by :meth:`save` (version 2 only: a
+        version 1 file holds its graph in another layout)."""
         try:
             document = json.loads(Path(path).read_text(encoding="utf-8"))
+            if document.get("version") != 2:
+                raise SessionError("unsupported session version "
+                                   f"{document.get('version')!r}")
             history = [DialogTurn(entry["role"], entry["text"])
                        for entry in document["history"]]
-            graph = (graph_from_dict(document["graph"])
+            graph = (from_document(document["graph"])
                      if document.get("graph") is not None else None)
-        except (OSError, KeyError, TypeError,
+        except (OSError, KeyError, TypeError, AttributeError, GraphIOError,
                 json.JSONDecodeError) as exc:
             raise SessionError(f"cannot load session: {exc}") from exc
         session = cls(chatgraph)
@@ -224,6 +227,5 @@ def _latest_graph(record: Any, prompt: Prompt) -> Graph | None:
     # present, rebuild from that document, else keep the prompt graph.
     by_name = record.results_by_name()
     if "export_graph" in by_name:
-        from ..graphs.io import from_dict
-        return from_dict(by_name["export_graph"])
+        return from_document(by_name["export_graph"])
     return prompt.graph

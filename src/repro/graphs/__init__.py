@@ -26,12 +26,12 @@ from .generators import (
 from .io import (
     fingerprint,
     from_adjacency,
-    from_dict,
+    from_document,
     from_edgelist,
     parse_edgelist_text,
     read_edgelist,
     to_adjacency,
-    to_dict,
+    to_document,
     to_edgelist,
     write_edgelist,
 )
@@ -47,12 +47,12 @@ __all__ = [
     "ego_graph",
     "fingerprint",
     "from_adjacency",
-    "from_dict",
+    "from_document",
     "from_edgelist",
     "parse_edgelist_text",
     "read_edgelist",
     "to_adjacency",
-    "to_dict",
+    "to_document",
     "to_edgelist",
     "write_edgelist",
     "read_graphml",

@@ -122,7 +122,7 @@ class Graph:
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
-    def add_node(self, node: Node, **attrs: Any) -> None:
+    def add_node(self, node: Node, /, **attrs: Any) -> None:
         """Add ``node``; if it exists, merge ``attrs`` into its attributes."""
         if self._read_only:
             raise GraphError(_FROZEN)
@@ -141,7 +141,7 @@ class Graph:
         for node in nodes:
             self.add_node(node)
 
-    def add_edge(self, u: Node, v: Node, **attrs: Any) -> None:
+    def add_edge(self, u: Node, v: Node, /, **attrs: Any) -> None:
         """Add edge ``(u, v)``, creating endpoints as needed.
 
         Re-adding an existing edge merges ``attrs`` into its attributes.
@@ -380,13 +380,13 @@ class DiGraph(Graph):
         super().__init__(name=name)
         self._pred: dict[Node, dict[Node, dict[str, Any]]] = {}
 
-    def add_node(self, node: Node, **attrs: Any) -> None:
+    def add_node(self, node: Node, /, **attrs: Any) -> None:
         new = node not in self._nodes
         super().add_node(node, **attrs)
         if new:
             self._pred[node] = {}
 
-    def add_edge(self, u: Node, v: Node, **attrs: Any) -> None:
+    def add_edge(self, u: Node, v: Node, /, **attrs: Any) -> None:
         self.add_node(u)
         self.add_node(v)
         data = self._adj[u].get(v)

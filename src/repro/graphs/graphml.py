@@ -147,10 +147,7 @@ def read_graphml(path: str | Path) -> Graph:
                 name, parser = key_table[key]
                 attrs[name] = parser(data.text or "")
         id_map[gid] = original
-        graph.add_node(original)
-        # setters, not **kwargs: attribute names like "node" are legal
-        for name, value in attrs.items():
-            graph.set_node_attr(original, name, value)
+        graph.add_node(original, **attrs)
     for edge_el in graph_el.findall(tag("edge")):
         source = id_map.get(edge_el.get("source", ""))
         target = id_map.get(edge_el.get("target", ""))
@@ -162,7 +159,5 @@ def read_graphml(path: str | Path) -> Graph:
             if key in key_table:
                 name, parser = key_table[key]
                 attrs[name] = parser(data.text or "")
-        graph.add_edge(source, target)
-        for name, value in attrs.items():
-            graph.set_edge_attr(source, target, name, value)
+        graph.add_edge(source, target, **attrs)
     return graph

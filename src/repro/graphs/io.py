@@ -1,8 +1,22 @@
-"""Graph serialization: edge lists, adjacency mappings and JSON-able dicts.
+"""Graph serialization: edge lists, adjacency mappings and JSON documents.
 
 These formats back the "upload a graph" slot of the chat session: users
 paste an edge-list text or a JSON document, and the session parses it
 into a :class:`~repro.graphs.graph.Graph`.
+
+The JSON document (:func:`to_document` / :func:`from_document`) is the
+one graph document of the package: the shard wire, CLI and session
+files, the ``export_graph`` answer and the store's snapshots use it::
+
+    {"directed": bool, "name": str,
+     "nodes": [[id, {attrs}], ...], "edges": [[u, v, {attrs}], ...]}
+
+Rows are positional and in insertion order, so every attribute name
+round-trips, and a JSON array in an id position decodes to a tuple (a
+list is unhashable, so never a node id).  :func:`to_dict` /
+:func:`from_dict` are the keyed layout the ledger benchmark stores its
+graphs in, ``{"id": id, **attrs}`` / ``{"source": u, "target": v,
+**attrs}``; :func:`to_dict` refuses an attribute a key would replace.
 """
 
 from __future__ import annotations
@@ -12,7 +26,7 @@ import json
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
-from ..errors import GraphIOError
+from ..errors import GraphError, GraphIOError
 from .graph import DiGraph, Graph, Node
 
 
@@ -46,14 +60,14 @@ def parse_edgelist_text(text: str, directed: bool = False) -> Graph:
             graph.add_node(tokens[0])
             continue
         u, v, *rest = tokens
-        graph.add_edge(u, v)
-        # setters, not **kwargs: attribute names like "u" are legal
+        attrs = {}
         for item in rest:
             key, sep, value = item.partition("=")
             if not sep:
                 raise GraphIOError(
                     f"line {lineno}: expected key=value, got {item!r}")
-            graph.set_edge_attr(u, v, key, _parse_scalar(value))
+            attrs[key] = _parse_scalar(value)
+        graph.add_edge(u, v, **attrs)
     return graph
 
 
@@ -117,17 +131,30 @@ def from_adjacency(adjacency: Mapping[Node, Iterable[Node]],
     return graph
 
 
-def to_dict(graph: Graph) -> dict[str, Any]:
-    """Serialize ``graph`` to a JSON-able dict.
-
-    The format is ``{"directed", "name", "nodes": [{"id", **attrs}],
-    "edges": [{"source", "target", **attrs}]}``.
-    """
+def to_document(graph: Graph) -> dict[str, Any]:
+    """The JSON-able document of ``graph`` (format in the module
+    docstring), nodes and edges in insertion order."""
     return {
         "directed": graph.directed,
         "name": graph.name,
-        "nodes": [{"id": node, **graph.node_attrs(node)}
-                  for node in graph.nodes()],
+        "nodes": [[node, dict(attrs)] for node, attrs
+                  in zip(graph.nodes(), graph.node_attr_dicts())],
+        "edges": [[u, v, dict(graph.edge_attrs(u, v))]
+                  for u, v in graph.edges()],
+    }
+
+
+def to_dict(graph: Graph) -> dict[str, Any]:
+    """``graph`` in the keyed layout (see the module docstring)."""
+    if ("id" in set().union(*graph.node_attr_dicts())
+            or {"source", "target"} & graph.edge_attr_keys()):
+        raise GraphIOError("an attribute would replace a key of the keyed "
+                           "layout; use to_document")
+    return {
+        "directed": graph.directed,
+        "name": graph.name,
+        "nodes": [{"id": node, **attrs} for node, attrs
+                  in zip(graph.nodes(), graph.node_attr_dicts())],
         "edges": [{"source": u, "target": v, **graph.edge_attrs(u, v)}
                   for u, v in graph.edges()],
     }
@@ -164,24 +191,42 @@ def _canonical(value: Any) -> str:
     return json.dumps(value, sort_keys=True, default=repr)
 
 
-def from_dict(data: Mapping[str, Any]) -> Graph:
-    """Deserialize the :func:`to_dict` format (raises on malformed input)."""
+def from_document(document: Mapping[str, Any]) -> Graph:
+    """Rebuild the graph of a :func:`to_document` document, in its
+    order (raises :class:`GraphIOError` on a malformed one)."""
     try:
-        directed = bool(data.get("directed", False))
-        graph: Graph = DiGraph(name=data.get("name", "")) if directed \
-            else Graph(name=data.get("name", ""))
-        for entry in data.get("nodes", []):
-            node = entry["id"]
-            graph.add_node(node)
-            for key, value in entry.items():
-                if key != "id":
-                    graph.set_node_attr(node, key, value)
-        for entry in data.get("edges", []):
-            u, v = entry["source"], entry["target"]
-            graph.add_edge(u, v)
-            for key, value in entry.items():
-                if key not in ("source", "target"):
-                    graph.set_edge_attr(u, v, key, value)
-    except (KeyError, TypeError, AttributeError) as exc:
+        name = document.get("name", "")
+        graph: Graph = (DiGraph(name=name) if document.get("directed")
+                        else Graph(name=name))
+        for node, attrs in document.get("nodes", ()):
+            graph.add_node(_as_id(node), **attrs)
+        for u, v, attrs in document.get("edges", ()):
+            graph.add_edge(_as_id(u), _as_id(v), **attrs)
+    except (TypeError, ValueError, AttributeError, GraphError) as exc:
         raise GraphIOError(f"malformed graph document: {exc}") from exc
     return graph
+
+
+def from_dict(data: Mapping[str, Any]) -> Graph:
+    """Rebuild the graph of a :func:`to_dict` document, in its order
+    (raises :class:`GraphIOError` on a malformed one)."""
+    try:
+        nodes = [[row["id"], _without(row, "id")]
+                 for row in data.get("nodes", ())]
+        edges = [[row["source"], row["target"],
+                  _without(row, "source", "target")]
+                 for row in data.get("edges", ())]
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise GraphIOError(f"malformed graph document: {exc}") from exc
+    return from_document({**data, "nodes": nodes, "edges": edges})
+
+
+def _without(row: Mapping[str, Any], *keys: str) -> dict[str, Any]:
+    return {key: value for key, value in row.items() if key not in keys}
+
+
+def _as_id(value: Any) -> Any:
+    """A decoded id: JSON arrays (never hashable) back to tuples."""
+    if isinstance(value, list):
+        return tuple(map(_as_id, value))
+    return value

@@ -54,7 +54,7 @@ from typing import Any, BinaryIO
 
 from ..errors import ServeError
 from ..graphs.graph import Graph
-from ..graphs.io import from_dict, to_dict
+from ..graphs.io import from_document, to_document
 from ..serve.engine import ServeRequest, ServeResponse
 
 __all__ = [
@@ -293,7 +293,7 @@ def _request_wire(request: ServeRequest, request_id: int,
     if graph is not None:
         ref = graph_ref(graph)
         if graphs is None or ref not in graphs:
-            body = to_dict(graph)
+            body = to_document(graph)
     return {
         "request_id": request_id,
         "op": request.op,
@@ -358,7 +358,7 @@ def _graph_from_wire(ref: Any, body: dict[str, Any] | None,
             raise graph.with_traceback(None)
         return graph
     if graphs is None or ref is None:
-        return from_dict(body)
+        return from_document(body)
     try:
         size = _body_size(body)
     except (KeyError, TypeError) as exc:
@@ -367,7 +367,7 @@ def _graph_from_wire(ref: Any, body: dict[str, Any] | None,
     try:
         # frozen: requests sharing a held graph cannot change what the
         # next one reads
-        graph = from_dict(body).freeze()
+        graph = from_document(body).freeze()
     except Exception as exc:  # noqa: BLE001 - filed whatever failed
         # the mirror filed this ref: the table must hold it too
         graphs.hold(ref, size, exc)

@@ -20,7 +20,7 @@ from .catalog import CompactTicket, GraphCatalog, GraphHandle, GraphView
 from .index import NodeVectorIndex
 from .log import EditLog
 from .records import OPS, apply_record, make_record
-from .snapshot import graph_bytes, graph_from_bytes, graph_to_document
+from .snapshot import graph_bytes, graph_from_bytes
 
 __all__ = [
     "EditLog",
@@ -33,6 +33,5 @@ __all__ = [
     "apply_record",
     "graph_bytes",
     "graph_from_bytes",
-    "graph_to_document",
     "make_record",
 ]

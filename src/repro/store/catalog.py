@@ -152,13 +152,13 @@ class GraphHandle:
     # edits (apply in memory first, then log: a crash between the two
     # loses only the unlogged edit, never corrupts)
     # ------------------------------------------------------------------
-    def add_node(self, node: Node, **attrs: Any) -> None:
+    def add_node(self, node: Node, /, **attrs: Any) -> None:
         self._edit(make_record("add_node", id=node, attrs=attrs))
 
     def remove_node(self, node: Node) -> None:
         self._edit(make_record("remove_node", id=node))
 
-    def add_edge(self, u: Node, v: Node, **attrs: Any) -> None:
+    def add_edge(self, u: Node, v: Node, /, **attrs: Any) -> None:
         self._edit(make_record("add_edge", u=u, v=v, attrs=attrs))
 
     def remove_edge(self, u: Node, v: Node) -> None:

@@ -1,5 +1,7 @@
 """Tests for the error hierarchy, session persistence and identity API."""
 
+import json
+
 import pytest
 
 from repro import ChatSession
@@ -24,7 +26,7 @@ from repro.errors import (
     SmilesError,
     UnknownAPIError,
 )
-from repro.graphs import social_network
+from repro.graphs import Graph, social_network
 
 
 class TestErrorHierarchy:
@@ -89,7 +91,39 @@ class TestSessionPersistence:
         path.write_text("{not json")
         with pytest.raises(SessionError):
             ChatSession.load(path, chatgraph)
-        path.write_text('{"history": "oops"}')
+        path.write_text('{"version": 2, "history": "oops"}')
+        with pytest.raises(SessionError):
+            ChatSession.load(path, chatgraph)
+
+    def test_load_refuses_other_versions_and_bad_graphs(self, chatgraph,
+                                                       tmp_path):
+        """Only this format's files load, and a malformed graph document
+        is a :class:`SessionError` too, not a stray
+        :class:`GraphIOError`."""
+        session = ChatSession(chatgraph)
+        graph = Graph()
+        graph.add_node((0, 1), id="not-the-id", node="n")
+        graph.add_edge((0, 1), "b", source="s", target="t", u="u")
+        session.upload_graph(graph)
+        path = tmp_path / "session.json"
+        session.save(path)
+        document = json.loads(path.read_text())
+        assert document["version"] == 2
+        restored = ChatSession.load(path, chatgraph)
+        assert restored.graph == graph
+        assert list(restored.graph.nodes()) == [(0, 1), "b"]
+        for version in (1, 3, None):
+            path.write_text(json.dumps({**document, "version": version}))
+            with pytest.raises(SessionError, match="version"):
+                ChatSession.load(path, chatgraph)
+        # a version-1 file's keyed graph rows
+        keyed = {"nodes": [{"id": 1, "color": "red"}], "edges": []}
+        for bad in (keyed, {"nodes": [[None, {}]]}, {"edges": [[1]]}):
+            path.write_text(json.dumps({**document, "graph": bad}))
+            with pytest.raises(SessionError) as caught:
+                ChatSession.load(path, chatgraph)
+            assert isinstance(caught.value.__cause__, GraphIOError)
+        path.write_text("[]")
         with pytest.raises(SessionError):
             ChatSession.load(path, chatgraph)
 

@@ -289,3 +289,49 @@ class TestDiGraph:
         d.add_edge(1, 2)
         assert "kg" in repr(d)
         assert "2 nodes" in repr(d)
+
+
+def test_parameter_names_are_legal_attribute_names(tmp_path):
+    """``node``, ``u``, ``v`` and ``self`` name attributes like any
+    other name: the graph methods take the node and the endpoints
+    positionally only, so every derived graph, edit step, snapshot, log
+    record and catalog ingest carries them."""
+    from repro.apis import ChainContext
+    from repro.apis.catalog.edit import add_edge
+    from repro.store import (GraphCatalog, apply_record, graph_bytes,
+                             graph_from_bytes, make_record)
+
+    names = {"node": 1, "u": 2, "v": 3, "self": 4}
+    graph = Graph(name="g")
+    graph.add_node("a", **names)
+    graph.add_edge("a", "b", **names)
+    digraph = graph.to_directed()
+    derived = [graph.copy(), graph.subgraph(["a", "b"]), digraph,
+               digraph.copy(), digraph.to_undirected(), digraph.reverse()]
+    for other in derived:
+        assert other.node_attrs("a") == names
+        assert other.edge_attrs("b", "a") == names
+    context = ChainContext(graph=graph, confirm=lambda *_: True)
+    assert add_edge(context, "a", "c") == {"added": True}
+    assert context.graph.edge_attrs("a", "b") == names
+    assert graph_from_bytes(graph_bytes(graph)) == graph
+    replayed = Graph()
+    apply_record(replayed, make_record("add_node", id="a", attrs=names))
+    apply_record(replayed, make_record("add_edge", u="a", v="b",
+                                       attrs=names))
+    assert replayed == graph
+
+    catalog = GraphCatalog(tmp_path)
+    handle = catalog.create("g")
+    assert handle.ingest(graph) == 3
+    handle.add_node("c", **names)
+    handle.add_edge("c", "a", **names)
+    live = graph_bytes(handle.graph)
+    assert list(handle.graph.nodes()) == ["a", "b", "c"]
+    assert graph_bytes(handle.replay_from_genesis()) == live
+    handle.compact()
+    catalog.close()
+    reopened = GraphCatalog(tmp_path)
+    assert graph_bytes(reopened.open("g").graph) == live
+    assert graph_bytes(reopened.open("g").replay_from_genesis()) == live
+    reopened.close()

@@ -14,18 +14,19 @@ from repro.graphs import (
     Graph,
     fingerprint,
     from_adjacency,
-    from_dict,
+    from_document,
     from_edgelist,
     parse_edgelist_text,
     read_edgelist,
     read_graphml,
     social_network,
     to_adjacency,
-    to_dict,
+    to_document,
     to_edgelist,
     write_edgelist,
     write_graphml,
 )
+from repro.graphs.io import from_dict, to_dict
 
 
 class TestEdgelist:
@@ -109,12 +110,84 @@ class TestDictFormat:
         assert from_dict(json.loads(text)) == g
 
     def test_malformed_raises(self):
-        with pytest.raises(GraphIOError):
-            from_dict({"nodes": [{"no_id": 1}]})
+        for document in ({"nodes": [{"no_id": 1}]},
+                         # the positional rows of to_document
+                         {"nodes": [[1, {}]]},
+                         {"nodes": [{"id": None}]},
+                         {"nodes": 3}, []):
+            with pytest.raises(GraphIOError):
+                from_dict(document)
 
     def test_edge_without_source_raises(self):
-        with pytest.raises(GraphIOError):
-            from_dict({"nodes": [{"id": 1}], "edges": [{"target": 1}]})
+        for edge in ({"target": 1}, {"source": 1}, [1, 1, {}]):
+            with pytest.raises(GraphIOError):
+                from_dict({"nodes": [{"id": 1}], "edges": [edge]})
+
+    def test_refuses_attributes_that_would_replace_a_key(self):
+        """A node attribute ``id`` or an edge attribute ``source`` /
+        ``target`` would write another graph, so it is refused."""
+        for name, value in (("id", "ghost"), ("source", "ghost"),
+                            ("target", "ghost")):
+            g = Graph()
+            g.add_edge("a", "b")
+            if name == "id":
+                g.set_node_attr("a", name, value)
+            else:
+                g.set_edge_attr("a", "b", name, value)
+            with pytest.raises(GraphIOError, match="to_document"):
+                to_dict(g)
+            assert from_document(to_document(g)) == g
+
+    def test_tuple_ids_cross_json(self):
+        g = Graph()
+        g.add_edge((0, 1), (1, "x"), w=1)
+        back = from_dict(json.loads(json.dumps(to_dict(g))))
+        assert back == g and list(back.nodes()) == [(0, 1), (1, "x")]
+
+
+class TestDocument:
+    def test_document_is_positional_in_insertion_order(self):
+        g = Graph(name="g")
+        g.add_node("b", id="not-b")
+        g.add_edge("b", "a", source="x", target="y")
+        assert to_document(g) == {
+            "directed": False, "name": "g",
+            "nodes": [["b", {"id": "not-b"}], ["a", {}]],
+            "edges": [["b", "a", {"source": "x", "target": "y"}]]}
+        back = from_document(json.loads(json.dumps(to_document(g))))
+        assert back == g and list(back.nodes()) == ["b", "a"]
+
+    def test_directed_tuple_ids_round_trip(self):
+        d = DiGraph(name="d")
+        d.add_edge((1, (2, "x")), "b", relation="r")
+        back = from_document(json.loads(json.dumps(to_document(d))))
+        assert isinstance(back, DiGraph) and back == d
+        assert list(back.edges()) == [((1, (2, "x")), "b")]
+
+    def test_malformed_raises(self):
+        for document in (
+                # the keyed rows of to_dict
+                {"nodes": [{"id": 1}]},
+                {"nodes": [{"id": 1, "color": "red"}]},
+                # rows of the wrong width or kind
+                {"nodes": [[1]]},
+                {"nodes": [[1, {}, {}]]},
+                {"nodes": [[1, ["w", 2]]]},
+                {"nodes": 3},
+                [],
+                # ids no graph accepts
+                {"nodes": [[None, {}]]},
+                {"nodes": [[{"a": 1}, {}]]}):
+            with pytest.raises(GraphIOError):
+                from_document(document)
+
+    def test_malformed_edge_rows_raise(self):
+        for edge in ({"target": 1},
+                     {"source": 1, "target": 1},
+                     {"source": 1, "target": 1, "w": 2},
+                     [1], [1, 1], [1, 1, "w"], [1, 1, {}, {}]):
+            with pytest.raises(GraphIOError):
+                from_document({"nodes": [[1, {}]], "edges": [edge]})
 
 
 # ----------------------------------------------------------------------
@@ -133,17 +206,17 @@ def edge_key(directed, u, v):
 
 @st.composite
 def documents(draw):
-    """A :func:`to_dict` document with no duplicate node or edge."""
+    """A :func:`to_document` document with no duplicate node or edge."""
     directed = draw(st.booleans())
     ids = draw(st.lists(node_ids, max_size=8, unique=True))
-    nodes = [{"id": node, **draw(attr_dicts)} for node in ids]
+    nodes = [[node, draw(attr_dicts)] for node in ids]
     edges, seen = [], set()
     pairs = st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids)),
                      max_size=12) if ids else st.just([])
     for u, v in draw(pairs):
         if edge_key(directed, u, v) not in seen:
             seen.add(edge_key(directed, u, v))
-            edges.append({"source": u, "target": v, **draw(attr_dicts)})
+            edges.append([u, v, draw(attr_dicts)])
     return {"directed": directed, "name": draw(st.sampled_from(("", "g"))),
             "nodes": nodes, "edges": edges}
 
@@ -151,32 +224,30 @@ def documents(draw):
 def content(document):
     """The document as sets: what the fingerprint must be a function
     of (undirected endpoints unordered, values compared as JSON)."""
-    def frozen(entry, skip):
+    def frozen(attrs):
         return frozenset((key, json.dumps(value))
-                         for key, value in entry.items() if key not in skip)
+                         for key, value in attrs.items())
 
     return (document["directed"], document["name"],
-            frozenset((json.dumps(node["id"]), frozen(node, {"id"}))
-                      for node in document["nodes"]),
+            frozenset((json.dumps(node), frozen(attrs))
+                      for node, attrs in document["nodes"]),
             frozenset((edge_key(document["directed"],
-                                json.dumps(edge["source"]),
-                                json.dumps(edge["target"])),
-                       frozen(edge, {"source", "target"}))
-                      for edge in document["edges"]))
+                                json.dumps(u), json.dumps(v)),
+                       frozen(attrs))
+                      for u, v, attrs in document["edges"]))
 
 
 def reordered(document, rng):
     """The same content: node and edge lists shuffled, undirected edges
     written from either end."""
     nodes = list(document["nodes"])
-    edges = [dict(edge) for edge in document["edges"]]
+    edges = [list(edge) for edge in document["edges"]]
     rng.shuffle(nodes)
     rng.shuffle(edges)
     if not document["directed"]:
         for edge in edges:
             if rng.random() < 0.5:
-                edge["source"], edge["target"] = (edge["target"],
-                                                  edge["source"])
+                edge[0], edge[1] = edge[1], edge[0]
     return {**document, "nodes": nodes, "edges": edges}
 
 
@@ -190,8 +261,8 @@ def edited(draw, document):
     document has nothing to apply it to, or writes back what was
     there)."""
     directed = document["directed"]
-    nodes = [dict(node) for node in document["nodes"]]
-    edges = [dict(edge) for edge in document["edges"]]
+    nodes = [[node, dict(attrs)] for node, attrs in document["nodes"]]
+    edges = [[u, v, dict(attrs)] for u, v, attrs in document["edges"]]
     edit = draw(st.sampled_from(EDITS))
     out = {**document, "nodes": nodes, "edges": edges}
     if edit == "name":
@@ -199,27 +270,25 @@ def edited(draw, document):
     elif edit == "directed":
         out["directed"] = not directed
     elif edit == "add_node":
-        nodes.append({"id": "fresh"})  # not in node_ids' alphabet
+        nodes.append(["fresh", {}])  # not in node_ids' alphabet
     elif edit == "drop_node" and nodes:
-        gone = nodes.pop(draw(st.integers(0, len(nodes) - 1)))["id"]
-        out["edges"] = [edge for edge in edges
-                        if gone not in (edge["source"], edge["target"])]
+        gone = nodes.pop(draw(st.integers(0, len(nodes) - 1)))[0]
+        out["edges"] = [edge for edge in edges if gone not in edge[:2]]
     elif edit == "add_edge" and nodes:
-        u = draw(st.sampled_from(nodes))["id"]
-        v = draw(st.sampled_from(nodes))["id"]
-        if all(edge_key(directed, u, v)
-               != edge_key(directed, edge["source"], edge["target"])
+        u = draw(st.sampled_from(nodes))[0]
+        v = draw(st.sampled_from(nodes))[0]
+        if all(edge_key(directed, u, v) != edge_key(directed, *edge[:2])
                for edge in edges):
-            edges.append({"source": u, "target": v})
+            edges.append([u, v, {}])
     elif edit == "drop_edge" and edges:
         edges.pop(draw(st.integers(0, len(edges) - 1)))
     elif edit == "reverse_edge" and edges:
         edge = draw(st.sampled_from(edges))
-        edge["source"], edge["target"] = edge["target"], edge["source"]
+        edge[0], edge[1] = edge[1], edge[0]
     elif edit == "node_attr" and nodes:
-        draw(st.sampled_from(nodes))["w"] = draw(attr_values)
+        draw(st.sampled_from(nodes))[1]["w"] = draw(attr_values)
     elif edit == "edge_attr" and edges:
-        draw(st.sampled_from(edges))["w"] = draw(attr_values)
+        draw(st.sampled_from(edges))[2]["w"] = draw(attr_values)
     return out
 
 
@@ -228,8 +297,8 @@ def edited(draw, document):
 def test_fingerprint_ignores_order_and_edge_orientation(document, seed):
     again = reordered(document, random.Random(seed))
     assert content(again) == content(document)
-    assert (fingerprint(from_dict(again))
-            == fingerprint(from_dict(document)))
+    assert (fingerprint(from_document(again))
+            == fingerprint(from_document(document)))
 
 
 @given(data=st.data(), document=documents())
@@ -237,8 +306,8 @@ def test_fingerprint_ignores_order_and_edge_orientation(document, seed):
 def test_fingerprint_separates_every_content_change(data, document):
     other = data.draw(edited(document))
     same = content(other) == content(document)
-    assert (fingerprint(from_dict(other))
-            == fingerprint(from_dict(document))) == same
+    assert (fingerprint(from_document(other))
+            == fingerprint(from_document(document))) == same
 
 
 class TestGraphml:

@@ -1,4 +1,12 @@
-"""Property tests: GraphML and edge-list round trips.
+"""Property tests: the graph document, GraphML and edge-list round trips.
+
+The graph document (``repro.graphs.io.to_document`` /
+``from_document``) is what crosses the shard pipe, fills session files
+and store snapshots, so it must give back the very graph it was given:
+every id (ints, strings, tuples of them), every attribute name (the
+document's own keys and the graph methods' parameter names included)
+and the order of nodes, edges and attributes.  The keyed layout
+(``to_dict`` / ``from_dict``) gives it back too, or refuses it.
 
 The store's guarantee is that any attribute value accepted by the edit
 log (``repro.store.records.make_record``) survives export/import.
@@ -7,14 +15,19 @@ nested lists/dicts, ``None``, and keys whose type conflicts across
 elements — and the round trip must restore them exactly.
 """
 
+import json
 import math
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import GraphIOError
 from repro.graphs.graph import DiGraph, Graph
 from repro.graphs.graphml import read_graphml, write_graphml
-from repro.graphs.io import parse_edgelist_text, write_edgelist
+from repro.graphs.io import (from_dict, from_document, parse_edgelist_text,
+                             to_dict, to_document, write_edgelist)
+from repro.shard.protocol import dumps_canonical
+from repro.store import graph_bytes, graph_from_bytes
 from repro.store.records import make_record
 
 # printable ASCII without the XML/JSON troublemakers the formats do not
@@ -121,11 +134,8 @@ def test_edgelist_round_trips_json_attrs(edges, tmp_path_factory):
     for u, v, attrs in edges:
         if u == v or graph.has_edge(u, v):
             continue
-        graph.add_edge(u, v)
-        # setters, not kwargs: keys like "u" are valid attribute names
-        for key, value in attrs.items():
-            make_record("set_edge_attr", u=u, v=v, key=key, value=value)
-            graph.set_edge_attr(u, v, key, value)
+        make_record("add_edge", u=u, v=v, attrs=attrs)
+        graph.add_edge(u, v, **attrs)
     if graph.number_of_edges() == 0:
         return
     path = tmp_path_factory.mktemp("el") / "g.edgelist"
@@ -151,3 +161,95 @@ def test_edgelist_attr_values_with_spaces_stay_one_token(tmp_path):
     assert len(line.split()) == 2 + len(graph.edge_attrs("a", "b"))
     restored = parse_edgelist_text(path.read_text())
     assert restored.edge_attrs("a", "b") == graph.edge_attrs("a", "b")
+
+
+# ----------------------------------------------------------------------
+# the graph document
+# ----------------------------------------------------------------------
+#: the document's own keys, and the parameter names of the graph
+#: methods that take attributes as keywords
+CLASHING_NAMES = ("id", "source", "target", "name", "directed", "format",
+                  "node", "u", "v", "self")
+
+scalar_ids = st.integers(-5, 40) | st.text("abxy01", max_size=3)
+tuple_ids = st.tuples(scalar_ids) | st.tuples(scalar_ids, scalar_ids)
+clashing_attrs = st.dictionaries(st.sampled_from(CLASHING_NAMES),
+                                 json_values, max_size=4)
+
+
+@st.composite
+def graphs(draw, ids=scalar_ids | tuple_ids):
+    """A graph built through the API: attributes passed as keywords,
+    edges added (and re-added, merging attributes) in drawn order."""
+    graph = (DiGraph if draw(st.booleans()) else Graph)(
+        name=draw(st.sampled_from(("", "g"))))
+    nodes = draw(st.lists(ids, max_size=8, unique=True))
+    for node in nodes:
+        graph.add_node(node, **draw(clashing_attrs))
+    if nodes:
+        for u, v, attrs in draw(st.lists(
+                st.tuples(st.sampled_from(nodes), st.sampled_from(nodes),
+                          clashing_attrs), max_size=12)):
+            graph.add_edge(u, v, **attrs)
+    return graph
+
+
+def rows(graph):
+    """Everything the document must carry, in the graph's order."""
+    return (graph.directed, graph.name,
+            [(node, list(graph.node_attrs(node).items()))
+             for node in graph.nodes()],
+            [(u, v, list(graph.edge_attrs(u, v).items()))
+             for u, v in graph.edges()])
+
+
+def key_sorted(graph):
+    """``rows(graph)`` with each attribute list in key order, as a
+    canonical (key-sorted) JSON text hands it back."""
+    directed, name, nodes, edges = rows(graph)
+    return (directed, name,
+            [(node, sorted(attrs)) for node, attrs in nodes],
+            [(u, v, sorted(attrs)) for u, v, attrs in edges])
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph=graphs())
+def test_the_document_round_trips_content_and_order(graph):
+    document = to_document(graph)
+    # in memory, and through plain JSON: attribute order too
+    for again in (from_document(document),
+                  from_document(json.loads(json.dumps(document)))):
+        assert again == graph and type(again) is type(graph)
+        assert rows(again) == rows(graph)
+    # through the shard pipe's canonical JSON, keys sorted
+    wired = from_document(json.loads(dumps_canonical(document)))
+    assert wired == graph and type(wired) is type(graph)
+    assert rows(wired) == key_sorted(graph)
+    assert dumps_canonical(to_document(wired)) == dumps_canonical(document)
+
+
+@settings(max_examples=100, deadline=None)
+@given(graph=graphs(ids=scalar_ids))
+def test_snapshot_bytes_round_trip_content_and_order(graph):
+    blob = graph_bytes(graph)
+    again = graph_from_bytes(blob)
+    assert again == graph and type(again) is type(graph)
+    assert rows(again) == key_sorted(graph)
+    assert graph_bytes(again) == blob
+
+
+@settings(max_examples=100, deadline=None)
+@given(graph=graphs())
+def test_the_keyed_layout_round_trips_or_refuses(graph):
+    """``to_dict`` never writes another graph: it refuses exactly the
+    attributes a key would replace, and what it writes reads back."""
+    replaced = (any("id" in attrs for attrs in graph.node_attr_dicts())
+                or bool({"source", "target"} & graph.edge_attr_keys()))
+    try:
+        document = to_dict(graph)
+    except GraphIOError:
+        assert replaced
+        return
+    assert not replaced
+    again = from_dict(json.loads(json.dumps(document)))
+    assert again == graph and rows(again) == rows(graph)

@@ -43,10 +43,10 @@ class TestCliMain:
 
     def test_graph_flag(self, tmp_path):
         import json
-        from repro.graphs.io import to_dict
+        from repro.graphs.io import to_document
         path = tmp_path / "g.json"
-        path.write_text(json.dumps(to_dict(social_network(12, 2,
-                                                          seed=0))))
+        path.write_text(json.dumps(to_document(social_network(12, 2,
+                                                              seed=0))))
         completed = subprocess.run(
             [sys.executable, "-m", "repro.cli", "--corpus", "300",
              "--graph", str(path)],
@@ -111,10 +111,10 @@ class TestCli:
     def test_load_graph_kinds(self, tmp_path, chatgraph):
         from repro.cli import load_graph
         import json as json_mod
-        from repro.graphs.io import to_dict
+        from repro.graphs.io import to_document
         g = social_network(10, 2, seed=0)
         json_path = tmp_path / "g.json"
-        json_path.write_text(json_mod.dumps(to_dict(g)))
+        json_path.write_text(json_mod.dumps(to_document(g)))
         assert load_graph(str(json_path)).number_of_nodes() == 10
         smi_path = tmp_path / "m.smi"
         smi_path.write_text("CCO\n")

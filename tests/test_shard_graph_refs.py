@@ -18,12 +18,12 @@ import pytest
 
 import repro.shard.protocol as protocol
 from repro import ChatGraph, ServeConfig, ServeRequest
-from repro.errors import GraphError
-from repro.graphs import Graph, social_network
-from repro.graphs.io import from_dict, to_dict
+from repro.errors import GraphError, GraphIOError
+from repro.graphs import grid_graph, social_network
 from repro.shard import ShardModelSpec, ShardedChatGraphServer
 from repro.shard.protocol import (GraphTable, dumps_canonical, graph_ref,
-                                  request_to_wire, value_to_wire)
+                                  request_from_wire, request_to_wire,
+                                  value_to_wire)
 from repro.shard.worker import serve_config_to_wire
 from repro.testing import slow_chatgraph
 from repro.testing.workloads import bench_graphs, canonical_graph
@@ -285,47 +285,81 @@ def test_unknown_and_non_int_refs_fail_only_their_own_request():
     assert replies[1]["value"] == replies[4]["value"]
 
 
+#: the document's own keys, and the parameter names of the graph
+#: methods that take attributes as keywords
+CLASHING_NAMES = ("id", "source", "target", "name", "directed", "format",
+                  "node", "u", "v", "self")
+
+
+def _clashing():
+    """A knowledge graph whose first node and edge carry every
+    clashing name ("Clean G" on it ends in ``export_graph``)."""
+    graph = canonical_graph("kg")
+    u, v = next(iter(graph.edges()))
+    for name in CLASHING_NAMES:
+        graph.set_node_attr(u, name, f"ghost-{name}")
+        graph.set_edge_attr(u, v, name, f"ghost-{name}")
+    return graph
+
+
+def test_fleet_answers_about_the_graph_it_was_given(make_fleet, reference):
+    """Attribute names that are the document's keys or the graph
+    methods' parameters, and tuple node ids, cross the pipe intact: a
+    1-shard fleet answers byte-equal to an in-process ``ChatGraph``,
+    the ``export_graph`` answer (which prints every node and edge)
+    included."""
+    fleet = make_fleet(shards=1)
+    clashing, grid = _clashing(), grid_graph(3, 3)
+    for graph in (clashing, grid):
+        for text in (TEXT, "Clean G"):
+            _ask(fleet, reference, text, graph)
+        held = fleet.handles[0].link.worker.graphs.get(graph_ref(graph))
+        assert held == graph and list(held.nodes()) == list(graph.nodes())
+    assert "export_graph: " in _ask(fleet, reference, "Clean G", clashing)
+    assert fleet.stats()["counters"].get("failed", 0) == 0
+
+
 def test_both_tables_weigh_the_frame_not_the_rebuilt_graph(
         make_fleet, reference, sent, monkeypatch):
-    """A body the worker rebuilds into another graph, or cannot rebuild
-    at all, weighs what its frame holds on both sides, so a tight
-    budget still evicts the same refs and no later ref goes missing."""
+    """Each side weighs a shipped graph by its frame's rows, so a tight
+    budget evicts the same refs on both; a body the worker cannot
+    rebuild is filed, on both sides, at its frame's weight."""
     plain = social_network(20, 2, seed=1)
-    # an edge attribute named ``source`` and a node attribute named
-    # ``id`` take the place of the key on the wire: the worker's graph
-    # gains the nodes they name
-    clashing = social_network(24, 2, seed=2)
-    u, v = next(iter(clashing.edges()))
-    clashing.set_edge_attr(u, v, "source", "ghost-source")
-    clashing.set_node_attr(u, "id", "ghost-id")
-    body_size = len(to_dict(clashing)["nodes"]) \
-        + len(to_dict(clashing)["edges"])
-    assert _size(from_dict(to_dict(clashing))) > body_size
-    # tuple node ids arrive as lists, which the worker cannot rebuild
-    broken = Graph()
-    broken.add_edge((0, 1), (1, 2))
+    clashing = _clashing()
+    grid = grid_graph(4, 4)
     monkeypatch.setattr(protocol, "GRAPH_TABLE_BUDGET",
-                        _size(plain) + body_size + _size(broken))
+                        _size(plain) + _size(clashing) + _size(grid))
     fleet = make_fleet(shards=1)
     handle = fleet.handles[0]
-    _ask(fleet, reference, TEXT, plain)
-    remote = fleet.request(ServeRequest(op="ask", text=TEXT, graph=clashing))
-    local = reference.ask(TEXT, graph=from_dict(to_dict(clashing)))
-    assert dumps_canonical(value_to_wire("ask", remote.value)) \
-        == dumps_canonical(value_to_wire("ask", local))
-    assert _tables_agree(handle).refs() \
-        == [graph_ref(plain), graph_ref(clashing)]
-    for _ in range(2):
-        failed = fleet.request(ServeRequest(op="ask", text=TEXT,
-                                            graph=broken))
-        assert not failed.ok and failed.error_type == "GraphIOError"
-        assert _tables_agree(handle).refs()[-1] == graph_ref(broken)
-    assert [wire["graph"] is None for wire in sent[-2:]] == [False, True]
+    for graph in (plain, clashing, grid):
+        _ask(fleet, reference, TEXT, graph)
+    assert _tables_agree(handle).weight == protocol.GRAPH_TABLE_BUDGET
     # all three fit: the first is still held on both sides
     _ask(fleet, reference, TEXT, plain)
     assert sent[-1]["graph"] is None
     assert _tables_agree(handle).refs() \
-        == [graph_ref(clashing), graph_ref(broken), graph_ref(plain)]
+        == [graph_ref(clashing), graph_ref(grid), graph_ref(plain)]
+
+    # the coordinator never ships an unbuildable body, so hand one to
+    # the worker's side of the protocol: a node row without its attrs
+    request = ServeRequest(op="ask", text=TEXT, graph=plain.copy())
+    mirror, table = GraphTable(), GraphTable()
+    wire = request_to_wire(request, 1, graphs=mirror)
+    wire["graph"]["nodes"][0] = wire["graph"]["nodes"][0][:1]
+    with pytest.raises(GraphIOError):
+        request_from_wire(wire, table)
+    assert table.refs() == mirror.refs() == [wire["graph_ref"]]
+    assert table.weight == mirror.weight == _size(plain)
+    # a ref alone raises the error its body was filed as
+    by_ref = request_to_wire(request, 2, graphs=mirror)
+    assert by_ref["graph"] is None
+    with pytest.raises(GraphIOError):
+        request_from_wire(by_ref, table)
+    # a body whose rows cannot be counted is refused before filing
+    bare = dict(wire, graph_ref=wire["graph_ref"] + 1, graph={"nodes": []})
+    with pytest.raises(protocol.ShardProtocolError):
+        request_from_wire(bare, table)
+    assert table.refs() == [wire["graph_ref"]]
     assert fleet.stats()["counters"].get("shard_deaths", 0) == 0
 
 

@@ -25,7 +25,6 @@ import pytest
 import repro.runtime.shard as shard_runtime
 from repro import ChatGraph, ChatGraphServer, ServeConfig, ServeRequest
 from repro.errors import ServeError
-from repro.graphs.io import from_dict, to_dict
 from repro.runtime import RequestLifecycle, ShardBackend
 from repro.serve.engine import PendingRequest
 from repro.shard import ShardModelSpec, ShardedChatGraphServer
@@ -101,11 +100,17 @@ def test_parity_independent_of_attribute_insertion_order(fleet, single):
     """The pipe's key-sorted JSON hands the shard a graph whose
     attributes sit in sorted key order; an ``export_graph`` answer must
     read the same as one rendered from the caller's insertion order."""
-    document = to_dict(canonical_graph("kg"))
-    for rows in (document["nodes"], document["edges"]):
-        rows[:] = [dict(sorted(row.items(), reverse=True))
-                   for row in rows]
-    graph = from_dict(document)
+    source = canonical_graph("kg")
+    graph = type(source)(name=source.name)
+
+    def backwards(attrs):
+        return dict(sorted(attrs.items(), reverse=True))
+
+    for node in source.nodes():
+        graph.add_node(node, **backwards(source.node_attrs(node)))
+    for u, v in source.edges():
+        graph.add_edge(u, v, **backwards(source.edge_attrs(u, v)))
+    assert graph == source
     node = next(iter(graph.nodes()))
     assert list(graph.node_attrs(node)) != sorted(graph.node_attrs(node))
     # run_graph_cleaning's prompt: on this model its chain ends in

@@ -6,7 +6,7 @@ import pytest
 
 from repro.cli import main
 from repro.graphs import social_network
-from repro.graphs.io import to_dict
+from repro.graphs.io import to_document
 from repro.store import GraphCatalog
 
 
@@ -23,7 +23,7 @@ def run(capsys, *argv):
 
 def test_create_ingest_ls_verify_compact(root, tmp_path, capsys):
     graph_file = tmp_path / "g.json"
-    graph_file.write_text(json.dumps(to_dict(social_network(
+    graph_file.write_text(json.dumps(to_document(social_network(
         12, 3, seed=2))))
 
     code, __ = run(capsys, "create", "--root", root, "social")
