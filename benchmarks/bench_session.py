@@ -82,8 +82,7 @@ def test_config_parameter_effects(chatgraph, report_table, benchmark):
                     for preset in MODEL_PRESETS))
 
     report_table("E11-config-coverage", *rows)
-    benchmark(lambda: ChatGraphConfig.from_dict(
-        chatgraph.config.to_dict()))
+    benchmark(chatgraph.config.to_dict)
 
 
 def test_session_round_trip(chatgraph, report_table, benchmark):

@@ -13,7 +13,6 @@ Run:  python examples/trace_pipeline.py
 from pathlib import Path
 
 from repro import ChatGraph, ChatGraphServer, ServeConfig
-from repro.config import ObsConfig
 from repro.graphs import knowledge_graph, social_network
 from repro.obs import (
     check_trace,
@@ -28,9 +27,7 @@ def main() -> None:
     print("finetuning the simulated backbone...")
     chatgraph = ChatGraph.pretrained(corpus_size=300, seed=0)
 
-    config = ServeConfig(
-        workers=2, seed=0,
-        obs=ObsConfig(enable_tracing=True))
+    config = ServeConfig(workers=2, seed=0, enable_tracing=True)
     questions = (
         ("write a brief report for G", social_network(30, 3, seed=7)),
         ("clean up the knowledge graph", knowledge_graph(25, 80, seed=7)),

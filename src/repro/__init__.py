@@ -40,7 +40,6 @@ from .config import (
     ChatGraphConfig,
     FinetuneConfig,
     LLMConfig,
-    ObsConfig,
     RetrievalConfig,
     SequencerConfig,
     ServeConfig,
@@ -60,7 +59,6 @@ __all__ = [
     "ChatResponse",
     "ChatSession",
     "ChatGraphError",
-    "ObsConfig",
     "RetrievalConfig",
     "SequencerConfig",
     "ServeConfig",

@@ -43,7 +43,7 @@ from pathlib import Path
 from typing import IO
 
 from . import ChatGraph, ChatSession
-from .errors import ChatGraphError
+from .errors import ChatGraphError, GraphIOError
 from .graphs import from_document, read_edgelist, read_graphml
 from .graphs.generators import (
     knowledge_graph,
@@ -59,12 +59,18 @@ def load_graph(path: str):
         raise ChatGraphError(f"no such file: {path}")
     suffix = file_path.suffix.lower()
     if suffix == ".json":
-        return from_document(json.loads(file_path.read_text()))
+        try:
+            document = json.loads(file_path.read_text())
+        except ValueError as exc:  # bad JSON or bad UTF-8
+            raise GraphIOError(f"{path} is not JSON: {exc}") from exc
+        return from_document(document)
     if suffix == ".graphml":
         return read_graphml(file_path)
     if suffix in (".smi", ".smiles"):
-        smiles = file_path.read_text().strip().splitlines()[0]
-        return parse_smiles(smiles, name=file_path.stem).to_graph()
+        lines = file_path.read_text().strip().splitlines()
+        if not lines:
+            raise GraphIOError(f"{path} holds no SMILES string")
+        return parse_smiles(lines[0], name=file_path.stem).to_graph()
     return read_edgelist(file_path)
 
 
@@ -493,7 +499,7 @@ def trace_main(argv: list[str]) -> int:
     if not args.demo:
         parser.error("pass --input PATH or --demo")
 
-    from .config import ObsConfig, ServeConfig
+    from .config import ServeConfig
     from .serve import ChatGraphServer
     from .testing.workloads import canonical_workload
 
@@ -502,7 +508,7 @@ def trace_main(argv: list[str]) -> int:
     chatgraph = ChatGraph.pretrained(corpus_size=args.corpus,
                                      seed=args.seed)
     config = ServeConfig(workers=args.workers, seed=args.seed,
-                         obs=ObsConfig(enable_tracing=True))
+                         enable_tracing=True)
     responses = []
     with ChatGraphServer(chatgraph, config) as server:
         for slug, text, graph in canonical_workload():

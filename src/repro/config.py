@@ -110,19 +110,6 @@ class LLMConfig:
 
 
 @dataclass(frozen=True)
-class ObsConfig:
-    """Parameters of the :mod:`repro.obs` observability layer.
-
-    Tracing is off by default (span bookkeeping is cheap but not free);
-    the serve runtime always keeps a :class:`repro.obs.MetricsRegistry`
-    because counters cost next to nothing.
-    """
-
-    #: Master switch for hierarchical request tracing.
-    enable_tracing: bool = False
-
-
-@dataclass(frozen=True)
 class ServeConfig:
     """Parameters of the :mod:`repro.serve` service runtime.
 
@@ -136,19 +123,22 @@ class ServeConfig:
     #: Bounded admission-queue depth; a full queue rejects with
     #: :class:`~repro.errors.BackpressureError` instead of blocking.
     queue_depth: int = 64
-    #: Seconds a session may stay idle before TTL eviction.
+    #: Seconds a session may stay idle before TTL eviction (live
+    #: sessions are also capped at ``repro.serve.sessions.MAX_SESSIONS``,
+    #: least recently used evicted first).
     session_ttl_seconds: float = 600.0
-    #: Hard cap on live sessions (least-recently-used wins eviction).
-    max_sessions: int = 256
     #: Master switch for the content-addressed pipeline caches.
     enable_caches: bool = True
+    #: Master switch for hierarchical request tracing (off by default:
+    #: span bookkeeping is cheap but not free; the metrics registry is
+    #: always on because counters cost next to nothing).
+    enable_tracing: bool = False
     #: Token-bucket burst capacity per client; ``0`` disables limiting.
     rate_limit_capacity: int = 0
-    #: Token-bucket refill rate (tokens per second per client).
+    #: Token-bucket refill rate (tokens per second per client).  A
+    #: bucket back at full is dropped at the next sweep (at most one
+    #: sweep per ``capacity / refill`` seconds; none without refill).
     rate_limit_refill_per_second: float = 0.0
-    #: Seconds an untouched, fully-refilled client bucket may idle
-    #: before the rate limiter evicts it (bounds per-client state).
-    rate_limit_idle_seconds: float = 600.0
     #: Wall-clock limit per chain-step attempt; ``0`` disables step
     #: timeouts.
     step_timeout_seconds: float = 0.0
@@ -157,10 +147,10 @@ class ServeConfig:
     #: Base backoff before the first retry (doubles per retry, with
     #: deterministic seeded jitter).
     retry_backoff_seconds: float = 0.02
-    #: Failures in the sliding window needed to trip a breaker.
+    #: Failures in the sliding window needed to trip a breaker (which
+    #: also needs ``repro.serve.breaker.FAILURE_RATE_THRESHOLD`` of the
+    #: window to have failed).
     breaker_failure_threshold: int = 5
-    #: Windowed failure rate (0..1] needed to trip a breaker.
-    breaker_failure_rate: float = 0.5
     #: Sliding-window length (recent calls) per API breaker.
     breaker_window: int = 20
     #: Seconds an open breaker waits before a half-open probe.
@@ -183,12 +173,6 @@ class ServeConfig:
     #: graphs).  When set, requests may name catalog graphs via
     #: ``ServeRequest.graph_name``.
     store_root: str = ""
-    #: Pre-populate the pipeline caches at :meth:`start` from the
-    #: catalog's named graphs (each graph's suggested questions run
-    #: through ``propose`` once, off the serving path).  The number of
-    #: cache entries created lands in the ``cache_warmed_entries``
-    #: counter.
-    warm_caches: bool = False
     #: Shard worker *processes* behind a
     #: :class:`repro.shard.ShardedChatGraphServer`; ``0`` means the
     #: config describes a plain in-process server.  In sharded mode
@@ -204,21 +188,16 @@ class ServeConfig:
     #: Base seed folded into every request's deterministic per-request
     #: seed (content-keyed, so results are order-independent).
     seed: int = 0
-    #: Observability settings (request tracing on or off).
-    obs: ObsConfig = field(default_factory=ObsConfig)
 
     def __post_init__(self) -> None:
         _require(self.workers >= 1, "workers must be >= 1")
         _require(self.queue_depth >= 1, "queue_depth must be >= 1")
         _require(self.session_ttl_seconds > 0.0,
                  "session_ttl_seconds must be > 0")
-        _require(self.max_sessions >= 1, "max_sessions must be >= 1")
         _require(self.rate_limit_capacity >= 0,
                  "rate_limit_capacity must be >= 0")
         _require(self.rate_limit_refill_per_second >= 0.0,
                  "rate_limit_refill_per_second must be >= 0")
-        _require(self.rate_limit_idle_seconds > 0.0,
-                 "rate_limit_idle_seconds must be > 0")
         _require(self.step_timeout_seconds >= 0.0,
                  "step_timeout_seconds must be >= 0")
         _require(self.step_max_retries >= 0,
@@ -227,8 +206,6 @@ class ServeConfig:
                  "retry_backoff_seconds must be >= 0")
         _require(self.breaker_failure_threshold >= 1,
                  "breaker_failure_threshold must be >= 1")
-        _require(0.0 < self.breaker_failure_rate <= 1.0,
-                 "breaker_failure_rate must be in (0, 1]")
         _require(self.breaker_window >= self.breaker_failure_threshold,
                  "breaker_window must be >= breaker_failure_threshold")
         _require(self.breaker_cooldown_seconds > 0.0,
@@ -279,24 +256,3 @@ class ChatGraphConfig:
             name: dataclasses.asdict(getattr(self, name))
             for name in ("retrieval", "sequencer", "finetune", "llm")
         }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, dict[str, Any]]) -> "ChatGraphConfig":
-        """Build a config from :meth:`to_dict` output, validating each field."""
-        kwargs: dict[str, Any] = {}
-        section_types = {
-            "retrieval": RetrievalConfig,
-            "sequencer": SequencerConfig,
-            "finetune": FinetuneConfig,
-            "llm": LLMConfig,
-        }
-        unknown = set(data) - set(section_types)
-        if unknown:
-            raise ConfigError(f"unknown config sections: {sorted(unknown)}")
-        for name, section_cls in section_types.items():
-            if name in data:
-                try:
-                    kwargs[name] = section_cls(**data[name])
-                except TypeError as exc:
-                    raise ConfigError(f"bad fields for {name}: {exc}") from exc
-        return cls(**kwargs)

@@ -101,19 +101,19 @@ class ChatGraph:
     # ------------------------------------------------------------------
     @classmethod
     def pretrained(cls, config: ChatGraphConfig | None = None,
-                   corpus_size: int = 600, objective: str = "token",
-                   seed: int = 0) -> "ChatGraph":
+                   corpus_size: int = 600, seed: int = 0) -> "ChatGraph":
         """Build an instance and finetune it on the synthetic corpus.
 
-        Trains on the train split, with no held-out evaluation: building
-        the corpus and training take under a second together for
-        ``objective="token"``, tens of seconds for ``"matching"``.
+        Trains on the train split with the token objective and no
+        held-out evaluation: building the corpus and training take under
+        a second together (call :meth:`finetune` for the matching
+        objective).
         """
         instance = cls(config=config or ChatGraphConfig())
         train, __ = build_corpus(
             instance.registry, CorpusSpec(n_examples=corpus_size, seed=seed),
             retriever=instance.retriever)
-        instance.finetune(train, objective=objective)
+        instance.finetune(train)
         return instance
 
     def finetune(self, corpus: CorpusSpec | list[TrainingExample],

@@ -132,7 +132,6 @@ def _diurnal(quick: bool) -> Scenario:
             workers=4, queue_depth=512,
             rate_limit_capacity=3,
             rate_limit_refill_per_second=0.5,
-            rate_limit_idle_seconds=60.0 if quick else 120.0,
             session_ttl_seconds=45.0 if quick else 180.0),
         catalog_graphs=("social-m", "kg-m"),
         slo=SLOSpec(name="diurnal", gates=(
@@ -169,7 +168,6 @@ def _spike(quick: bool) -> Scenario:
             step_max_retries=1,
             retry_backoff_seconds=0.002,
             breaker_failure_threshold=3,
-            breaker_failure_rate=0.5,
             breaker_window=10,
             breaker_cooldown_seconds=20.0 if quick else 30.0),
         chaos=WindowedChaos(

@@ -14,8 +14,8 @@ The observability layer of the reproduction:
   byte-stable forms), flame-style trace rendering, markdown metrics
   snapshots.
 
-Wire into a server with ``ServeConfig(obs=ObsConfig(
-enable_tracing=True))``, or directly::
+Wire into a server with ``ServeConfig(enable_tracing=True)``, or
+directly::
 
     from repro.obs import Tracer
     tracer = Tracer(seed=0)

@@ -136,15 +136,13 @@ class RequestLifecycle:
             self.limiter = RateLimiter(
                 config.rate_limit_capacity,
                 config.rate_limit_refill_per_second,
-                clock=self.clock,
-                idle_seconds=config.rate_limit_idle_seconds)
+                clock=self.clock)
         self.metrics = MetricsRegistry()
         self.tracer: Tracer | None = None
-        if config.obs.enable_tracing:
+        if config.enable_tracing:
             self.tracer = Tracer(seed=config.seed)
         self.breakers = BreakerRegistry(
             failure_threshold=config.breaker_failure_threshold,
-            failure_rate_threshold=config.breaker_failure_rate,
             window_size=config.breaker_window,
             cooldown_seconds=config.breaker_cooldown_seconds,
             clock=self.clock)

@@ -68,7 +68,7 @@ class LocalBackend(ExecutionBackend):
             self.chatgraph.pipeline.graph.observed_stage_names)
         self.sessions = SessionStore(
             self.chatgraph, ttl_seconds=config.session_ttl_seconds,
-            max_sessions=config.max_sessions, clock=lifecycle.clock)
+            clock=lifecycle.clock)
         #: The request coalescer; ``microbatch_size`` 0 and 1 both mean
         #: a flush of one.  The batcher stays on real time even under
         #: an injected clock: its deadline is awaited by polling
@@ -122,9 +122,6 @@ class LocalBackend(ExecutionBackend):
         if self.catalog is not None:
             self.catalog.add_compact_listener(
                 self.sessions.evict_compacted)
-        if lifecycle.config.warm_caches:
-            lifecycle.metrics.incr("cache_warmed_entries",
-                                   self.warm_caches())
 
     def launch(self) -> None:
         self._workers = []
@@ -157,10 +154,10 @@ class LocalBackend(ExecutionBackend):
             self.catalog.remove_compact_listener(
                 self.sessions.evict_compacted)
 
-    def warm_caches(self, names: Any = None) -> int:
-        """Pre-populate pipeline caches from the catalog's named graphs.
+    def warm_caches(self, names: list[str]) -> int:
+        """Pre-populate pipeline caches from the named catalog graphs.
 
-        For every graph in the catalog, sequentializes it (sequence
+        For every graph named, sequentializes it (sequence
         cache, keyed by topology view and label tokens — copies of one
         catalog version key alike) and embeds its suggested
         questions through the retriever's query path (embedding cache),
@@ -169,9 +166,9 @@ class LocalBackend(ExecutionBackend):
         *inserts* deterministic content-keyed values, so served results
         are byte-identical with or without it.
 
-        ``names`` restricts warming to specific graphs — the shard
-        tier's migration path warms just the graphs whose ring
-        ownership moved to this process; None warms every catalog graph.
+        The shard tier's migration path calls it with just the graphs
+        whose ring ownership moved to this process; a name the catalog
+        does not hold is skipped.
         """
         if self.caches is None or self.catalog is None:
             return 0
@@ -180,8 +177,7 @@ class LocalBackend(ExecutionBackend):
         pipeline = self.chatgraph.pipeline
         before = (len(self.caches.sequences)
                   + len(self.caches.embeddings))
-        wanted = self.catalog.names() if names is None else names
-        for name in wanted:
+        for name in names:
             try:
                 view = self.catalog.view(name)
             except ChatGraphError:

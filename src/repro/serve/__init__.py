@@ -20,7 +20,7 @@ Speed is measured from outside by ``benchmarks/ledger/run.py``;
 invariants under load by ``python -m repro.cli bench-slo``.
 """
 
-from ..config import ObsConfig, ServeConfig
+from ..config import ServeConfig
 from ..errors import (
     BackpressureError,
     CircuitOpenError,
@@ -50,7 +50,6 @@ __all__ = [
     "CircuitOpenError",
     "LRUCache",
     "MicroBatcher",
-    "ObsConfig",
     "PendingRequest",
     "PipelineCaches",
     "RateLimitError",

@@ -72,41 +72,34 @@ class TokenBucket:
 class RateLimiter:
     """Per-client token buckets, created lazily on first sight.
 
-    Buckets are evicted once they have sat untouched for
-    ``idle_seconds`` *and* refilled back to full capacity — recreating
-    such a bucket on the client's next request is semantically
-    identical, so eviction only bounds memory (one bucket per client-id
-    ever seen would otherwise grow forever).
+    A bucket that reads full is indistinguishable from a fresh one, so
+    a sweep drops every such bucket: that only bounds memory (one
+    bucket per client-id ever seen would otherwise grow forever).  The
+    limiter sweeps at most once per ``capacity / refill_per_second``
+    seconds, the time a drained bucket takes to refill; with no refill
+    a bucket never fills back, so it never sweeps.
     """
 
     def __init__(self, capacity: float, refill_per_second: float,
-                 clock: Clock = time.monotonic,
-                 idle_seconds: float = 600.0) -> None:
-        if idle_seconds <= 0:
-            raise ValueError("idle_seconds must be > 0")
+                 clock: Clock = time.monotonic) -> None:
         self.capacity = capacity
         self.refill_per_second = refill_per_second
-        self.idle_seconds = idle_seconds
+        self._sweep_seconds = (capacity / refill_per_second
+                               if refill_per_second > 0 else float("inf"))
         self._clock = clock
         self._buckets: dict[str, TokenBucket] = {}
-        self._last_seen: dict[str, float] = {}
         self._last_sweep = clock()
         self._lock = threading.Lock()
 
     def _sweep(self, now: float) -> None:
-        # caller holds the lock; at most one sweep per idle interval
-        if now - self._last_sweep < self.idle_seconds:
+        # caller holds the lock; at most one sweep per refill interval
+        if now - self._last_sweep < self._sweep_seconds:
             return
         self._last_sweep = now
-        for client_id in list(self._buckets):
-            idle = now - self._last_seen.get(client_id, now)
-            if idle < self.idle_seconds:
-                continue
-            # only drop buckets indistinguishable from fresh ones: a
-            # partially-drained bucket with no refill must keep its debt
-            if self._buckets[client_id].peek() >= self.capacity:
+        # a drained bucket must keep its debt, so only full ones go
+        for client_id, bucket in list(self._buckets.items()):
+            if bucket.peek() >= self.capacity:
                 del self._buckets[client_id]
-                del self._last_seen[client_id]
 
     def admit(self, client_id: str) -> None:
         """Take one token for ``client_id`` or raise RateLimitError."""
@@ -119,8 +112,10 @@ class RateLimiter:
                                      self.refill_per_second,
                                      clock=self._clock)
                 self._buckets[client_id] = bucket
-            self._last_seen[client_id] = now
-        if not bucket.try_acquire():
+            # under the lock, so no sweep can drop the bucket between
+            # the lookup and the take and hand the client a fresh one
+            admitted = bucket.try_acquire()
+        if not admitted:
             raise RateLimitError(client_id, bucket.retry_after())
 
     def __len__(self) -> int:

@@ -8,9 +8,9 @@ sliding window and walks the classic three-state machine:
 * **open** — calls are refused outright (the executor fails the step
   with :class:`~repro.errors.CircuitOpenError` without invoking the
   API) until ``cooldown_seconds`` elapse;
-* **half-open** — after the cooldown a limited number of probe calls
-  pass through; one success closes the circuit, one failure re-opens
-  it and restarts the cooldown.
+* **half-open** — after the cooldown up to :data:`HALF_OPEN_MAX_CALLS`
+  probe calls pass through; one success closes the circuit, one
+  failure re-opens it and restarts the cooldown.
 
 :class:`BreakerRegistry` holds one breaker per API name and is shared
 by every worker of a :class:`~repro.serve.engine.ChatGraphServer`, so
@@ -31,6 +31,13 @@ from ..errors import ConfigError
 
 Clock = Callable[[], float]
 
+#: Windowed failure rate a breaker also needs, beside its failure
+#: count, to trip.  Read at use, so a test patches it here.
+FAILURE_RATE_THRESHOLD = 0.5
+#: Probe calls a half-open breaker lets through before the first
+#: outcome decides it.  Read at use, like the rate.
+HALF_OPEN_MAX_CALLS = 1
+
 
 class BreakerState(str, enum.Enum):
     CLOSED = "closed"
@@ -43,29 +50,21 @@ class CircuitBreaker:
 
     The circuit trips when the window holds at least
     ``failure_threshold`` failures *and* the windowed failure rate
-    reaches ``failure_rate_threshold``.
+    reaches :data:`FAILURE_RATE_THRESHOLD`.
     """
 
     def __init__(self, failure_threshold: int = 5,
-                 failure_rate_threshold: float = 0.5,
                  window_size: int = 20,
                  cooldown_seconds: float = 30.0,
-                 half_open_max_calls: int = 1,
                  clock: Clock = time.monotonic) -> None:
         if failure_threshold < 1:
             raise ConfigError("failure_threshold must be >= 1")
-        if not 0.0 < failure_rate_threshold <= 1.0:
-            raise ConfigError("failure_rate_threshold must be in (0, 1]")
         if window_size < failure_threshold:
             raise ConfigError("window_size must be >= failure_threshold")
         if cooldown_seconds <= 0:
             raise ConfigError("cooldown_seconds must be > 0")
-        if half_open_max_calls < 1:
-            raise ConfigError("half_open_max_calls must be >= 1")
         self.failure_threshold = failure_threshold
-        self.failure_rate_threshold = failure_rate_threshold
         self.cooldown_seconds = cooldown_seconds
-        self.half_open_max_calls = half_open_max_calls
         self._clock = clock
         self._lock = threading.Lock()
         self._window: deque[bool] = deque(maxlen=window_size)  # True = ok
@@ -107,7 +106,7 @@ class CircuitBreaker:
             if self._state is BreakerState.OPEN:
                 return False
             if self._state is BreakerState.HALF_OPEN:
-                if self._half_open_probes >= self.half_open_max_calls:
+                if self._half_open_probes >= HALF_OPEN_MAX_CALLS:
                     return False
                 self._half_open_probes += 1
             return True
@@ -141,7 +140,7 @@ class CircuitBreaker:
             failures = sum(1 for ok in self._window if not ok)
             rate = failures / len(self._window)
             if failures >= self.failure_threshold and \
-                    rate >= self.failure_rate_threshold:
+                    rate >= FAILURE_RATE_THRESHOLD:
                 self._trip()
                 return True
             return False
@@ -188,17 +187,13 @@ class BreakerRegistry:
     """
 
     def __init__(self, failure_threshold: int = 5,
-                 failure_rate_threshold: float = 0.5,
                  window_size: int = 20,
                  cooldown_seconds: float = 30.0,
-                 half_open_max_calls: int = 1,
                  clock: Clock = time.monotonic) -> None:
         self._kwargs = dict(
             failure_threshold=failure_threshold,
-            failure_rate_threshold=failure_rate_threshold,
             window_size=window_size,
             cooldown_seconds=cooldown_seconds,
-            half_open_max_calls=half_open_max_calls,
             clock=clock,
         )
         self._breakers: dict[str, CircuitBreaker] = {}

@@ -129,6 +129,12 @@ class LRUCache:
                               size=len(self._data), maxsize=self.maxsize)
 
 
+#: Entries per pipeline cache (fixed sizes, not ``ServeConfig`` knobs).
+EMBEDDING_CACHE_SIZE = 2048
+RETRIEVAL_CACHE_SIZE = 1024
+SEQUENCE_CACHE_SIZE = 256
+
+
 @dataclass
 class PipelineCaches:
     """The cache bundle one server (or any caller) plugs into a pipeline.
@@ -142,13 +148,11 @@ class PipelineCaches:
     sequences: LRUCache
 
     @classmethod
-    def with_sizes(cls, embedding: int = 2048, retrieval: int = 1024,
-                   sequence: int = 256) -> "PipelineCaches":
-        """One LRU per cache; the defaults are the sizes every server
-        runs with (fixed here, not ``ServeConfig`` knobs)."""
-        return cls(embeddings=LRUCache(embedding),
-                   retrieval=LRUCache(retrieval),
-                   sequences=LRUCache(sequence))
+    def with_sizes(cls) -> "PipelineCaches":
+        """One LRU per cache, at the sizes every server runs with."""
+        return cls(embeddings=LRUCache(EMBEDDING_CACHE_SIZE),
+                   retrieval=LRUCache(RETRIEVAL_CACHE_SIZE),
+                   sequences=LRUCache(SEQUENCE_CACHE_SIZE))
 
     def stats(self) -> dict[str, dict[str, Any]]:
         return {"embeddings": self.embeddings.stats().to_dict(),

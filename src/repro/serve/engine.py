@@ -340,8 +340,8 @@ class ChatGraphServer(ServerFacade):
     def catalog(self) -> Any:
         return self.backend.catalog
 
-    def warm_caches(self, names: Any = None) -> int:
-        """Pre-populate pipeline caches from the catalog's named graphs
+    def warm_caches(self, names: list[str]) -> int:
+        """Pre-populate pipeline caches from the named catalog graphs
         (see :meth:`repro.runtime.local.LocalBackend.warm_caches`)."""
         return self.backend.warm_caches(names)
 

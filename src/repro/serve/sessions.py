@@ -22,6 +22,10 @@ from ..errors import SessionError
 
 Clock = Callable[[], float]
 
+#: Hard cap on live sessions per store; beyond it the least recently
+#: used session is evicted.  Read at use, so a test patches it here.
+MAX_SESSIONS = 256
+
 
 @dataclass
 class SessionEntry:
@@ -46,22 +50,18 @@ class SessionStore:
 
     Example::
 
-        store = SessionStore(chatgraph, ttl_seconds=600, max_sessions=64)
+        store = SessionStore(chatgraph, ttl_seconds=600)
         entry = store.get_or_create("alice")
         with entry.lock:
             entry.session.send("how many nodes does G have?")
     """
 
     def __init__(self, chatgraph: ChatGraph, ttl_seconds: float = 600.0,
-                 max_sessions: int = 256,
                  clock: Clock = time.monotonic) -> None:
         if ttl_seconds <= 0:
             raise ValueError("ttl_seconds must be > 0")
-        if max_sessions < 1:
-            raise ValueError("max_sessions must be >= 1")
         self.chatgraph = chatgraph
         self.ttl_seconds = ttl_seconds
-        self.max_sessions = max_sessions
         self._clock = clock
         self._entries: OrderedDict[str, SessionEntry] = OrderedDict()
         self._lock = threading.Lock()
@@ -82,7 +82,7 @@ class SessionStore:
                 entry.requests += 1
                 self._entries.move_to_end(session_id)
                 return entry
-            while len(self._entries) >= self.max_sessions:
+            while len(self._entries) >= MAX_SESSIONS:
                 self._entries.popitem(last=False)
                 self._evicted_lru += 1
             entry = SessionEntry(session_id=session_id,
@@ -173,6 +173,6 @@ class SessionStore:
                 "evicted_ttl": self._evicted_ttl,
                 "evicted_lru": self._evicted_lru,
                 "evicted_epoch": self._evicted_epoch,
-                "max_sessions": self.max_sessions,
+                "max_sessions": MAX_SESSIONS,
                 "ttl_seconds": self.ttl_seconds,
             }

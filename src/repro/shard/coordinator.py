@@ -41,16 +41,10 @@ class ShardModelSpec:
     """
 
     corpus_size: int = 600
-    objective: str = "token"
     seed: int = 0
-    #: Optional ``ChatGraphConfig.to_dict()`` override; None = defaults.
-    config: dict[str, Any] | None = None
 
     def to_wire(self) -> dict[str, Any]:
-        return {"corpus_size": self.corpus_size,
-                "objective": self.objective,
-                "seed": self.seed,
-                "config": self.config}
+        return {"corpus_size": self.corpus_size, "seed": self.seed}
 
 
 class ShardedChatGraphServer(ServerFacade):

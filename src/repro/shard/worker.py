@@ -35,7 +35,7 @@ import threading
 import time
 from typing import Any, BinaryIO
 
-from ..config import ChatGraphConfig, ObsConfig, ServeConfig
+from ..config import ServeConfig
 from ..errors import ChatGraphError
 from ..serve.engine import ServeResponse
 from .protocol import (
@@ -65,29 +65,22 @@ def serve_config_to_wire(config: ServeConfig) -> dict[str, Any]:
 
 def serve_config_from_wire(wire: dict[str, Any]) -> ServeConfig:
     data = dict(wire)
-    obs = ObsConfig(**data.pop("obs"))
     data["shard_hot_graphs"] = tuple(data.get("shard_hot_graphs") or ())
-    return ServeConfig(**data, obs=obs)
+    return ServeConfig(**data)
 
 
 def build_shard_chatgraph(model: dict[str, Any]) -> Any:
     """Deterministically rebuild the model a shard serves.
 
-    The spec carries only values (corpus size, seed, objective, config
-    dict) — never objects — so any process that applies it produces the
-    same finetuned weights, which is what makes sharded responses
+    The spec carries only values (corpus size and seed) — never
+    objects — so any process that applies it produces the same
+    finetuned weights, which is what makes sharded responses
     byte-identical to the single-process server's.
     """
     from ..core.chatgraph import ChatGraph
 
-    config = None
-    if model.get("config") is not None:
-        config = ChatGraphConfig.from_dict(model["config"])
-    return ChatGraph.pretrained(
-        config=config,
-        corpus_size=int(model.get("corpus_size", 600)),
-        objective=str(model.get("objective", "token")),
-        seed=int(model.get("seed", 0)))
+    return ChatGraph.pretrained(corpus_size=int(model["corpus_size"]),
+                                seed=int(model["seed"]))
 
 
 class ShardWorker:

@@ -130,7 +130,6 @@ class TestPatchedClockRegression:
         monkeypatch.setattr(time, "time", hostile)
         fake_monotonic = [0.0]
         breaker = CircuitBreaker(failure_threshold=1,
-                                 failure_rate_threshold=1.0,
                                  window_size=2, cooldown_seconds=5.0,
                                  clock=lambda: fake_monotonic[0])
         assert breaker.record_failure()
@@ -142,14 +141,13 @@ class TestPatchedClockRegression:
             self, monkeypatch, chatgraph):
         """Span identity is seed-derived, so even a hostile wall clock
         leaves the canonical export unchanged."""
-        from repro.config import ObsConfig, ServeConfig
+        from repro.config import ServeConfig
         from repro.graphs.generators import social_network
         from repro.obs import spans_to_jsonl
         from repro.serve import ChatGraphServer
 
         def run():
-            config = ServeConfig(workers=1, seed=0,
-                                 obs=ObsConfig(enable_tracing=True))
+            config = ServeConfig(workers=1, seed=0, enable_tracing=True)
             with ChatGraphServer(chatgraph, config) as server:
                 assert server.ask("count the nodes",
                                   graph=social_network(20, 2, seed=3)).ok

@@ -2,9 +2,8 @@
 
 ``docs/SERVING.md``, ``docs/ROBUSTNESS.md`` and ``docs/SHARDING.md``
 each carry one ``| Knob | Default | Meaning |`` table.  Every
-:class:`~repro.config.ServeConfig` field (except the nested ``obs``
-section, documented in ``docs/OBSERVABILITY.md``) must have a row in at
-least one of them, and every row must name a field — so removing a knob
+:class:`~repro.config.ServeConfig` field must have a row in at least
+one of them, and every row must name a field — so removing a knob
 without its row, or leaving a row behind, fails here rather than in a
 reader's head.
 """
@@ -37,10 +36,11 @@ def documented_knobs(path):
 
 def test_every_field_has_a_row_and_every_row_a_field():
     fields = {field.name for field in dataclasses.fields(ServeConfig)}
-    fields.discard("obs")
     rows = {name: doc for doc in KNOB_DOCS
             for name in documented_knobs(DOCS / doc)}
-    assert len(rows) > 20  # sanity: the tables were really parsed
+    # sanity: the tables were really parsed (rows may only be missing
+    # for fields, which the assert below reports by name)
+    assert len(rows) >= len(fields) // 2
     undocumented = sorted(fields - set(rows))
     assert not undocumented, f"ServeConfig fields with no row: {undocumented}"
     stale = sorted((name, rows[name]) for name in set(rows) - fields)

@@ -1,6 +1,6 @@
 """One fallback registry: serve layer and pipeline can never drift."""
 
-from repro.config import ObsConfig, ServeConfig
+from repro.config import ServeConfig
 from repro.core.fallbacks import FALLBACKS, FallbackRegistry
 from repro.core.stages import GenerateStage, RepairStage
 from repro.llm.prompts import Prompt
@@ -49,7 +49,7 @@ class TestSingleSourceOfTruth:
         direct = chatgraph.pipeline.process(Prompt(nonsense, social_graph))
         assert direct.used_fallback
         config = ServeConfig(workers=1, seed=0,
-                             obs=ObsConfig(enable_tracing=False))
+                             enable_tracing=False)
         with ChatGraphServer(chatgraph, config) as server:
             served = server.propose(nonsense, graph=social_graph)
         assert served.ok

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.config import ObsConfig, ServeConfig
+from repro.config import ServeConfig
 from repro.obs import check_trace, load_trace, spans_to_jsonl
 from repro.serve import ChatGraphServer
 from repro.testing import CANONICAL_PROMPTS, canonical_graph
@@ -31,7 +31,7 @@ REGEN = os.environ.get("REPRO_REGEN_GOLDEN") == "1"
 def canonical_trace(chatgraph, text, graph):
     """The canonical span-log export of one seeded traced request."""
     config = ServeConfig(workers=1, seed=0,
-                         obs=ObsConfig(enable_tracing=True))
+                         enable_tracing=True)
     with ChatGraphServer(chatgraph, config) as server:
         response = server.ask(text, graph=graph)
         assert response.ok, response.error

@@ -154,8 +154,7 @@ class TestRealClockSanity:
 class TestSessionTTLOnVirtualClock:
     def test_idle_sessions_expire_virtually(self, soak_chatgraph):
         clock = VirtualClock()
-        store = SessionStore(soak_chatgraph, ttl_seconds=45.0,
-                             max_sessions=64, clock=clock)
+        store = SessionStore(soak_chatgraph, ttl_seconds=45.0, clock=clock)
         store.get_or_create("early")
         clock.advance(30.0)
         store.get_or_create("late")
@@ -167,8 +166,7 @@ class TestSessionTTLOnVirtualClock:
 
     def test_refresh_defers_eviction(self, soak_chatgraph):
         clock = VirtualClock()
-        store = SessionStore(soak_chatgraph, ttl_seconds=45.0,
-                             max_sessions=64, clock=clock)
+        store = SessionStore(soak_chatgraph, ttl_seconds=45.0, clock=clock)
         store.get_or_create("chatty")
         for _ in range(4):
             clock.advance(40.0)  # always under the TTL
@@ -181,7 +179,7 @@ class TestRateLimiterOnVirtualClock:
     def test_bucket_drains_and_refills_virtually(self):
         clock = VirtualClock()
         limiter = RateLimiter(capacity=3, refill_per_second=0.5,
-                              clock=clock, idle_seconds=60.0)
+                              clock=clock)
         for _ in range(3):
             limiter.admit("peak-user")
         with pytest.raises(RateLimitError) as excinfo:
@@ -195,7 +193,7 @@ class TestRateLimiterOnVirtualClock:
     def test_other_clients_unaffected(self):
         clock = VirtualClock()
         limiter = RateLimiter(capacity=2, refill_per_second=0.5,
-                              clock=clock, idle_seconds=60.0)
+                              clock=clock)
         limiter.admit("greedy")
         limiter.admit("greedy")
         with pytest.raises(RateLimitError):
@@ -205,10 +203,10 @@ class TestRateLimiterOnVirtualClock:
     def test_idle_full_buckets_are_evicted(self):
         clock = VirtualClock()
         limiter = RateLimiter(capacity=3, refill_per_second=0.5,
-                              clock=clock, idle_seconds=60.0)
+                              clock=clock)
         for _ in range(3):
             limiter.admit("burst")
-        # refill-to-full takes 6s; go long idle past the eviction bar
+        # refill-to-full takes 6s, and so does the sweep interval
         clock.advance(120.0)
         limiter.admit("next-day")  # sweep runs on this admit
         assert len(limiter) == 1

@@ -15,7 +15,6 @@ import time
 import pytest
 
 from repro import ChatGraph, ChatGraphServer, ServeConfig, ServeRequest
-from repro.config import ObsConfig
 from repro.core.session import ChatSession
 from repro.errors import ServeError
 from repro.graphs import knowledge_graph
@@ -202,7 +201,7 @@ class TestServerMicroBatching:
         workload = bench_workload(5, n_graphs=2)
         server, responses = _behind_one(
             serve_chatgraph, workload[0], workload[1:],
-            obs=ObsConfig(enable_tracing=True))
+            enable_tracing=True)
         assert all(r.ok for r in responses)
         assert server.backend.batcher.max_batch == 8
         assert server.backend.batcher.deadline_seconds == 0.0

@@ -18,7 +18,7 @@ import pytest
 
 from repro import ChatGraph
 from repro.apis import default_registry
-from repro.config import ObsConfig, ServeConfig
+from repro.config import ServeConfig
 from repro.finetune.dataset import CorpusSpec
 from repro.graphs import knowledge_graph, social_network
 from repro.obs import check_trace, spans_to_jsonl
@@ -32,7 +32,7 @@ PIPELINE_STAGES = ("stage:intent", "stage:graph_type", "stage:retrieval",
 
 def traced_config(**overrides):
     defaults = dict(workers=1, seed=0,
-                    obs=ObsConfig(enable_tracing=True))
+                    enable_tracing=True)
     defaults.update(overrides)
     return ServeConfig(**defaults)
 

@@ -9,7 +9,7 @@ import pytest
 from repro import ChatGraph, ChatGraphConfig
 from repro.config import LLMConfig
 from repro.core import run_graph_understanding
-from repro.errors import ChatGraphError
+from repro.errors import ChatGraphError, GraphIOError
 from repro.graphs import social_network
 
 
@@ -54,6 +54,22 @@ class TestCliMain:
             capture_output=True, text=True, timeout=240)
         assert completed.returncode == 0
         assert "count_nodes: 12" in completed.stdout
+
+    @pytest.mark.parametrize("name, content", [
+        ("bad.json", "{not json"), ("empty.smi", "")])
+    def test_malformed_upload_is_an_error_line(self, tmp_path, name,
+                                               content):
+        path = tmp_path / name
+        path.write_text(content)
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "--corpus", "300"],
+            input=f"/upload {path}\n/demo social\ncount the nodes\n/quit\n",
+            capture_output=True, text=True, timeout=240)
+        assert completed.returncode == 0, completed.stderr
+        assert "Traceback" not in completed.stderr
+        assert f"error: {path}" in completed.stdout
+        assert "count_nodes: 50" in completed.stdout  # the session went on
+        assert "bye" in completed.stdout
 
 
 class TestCli:
@@ -121,3 +137,8 @@ class TestCli:
         assert load_graph(str(smi_path)).number_of_nodes() == 3
         with pytest.raises(ChatGraphError):
             load_graph(str(tmp_path / "missing.json"))
+        (tmp_path / "bad.json").write_text("{not json")
+        (tmp_path / "empty.smi").write_text("\n")
+        for name in ("bad.json", "empty.smi"):
+            with pytest.raises(GraphIOError):
+                load_graph(str(tmp_path / name))

@@ -11,6 +11,7 @@ import random
 
 import pytest
 
+from repro.serve import breaker as breaker_module
 from repro.serve.breaker import BreakerState, CircuitBreaker
 from repro.serve.cache import LRUCache
 
@@ -82,7 +83,7 @@ class ReferenceBreaker:
 
 
 @pytest.mark.parametrize("seed", range(8))
-def test_breaker_agrees_with_reference_model(seed):
+def test_breaker_agrees_with_reference_model(seed, monkeypatch):
     rng = random.Random(seed)
     params = dict(
         failure_threshold=rng.randint(1, 4),
@@ -94,7 +95,16 @@ def test_breaker_agrees_with_reference_model(seed):
     params["window_size"] = max(params["window_size"],
                                 params["failure_threshold"])
     now = [0.0]
-    real = CircuitBreaker(clock=lambda: now[0], **params)
+    # the rate and the probe budget are module constants, read at use
+    monkeypatch.setattr(breaker_module, "FAILURE_RATE_THRESHOLD",
+                        params["failure_rate_threshold"])
+    monkeypatch.setattr(breaker_module, "HALF_OPEN_MAX_CALLS",
+                        params["half_open_max_calls"])
+    real = CircuitBreaker(
+        failure_threshold=params["failure_threshold"],
+        window_size=params["window_size"],
+        cooldown_seconds=params["cooldown_seconds"],
+        clock=lambda: now[0])
     model = ReferenceBreaker(**params)
     log = [f"params={params}"]
     for step in range(300):
@@ -123,7 +133,6 @@ def test_breaker_open_never_allows_before_cooldown(seed):
     rng = random.Random(100 + seed)
     now = [0.0]
     breaker = CircuitBreaker(failure_threshold=2,
-                             failure_rate_threshold=0.5,
                              window_size=4, cooldown_seconds=10.0,
                              clock=lambda: now[0])
     breaker.record_failure()
@@ -138,12 +147,11 @@ def test_breaker_open_never_allows_before_cooldown(seed):
     assert breaker.retry_after() == 0.0
 
 
-def test_breaker_halfopen_probe_budget():
+def test_breaker_halfopen_probe_budget(monkeypatch):
     now = [0.0]
+    monkeypatch.setattr(breaker_module, "HALF_OPEN_MAX_CALLS", 2)
     breaker = CircuitBreaker(failure_threshold=1,
-                             failure_rate_threshold=1.0,
                              window_size=2, cooldown_seconds=1.0,
-                             half_open_max_calls=2,
                              clock=lambda: now[0])
     breaker.record_failure()
     now[0] += 1.0

@@ -267,8 +267,8 @@ class TestDegradation:
 class TestCircuitBreaker:
     def make(self, **overrides):
         self.now = 0.0
-        kwargs = dict(failure_threshold=3, failure_rate_threshold=0.5,
-                      window_size=6, cooldown_seconds=10.0,
+        kwargs = dict(failure_threshold=3, window_size=6,
+                      cooldown_seconds=10.0,
                       clock=lambda: self.now)
         kwargs.update(overrides)
         return CircuitBreaker(**kwargs)
@@ -322,7 +322,6 @@ class TestCircuitBreaker:
 
     def test_registry_shares_per_api_breakers(self):
         registry = BreakerRegistry(failure_threshold=2,
-                                   failure_rate_threshold=0.5,
                                    window_size=4, cooldown_seconds=5.0)
         assert registry.allow("api_a")
         registry.record_failure("api_a")
@@ -341,7 +340,6 @@ class TestExecutorWithBreaker:
     def test_open_breaker_short_circuits_step(self, flaky_registry):
         events = []
         breakers = BreakerRegistry(failure_threshold=2,
-                                   failure_rate_threshold=0.5,
                                    window_size=4, cooldown_seconds=60.0)
         policy = ExecutionPolicy(default=StepPolicy(
             max_retries=1, backoff_base_seconds=0.0, critical=False))
@@ -364,7 +362,6 @@ class TestExecutorWithBreaker:
 
     def test_breaker_open_raises_when_critical(self, flaky_registry):
         breakers = BreakerRegistry(failure_threshold=1,
-                                   failure_rate_threshold=0.5,
                                    window_size=2, cooldown_seconds=60.0)
         policy = ExecutionPolicy(default=StepPolicy(max_retries=0))
         executor = ChainExecutor(flaky_registry, policy=policy,
@@ -480,8 +477,7 @@ def fault_server(chatgraph, **overrides) -> ChatGraphServer:
     defaults = dict(workers=2, queue_depth=32,
                     step_timeout_seconds=0.2, step_max_retries=2,
                     retry_backoff_seconds=0.005,
-                    breaker_failure_threshold=3,
-                    breaker_failure_rate=0.5, breaker_window=6,
+                    breaker_failure_threshold=3, breaker_window=6,
                     breaker_cooldown_seconds=60.0, seed=0)
     defaults.update(overrides)
     return ChatGraphServer(chatgraph, ServeConfig(**defaults))

@@ -32,6 +32,7 @@ from repro.serve import (
     SessionStore,
     TokenBucket,
 )
+from repro.serve import sessions as sessions_module
 from repro.testing import slow_chatgraph
 
 
@@ -205,39 +206,61 @@ class TestRateLimiter:
         # regression: one bucket per client-id ever seen grew forever
         clock = FakeClock()
         limiter = RateLimiter(capacity=2, refill_per_second=1.0,
-                              clock=clock, idle_seconds=10.0)
+                              clock=clock)
         for client in ("a", "b", "c"):
             limiter.admit(client)
         assert len(limiter) == 3
-        clock.advance(11.0)  # all idle and refilled back to capacity
+        clock.advance(3.0)  # all refilled back to capacity
         limiter.admit("d")   # triggers the sweep
         assert len(limiter) == 1  # only d survives
 
     def test_active_and_indebted_buckets_survive_sweep(self):
         clock = FakeClock()
-        limiter = RateLimiter(capacity=2, refill_per_second=0.0,
-                              clock=clock, idle_seconds=10.0)
-        limiter.admit("debtor")  # no refill: bucket can never fill back
-        limiter.admit("debtor")  # fully drained
-        clock.advance(6.0)
+        limiter = RateLimiter(capacity=4, refill_per_second=1.0,
+                              clock=clock)  # sweeps every 4 s
+        limiter.admit("early")   # full again at t=1
+        clock.advance(3.0)
+        for _ in range(4):
+            limiter.admit("debtor")  # drained at t=3
+        clock.advance(0.5)
         limiter.admit("active")
-        clock.advance(5.0)       # debtor idle 11s, active idle 5s
-        limiter.admit("fresh")
-        # the sweep ran, but neither bucket qualified: active was seen
-        # recently, debtor still owes a token (dropping it would forgive
-        # the debt on recreation)
+        clock.advance(0.5)
+        limiter.admit("fresh")   # t=4: the sweep runs
+        # only the full bucket went: the debtor still owes three tokens
+        # and the active client half of one (dropping either would
+        # forgive its debt)
         assert len(limiter) == 3
+        limiter.admit("debtor")  # the one token refilled since t=3
         with pytest.raises(RateLimitError):
             limiter.admit("debtor")
 
-    def test_sweep_rate_limited_to_idle_interval(self):
+    def test_sweep_rate_limited_to_refill_interval(self):
         clock = FakeClock()
         limiter = RateLimiter(capacity=2, refill_per_second=1.0,
-                              clock=clock, idle_seconds=10.0)
-        limiter.admit("a")
-        clock.advance(5.0)
-        limiter.admit("b")  # 5s since construction: no sweep yet
+                              clock=clock)  # refills from empty in 2 s
+        limiter.admit("a")  # full again at t=1
+        clock.advance(1.5)
+        limiter.admit("b")  # 1.5 s since construction: no sweep yet
         assert len(limiter) == 2
+        clock.advance(0.5)
+        limiter.admit("c")  # t=2: a is dropped, b (1.5 tokens) stays
+        assert len(limiter) == 2
+        with pytest.raises(RateLimitError):
+            for _ in range(2):
+                limiter.admit("b")
+
+    def test_no_refill_never_sweeps(self):
+        # without refill a bucket never reads full again, so a sweep
+        # could drop nothing but never-used buckets: none runs
+        clock = FakeClock()
+        limiter = RateLimiter(capacity=1, refill_per_second=0.0,
+                              clock=clock)
+        limiter.admit("a")
+        clock.advance(1e9)
+        limiter.admit("b")
+        assert len(limiter) == 2
+        with pytest.raises(RateLimitError):
+            limiter.admit("a")
 
 
 # ----------------------------------------------------------------------
@@ -245,8 +268,7 @@ class TestRateLimiter:
 # ----------------------------------------------------------------------
 class TestSessionStore:
     def test_get_or_create_reuses(self, serve_chatgraph):
-        store = SessionStore(serve_chatgraph, ttl_seconds=60,
-                             max_sessions=4)
+        store = SessionStore(serve_chatgraph, ttl_seconds=60)
         first = store.get_or_create("s1")
         second = store.get_or_create("s1")
         assert first.session is second.session
@@ -255,17 +277,16 @@ class TestSessionStore:
 
     def test_ttl_eviction(self, serve_chatgraph):
         clock = FakeClock()
-        store = SessionStore(serve_chatgraph, ttl_seconds=10,
-                             max_sessions=4, clock=clock)
+        store = SessionStore(serve_chatgraph, ttl_seconds=10, clock=clock)
         store.get_or_create("old")
         clock.advance(11)
         store.get_or_create("fresh")
         assert "old" not in store
         assert store.stats()["evicted_ttl"] == 1
 
-    def test_lru_eviction_at_capacity(self, serve_chatgraph):
-        store = SessionStore(serve_chatgraph, ttl_seconds=60,
-                             max_sessions=2)
+    def test_lru_eviction_at_capacity(self, serve_chatgraph, monkeypatch):
+        monkeypatch.setattr(sessions_module, "MAX_SESSIONS", 2)
+        store = SessionStore(serve_chatgraph, ttl_seconds=60)
         store.get_or_create("a")
         store.get_or_create("b")
         store.get_or_create("a")        # refresh a; b becomes LRU

@@ -16,7 +16,6 @@ from __future__ import annotations
 import pytest
 
 from repro import ChatGraphServer, ServeConfig, ServeRequest
-from repro.config import ObsConfig
 from repro.errors import ServeError
 from repro.graphs import knowledge_graph, social_network
 from repro.loadgen import bench_workload
@@ -101,7 +100,7 @@ def _run(chatgraph, size: int, tracing: bool):
     config = ServeConfig(workers=1, enable_caches=False, queue_depth=64,
                          microbatch_size=size,
                          microbatch_deadline_seconds=0.3,
-                         obs=ObsConfig(enable_tracing=tracing))
+                         enable_tracing=tracing)
     with ChatGraphServer(chatgraph, config) as server:
         # one burst: a single worker with a 0.3 s window coalesces the
         # stateless members whenever ``size`` lets it
@@ -177,7 +176,7 @@ def test_failed_member_keeps_its_request_span(chatgraph, size):
     config = ServeConfig(workers=1, enable_caches=False,
                          microbatch_size=size,
                          microbatch_deadline_seconds=0.3,
-                         obs=ObsConfig(enable_tracing=True))
+                         enable_tracing=True)
     with ChatGraphServer(chatgraph, config) as server:
         pending = [server.submit(request) for request in workload]
         responses = [item.result(timeout=120.0) for item in pending]

@@ -141,17 +141,66 @@ def test_response_wire_roundtrip_propose_and_failure():
     assert failed.error == "boom" and failed.error_type == "ServeError"
 
 
-def test_serve_config_wire_roundtrip():
-    """What the init frame carries rebuilds the coordinator's config."""
-    from repro.config import ObsConfig, ServeConfig
+def _every_field_off_default(cls, values):
+    """``cls(**values)`` after checking ``values`` names every field of
+    ``cls``, each with a value other than its default."""
+    import dataclasses
 
-    config = ServeConfig(shards=3, workers=1, queue_depth=8,
-                         shard_hot_graphs=("demo-social-m", "demo-kg-m"),
-                         store_root="/tmp/store", seed=11,
-                         obs=ObsConfig(enable_tracing=True))
+    fields = dataclasses.fields(cls)
+    assert set(values) == {field.name for field in fields}
+    for field in fields:
+        assert values[field.name] != field.default, field.name
+    return cls(**values)
+
+
+def _assert_same_typed_values(back, sent):
+    assert back == sent
+    for name, value in sent.items():
+        assert type(back[name]) is type(value), name
+
+
+def test_serve_config_wire_roundtrip():
+    """What the init frame carries rebuilds the coordinator's config:
+    every field is set off its default, so one the frame drops or
+    mistypes fails here."""
+    import dataclasses
+
+    from repro.config import ServeConfig
+
+    config = _every_field_off_default(ServeConfig, dict(
+        workers=3, queue_depth=8, session_ttl_seconds=45.5,
+        enable_caches=False, enable_tracing=True,
+        rate_limit_capacity=3, rate_limit_refill_per_second=0.5,
+        step_timeout_seconds=1.5, step_max_retries=2,
+        retry_backoff_seconds=0.004, breaker_failure_threshold=3,
+        breaker_window=10, breaker_cooldown_seconds=20.0,
+        microbatch_size=4, microbatch_deadline_seconds=0.002,
+        store_root="/tmp/store", shards=3,
+        shard_hot_graphs=("demo-social-m", "demo-kg-m"), seed=11))
     (init,) = roundtrip({"type": "init",
                          "serve": serve_config_to_wire(config)})
-    assert serve_config_from_wire(init["serve"]) == config
+    _assert_same_typed_values(
+        dataclasses.asdict(serve_config_from_wire(init["serve"])),
+        dataclasses.asdict(config))
+
+
+def test_model_spec_wire_reaches_the_model_build(monkeypatch):
+    """Every ``ShardModelSpec`` field, off its default, arrives at
+    ``ChatGraph.pretrained`` through the init frame, with its type."""
+    import dataclasses
+
+    from repro.core.chatgraph import ChatGraph
+    from repro.shard import ShardModelSpec
+    from repro.shard.worker import build_shard_chatgraph
+
+    spec = _every_field_off_default(ShardModelSpec,
+                                    dict(corpus_size=120, seed=3))
+    seen = {}
+    monkeypatch.setattr(ChatGraph, "pretrained",
+                        classmethod(lambda cls, **kwargs: seen.update(kwargs)))
+    (init,) = roundtrip({"type": "init", "model": spec.to_wire()})
+    build_shard_chatgraph(init["model"])
+    _assert_same_typed_values(seen, dataclasses.asdict(spec))
 
 
 def _stub_worker(submit):

@@ -72,32 +72,37 @@ def test_compact_async_unknown_name_fails_fast(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# ServeConfig.warm_caches
+# warm_caches (the migration path's ``warm`` RPC)
 # ----------------------------------------------------------------------
 def test_warm_caches_counts_entries(tmp_path, chatgraph):
     catalog = GraphCatalog(tmp_path)
     handle = catalog.create("warm-me")
     handle.ingest(social_network(16, 2, seed=2))
-    config = ServeConfig(workers=1, queue_depth=8, warm_caches=True)
+    config = ServeConfig(workers=1, queue_depth=8)
     server = ChatGraphServer(chatgraph, config, catalog=catalog)
     with server:
-        stats = server.stats()
-        warmed = stats["counters"].get("cache_warmed_entries", 0)
-        assert warmed > 0
-        caches = stats["caches"]
+        assert server.warm_caches(["warm-me", "not-in-catalog"]) > 0
+        caches = server.stats()["caches"]
         assert caches["sequences"]["size"] >= 1
         # warmed entries are inserts, not hits: the hit/miss books
         # start clean for real traffic
+        assert caches["sequences"]["hits"] == 0
         response = server.ask("how many nodes are there",
                               graph_name="warm-me")
         assert response.ok
     catalog.close()
 
 
-def test_warm_caches_off_by_default(chatgraph):
-    with ChatGraphServer(chatgraph,
-                         ServeConfig(workers=1, queue_depth=8)) as server:
+def test_warm_caches_off_by_default(tmp_path, chatgraph):
+    """Starting a server over a catalog warms nothing: only the
+    migration path warms, and only the graphs it names."""
+    catalog = GraphCatalog(tmp_path)
+    catalog.create("cold").ingest(social_network(16, 2, seed=2))
+    with ChatGraphServer(chatgraph, ServeConfig(workers=1, queue_depth=8),
+                         catalog=catalog) as server:
+        assert server.stats()["caches"]["sequences"]["size"] == 0
         assert "cache_warmed_entries" not in server.stats()["counters"]
+    catalog.close()
 
 
 # ----------------------------------------------------------------------
