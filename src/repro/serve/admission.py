@@ -77,7 +77,7 @@ class RateLimiter:
     bucket per client-id ever seen would otherwise grow forever).  The
     limiter sweeps at most once per ``capacity / refill_per_second``
     seconds, the time a drained bucket takes to refill; with no refill
-    a bucket never fills back, so it never sweeps.
+    a used bucket never fills back, so the limiter never sweeps.
     """
 
     def __init__(self, capacity: float, refill_per_second: float,

@@ -83,9 +83,13 @@ def test_every_field_is_set_to_a_second_value_by_a_non_test_caller():
         f"(make them constants or delete them): {unused}")
 
 
-def test_the_scan_sees_the_known_callers():
+def test_the_scan_reads_callers_and_tells_defaults_apart():
     found = second_values()
-    assert "src/repro/loadgen/scenarios.py" in " ".join(
-        found[("ServeConfig", "rate_limit_capacity")])
     assert any(where.startswith("benchmarks/ledger/")
                for where in found[("ServeConfig", "shards")])
+    literal = [ast.parse(text, mode="eval").body
+               for text in ("0.5", "0.25", "rate", "True", "[]")]
+    assert [is_default(node, 0.5) for node in literal[:3]] \
+        == [True, False, False]
+    assert not is_default(literal[3], 1)  # True is not the int 1
+    assert is_default(literal[4], ())     # a list literal for a tuple
