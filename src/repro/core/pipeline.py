@@ -7,7 +7,7 @@ into the :class:`~repro.core.stages.StageGraph` built by
 :meth:`ChatPipeline.process_batch` drives that graph over a list of
 prompts and :meth:`ChatPipeline.process` is a batch of one through the
 same body.  The graph's runner times every observed stage and, with a
-tracer attached, spans it; the three caches of an attached bundle are
+tracer attached, spans it; the two caches of an attached bundle are
 attributes on the components that own the work.  See
 :mod:`repro.core.stages` for the stage contract and
 ``docs/ARCHITECTURE.md`` for the tour.
@@ -86,16 +86,14 @@ class ChatPipeline:
         """Hand each cache of the bundle to the component whose work it
         saves.  Pass ``None`` to detach.
 
-        ``retrieval`` memoizes the retrieval stage, ``embeddings`` the
-        retriever's query embedder (consulted for retrieval misses
-        only) and ``sequences`` the sequentializer, so repeated texts
-        and graphs skip the work wherever it would be done.
+        ``retrieval`` memoizes the retrieval stage and ``sequences``
+        the sequentializer, so repeated texts and graphs skip the work
+        wherever it would be done.
         """
         self.caches = caches
         detach = caches is None
         self._retrieve_stage.cache = None if detach else caches.retrieval
         self.sequentializer.cache = None if detach else caches.sequences
-        self.retriever.embed_cache = None if detach else caches.embeddings
 
     # ------------------------------------------------------------------
     # entry points

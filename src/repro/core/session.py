@@ -182,29 +182,30 @@ class ChatSession:
     # ------------------------------------------------------------------
     # persistence (dialog + uploaded graph survive across sessions)
     # ------------------------------------------------------------------
-    def save(self, path: "str | Path") -> None:
-        """Persist the dialog and the uploaded graph to a JSON file.
+    def to_document(self) -> dict[str, Any]:
+        """The dialog and the uploaded graph as a version-2 session
+        document (JSON-able).
 
         Pending (unconfirmed) chains and non-graph attachments are not
-        persisted; reload with :meth:`load` against any ChatGraph.
+        carried; rebuild with :meth:`from_document` against any
+        ChatGraph.  A shard hands a session to its new owner in this
+        form on a ring change.
         """
-        document = {
+        return {
             "version": 2,
             "history": [{"role": turn.role, "text": turn.text}
                         for turn in self.history],
             "graph": to_document(self.graph) if self.graph is not None
             else None,
         }
-        Path(path).write_text(json.dumps(document, indent=1),
-                              encoding="utf-8")
 
     @classmethod
-    def load(cls, path: "str | Path",
-             chatgraph: ChatGraph) -> "ChatSession":
-        """Rebuild a session saved by :meth:`save` (version 2 only: a
-        version 1 file holds its graph in another layout)."""
+    def from_document(cls, document: dict[str, Any],
+                      chatgraph: ChatGraph) -> "ChatSession":
+        """Rebuild a session from :meth:`to_document`'s output (version
+        2 only: a version 1 document holds its graph in another
+        layout)."""
         try:
-            document = json.loads(Path(path).read_text(encoding="utf-8"))
             if document.get("version") != 2:
                 raise SessionError("unsupported session version "
                                    f"{document.get('version')!r}")
@@ -212,13 +213,28 @@ class ChatSession:
                        for entry in document["history"]]
             graph = (from_document(document["graph"])
                      if document.get("graph") is not None else None)
-        except (OSError, KeyError, TypeError, AttributeError, GraphIOError,
-                json.JSONDecodeError) as exc:
+        except (KeyError, TypeError, AttributeError, GraphIOError) as exc:
             raise SessionError(f"cannot load session: {exc}") from exc
         session = cls(chatgraph)
         session.history = history
         session.graph = graph
         return session
+
+    def save(self, path: "str | Path") -> None:
+        """Persist :meth:`to_document` to a JSON file; reload with
+        :meth:`load`."""
+        Path(path).write_text(json.dumps(self.to_document(), indent=1),
+                              encoding="utf-8")
+
+    @classmethod
+    def load(cls, path: "str | Path",
+             chatgraph: ChatGraph) -> "ChatSession":
+        """Rebuild a session saved by :meth:`save`."""
+        try:
+            document = json.loads(Path(path).read_text(encoding="utf-8"))
+        except (OSError, json.JSONDecodeError) as exc:
+            raise SessionError(f"cannot load session: {exc}") from exc
+        return cls.from_document(document, chatgraph)
 
 
 def _latest_graph(record: Any, prompt: Prompt) -> Graph | None:

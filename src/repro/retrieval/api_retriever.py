@@ -42,13 +42,8 @@ class APIRetriever:
     def __init__(self, registry: APIRegistry,
                  config: RetrievalConfig | None = None,
                  index: AnnIndex | None = None,
-                 use_idf: bool = False,
-                 embed_cache: "object | None" = None) -> None:
+                 use_idf: bool = False) -> None:
         self.registry = registry
-        #: Optional query-embedding cache (``get``/``put`` duck type,
-        #: e.g. :class:`repro.serve.cache.LRUCache`); cached vectors are
-        #: shared and must not be mutated.
-        self.embed_cache = embed_cache
         self.config = config or RetrievalConfig()
         self._names = registry.names()
         if not self._names:
@@ -80,26 +75,20 @@ class APIRetriever:
 
     def _embed_queries(self, texts: list[str]
                        ) -> "dict[str, np.ndarray | EmbeddingError]":
-        """Embed each distinct text, consulting the optional query cache.
+        """Embed each distinct text once.
 
         Maps every text to its vector, or to the embedder's
         :class:`~repro.errors.EmbeddingError` where the text cannot be
-        embedded.  Vectors that came from the cache are shared
-        references and must not be mutated.
+        embedded.  No query vector is cached: a server's retrieval
+        cache (:class:`repro.core.stages.RetrieveStage`) answers a
+        repeated text before it gets here.
         """
         vectors: dict[str, np.ndarray | EmbeddingError] = {}
-        cache = self.embed_cache
         for text in dict.fromkeys(texts):
-            vector = cache.get(text) if cache is not None else None
-            if vector is None:
-                try:
-                    vector = self.embedder.embed(text)
-                except EmbeddingError as exc:
-                    vectors[text] = exc
-                    continue
-                if cache is not None:
-                    cache.put(text, vector)
-            vectors[text] = vector
+            try:
+                vectors[text] = self.embedder.embed(text)
+            except EmbeddingError as exc:
+                vectors[text] = exc
         return vectors
 
     def _resolve_k(self, k: int | None) -> int:
@@ -131,7 +120,7 @@ class APIRetriever:
                        ) -> list[list[RetrievedAPI] | None]:
         """Top-k APIs per input text; ``None`` where it cannot be embedded.
 
-        Each distinct text is embedded once (cache misses only) and the
+        Each distinct text is embedded once and the
         ANN index is queried with ``search_batch``, so the per-query
         Python overhead is amortized across the whole batch.  The
         category filter is applied *after* ANN search with an enlarged

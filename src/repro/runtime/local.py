@@ -26,7 +26,7 @@ from ..apis.executor import ExecutionPolicy, StepPolicy
 from ..core.chatgraph import ChatGraph, ChatResponse
 from ..core.pipeline import PipelineResult
 from ..core.reports import render_answer
-from ..errors import ChatGraphError, ServeError
+from ..errors import ServeError
 from ..graphs.graph import Graph
 from ..llm.prompts import Prompt
 from ..obs.trace import span
@@ -153,41 +153,6 @@ class LocalBackend(ExecutionBackend):
         if self.catalog is not None:
             self.catalog.remove_compact_listener(
                 self.sessions.evict_compacted)
-
-    def warm_caches(self, names: list[str]) -> int:
-        """Pre-populate pipeline caches from the named catalog graphs.
-
-        For every graph named, sequentializes it (sequence
-        cache, keyed by topology view and label tokens — copies of one
-        catalog version key alike) and embeds its suggested
-        questions through the retriever's query path (embedding cache),
-        so the first real request against a named graph starts warm.
-        Returns the number of cache entries added.  Warming only ever
-        *inserts* deterministic content-keyed values, so served results
-        are byte-identical with or without it.
-
-        The shard tier's migration path calls it with just the graphs
-        whose ring ownership moved to this process; a name the catalog
-        does not hold is skipped.
-        """
-        if self.caches is None or self.catalog is None:
-            return 0
-        from ..core.suggestions import suggested_questions
-
-        pipeline = self.chatgraph.pipeline
-        before = (len(self.caches.sequences)
-                  + len(self.caches.embeddings))
-        for name in names:
-            try:
-                view = self.catalog.view(name)
-            except ChatGraphError:
-                continue
-            pipeline.sequentializer.sequentialize(view.graph)
-            texts = suggested_questions(view.graph)
-            if texts:
-                pipeline.retriever._embed_queries(list(texts))
-        return (len(self.caches.sequences)
-                + len(self.caches.embeddings) - before)
 
     # ------------------------------------------------------------------
     # snapshots

@@ -34,12 +34,14 @@ backend uses.  The pieces:
   worker or fd outlives ``stop()``.
 * **migration** — :meth:`add_shard` / :meth:`remove_shard` reshape the
   fleet live: the router pauses, outstanding work quiesces to zero,
-  pinned sessions move to their new ring-preferred shards via
-  adopt/evict RPCs (planned by
-  :func:`~repro.runtime.migration.plan_migration`), named-graph
-  affinity pre-warms the caches of new owners, and the ring swaps
-  atomically before routing resumes — zero requests lost, none served
-  twice.
+  pinned sessions move to their new ring-preferred shards — their
+  state (dialog and uploaded graph) fetched through the ``sessions``
+  RPC, then adopt/evict RPCs (planned by
+  :func:`~repro.runtime.migration.plan_migration`) — and the ring
+  swaps atomically before routing resumes — zero requests lost, none
+  served twice.  Nothing pre-fills a cache: a moved graph's first
+  request on its new owner fills that shard's caches as any miss
+  does.
 """
 
 from __future__ import annotations
@@ -91,8 +93,8 @@ HOT_GRAPH_REPLICAS = 2
 #: governs hung *processes*; this governs hung *requests*).
 RESULT_TIMEOUT_SECONDS = 120.0
 #: Ceiling on one live ring change: quiesce plus the session
-#: adopt/evict/warm round trips finish within this budget or the
-#: migration aborts with the old ring intact.
+#: inventory/state/adopt/evict round trips finish within this budget or
+#: the migration aborts with the old ring intact.
 MIGRATION_TIMEOUT_SECONDS = 30.0
 
 
@@ -204,7 +206,7 @@ class _ShardHandle:
         self.startup_seconds = 0.0
         #: rpc_id -> [threading.Event, reply-frame-or-None]; one waiter
         #: map for every request/reply RPC on the control channel
-        #: (stats polls, session collection, adopt/evict/warm).
+        #: (stats polls, session collection, adopt/evict).
         self.rpc_waiters: dict[int, list[Any]] = {}
         #: Last stats_reply payload (rendered for dead shards).
         self.last_stats: dict[str, Any] | None = None
@@ -391,7 +393,7 @@ class ShardBackend(ExecutionBackend):
         """The consistent-hash key of one request.
 
         Sessions pin to their shard (dialog state lives there); named
-        graphs pin to theirs (epoch-pinned views and warm caches);
+        graphs pin to theirs (epoch-pinned views and their caches);
         inline-graph one-shots key on graph name + text so repeats of
         the same question reuse the same shard's caches.
         """
@@ -712,10 +714,10 @@ class ShardBackend(ExecutionBackend):
         """Grow the fleet by one shard, live, migrating pinned state.
 
         Spawns the worker *before* pausing the router (a model build
-        takes seconds; the routing pause lasts only the quiesce), then
-        runs the migration: sessions whose new ring preference is the
-        joining shard are adopted by it, and named-graph affinity
-        pre-warms its caches.  Returns the migration report.
+        takes seconds; the routing pause lasts only the quiesce and the
+        session moves), then runs the migration: sessions whose new ring
+        preference is the joining shard are adopted by it, state and
+        all.  Returns the migration report.
         """
         if not self.lifecycle.running:
             raise ServeError(
@@ -769,20 +771,18 @@ class ShardBackend(ExecutionBackend):
                 raise ServeError(
                     f"migration could not quiesce: {self._outstanding} "
                     f"requests still outstanding at the deadline")
-            placements, graph_names, session_graphs = \
-                self._collect_pins(old_ring, deadline)
+            placements, session_ids = self._collect_pins(old_ring,
+                                                         deadline)
             members = set(new_ring.shards)
             live = [h.index for h in self.handles
                     if h.alive and not h.retired and h.index in members]
             plan = plan_migration(old_ring, new_ring, placements,
                                   live=live)
-            moved = self._apply_plan(plan, session_graphs, leaving,
+            moved = self._apply_plan(plan, session_ids, leaving,
                                      deadline)
             # the swap is atomic under the paused router: nothing is in
             # flight (quiesced) and nothing routes until the gate lifts
             self.ring = new_ring
-            warmed = self._warm_affinity(old_ring, new_ring,
-                                         graph_names, deadline)
             if leaving is not None:
                 self._retire(leaving, deadline)
             metrics = self.lifecycle.metrics
@@ -797,7 +797,6 @@ class ShardBackend(ExecutionBackend):
                 "sessions_migrated": moved,
                 "unchanged": len(plan.unchanged),
                 "stranded": len(plan.stranded),
-                "cache_entries_warmed": warmed,
             }
         finally:
             self._route_gate.set()
@@ -811,19 +810,18 @@ class ShardBackend(ExecutionBackend):
                 max(0.0, deadline - time.monotonic()))
 
     def _collect_pins(self, old_ring: HashRing, deadline: float
-                      ) -> tuple[dict[str, int], set[str],
-                                 dict[str, tuple[str, str | None]]]:
+                      ) -> tuple[dict[str, int], dict[str, str]]:
         """Ask every live shard which sessions it holds.
 
         The coordinator never tracks session placement itself —
         failovers can strand a session off its ring home — so the
         fleet is the source of truth.  If a session somehow exists on
         two shards (failover residue), the copy on the old ring's
-        preferred shard wins.
+        preferred shard wins.  Returns the placements by routing key
+        and each key's session id.
         """
         placements: dict[str, int] = {}
-        session_graphs: dict[str, tuple[str, str | None]] = {}
-        graph_names = set(self.config.shard_hot_graphs)
+        session_ids: dict[str, str] = {}
         replies = self._rpc("sessions", {
             handle.index: {} for handle in self._active_handles()}, deadline)
         for index, reply in replies.items():
@@ -832,9 +830,6 @@ class ShardBackend(ExecutionBackend):
                 if session_id is None:
                     continue
                 key = f"s:{session_id}"
-                name = entry.get("graph_name")
-                if name:
-                    graph_names.add(name)
                 if key in placements:
                     walk = {shard: rank for rank, shard in
                             enumerate(old_ring.preference(key))}
@@ -842,68 +837,52 @@ class ShardBackend(ExecutionBackend):
                             walk.get(placements[key], len(walk)):
                         continue
                 placements[key] = index
-                session_graphs[key] = (session_id, name)
-        return placements, graph_names, session_graphs
+                session_ids[key] = session_id
+        return placements, session_ids
 
-    def _apply_plan(self, plan: Any,
-                    session_graphs: dict[str, tuple[str, str | None]],
+    def _apply_plan(self, plan: Any, session_ids: dict[str, str],
                     leaving: _ShardHandle | None,
                     deadline: float) -> int:
-        """Adopt sessions at their new homes, then evict the old copies.
+        """Move each planned session: fetch its state (dialog and
+        graph) from its old shard, adopt it at its new one, then evict
+        the old copy.
 
         Adopt-before-evict means a crash mid-migration leaves a session
         present on *both* shards (harmless duplicate, resolved by the
         next ring-change's preference rule) rather than on neither.  A
         leaving shard skips eviction — retirement drops everything.
         """
+        by_source: dict[int, list[Any]] = {}
+        for move in plan.moves:
+            by_source.setdefault(move.from_shard, []).append(move)
+        states = self._rpc("sessions", {source: {"session_ids": [
+            session_ids[move.key] for move in moves]}
+            for source, moves in sorted(by_source.items())}, deadline)
+        state = {entry["session_id"]: entry for reply in states.values()
+                 for entry in reply.get("sessions") or []}
+        # a source that died mid-migration sent no state: its sessions
+        # went with it, and the next turn starts a fresh one
         by_target: dict[int, list[Any]] = {}
         for move in plan.moves:
-            by_target.setdefault(move.to_shard, []).append(move)
+            if session_ids[move.key] in state:
+                by_target.setdefault(move.to_shard, []).append(move)
         replies = self._rpc("adopt", {target: {"sessions": [
-            {"session_id": session_graphs[move.key][0],
-             "graph_name": session_graphs[move.key][1]}
-            for move in moves]}
+            state[session_ids[move.key]] for move in moves]}
             for target, moves in sorted(by_target.items())}, deadline)
         # a target that died mid-migration has no reply: its sessions
         # stay where they are, and the death path's failover serves them
         moved = sum(int(reply.get("adopted", 0))
                     for reply in replies.values())
-        adopted = {move.key for target in replies
-                   for move in by_target[target]}
-        by_source: dict[int, list[Any]] = {}
-        for move in plan.moves:
-            if move.key not in adopted:
-                continue
-            if leaving is not None and move.from_shard == leaving.index:
-                continue
-            by_source.setdefault(move.from_shard, []).append(move)
-        self._rpc("evict", {source: {"session_ids": [
-            session_graphs[move.key][0] for move in moves]}
-            for source, moves in sorted(by_source.items())}, deadline)
+        evict: dict[int, list[str]] = {}
+        for target in replies:
+            for move in by_target[target]:
+                if leaving is None or move.from_shard != leaving.index:
+                    evict.setdefault(move.from_shard, []).append(
+                        session_ids[move.key])
+        self._rpc("evict", {source: {"session_ids": ids}
+                            for source, ids in sorted(evict.items())},
+                  deadline)
         return moved
-
-    def _warm_affinity(self, old_ring: HashRing, new_ring: HashRing,
-                       graph_names: set[str], deadline: float) -> int:
-        """Pre-warm caches on each graph's *new* owners.
-
-        A graph's owners are its first ring shard (hot graphs: the
-        first ``HOT_GRAPH_REPLICAS``); shards that just gained ownership
-        warm that graph's sequence/embedding caches from the shared
-        store before routing resumes, so moved traffic does not pay a
-        cold-cache penalty.
-        """
-        by_shard: dict[int, list[str]] = {}
-        for name in sorted(graph_names):
-            key = f"g:{name}"
-            count = HOT_GRAPH_REPLICAS if name in self._hot else 1
-            old_owners = set(old_ring.preferred(key, count))
-            for index in new_ring.preferred(key, count):
-                if index not in old_owners:
-                    by_shard.setdefault(index, []).append(name)
-        replies = self._rpc("warm", {
-            index: {"names": names}
-            for index, names in sorted(by_shard.items())}, deadline)
-        return sum(int(reply.get("warmed", 0)) for reply in replies.values())
 
     def _retire(self, handle: _ShardHandle, deadline: float) -> None:
         """Coordinated exit of one shard: like shutdown, scoped to it."""

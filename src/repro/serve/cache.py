@@ -1,22 +1,22 @@
 """Thread-safe content-addressed LRU caches for the service runtime.
 
-Three hot pipeline stages repeat work across requests:
+Two hot pipeline stages repeat work across requests:
 
-* prompt-text embedding (the retrieval query vector),
 * API retrieval (text + routing -> ranked names),
 * graph sequentialization (the length-constrained path cover).
 
 Each gets an :class:`LRUCache` keyed on the input of the work it saves,
 so the same text or the same graph hits the cache regardless of which
-session or worker asks.  A graph is keyed on what the sequencer reads
-of it (:meth:`repro.sequencer.GraphSequentializer.sequentialize`): its
+session or worker asks.  Only served requests fill them: nothing
+pre-fills a cache.  A graph is keyed on what the sequencer reads of it
+(:meth:`repro.sequencer.GraphSequentializer.sequentialize`): its
 memoised :class:`~repro.graphs.TopologyView`, node reprs, label tokens
 and name — no content digest, and a write to an attribute that is not
-a label still hits.  Each cache is an
-attribute on the component whose work it saves — ``retrieval`` on the
-stage graph's :class:`~repro.core.stages.RetrieveStage`, ``embeddings``
-on the retriever's query embedder, ``sequences`` on the sequentializer
-— set together by :meth:`repro.core.pipeline.ChatPipeline.attach_caches`.
+a label still hits.  Each cache is an attribute on the component whose
+work it saves — ``retrieval`` on the stage graph's
+:class:`~repro.core.stages.RetrieveStage` and ``sequences`` on the
+sequentializer — set together by
+:meth:`repro.core.pipeline.ChatPipeline.attach_caches`.
 Cached values are treated as immutable by every consumer;
 hit/miss/eviction counters feed ``ChatGraphServer.stats()``.
 """
@@ -26,7 +26,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Hashable
+from typing import Any, Hashable
 
 
 @dataclass(frozen=True)
@@ -54,10 +54,10 @@ class CacheStats:
 class LRUCache:
     """Bounded least-recently-used cache safe for concurrent access.
 
-    ``get_or_compute`` runs the compute function *outside* the lock, so
-    a slow miss never blocks other workers; under a race the value is
+    A caller computes a miss *outside* the lock and then puts it, so a
+    slow miss never blocks other workers; under a race the value is
     computed twice (results are deterministic, so either copy is valid)
-    and the first writer wins.
+    and the last writer wins.
     """
 
     def __init__(self, maxsize: int) -> None:
@@ -93,35 +93,6 @@ class LRUCache:
                 self._data.popitem(last=False)
                 self._evictions += 1
 
-    def get_or_compute(self, key: Hashable,
-                       compute: Callable[[], Any]) -> Any:
-        value = self.get(key, self._MISS)
-        if value is not self._MISS:
-            return value
-        value = compute()
-        with self._lock:
-            if key not in self._data:
-                self._data[key] = value
-                while len(self._data) > self.maxsize:
-                    self._data.popitem(last=False)
-                    self._evictions += 1
-            else:
-                value = self._data[key]
-                self._data.move_to_end(key)
-        return value
-
-    def clear(self) -> None:
-        with self._lock:
-            self._data.clear()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._data)
-
-    def __contains__(self, key: Hashable) -> bool:
-        with self._lock:
-            return key in self._data
-
     def stats(self) -> CacheStats:
         with self._lock:
             return CacheStats(hits=self._hits, misses=self._misses,
@@ -130,7 +101,6 @@ class LRUCache:
 
 
 #: Entries per pipeline cache (fixed sizes, not ``ServeConfig`` knobs).
-EMBEDDING_CACHE_SIZE = 2048
 RETRIEVAL_CACHE_SIZE = 1024
 SEQUENCE_CACHE_SIZE = 256
 
@@ -143,23 +113,15 @@ class PipelineCaches:
     detach by enabling ``None``.
     """
 
-    embeddings: LRUCache
     retrieval: LRUCache
     sequences: LRUCache
 
     @classmethod
     def with_sizes(cls) -> "PipelineCaches":
         """One LRU per cache, at the sizes every server runs with."""
-        return cls(embeddings=LRUCache(EMBEDDING_CACHE_SIZE),
-                   retrieval=LRUCache(RETRIEVAL_CACHE_SIZE),
+        return cls(retrieval=LRUCache(RETRIEVAL_CACHE_SIZE),
                    sequences=LRUCache(SEQUENCE_CACHE_SIZE))
 
     def stats(self) -> dict[str, dict[str, Any]]:
-        return {"embeddings": self.embeddings.stats().to_dict(),
-                "retrieval": self.retrieval.stats().to_dict(),
+        return {"retrieval": self.retrieval.stats().to_dict(),
                 "sequences": self.sequences.stats().to_dict()}
-
-    def clear(self) -> None:
-        self.embeddings.clear()
-        self.retrieval.clear()
-        self.sequences.clear()

@@ -340,11 +340,6 @@ class ChatGraphServer(ServerFacade):
     def catalog(self) -> Any:
         return self.backend.catalog
 
-    def warm_caches(self, names: list[str]) -> int:
-        """Pre-populate pipeline caches from the named catalog graphs
-        (see :meth:`repro.runtime.local.LocalBackend.warm_caches`)."""
-        return self.backend.warm_caches(names)
-
     def execute(self, pipeline_result: PipelineResult,
                 chain: APIChain | None = None,
                 **kwargs: Any) -> ServeResponse:

@@ -109,17 +109,37 @@ class SessionStore:
         with self._lock:
             return self._entries.pop(session_id, None) is not None
 
-    def pins(self) -> list[tuple[str, str | None]]:
-        """(session_id, pinned graph name) pairs for every live session.
+    def pins(self, session_ids: list[str] | None = None
+             ) -> list[dict[str, Any]]:
+        """One ``{"session_id", "graph_name"}`` per live session: the
+        placement inventory for the shard tier's migration planner
+        (``graph_name`` is the pinned catalog graph, or None).
 
-        A placement inventory for the shard tier's migration planner:
-        deliberately read-only — it must not refresh TTLs or reorder
-        the LRU the way :meth:`get` does.
+        With ``session_ids``, just those of them that are live, each
+        also carrying its session's ``document``
+        (:meth:`~repro.core.session.ChatSession.to_document`) — the
+        state a new owner rebuilds the session from.  Deliberately
+        read-only: it must not refresh TTLs or reorder the LRU the way
+        :meth:`get` does.
         """
         with self._lock:
-            return [(session_id,
-                     entry.graph_ref[0] if entry.graph_ref else None)
-                    for session_id, entry in self._entries.items()]
+            if session_ids is None:
+                entries = list(self._entries.values())
+            else:
+                entries = [self._entries[session_id]
+                           for session_id in session_ids
+                           if session_id in self._entries]
+        inventory = []
+        for entry in entries:
+            pin: dict[str, Any] = {
+                "session_id": entry.session_id,
+                "graph_name": entry.graph_ref[0] if entry.graph_ref
+                else None}
+            if session_ids is not None:
+                with entry.lock:
+                    pin["document"] = entry.session.to_document()
+            inventory.append(pin)
+        return inventory
 
     def evict_compacted(self, graph_name: str,
                         live_epochs: list[int]) -> int:

@@ -60,7 +60,7 @@ class ShardedChatGraphServer(ServerFacade):
     submit.
 
     :meth:`add_shard` / :meth:`remove_shard` reshape the fleet live:
-    pinned sessions and named-graph affinity migrate to their new
+    pinned sessions — dialog and uploaded graph — migrate to their new
     ring-preferred shards with zero lost requests (see
     :mod:`repro.runtime.migration`).
     """
@@ -101,7 +101,7 @@ class ShardedChatGraphServer(ServerFacade):
 
     def add_shard(self) -> dict[str, Any]:
         """Grow the fleet by one shard, live.  Returns the migration
-        report (planned moves, sessions migrated, warmed caches)."""
+        report (planned moves, sessions migrated, the new ring)."""
         return self.backend.add_shard()
 
     def remove_shard(self, index: int) -> dict[str, Any]:

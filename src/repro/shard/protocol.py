@@ -12,10 +12,10 @@ Frame types (``"type"`` field):
 * coordinator -> worker: ``init`` (model spec + serve config),
   ``request`` (one request wire; see *graph refs* below), the
   control-channel RPCs — ``stats`` (snapshot poll, optionally with
-  spans), ``sessions`` (placement inventory), ``adopt`` / ``evict``
-  (session ownership transfer on a ring change), ``warm`` (pre-warm
-  caches for moved graph affinity) — each carrying an ``rpc_id``, and
-  ``shutdown``;
+  spans), ``sessions`` (placement inventory, or with ``session_ids``
+  the moving sessions' state), ``adopt`` / ``evict`` (session
+  ownership transfer on a ring change) — each carrying an ``rpc_id``,
+  and ``shutdown``;
 * worker -> coordinator: ``hello`` (model built, serving),
   ``reply`` (one response wire, under its request's id, written the
   moment the request resolves — in any order), one

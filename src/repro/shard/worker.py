@@ -4,14 +4,15 @@ One worker is one OS process hosting a private
 :class:`~repro.serve.engine.ChatGraphServer` — its own finetuned model
 (rebuilt deterministically from the init spec, so every shard computes
 byte-identical results for the same content-seeded request), its own
-session store, pipeline caches, per-API breakers, and catalog handle
+session store, two pipeline caches (filled only by the requests it
+serves: nothing pre-fills them), per-API breakers, and catalog handle
 over the shared ``store_root``.  The process boundary is the point:
 each shard owns a whole CPU core's worth of decode/ANN work instead of
 sharing one GIL.
 
 Protocol (see :mod:`repro.shard.protocol`): stdin carries ``init`` /
 ``request`` / ``stats`` / ``shutdown`` frames plus the migration RPCs
-(``sessions`` / ``adopt`` / ``evict`` / ``warm``); stdout carries
+(``sessions`` / ``adopt`` / ``evict``); stdout carries
 ``hello`` / ``reply`` / ``stats_reply`` / ``heartbeat`` and the
 matching ``*_reply`` frames.  The reader submits each ``request``
 inline and hooks its completion, so its ``reply`` leaves the moment it
@@ -36,6 +37,7 @@ import time
 from typing import Any, BinaryIO
 
 from ..config import ServeConfig
+from ..core.session import ChatSession
 from ..errors import ChatGraphError
 from ..serve.engine import ServeResponse
 from .protocol import (
@@ -200,16 +202,19 @@ class ShardWorker:
     # migration RPCs (see repro.runtime.shard's ring-change path)
     # ------------------------------------------------------------------
     def _handle_sessions(self, frame: dict[str, Any]) -> None:
-        """Inventory of pinned sessions; the planner's placement input."""
-        self._reply("sessions", frame, sessions=[
-            {"session_id": session_id, "graph_name": name}
-            for session_id, name in self.server.sessions.pins()])
+        """Inventory of pinned sessions; the planner's placement input.
+        With ``session_ids``, the state of just those sessions (see
+        :meth:`repro.serve.sessions.SessionStore.pins`)."""
+        self._reply("sessions", frame, sessions=self.server.sessions.pins(
+            frame.get("session_ids")))
 
     def _handle_adopt(self, frame: dict[str, Any]) -> None:
         """Take ownership of sessions moving here on a ring change.
 
-        Re-binds each session to its named graph's current epoch view
-        from the shared store; a bad graph reference fails only that
+        Rebuilds each session from the document its old shard sent —
+        dialog and uploaded graph — and re-binds one pinned to a
+        catalog graph to that graph's current epoch view from the
+        shared store; a bad document or graph reference fails only that
         one session's adoption, never the frame.
         """
         adopted = 0
@@ -218,12 +223,15 @@ class ShardWorker:
             if not session_id:
                 continue
             try:
+                session = ChatSession.from_document(
+                    wire.get("document") or {}, self.server.chatgraph)
                 entry = self.server.sessions.get_or_create(session_id)
-                name = wire.get("graph_name")
-                if name and self.server.catalog is not None:
-                    view = self.server.catalog.view(name)
-                    with entry.lock:
-                        entry.session.upload_graph(view.graph)
+                with entry.lock:
+                    entry.session = session
+                    name = wire.get("graph_name")
+                    if name and self.server.catalog is not None:
+                        view = self.server.catalog.view(name)
+                        session.upload_graph(view.graph)
                         entry.graph_ref = (view.name, view.epoch)
                 adopted += 1
             except ChatGraphError:
@@ -236,15 +244,6 @@ class ShardWorker:
             1 for session_id in frame.get("session_ids") or []
             if self.server.sessions.drop(session_id))
         self._reply("evict", frame, evicted=evicted)
-
-    def _handle_warm(self, frame: dict[str, Any]) -> None:
-        """Pre-warm caches for graphs whose ring ownership moved here."""
-        try:
-            warmed = self.server.warm_caches(
-                names=list(frame.get("names") or []))
-        except ChatGraphError:
-            warmed = 0
-        self._reply("warm", frame, warmed=warmed)
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -261,8 +260,7 @@ class ShardWorker:
                     "stats": self._handle_stats,
                     "sessions": self._handle_sessions,
                     "adopt": self._handle_adopt,
-                    "evict": self._handle_evict,
-                    "warm": self._handle_warm}
+                    "evict": self._handle_evict}
         try:
             while not self._stop.is_set():
                 frame = read_frame(self._stdin)

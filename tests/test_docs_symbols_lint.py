@@ -3,10 +3,15 @@
 Every inline-code span in ``docs/*.md`` and ``README.md`` is scanned for
 two kinds of reference:
 
-* a **CamelCase identifier** (``StageGraph``, ``ServeConfig(...)``,
-  ``RetrieveStage.cache``) — the identifier must be the name of a
-  class, function or assignment somewhere under ``src/repro`` (or a
-  Python builtin such as ``KeyError``);
+* a **CamelCase identifier** (``StageGraph``, ``ServeConfig(...)``)
+  — the identifier must be the name of a class, function or
+  assignment somewhere under ``src/repro`` (or a Python builtin such
+  as ``KeyError``);
+* a **CamelCase member** (``RetrieveStage.cache``,
+  ``ServeConfig.shards``) — when the identifier names a ``src/repro``
+  class, the member must be one of its class-body names (methods,
+  dataclass fields, class attributes) or a ``self.<name>`` its methods
+  assign, following base classes defined under ``src/repro``;
 * a **dotted path** starting ``repro.`` — it must resolve, part by
   part, to a module, then a module-level name, then class-level
   members (methods and class-body assignments; names a module imports
@@ -15,9 +20,9 @@ two kinds of reference:
 So deleting or renaming a symbol without rewriting the prose that
 mentions it fails here rather than in a reader's editor.  Fenced code
 blocks are skipped: the one that must keep working is executed by
-``tests/test_docs_examples.py``.  Instance attributes (``self.x = ...``)
-deliberately do not resolve — write ``lifecycle.breakers``, not a
-dotted path to it.
+``tests/test_docs_examples.py``.  In a dotted path, instance attributes
+(``self.x = ...``) deliberately do not resolve — write
+``lifecycle.breakers``, not a dotted path to it.
 """
 
 import ast
@@ -33,6 +38,7 @@ FENCED = re.compile(r"^```.*?^```", re.DOTALL | re.MULTILINE)
 INLINE = re.compile(r"`([^`\n]+)`")
 #: (a name after ``::`` is a test id, not a ``src/`` symbol)
 CAMEL = re.compile(r"(?<![\w.:])[A-Z][a-z0-9]+(?:[A-Z][a-z0-9]*)+\b")
+MEMBER = re.compile(CAMEL.pattern + r"\.([A-Za-z_]\w*)")
 DOTTED = re.compile(r"(?<![\w./-])repro(?:\.[A-Za-z_]\w*)+")
 
 
@@ -80,6 +86,43 @@ DEFINED = {
     for name in ([top] + (list(_bound_names(node.body))
                           if isinstance(node, ast.ClassDef) else []))
 }
+
+
+#: class name -> every class of that name under ``src/repro``.
+CLASSES = {}
+for _names in MODULES.values():
+    for _node in _names.values():
+        if isinstance(_node, ast.ClassDef):
+            CLASSES.setdefault(_node.name, []).append(_node)
+
+
+def _members(node, seen=()):
+    """The names one class answers to: its body's bound names, the
+    ``self.<name>`` its methods assign, and the same of every base
+    class defined under ``src/repro``."""
+    names = set(_bound_names(node.body))
+    for leaf in ast.walk(node):
+        if (isinstance(leaf, ast.Attribute)
+                and isinstance(leaf.ctx, ast.Store)
+                and isinstance(leaf.value, ast.Name)
+                and leaf.value.id == "self"):
+            names.add(leaf.attr)
+    for base in node.bases:
+        base_name = getattr(base, "id", getattr(base, "attr", None))
+        if base_name in seen:
+            continue
+        for parent in CLASSES.get(base_name, []):
+            names |= _members(parent, seen + (node.name,))
+    return names
+
+
+def resolve_member(symbol):
+    """True when ``Class.member`` names a member of some ``src/repro``
+    class of that name (a name that is no such class is taken on trust:
+    the identifier check covers it)."""
+    name, member = symbol.split(".")
+    nodes = CLASSES.get(name)
+    return not nodes or any(member in _members(node) for node in nodes)
 
 
 def _import_source(module, node):
@@ -132,21 +175,29 @@ def references():
         for span in INLINE.findall(text):
             for path in DOTTED.findall(span):
                 yield doc.name, "path", path
-            for ident in CAMEL.findall(DOTTED.sub("", span)):
+            bare = DOTTED.sub("", span)
+            for ident in CAMEL.findall(bare):
                 yield doc.name, "identifier", ident
+            for match in MEMBER.finditer(bare):
+                yield doc.name, "member", match.group(0)
 
 
 def test_every_symbol_the_docs_name_exists():
-    seen = {"path": set(), "identifier": set()}
+    seen = {"path": set(), "identifier": set(), "member": set()}
     stale = []
     for doc, kind, symbol in references():
         seen[kind].add(symbol)
-        ok = (resolve(symbol) if kind == "path"
-              else symbol in DEFINED or hasattr(builtins, symbol))
+        if kind == "path":
+            ok = resolve(symbol)
+        elif kind == "member":
+            ok = resolve_member(symbol)
+        else:
+            ok = symbol in DEFINED or hasattr(builtins, symbol)
         if not ok:
             stale.append(f"{doc}: {kind} `{symbol}`")
     # sanity: the docs were really scanned
     assert len(seen["path"]) > 40 and len(seen["identifier"]) > 40
+    assert len(seen["member"]) > 40
     assert not stale, (
         "the docs name symbols that do not exist under src/repro "
         "(renamed or deleted?):\n" + "\n".join(sorted(set(stale))))
@@ -161,3 +212,9 @@ def test_the_resolver_itself():
     assert not resolve("repro.core.no_such_module")
     assert not resolve("repro.obs.NoSuchThing")
     assert "StageGraph" in DEFINED and "NoSuchThing" not in DEFINED
+    assert resolve_member("RetrieveStage.cache")  # a self.<name>
+    assert resolve_member("ServeConfig.shards")  # a dataclass field
+    assert resolve_member("ChatGraphServer.ask")  # from a base class
+    assert resolve_member("StageGraph.run")
+    assert not resolve_member("PipelineCaches.embeddings")
+    assert not resolve_member("StageGraph.run_twice")

@@ -88,13 +88,12 @@ class TestScalarBatchParity:
         finally:
             preset_chatgraph.enable_caches(None)
         assert_result_parity(preset_chatgraph, prompts, scalar, batched)
-        # one get per context, one put per cacheable miss, the embedder
-        # consulted for retrieval misses only: (hits, misses, size)
+        # one get per context, one put per cacheable miss:
+        # (hits, misses, size)
         table = {name: (stats.hits, stats.misses, stats.size)
-                 for name in ("embeddings", "retrieval", "sequences")
+                 for name in ("retrieval", "sequences")
                  for stats in [getattr(caches, name).stats()]}
-        assert table == {"embeddings": (0, 4, 3),
-                         "retrieval": (2, 4, 3),
+        assert table == {"retrieval": (2, 4, 3),
                          "sequences": (1, 2, 2)}
         # the unembeddable text's degraded () was never memoized
         assert all(key[0] != TEXTS[6]

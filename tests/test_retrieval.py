@@ -118,26 +118,15 @@ class TestRetrieveBatch:
         with pytest.raises(IndexError_):
             retriever.retrieve_batch(["a", "b"], categories_per=[None])
 
-    def test_embed_cache_hits_on_repeat(self, registry):
-        from repro.serve import LRUCache
-        cache = LRUCache(maxsize=32)
-        retriever = APIRetriever(registry, embed_cache=cache)
-        texts = ["count the nodes", "find influencers"]
-        retriever.retrieve_batch(texts, k=3)
-        before = cache.stats().hits
-        retriever.retrieve_batch(texts, k=3)
-        assert cache.stats().hits >= before + len(texts)
-
     def test_cached_vectors_never_mutated(self, registry):
-        """Cached embeddings are shared references (no defensive copy);
-        every retrieval path must leave them bit-identical."""
-        from repro.serve import LRUCache
-        cache = LRUCache(maxsize=32)
-        retriever = APIRetriever(registry, embed_cache=cache)
+        """The description vectors, embedded once at construction, are
+        shared with the index (no defensive copy); every retrieval path
+        must leave them bit-identical."""
+        retriever = APIRetriever(registry)
         texts = ["count the nodes", "find influencers",
                  "community detection"]
         first = retriever.retrieve_batch(texts, k=3)
-        snapshots = {text: cache.get(text).copy() for text in texts}
+        snapshot = retriever._vectors.copy()
         retriever.retrieve_batch(texts, k=3)
         for text in texts:
             retriever.retrieve(text, k=3)
@@ -145,10 +134,7 @@ class TestRetrieveBatch:
                                categories=(Category.GENERIC,
                                            Category.SOCIAL,
                                            Category.REPORT))
-        for text in texts:
-            cached = cache.get(text)
-            assert cached is not None
-            np.testing.assert_array_equal(cached, snapshots[text])
+        np.testing.assert_array_equal(retriever._vectors, snapshot)
         assert retriever.retrieve_batch(texts, k=3) == first
 
 

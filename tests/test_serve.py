@@ -78,18 +78,6 @@ class TestLRUCache:
         assert stats.hits == 1 and stats.misses == 1
         assert stats.hit_rate == 0.5
 
-    def test_get_or_compute(self):
-        cache = LRUCache(maxsize=4)
-        calls = []
-
-        def compute():
-            calls.append(1)
-            return 42
-
-        assert cache.get_or_compute("k", compute) == 42
-        assert cache.get_or_compute("k", compute) == 42
-        assert len(calls) == 1
-
     def test_concurrent_access_is_safe(self):
         cache = LRUCache(maxsize=16)
         errors = []
@@ -109,7 +97,7 @@ class TestLRUCache:
         for thread in threads:
             thread.join()
         assert not errors
-        assert len(cache) <= 16
+        assert cache.stats().size <= 16
 
 
 class TestTokenBucket:
@@ -416,8 +404,7 @@ class TestServerBasics:
         assert metrics["histograms"] == stats["latency"]
         assert metrics["counters"]["events_chain_finished"] == 4
         assert metrics["gauges"] == {
-            "breakers_open": 0.0, "cache_embeddings_hit_rate": 0.0,
-            "cache_retrieval_hit_rate": 0.25,
+            "breakers_open": 0.0, "cache_retrieval_hit_rate": 0.25,
             "cache_sequences_hit_rate": 0.75, "queue_size": 0.0,
             "sessions_live": 1.0, "workers": 1.0}
 
@@ -533,9 +520,8 @@ class TestServeCaches:
         # identical graph: 1 miss then 2 sequentialize hits
         assert stats["sequences"]["misses"] == 1
         assert stats["sequences"]["hits"] == 2
-        # the embedder is only consulted on the retrieval miss
-        assert stats["embeddings"]["misses"] == 1
-        assert stats["embeddings"]["hits"] == 0
+        # two caches, nothing else
+        assert sorted(stats) == ["retrieval", "sequences"]
 
     def test_cached_results_identical(self, serve_chatgraph,
                                       social_graph_small):

@@ -14,8 +14,10 @@ Two layers:
   the coordinator's migration code unchanged): pinned sessions keep
   answering on their ring-preferred shard after ``add_shard`` and
   ``remove_shard``, with a background submitter proving no request is
-  lost across either reshape.  ``bench-slo --scenario shard-reshape``
-  is the same contract on real processes.
+  lost across either reshape, and each moved session keeps its
+  uploaded graph and dialog, answering byte-equal to an in-process
+  server that served the same turns.  ``bench-slo --scenario
+  shard-reshape`` is the same contract on real processes.
 """
 
 import threading
@@ -228,3 +230,43 @@ class TestLiveMigration:
             assert stats["shards"]["count"] == 2
             assert stats["counters"]["shard_migrations"] == 2
             assert stats["counters"]["sessions_migrated"] >= 1
+
+    def test_moved_sessions_keep_their_graph_and_dialog(self, loopback):
+        """Each session uploads an inline graph, then the fleet grows and
+        shrinks: after each reshape every session's next graphless turn
+        answers byte-equal to an in-process server that served the same
+        turns, moved sessions included."""
+        from repro import ChatGraph, ChatGraphServer
+        from repro.config import ServeConfig
+        from repro.graphs import social_network
+        from repro.shard import ShardModelSpec, ShardedChatGraphServer
+        from repro.shard.protocol import dumps_canonical, value_to_wire
+
+        config = ServeConfig(workers=1, queue_depth=64)
+        single = ChatGraphServer(
+            ChatGraph.pretrained(corpus_size=200, seed=0), config)
+        fleet = ShardedChatGraphServer(
+            ShardModelSpec(corpus_size=200, seed=0),
+            ServeConfig(shards=2, workers=1, queue_depth=64))
+        session_ids = [f"user-{i}" for i in range(8)]
+
+        def assert_turns_match(text, **graph) -> None:
+            for i, session_id in enumerate(session_ids):
+                upload = {key: value(i) for key, value in graph.items()}
+                local = single.ask(text, session_id=session_id, **upload)
+                remote = fleet.ask(text, session_id=session_id, **upload)
+                assert local.ok and remote.ok, (local.error, remote.error)
+                assert dumps_canonical(value_to_wire("ask", local.value)) \
+                    == dumps_canonical(value_to_wire("ask", remote.value)), \
+                    (session_id, text, remote.value.answer)
+
+        with single, fleet:
+            assert_turns_match(
+                "how many edges are there?",
+                graph=lambda i: social_network(12 + i, 2, seed=i))
+            report = fleet.add_shard()
+            assert report["sessions_migrated"] >= 1
+            assert_turns_match("how many nodes are there?")
+            report = fleet.remove_shard(0)
+            assert report["sessions_migrated"] >= 1
+            assert_turns_match("find the communities")

@@ -1,11 +1,12 @@
-"""Satellite surfaces of the fleet: async compaction, cache warming,
-cross-process trace/metrics merging, and the plumbing they ride on
-(breaker trip/reset, the trace CLI's multi-input merge, the completion
-hooks a shard worker writes its replies from).
+"""Satellite surfaces of the fleet: async compaction, catalog reads
+across a reshape, cross-process trace/metrics merging, and the plumbing
+they ride on (breaker trip/reset, the trace CLI's multi-input merge, the
+completion hooks a shard worker writes its replies from).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import sys
 import threading
 
@@ -72,37 +73,58 @@ def test_compact_async_unknown_name_fails_fast(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# warm_caches (the migration path's ``warm`` RPC)
+# catalog-graph reads across a reshape (nothing pre-fills a cache)
 # ----------------------------------------------------------------------
-def test_warm_caches_counts_entries(tmp_path, chatgraph):
-    catalog = GraphCatalog(tmp_path)
-    handle = catalog.create("warm-me")
-    handle.ingest(social_network(16, 2, seed=2))
-    config = ServeConfig(workers=1, queue_depth=8)
-    server = ChatGraphServer(chatgraph, config, catalog=catalog)
-    with server:
-        assert server.warm_caches(["warm-me", "not-in-catalog"]) > 0
-        caches = server.stats()["caches"]
-        assert caches["sequences"]["size"] >= 1
-        # warmed entries are inserts, not hits: the hit/miss books
-        # start clean for real traffic
-        assert caches["sequences"]["hits"] == 0
-        response = server.ask("how many nodes are there",
-                              graph_name="warm-me")
-        assert response.ok
-    catalog.close()
+def test_catalog_reads_match_a_single_server_across_reshapes(tmp_path,
+                                                            loopback):
+    """Reads of two catalog graphs by name answer byte-equal to an
+    in-process server over the same store before ``add_shard()``, after
+    it and after ``remove_shard(0)``; each reshape sends only the
+    ``sessions``, ``adopt`` and ``evict`` RPCs."""
+    from repro.graphs import knowledge_graph
+    from repro.shard import ShardModelSpec, ShardedChatGraphServer
+    from repro.shard.protocol import dumps_canonical, value_to_wire
 
-
-def test_warm_caches_off_by_default(tmp_path, chatgraph):
-    """Starting a server over a catalog warms nothing: only the
-    migration path warms, and only the graphs it names."""
     catalog = GraphCatalog(tmp_path)
-    catalog.create("cold").ingest(social_network(16, 2, seed=2))
-    with ChatGraphServer(chatgraph, ServeConfig(workers=1, queue_depth=8),
-                         catalog=catalog) as server:
-        assert server.stats()["caches"]["sequences"]["size"] == 0
-        assert "cache_warmed_entries" not in server.stats()["counters"]
+    catalog.create("social").ingest(social_network(16, 2, seed=2))
+    catalog.create("kg", directed=True).ingest(
+        knowledge_graph(n_entities=20, n_facts=60, seed=3))
     catalog.close()
+    config = ServeConfig(workers=1, queue_depth=64,
+                         store_root=str(tmp_path))
+    single = ChatGraphServer(ChatGraph.pretrained(corpus_size=150, seed=0),
+                             config)
+    fleet = ShardedChatGraphServer(
+        ShardModelSpec(corpus_size=150, seed=0),
+        dataclasses.replace(config, shards=2))
+    backend = fleet.backend
+    rpc = backend._rpc
+    kinds: list[str] = []
+
+    def spy(kind, payloads, deadline):
+        kinds.append(kind)
+        return rpc(kind, payloads, deadline)
+
+    backend._rpc = spy
+
+    def assert_reads_match() -> None:
+        for name in ("social", "kg"):
+            for text in ("how many nodes are there",
+                         "write a brief report for G"):
+                local = single.ask(text, graph_name=name)
+                remote = fleet.ask(text, graph_name=name)
+                assert local.ok and remote.ok, (local.error, remote.error)
+                assert dumps_canonical(value_to_wire("ask", local.value)) \
+                    == dumps_canonical(value_to_wire("ask", remote.value)), \
+                    (name, text)
+
+    with single, fleet:
+        assert_reads_match()
+        for reshape in (fleet.add_shard, lambda: fleet.remove_shard(0)):
+            kinds.clear()
+            reshape()
+            assert kinds and set(kinds) <= {"sessions", "adopt", "evict"}
+            assert_reads_match()
 
 
 # ----------------------------------------------------------------------

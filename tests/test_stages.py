@@ -177,7 +177,7 @@ class TestStageObservation:
         assert all(ctx.retrieved == () and ctx.retrieval_ok
                    for ctx in ctxs)
         # the fresh () was stored like any other result
-        assert _retrieve_key(stage, "b") in stage.cache
+        assert stage.cache.get(_retrieve_key(stage, "b")) == ()
 
     def test_batch_cache_runs_stage_on_miss_subset_only(self):
         retriever = _StubRetriever()
@@ -198,7 +198,7 @@ class TestStageObservation:
         stage, graph = _retrieve_graph(retriever, LRUCache(8))
         [ctx] = graph.run(_retrieve_ctxs("?!"))
         assert ctx.retrieved == () and ctx.retrieval_ok is False
-        assert len(stage.cache) == 0
+        assert stage.cache.stats().size == 0
 
 
 class TestPipelineAttachments:
@@ -208,8 +208,7 @@ class TestPipelineAttachments:
         [retrieve] = [stage for stage in pipeline.graph
                       if isinstance(stage, RetrieveStage)]
         return (pipeline.tracer, pipeline.caches, retrieve.cache,
-                pipeline.sequentializer.cache,
-                pipeline.retriever.embed_cache)
+                pipeline.sequentializer.cache)
 
     def test_detached_pipeline_has_only_timing(self, chatgraph,
                                                social_graph):
@@ -220,7 +219,7 @@ class TestPipelineAttachments:
         try:
             chatgraph.set_tracer(None)
             chatgraph.enable_caches(None)
-            assert self._attached(pipeline) == (None,) * 5
+            assert self._attached(pipeline) == (None,) * 4
             result = pipeline.process(
                 Prompt("write a brief report for G", social_graph))
             assert tuple(result.timings) == \
@@ -230,8 +229,8 @@ class TestPipelineAttachments:
             chatgraph.enable_caches(prior[1])
 
     def test_attach_and_detach_set_and_clear_the_attributes(self, chatgraph):
-        """Attach/detach sets and clears ``pipeline.tracer`` and all
-        three cache attributes, each on the owner of the work."""
+        """Attach/detach sets and clears ``pipeline.tracer`` and both
+        cache attributes, each on the owner of the work."""
         pipeline = chatgraph.pipeline
         tracer = Tracer(seed=0)
         caches = PipelineCaches.with_sizes()
@@ -239,12 +238,11 @@ class TestPipelineAttachments:
             chatgraph.set_tracer(tracer)
             chatgraph.enable_caches(caches)
             assert self._attached(pipeline) == (
-                tracer, caches, caches.retrieval, caches.sequences,
-                caches.embeddings)
+                tracer, caches, caches.retrieval, caches.sequences)
         finally:
             chatgraph.set_tracer(None)
             chatgraph.enable_caches(None)
-        assert self._attached(pipeline) == (None,) * 5
+        assert self._attached(pipeline) == (None,) * 4
 
     def test_cache_hit_request_still_traced_and_timed(self, chatgraph,
                                                       social_graph):
