@@ -73,8 +73,46 @@ def test_compact_async_unknown_name_fails_fast(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# catalog-graph reads across a reshape (nothing pre-fills a cache)
+# cache entries over catalog graphs (nothing pre-fills a cache)
 # ----------------------------------------------------------------------
+def test_warm_caches_counts_entries(tmp_path, chatgraph):
+    """The first read of a catalog graph is what inserts its sequence
+    entry: a miss, not a hit, and a repeat read is then a hit."""
+    catalog = GraphCatalog(tmp_path)
+    handle = catalog.create("warm-me")
+    handle.ingest(social_network(16, 2, seed=2))
+    config = ServeConfig(workers=1, queue_depth=8)
+    server = ChatGraphServer(chatgraph, config, catalog=catalog)
+    with server:
+        assert not hasattr(server, "warm_caches")
+        response = server.ask("how many nodes are there",
+                              graph_name="warm-me")
+        assert response.ok
+        caches = server.stats()["caches"]
+        assert caches["sequences"]["size"] >= 1
+        assert caches["sequences"]["hits"] == 0
+        assert caches["sequences"]["misses"] >= 1
+        again = server.ask("how many nodes are there",
+                           graph_name="warm-me")
+        assert again.ok
+        assert server.stats()["caches"]["sequences"]["hits"] >= 1
+    catalog.close()
+
+
+def test_warm_caches_off_by_default(tmp_path, chatgraph):
+    """Starting a server over a catalog warms nothing: every cache
+    starts empty and no warm counter exists."""
+    catalog = GraphCatalog(tmp_path)
+    catalog.create("cold").ingest(social_network(16, 2, seed=2))
+    with ChatGraphServer(chatgraph, ServeConfig(workers=1, queue_depth=8),
+                         catalog=catalog) as server:
+        caches = server.stats()["caches"]
+        assert caches["sequences"]["size"] == 0
+        assert caches["retrieval"]["size"] == 0
+        assert "cache_warmed_entries" not in server.stats()["counters"]
+    catalog.close()
+
+
 def test_catalog_reads_match_a_single_server_across_reshapes(tmp_path,
                                                             loopback):
     """Reads of two catalog graphs by name answer byte-equal to an
