@@ -75,9 +75,13 @@ class ChainContext:
         return self.confirm(question, payload)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExecutionEvent:
-    """One progress event; the session's monitor panel renders these."""
+    """One progress event; the session's monitor panel renders these.
+
+    Slotted: a chain emits ``2 + 2 * steps`` of them, and a session's
+    monitors keep them for the life of its dialog.
+    """
 
     kind: str              # chain_started | step_started | step_finished
     #                      # | step_failed | chain_finished | chain_failed
@@ -252,30 +256,32 @@ class ChainExecutionRecord:
 Listener = Callable[[ExecutionEvent], None]
 
 
-def _call_with_timeout(thunk: Callable[[], Any], api_name: str,
+def _call_with_timeout(spec: APISpec, context: ChainContext,
+                       params: Mapping[str, Any],
                        timeout_seconds: float | None) -> Any:
-    """Run ``thunk``, cutting it off after ``timeout_seconds``.
+    """Call ``spec`` with ``params``, cutting it off after
+    ``timeout_seconds``.
 
     The call runs on a daemon thread only when a timeout is set; an
     overrunning call keeps running in the background but its result is
     discarded and :class:`StepTimeoutError` is raised to the chain.
     """
     if timeout_seconds is None:
-        return thunk()
+        return spec.call(context, **params)
     outcome: dict[str, Any] = {}
 
     def runner() -> None:
         try:
-            outcome["result"] = thunk()
+            outcome["result"] = spec.call(context, **params)
         except BaseException as exc:  # noqa: BLE001 - re-raised below
             outcome["error"] = exc
 
     thread = threading.Thread(target=runner, daemon=True,
-                              name=f"chain-step-{api_name}")
+                              name=f"chain-step-{spec.name}")
     thread.start()
     thread.join(timeout_seconds)
     if thread.is_alive():
-        raise StepTimeoutError(api_name, timeout_seconds)
+        raise StepTimeoutError(spec.name, timeout_seconds)
     if "error" in outcome:
         raise outcome["error"]
     return outcome.get("result")
@@ -365,9 +371,8 @@ class ChainExecutor:
         if self.breakers is not None and not self.breakers.allow(name):
             raise CircuitOpenError(name, self.breakers.retry_after(name))
         try:
-            result = _call_with_timeout(
-                lambda: spec.call(context, **dict(params)), name,
-                step_policy.timeout_seconds)
+            result = _call_with_timeout(spec, context, params,
+                                        step_policy.timeout_seconds)
         except Exception:
             if self.breakers is not None and \
                     self.breakers.record_failure(name):
@@ -388,7 +393,9 @@ class ChainExecutor:
         any) are exhausted.
         """
         step_policy = policy.for_api(node.api_name)
-        rng = policy.jitter_rng(node.api_name, index)
+        # seeded on the first retry: a step that succeeds at once (the
+        # common case) never pays for the string-seeded RNG
+        rng: random.Random | None = None
         max_attempts = 1 + step_policy.max_retries
         attempts = 0
         last_error: Exception = ChatGraphError("step never attempted")
@@ -419,6 +426,8 @@ class ChainExecutor:
                 last_error, timed_out = exc, False
                 reason = "retries_exhausted"
             if attempts < max_attempts:
+                if rng is None:
+                    rng = policy.jitter_rng(node.api_name, index)
                 delay = step_policy.backoff_seconds(attempts - 1, rng)
                 self._emit(
                     "step_retried", start, index, node.api_name,
@@ -537,7 +546,77 @@ class ChainExecutor:
 
 
 def _summarize(result: Any, limit: int = 70) -> str:
-    text = repr(result)
-    if len(text) > limit:
-        text = text[:limit - 3] + "..."
-    return text
+    """``repr(result)``, cut to ``limit - 3`` characters plus ``...``
+    when longer than ``limit``: the ``step_finished`` event's detail.
+
+    Built-in lists, tuples, dicts, sets and frozensets are rendered item
+    by item, and the rendering stops once it passes ``limit``, so a
+    large step result costs what its first characters cost, not a repr
+    of the whole value.  Any other value (a subclass such as ``Counter``
+    or a namedtuple included) is rendered by its own ``repr``.  The text
+    equals the cut ``repr(result)``.
+    """
+    pieces: list[str] = []
+    _repr_into(result, pieces, limit + 1, set())
+    text = "".join(pieces)
+    return text if len(text) <= limit else text[:limit - 3] + "..."
+
+
+#: Opening and closing text of each container ``_repr_into`` walks.
+_BRACKETS: dict[type, tuple[str, str]] = {
+    list: ("[", "]"), tuple: ("(", ")"), dict: ("{", "}"),
+    set: ("{", "}"), frozenset: ("frozenset({", "})")}
+
+
+def _repr_into(value: Any, pieces: list[str], budget: int,
+               open_ids: set[int]) -> int:
+    """Append ``repr(value)`` to ``pieces``, stopping once ``budget``
+    characters are out; returns the budget left (<= 0 once stopped).
+
+    ``open_ids`` holds the containers being rendered around ``value``:
+    one met again inside itself renders as ``[...]``, ``(...)`` or
+    ``{...}``, as ``repr`` does.  Items that are not walked containers
+    are rendered in line, which keeps a small result about as cheap as
+    its ``repr``.
+    """
+    brackets = _BRACKETS.get(type(value))
+    if brackets is None or not value:
+        text = repr(value)
+        pieces.append(text)
+        return budget - len(text)
+    opening, closing = brackets
+    if id(value) in open_ids:
+        pieces.append(f"{opening}...{closing}")
+        return budget - len(opening) - 3 - len(closing)
+    open_ids.add(id(value))
+    pieces.append(opening)
+    budget -= len(opening)
+    is_dict = type(value) is dict
+    for position, item in enumerate(value.items() if is_dict else value):
+        if budget <= 0:
+            return budget
+        if position:
+            pieces.append(", ")
+            budget -= 2
+        if is_dict:
+            key, item = item
+            if type(key) in _BRACKETS:
+                budget = _repr_into(key, pieces, budget, open_ids)
+            else:
+                text = repr(key)
+                pieces.append(text)
+                budget -= len(text)
+            pieces.append(": ")
+            budget -= 2
+        if type(item) in _BRACKETS:
+            budget = _repr_into(item, pieces, budget, open_ids)
+        else:
+            text = repr(item)
+            pieces.append(text)
+            budget -= len(text)
+    if type(value) is tuple and len(value) == 1:
+        pieces.append(",")
+        budget -= 1
+    pieces.append(closing)
+    open_ids.discard(id(value))
+    return budget - len(closing)

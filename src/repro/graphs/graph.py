@@ -19,7 +19,8 @@ Every attribute write (``add_node`` / ``add_edge`` with attributes,
 read-only mappings, so no write can get past the stamps, and
 :attr:`Graph.content_stamp` — the pair of both — names what the graph
 holds.  :meth:`Graph.content_memo` files results that read attributes
-(the type prediction, the triple table and its fits) under it.
+(the type prediction, the triple table and its fits, the sequence-cache
+key's content part) under it.
 ``node_attr_dicts`` and ``edge_attr_keys`` read every attribute dict in
 one pass for the scans that need them all.
 

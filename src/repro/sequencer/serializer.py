@@ -46,6 +46,39 @@ def node_token(graph: Graph, node: Node) -> str:
     return "<n:*>"
 
 
+def _tokens(graph: Graph, view: TopologyView) -> tuple[str, ...]:
+    return tuple(node_token(graph, node) for node in view.nodes)
+
+
+class _ContentKey:
+    """The per-content part of a sequence-cache key, hashed once.
+
+    It is everything ``_sequentialize`` reads of a graph's content: the
+    topology in insertion order (the cover walk follows it), each
+    node's repr (the motif tie-break: 1, 1.0 and True are == but sort
+    apart) and the label tokens.  No other attribute is read, so a
+    write that touches no label builds an equal key and still hits.
+    Built once per content (``Graph.content_memo``), so a lookup on a
+    graph seen before hashes nothing and renders no token.
+    """
+
+    __slots__ = ("view", "tokens", "parts", "_hash")
+
+    def __init__(self, graph: Graph) -> None:
+        self.view = TopologyView.of(graph)
+        self.tokens = _tokens(graph, self.view)
+        self.parts = (self.view, tuple(map(repr, self.view.nodes)),
+                      self.tokens)
+        self._hash = hash(self.parts)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        return (isinstance(other, _ContentKey)
+                and self._hash == other._hash and self.parts == other.parts)
+
+
 @dataclass(frozen=True)
 class _Level:
     """Immutable input of one level's cover: enough to walk it again."""
@@ -143,22 +176,19 @@ class GraphSequentializer:
 
     def sequentialize(self, graph: Graph) -> GraphSequences:
         """Produce the (possibly multi-level) sequences of ``graph``."""
-        view = TopologyView.of(graph)
-        tokens = tuple(node_token(graph, node) for node in view.nodes)
         if self.cache is None:
-            return self._sequentialize(graph, view, tokens)
-        # The key is everything _sequentialize reads: the topology in
-        # insertion order (the cover walk follows it), each node's repr
-        # (the motif tie-break: 1, 1.0 and True are == but sort apart),
-        # the label tokens, and the name the super-graph carries.  No
-        # other attribute is read, so a write that touches no label
-        # still hits.
-        key = (view, tuple(map(repr, view.nodes)), tokens, graph.name,
-               self.config)
+            view = TopologyView.of(graph)
+            return self._sequentialize(graph, view, _tokens(graph, view))
+        # The name the super-graph carries and the config sit outside
+        # the per-content part, so a rename or a second config misses
+        # without rebuilding it.
+        content = graph.content_memo("sequence_key",
+                                     lambda: _ContentKey(graph))
+        key = (content, graph.name, self.config)
         cached = self.cache.get(key)
         if cached is not None:
             return cached
-        out = self._sequentialize(graph, view, tokens)
+        out = self._sequentialize(graph, content.view, content.tokens)
         self.cache.put(key, out)
         return out
 

@@ -200,6 +200,12 @@ class BreakerRegistry:
         self._lock = threading.Lock()
 
     def breaker(self, api_name: str) -> CircuitBreaker:
+        # a dict read is atomic under the GIL and a breaker, once
+        # created, is never replaced, so only a missing one takes the
+        # registry lock
+        breaker = self._breakers.get(api_name)
+        if breaker is not None:
+            return breaker
         with self._lock:
             breaker = self._breakers.get(api_name)
             if breaker is None:

@@ -73,8 +73,8 @@ class SessionStore:
     # ------------------------------------------------------------------
     def get_or_create(self, session_id: str) -> SessionEntry:
         """The entry for ``session_id``, creating (and evicting) as needed."""
-        now = self._clock()
         with self._lock:
+            now = self._clock()
             self._evict_expired_locked(now)
             entry = self._entries.get(session_id)
             if entry is not None:
@@ -94,8 +94,8 @@ class SessionStore:
 
     def get(self, session_id: str) -> SessionEntry:
         """The entry for ``session_id``; raises SessionError if absent."""
-        now = self._clock()
         with self._lock:
+            now = self._clock()
             self._evict_expired_locked(now)
             entry = self._entries.get(session_id)
             if entry is None:
@@ -165,12 +165,19 @@ class SessionStore:
             return self._evict_expired_locked(self._clock())
 
     def _evict_expired_locked(self, now: float) -> int:
-        expired = [sid for sid, entry in self._entries.items()
-                   if now - entry.last_used > self.ttl_seconds]
-        for session_id in expired:
-            del self._entries[session_id]
-            self._evicted_ttl += 1
-        return len(expired)
+        # ``_entries`` is in last-use order (every use moves its entry
+        # to the end, stamped with a clock read under this lock), so
+        # the expired entries are a prefix: stop at the first live one
+        evicted = 0
+        entries = self._entries
+        while entries:
+            entry = next(iter(entries.values()))
+            if now - entry.last_used <= self.ttl_seconds:
+                break
+            entries.popitem(last=False)
+            evicted += 1
+        self._evicted_ttl += evicted
+        return evicted
 
     # ------------------------------------------------------------------
     def ids(self) -> list[str]:

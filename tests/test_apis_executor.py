@@ -1,6 +1,11 @@
 """Tests for the monitored chain executor."""
 
+import random
+from collections import Counter, namedtuple
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.apis import (
     APIChain,
@@ -10,7 +15,10 @@ from repro.apis import (
     ChainContext,
     ChainExecutor,
     ChainNode,
+    ExecutionPolicy,
+    StepPolicy,
 )
+from repro.apis.executor import _summarize
 from repro.errors import ChainExecutionError
 
 
@@ -189,3 +197,106 @@ class TestContext:
         context.step_names = {0: "api_x", 2: "api_x"}
         assert context.latest("api_x") == "new"
         assert context.latest("missing") is None
+
+
+Pair = namedtuple("Pair", "left right")
+
+#: Leaves a step result may hold: nan/inf floats, non-ASCII text (and
+#: quotes, which pick the repr's quote character) and long strings.
+leaves = (st.none() | st.booleans() | st.integers()
+          | st.floats(allow_nan=True, allow_infinity=True)
+          | st.text(alphabet=st.characters(), max_size=8)
+          | st.text(alphabet="ab'\"\\é\n", min_size=60, max_size=120))
+hashable = st.recursive(
+    leaves, lambda inner: st.tuples(inner) | st.tuples(inner, inner)
+    | st.frozensets(inner, max_size=3), max_leaves=6)
+results = st.recursive(
+    leaves,
+    lambda inner: (st.lists(inner, max_size=6)
+                   | st.tuples(inner) | st.tuples(inner, inner, inner)
+                   | st.dictionaries(hashable, inner, max_size=5)
+                   | st.sets(hashable, max_size=4)
+                   | st.frozensets(hashable, max_size=4)
+                   | st.dictionaries(st.text(max_size=4), st.integers(),
+                                     max_size=4).map(Counter)
+                   | st.tuples(inner, inner).map(lambda p: Pair(*p))),
+    max_leaves=40)
+
+
+class TestSummary:
+    @given(result=results)
+    @settings(max_examples=400, deadline=None)
+    def test_bounded_summary_is_the_cut_repr(self, result):
+        text = repr(result)
+        expected = text if len(text) <= 70 else text[:67] + "..."
+        assert _summarize(result) == expected
+
+    @given(result=results, limit=st.integers(4, 200))
+    @settings(max_examples=200, deadline=None)
+    def test_any_limit_cuts_like_the_repr(self, result, limit):
+        text = repr(result)
+        expected = text if len(text) <= limit else text[:limit - 3] + "..."
+        assert _summarize(result, limit) == expected
+
+    def test_a_container_met_inside_itself(self):
+        looped = [1, {"x": None}]
+        looped[1]["x"] = looped
+        boxed = ([],)
+        boxed[0].append(boxed)
+        for value in (looped, boxed, [looped] * 9):
+            for limit in (8, 70, 500):
+                text = repr(value)
+                assert _summarize(value, limit) == (
+                    text if len(text) <= limit
+                    else text[:limit - 3] + "...")
+
+    def test_a_large_result_is_not_rendered_whole(self):
+        rendered = []
+
+        class Leaf:
+            def __repr__(self):
+                rendered.append(self)
+                return "leaf"
+
+        result = {"rows": [Leaf() for _ in range(10_000)]}
+        assert _summarize(result) == repr(result)[:67] + "..."
+        rendered.clear()
+        _summarize(result)
+        assert len(rendered) < 20
+
+
+class TestJitterRng:
+    def test_seeded_retries_keep_their_delays(self, toy_registry):
+        slept = []
+        policy = ExecutionPolicy(default=StepPolicy(
+            max_retries=3, backoff_base_seconds=0.01,
+            jitter_fraction=0.5), seed=5)
+        executor = ChainExecutor(toy_registry, policy=policy,
+                                 sleep=slept.append)
+        executor.execute(APIChain.from_names(["ok_api", "boom_api"]),
+                         ChainContext(), stop_on_error=False)
+        # the delays drawn when the RNG was seeded from (seed, api,
+        # step index) before the first attempt, not on the first retry
+        assert slept == [0.013204311501920574, 0.02609098949439665,
+                         0.046918177933611326]
+
+    def test_a_chain_without_retries_seeds_no_rng(self, toy_registry,
+                                                  monkeypatch):
+        built = []
+
+        class Spy(random.Random):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(random, "Random", Spy)
+        policy = ExecutionPolicy(default=StepPolicy(max_retries=3))
+        executor = ChainExecutor(toy_registry, policy=policy,
+                                 sleep=lambda s: None)
+        record = executor.execute(
+            APIChain.from_names(["ok_api", "echo_api", "reads_previous"]),
+            ChainContext())
+        assert record.ok and built == []
+        executor.execute(APIChain.from_names(["boom_api"]), ChainContext(),
+                         stop_on_error=False)
+        assert len(built) == 1  # seeded once, on the first retry

@@ -4,8 +4,9 @@ The sequence cache is keyed on what the sequencer reads of a graph —
 its topology view in insertion order, each node's repr, the label
 tokens and the name — so whatever reached the cache first, a lookup
 returns what sequencing *this* graph object would return.  These tests
-pin that against the uncached sequencer on the same object, and pin
-when a lookup must hit or miss.
+pin that against the uncached sequencer on the same object, pin when a
+lookup must hit or miss, and pin that the key's content part is built
+once per graph content.
 """
 
 import random
@@ -16,8 +17,10 @@ from hypothesis import strategies as st
 from repro.config import SequencerConfig
 from repro.graphs import Graph, knowledge_graph
 from repro.graphs.io import from_dict, to_dict
-from repro.sequencer import GraphSequentializer
+from repro.sequencer import GraphSequentializer, serializer
+from repro.sequencer.serializer import node_token
 from repro.serve.cache import LRUCache
+from repro.store import GraphCatalog
 
 from .test_sequencer_oracle import assert_same_sequences, random_graph
 
@@ -145,3 +148,81 @@ def test_cached_sequences_equal_uncached_after_any_edit(
         assert_same_sequences(
             served, GraphSequentializer(config).sequentialize(graph),
             where)
+
+
+def counting_node_token(monkeypatch):
+    """Spy on the label renderer; returns the list of its calls."""
+    calls = []
+
+    def spy(graph, node):
+        calls.append(node)
+        return node_token(graph, node)
+
+    monkeypatch.setattr(serializer, "node_token", spy)
+    return calls
+
+
+def test_a_second_lookup_renders_no_token(monkeypatch):
+    graph = knowledge_graph(30, 90, seed=1)
+    sequencer = GraphSequentializer(cache=LRUCache(8))
+    calls = counting_node_token(monkeypatch)
+    first = sequencer.sequentialize(graph)
+    assert len(calls) == graph.number_of_nodes()
+    calls.clear()
+    assert sequencer.sequentialize(graph) is first
+    assert calls == [] and lookups(sequencer.cache) == (1, 1)
+
+
+def test_a_label_write_and_a_topology_edit_both_miss():
+    graph = knowledge_graph(30, 90, seed=2)
+    sequencer = GraphSequentializer(cache=LRUCache(8))
+    sequencer.sequentialize(graph)
+    node = next(iter(graph.nodes()))
+    graph.set_node_attr(node, "label", "fresh-label")
+    assert sequencer.sequentialize(graph).feature_counts["<n:fresh-label>"]
+    assert lookups(sequencer.cache) == (2, 0)
+    graph.add_edge(node, ("new", 0))
+    served = sequencer.sequentialize(graph)
+    assert lookups(sequencer.cache) == (3, 0)
+    assert_same_sequences(served, GraphSequentializer().sequentialize(graph),
+                          "edge")
+
+
+def test_a_renamed_graph_is_served_its_new_name():
+    graph = knowledge_graph(30, 90, seed=3)
+    sequencer = GraphSequentializer(cache=LRUCache(8))
+    assert sequencer.sequentialize(graph).supergraph.name == graph.name
+    graph.name = "renamed"
+    assert sequencer.sequentialize(graph).supergraph.name == "renamed"
+    assert lookups(sequencer.cache) == (2, 0)
+
+
+def test_two_configs_on_one_graph_make_two_entries():
+    graph = knowledge_graph(30, 90, seed=4)
+    cache = LRUCache(8)
+    configs = (SequencerConfig(), SequencerConfig(path_length=3))
+    served = [GraphSequentializer(config, cache).sequentialize(graph)
+              for config in configs]
+    assert lookups(cache) == (2, 0) and cache.stats().size == 2
+    for config, out in zip(configs, served):
+        assert_same_sequences(
+            out, GraphSequentializer(config).sequentialize(graph),
+            repr(config))
+        assert GraphSequentializer(config, cache).sequentialize(graph) \
+            is out
+    assert lookups(cache) == (2, 2)
+
+
+def test_a_fresh_snapshot_of_equal_content_hits(tmp_path):
+    with GraphCatalog(tmp_path / "store") as catalog:
+        handle = catalog.create("kg", directed=True)
+        handle.ingest(knowledge_graph(40, 120, seed=5))
+        sequencer = GraphSequentializer(cache=LRUCache(8))
+        first = catalog.view("kg").graph
+        out = sequencer.sequentialize(first)
+        handle.snapshot()  # an epoch roll: a new frozen object, same content
+        second = catalog.view("kg").graph
+        assert second is not first and second == first
+        for _ in range(2):
+            assert sequencer.sequentialize(second) is out
+        assert lookups(sequencer.cache) == (1, 2)

@@ -9,6 +9,7 @@ limiter, histogram and cache primitives.
 
 from __future__ import annotations
 
+import random
 import threading
 import time
 
@@ -281,6 +282,49 @@ class TestSessionStore:
         store.get_or_create("c")        # evicts b
         assert "a" in store and "c" in store and "b" not in store
         assert store.stats()["evicted_lru"] == 1
+
+    def test_ttl_eviction_reads_only_the_expired_entries(
+            self, serve_chatgraph, monkeypatch):
+        monkeypatch.setattr(sessions_module, "MAX_SESSIONS", 2000)
+        reads = []
+
+        class CountingEntry(sessions_module.SessionEntry):
+            def __getattribute__(self, name):
+                if name == "last_used":
+                    reads.append(object.__getattribute__(self,
+                                                          "session_id"))
+                return object.__getattribute__(self, name)
+
+        monkeypatch.setattr(sessions_module, "SessionEntry", CountingEntry)
+        clock = FakeClock()
+        store = SessionStore(serve_chatgraph, ttl_seconds=1000,
+                             clock=clock)
+        rng = random.Random(0)
+        last_use = {}
+        for index in range(1000):
+            session_id = f"s{index}"
+            store.get_or_create(session_id)
+            last_use[session_id] = clock.now
+            clock.advance(rng.uniform(0.1, 1.0))
+        for index in rng.sample(range(1000), 200):  # re-used out of order
+            session_id = f"s{index}"
+            store.get(session_id)
+            last_use[session_id] = clock.now
+            clock.advance(rng.uniform(0.1, 1.0))
+        assert store.stats()["evicted_ttl"] == 0
+        clock.advance(800)
+        # what a scan of every session evicts
+        expired = {session_id for session_id, used in last_use.items()
+                   if clock.now - used > store.ttl_seconds}
+        assert 100 < len(expired) < 900
+        reads.clear()
+        store.get_or_create("late")
+        assert set(last_use) - set(store.ids()) == expired
+        assert store.stats()["evicted_ttl"] == len(expired)
+        # the turn read each expired entry once, then the first live one
+        *evicted, first_live = reads
+        assert sorted(evicted) == sorted(expired)
+        assert first_live not in expired
 
     def test_get_missing_raises(self, serve_chatgraph):
         store = SessionStore(serve_chatgraph)
